@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .formulas import ProductFormula
-from .pauli import LocalityProfile, PauliSumOp, commutator_minus_i, to_dense
+from .pauli import LocalityProfile, PauliSumOp, commutator_minus_i, pauli_action, to_dense
 from .static_mpf import MpfScheme
 
 DENSE_NORM_CAP = 8
@@ -95,12 +95,10 @@ def spectral_norm_dense(matrix: np.ndarray, tol: float = NORM_TOL) -> float:
 
 def _apply_pauli_sum(op: PauliSumOp, vec: np.ndarray) -> np.ndarray:
     out = np.zeros_like(vec)
-    dim = vec.size
-    idx = np.arange(dim)
+    idx = np.arange(vec.size)
     for coeff, ps in op.terms:
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & ps.z_mask) & 1)
-        phases = coeff * (1j ** ps.y_count) * signs
-        out[idx ^ ps.x_mask] += phases * vec
+        partner, phases = pauli_action(ps, idx)
+        out[partner] += coeff * phases * vec
     return out
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDegeneracyError, SolverError
-from .formulas import ProductFormula, rho_k_state
-from .statesim import SpectralOracle, mixture_frobenius_sq, overlap
+from .formulas import ProductFormula
+from .statesim import SpectralOracle, mixture_frobenius_sq
 
 RIDGE = 1e-12
 PINV_RTOL = 1e-12
@@ -26,17 +26,28 @@ MINIMAX_TOL = 1e-9
 
 def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t: float,
                    steps) -> list[np.ndarray]:
-    """States S(t/k_i)^{k_i} |psi_in> for each step count."""
-    return [rho_k_state(pf, psi_in, t, int(k)) for k in steps]
+    """States S(t/k_i)^{k_i} |psi_in> for each step count, run as one block."""
+    ks = np.array([int(k) for k in steps], dtype=int)
+    if ks.size == 0:
+        return []
+    if ks.min() < 1:
+        raise ValueError("step count k must be >= 1")
+    block = np.repeat(np.asarray(psi_in)[:, None], ks.size, axis=1)
+    return list(pf.apply(block, t / ks, ks).T)
+
+
+def _overlaps_sq(bra, ket) -> np.ndarray:
+    """``|<bra_i|ket_j>|^2`` for every pair, as one block product; each side
+    is a list of states or an ``(r, 2^n)`` array of rows."""
+    return np.abs(np.array(bra).conj() @ np.array(ket).T) ** 2
 
 
 def gram_from_states(states: list[np.ndarray]) -> np.ndarray:
-    r = len(states)
-    m = np.empty((r, r))
-    for i in range(r):
-        m[i, i] = 1.0
-        for j in range(i + 1, r):
-            m[i, j] = m[j, i] = abs(overlap(states[i], states[j])) ** 2
+    if not states:
+        return np.empty((0, 0))
+    upper = np.triu(_overlaps_sq(states, states), 1)
+    m = upper + upper.T
+    np.fill_diagonal(m, 1.0)
     return m
 
 
@@ -48,18 +59,14 @@ def gram_matrix(pf: ProductFormula, psi_in: np.ndarray, t: float, steps) -> np.n
 def q_from_states(pf: ProductFormula, states_prev: list[np.ndarray],
                   states_next: list[np.ndarray], dt: float, k0: int) -> np.ndarray:
     """Propagation overlaps: Q[i, s] = |<phi_s | psi_i(t+dt)>|^2 where phi_s
-    is the previous-time state pushed forward by k0 steps over dt."""
+    is the previous-time state pushed forward by k0 steps over dt (all
+    previous states pushed as one block)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    pushed = [rho_k_state(pf, s, dt, k0) for s in states_prev]
-    r = len(states_next)
-    q = np.empty((r, len(pushed)))
-    for s, phi in enumerate(pushed):
-        for i, psi in enumerate(states_next):
-            q[i, s] = abs(overlap(phi, psi)) ** 2
-    return q
+    pushed = pf.apply(np.stack(states_prev, axis=1), dt / k0, k0)
+    return _overlaps_sq(states_next, pushed.T)
 
 
 def q_matrix(pf: ProductFormula, psi_in: np.ndarray, t_j: float, dt: float,
@@ -73,14 +80,11 @@ def q_matrix(pf: ProductFormula, psi_in: np.ndarray, t_j: float, dt: float,
 def l_exact(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
             t: float, steps) -> np.ndarray:
     """Overlaps of the exact state with each circuit state at time t."""
-    exact = oracle.evolve(psi_in, t)
-    return np.array([
-        abs(overlap(exact, s)) ** 2 for s in trotter_states(pf, psi_in, t, steps)
-    ])
+    return l_from_states(oracle.evolve(psi_in, t), trotter_states(pf, psi_in, t, steps))
 
 
 def l_from_states(exact_state: np.ndarray, states: list[np.ndarray]) -> np.ndarray:
-    return np.array([abs(overlap(exact_state, s)) ** 2 for s in states])
+    return _overlaps_sq(states, [exact_state])[:, 0]
 
 
 # -- exact Frobenius projection ----------------------------------------------

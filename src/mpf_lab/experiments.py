@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import dynamic_mpf as dmp
-from .formulas import ProductFormula, second_order, suzuki
+from .formulas import ProductFormula, rho_k_state, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .statesim import SpectralOracle, mixture_frobenius_sq, mixture_trace_norm, neel_state
 from .static_mpf import MpfScheme, rank_of_tuple, search_steps, solve_coefficients
@@ -276,7 +276,7 @@ def _trotter_sweep_rows(ctx: ChainContext, indices: list[int]) -> list[list]:
         if t == 0.0:
             rows.append([t, k, 0.0, 0.0, 0.0])
             continue
-        state = dmp.rho_k_state(ctx.pf, ctx.psi, t, k)
+        state = rho_k_state(ctx.pf, ctx.psi, t, k)
         err = mixture_trace_norm([state, ctx.oracle.evolve(ctx.psi, t)], [1.0, -1.0])
         rows.append([
             t, k, err,

@@ -33,8 +33,11 @@ class ProductFormula:
         n = self.fragments[0].n
         if any(f.n != n for f in self.fragments):
             raise ValueError("fragments act on different qubit counts")
-        sums = np.zeros(len(self.fragments))
+        count = len(self.fragments)
+        sums = np.zeros(count)
         for idx, mult in self.steps:
+            if not isinstance(idx, (int, np.integer)) or not 0 <= idx < count:
+                raise ValueError(f"fragment index {idx!r} outside [0, {count})")
             sums[idx] += mult
         if not np.allclose(sums, 1.0, atol=1e-12):
             raise ValueError("per-fragment multipliers must sum to 1")
@@ -60,15 +63,71 @@ class ProductFormula:
         return tuple(mult * self.fragments[idx] for idx, mult in self.steps)
 
     @cached_property
-    def _evolvers(self) -> tuple[FragmentEvolver, ...]:
-        return tuple(FragmentEvolver(f) for f in self.fragments)
-
-    def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Return S(t) |state>."""
-        out = state
+    def _program(self) -> tuple[tuple[FragmentEvolver, float], ...]:
+        """The recipe as ``(evolver, multiplier)`` slots, with one evolver per
+        distinct fragment and adjacent slots on equal fragments merged."""
+        evolvers: dict[PauliSumOp, FragmentEvolver] = {}
+        program: list[tuple[FragmentEvolver, float]] = []
         for idx, mult in self.steps:
-            out = self._evolvers[idx].apply(out, mult * t)
-        return out
+            frag = self.fragments[idx]
+            if frag not in evolvers:
+                evolvers[frag] = FragmentEvolver(frag)
+            evolver = evolvers[frag]
+            if program and program[-1][0] is evolver:
+                program[-1] = (evolver, program[-1][1] + mult)
+            else:
+                program.append((evolver, mult))
+        return tuple(program)
+
+    def apply(self, state: np.ndarray, t, k=1) -> np.ndarray:
+        """Return ``S(t)^k |state>``; the input array is not modified.
+
+        ``state`` is ``(2^n,)`` or a ``(2^n, r)`` block of columns, and for a
+        block ``t`` and ``k`` may be length-r vectors: column i gets
+        ``S(t_i)^{k_i}``.  The columns run as one block, longest circuit
+        first, and a column drops out once its k_i steps are done.  When the
+        recipe closes on the fragment it opens with (a palindrome), the
+        closing slot of one step and the opening slot of the next run as one
+        slot of summed time.
+        """
+        state = np.asarray(state)
+        if state.ndim not in (1, 2):
+            raise ValueError("state must be a vector or a (2^n, r) block")
+        block = state if state.ndim == 2 else state[:, None]
+        cols = block.shape[1]
+        try:
+            times = np.broadcast_to(np.asarray(t, dtype=float), (cols,))
+            reps = np.broadcast_to(np.asarray(k), (cols,))
+        except ValueError:
+            raise ValueError(f"t and k must be scalars or have one entry per column ({cols})") from None
+        if cols == 0:
+            return block.astype(complex)
+        if not np.issubdtype(reps.dtype, np.integer) or reps.min() < 1:
+            raise ValueError("step count k must be an integer >= 1")
+        order = np.argsort(-reps, kind="stable")
+        permuted = np.any(order != np.arange(cols))
+        if permuted:
+            block, times, reps = block[:, order], times[order], reps[order]
+        program = self._program
+        last = len(program) - 1
+        wrap = last > 0 and program[0][0] is program[last][0]
+        out = np.empty(block.shape, dtype=complex, order="F")
+        cur = block
+        for step in range(int(reps[0])):
+            live = int(np.count_nonzero(reps > step))
+            if live < cur.shape[1]:
+                out[:, live:cur.shape[1]] = cur[:, live:]
+                cur = cur[:, :live]
+            for j, (evolver, mult) in enumerate(program):
+                if wrap and j == 0 and step > 0:
+                    continue
+                if wrap and j == last:
+                    mult = np.where(reps[:live] > step + 1, mult + program[0][1], mult)
+                cur = evolver.apply(cur, mult * times[:live])
+        out[:, :cur.shape[1]] = cur
+        if permuted:
+            out[:, order] = out.copy()
+        return out if state.ndim == 2 else out[:, 0]
 
     def multiplier_list(self) -> list[float]:
         return [m for _, m in self.steps]
@@ -143,8 +202,4 @@ def rho_k_state(pf: ProductFormula, psi_in: np.ndarray, t: float, k: int) -> np.
     """Apply k repetitions of S(t/k) to the initial state."""
     if k < 1:
         raise ValueError("step count k must be >= 1")
-    state = psi_in
-    dt = t / k
-    for _ in range(k):
-        state = pf.apply(state, dt)
-    return state
+    return pf.apply(psi_in, t / k, k)

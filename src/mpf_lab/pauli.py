@@ -226,6 +226,22 @@ def locality_profile(op: PauliSumOp) -> LocalityProfile:
 
 # -- dense materialization ---------------------------------------------------
 
+def pauli_action(ps: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Action of a Pauli word on basis states: ``P|i> = phase[i] |partner[i]>``.
+
+    ``partner = idx ^ x_mask``; the phase is ``i^{#Y}`` times the sign
+    ``(-1)^{popcount(idx & z_mask)}``, returned as a real array when
+    ``i^{#Y}`` is real.  Every mask-based kernel of the package (dense
+    materialization, matrix-free products, fragment exponentials) takes its
+    index arithmetic from here.
+    """
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & ps.z_mask) & 1)
+    if ps.y_count % 2 == 0:
+        # A real phase saves a complex pass per term and keeps diagonals real.
+        return idx ^ ps.x_mask, signs if ps.y_count % 4 == 0 else -signs
+    return idx ^ ps.x_mask, (1j ** ps.y_count) * signs
+
+
 def pauli_dense(ps: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli word."""
     n = ps.n
@@ -233,9 +249,7 @@ def pauli_dense(ps: PauliString) -> np.ndarray:
         raise ValueError(f"dense materialization capped at n={DENSE_QUBIT_CAP}")
     dim = 1 << n
     cols = np.arange(dim)
-    rows = cols ^ ps.x_mask
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & ps.z_mask) & 1)
-    phases = (1j ** ps.y_count) * signs
+    rows, phases = pauli_action(ps, cols)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[rows, cols] = phases
     return mat
@@ -247,11 +261,10 @@ def to_dense(op: PauliSumOp) -> np.ndarray:
         raise ValueError(f"dense materialization capped at n={DENSE_QUBIT_CAP}")
     dim = 1 << op.n
     mat = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for coeff, ps in op.terms:
-        cols = np.arange(dim)
-        rows = cols ^ ps.x_mask
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & ps.z_mask) & 1)
-        mat[rows, cols] += coeff * (1j ** ps.y_count) * signs
+        rows, phases = pauli_action(ps, cols)
+        mat[rows, cols] += coeff * phases
     return mat
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .pauli import PauliSumOp, commutes, to_dense
+from .pauli import PauliSumOp, commutes, pauli_action, to_dense
 
 # Exact evolution keeps a dense eigendecomposition around, so cap the size.
 ORACLE_QUBIT_CAP = 12
@@ -44,18 +44,53 @@ def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
+def _index_view(local: np.ndarray):
+    """A basic slice when ``local`` is an arithmetic progression (so the
+    kernel works on views), else the index array itself."""
+    if local.size == 1:
+        return slice(int(local[0]), int(local[0]) + 1)
+    step = int(local[1] - local[0])
+    if step != 0 and np.all(np.diff(local) == step):
+        stop = int(local[-1]) + step
+        return slice(int(local[0]), stop if stop >= 0 else None, step)
+    return local
+
+
+class _Rotation:
+    """One ``x_mask`` group at one coupling magnitude ``mag``, on the window
+    of qubits its terms touch.  The amplitude block is viewed as
+    ``(columns, above, window, below)``; ``lo``/``hi`` index the paired
+    window states and ``u_lo``/``u_hi`` hold ``-i <hi|G|lo> / mag`` and
+    ``-i <lo|G|hi> / mag``."""
+
+    __slots__ = ("shape", "lo", "hi", "u_lo", "u_hi", "mag")
+
+    def __init__(self, shape, lo, hi, u_lo, u_hi, mag):
+        self.shape, self.lo, self.hi, self.mag = shape, lo, hi, mag
+        self.u_lo = -1j * u_lo.reshape(-1, 1)
+        self.u_hi = -1j * u_hi.reshape(-1, 1)
+
+
 class FragmentEvolver:
     """Applies ``exp(-i t F)`` for a fragment F whose terms pairwise commute.
 
-    The exponential factorizes exactly into per-term rotations
-    ``exp(-i t c P) = cos(tc) I - i sin(tc) P``, each applied through
-    index-pair arithmetic on the amplitude vector.
+    At construction the terms are grouped.  Z-only terms fold into one real
+    diagonal ``d``, applied as the phase ``exp(-i t d)``.  Terms sharing an
+    ``x_mask`` fold into one Hermitian coupling G that pairs basis state
+    ``lo`` with ``lo ^ x_mask``; on each pair ``G^2 = |g|^2``, so
+    ``exp(-i t G) = cos(t|g|) - i sin(t|g|) G/|g|`` in closed form.  Pairs
+    with zero coupling are dropped (|00>, |11> under XX + YY) and the rest
+    are split by |g|, so each rotation needs one cos/sin per column.  The
+    groups commute, so their order does not matter.
+
+    ``apply`` takes one state ``(2^n,)`` or a block ``(2^n, r)`` of columns,
+    with one time or a length-r vector of per-column times.
     """
 
     def __init__(self, fragment: PauliSumOp):
         self.fragment = fragment
         self.n = fragment.n
-        dim = 1 << fragment.n
+        self.dim = 1 << fragment.n
         terms = fragment.terms
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
@@ -64,34 +99,95 @@ class FragmentEvolver:
                         "fragment terms must pairwise commute; "
                         f"{terms[i][1]} and {terms[j][1]} do not"
                     )
-        idx = np.arange(dim)
-        self._ops = []
+        self._diag = None
+        groups: dict[int, list] = {}
+        idx = np.arange(self.dim)
         for coeff, ps in terms:
-            if ps.x_mask == 0:
-                signs = 1.0 - 2.0 * (np.bitwise_count(idx & ps.z_mask) & 1)
-                self._ops.append((coeff, None, None, signs, None))
-            else:
-                partner = idx ^ ps.x_mask
-                lo = idx[idx < partner]
-                hi = lo ^ ps.x_mask
-                ip = 1j ** ps.y_count
-                phi_lo = ip * (1.0 - 2.0 * (np.bitwise_count(lo & ps.z_mask) & 1))
-                phi_hi = ip * (1.0 - 2.0 * (np.bitwise_count(hi & ps.z_mask) & 1))
-                self._ops.append((coeff, lo, hi, phi_lo, phi_hi))
+            if ps.x_mask:
+                groups.setdefault(ps.x_mask, []).append((coeff, ps))
+                continue
+            if self._diag is None:
+                self._diag = np.zeros(self.dim)
+            self._diag += coeff * pauli_action(ps, idx)[1]
+        self._rotations = [rot for group in groups.values() for rot in self._group_rotations(group)]
+        self._cached_key = None
+        self._cached = None
 
-    def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Return exp(-i t F) |state>; the input array is not modified."""
-        out = state.copy()
-        for coeff, lo, hi, a, b in self._ops:
-            theta = t * coeff
-            if lo is None:
-                out *= np.where(a > 0, np.exp(-1j * theta), np.exp(1j * theta))
-            else:
-                c, s = np.cos(theta), np.sin(theta)
-                x, y = out[lo], out[hi]
-                out[lo] = c * x - 1j * s * b * y
-                out[hi] = c * y - 1j * s * a * x
+    def _group_rotations(self, group) -> list[_Rotation]:
+        """Rotations of the terms sharing one ``x_mask``, one per magnitude."""
+        support = 0
+        for _, ps in group:
+            support |= ps.x_mask | ps.z_mask
+        low = (support & -support).bit_length() - 1
+        width = support.bit_length() - low
+        shape = (1 << (self.n - low - width), 1 << width, 1 << low)
+        window = np.arange(1 << width) << low
+        coupling = np.zeros(window.size, dtype=complex)
+        for coeff, ps in group:
+            partner, phase = pauli_action(ps, window)
+            coupling += coeff * phase
+        local = np.arange(window.size)
+        partner >>= low
+        mag = np.abs(coupling)
+        keep = (local < partner) & (mag > 0.0)
+        out = []
+        for value in np.unique(mag[keep]):
+            lo = local[keep & (mag == value)]
+            hi = partner[lo]
+            out.append(_Rotation(shape, _index_view(lo), _index_view(hi),
+                                 coupling[lo] / value, coupling[hi] / value, value))
         return out
+
+    def _coefficients(self, times: np.ndarray):
+        """Diagonal phases and rotation coefficients for these column times.
+        The last set is kept: a circuit reuses one time vector per slot."""
+        key = times.tobytes()
+        if key != self._cached_key:
+            phase = None
+            if self._diag is not None:
+                phase = np.exp(-1j * np.multiply.outer(times, self._diag))
+            rotations = []
+            for rot in self._rotations:
+                angle = (rot.mag * times)[:, None, None, None]
+                sin = np.sin(angle)
+                rotations.append((rot, np.cos(angle), sin * rot.u_lo, sin * rot.u_hi))
+            self._cached = (phase, rotations)
+            self._cached_key = key
+        return self._cached
+
+    def apply(self, state: np.ndarray, t) -> np.ndarray:
+        """Return exp(-i t F) |state>; the input array is not modified.
+
+        ``state`` is ``(2^n,)`` or ``(2^n, r)``; ``t`` is a scalar or, for a
+        block, a length-r vector of per-column times.
+        """
+        state = np.asarray(state)
+        if state.ndim not in (1, 2) or state.shape[0] != self.dim:
+            raise ValueError(
+                f"state of shape {state.shape} does not match {self.n} qubits "
+                f"(leading dimension {self.dim})"
+            )
+        block = state.ndim == 2
+        cols = state.shape[1] if block else 1
+        times = np.asarray(t, dtype=float)
+        if times.ndim == 0:
+            times = np.full(cols, float(times))
+        elif times.shape != (cols,) or not block:
+            raise ValueError(f"times of shape {times.shape} do not match state of shape {state.shape}")
+        # Columns-major working copy: one contiguous row per column.
+        out = np.array(state.T if block else state[None, :], dtype=complex, order="C")
+        if times.any():
+            phase, rotations = self._coefficients(times)
+            if phase is not None:
+                out *= phase
+            for rot, c, a_lo, a_hi in rotations:
+                view = out.reshape(cols, *rot.shape)
+                x = view[:, :, rot.lo]
+                y = view[:, :, rot.hi]
+                new_x = c * x + a_hi * y
+                view[:, :, rot.hi] = c * y + a_lo * x
+                view[:, :, rot.lo] = new_x
+        return out.T if block else out[0]
 
 
 def apply_fragment_exp(state: np.ndarray, fragment: PauliSumOp, t: float) -> np.ndarray:

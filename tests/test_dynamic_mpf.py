@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mpf_lab import (
+    FragmentEvolver,
     MinimaxRun,
     dynamic_project,
     gram_matrix,
@@ -15,11 +16,64 @@ from mpf_lab import (
     q_matrix,
     rho_k_state,
     solve_coefficients,
+    suzuki,
     tracking_error_bound,
     trotter_states,
 )
+from mpf_lab.dynamic_mpf import gram_from_states, l_from_states, q_from_states
 
 STEPS = (4, 13, 17)
+
+
+def slot_by_slot(pf, psi, t, k):
+    """Reference circuit: every slot of every step applied in turn to one
+    state, with no block, no column ordering and no slot merge."""
+    evolvers = [FragmentEvolver(f) for f in pf.fragments]
+    state = psi
+    for _ in range(k):
+        for idx, mult in pf.steps:
+            state = evolvers[idx].apply(state, mult * (t / k))
+    return state
+
+
+def test_batched_trotter_states_match_single_circuits(chain4):
+    pf4 = suzuki(chain4.pf, 4)
+    for pf, steps in ((chain4.pf, (13, 4, 17)), (chain4.pf, (5, 9, 5, 2)), (pf4, (3, 1, 4, 3))):
+        for t in (0.7, 2.3):
+            batched = trotter_states(pf, chain4.psi, t, steps)
+            assert len(batched) == len(steps)
+            for k, state in zip(steps, batched):
+                ref = slot_by_slot(pf, chain4.psi, t, k)
+                assert np.abs(state - rho_k_state(pf, chain4.psi, t, k)).max() < 1e-13
+                assert np.abs(state - ref).max() < 1e-13
+    assert trotter_states(chain4.pf, chain4.psi, 0.7, ()) == []
+    with pytest.raises(ValueError):
+        trotter_states(chain4.pf, chain4.psi, 0.7, (3, 0))
+
+
+def test_q_from_states_matches_single_push(chain4):
+    t, dt, k0 = 1.1, 0.05, 7
+    prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
+    nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
+    q = q_from_states(chain4.pf, prev, nxt, dt, k0)
+    for s, state in enumerate(prev):
+        pushed = slot_by_slot(chain4.pf, state, dt, k0)
+        for i, psi in enumerate(nxt):
+            assert abs(q[i, s] - abs(np.vdot(pushed, psi)) ** 2) < 1e-13
+
+
+def test_block_overlaps_match_vdot(chain4):
+    states = trotter_states(chain4.pf, chain4.psi, 1.7, STEPS)
+    m = gram_from_states(states)
+    assert np.all(np.diag(m) == 1.0)
+    assert np.array_equal(m, m.T)
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            if i != j:
+                assert abs(m[i, j] - abs(np.vdot(a, b)) ** 2) < 1e-14
+    exact = chain4.oracle.evolve(chain4.psi, 1.7)
+    ell = l_from_states(exact, states)
+    assert np.abs(ell - [abs(np.vdot(exact, s)) ** 2 for s in states]).max() < 1e-14
 
 
 def test_gram_trivial_properties(chain4):

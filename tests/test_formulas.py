@@ -133,6 +133,40 @@ def test_formula_requires_fragments():
         ProductFormula(fragments=(a, b), steps=((0, 1.0), (1, 1.0)), order=2)
 
 
+def test_formula_rejects_out_of_range_fragment_index():
+    a = PauliSumOp.from_terms(1, [(1.0, PauliString("Z"))])
+    b = PauliSumOp.from_terms(1, [(1.0, PauliString("X"))])
+    with pytest.raises(ValueError, match="fragment index"):
+        ProductFormula(fragments=(a, b), steps=((0, 1.0), (1, 0.5), (-1, 0.5)), order=2)
+    with pytest.raises(ValueError, match="fragment index"):
+        ProductFormula(fragments=(a, b), steps=((0, 1.0), (1, 1.0), (2, 0.0)), order=2)
+
+
+def test_apply_block_matches_columns(chain4, rng):
+    """A block with per-column times and step counts equals the columns run
+    one by one, and a slot merge across step boundaries changes nothing."""
+    block = np.stack([random_state(4, rng) for _ in range(3)], axis=1)
+    times = np.array([0.3, -0.1, 0.05])
+    reps = np.array([2, 5, 3])
+    out = chain4.pf.apply(block, times, reps)
+    for c in range(3):
+        ref = block[:, c]
+        for _ in range(reps[c]):
+            ref = chain4.pf.apply(ref, times[c])
+        assert np.abs(out[:, c] - ref).max() < 1e-13
+    with pytest.raises(ValueError):
+        chain4.pf.apply(block, times, np.array([1, 0, 2]))
+    with pytest.raises(ValueError):
+        chain4.pf.apply(block, np.array([0.1, 0.2]))
+
+
+def test_distinct_fragments_share_one_evolver(chain4):
+    program = chain4.pf._program
+    assert len(program) == 5
+    assert len({id(evolver) for evolver, _ in program}) == 3
+    assert program[0][0] is program[-1][0]
+
+
 def test_fragment_by_commuting_groups(chain4):
     from mpf_lab.formulas import fragment_by_commuting_groups
     from mpf_lab.pauli import commutes

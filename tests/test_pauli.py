@@ -15,7 +15,7 @@ from mpf_lab import (
     pauli_from_sites,
     to_dense,
 )
-from mpf_lab.pauli import commutes, pauli_dense, pauli_product
+from mpf_lab.pauli import commutes, pauli_action, pauli_dense, pauli_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -134,3 +134,40 @@ def test_parse_op_format():
         parse_op("1.0\n")
     with pytest.raises(ValueError):
         parse_op("")
+
+
+def _to_dense_per_term(op: PauliSumOp) -> np.ndarray:
+    """The per-term mask loop ``to_dense`` used before the shared helper."""
+    dim = 1 << op.n
+    mat = np.zeros((dim, dim), dtype=complex)
+    for coeff, ps in op.terms:
+        cols = np.arange(dim)
+        rows = cols ^ ps.x_mask
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & ps.z_mask) & 1)
+        mat[rows, cols] += coeff * (1j ** ps.y_count) * signs
+    return mat
+
+
+def test_pauli_action_matches_kron():
+    idx = np.arange(8)
+    for word in ("XYZ", "YYI", "IZX", "III", "ZZZ"):
+        partner, phase = pauli_action(PauliString(word), idx)
+        dense = np.zeros((8, 8), dtype=complex)
+        dense[partner, idx] = phase
+        assert np.array_equal(dense, kron_word(word))
+
+
+def test_to_dense_unchanged_by_shared_helper():
+    from mpf_lab import build_heisenberg_chain
+
+    ops = [build_heisenberg_chain(n, seed=2024)[0] for n in range(4, 9)]
+    rng = np.random.default_rng(77)
+    for _ in range(12):
+        n = int(rng.integers(2, 7))
+        words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(int(rng.integers(1, 10)))]
+        words.append("Y" * n)
+        ops.append(PauliSumOp.from_terms(
+            n, [(float(rng.standard_normal()), PauliString(w)) for w in words]))
+    assert any(ps.y_count for op in ops for _, ps in op.terms)
+    for op in ops:
+        assert np.array_equal(to_dense(op), _to_dense_per_term(op))

@@ -19,6 +19,8 @@ from mpf_lab import (
     to_dense,
 )
 from mpf_lab.errors import NumericalDegeneracyError
+from mpf_lab.formulas import fragment_by_commuting_groups
+from mpf_lab.pauli import commutes
 from mpf_lab.statesim import _psd_sqrt
 
 
@@ -53,6 +55,126 @@ def test_norm_preserved(rng):
     for t in (0.1, 1.0, 7.3):
         state = apply_fragment_exp(state, frag, t)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+
+def random_commuting_fragment(n, rng, size=8):
+    """Greedy commuting set drawn from random words and their same-``x_mask``
+    variants (X and Y swapped on two sites, Z toggled off the X support), so
+    several terms usually share one mask and Y words are common."""
+    pool = []
+    for _ in range(size):
+        word = list(rng.choice(list("IXYZ"), n))
+        pool.append("".join(word))
+        flip = [j for j, ch in enumerate(word) if ch in "XY"]
+        if len(flip) >= 2:
+            variant = word.copy()
+            for j in rng.choice(flip, 2, replace=False):
+                variant[j] = "Y" if variant[j] == "X" else "X"
+            pool.append("".join(variant))
+        off = [j for j, ch in enumerate(word) if ch in "IZ"]
+        if off:
+            variant = word.copy()
+            j = int(rng.choice(off))
+            variant[j] = "Z" if variant[j] == "I" else "I"
+            pool.append("".join(variant))
+    kept = []
+    for word in pool:
+        ps = PauliString(word)
+        if all(commutes(ps, other) for other in kept):
+            kept.append(ps)
+    return PauliSumOp.from_terms(n, [(float(rng.standard_normal()), ps) for ps in kept])
+
+
+def expm_columns(frag, block, times):
+    dense = to_dense(frag)
+    return np.stack([sla.expm(-1j * t * dense) @ block[:, c] for c, t in enumerate(times)], axis=1)
+
+
+def random_block(n, r, rng):
+    return np.stack([random_state(n, rng) for _ in range(r)], axis=1)
+
+
+def test_block_kernel_matches_expm_random_fragments(rng):
+    shared = 0
+    for trial in range(25):
+        n = int(rng.integers(1, 6))
+        frag = random_commuting_fragment(n, rng)
+        masks = [ps.x_mask for _, ps in frag if ps.x_mask]
+        shared += len(masks) != len(set(masks))
+        block = random_block(n, 4, rng)
+        times = rng.uniform(-2.0, 2.0, 4)
+        fast = FragmentEvolver(frag).apply(block, times)
+        assert fast.shape == block.shape
+        assert np.abs(fast - expm_columns(frag, block, times)).max() < 1e-12
+    assert shared >= 5
+
+
+def test_block_kernel_grouped_fragments(rng):
+    cases = [
+        # XX + YY share one mask: the |00>,|11> coupling cancels
+        op(3, (0.5, "XXI"), (0.5, "YYI"), (0.5, "ZZI"), (-0.3, "IIZ")),
+        # unequal XX and YY weights give two coupling magnitudes on one mask
+        op(3, (0.9, "XXI"), (-0.2, "YYI"), (0.3, "ZZI"), (0.4, "IIX")),
+        # Y words with Z components inside the window and a non-local mask
+        op(4, (0.7, "XZZX"), (0.3, "YZZY"), (-0.6, "ZIIZ"), (0.25, "IZZI")),
+        # Z-only fragment
+        op(4, (0.3, "ZIII"), (-1.1, "IZZI"), (0.4, "ZZZZ"), (0.2, "IIII")),
+    ]
+    for frag in cases:
+        block = random_block(frag.n, 3, rng)
+        times = np.array([0.37, -1.2, 2.9])
+        fast = FragmentEvolver(frag).apply(block, times)
+        assert np.abs(fast - expm_columns(frag, block, times)).max() < 1e-12
+
+
+def test_block_kernel_commuting_groups_fragments(rng):
+    words = ["XXII", "YYII", "ZZII", "IXYI", "IYXI", "IIZZ", "XIIY", "ZIZI", "YIYI"]
+    ham = PauliSumOp.from_terms(
+        4, [(float(rng.standard_normal()), PauliString(w)) for w in words])
+    groups = fragment_by_commuting_groups(ham)
+    assert len(groups) > 1
+    block = random_block(4, 2, rng)
+    for frag in groups:
+        times = rng.uniform(-1.0, 1.0, 2)
+        fast = FragmentEvolver(frag).apply(block, times)
+        assert np.abs(fast - expm_columns(frag, block, times)).max() < 1e-12
+
+
+def test_block_kernel_columns_and_vectors(chain4, rng):
+    evolver = FragmentEvolver(chain4.fragments[0])
+    block = random_block(4, 3, rng)
+    before = block.copy()
+    times = np.array([0.1, 0.7, -0.4])
+    out = evolver.apply(block, times)
+    assert np.array_equal(block, before)
+    for c, t in enumerate(times):
+        assert np.abs(out[:, c] - evolver.apply(block[:, c], t)).max() < 1e-14
+    # one scalar time applies to every column
+    same = evolver.apply(block, 0.7)
+    assert np.abs(same[:, 1] - out[:, 1]).max() < 1e-14
+    vec = evolver.apply(block[:, 0], 0.1)
+    assert vec.shape == (16,)
+
+
+def test_block_kernel_zero_time_exact(chain4, rng):
+    evolver = FragmentEvolver(chain4.fragments[2])
+    state = random_state(4, rng)
+    assert np.array_equal(evolver.apply(state, 0.0), state)
+    block = random_block(4, 3, rng)
+    assert np.array_equal(evolver.apply(block, np.zeros(3)), block)
+    assert np.array_equal(evolver.apply(block, 0.0), block)
+
+
+def test_fragment_evolver_rejects_wrong_dimension(rng):
+    evolver = FragmentEvolver(op(2, (1.0, "XX"), (1.0, "YY")))
+    with pytest.raises(ValueError, match="leading dimension"):
+        evolver.apply(random_state(3, rng), 0.3)
+    with pytest.raises(ValueError, match="leading dimension"):
+        evolver.apply(random_block(3, 2, rng), 0.3)
+    with pytest.raises(ValueError):
+        evolver.apply(random_block(2, 2, rng), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError):
+        evolver.apply(random_state(2, rng), np.array([0.1, 0.2]))
 
 
 def test_noncommuting_fragment_rejected():
