@@ -3,9 +3,12 @@ one-step/k-step product-formula bound, the multi-product bound with its
 a1/a2/a3 coefficients, Bernoulli numbers, and locality/interaction-strength
 propagation through commutators and conjugations.
 
-Spectral norms of nested commutators are evaluated either on dense
-materializations (n <= 8) or symbolically as Pauli sums with a
-statevector-based power iteration for the norm.
+Up to n = 8 every dense step runs inside the invariant blocks of the
+operators involved (the connected components of their nonzero patterns,
+e.g. the total-Z sectors of the Heisenberg chain), and every norm is the
+exact largest |eigenvalue| of a Hermitian or anti-Hermitian piece.  Above
+that, nested commutators are formed symbolically as Pauli sums, with a
+statevector-based power iteration for the norm beyond 10 qubits.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .static_mpf import MpfScheme
 
 DENSE_NORM_CAP = 8
 SYMBOLIC_TERM_GUARD = 10**6
-# Tighter than strictly needed for the bounds themselves so that closed-form
-# commutator identities reproduce to 1e-8 absolute on O(10)-sized values.
+# Convergence tolerance of the matrix-free power iteration (n > 10).
 NORM_TOL = 1e-10
 NORM_MAX_ITER = 10**4
 
@@ -46,6 +48,60 @@ def bernoulli(order: int) -> Fraction:
     return -total / (order + 1)
 
 
+# -- invariant blocks -----------------------------------------------------------
+
+def _invariant_blocks(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Invariant blocks of a set of dense operators, grouped by size.
+
+    The blocks are the connected components of the union of the matrices'
+    exact nonzero patterns, found by min-label propagation with pointer
+    jumping.  Every product, commutator and exponential of the operators is
+    block-diagonal on them; operators that conserve nothing give one block of
+    the full dimension.  Returns one ``(count, size)`` index array per block
+    size, in ascending size.
+    """
+    pattern = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        pattern |= m != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    label = np.arange(pattern.shape[0])
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    sizes = np.unique(label, return_counts=True)[1]
+    by_size: dict[int, list[np.ndarray]] = {}
+    for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
+        by_size.setdefault(members.size, []).append(members)
+    return [np.array(by_size[s]) for s in sorted(by_size)]
+
+
+def _split(blocks: list[np.ndarray], mat: np.ndarray) -> list[np.ndarray]:
+    """Block form of ``mat``: one ``(..., count, size, size)`` stack per block
+    size, keeping any leading axes."""
+    return [mat[..., idx[:, :, None], idx[:, None, :]] for idx in blocks]
+
+
+def _block_ad(a: list[np.ndarray], x: list[np.ndarray]) -> list[np.ndarray]:
+    """Blockwise commutator [A, X]; A broadcasts against leading axes of X."""
+    return [ag @ xg - xg @ ag for ag, xg in zip(a, x)]
+
+
+def _block_is_zero(x: list[np.ndarray]) -> bool:
+    return not any(g.any() for g in x)
+
+
+def _block_norms(x: list[np.ndarray], anti: bool) -> np.ndarray:
+    """Spectral norms of block-form Hermitian matrices (anti-Hermitian ones
+    with ``anti``, multiplied by i first): the largest |eigenvalue| over all
+    blocks, from one ``eigvalsh`` per block size.  Leading axes are kept."""
+    return np.max([np.abs(np.linalg.eigvalsh(1j * g if anti else g)).max(axis=(-2, -1))
+                   for g in x], axis=0)
+
+
 # -- spectral norms ----------------------------------------------------------
 
 @lru_cache(maxsize=32)
@@ -56,41 +112,9 @@ def _start_vector(dim: int) -> np.ndarray:
     vec.setflags(write=False)
     return vec
 
-def spectral_norm_dense(matrix: np.ndarray, tol: float = NORM_TOL) -> float:
-    """Largest singular value via iterated squaring of A^dag A.
-
-    Squaring the PSD Gram matrix m times (rescaling each round to stay inside
-    the float range) raises eigenvalue ratios to the 2^m-th power, after which
-    the PSD bracket max-diag <= lambda_max <= max-row-sum pins the top
-    eigenvalue to a certified relative width of dim^(1/2^m).  The number of
-    squarings is chosen from ``tol``, so the routine is deterministic and has
-    no convergence-failure mode, unlike plain power iteration on these often
-    highly degenerate commutator spectra.
-    """
-    if not np.any(matrix):
-        return 0.0
-    gram = matrix.conj().T @ matrix
-    dim = gram.shape[0]
-    scale = float(np.abs(gram).max())
-    if scale == 0.0:
-        return 0.0
-    gram = gram / scale
-    log_scale = math.log(scale)
-    rounds = min(60, max(4, math.ceil(math.log2(math.log(max(dim, 3)) / tol)) - 2))
-    for _ in range(rounds):
-        gram = gram @ gram
-        s = float(np.abs(gram).max())
-        if s == 0.0:
-            return 0.0
-        gram /= s
-        log_scale = 2.0 * log_scale + math.log(s)
-    diag = np.real(np.diag(gram))
-    lo = float(diag.max())
-    hi = float(np.abs(gram).sum(axis=1).max())
-    if lo <= 0.0:
-        return 0.0
-    log_top = 0.5 * (math.log(lo) + math.log(min(hi, dim * lo)))
-    return math.exp(0.5 * (log_top + log_scale) / (1 << rounds))
+def spectral_norm_dense(matrix: np.ndarray) -> float:
+    """Largest singular value of a dense matrix."""
+    return float(np.linalg.norm(matrix, 2))
 
 
 def _apply_pauli_sum(op: PauliSumOp, vec: np.ndarray) -> np.ndarray:
@@ -104,19 +128,20 @@ def _apply_pauli_sum(op: PauliSumOp, vec: np.ndarray) -> np.ndarray:
 
 _SYMBOLIC_DENSE_CAP = 10
 
-def spectral_norm_symbolic(op: PauliSumOp, tol: float = NORM_TOL,
-                           max_iter: int = NORM_MAX_ITER) -> float:
+def spectral_norm_symbolic(op: PauliSumOp, max_iter: int = NORM_MAX_ITER) -> float:
     """Spectral norm of a Hermitian Pauli sum.
 
-    Up to 10 qubits the operator is materialized and handed to the certified
-    dense routine; beyond that a matrix-free power iteration on A^2 runs
-    against the statevector kernel, accepting a relaxed 1e-6 change criterion
-    if the hard tolerance is not reached at the iteration cap.
+    Up to 10 qubits the operator is materialized and the norm is the largest
+    |eigenvalue| over its invariant blocks; beyond that a matrix-free power
+    iteration on A^2 runs against the statevector kernel, accepting a relaxed
+    1e-6 change criterion if the hard tolerance is not reached at the
+    iteration cap.
     """
     if op.is_empty:
         return 0.0
     if op.n <= _SYMBOLIC_DENSE_CAP:
-        return spectral_norm_dense(to_dense(op), tol=tol)
+        dense = to_dense(op)
+        return float(_block_norms(_split(_invariant_blocks([dense]), dense), anti=False))
     dim = 1 << op.n
     v = _start_vector(dim).copy()
     lam_old = 0.0
@@ -129,7 +154,7 @@ def spectral_norm_symbolic(op: PauliSumOp, tol: float = NORM_TOL,
             return 0.0
         v = w / nw
         change = abs(lam - lam_old)
-        if change <= tol * max(abs(lam), 1e-30):
+        if change <= NORM_TOL * max(abs(lam), 1e-30):
             return math.sqrt(max(lam, 0.0))
         lam_old = lam
     if change <= 1e-6 * max(abs(lam_old), 1e-30):
@@ -139,70 +164,58 @@ def spectral_norm_symbolic(op: PauliSumOp, tol: float = NORM_TOL,
 
 # -- composition sums over nested commutators --------------------------------
 
-def _dense_ad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-def _compositions_dense(chain: list[np.ndarray], target: np.ndarray, total: int):
+def _compositions(chain: list, target, total: int, ad, is_zero):
     """Yield ``(multinomial weight, nested commutator)`` for every composition
     (q_1..q_s) of ``total``, evaluating Ad_{A_1}^{q_1}..Ad_{A_s}^{q_s}(target)
-    densely with shared prefixes (innermost adjoint applied first)."""
-    s = len(chain)
+    with shared prefixes (innermost adjoint applied first).  ``ad(a, x)`` is
+    the adjoint map; a prefix for which ``is_zero`` holds prunes every
+    composition that extends it."""
     p_fact = math.factorial(total)
 
-    def rec(pos: int, budget: int, cur: np.ndarray, denom: int):
-        if pos == 0:
-            out = cur
-            for _ in range(budget):
-                out = _dense_ad(chain[0], out)
-                if not np.any(out):
-                    return
-            yield p_fact // (denom * math.factorial(budget)), out
+    def rec(pos: int, budget: int, cur, denom: int):
+        if pos < 0:
+            if budget == 0:
+                yield p_fact // denom, cur
             return
-        acc = cur
         for q in range(budget + 1):
             if q > 0:
-                acc = _dense_ad(chain[pos], acc)
-                if not np.any(acc):
+                cur = ad(chain[pos], cur)
+                if is_zero(cur):
                     return
-            yield from rec(pos - 1, budget - q, acc, denom * math.factorial(q))
+            yield from rec(pos - 1, budget - q, cur, denom * math.factorial(q))
 
-    yield from rec(s - 1, total, target, 1)
+    yield from rec(len(chain) - 1, total, target, 1)
 
 
-def _compositions_symbolic(chain: list[PauliSumOp], target: PauliSumOp, total: int):
-    """Symbolic analogue of :func:`_compositions_dense` using -i[A, .], which
-    keeps coefficients real and leaves every norm unchanged."""
-    s = len(chain)
-    p_fact = math.factorial(total)
+def _symbolic_ad(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
+    """-i[A, B], which keeps coefficients real and leaves every norm
+    unchanged, refused once it outgrows the term guard."""
+    out = commutator_minus_i(a, b)
+    if out.num_terms > SYMBOLIC_TERM_GUARD:
+        raise ResourceLimitError(
+            "symbolic nesting exceeded the term guard; "
+            "use the locality-propagation bounds instead"
+        )
+    return out
 
-    def rec(pos: int, budget: int, cur: PauliSumOp, denom: int):
-        if pos == 0:
-            out = cur
-            for _ in range(budget):
-                out = commutator_minus_i(chain[0], out)
-                if out.is_empty:
-                    return
-                if out.num_terms > SYMBOLIC_TERM_GUARD:
-                    raise ResourceLimitError(
-                        "symbolic nesting exceeded the term guard; "
-                        "use the locality-propagation bounds instead"
-                    )
-            yield p_fact // (denom * math.factorial(budget)), out
-            return
-        acc = cur
-        for q in range(budget + 1):
-            if q > 0:
-                acc = commutator_minus_i(chain[pos], acc)
-                if acc.is_empty:
-                    return
-                if acc.num_terms > SYMBOLIC_TERM_GUARD:
-                    raise ResourceLimitError(
-                        "symbolic nesting exceeded the term guard; "
-                        "use the locality-propagation bounds instead"
-                    )
-            yield from rec(pos - 1, budget - q, acc, denom * math.factorial(q))
 
-    yield from rec(s - 1, total, target, 1)
+def _block_pieces(chains, total: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Weights and block-form pieces, stacked along a leading axis, of every
+    composition of ``total`` over the block-form (chain, target) pairs."""
+    weights, pieces = [], []
+    for chain, target in chains:
+        for w, c in _compositions(chain, target, total, _block_ad, _block_is_zero):
+            weights.append(float(w))
+            pieces.append(c)
+    return np.asarray(weights), [np.stack(g) for g in zip(*pieces)]
+
+
+def _norm_sum(weights: np.ndarray, pieces: list[np.ndarray], depth: int) -> float:
+    """Weighted norm sum of stacked pieces that are nested commutators of
+    Hermitian operators at commutator depth ``depth``."""
+    if not weights.size:
+        return 0.0
+    return float(weights @ _block_norms(pieces, anti=depth % 2 == 1))
 
 
 def nested_commutator_sum(total: int, chain: list[PauliSumOp],
@@ -225,15 +238,15 @@ def nested_commutator_sum(total: int, chain: list[PauliSumOp],
                 f"dense evaluation capped at n={DENSE_NORM_CAP}; "
                 "use method='symbolic' or the locality-propagation bounds"
             )
-        dchain = [to_dense(op) for op in chain]
-        return float(sum(
-            w * spectral_norm_dense(c)
-            for w, c in _compositions_dense(dchain, to_dense(target), total)
-        ))
+        dense = [to_dense(op) for op in (*chain, target)]
+        blocks = _invariant_blocks(dense)
+        *dchain, dtarget = (_split(blocks, m) for m in dense)
+        return _norm_sum(*_block_pieces([(dchain, dtarget)], total), total)
     if method == "symbolic":
         return float(sum(
             w * spectral_norm_symbolic(c)
-            for w, c in _compositions_symbolic(chain, target, total)
+            for w, c in _compositions(chain, target, total, _symbolic_ad,
+                                      lambda op: op.is_empty)
         ))
     raise ValueError(f"unknown method {method!r}")
 
@@ -304,117 +317,84 @@ class FragmentTimeSampler:
         return np.vstack([np.atleast_2d(r) for r in rows])
 
 
-class _SlotExponentials:
-    """Cached eigendecompositions of the slot operators for building the
-    partial-product unitaries of a formula."""
+class _WindowSpace:
+    """A formula's window layer in block form.
 
-    def __init__(self, pf: ProductFormula):
+    Holds the invariant blocks of the slot operators, the Hamiltonian and any
+    ``extra`` operators, each of those operators split into the blocks, the
+    slot chains, and the slot eigendecompositions that build the sampled
+    partial-product unitaries.  n above the dense cap is refused before any
+    of this work.
+    """
+
+    def __init__(self, pf: ProductFormula, extra: tuple[PauliSumOp, ...] = ()):
         if pf.n > DENSE_NORM_CAP:
             raise ResourceLimitError(
                 f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}"
             )
-        self.dim = 1 << pf.n
-        self._eigs = []
+        ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian, *extra)))
+        dense = [to_dense(op) for op in ops]
+        blocks = _invariant_blocks(dense)
+        self.parts = {op: _split(blocks, m) for op, m in zip(ops, dense)}
+        self.ham = self.parts[pf.hamiltonian]
+        self.slot_chains = [([self.parts[op] for op in chain], self.parts[tgt])
+                            for chain, tgt in _slot_chains(pf)]
+        self._slot_eigs = []
         for op in pf.slot_operators:
-            dense = to_dense(op)
-            vals, vecs = np.linalg.eigh(dense)
-            self._eigs.append((vals, vecs, vecs.conj().T))
+            eigs = []
+            for g in self.parts[op]:
+                vals, vecs = np.linalg.eigh(g)
+                eigs.append((vals, vecs, vecs.conj().swapaxes(-1, -2)))
+            self._slot_eigs.append(eigs)
 
-    def unitary(self, taus: np.ndarray) -> np.ndarray:
-        """Dense exp(-i tau_D G_D) ... exp(-i tau_1 G_1)."""
-        u = np.eye(self.dim, dtype=complex)
-        for tau, (vals, vecs, vh) in zip(taus, self._eigs):
-            if tau != 0.0:
-                u = u @ (vecs * np.exp(-1j * tau * vals)) @ vh
-        return u
-
-
-_SAMPLE_BRACKET_WIDTH = 0.01
-
-def _batched_norm_lower(x: np.ndarray, width: float = _SAMPLE_BRACKET_WIDTH) -> np.ndarray:
-    """Certified lower bounds on the spectral norms of a stack of matrices,
-    within relative ``width`` of the true values, via batched squaring."""
-    dim = x.shape[-1]
-    gram = x.conj().transpose(0, 2, 1) @ x
-    scale = np.abs(gram).max(axis=(1, 2))
-    alive = scale > 0.0
-    out = np.zeros(x.shape[0])
-    if not np.any(alive):
+    def conjugated_ham(self, taus: np.ndarray) -> list[np.ndarray]:
+        """Block form of U^dag H U for U = exp(-i tau_1 G_1) .. exp(-i tau_D G_D)."""
+        out = []
+        for g, ham in enumerate(self.ham):
+            u = None
+            for tau, eigs in zip(taus, self._slot_eigs):
+                if tau != 0.0:
+                    vals, vecs, vh = eigs[g]
+                    factor = vecs * np.exp(-1j * tau * vals)[..., None, :]
+                    u = factor @ vh if u is None else u @ factor @ vh
+            out.append(ham if u is None else u.conj().swapaxes(-1, -2) @ ham @ u)
         return out
-    g = gram[alive] / scale[alive, None, None]
-    log_scale = np.log(scale[alive])
-    rounds = max(1, math.ceil(math.log2(math.log(max(dim, 3)) / math.log1p(width))) - 2)
-    for _ in range(rounds):
-        g = g @ g
-        s = np.abs(g).max(axis=(1, 2))
-        s = np.where(s == 0.0, 1.0, s)
-        g /= s[:, None, None]
-        log_scale = 2.0 * log_scale + np.log(s)
-    diag_max = np.einsum("jii->ji", g).real.max(axis=1)
-    diag_max = np.clip(diag_max, 1e-300, None)
-    out[alive] = np.exp(0.5 * (np.log(diag_max) + log_scale) / (1 << rounds))
-    return out
 
+    def window_sums(self, requests: dict, rows: np.ndarray) -> dict[tuple[int, int], float]:
+        """Sampled window aggregates against one shared set of unitaries.
 
-def _sampled_max_norms(pieces: list[np.ndarray], ell: int, ham: np.ndarray,
-                       unitaries: list[np.ndarray]) -> np.ndarray:
-    """Per-piece maximum of ||Ad_H^ell (U C U^dag)|| over the sampled U.
+        ``requests`` maps a commutator depth to ``(weights, pieces, ells)``
+        with every ell >= 1.  For each (depth, ell) the result is the weighted
+        sum over the pieces C of the sample maximum of
+        ``||Ad_H^ell(U C U^dag)|| = ||Ad_{H'}^ell(C)||``, ``H' = U^dag H U``,
+        over the unitaries U of the fragment-time ``rows``, one row at a time.
+        """
+        best = {(depth, ell): np.zeros(w.size)
+                for depth, (w, _, ells) in requests.items() for ell in ells}
+        for taus in rows:
+            hp = self.conjugated_ham(taus)
+            for depth, (w, x, ells) in requests.items():
+                if not w.size:
+                    continue
+                for ell in range(1, max(ells) + 1):
+                    x = _block_ad(hp, x)
+                    if ell in ells:
+                        top = best[depth, ell]
+                        np.maximum(top, _block_norms(x, anti=(depth + ell) % 2 == 1), out=top)
+        return {(depth, ell): float(requests[depth][0] @ top)
+                for (depth, ell), top in best.items()}
 
-    For ell = 0 conjugation leaves the spectral norm invariant, so the
-    maximum is ||C|| with no sampling at all.  With a single sample the norms
-    are evaluated at full tolerance.  Otherwise each sample contributes a
-    certified 1%-wide lower bracket of its spectral norm, keeping the result
-    a (slightly deeper) lower estimate of the sampled maximum.
-    """
-    stack = np.stack(pieces)
-    if ell == 0:
-        return np.array([spectral_norm_dense(c) for c in stack])
-
-    def transformed(u):
-        x = u @ stack @ u.conj().T
-        for _ in range(ell):
-            x = ham @ x - x @ ham
-        return x
-
-    if len(unitaries) == 1:
-        return np.array([spectral_norm_dense(c) for c in transformed(unitaries[0])])
-    best = np.zeros(stack.shape[0])
-    for u in unitaries:
-        np.maximum(best, _batched_norm_lower(transformed(u)), out=best)
-    return best
-
-
-def _window_eval(groups: list[tuple[np.ndarray, list[np.ndarray]]], ell: int,
-                 ham: np.ndarray, t: float, pf: ProductFormula,
-                 sampler: FragmentTimeSampler) -> list[float]:
-    """Evaluate several (weights, pieces) groups against one shared U sample."""
-    pieces: list[np.ndarray] = []
-    for g in groups:
-        pieces.extend(g[1])
-    if not pieces:
-        return [0.0 for _ in groups]
-    if t == 0.0:
-        unitaries = [np.eye(ham.shape[0], dtype=complex)]
-    else:
-        slots = _SlotExponentials(pf)
-        unitaries = [slots.unitary(row)
-                     for row in sampler.samples(len(pf.slot_operators), t)]
-    best = _sampled_max_norms(pieces, ell, ham, unitaries)
-    out, pos = [], 0
-    for g in groups:
-        cnt = len(g[1])
-        out.append(float(np.dot(g[0], best[pos:pos + cnt])) if cnt else 0.0)
-        pos += cnt
-    return out
-
-
-def _dense_pieces(chain: list[PauliSumOp], target: PauliSumOp, total: int):
-    dchain = [to_dense(op) for op in chain]
-    ws, cs = [], []
-    for w, c in _compositions_dense(dchain, to_dense(target), total):
-        ws.append(float(w))
-        cs.append(c)
-    return np.asarray(ws), cs
+    def window(self, chains, total: int, ell: int, t: float,
+               sampler: FragmentTimeSampler | None) -> float:
+        """One aggregate over the block-form (chain, target) pairs; ell = 0
+        needs no sampling, since conjugation leaves a spectral norm unchanged."""
+        weights, pieces = _block_pieces(chains, total)
+        if ell == 0:
+            return _norm_sum(weights, pieces, total)
+        if sampler is None:
+            sampler = FragmentTimeSampler()
+        rows = sampler.samples(len(self._slot_eigs), t)
+        return self.window_sums({total: (weights, pieces, [ell])}, rows)[total, ell]
 
 
 def conjugated_commutator_sum(total: int, ell: int, chain: list[PauliSumOp],
@@ -424,24 +404,19 @@ def conjugated_commutator_sum(total: int, ell: int, chain: list[PauliSumOp],
 
     For each composition the inner nested commutator is exact; the maximum of
     ``||Ad_H^ell (U C U^{-1})||`` over partial-product unitaries U with
-    fragment times in [0, t] is approximated by a sample maximum, so the
-    result is a lower estimate of the true maximum for t > 0.
+    fragment times in [0, t] is approximated by the exact maximum over a
+    sample, so the result is a lower estimate of the true maximum for t > 0.
     """
-    if sampler is None:
-        sampler = FragmentTimeSampler()
-    ham = to_dense(pf.hamiltonian)
-    group = _dense_pieces(chain, target, total)
-    return _window_eval([group], ell, ham, t, pf, sampler)[0]
+    space = _WindowSpace(pf, extra=(*chain, target))
+    chains = [([space.parts[op] for op in chain], space.parts[target])]
+    return space.window(chains, total, ell, t, sampler)
 
 
 def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int, t: float,
                            sampler: FragmentTimeSampler | None = None) -> float:
     """Formula-level aggregate: the conjugated sums added over the slot chains."""
-    if sampler is None:
-        sampler = FragmentTimeSampler()
-    ham = to_dense(pf.hamiltonian)
-    groups = [_dense_pieces(chain, tgt, total) for chain, tgt in _slot_chains(pf)]
-    return float(sum(_window_eval(groups, ell, ham, t, pf, sampler)))
+    space = _WindowSpace(pf)
+    return space.window(space.slot_chains, total, ell, t, sampler)
 
 
 # -- the multi-product error bound -------------------------------------------
@@ -470,8 +445,11 @@ class MixtureErrorBound:
 class MixtureBoundEvaluator:
     """Evaluates the multi-product bound for one (scheme, formula) pair.
 
-    Precomputes the commutator aggregate once; the sampled window terms
-    depend on t/k_min and are recomputed per time point.
+    The constructor builds the window layer in block form and every
+    t-independent aggregate: the commutator sum and the l = 0 terms, whose
+    window maximum is the plain norm.  Each time point then samples one set
+    of partial-product unitaries at window t/k_min and shares it across the
+    conjugated aggregates.
     """
 
     def __init__(self, scheme: MpfScheme, pf: ProductFormula,
@@ -486,17 +464,31 @@ class MixtureBoundEvaluator:
         self.pf = pf
         self.sampler = sampler if sampler is not None else FragmentTimeSampler()
         self.k_min = min(scheme.steps)
-        self.commutator_sum = formula_commutator_sum(
-            pf, method="dense" if pf.n <= DENSE_NORM_CAP else "symbolic")
+        self._space = _WindowSpace(pf)
+        # (commutator depth, ell) of every aggregate the bound reads.
+        needed = {(p, 0), (2 * p, 0), (p, p)} | {
+            (2 * p - ell, ell - 1) for ell in range(1, p + 1) if bernoulli(ell) != 0}
+        self._fixed: dict[tuple[int, int], float] = {}
+        self._sampled: dict[int, tuple] = {}
+        for depth in sorted({d for d, _ in needed}):
+            weights, pieces = _block_pieces(self._space.slot_chains, depth)
+            ells = sorted(ell for d, ell in needed if d == depth)
+            if ells[0] == 0:
+                self._fixed[depth, 0] = _norm_sum(weights, pieces, depth)
+            if ells[-1] > 0:
+                self._sampled[depth] = (weights, pieces, [ell for ell in ells if ell > 0])
+        self.commutator_sum = self._fixed[p, 0]
         self.a1 = 8.0 * (self.commutator_sum / math.factorial(p + 1)) ** 2
         # t-independent part of a2: the l=0 aggregate at a degenerate window.
-        self.window_free_sum = formula_conjugated_sum(pf, 2 * p, 0, 0.0, self.sampler)
+        self.window_free_sum = self._fixed[2 * p, 0]
 
     def at(self, t: float) -> MixtureErrorBound:
         p = self.scheme.order
         tw = t / self.k_min
+        rows = self.sampler.samples(len(self.pf.slot_operators), tw)
+        values = {**self._fixed, **self._space.window_sums(self._sampled, rows)}
         aggregates = {f"conj_comm_{2 * p}_0_at0": self.window_free_sum}
-        b_pp = formula_conjugated_sum(self.pf, p, p, tw, self.sampler)
+        b_pp = values[p, p]
         aggregates[f"conj_comm_{p}_{p}_window"] = b_pp
         a2 = (
             4.0 * self.window_free_sum / math.factorial(2 * p)
@@ -507,7 +499,7 @@ class MixtureBoundEvaluator:
             bl = abs(float(bernoulli(ell)))
             if bl == 0.0:
                 continue
-            b_val = formula_conjugated_sum(self.pf, 2 * p - ell, ell - 1, tw, self.sampler)
+            b_val = values[2 * p - ell, ell - 1]
             aggregates[f"conj_comm_{2 * p - ell}_{ell - 1}_window"] = b_val
             a3 += bl * b_val / (math.factorial(ell) * math.factorial(2 * p - ell))
         a3 *= 4.0

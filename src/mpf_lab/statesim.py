@@ -228,14 +228,9 @@ def exact_evolve(oracle: SpectralOracle, state: np.ndarray, t: float) -> np.ndar
 
 
 def _gram(states: list[np.ndarray]) -> np.ndarray:
-    r = len(states)
-    g = np.empty((r, r), dtype=complex)
-    for i in range(r):
-        g[i, i] = np.vdot(states[i], states[i])
-        for j in range(i + 1, r):
-            g[i, j] = np.vdot(states[i], states[j])
-            g[j, i] = np.conj(g[i, j])
-    return g
+    """Overlaps ``<phi_i|phi_j>`` as one block product ``S^H S``."""
+    block = np.array(states)
+    return block.conj() @ block.T
 
 
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:

@@ -1,0 +1,171 @@
+"""The block-diagonal bound layer: invariant blocks, the block norm, agreement
+of the sampled window aggregates with a full-space reference, hoisting of
+the t-independent aggregates, and the dense cap checked before any work."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from mpf_lab import (
+    FragmentTimeSampler,
+    PauliString,
+    PauliSumOp,
+    build_heisenberg_chain,
+    conjugated_commutator_sum,
+    formula_conjugated_sum,
+    fragment_decomposition_s2,
+    second_order,
+    solve_coefficients,
+    to_dense,
+)
+from mpf_lab import bounds
+from mpf_lab.bounds import MixtureBoundEvaluator, _block_norms, _invariant_blocks
+from mpf_lab.errors import ResourceLimitError
+
+
+def chain_formula(n, seed=2024):
+    _, fields = build_heisenberg_chain(n, seed)
+    return second_order(fragment_decomposition_s2(n, fields))
+
+
+def window_ops(pf):
+    return [to_dense(op) for op in (*pf.slot_operators, pf.hamiltonian)]
+
+
+# -- invariant blocks -----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_heisenberg_blocks_are_total_z_sectors(n):
+    blocks = _invariant_blocks(window_ops(chain_formula(n)))
+    sizes = sorted(idx.shape[1] for idx in blocks for _ in range(idx.shape[0]))
+    assert sizes == sorted(math.comb(n, m) for m in range(n + 1))
+    for idx in blocks:
+        for members in idx:
+            assert len({bin(int(i)).count("1") for i in members}) == 1
+    covered = np.sort(np.concatenate([idx.ravel() for idx in blocks]))
+    assert np.array_equal(covered, np.arange(1 << n))
+
+
+def test_x_field_gives_one_block():
+    n = 5
+    pf = chain_formula(n)
+    field = PauliSumOp.from_terms(n, [(0.3, PauliString("IIXII"))])
+    blocks = _invariant_blocks([*window_ops(pf), to_dense(field)])
+    assert len(blocks) == 1
+    assert blocks[0].shape == (1, 1 << n)
+    assert np.array_equal(blocks[0][0], np.arange(1 << n))
+
+
+def test_block_norm_matches_svd(rng):
+    def stack(shape, sign):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return a + sign * a.conj().swapaxes(-1, -2)
+
+    for sign, anti in ((1.0, False), (-1.0, True)):
+        groups = [stack(shape, sign) for shape in ((4, 3, 1, 1), (4, 2, 5, 5), (4, 1, 7, 7))]
+        ref = np.max([np.linalg.norm(g, 2, axis=(-2, -1)).max(axis=-1) for g in groups],
+                     axis=0)
+        got = _block_norms(groups, anti=anti)
+        assert got.shape == (4,)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+# -- full-space reference for the sampled aggregates -------------------------------
+
+def dense_unitary(slots, taus):
+    """exp(-i tau_1 G_1) .. exp(-i tau_D G_D), each factor from eigh."""
+    u = np.eye(slots[0].shape[0], dtype=complex)
+    for tau, g in zip(taus, slots):
+        vals, vecs = np.linalg.eigh(g)
+        u = u @ (vecs * np.exp(-1j * tau * vals)) @ vecs.conj().T
+    return u
+
+
+def reference_sum(chains, total, ell, ham, slots, rows):
+    """Sum over compositions of the weighted sample maximum of
+    ||Ad_H^ell (U C U^dag)||, all in the full space, norms from the SVD."""
+    out = 0.0
+    unitaries = [dense_unitary(slots, taus) for taus in rows]
+    for chain, target in chains:
+        for qs in itertools.product(range(total + 1), repeat=len(chain)):
+            if sum(qs) != total:
+                continue
+            weight = math.factorial(total) // math.prod(math.factorial(q) for q in qs)
+            c = target
+            for a, q in reversed(list(zip(chain, qs))):
+                for _ in range(q):
+                    c = a @ c - c @ a
+            best = 0.0
+            for u in unitaries:
+                x = u @ c @ u.conj().T
+                for _ in range(ell):
+                    x = ham @ x - x @ ham
+                best = max(best, np.linalg.norm(x, 2))
+            out += weight * best
+    return out
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_window_sums_match_full_space_reference(chain4, ell):
+    pf = chain4.pf
+    sampler = FragmentTimeSampler(random_draws=8, seed=5)
+    t = 0.6
+    slots = [to_dense(op) for op in pf.slot_operators]
+    ham = to_dense(pf.hamiltonian)
+    rows = sampler.samples(len(slots), t)
+
+    chain_ops = [chain4.fragments[1], chain4.fragments[2]]
+    target_op = chain4.fragments[0]
+    got = conjugated_commutator_sum(2, ell, chain_ops, target_op, t, pf, sampler)
+    ref = reference_sum([([to_dense(op) for op in chain_ops], to_dense(target_op))],
+                        2, ell, ham, slots, rows)
+    assert ref > 0
+    assert abs(got - ref) <= 1e-12 * ref
+
+    chains = [(slots[a:][::-1], slots[a - 1]) for a in range(1, len(slots))]
+    got = formula_conjugated_sum(pf, 2, ell, t, sampler)
+    ref = reference_sum(chains, 2, ell, ham, slots, rows)
+    assert ref > 0
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+# -- hoisting and fail-fast ------------------------------------------------------
+
+def test_time_points_reuse_the_fixed_aggregates(chain4, monkeypatch):
+    calls = []
+    compositions = bounds._compositions
+
+    def counting(chain, target, total, ad, is_zero):
+        calls.append(total)
+        return compositions(chain, target, total, ad, is_zero)
+
+    monkeypatch.setattr(bounds, "_compositions", counting)
+    scheme = solve_coefficients(2, (4, 13, 17))
+    evaluator = MixtureBoundEvaluator(scheme, chain4.pf, FragmentTimeSampler(random_draws=4))
+    built = len(calls)
+    assert {2, 3, 4} <= set(calls)
+    first, second = evaluator.at(0.5), evaluator.at(1.5)
+    assert len(calls) == built
+    for name in ("conj_comm_4_0_at0", "conj_comm_3_0_window"):
+        assert first.aggregates[name] == second.aggregates[name]
+    name = "conj_comm_2_1_window"
+    assert first.aggregates[name] != second.aggregates[name]
+
+
+def test_dense_cap_checked_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("commutator work started above the dense cap")
+
+    monkeypatch.setattr(bounds, "formula_commutator_sum", forbidden)
+    monkeypatch.setattr(bounds, "_compositions", forbidden)
+    monkeypatch.setattr(bounds, "to_dense", forbidden)
+    pf = chain_formula(9)
+    scheme = solve_coefficients(2, (4, 13, 17))
+    with pytest.raises(ResourceLimitError, match="capped"):
+        MixtureBoundEvaluator(scheme, pf)
+    with pytest.raises(ResourceLimitError, match="capped"):
+        formula_conjugated_sum(pf, 2, 1, 0.3)
+    with pytest.raises(ResourceLimitError, match="capped"):
+        conjugated_commutator_sum(2, 1, [pf.slot_operators[1]], pf.slot_operators[0], 0.3, pf)

@@ -21,7 +21,7 @@ from mpf_lab import (
 from mpf_lab.errors import NumericalDegeneracyError
 from mpf_lab.formulas import fragment_by_commuting_groups
 from mpf_lab.pauli import commutes
-from mpf_lab.statesim import _psd_sqrt
+from mpf_lab.statesim import _gram, _psd_sqrt
 
 
 def op(n, *terms):
@@ -242,6 +242,12 @@ def test_trace_norm_against_dense(rng):
         dense = sum(wi * np.outer(s, s.conj()) for wi, s in zip(w, states))
         ref = np.abs(np.linalg.eigvalsh(dense)).sum()
         assert abs(mixture_trace_norm(states, w) - ref) < 1e-10
+
+
+def test_gram_block_product_matches_vdot(rng):
+    states = [random_state(5, rng) for _ in range(4)]
+    ref = np.array([[np.vdot(a, b) for b in states] for a in states])
+    assert np.allclose(_gram(states), ref, rtol=0.0, atol=1e-14)
 
 
 def test_trace_norm_input_checks(rng):
