@@ -185,113 +185,6 @@ def inject_noise(m: np.ndarray, q: np.ndarray, eps: float, seed) -> NoisyOverlap
 
 # -- robust coefficient step ---------------------------------------------------
 
-def _ones_complement_basis(r: int) -> np.ndarray:
-    """Orthonormal basis of the zero-sum subspace (columns)."""
-    q, _ = np.linalg.qr(np.ones((r, 1)), mode="complete")
-    return q[:, 1:]
-
-
-def _smoothed_newton(a: np.ndarray, b: np.ndarray, eps: float,
-                     z0: np.ndarray, basis: np.ndarray, x0: np.ndarray):
-    """Minimize sqrt(|Ax-b|^2 + d^2) + eps sqrt(|x|^2 + d^2) over the affine
-    slice x = x0 + N z by damped Newton with a shrinking smoothing d."""
-    z = z0.copy()
-    scale = max(1.0, float(np.linalg.norm(b)))
-    deltas = [scale * 10.0**-k for k in range(1, 14)]
-    an = a @ basis
-    for delta in deltas:
-        for _ in range(80):
-            x = x0 + basis @ z
-            res = a @ x - b
-            s1 = math.sqrt(float(res @ res) + delta * delta)
-            s2 = math.sqrt(float(x @ x) + delta * delta)
-            gx = (a.T @ res) / s1 + eps * x / s2
-            grad = basis.T @ gx
-            h1 = (an.T @ an) / s1 - np.outer(an.T @ res, an.T @ res) / s1**3
-            xb = basis.T @ x
-            h2 = (basis.T @ basis) / s2 - np.outer(xb, xb) / s2**3
-            hess = h1 + eps * h2
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= 1e-14 * max(1.0, scale):
-                break
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(hess.shape[0]), -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            f0 = s1 + eps * s2
-
-            def fval(zz):
-                xx = x0 + basis @ zz
-                rr = a @ xx - b
-                return (math.sqrt(float(rr @ rr) + delta * delta)
-                        + eps * math.sqrt(float(xx @ xx) + delta * delta))
-
-            alpha = 1.0
-            for _ in range(60):
-                if fval(z + alpha * step) <= f0 - 1e-4 * alpha * gnorm * min(1.0, gnorm):
-                    break
-                alpha *= 0.5
-            new = z + alpha * step
-            if np.linalg.norm(new - z) <= 1e-16 * max(1.0, np.linalg.norm(z)):
-                z = new
-                break
-            z = new
-    return z
-
-
-def _kkt_polish(a: np.ndarray, b: np.ndarray, eps: float, z: np.ndarray,
-                basis: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Drive the reduced first-order residual of the unsmoothed objective to
-    machine precision.  The dual-gap certificate consumes exactly this
-    residual, so shrinking it (rather than the objective) sharpens the
-    certificate even in flat valleys."""
-    def residual_and_jac(zz):
-        x = x0 + basis @ zz
-        res = a @ x - b
-        rn = float(np.linalg.norm(res))
-        xn = float(np.linalg.norm(x))
-        if rn == 0.0 or xn == 0.0:
-            return None, None
-        gx = (a.T @ res) / rn + eps * x / xn
-        rho = basis.T @ gx
-        an = a @ basis
-        h1 = (an.T @ an) / rn - np.outer(an.T @ res, an.T @ res) / rn**3
-        xb = basis.T @ x
-        h2 = (np.eye(zz.size)) / xn - np.outer(xb, xb) / xn**3
-        return rho, h1 + eps * h2
-
-    for _ in range(60):
-        rho, jac = residual_and_jac(z)
-        if rho is None:
-            return z
-        rn = float(np.linalg.norm(rho))
-        if rn <= 1e-15 * max(1.0, float(np.linalg.norm(a))):
-            return z
-        lam = 1e-14
-        step = None
-        for _ in range(12):
-            try:
-                step = np.linalg.solve(jac + lam * np.eye(jac.shape[0]), -rho)
-                break
-            except np.linalg.LinAlgError:
-                lam *= 100.0
-        if step is None:
-            return z
-        best_z, best_rn = z, rn
-        alpha = 1.0
-        for _ in range(40):
-            cand = z + alpha * step
-            rho_c, _ = residual_and_jac(cand)
-            if rho_c is not None and np.linalg.norm(rho_c) < best_rn:
-                best_z, best_rn = cand, float(np.linalg.norm(rho_c))
-                break
-            alpha *= 0.5
-        if best_rn >= rn * (1.0 - 1e-12):
-            return best_z
-        z = best_z
-    return z
-
-
 def _dual_gap(a: np.ndarray, b: np.ndarray, eps: float, x: np.ndarray) -> float:
     """Certified objective gap at x from a feasible point of the Fenchel dual
     ``max -u.b + nu  s.t.  A^T u + v = nu 1, |u| <= 1, |v| <= eps``.
@@ -328,14 +221,18 @@ def _dual_gap(a: np.ndarray, b: np.ndarray, eps: float, x: np.ndarray) -> float:
 
 
 def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
-                 eps: float, tol: float = MINIMAX_TOL) -> np.ndarray:
+                 eps: float) -> np.ndarray:
     """One robust tracking step: minimize ``|M x - A c_prev| + eps |x|`` over
     the simplex-sum slice ``sum x = 1``.
 
     For eps = 0 this is the sum-constrained least-squares solution.  For
-    eps > 0 a smoothed Newton continuation solves the problem and a dual
-    feasible point certifies the objective gap; failure to certify ``tol``
-    raises :class:`SolverError` carrying the best iterate.
+    eps > 0 the optimum lies on the ridge path
+    ``x(lam) = (M^T M + lam I)^-1 (M^T b + mu 1)``, mu fixed by the sum, at the
+    lam solving ``lam |x(lam)| = eps |M x(lam) - b|``.  One ``eigh`` of
+    ``M^T M`` makes each x(lam) O(r^2), and lam is found by bisection in
+    log lam.  A dual feasible point certifies the objective gap; failure to
+    certify :data:`MINIMAX_TOL` (as at an optimum on the kink ``M x = b``)
+    raises :class:`SolverError` carrying the best point.
     """
     m_bar = np.asarray(m_bar, dtype=float)
     a_bar = np.asarray(a_bar, dtype=float)
@@ -347,42 +244,42 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     if eps == 0.0:
         return dynamic_project(m_bar.T @ m_bar, m_bar.T @ b).coefficients
     # The objective is positively homogeneous in (M, b, eps), so normalize to
-    # unit data scale; the certified gap transfers as tol * scale.
+    # unit data scale; the certified gap transfers as MINIMAX_TOL * scale.
     scale = max(1.0, float(np.linalg.norm(b)))
     m_s, b_s, e_s = m_bar / scale, b / scale, eps / scale
-    x0 = np.full(r, 1.0 / r)
-    basis = _ones_complement_basis(r)
-    z = np.zeros(r - 1)
-    # Warm start from the least-squares solution when it is well behaved.
-    try:
-        ls = dynamic_project(m_s.T @ m_s + RIDGE * np.eye(r), m_s.T @ b_s)
-        z = basis.T @ (ls.coefficients - x0)
-    except (NumericalDegeneracyError, np.linalg.LinAlgError):
-        pass
-    z = _smoothed_newton(m_s, b_s, e_s, z, basis, x0)
-    z = _kkt_polish(m_s, b_s, e_s, z, basis, x0)
-    x = x0 + basis @ z
+    d, v = np.linalg.eigh(m_s.T @ m_s)
+    d = np.maximum(d, 0.0)
+    p = v.T @ (m_s.T @ b_s)
+    q = v.sum(axis=0)
+
+    def ridge_point(lam: float) -> np.ndarray:
+        w = 1.0 / (d + lam)
+        mu = (1.0 - float(q @ (w * p))) / float(q @ (w * q))
+        x = v @ (w * (p + mu * q))
+        # Project the rounding off the slice (for r = 1, exactly onto [1]).
+        return x + (1.0 - x.sum()) / r
+
+    # Every ridge point has |x| >= 1/sqrt(r) and a residual no larger than the
+    # uniform mixture's, so lam |x| > eps |res| at `hi`.  Below `lo` the
+    # residual at a root would sit beneath its own rounding (the kink).  The
+    # problem is strictly convex on the slice, so any root is the optimum;
+    # halving the log-bracket to float resolution takes about 60 steps.
+    hi = e_s * (math.sqrt(r) * float(np.linalg.norm(m_s.mean(axis=1) - b_s)) + e_s)
+    lo = hi * np.finfo(float).eps ** 2
+    for _ in range(100):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            break
+        x = ridge_point(mid)
+        if mid * np.linalg.norm(x) < e_s * np.linalg.norm(m_s @ x - b_s):
+            lo = mid
+        else:
+            hi = mid
+    x = ridge_point(hi)
     gap = _dual_gap(m_s, b_s, e_s, x)
-    if not math.isfinite(gap) or gap > tol:
-        # Perturbation polish: deterministic coordinate refinement.
-        for h in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-            improved = True
-            while improved:
-                improved = False
-                for i in range(r - 1):
-                    for sgn in (1.0, -1.0):
-                        cand = z.copy()
-                        cand[i] += sgn * h
-                        xc = x0 + basis @ cand
-                        if (np.linalg.norm(m_s @ xc - b_s) + e_s * np.linalg.norm(xc)
-                                < np.linalg.norm(m_s @ x - b_s) + e_s * np.linalg.norm(x) - 1e-16):
-                            z, x, improved = cand, xc, True
-            gap = _dual_gap(m_s, b_s, e_s, x)
-            if gap <= tol:
-                break
-    if not math.isfinite(gap) or gap > tol:
+    if not math.isfinite(gap) or gap > MINIMAX_TOL:
         raise SolverError(
-            f"robust step failed to certify gap {tol:g} at unit data scale "
+            f"robust step failed to certify gap {MINIMAX_TOL:g} at unit data scale "
             f"(achieved {gap:.3e}, data scale {scale:.3e})",
             best=x, gap=gap,
         )
@@ -512,11 +409,13 @@ def tracking_error_bound(m_bars: list, a_bars: list, eps: float,
                          c_star0) -> list[TrackingBoundStep]:
     """Per-step worst-case bounds on the tracked-coefficient error.
 
-    For each horizon j the Schur-complement chain P_0..P_j is recomputed from
-    scratch: the middle noise weights (2 eps^2) and the final weight (eps^2)
-    depend on which step is last.  The transition matrix pairing step s-1 to
-    s appears both inside the inverted block and in the sandwich, so all
-    three recursions share one (P + T^T T)^+ kernel.
+    Horizon j ends the Schur-complement chain P_0..P_j, whose middle steps
+    carry noise weight 2 eps^2 and whose last step carries eps^2.  One prefix
+    chain of weight-2 steps is carried forward, and each horizon finishes it
+    with a single weight-1 step that shares the prefix step's kernel and
+    products.  The transition matrix pairing step s-1 to s appears both
+    inside the inverted block and in the sandwich, so all three recursions
+    share one (P + T^T T)^+ kernel.
 
     ``c_star_norms`` are the 2-norms of the exact projection coefficients
     (desk runs compute them from exact data; deployments pass a ceiling);
@@ -532,22 +431,23 @@ def tracking_error_bound(m_bars: list, a_bars: list, eps: float,
     c_star0 = np.asarray(c_star0, dtype=float)
     out: list[TrackingBoundStep] = []
     sqrt_r = math.sqrt(r)
+    p_mat = m_bars[0].T @ m_bars[0] + np.outer(ones, ones) + eps * eps * np.eye(r)
+    p_prefix = p_mat
+    r_vec = ones + c_star0
+    alpha = 1.0 + float(c_star0 @ c_star0)
     for horizon in range(n_pts):
-        p_mat = m_bars[0].T @ m_bars[0] + np.outer(ones, ones) + eps * eps * np.eye(r)
-        r_vec = ones + c_star0
-        alpha = 1.0 + float(c_star0 @ c_star0)
-        for s in range(1, horizon + 1):
-            q_s = 2.0 if s < horizon else 1.0
-            trans = a_bars[s]
-            m_s = m_bars[s]
-            core = _pinv(p_mat + trans.T @ trans)
+        if horizon >= 1:
+            trans = a_bars[horizon]
+            m_s = m_bars[horizon]
+            core = _pinv(p_prefix + trans.T @ trans)
             alpha = alpha + 1.0 - float(r_vec @ core @ r_vec)
-            r_new = m_s.T @ trans @ core @ r_vec + ones
-            p_mat = (
-                np.outer(ones, ones) + q_s * eps * eps * np.eye(r)
-                + m_s.T @ m_s - m_s.T @ trans @ core @ trans.T @ m_s
+            r_vec = m_s.T @ trans @ core @ r_vec + ones
+            gram = m_s.T @ m_s
+            sandwich = m_s.T @ trans @ core @ trans.T @ m_s
+            p_mat, p_prefix = (
+                np.outer(ones, ones) + q_s * eps * eps * np.eye(r) + gram - sandwich
+                for q_s in (1.0, 2.0)
             )
-            r_vec = r_new
         eigs = np.linalg.eigvalsh(0.5 * (p_mat + p_mat.T))
         if eigs[0] < -1e-10 * max(1.0, eigs[-1]):
             raise NumericalDegeneracyError(

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from mpf_lab import (
     tracking_error_bound,
     trotter_states,
 )
-from mpf_lab.dynamic_mpf import gram_from_states, l_from_states, q_from_states
+from mpf_lab.dynamic_mpf import (
+    MINIMAX_TOL,
+    _dual_gap,
+    _pinv,
+    gram_from_states,
+    l_from_states,
+    q_from_states,
+)
+from mpf_lab.errors import SolverError
 
 STEPS = (4, 13, 17)
 
@@ -243,6 +252,65 @@ def test_minimax_step_certified_against_cvxpy(rng):
         assert objective(x_mine) <= objective(var.value) + 1e-8
 
 
+def _regression_instances():
+    """48 seeded robust-step instances: every r from 1 to 6 at eight eps from
+    1e-4 to 0.3; for r >= 2 every other eps level uses a nearly singular
+    unit-diagonal Gram surrogate (two almost parallel unit vectors)."""
+    rng = np.random.default_rng(20241018)
+    for i, eps in enumerate(np.repeat(np.geomspace(1e-4, 0.3, 8), 6)):
+        r = 1 + i % 6
+        if r >= 2 and (i // 6) % 2 == 1:
+            vecs = rng.standard_normal((2 * r, r))
+            vecs[:, -1] = vecs[:, -2] + 1e-7 * rng.standard_normal(2 * r)
+            vecs /= np.linalg.norm(vecs, axis=0)
+            m = vecs.T @ vecs
+            assert np.linalg.cond(m) >= 1e12
+        else:
+            m = np.abs(rng.standard_normal((r, r)))
+            m = 0.5 * (m + m.T)
+            np.fill_diagonal(m, 1.0)
+        a = np.abs(rng.standard_normal((r, r)))
+        c_prev = rng.uniform(-1.0, 1.0, r) + 1.0 / r
+        c_prev /= c_prev.sum()
+        yield m, a, c_prev, float(eps)
+
+
+def test_minimax_step_certified_regression_set():
+    for idx, (m, a, c_prev, eps) in enumerate(_regression_instances()):
+        x = minimax_step(m, a, c_prev, eps)
+        b = a @ c_prev
+        scale = max(1.0, float(np.linalg.norm(b)))
+        gap = _dual_gap(m / scale, b / scale, eps / scale, x)
+        assert gap <= MINIMAX_TOL, (idx, gap)
+        assert abs(x.sum() - 1.0) <= 1e-12, (idx, x.sum())
+        if c_prev.size == 1:
+            assert np.array_equal(x, [1.0])
+
+
+def test_minimax_step_zero_residual_kink_raises_promptly():
+    # The sum-one least-squares point reaches b exactly and is the optimum
+    # (a subgradient with |u| = 0.25 exists), but the dual point built from
+    # res / |res| cannot certify an optimum on the kink res = 0.
+    m = np.eye(4)
+    m[np.triu_indices(4, 1)] = (0.8598286368718316, 0.915533733759983,
+                                1.3498396929440826, 0.6615167347323085,
+                                0.4826491909587486, 0.17534387091744705)
+    m = m + np.triu(m, 1).T
+    a = np.diag([0.8947502332184366, -15.494209048417314, 1.261683291783653,
+                 -2.0074156577057063])
+    c_prev = np.array([0.9641491780473957, -0.06986752529332062,
+                       0.6524184819891494, -0.5467001347432245])
+    b = a @ c_prev
+    kink = np.linalg.solve(m, b)
+    assert abs(kink.sum() - 1.0) < 1e-14
+    start = time.perf_counter()
+    with pytest.raises(SolverError) as info:
+        minimax_step(m, a, c_prev, 0.11926114159808276)
+    assert time.perf_counter() - start < 5.0
+    assert np.abs(info.value.best - kink).max() < 1e-12
+    assert math.isfinite(info.value.gap) and info.value.gap > MINIMAX_TOL
+
+
 def test_published_seed_embedding():
     sub = solve_coefficients(2, (8, 26, 34), even_powers=True)
     seed = np.zeros(5)
@@ -329,3 +397,54 @@ def test_tracking_bound_dominates_tracked_error(chain4):
 def test_tracking_bound_length_validation():
     with pytest.raises(ValueError):
         tracking_error_bound([np.eye(2)], [], 0.0, np.ones((1, 2)), [1.0], [0.0], np.ones(2))
+
+
+def _tracking_bound_from_scratch(m_bars, a_bars, eps, c_hat, c_star_norms,
+                                 gamma_values, c_star0):
+    """Reference: rebuild the Schur chain P_0..P_j for every horizon j, with
+    weight 2 eps^2 on the middle steps and eps^2 on the last."""
+    r = m_bars[0].shape[0]
+    ones = np.ones(r)
+    out = []
+    for horizon in range(len(m_bars)):
+        p_mat = m_bars[0].T @ m_bars[0] + np.outer(ones, ones) + eps * eps * np.eye(r)
+        r_vec = ones + c_star0
+        alpha = 1.0 + float(c_star0 @ c_star0)
+        for s in range(1, horizon + 1):
+            q_s = 2.0 if s < horizon else 1.0
+            trans, m_s = a_bars[s], m_bars[s]
+            core = _pinv(p_mat + trans.T @ trans)
+            alpha = alpha + 1.0 - float(r_vec @ core @ r_vec)
+            r_vec = m_s.T @ trans @ core @ r_vec + ones
+            p_mat = (np.outer(ones, ones) + q_s * eps * eps * np.eye(r)
+                     + m_s.T @ m_s - m_s.T @ trans @ core @ trans.T @ m_s)
+        eigs = np.linalg.eigvalsh(0.5 * (p_mat + p_mat.T))
+        psi = 2.0 * eps * c_star_norms[horizon]
+        if horizon >= 1:
+            psi += 4.0 * eps * float(c_star_norms[1:horizon].sum())
+        drift = math.sqrt(r) * float(gamma_values[:horizon].sum())
+        c_j = c_hat[horizon]
+        radius_sq = max((drift + psi) ** 2 - alpha + float(c_j @ p_mat @ c_j), 0.0)
+        comp = 2.0 * math.sqrt(radius_sq) * np.sqrt(np.clip(np.diag(_pinv(p_mat)), 0.0, None))
+        out.append((radius_sq, comp, alpha, float(eigs[0])))
+    return out
+
+
+def test_tracking_bound_prefix_chain_matches_from_scratch(chain4):
+    c0 = solve_coefficients(2, STEPS).coefficients
+    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS,
+                      t0=0.5, t_final=1.7, dt=0.1, eps=0.01, k0=5, c0=c0, seed=11)
+    norms = np.linalg.norm(run.c_star, axis=1)
+    gammas = np.linspace(1e-4, 3e-4, len(run.times))
+    got = tracking_error_bound(run.m_bars, run.a_bars, 0.01, run.c_hat, norms,
+                               gammas, run.c_star[0])
+    ref = _tracking_bound_from_scratch(run.m_bars, run.a_bars, 0.01, run.c_hat,
+                                       norms, gammas, run.c_star[0])
+    assert len(got) == len(ref) == 13
+    assert sum(step.radius_sq > 0.0 for step in got) >= 10
+    for j, (step, (radius_sq, comp, alpha, p_min)) in enumerate(zip(got, ref)):
+        assert step.index == j
+        assert step.radius_sq == radius_sq
+        assert np.array_equal(step.component_bounds, comp)
+        assert step.misfit_offset == alpha
+        assert step.p_min_eig == p_min
