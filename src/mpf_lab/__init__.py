@@ -19,7 +19,6 @@ from .statesim import (
     SpectralOracle,
     apply_fragment_exp,
     basis_state,
-    exact_evolve,
     mixture_frobenius_sq,
     mixture_trace_norm,
     neel_state,

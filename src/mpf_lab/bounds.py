@@ -3,12 +3,13 @@ one-step/k-step product-formula bound, the multi-product bound with its
 a1/a2/a3 coefficients, Bernoulli numbers, and locality/interaction-strength
 propagation through commutators and conjugations.
 
-Up to n = 8 every dense step runs inside the invariant blocks of the
-operators involved (the connected components of their nonzero patterns,
-e.g. the total-Z sectors of the Heisenberg chain), and every norm is the
-exact largest |eigenvalue| of a Hermitian or anti-Hermitian piece.  Above
-that, nested commutators are formed symbolically as Pauli sums, with a
-statevector-based power iteration for the norm beyond 10 qubits.
+Every norm is the exact largest |eigenvalue| of a Hermitian or
+anti-Hermitian piece, taken inside the invariant blocks of the operators
+involved (the connected components of their nonzero patterns, e.g. the
+total-Z sectors of the Heisenberg chain).  Up to n = 8 every dense step runs
+in that block form; above that, nested commutators are formed symbolically
+as Pauli sums and each one is materialized for its block norm, up to
+DENSE_QUBIT_CAP (12) qubits.  Larger systems are refused before any work.
 """
 
 from __future__ import annotations
@@ -22,14 +23,11 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .formulas import ProductFormula
-from .pauli import LocalityProfile, PauliSumOp, commutator_minus_i, pauli_action, to_dense
+from .pauli import DENSE_QUBIT_CAP, LocalityProfile, PauliSumOp, commutator_minus_i, to_dense
 from .static_mpf import MpfScheme
 
 DENSE_NORM_CAP = 8
 SYMBOLIC_TERM_GUARD = 10**6
-# Convergence tolerance of the matrix-free power iteration (n > 10).
-NORM_TOL = 1e-10
-NORM_MAX_ITER = 10**4
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -104,62 +102,29 @@ def _block_norms(x: list[np.ndarray], anti: bool) -> np.ndarray:
 
 # -- spectral norms ----------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _start_vector(dim: int) -> np.ndarray:
-    rng = np.random.default_rng(0x5EED ^ dim)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    vec.setflags(write=False)
-    return vec
-
 def spectral_norm_dense(matrix: np.ndarray) -> float:
     """Largest singular value of a dense matrix."""
     return float(np.linalg.norm(matrix, 2))
 
 
-def _apply_pauli_sum(op: PauliSumOp, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vec)
-    idx = np.arange(vec.size)
-    for coeff, ps in op.terms:
-        partner, phases = pauli_action(ps, idx)
-        out[partner] += coeff * phases * vec
-    return out
+def _check_symbolic_cap(n: int):
+    if n > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"symbolic norms capped at n={DENSE_QUBIT_CAP}; "
+            "use the locality-propagation bounds instead"
+        )
 
 
-_SYMBOLIC_DENSE_CAP = 10
-
-def spectral_norm_symbolic(op: PauliSumOp, max_iter: int = NORM_MAX_ITER) -> float:
-    """Spectral norm of a Hermitian Pauli sum.
-
-    Up to 10 qubits the operator is materialized and the norm is the largest
-    |eigenvalue| over its invariant blocks; beyond that a matrix-free power
-    iteration on A^2 runs against the statevector kernel, accepting a relaxed
-    1e-6 change criterion if the hard tolerance is not reached at the
-    iteration cap.
-    """
+def spectral_norm_symbolic(op: PauliSumOp) -> float:
+    """Spectral norm of a Hermitian Pauli sum: the largest |eigenvalue| over
+    the invariant blocks of its dense matrix (n <= DENSE_QUBIT_CAP)."""
+    _check_symbolic_cap(op.n)
     if op.is_empty:
         return 0.0
-    if op.n <= _SYMBOLIC_DENSE_CAP:
-        dense = to_dense(op)
-        return float(_block_norms(_split(_invariant_blocks([dense]), dense), anti=False))
-    dim = 1 << op.n
-    v = _start_vector(dim).copy()
-    lam_old = 0.0
-    change = math.inf
-    for _ in range(max_iter):
-        w = _apply_pauli_sum(op, _apply_pauli_sum(op, v))
-        lam = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        change = abs(lam - lam_old)
-        if change <= NORM_TOL * max(abs(lam), 1e-30):
-            return math.sqrt(max(lam, 0.0))
-        lam_old = lam
-    if change <= 1e-6 * max(abs(lam_old), 1e-30):
-        return math.sqrt(max(lam_old, 0.0))
-    raise ResourceLimitError("power iteration did not converge")
+    dense = to_dense(op)
+    parts = _split(_invariant_blocks([dense]), dense)
+    del dense  # at 12 qubits the full matrix alone is 268 MB
+    return float(_block_norms(parts, anti=False))
 
 
 # -- composition sums over nested commutators --------------------------------
@@ -243,6 +208,7 @@ def nested_commutator_sum(total: int, chain: list[PauliSumOp],
         *dchain, dtarget = (_split(blocks, m) for m in dense)
         return _norm_sum(*_block_pieces([(dchain, dtarget)], total), total)
     if method == "symbolic":
+        _check_symbolic_cap(n)
         return float(sum(
             w * spectral_norm_symbolic(c)
             for w, c in _compositions(chain, target, total, _symbolic_ad,

@@ -185,20 +185,14 @@ def inject_noise(m: np.ndarray, q: np.ndarray, eps: float, seed) -> NoisyOverlap
 
 # -- robust coefficient step ---------------------------------------------------
 
-def _dual_gap(a: np.ndarray, b: np.ndarray, eps: float, x: np.ndarray) -> float:
-    """Certified objective gap at x from a feasible point of the Fenchel dual
-    ``max -u.b + nu  s.t.  A^T u + v = nu 1, |u| <= 1, |v| <= eps``.
+def _ray_dual(a: np.ndarray, b: np.ndarray, eps: float, u: np.ndarray) -> float:
+    """Best value of the Fenchel dual ``max -u.b + nu  s.t.  A^T u + v = nu 1,
+    |u| <= 1, |v| <= eps`` over the ray ``theta u`` with ``|theta u| <= 1``.
 
-    The dual point is built from the residual direction u = res/|res| scaled
-    by theta in [0, 1]; for each theta the best offset nu solves a 1-D
-    quadratic, and theta itself has a closed-form optimum.
+    For each theta the best offset nu solves a 1-D quadratic, and theta
+    itself has a closed-form optimum.
     """
-    res = a @ x - b
-    rn = float(np.linalg.norm(res))
-    xn = float(np.linalg.norm(x))
-    primal = rn + eps * xn
-    r = x.size
-    u = res / rn if rn > 0 else np.zeros_like(res)
+    r = a.shape[1]
     w = a.T @ u
     m1 = float(w.mean())
     d2 = float(np.sum((w - m1) ** 2))
@@ -210,14 +204,37 @@ def _dual_gap(a: np.ndarray, b: np.ndarray, eps: float, x: np.ndarray) -> float:
             return -math.inf
         return theta * a0 + math.sqrt(room / r)
 
-    cands = [0.0]
-    cap = 1.0 if d2 == 0.0 else min(1.0, eps / math.sqrt(d2))
-    cands.append(cap)
+    un = float(np.linalg.norm(u))
+    cap = 1.0 / un if un > 0.0 else 1.0
+    if d2 > 0.0:
+        cap = min(cap, eps / math.sqrt(d2))
+    cands = [0.0, cap]
     if d2 > 0.0 and a0 > 0.0:
         theta_star = a0 * eps * math.sqrt(r) / math.sqrt(d2 * (d2 + a0 * a0 * r))
         cands.append(min(theta_star, cap))
-    dual = max(dual_at(th) for th in cands)
-    return primal - dual
+    return max(dual_at(th) for th in cands)
+
+
+def _dual_gap(a: np.ndarray, b: np.ndarray, eps: float, x: np.ndarray) -> float:
+    """Certified objective gap at x from a dual feasible point.
+
+    The first dual point lies on the residual direction ``res/|res|``.  If
+    it misses :data:`MINIMAX_TOL` (as at an optimum on the kink ``A x = b``,
+    where that direction is undefined), the kink multiplier is tried too:
+    the minimal-norm u with ``A^T u = nu 1 - eps x/|x|`` for some nu.
+    """
+    res = a @ x - b
+    rn = float(np.linalg.norm(res))
+    xn = float(np.linalg.norm(x))
+    primal = rn + eps * xn
+    gap = primal - _ray_dual(a, b, eps, res / rn if rn > 0 else np.zeros_like(res))
+    if gap > MINIMAX_TOL:
+        # Removing the mean of both sides eliminates nu.
+        lhs = a.T - a.T.mean(axis=0)
+        rhs = -eps * (x - x.mean()) / xn
+        u = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        gap = min(gap, primal - _ray_dual(a, b, eps, u))
+    return gap
 
 
 def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
@@ -230,8 +247,8 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     ``x(lam) = (M^T M + lam I)^-1 (M^T b + mu 1)``, mu fixed by the sum, at the
     lam solving ``lam |x(lam)| = eps |M x(lam) - b|``.  One ``eigh`` of
     ``M^T M`` makes each x(lam) O(r^2), and lam is found by bisection in
-    log lam.  A dual feasible point certifies the objective gap; failure to
-    certify :data:`MINIMAX_TOL` (as at an optimum on the kink ``M x = b``)
+    log lam.  A dual feasible point certifies the objective gap, also at an
+    optimum on the kink ``M x = b``; failure to certify :data:`MINIMAX_TOL`
     raises :class:`SolverError` carrying the best point.
     """
     m_bar = np.asarray(m_bar, dtype=float)

@@ -1,21 +1,18 @@
 """Statevector kernels: fragment exponentials, exact evolution, overlaps,
 and low-rank norms of pure-state mixtures.
 
-Density matrices are never materialized at 2^n x 2^n here; mixture norms go
-through the r x r Gram matrix of pairwise overlaps instead.
+Density matrices are never materialized at 2^n x 2^n here; the trace norm
+of a mixture of r pure states comes from the r x r triangular factor of a QR
+of the state block instead, which keeps its accuracy down to distances near
+machine precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError
-from .pauli import PauliSumOp, commutes, pauli_action, to_dense
-
-# Exact evolution keeps a dense eigendecomposition around, so cap the size.
-ORACLE_QUBIT_CAP = 12
-
-GRAM_EIG_FLOOR = -1e-10
+from .errors import NumericalDegeneracyError, ResourceLimitError
+from .pauli import DENSE_QUBIT_CAP, PauliSumOp, commutes, pauli_action, to_dense
 
 
 def basis_state(n: int, bits: str) -> np.ndarray:
@@ -196,11 +193,12 @@ def apply_fragment_exp(state: np.ndarray, fragment: PauliSumOp, t: float) -> np.
 
 
 class SpectralOracle:
-    """Exact evolution through a one-time dense Hermitian eigendecomposition."""
+    """Exact evolution through a one-time dense Hermitian eigendecomposition
+    (n <= DENSE_QUBIT_CAP, which the constructor checks before any work)."""
 
     def __init__(self, hamiltonian: PauliSumOp):
-        if hamiltonian.n > ORACLE_QUBIT_CAP:
-            raise ValueError(f"exact evolution capped at n={ORACLE_QUBIT_CAP}")
+        if hamiltonian.n > DENSE_QUBIT_CAP:
+            raise ResourceLimitError(f"exact evolution capped at n={DENSE_QUBIT_CAP}")
         self.n = hamiltonian.n
         dense = to_dense(hamiltonian)
         eigvals, eigvecs = np.linalg.eigh(dense)
@@ -223,40 +221,19 @@ class SpectralOracle:
         return self.eigenvectors @ (np.exp(-1j * t * self.eigenvalues) * (self._vh @ state))
 
 
-def exact_evolve(oracle: SpectralOracle, state: np.ndarray, t: float) -> np.ndarray:
-    return oracle.evolve(state, t)
-
-
-def _gram(states: list[np.ndarray]) -> np.ndarray:
-    """Overlaps ``<phi_i|phi_j>`` as one block product ``S^H S``."""
-    block = np.array(states)
-    return block.conj() @ block.T
-
-
-def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    floor = GRAM_EIG_FLOOR * max(1.0, float(eigvals[-1]))
-    if eigvals[0] < floor:
-        raise NumericalDegeneracyError(
-            f"Gram matrix eigenvalue {eigvals[0]:.3e} below PSD tolerance"
-        )
-    clamped = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(clamped)) @ eigvecs.conj().T
-
-
 def mixture_trace_norm(states: list[np.ndarray], weights) -> float:
-    """Trace norm of ``sum_i w_i |phi_i><phi_i|`` via the Gram reduction.
+    """Trace norm of ``sum_i w_i |phi_i><phi_i|`` from a QR of the states.
 
-    The nonzero eigenvalues of the rank-r operator coincide with those of
-    ``G^{1/2} diag(w) G^{1/2}`` where ``G`` is the overlap Gram matrix, so the
-    trace norm is the absolute eigenvalue sum of that r x r matrix.
+    With the states as the columns of ``S = Q R``, the operator is
+    ``Q R diag(w) R^H Q^H`` with orthonormal Q, so its nonzero eigenvalues
+    are those of the r x r Hermitian ``R diag(w) R^H`` and the trace norm is
+    their absolute sum.
     """
     weights = np.asarray(weights, dtype=float)
     if len(states) != weights.size or weights.size == 0:
         raise ValueError("need matching, nonempty states and weights")
-    root = _psd_sqrt(_gram(states))
-    small = root @ np.diag(weights) @ root
-    return float(np.abs(np.linalg.eigvalsh(small)).sum())
+    r = np.linalg.qr(np.array(states).T, mode="r")
+    return float(np.abs(np.linalg.eigvalsh((r * weights) @ r.conj().T)).sum())
 
 
 def mixture_frobenius_sq(gram: np.ndarray, coeffs, overlaps) -> float:

@@ -1,6 +1,7 @@
 """The block-diagonal bound layer: invariant blocks, the block norm, agreement
-of the sampled window aggregates with a full-space reference, hoisting of
-the t-independent aggregates, and the dense cap checked before any work."""
+of the sampled window aggregates with a full-space reference, exact symbolic
+norms above the dense cap, hoisting of the t-independent aggregates, and the
+size caps checked before any work."""
 
 import itertools
 import math
@@ -13,15 +14,23 @@ from mpf_lab import (
     PauliString,
     PauliSumOp,
     build_heisenberg_chain,
+    commutator_minus_i,
     conjugated_commutator_sum,
+    formula_commutator_sum,
     formula_conjugated_sum,
     fragment_decomposition_s2,
+    nested_commutator_sum,
     second_order,
     solve_coefficients,
     to_dense,
 )
 from mpf_lab import bounds
-from mpf_lab.bounds import MixtureBoundEvaluator, _block_norms, _invariant_blocks
+from mpf_lab.bounds import (
+    MixtureBoundEvaluator,
+    _block_norms,
+    _invariant_blocks,
+    spectral_norm_symbolic,
+)
 from mpf_lab.errors import ResourceLimitError
 
 
@@ -169,3 +178,36 @@ def test_dense_cap_checked_before_any_work(monkeypatch):
         formula_conjugated_sum(pf, 2, 1, 0.3)
     with pytest.raises(ResourceLimitError, match="capped"):
         conjugated_commutator_sum(2, 1, [pf.slot_operators[1]], pf.slot_operators[0], 0.3, pf)
+
+
+def test_symbolic_norms_exact_at_11_qubits():
+    # Above the dense cap the nested commutators are Pauli sums; each norm
+    # must equal the exact largest |eigenvalue| over the total-Z sectors.
+    n = 11
+    slots = chain_formula(n).slot_operators
+    a1, a2, target = slots[4], slots[3], slots[2]
+    pieces = [(1, (a2, a2)), (2, (a1, a2)), (1, (a1, a1))]
+    weight = np.bitwise_count(np.arange(1 << n))
+    ref = 0.0
+    for w, (outer, inner) in pieces:
+        dense = to_dense(commutator_minus_i(outer, commutator_minus_i(inner, target)))
+        ref += w * max(np.abs(np.linalg.eigvalsh(dense[np.ix_(weight == m, weight == m)])).max()
+                       for m in range(n + 1))
+    got = nested_commutator_sum(2, [a1, a2], target)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_symbolic_cap_checked_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic work started above the qubit cap")
+
+    monkeypatch.setattr(bounds, "commutator_minus_i", forbidden)
+    monkeypatch.setattr(bounds, "to_dense", forbidden)
+    pf = chain_formula(13)
+    chain, target = list(pf.slot_operators[1:][::-1]), pf.slot_operators[0]
+    with pytest.raises(ResourceLimitError, match="capped"):
+        nested_commutator_sum(2, chain, target, method="symbolic")
+    with pytest.raises(ResourceLimitError, match="capped"):
+        formula_commutator_sum(pf)
+    with pytest.raises(ResourceLimitError, match="capped"):
+        spectral_norm_symbolic(pf.hamiltonian)

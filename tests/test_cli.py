@@ -40,6 +40,12 @@ def test_resource_cap_exit_code(capsys):
     assert "resource" in err.lower() or "capped" in err.lower()
 
 
+def test_exact_evolution_cap_exit_code(capsys):
+    code, _, err = run_cli(["trotter-sweep", "--set", "n=13", "--set", "t_count=1"], capsys)
+    assert code == 3
+    assert "capped" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(["solve-coeffs", "--config", "/nonexistent/x.cfg"], capsys)
     assert code == 2

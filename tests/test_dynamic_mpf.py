@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from mpf_lab import dynamic_mpf
 from mpf_lab import (
     FragmentEvolver,
     MinimaxRun,
@@ -287,10 +288,10 @@ def test_minimax_step_certified_regression_set():
             assert np.array_equal(x, [1.0])
 
 
-def test_minimax_step_zero_residual_kink_raises_promptly():
+def test_minimax_step_zero_residual_kink_certified():
     # The sum-one least-squares point reaches b exactly and is the optimum
-    # (a subgradient with |u| = 0.25 exists), but the dual point built from
-    # res / |res| cannot certify an optimum on the kink res = 0.
+    # (a subgradient with |u| = 0.25 exists).  The residual direction is
+    # undefined there, so only the kink multiplier can certify it.
     m = np.eye(4)
     m[np.triu_indices(4, 1)] = (0.8598286368718316, 0.915533733759983,
                                 1.3498396929440826, 0.6615167347323085,
@@ -300,15 +301,25 @@ def test_minimax_step_zero_residual_kink_raises_promptly():
                  -2.0074156577057063])
     c_prev = np.array([0.9641491780473957, -0.06986752529332062,
                        0.6524184819891494, -0.5467001347432245])
+    eps = 0.11926114159808276
     b = a @ c_prev
     kink = np.linalg.solve(m, b)
     assert abs(kink.sum() - 1.0) < 1e-14
     start = time.perf_counter()
-    with pytest.raises(SolverError) as info:
-        minimax_step(m, a, c_prev, 0.11926114159808276)
+    x = minimax_step(m, a, c_prev, eps)
     assert time.perf_counter() - start < 5.0
-    assert np.abs(info.value.best - kink).max() < 1e-12
-    assert math.isfinite(info.value.gap) and info.value.gap > MINIMAX_TOL
+    assert np.abs(x - kink).max() < 1e-12
+    scale = max(1.0, float(np.linalg.norm(b)))
+    assert _dual_gap(m / scale, b / scale, eps / scale, x) <= MINIMAX_TOL
+
+
+def test_minimax_step_uncertified_raises_with_best_point(monkeypatch):
+    m, a, c_prev, eps = list(_regression_instances())[3]  # r = 4
+    monkeypatch.setattr(dynamic_mpf, "MINIMAX_TOL", -1.0)
+    with pytest.raises(SolverError) as info:
+        minimax_step(m, a, c_prev, eps)
+    assert abs(info.value.best.sum() - 1.0) <= 1e-12
+    assert 0.0 <= info.value.gap <= MINIMAX_TOL
 
 
 def test_published_seed_embedding():

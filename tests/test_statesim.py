@@ -18,10 +18,9 @@ from mpf_lab import (
     suzuki,
     to_dense,
 )
-from mpf_lab.errors import NumericalDegeneracyError
+from mpf_lab.errors import ResourceLimitError
 from mpf_lab.formulas import fragment_by_commuting_groups
 from mpf_lab.pauli import commutes
-from mpf_lab.statesim import _gram, _psd_sqrt
 
 
 def op(n, *terms):
@@ -202,7 +201,7 @@ def test_oracle_dimension_checks(chain4):
     with pytest.raises(ValueError):
         chain4.oracle.evolve(np.zeros(8, dtype=complex), 0.1)
     big = PauliSumOp.from_terms(13, [(1.0, PauliString("Z" + "I" * 12))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError, match="capped"):
         SpectralOracle(big)
 
 
@@ -244,10 +243,18 @@ def test_trace_norm_against_dense(rng):
         assert abs(mixture_trace_norm(states, w) - ref) < 1e-10
 
 
-def test_gram_block_product_matches_vdot(rng):
-    states = [random_state(5, rng) for _ in range(4)]
-    ref = np.array([[np.vdot(a, b) for b in states] for a in states])
-    assert np.allclose(_gram(states), ref, rtol=0.0, atol=1e-14)
+@pytest.mark.parametrize("distance", [2e-9, 2e-11])
+def test_trace_norm_resolves_tiny_distances(rng, distance):
+    # b = cos(theta) a + sin(theta) c with c supported where a vanishes: the
+    # first half of b is a exactly (cos(theta) rounds to 1), so the stored
+    # pair sits at trace distance 2 sin(theta) to rounding.
+    half = 8
+    a = np.concatenate([random_state(3, rng), np.zeros(half)])
+    c = np.concatenate([np.zeros(half), random_state(3, rng)])
+    theta = np.arcsin(distance / 2.0)
+    b = np.cos(theta) * a + np.sin(theta) * c
+    got = mixture_trace_norm([a, b], [1.0, -1.0])
+    assert abs(got - distance) <= 1e-6 * distance
 
 
 def test_trace_norm_input_checks(rng):
@@ -255,16 +262,6 @@ def test_trace_norm_input_checks(rng):
         mixture_trace_norm([], [])
     with pytest.raises(ValueError):
         mixture_trace_norm([random_state(2, rng)], [1.0, 2.0])
-
-
-def test_psd_guard_raises():
-    bad = np.array([[1.0, 0.0], [0.0, -1e-6]])
-    with pytest.raises(NumericalDegeneracyError):
-        _psd_sqrt(bad)
-    # tiny negatives inside tolerance are clamped
-    ok = np.array([[1.0, 0.0], [0.0, -1e-12]])
-    root = _psd_sqrt(ok)
-    assert np.allclose(root, np.diag([1.0, 0.0]))
 
 
 def test_frobenius_trivial_and_dense(rng):
