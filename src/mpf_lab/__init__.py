@@ -17,18 +17,15 @@ from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .statesim import (
     FragmentEvolver,
     SpectralOracle,
-    apply_fragment_exp,
     basis_state,
     mixture_frobenius_sq,
     mixture_trace_norm,
     neel_state,
-    overlap,
     random_state,
 )
 from .formulas import ProductFormula, rho_k_state, second_order, suzuki
 from .static_mpf import (
     MpfScheme,
-    mean_value_combine,
     rank_of_tuple,
     search_steps,
     solve_coefficients,
@@ -44,10 +41,8 @@ from .bounds import (
     conjugation_profile,
     formula_commutator_sum,
     formula_conjugated_sum,
-    mixture_error_bound,
     nested_commutator_sum,
     product_formula_error_bound,
-    propagate_profile,
     spectral_norm_dense,
 )
 from .dynamic_mpf import (
@@ -61,7 +56,6 @@ from .dynamic_mpf import (
     l_exact,
     minimax_run,
     minimax_step,
-    q_matrix,
     tracking_error_bound,
     trotter_states,
 )

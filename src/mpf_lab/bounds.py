@@ -28,6 +28,10 @@ from .static_mpf import MpfScheme
 
 DENSE_NORM_CAP = 8
 SYMBOLIC_TERM_GUARD = 10**6
+# Fragment-time samples: a full grid of this many points per axis whenever
+# it has at most SAMPLE_GRID_CAP points.
+SAMPLE_GRID_POINTS = 3
+SAMPLE_GRID_CAP = 243
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -190,6 +194,13 @@ def nested_commutator_sum(total: int, chain: list[PauliSumOp],
     ``sum over q_1+..+q_s = total of total!/(q_1!..q_s!) *
     ||Ad_{A_1}^{q_1} .. Ad_{A_s}^{q_s}(target)||``.
     """
+    return _nested_sum(total, chain, target, method, {})
+
+
+def _nested_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp,
+                method: str, norms: dict[PauliSumOp, float]) -> float:
+    """:func:`nested_commutator_sum`, whose symbolic route takes the norm of
+    each distinct nested commutator once and keeps it in ``norms``."""
     if total < 0:
         raise ValueError("order must be >= 0")
     if not chain:
@@ -209,11 +220,12 @@ def nested_commutator_sum(total: int, chain: list[PauliSumOp],
         return _norm_sum(*_block_pieces([(dchain, dtarget)], total), total)
     if method == "symbolic":
         _check_symbolic_cap(n)
-        return float(sum(
-            w * spectral_norm_symbolic(c)
-            for w, c in _compositions(chain, target, total, _symbolic_ad,
-                                      lambda op: op.is_empty)
-        ))
+        terms = []
+        for w, c in _compositions(chain, target, total, _symbolic_ad, lambda op: op.is_empty):
+            if c not in norms:
+                norms[c] = spectral_norm_symbolic(c)
+            terms.append(w * norms[c])
+        return float(sum(terms))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -230,11 +242,14 @@ def formula_commutator_sum(pf: ProductFormula, order: int | None = None,
     """Trotter-error commutator aggregate of a product formula.
 
     Sums :func:`nested_commutator_sum` over the chains (G_D,...,G_a; G_{a-1}) built from
-    the formula's slot operators.  A single-slot formula gives 0.
+    the formula's slot operators.  A single-slot formula gives 0.  On the
+    symbolic route a nested commutator that recurs across chains is
+    normed once.
     """
     p = pf.order if order is None else order
+    norms: dict[PauliSumOp, float] = {}
     return float(sum(
-        nested_commutator_sum(p, chain, tgt, method=method) for chain, tgt in _slot_chains(pf)
+        _nested_sum(p, chain, tgt, method, norms) for chain, tgt in _slot_chains(pf)
     ))
 
 
@@ -254,16 +269,15 @@ def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
 class FragmentTimeSampler:
     """Draws fragment-time tuples (tau_1..tau_d) in [0, t]^d.
 
-    The default is a 3-point grid per axis (when 3^d stays below the cap)
-    plus 64 uniform draws; the zero tuple and the full-t tuple are always
-    included.  Maxima estimated from these samples are lower estimates of
-    the true maximum and are flagged as such by callers.
+    A SAMPLE_GRID_POINTS-point grid per axis (when its size stays within
+    SAMPLE_GRID_CAP) plus ``random_draws`` uniform draws; the zero tuple and
+    the full-t tuple are always included.  Maxima estimated from these
+    samples are lower estimates of the true maximum and are flagged as such
+    by callers.
     """
 
-    grid_per_axis: int = 3
     random_draws: int = 64
     seed: int = 2024
-    grid_cap: int = 243
 
     def samples(self, d: int, t: float) -> np.ndarray:
         if t < 0:
@@ -273,8 +287,8 @@ class FragmentTimeSampler:
         if self.random_draws < 0:
             raise ValueError("random_draws must be >= 0")
         rows = [np.zeros(d), np.full(d, t)]
-        if self.grid_per_axis >= 2 and self.grid_per_axis**d <= self.grid_cap:
-            axes = [np.linspace(0.0, t, self.grid_per_axis)] * d
+        if SAMPLE_GRID_POINTS**d <= SAMPLE_GRID_CAP:
+            axes = [np.linspace(0.0, t, SAMPLE_GRID_POINTS)] * d
             mesh = np.meshgrid(*axes, indexing="ij")
             rows.append(np.stack([m.ravel() for m in mesh], axis=1))
         if self.random_draws:
@@ -494,12 +508,6 @@ def _check_extrapolation_residuals(scheme: MpfScheme):
             )
 
 
-def mixture_error_bound(scheme: MpfScheme, pf: ProductFormula, t: float,
-                        sampler: FragmentTimeSampler | None = None) -> MixtureErrorBound:
-    """One-shot evaluation of the multi-product error bound at time t."""
-    return MixtureBoundEvaluator(scheme, pf, sampler).at(t)
-
-
 # -- locality / interaction-strength propagation ------------------------------
 
 def commutator_profile(a: LocalityProfile, b: LocalityProfile) -> LocalityProfile:
@@ -524,23 +532,3 @@ def adjoint_power_profile(a: LocalityProfile, b: LocalityProfile, power: int) ->
     for _ in range(power):
         out = commutator_profile(a, out)
     return out
-
-
-def propagate_profile(operation: str, profiles, *, gamma: float | None = None,
-                      depth: int | None = None,
-                      power: int | None = None) -> LocalityProfile:
-    """Dispatch over the three propagation rules by name."""
-    if operation == "commutator":
-        a, b = profiles
-        return commutator_profile(a, b)
-    if operation == "conjugation":
-        (prof,) = profiles
-        if gamma is None or depth is None:
-            raise ValueError("conjugation needs gamma and depth")
-        return conjugation_profile(prof, gamma, depth)
-    if operation == "adjoint-power":
-        a, b = profiles
-        if power is None:
-            raise ValueError("adjoint-power needs power")
-        return adjoint_power_profile(a, b, power)
-    raise ValueError(f"unknown operation {operation!r}")

@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", type=str, default="-",
                        help="output CSV path ('-' for stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for grid scenarios")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override any config key "
@@ -66,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             sources.append({"seed": str(args.seed)})
         cfg = resolve_config(args.scenario, *sources)
-        doc, trajectory = run_scenario(args.scenario, cfg, threads=max(args.threads, 1))
+        doc, trajectory = run_scenario(args.scenario, cfg)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

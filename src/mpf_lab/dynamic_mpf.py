@@ -69,14 +69,6 @@ def q_from_states(pf: ProductFormula, states_prev: list[np.ndarray],
     return _overlaps_sq(states_next, pushed.T)
 
 
-def q_matrix(pf: ProductFormula, psi_in: np.ndarray, t_j: float, dt: float,
-             k0: int, steps) -> np.ndarray:
-    """Propagation-overlap matrix between times t_j and t_j + dt."""
-    prev = trotter_states(pf, psi_in, t_j, steps)
-    nxt = trotter_states(pf, psi_in, t_j + dt, steps)
-    return q_from_states(pf, prev, nxt, dt, k0)
-
-
 def l_exact(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
             t: float, steps) -> np.ndarray:
     """Overlaps of the exact state with each circuit state at time t."""

@@ -10,17 +10,23 @@ the schema version and the fully resolved configuration.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import bounds as bnd
 from . import dynamic_mpf as dmp
-from .formulas import ProductFormula, rho_k_state, second_order, suzuki
+from .bounds import (
+    FragmentTimeSampler,
+    MixtureBoundEvaluator,
+    formula_commutator_sum,
+    product_formula_error_bound,
+)
+from .formulas import fragment_by_commuting_groups, rho_k_state, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
+from .pauli import parse_op
 from .statesim import SpectralOracle, mixture_frobenius_sq, mixture_trace_norm, neel_state
-from .static_mpf import MpfScheme, rank_of_tuple, search_steps, solve_coefficients
+from .static_mpf import rank_of_tuple, search_steps, solve_coefficients
 
 SCHEMA_LINE = "# mpf-lab schema v1"
 
@@ -163,7 +169,6 @@ class CsvDoc:
     comments: list[str]
     header: list[str]
     rows: list[list]
-    extra: dict = field(default_factory=dict)
 
     def text(self) -> str:
         lines = [SCHEMA_LINE]
@@ -196,26 +201,10 @@ def _config_comments(scenario: str, cfg: dict) -> list[str]:
     return out
 
 
-# -- shared scenario plumbing ---------------------------------------------------
-
-@dataclass
-class ChainContext:
-    cfg: dict
-    pf: ProductFormula
-    oracle: SpectralOracle
-    psi: np.ndarray
-    scheme: MpfScheme | None = None
-    commutator_sum: float | None = None
-    t1: bnd.MixtureBoundEvaluator | None = None
-
+# -- scenarios --------------------------------------------------------------------
 
 def _build_formula(n: int, seed: int, p: int, hamiltonian_path: str = ""):
     if hamiltonian_path:
-        from pathlib import Path
-
-        from .formulas import fragment_by_commuting_groups
-        from .pauli import parse_op
-
         op = parse_op(Path(hamiltonian_path).read_text())
         if op.n != n:
             raise ValueError(
@@ -233,26 +222,6 @@ def _build_formula(n: int, seed: int, p: int, hamiltonian_path: str = ""):
     return pf
 
 
-def _sweep_context(scenario: str, cfg: dict) -> ChainContext:
-    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg.get("hamiltonian", ""))
-    ctx = ChainContext(cfg=cfg, pf=pf, oracle=SpectralOracle(pf.hamiltonian),
-                       psi=neel_state(cfg["n"]))
-    if scenario == "mpf-sweep":
-        steps = tuple(cfg["lam"] * k for k in cfg["steps"])
-        ctx.scheme = solve_coefficients(cfg["p"], steps, cfg["even_powers"])
-        ctx.commutator_sum = bnd.formula_commutator_sum(pf)
-        mode = cfg["bounds"]
-        if mode not in ("on", "off", "auto"):
-            raise ValueError("bounds must be on, off, or auto")
-        if mode == "on" or (mode == "auto" and cfg["n"] <= 4):
-            if cfg["even_powers"]:
-                raise ValueError("the mixture bound needs the consecutive-power scheme")
-            ctx.t1 = bnd.MixtureBoundEvaluator(ctx.scheme, pf)
-    elif scenario == "trotter-sweep":
-        ctx.commutator_sum = bnd.formula_commutator_sum(pf)
-    return ctx
-
-
 def _trotter_fit(p: int, n: int, t: float, k: int) -> float:
     if p == 2:
         return 0.6 * n * t**3 / k**2
@@ -265,88 +234,66 @@ def _mpf_fit(p: int, n: int, t: float, objective: float) -> float:
     return 0.00014 * n * n * t**10 * objective
 
 
-def _trotter_sweep_rows(ctx: ChainContext, indices: list[int]) -> list[list]:
-    cfg = ctx.cfg
+def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     grid = time_grid(cfg)
-    ks = cfg["k_list"]
+    if any(k < 1 for k in cfg["k_list"]):
+        raise ValueError("step counts in k_list must be >= 1")
+    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
+    oracle = SpectralOracle(pf.hamiltonian)
+    psi = neel_state(cfg["n"])
+    commutator_sum = formula_commutator_sum(pf)
     rows = []
-    for idx in indices:
-        ti, kj = divmod(idx, len(ks))
-        t, k = float(grid[ti]), int(ks[kj])
-        if t == 0.0:
-            rows.append([t, k, 0.0, 0.0, 0.0])
-            continue
-        state = rho_k_state(ctx.pf, ctx.psi, t, k)
-        err = mixture_trace_norm([state, ctx.oracle.evolve(ctx.psi, t)], [1.0, -1.0])
-        rows.append([
-            t, k, err,
-            bnd.product_formula_error_bound(ctx.pf, t, k, commutator_sum=ctx.commutator_sum),
-            _trotter_fit(cfg["p"], cfg["n"], t, k),
-        ])
-    return rows
+    for t in map(float, grid):
+        for k in cfg["k_list"]:
+            if t == 0.0:
+                rows.append([t, k, 0.0, 0.0, 0.0])
+                continue
+            state = rho_k_state(pf, psi, t, k)
+            err = mixture_trace_norm([state, oracle.evolve(psi, t)], [1.0, -1.0])
+            rows.append([
+                t, k, err,
+                product_formula_error_bound(pf, t, k, commutator_sum=commutator_sum),
+                _trotter_fit(cfg["p"], cfg["n"], t, k),
+            ])
+    header = ["t", "k", "trotter_error", "trotter_bound", "fit_value"]
+    return CsvDoc(_config_comments("trotter-sweep", cfg), header, rows)
 
 
-def _mpf_sweep_rows(ctx: ChainContext, indices: list[int]) -> list[list]:
-    cfg = ctx.cfg
+def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     grid = time_grid(cfg)
-    scheme = ctx.scheme
+    mode = cfg["bounds"]
+    if mode not in ("on", "off", "auto"):
+        raise ValueError("bounds must be on, off, or auto")
+    with_bound = mode == "on" or (mode == "auto" and cfg["n"] <= 4)
+    if with_bound and cfg["even_powers"]:
+        raise ValueError("the mixture bound needs the consecutive-power scheme")
+    steps = tuple(cfg["lam"] * k for k in cfg["steps"])
+    scheme = solve_coefficients(cfg["p"], steps, cfg["even_powers"])
+    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
+    oracle = SpectralOracle(pf.hamiltonian)
+    psi = neel_state(cfg["n"])
+    commutator_sum = formula_commutator_sum(pf)
+    evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
     k_best = max(scheme.steps)
     rows = []
-    for idx in indices:
-        t = float(grid[idx])
+    for t in map(float, grid):
         if t == 0.0:
             # every circuit reproduces the initial state identically
-            rows.append([t, 0.0, 0.0, 0.0, 0.0 if ctx.t1 is not None else None, 0.0])
+            rows.append([t, 0.0, 0.0, 0.0, 0.0 if with_bound else None, 0.0])
             continue
-        states = dmp.trotter_states(ctx.pf, ctx.psi, t, scheme.steps)
-        exact = ctx.oracle.evolve(ctx.psi, t)
+        states = dmp.trotter_states(pf, psi, t, scheme.steps)
+        exact = oracle.evolve(psi, t)
         trotter_err = mixture_trace_norm([states[-1], exact], [1.0, -1.0])
         mpf_err = mixture_trace_norm(states + [exact], list(scheme.coefficients) + [-1.0])
         rows.append([
             t, trotter_err, mpf_err,
-            bnd.product_formula_error_bound(ctx.pf, t, k_best, commutator_sum=ctx.commutator_sum),
-            ctx.t1.at(t).value if ctx.t1 is not None else None,
+            product_formula_error_bound(pf, t, k_best, commutator_sum=commutator_sum),
+            evaluator.at(t).value if with_bound else None,
             _mpf_fit(cfg["p"], cfg["n"], t, scheme.objective),
         ])
-    return rows
+    header = ["t", "trotter_error_best_k", "mpf_error", "trotter_bound", "mpf_bound", "fit_value"]
+    return CsvDoc(_config_comments("mpf-sweep", cfg), header, rows)
 
-
-_SWEEPS = {
-    "trotter-sweep": (
-        _trotter_sweep_rows,
-        ["t", "k", "trotter_error", "trotter_bound", "fit_value"],
-        lambda cfg: len(time_grid(cfg)) * len(cfg["k_list"]),
-    ),
-    "mpf-sweep": (
-        _mpf_sweep_rows,
-        ["t", "trotter_error_best_k", "mpf_error", "trotter_bound",
-         "mpf_bound", "fit_value"],
-        lambda cfg: len(time_grid(cfg)),
-    ),
-}
-
-
-def _sweep_block(scenario: str, cfg: dict, indices: list[int]) -> list[list]:
-    ctx = _sweep_context(scenario, cfg)
-    return _SWEEPS[scenario][0](ctx, indices)
-
-
-def _run_sweep(scenario: str, cfg: dict, threads: int) -> CsvDoc:
-    row_fn, header, count_fn = _SWEEPS[scenario]
-    total = count_fn(cfg)
-    indices = list(range(total))
-    if threads <= 1 or total <= 1:
-        rows = _sweep_block(scenario, cfg, indices)
-    else:
-        blocks = np.array_split(np.asarray(indices), min(threads, total))
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_sweep_block, scenario, cfg, [int(i) for i in blk])
-                       for blk in blocks]
-            rows = [row for fut in futures for row in fut.result()]
-    return CsvDoc(_config_comments(scenario, cfg), header, rows)
-
-
-# -- remaining scenarios ---------------------------------------------------------
 
 def _run_solve_coeffs(cfg: dict) -> CsvDoc:
     steps = tuple(cfg["lam"] * k for k in cfg["steps"])
@@ -384,8 +331,8 @@ def _run_bound_eval(cfg: dict) -> CsvDoc:
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"])
     steps = tuple(cfg["lam"] * k for k in cfg["steps"])
     scheme = solve_coefficients(cfg["p"], steps)
-    sampler = bnd.FragmentTimeSampler(random_draws=cfg["sampler_draws"], seed=cfg["sampler_seed"])
-    evaluator = bnd.MixtureBoundEvaluator(scheme, pf, sampler)
+    sampler = FragmentTimeSampler(random_draws=cfg["sampler_draws"], seed=cfg["sampler_seed"])
+    evaluator = MixtureBoundEvaluator(scheme, pf, sampler)
     grid = time_grid(cfg)
     first = evaluator.at(float(grid[0]))
     aggregate_names = sorted(first.aggregates)
@@ -457,10 +404,12 @@ def _trajectory_doc(cfg: dict, run: dmp.MinimaxRun) -> CsvDoc:
     return CsvDoc(_config_comments("minimax-shootout", cfg), header, rows)
 
 
-def run_scenario(scenario: str, cfg: dict, threads: int = 1):
+def run_scenario(scenario: str, cfg: dict):
     """Run one scenario; returns (CsvDoc, optional trajectory CsvDoc)."""
-    if scenario in _SWEEPS:
-        return _run_sweep(scenario, cfg, threads), None
+    if scenario == "trotter-sweep":
+        return _run_trotter_sweep(cfg), None
+    if scenario == "mpf-sweep":
+        return _run_mpf_sweep(cfg), None
     if scenario == "solve-coeffs":
         return _run_solve_coeffs(cfg), None
     if scenario == "tuple-search":

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSumOp
+from .pauli import PauliSumOp, commutes
 from .statesim import FragmentEvolver
 
 SUZUKI_ORDERS = (4, 6)
@@ -146,8 +146,6 @@ def fragment_by_commuting_groups(op: PauliSumOp) -> list[PauliSumOp]:
     building a product formula from a Hamiltonian with no hand-made
     decomposition.
     """
-    from .pauli import commutes
-
     groups: list[list[tuple[float, object]]] = []
     for coeff, ps in op.terms:
         for group in groups:

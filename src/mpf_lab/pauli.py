@@ -63,10 +63,6 @@ class PauliString:
         return self.word
 
 
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n)
-
-
 def pauli_from_sites(n: int, sites: dict[int, str]) -> PauliString:
     """Build an n-qubit word with the given single-site letters."""
     chars = ["I"] * n
@@ -165,13 +161,6 @@ class PauliSumOp:
         return PauliSumOp.from_terms(self.n, ((s * c, p) for c, p in self.terms))
 
     __rmul__ = __mul__
-
-    def coefficient_norm(self) -> float:
-        """Sum of |coefficients| (an easy upper bound on the spectral norm)."""
-        return float(sum(abs(c) for c, _ in self.terms))
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c, _ in self.terms), default=0.0)
 
 
 def commutator_minus_i(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:

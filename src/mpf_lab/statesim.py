@@ -1,5 +1,5 @@
-"""Statevector kernels: fragment exponentials, exact evolution, overlaps,
-and low-rank norms of pure-state mixtures.
+"""Statevector kernels: fragment exponentials, exact evolution, and
+low-rank norms of pure-state mixtures.
 
 Density matrices are never materialized at 2^n x 2^n here; the trace norm
 of a mixture of r pure states comes from the r x r triangular factor of a QR
@@ -32,13 +32,6 @@ def neel_state(n: int) -> np.ndarray:
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return vec / np.linalg.norm(vec)
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b>."""
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return complex(np.vdot(a, b))
 
 
 def _index_view(local: np.ndarray):
@@ -185,11 +178,6 @@ class FragmentEvolver:
                 view[:, :, rot.hi] = c * y + a_lo * x
                 view[:, :, rot.lo] = new_x
         return out.T if block else out[0]
-
-
-def apply_fragment_exp(state: np.ndarray, fragment: PauliSumOp, t: float) -> np.ndarray:
-    """One-shot convenience wrapper; registers the fragment per call."""
-    return FragmentEvolver(fragment).apply(state, t)
 
 
 class SpectralOracle:

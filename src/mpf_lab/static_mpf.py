@@ -36,10 +36,6 @@ class MpfScheme:
     objective: float
     system_condition: float
 
-    @property
-    def r(self) -> int:
-        return len(self.steps)
-
     def residuals(self) -> list[float]:
         """Constraint residuals: [sum c - 1] + [sum c/k^q for each power]."""
         c = np.asarray(self.coefficients)
@@ -161,17 +157,3 @@ def rank_of_tuple(schemes: list[MpfScheme], steps: Sequence[int]) -> int | None:
         if sch.steps == target:
             return i
     return None
-
-
-def mean_value_combine(values: Sequence[float], errors: Sequence[float],
-                       scheme: MpfScheme) -> tuple[float, float]:
-    """Combine per-circuit observable estimates ``x_i +- eps_i`` into the
-    mixture estimate and its additive error budget ``sum eps_i |c_i|``."""
-    if len(values) != scheme.r or len(errors) != scheme.r:
-        raise ValueError("value/error lengths must match the scheme size")
-    if any(e < 0 for e in errors):
-        raise ValueError("error magnitudes must be >= 0")
-    c = np.asarray(scheme.coefficients)
-    combined = float(np.dot(c, np.asarray(values, dtype=float)))
-    budget = float(np.dot(np.abs(c), np.asarray(errors, dtype=float)))
-    return combined, budget

@@ -197,6 +197,31 @@ def test_symbolic_norms_exact_at_11_qubits():
     assert abs(got - ref) <= 1e-12 * ref
 
 
+def test_symbolic_sum_norms_each_distinct_piece_once(monkeypatch):
+    # The palindromic chain formula repeats nested commutators across its
+    # slot chains (17 pieces, 13 distinct at n = 9); each distinct one is
+    # normed once, and the sum keeps the order of the un-memoized one.
+    pf = chain_formula(9)
+    p = pf.order
+    chains = list(bounds._slot_chains(pf))
+    per_chain = [list(bounds._compositions(chain, tgt, p, bounds._symbolic_ad,
+                                           lambda op: op.is_empty))
+                 for chain, tgt in chains]
+    pieces = [c for chain in per_chain for _, c in chain]
+    assert len(set(pieces)) < len(pieces)
+    plain = float(sum(float(sum(w * spectral_norm_symbolic(c) for w, c in chain))
+                      for chain in per_chain))
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return spectral_norm_symbolic(op)
+
+    monkeypatch.setattr(bounds, "spectral_norm_symbolic", counting)
+    assert formula_commutator_sum(pf) == plain
+    assert len(calls) == len(set(pieces))
+
+
 def test_symbolic_cap_checked_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("symbolic work started above the qubit cap")

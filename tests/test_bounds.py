@@ -17,13 +17,11 @@ from mpf_lab import (
     adjoint_power_profile,
     commutator_profile,
     conjugation_profile,
-    propagate_profile,
     product_formula_error_bound,
     mixture_trace_norm,
     rho_k_state,
     solve_coefficients,
     spectral_norm_dense,
-    mixture_error_bound,
     to_dense,
 )
 from mpf_lab.bounds import MixtureBoundEvaluator
@@ -199,13 +197,13 @@ def test_beta_conjugation_invariance_l0(chain4):
 def test_mixture_bound_preconditions(chain4):
     sch1 = solve_coefficients(2, (7,))
     with pytest.raises(ValueError):
-        mixture_error_bound(sch1, chain4.pf, 1.0)
+        MixtureBoundEvaluator(sch1, chain4.pf).at(1.0)
     even = solve_coefficients(2, (8, 26, 34), even_powers=True)
     with pytest.raises(ValueError, match="consecutive"):
-        mixture_error_bound(even, chain4.pf, 1.0)
+        MixtureBoundEvaluator(even, chain4.pf).at(1.0)
     sch4 = solve_coefficients(4, (2, 9, 17, 23, 25))
     with pytest.raises(ValueError, match="order"):
-        mixture_error_bound(sch4, chain4.pf, 1.0)
+        MixtureBoundEvaluator(sch4, chain4.pf).at(1.0)
 
 
 def test_mixture_bound_prefactor_rescaling(chain4):
@@ -231,7 +229,7 @@ def test_mixture_bound_dominates_measured_error(chain4):
 
 def test_mixture_bound_zero_time(chain4):
     sch = solve_coefficients(2, (4, 13, 17))
-    bound = mixture_error_bound(sch, chain4.pf, 0.0)
+    bound = MixtureBoundEvaluator(sch, chain4.pf).at(0.0)
     assert bound.value == 0.0
     assert not bound.sampled
 
@@ -276,14 +274,3 @@ def test_kj_triple_nesting():
 def test_kj_conjugation():
     out = conjugation_profile(LocalityProfile(2, 1.5), gamma=2.0, depth=3)
     assert out == LocalityProfile(16, 12.0)
-
-
-def test_kj_dispatch():
-    a, b = LocalityProfile(2, 1.0), LocalityProfile(2, 1.0)
-    assert propagate_profile("commutator", (a, b)) == commutator_profile(a, b)
-    assert propagate_profile("adjoint-power", (a, b), power=2) == adjoint_power_profile(a, b, 2)
-    assert propagate_profile("conjugation", (a,), gamma=2.0, depth=1) == conjugation_profile(a, 2.0, 1)
-    with pytest.raises(ValueError):
-        propagate_profile("unknown", (a, b))
-    with pytest.raises(ValueError):
-        propagate_profile("conjugation", (a,))

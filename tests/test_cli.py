@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from mpf_lab.cli import main
 
 
@@ -31,6 +33,14 @@ def test_bad_value_is_config_error(capsys):
 def test_malformed_override(capsys):
     code, _, err = run_cli(["solve-coeffs", "--set", "oops"], capsys)
     assert code == 2
+
+
+def test_threads_flag_is_refused(capsys):
+    # Sweeps run serially; an old --threads argument fails loudly.
+    with pytest.raises(SystemExit) as exc:
+        main(["mpf-sweep", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_resource_cap_exit_code(capsys):

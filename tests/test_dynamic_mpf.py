@@ -15,7 +15,6 @@ from mpf_lab import (
     minimax_run,
     minimax_step,
     mixture_frobenius_sq,
-    q_matrix,
     rho_k_state,
     solve_coefficients,
     suzuki,
@@ -105,11 +104,11 @@ def test_gram_matches_dense_traces(chain4):
 
 def test_q_matrix_entries(chain4):
     t, dt, k0 = 0.6, 0.1, 9
-    q = q_matrix(chain4.pf, chain4.psi, t, dt, k0, STEPS)
-    assert q.min() >= 0.0 and q.max() <= 1.0 + 1e-12
-    # dense oracle
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
+    q = q_from_states(chain4.pf, prev, nxt, dt, k0)
+    assert q.min() >= 0.0 and q.max() <= 1.0 + 1e-12
+    # dense oracle
     for s, ps in enumerate(prev):
         pushed = rho_k_state(chain4.pf, ps, dt, k0)
         dp = np.outer(pushed, pushed.conj())
@@ -119,15 +118,17 @@ def test_q_matrix_entries(chain4):
 
 
 def test_q_matrix_small_dt_diagonal(chain4):
-    q = q_matrix(chain4.pf, chain4.psi, 0.5, 1e-8, 1, STEPS)
+    q = q_from_states(chain4.pf, trotter_states(chain4.pf, chain4.psi, 0.5, STEPS),
+                      trotter_states(chain4.pf, chain4.psi, 0.5 + 1e-8, STEPS), 1e-8, 1)
     assert np.allclose(np.diag(q), 1.0, atol=1e-6)
 
 
 def test_q_matrix_validation(chain4):
+    states = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
     with pytest.raises(ValueError):
-        q_matrix(chain4.pf, chain4.psi, 0.5, 0.0, 3, STEPS)
+        q_from_states(chain4.pf, states, states, 0.0, 3)
     with pytest.raises(ValueError):
-        q_matrix(chain4.pf, chain4.psi, 0.5, 0.1, 0, STEPS)
+        q_from_states(chain4.pf, states, states, 0.1, 0)
 
 
 def test_l_exact_values(chain4):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpf_lab import experiments
 from mpf_lab.experiments import (
     CsvDoc,
     SCHEMA_LINE,
@@ -110,11 +111,20 @@ def test_mpf_sweep_bound_columns_dominate(chain4):
         assert mpf_bound >= mpf_err
 
 
-def test_mpf_sweep_threads_match_serial():
-    cfg = resolve_config("mpf-sweep", {"n": "4", "t_count": "4", "bounds": "off"})
-    serial, _ = run_scenario("mpf-sweep", cfg, threads=1)
-    parallel, _ = run_scenario("mpf-sweep", cfg, threads=3)
-    assert serial.text() == parallel.text()
+@pytest.mark.parametrize("scenario, overrides, message", [
+    ("mpf-sweep", {"bounds": "bogus"}, "bounds must be"),
+    ("mpf-sweep", {"bounds": "on", "even_powers": "true"}, "consecutive-power"),
+    ("trotter-sweep", {"k_list": "4,0"}, "k_list"),
+])
+def test_sweep_config_checked_before_any_work(monkeypatch, scenario, overrides, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sweep work started before the config was checked")
+
+    monkeypatch.setattr(experiments, "SpectralOracle", forbidden)
+    monkeypatch.setattr(experiments, "formula_commutator_sum", forbidden)
+    cfg = resolve_config(scenario, {"n": "11", **overrides})
+    with pytest.raises(ValueError, match=message):
+        run_scenario(scenario, cfg)
 
 
 def test_trotter_sweep_shape():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpf_lab import mean_value_combine, rank_of_tuple, search_steps, solve_coefficients
+from mpf_lab import rank_of_tuple, search_steps, solve_coefficients
 
 
 def test_order2_golden_triple():
@@ -108,16 +108,3 @@ def test_search_r1_degenerate():
     assert all(s.coefficients == (1.0,) and s.kappa == 1.0 for s in ranked)
     # objective sum |c|/k^4 is minimized by the largest k
     assert ranked[0].steps == (6,)
-
-
-def test_mean_value_combine():
-    sch = solve_coefficients(2, (4, 13, 17))
-    val, budget = mean_value_combine([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], sch)
-    assert abs(val - 1.0) < 1e-12
-    assert budget == 0.0
-    _, budget = mean_value_combine([0.5, 0.2, 0.1], [0.01, 0.01, 0.01], sch)
-    assert abs(budget - 0.01 * sch.kappa) < 1e-14
-    with pytest.raises(ValueError):
-        mean_value_combine([1.0], [0.0], sch)
-    with pytest.raises(ValueError):
-        mean_value_combine([1.0, 1.0, 1.0], [0.0, -0.1, 0.0], sch)
