@@ -6,10 +6,12 @@ propagation through commutators and conjugations.
 Every norm is the exact largest |eigenvalue| of a Hermitian or
 anti-Hermitian piece, taken inside the invariant blocks of the operators
 involved (the connected components of their nonzero patterns, e.g. the
-total-Z sectors of the Heisenberg chain).  Up to n = 8 every dense step runs
-in that block form; above that, nested commutators are formed symbolically
-as Pauli sums and each one is materialized for its block norm, up to
-DENSE_QUBIT_CAP (12) qubits.  Larger systems are refused before any work.
+total-Z sectors of the Heisenberg chain).  The blocks and each operator's
+block form come straight from its Pauli terms (``pauli.invariant_blocks``);
+no 2^n x 2^n matrix is built.  Up to n = 8 every dense step runs in that
+block form; above that, nested commutators are formed symbolically as Pauli
+sums and each one is put in block form for its norm, up to DENSE_QUBIT_CAP
+(12) qubits.  Larger systems are refused before any work.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .formulas import ProductFormula
-from .pauli import DENSE_QUBIT_CAP, LocalityProfile, PauliSumOp, commutator_minus_i, to_dense
+from .pauli import (DENSE_QUBIT_CAP, LocalityProfile, PauliSumOp, commutator_minus_i,
+                    invariant_blocks)
 from .static_mpf import MpfScheme
 
 DENSE_NORM_CAP = 8
@@ -50,42 +53,7 @@ def bernoulli(order: int) -> Fraction:
     return -total / (order + 1)
 
 
-# -- invariant blocks -----------------------------------------------------------
-
-def _invariant_blocks(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Invariant blocks of a set of dense operators, grouped by size.
-
-    The blocks are the connected components of the union of the matrices'
-    exact nonzero patterns, found by min-label propagation with pointer
-    jumping.  Every product, commutator and exponential of the operators is
-    block-diagonal on them; operators that conserve nothing give one block of
-    the full dimension.  Returns one ``(count, size)`` index array per block
-    size, in ascending size.
-    """
-    pattern = np.zeros(mats[0].shape, dtype=bool)
-    for m in mats:
-        pattern |= m != 0
-    rows, cols = np.nonzero(pattern | pattern.T)
-    label = np.arange(pattern.shape[0])
-    while True:
-        low = label.copy()
-        np.minimum.at(low, rows, label[cols])
-        low = low[low]
-        if np.array_equal(low, label):
-            break
-        label = low
-    sizes = np.unique(label, return_counts=True)[1]
-    by_size: dict[int, list[np.ndarray]] = {}
-    for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
-        by_size.setdefault(members.size, []).append(members)
-    return [np.array(by_size[s]) for s in sorted(by_size)]
-
-
-def _split(blocks: list[np.ndarray], mat: np.ndarray) -> list[np.ndarray]:
-    """Block form of ``mat``: one ``(..., count, size, size)`` stack per block
-    size, keeping any leading axes."""
-    return [mat[..., idx[:, :, None], idx[:, None, :]] for idx in blocks]
-
+# -- block form --------------------------------------------------------------
 
 def _block_ad(a: list[np.ndarray], x: list[np.ndarray]) -> list[np.ndarray]:
     """Blockwise commutator [A, X]; A broadcasts against leading axes of X."""
@@ -121,14 +89,11 @@ def _check_symbolic_cap(n: int):
 
 def spectral_norm_symbolic(op: PauliSumOp) -> float:
     """Spectral norm of a Hermitian Pauli sum: the largest |eigenvalue| over
-    the invariant blocks of its dense matrix (n <= DENSE_QUBIT_CAP)."""
+    its invariant blocks (n <= DENSE_QUBIT_CAP)."""
     _check_symbolic_cap(op.n)
     if op.is_empty:
         return 0.0
-    dense = to_dense(op)
-    parts = _split(_invariant_blocks([dense]), dense)
-    del dense  # at 12 qubits the full matrix alone is 268 MB
-    return float(_block_norms(parts, anti=False))
+    return float(_block_norms(invariant_blocks([op])[1][0], anti=False))
 
 
 # -- composition sums over nested commutators --------------------------------
@@ -214,9 +179,7 @@ def _nested_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp,
                 f"dense evaluation capped at n={DENSE_NORM_CAP}; "
                 "use method='symbolic' or the locality-propagation bounds"
             )
-        dense = [to_dense(op) for op in (*chain, target)]
-        blocks = _invariant_blocks(dense)
-        *dchain, dtarget = (_split(blocks, m) for m in dense)
+        *dchain, dtarget = invariant_blocks([*chain, target])[1]
         return _norm_sum(*_block_pieces([(dchain, dtarget)], total), total)
     if method == "symbolic":
         _check_symbolic_cap(n)
@@ -300,11 +263,10 @@ class FragmentTimeSampler:
 class _WindowSpace:
     """A formula's window layer in block form.
 
-    Holds the invariant blocks of the slot operators, the Hamiltonian and any
-    ``extra`` operators, each of those operators split into the blocks, the
-    slot chains, and the slot eigendecompositions that build the sampled
-    partial-product unitaries.  n above the dense cap is refused before any
-    of this work.
+    Holds the slot operators, the Hamiltonian and any ``extra`` operators in
+    the block form of their common invariant blocks, the slot chains, and the
+    slot eigendecompositions that build the sampled partial-product
+    unitaries.  n above the dense cap is refused before any of this work.
     """
 
     def __init__(self, pf: ProductFormula, extra: tuple[PauliSumOp, ...] = ()):
@@ -313,9 +275,7 @@ class _WindowSpace:
                 f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}"
             )
         ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian, *extra)))
-        dense = [to_dense(op) for op in ops]
-        blocks = _invariant_blocks(dense)
-        self.parts = {op: _split(blocks, m) for op, m in zip(ops, dense)}
+        self.parts = dict(zip(ops, invariant_blocks(ops)[1]))
         self.ham = self.parts[pf.hamiltonian]
         self.slot_chains = [([self.parts[op] for op in chain], self.parts[tgt])
                             for chain, tgt in _slot_chains(pf)]

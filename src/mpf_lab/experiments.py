@@ -22,7 +22,7 @@ from .bounds import (
     formula_commutator_sum,
     product_formula_error_bound,
 )
-from .formulas import fragment_by_commuting_groups, rho_k_state, second_order, suzuki
+from .formulas import fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
 from .statesim import SpectralOracle, mixture_frobenius_sq, mixture_trace_norm, neel_state
@@ -244,12 +244,13 @@ def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     commutator_sum = formula_commutator_sum(pf)
     rows = []
     for t in map(float, grid):
-        for k in cfg["k_list"]:
-            if t == 0.0:
-                rows.append([t, k, 0.0, 0.0, 0.0])
-                continue
-            state = rho_k_state(pf, psi, t, k)
-            err = mixture_trace_norm([state, oracle.evolve(psi, t)], [1.0, -1.0])
+        if t == 0.0:
+            rows.extend([t, k, 0.0, 0.0, 0.0] for k in cfg["k_list"])
+            continue
+        exact = oracle.evolve(psi, t)
+        states = dmp.trotter_states(pf, psi, t, cfg["k_list"])
+        for k, state in zip(cfg["k_list"], states):
+            err = mixture_trace_norm([state, exact], [1.0, -1.0])
             rows.append([
                 t, k, err,
                 product_formula_error_bound(pf, t, k, commutator_sum=commutator_sum),

@@ -18,6 +18,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 _VALID = frozenset("IXYZ")
 
 # Maximum qubit count for dense materialization (4096 x 4096).
@@ -213,16 +215,16 @@ def locality_profile(op: PauliSumOp) -> LocalityProfile:
     return LocalityProfile(k=k, strength=float(per_qubit.max()))
 
 
-# -- dense materialization ---------------------------------------------------
+# -- dense and block materialization -------------------------------------------
 
 def pauli_action(ps: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Action of a Pauli word on basis states: ``P|i> = phase[i] |partner[i]>``.
 
     ``partner = idx ^ x_mask``; the phase is ``i^{#Y}`` times the sign
     ``(-1)^{popcount(idx & z_mask)}``, returned as a real array when
-    ``i^{#Y}`` is real.  Every mask-based kernel of the package (dense
-    materialization, matrix-free products, fragment exponentials) takes its
-    index arithmetic from here.
+    ``i^{#Y}`` is real.  Every mask-based kernel of the package (dense and
+    block materialization, fragment exponentials) takes its index arithmetic
+    from here.
     """
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & ps.z_mask) & 1)
     if ps.y_count % 2 == 0:
@@ -231,12 +233,15 @@ def pauli_action(ps: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx ^ ps.x_mask, (1j ** ps.y_count) * signs
 
 
+def _check_dense_cap(n: int):
+    if n > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"dense materialization capped at n={DENSE_QUBIT_CAP}")
+
+
 def pauli_dense(ps: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli word."""
-    n = ps.n
-    if n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense materialization capped at n={DENSE_QUBIT_CAP}")
-    dim = 1 << n
+    _check_dense_cap(ps.n)
+    dim = 1 << ps.n
     cols = np.arange(dim)
     rows, phases = pauli_action(ps, cols)
     mat = np.zeros((dim, dim), dtype=complex)
@@ -246,8 +251,7 @@ def pauli_dense(ps: PauliString) -> np.ndarray:
 
 def to_dense(op: PauliSumOp) -> np.ndarray:
     """Dense Hermitian matrix of a Pauli sum (n capped at DENSE_QUBIT_CAP)."""
-    if op.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense materialization capped at n={DENSE_QUBIT_CAP}")
+    _check_dense_cap(op.n)
     dim = 1 << op.n
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
@@ -255,6 +259,86 @@ def to_dense(op: PauliSumOp) -> np.ndarray:
         rows, phases = pauli_action(ps, cols)
         mat[rows, cols] += coeff * phases
     return mat
+
+
+def _sparse_entries(op: PauliSumOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries ``(rows, cols, values)`` of a Pauli sum's matrix.
+
+    The terms sharing an ``x_mask`` fill the same entries ``(i ^ x_mask, i)``,
+    so each group's values are summed term by term, in term order, exactly as
+    :func:`to_dense` sums them; entries that cancel to an exact zero (|00>
+    and |11> under XX + YY) are dropped.
+    """
+    idx = np.arange(1 << op.n)
+    groups: dict[int, list[tuple[float, PauliString]]] = {}
+    for coeff, ps in op.terms:
+        groups.setdefault(ps.x_mask, []).append((coeff, ps))
+    rows, cols, values = [], [], []
+    for x_mask, group in groups.items():
+        coupling = np.zeros(idx.size, dtype=complex)
+        for coeff, ps in group:
+            coupling += coeff * pauli_action(ps, idx)[1]
+        keep = np.flatnonzero(coupling)
+        rows.append(keep ^ x_mask)
+        cols.append(keep)
+        values.append(coupling[keep])
+    if not values:
+        return idx[:0], idx[:0], np.zeros(0, dtype=complex)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """Invariant blocks of a set of Pauli sums, and each sum in block form,
+    without building any 2^n x 2^n matrix.
+
+    The blocks are the connected components of the union of the operators'
+    exact nonzero patterns (:func:`_sparse_entries`), found by min-label
+    propagation with pointer jumping.  Every product, commutator and
+    exponential of the operators is block-diagonal on them; operators that
+    conserve nothing give one block of the full dimension.
+
+    Returns ``(blocks, parts)``.  ``blocks`` holds one ``(count, size)`` index
+    array per block size, in ascending size.  ``parts[j]`` holds ``ops[j]`` as
+    one ``(count, size, size)`` stack per block size, whose entries equal the
+    matching entries of :func:`to_dense` bit for bit.
+    """
+    dim = 1 << ops[0].n
+    entries = [_sparse_entries(op) for op in ops]
+    # Pauli sums are Hermitian, so the pattern is symmetric already.
+    rows = np.concatenate([r for r, _, _ in entries])
+    cols = np.concatenate([c for _, c, _ in entries])
+    label = np.arange(dim)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    sizes = np.unique(label, return_counts=True)[1]
+    by_size: dict[int, list[np.ndarray]] = {}
+    for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
+        by_size.setdefault(members.size, []).append(members)
+    blocks = [np.array(by_size[s]) for s in sorted(by_size)]
+
+    # Entry (r, c) of a block sits at row_off[r] + col_off[c] of one flat
+    # buffer that holds every block-size stack in turn.
+    row_off = np.empty(dim, dtype=np.intp)
+    col_off = np.empty(dim, dtype=np.intp)
+    offsets = [0]
+    for idx in blocks:
+        count, size = idx.shape
+        local = np.arange(size)
+        row_off[idx] = local * size
+        col_off[idx] = offsets[-1] + (np.arange(count) * size * size)[:, None] + local
+        offsets.append(offsets[-1] + count * size * size)
+    parts = []
+    for r, c, v in entries:
+        flat = np.zeros(offsets[-1], dtype=complex)
+        flat[row_off[r] + col_off[c]] = v
+        parts.append([flat[lo:hi].reshape(idx.shape[0], idx.shape[1], idx.shape[1])
+                      for lo, hi, idx in zip(offsets, offsets[1:], blocks)])
+    return blocks, parts
 
 
 def extract_coefficients(matrix: np.ndarray, words: Iterable[PauliString]) -> list[float]:

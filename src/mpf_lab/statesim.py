@@ -1,10 +1,11 @@
-"""Statevector kernels: fragment exponentials, exact evolution, and
-low-rank norms of pure-state mixtures.
+"""Statevector kernels: fragment exponentials, exact evolution inside the
+Hamiltonian's invariant blocks, and low-rank norms of pure-state mixtures.
 
-Density matrices are never materialized at 2^n x 2^n here; the trace norm
-of a mixture of r pure states comes from the r x r triangular factor of a QR
-of the state block instead, which keeps its accuracy down to distances near
-machine precision.
+No 2^n x 2^n matrix is materialized here.  Exact evolution diagonalizes only
+the invariant blocks (e.g. total-Z sectors) that a state touches, and the
+trace norm of a mixture of r pure states comes from the r x r triangular
+factor of a QR of the state block, which keeps its accuracy down to
+distances near machine precision.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalDegeneracyError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CAP, PauliSumOp, commutes, pauli_action, to_dense
+from .pauli import DENSE_QUBIT_CAP, PauliSumOp, commutes, invariant_blocks, pauli_action
 
 
 def basis_state(n: int, bits: str) -> np.ndarray:
@@ -181,24 +182,46 @@ class FragmentEvolver:
 
 
 class SpectralOracle:
-    """Exact evolution through a one-time dense Hermitian eigendecomposition
-    (n <= DENSE_QUBIT_CAP, which the constructor checks before any work)."""
+    """Exact evolution through per-block Hermitian eigendecompositions.
+
+    The constructor finds the Hamiltonian's invariant blocks (n <=
+    DENSE_QUBIT_CAP, checked before any work).  Each block is diagonalized
+    on the first ``evolve`` whose state touches it, and its reconstruction
+    is checked then.
+    """
 
     def __init__(self, hamiltonian: PauliSumOp):
         if hamiltonian.n > DENSE_QUBIT_CAP:
             raise ResourceLimitError(f"exact evolution capped at n={DENSE_QUBIT_CAP}")
         self.n = hamiltonian.n
-        dense = to_dense(hamiltonian)
-        eigvals, eigvecs = np.linalg.eigh(dense)
-        self.eigenvalues = eigvals
-        self.eigenvectors = eigvecs
-        self._vh = eigvecs.conj().T
-        scale = np.linalg.norm(dense)
-        err = np.linalg.norm((eigvecs * eigvals) @ self._vh - dense)
-        if scale > 0 and err > 1e-9 * scale:
-            raise NumericalDegeneracyError(
-                f"eigendecomposition reconstruction error {err:.3e} exceeds tolerance"
-            )
+        self._blocks, (self._parts,) = invariant_blocks([hamiltonian])
+        # Per block size: eigenvalues, eigenvectors and a diagonalized flag.
+        self._eigs = [None] * len(self._blocks)
+
+    def _eigh(self, g: int, touched: np.ndarray):
+        """Eigenpairs of the touched blocks of size group ``g``, diagonalizing
+        the ones not seen before."""
+        if self._eigs[g] is None:
+            count, size = self._blocks[g].shape
+            self._eigs[g] = (np.empty((count, size)), np.empty((count, size, size), complex),
+                             np.zeros(count, dtype=bool))
+        vals, vecs, done = self._eigs[g]
+        new = touched[~done[touched]]
+        if new.size:
+            blocks = self._parts[g][new]
+            w, v = np.linalg.eigh(blocks)
+            err = np.linalg.norm((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - blocks,
+                                 axis=(-2, -1))
+            scale = np.linalg.norm(blocks, axis=(-2, -1))
+            bad = (scale > 0) & (err > 1e-9 * scale)
+            if bad.any():
+                raise NumericalDegeneracyError(
+                    f"eigendecomposition reconstruction error {err[bad].max():.3e} "
+                    "exceeds tolerance"
+                )
+            vals[new], vecs[new] = w, v
+            done[new] = True
+        return vals[touched], vecs[touched]
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """Return exp(-i t H) |state>; t = 0 returns the input exactly."""
@@ -206,7 +229,16 @@ class SpectralOracle:
             raise ValueError("dimension mismatch between oracle and state")
         if t == 0.0:
             return state.copy()
-        return self.eigenvectors @ (np.exp(-1j * t * self.eigenvalues) * (self._vh @ state))
+        out = np.zeros(state.shape, dtype=complex)
+        for g, idx in enumerate(self._blocks):
+            touched = np.flatnonzero(state[idx].any(axis=1))
+            if not touched.size:
+                continue
+            vals, vecs = self._eigh(g, touched)
+            members = idx[touched]
+            coeffs = vecs.conj().swapaxes(-1, -2) @ state[members][..., None]
+            out[members] = (vecs @ (np.exp(-1j * t * vals)[..., None] * coeffs))[..., 0]
+        return out
 
 
 def mixture_trace_norm(states: list[np.ndarray], weights) -> float:

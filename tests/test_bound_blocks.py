@@ -28,10 +28,10 @@ from mpf_lab import bounds
 from mpf_lab.bounds import (
     MixtureBoundEvaluator,
     _block_norms,
-    _invariant_blocks,
     spectral_norm_symbolic,
 )
 from mpf_lab.errors import ResourceLimitError
+from mpf_lab.pauli import invariant_blocks
 
 
 def chain_formula(n, seed=2024):
@@ -40,14 +40,14 @@ def chain_formula(n, seed=2024):
 
 
 def window_ops(pf):
-    return [to_dense(op) for op in (*pf.slot_operators, pf.hamiltonian)]
+    return [*pf.slot_operators, pf.hamiltonian]
 
 
 # -- invariant blocks -----------------------------------------------------------
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_heisenberg_blocks_are_total_z_sectors(n):
-    blocks = _invariant_blocks(window_ops(chain_formula(n)))
+    blocks = invariant_blocks(window_ops(chain_formula(n)))[0]
     sizes = sorted(idx.shape[1] for idx in blocks for _ in range(idx.shape[0]))
     assert sizes == sorted(math.comb(n, m) for m in range(n + 1))
     for idx in blocks:
@@ -61,10 +61,79 @@ def test_x_field_gives_one_block():
     n = 5
     pf = chain_formula(n)
     field = PauliSumOp.from_terms(n, [(0.3, PauliString("IIXII"))])
-    blocks = _invariant_blocks([*window_ops(pf), to_dense(field)])
+    blocks = invariant_blocks([*window_ops(pf), field])[0]
     assert len(blocks) == 1
     assert blocks[0].shape == (1, 1 << n)
     assert np.array_equal(blocks[0][0], np.arange(1 << n))
+
+
+def dense_pattern_blocks(mats):
+    """Reference partition from the union of dense nonzero patterns: min-label
+    propagation on ``pattern | pattern.T``, grouped by size as the helper
+    groups it."""
+    pattern = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        pattern |= m != 0
+    rows, cols = np.nonzero(pattern | pattern.T)
+    label = np.arange(pattern.shape[0])
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    sizes = np.unique(label, return_counts=True)[1]
+    by_size = {}
+    for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
+        by_size.setdefault(members.size, []).append(members)
+    return [np.array(by_size[s]) for s in sorted(by_size)]
+
+
+def random_ops(rng, n, count, letters="IIZZXY"):
+    ops = []
+    for _ in range(count):
+        words = ["".join(rng.choice(list(letters), n)) for _ in range(int(rng.integers(1, 5)))]
+        ops.append(PauliSumOp.from_terms(
+            n, [(float(rng.standard_normal()), PauliString(w)) for w in words]))
+    return ops
+
+
+def helper_cases():
+    rng = np.random.default_rng(31)
+    cases = [window_ops(chain_formula(n)) for n in (4, 5, 6)]
+    field = PauliSumOp.from_terms(5, [(0.3, PauliString("IIXII"))])
+    cases.append([*window_ops(chain_formula(5)), field])
+    cases += [random_ops(rng, n, count) for n, count in ((3, 1), (4, 2), (5, 2), (6, 1))]
+    cases.append([PauliSumOp.from_terms(2, [(0.5, PauliString("XX")), (0.5, PauliString("YY"))])])
+    cases.append([PauliSumOp.zero(3)])
+    return cases
+
+
+@pytest.mark.parametrize("ops", helper_cases())
+def test_helper_partition_matches_dense_pattern(ops):
+    blocks, parts = invariant_blocks(ops)
+    dense = [to_dense(op) for op in ops]
+    ref = dense_pattern_blocks(dense)
+    assert len(blocks) == len(ref)
+    for got, want in zip(blocks, ref):
+        assert np.array_equal(got, want)
+    for stacks, mat in zip(parts, dense):
+        assert len(stacks) == len(blocks)
+        for stack, idx in zip(stacks, blocks):
+            assert np.array_equal(stack, mat[idx[:, :, None], idx[:, None, :]])
+
+
+def test_random_cases_cover_y_words_and_several_blocks():
+    cases = helper_cases()
+    assert any(ps.y_count for ops in cases[4:8] for op in ops for _, ps in op.terms)
+    assert all(sum(b.shape[0] for b in invariant_blocks(ops)[0]) > 1 for ops in cases[5:8])
+
+
+def test_xx_plus_yy_keeps_00_and_11_apart():
+    blocks, _ = invariant_blocks(
+        [PauliSumOp.from_terms(2, [(0.5, PauliString("XX")), (0.5, PauliString("YY"))])])
+    assert [b.tolist() for b in blocks] == [[[0], [3]], [[1, 2]]]
 
 
 def test_block_norm_matches_svd(rng):
@@ -169,7 +238,7 @@ def test_dense_cap_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr(bounds, "formula_commutator_sum", forbidden)
     monkeypatch.setattr(bounds, "_compositions", forbidden)
-    monkeypatch.setattr(bounds, "to_dense", forbidden)
+    monkeypatch.setattr(bounds, "invariant_blocks", forbidden)
     pf = chain_formula(9)
     scheme = solve_coefficients(2, (4, 13, 17))
     with pytest.raises(ResourceLimitError, match="capped"):
@@ -227,7 +296,7 @@ def test_symbolic_cap_checked_before_any_work(monkeypatch):
         raise AssertionError("symbolic work started above the qubit cap")
 
     monkeypatch.setattr(bounds, "commutator_minus_i", forbidden)
-    monkeypatch.setattr(bounds, "to_dense", forbidden)
+    monkeypatch.setattr(bounds, "invariant_blocks", forbidden)
     pf = chain_formula(13)
     chain, target = list(pf.slot_operators[1:][::-1]), pf.slot_operators[0]
     with pytest.raises(ResourceLimitError, match="capped"):

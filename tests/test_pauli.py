@@ -15,7 +15,8 @@ from mpf_lab import (
     pauli_from_sites,
     to_dense,
 )
-from mpf_lab.pauli import commutes, pauli_action, pauli_dense, pauli_product
+from mpf_lab.errors import ResourceLimitError
+from mpf_lab.pauli import DENSE_QUBIT_CAP, commutes, pauli_action, pauli_dense, pauli_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -171,3 +172,12 @@ def test_to_dense_unchanged_by_shared_helper():
     assert any(ps.y_count for op in ops for _, ps in op.terms)
     for op in ops:
         assert np.array_equal(to_dense(op), _to_dense_per_term(op))
+
+
+def test_dense_caps_raise_resource_limit():
+    n = DENSE_QUBIT_CAP + 1
+    word = PauliString("Z" * n)
+    with pytest.raises(ResourceLimitError, match="capped"):
+        pauli_dense(word)
+    with pytest.raises(ResourceLimitError, match="capped"):
+        to_dense(PauliSumOp.from_terms(n, [(1.0, word)]))

@@ -16,9 +16,12 @@ from mpf_lab import (
     suzuki,
     to_dense,
 )
-from mpf_lab.errors import ResourceLimitError
+from mpf_lab import bounds, pauli, statesim
+from mpf_lab.bounds import spectral_norm_symbolic
+from mpf_lab.errors import NumericalDegeneracyError, ResourceLimitError
 from mpf_lab.formulas import fragment_by_commuting_groups
-from mpf_lab.pauli import commutes
+from mpf_lab.heisenberg import build_heisenberg_chain
+from mpf_lab.pauli import commutes, invariant_blocks
 
 
 def op(n, *terms):
@@ -201,6 +204,75 @@ def test_oracle_dimension_checks(chain4):
     big = PauliSumOp.from_terms(13, [(1.0, PauliString("Z" + "I" * 12))])
     with pytest.raises(ResourceLimitError, match="capped"):
         SpectralOracle(big)
+
+
+def full_eigh_evolve(hamiltonian, psi, t):
+    """Reference exact evolution: one full-space ``eigh`` of the dense matrix."""
+    vals, vecs = np.linalg.eigh(to_dense(hamiltonian))
+    return vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ psi))
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_oracle_matches_full_eigh(n):
+    h_op, _ = build_heisenberg_chain(n, seed=2024)
+    oracle = SpectralOracle(h_op)
+    rng = np.random.default_rng(n)
+    # The Neel state lives in one total-Z sector; a random state touches all.
+    for psi in (neel_state(n), random_state(n, rng)):
+        for t in (0.7, 2.9):
+            ref = full_eigh_evolve(h_op, psi, t)
+            assert np.linalg.norm(oracle.evolve(psi, t) - ref) <= 1e-13
+
+
+def test_oracle_with_x_field_is_one_block(rng):
+    n = 6
+    h_op, _ = build_heisenberg_chain(n, seed=7)
+    h_op = h_op + op(n, (0.3, "IIXIII"))
+    blocks, _ = invariant_blocks([h_op])
+    assert [b.shape for b in blocks] == [(1, 1 << n)]
+    psi = neel_state(n)
+    ref = full_eigh_evolve(h_op, psi, 1.1)
+    assert np.linalg.norm(SpectralOracle(h_op).evolve(psi, 1.1) - ref) <= 1e-13
+
+
+def test_oracle_zero_time_returns_a_copy(chain4, rng):
+    psi = random_state(4, rng)
+    out = chain4.oracle.evolve(psi, 0.0)
+    assert np.array_equal(out, psi)
+    assert not np.shares_memory(out, psi)
+
+
+def test_oracle_reconstruction_check_per_block(chain4, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(a):
+        vals, vecs = eigh(a)
+        return vals, vecs + 1e-6
+
+    oracle = SpectralOracle(chain4.hamiltonian)
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(NumericalDegeneracyError, match="reconstruction"):
+        oracle.evolve(chain4.psi, 0.5)
+
+
+def test_oracle_and_symbolic_norm_build_no_full_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full 2^n x 2^n matrix was built")
+
+    n = 10
+    h_op, _ = build_heisenberg_chain(n, seed=2024)
+    psi = neel_state(n)
+    weight = np.bitwise_count(np.arange(1 << n))
+    dense = to_dense(h_op)
+    norm_ref = max(np.abs(np.linalg.eigvalsh(dense[np.ix_(weight == m, weight == m)])).max()
+                   for m in range(n + 1))
+    ref = full_eigh_evolve(h_op, psi, 1.7)
+    for module in (pauli, statesim, bounds):
+        for name in ("to_dense", "pauli_dense"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert np.linalg.norm(SpectralOracle(h_op).evolve(psi, 1.7) - ref) <= 1e-13
+    assert abs(spectral_norm_symbolic(h_op) - norm_ref) <= 1e-12 * norm_ref
 
 
 def test_fine_trotter_cross_check():
