@@ -37,7 +37,6 @@ from .bounds import (
     adjoint_power_profile,
     bernoulli,
     commutator_profile,
-    conjugated_commutator_sum,
     conjugation_profile,
     formula_commutator_sum,
     formula_conjugated_sum,

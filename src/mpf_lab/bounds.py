@@ -11,7 +11,8 @@ block form come straight from its Pauli terms (``pauli.invariant_blocks``);
 no 2^n x 2^n matrix is built.  Up to n = 8 every dense step runs in that
 block form; above that, nested commutators are formed symbolically as Pauli
 sums and each one is put in block form for its norm, up to DENSE_QUBIT_CAP
-(12) qubits.  Larger systems are refused before any work.
+(12) qubits.  The route is fixed by n.  Larger systems are refused before
+any work.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .formulas import ProductFormula
-from .pauli import (DENSE_QUBIT_CAP, LocalityProfile, PauliSumOp, commutator_minus_i,
+from .pauli import (LocalityProfile, PauliSumOp, _check_qubit_cap, commutator_minus_i,
                     invariant_blocks)
 from .static_mpf import MpfScheme
 
@@ -79,18 +80,10 @@ def spectral_norm_dense(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-def _check_symbolic_cap(n: int):
-    if n > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"symbolic norms capped at n={DENSE_QUBIT_CAP}; "
-            "use the locality-propagation bounds instead"
-        )
-
-
 def spectral_norm_symbolic(op: PauliSumOp) -> float:
     """Spectral norm of a Hermitian Pauli sum: the largest |eigenvalue| over
     its invariant blocks (n <= DENSE_QUBIT_CAP)."""
-    _check_symbolic_cap(op.n)
+    _check_qubit_cap(op.n)
     if op.is_empty:
         return 0.0
     return float(_block_norms(invariant_blocks([op])[1][0], anti=False))
@@ -127,8 +120,8 @@ def _symbolic_ad(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
     out = commutator_minus_i(a, b)
     if out.num_terms > SYMBOLIC_TERM_GUARD:
         raise ResourceLimitError(
-            "symbolic nesting exceeded the term guard; "
-            "use the locality-propagation bounds instead"
+            f"symbolic nesting is capped at {SYMBOLIC_TERM_GUARD} Pauli terms "
+            f"per nested commutator; got {out.num_terms}"
         )
     return out
 
@@ -152,44 +145,35 @@ def _norm_sum(weights: np.ndarray, pieces: list[np.ndarray], depth: int) -> floa
     return float(weights @ _block_norms(pieces, anti=depth % 2 == 1))
 
 
-def nested_commutator_sum(total: int, chain: list[PauliSumOp],
-                          target: PauliSumOp, method: str = "auto") -> float:
+def nested_commutator_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp) -> float:
     """Composition-weighted sum of nested-commutator norms.
 
     ``sum over q_1+..+q_s = total of total!/(q_1!..q_s!) *
     ||Ad_{A_1}^{q_1} .. Ad_{A_s}^{q_s}(target)||``.
     """
-    return _nested_sum(total, chain, target, method, {})
+    return _nested_sum(total, chain, target, {})
 
 
 def _nested_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp,
-                method: str, norms: dict[PauliSumOp, float]) -> float:
-    """:func:`nested_commutator_sum`, whose symbolic route takes the norm of
-    each distinct nested commutator once and keeps it in ``norms``."""
+                norms: dict[PauliSumOp, float]) -> float:
+    """:func:`nested_commutator_sum`.  Up to DENSE_NORM_CAP qubits it nests
+    in block form; above that it nests Pauli sums and takes the norm of each
+    distinct nested commutator once, keeping it in ``norms``."""
     if total < 0:
         raise ValueError("order must be >= 0")
     if not chain:
         raise ValueError("need at least one chain operator")
-    n = target.n
-    if method == "auto":
-        method = "dense" if n <= DENSE_NORM_CAP else "symbolic"
-    if method == "dense":
-        if n > DENSE_NORM_CAP:
-            raise ResourceLimitError(
-                f"dense evaluation capped at n={DENSE_NORM_CAP}; "
-                "use method='symbolic' or the locality-propagation bounds"
-            )
+    if target.n <= DENSE_NORM_CAP:
         *dchain, dtarget = invariant_blocks([*chain, target])[1]
         return _norm_sum(*_block_pieces([(dchain, dtarget)], total), total)
-    if method == "symbolic":
-        _check_symbolic_cap(n)
-        terms = []
-        for w, c in _compositions(chain, target, total, _symbolic_ad, lambda op: op.is_empty):
-            if c not in norms:
-                norms[c] = spectral_norm_symbolic(c)
-            terms.append(w * norms[c])
-        return float(sum(terms))
-    raise ValueError(f"unknown method {method!r}")
+    # The Pauli-sum nesting does its algebra before any block work.
+    _check_qubit_cap(target.n)
+    terms = []
+    for w, c in _compositions(chain, target, total, _symbolic_ad, lambda op: op.is_empty):
+        if c not in norms:
+            norms[c] = spectral_norm_symbolic(c)
+        terms.append(w * norms[c])
+    return float(sum(terms))
 
 
 def _slot_chains(pf: ProductFormula):
@@ -200,19 +184,17 @@ def _slot_chains(pf: ProductFormula):
         yield list(slots[a:][::-1]), slots[a - 1]
 
 
-def formula_commutator_sum(pf: ProductFormula, order: int | None = None,
-                           method: str = "auto") -> float:
+def formula_commutator_sum(pf: ProductFormula) -> float:
     """Trotter-error commutator aggregate of a product formula.
 
-    Sums :func:`nested_commutator_sum` over the chains (G_D,...,G_a; G_{a-1}) built from
-    the formula's slot operators.  A single-slot formula gives 0.  On the
-    symbolic route a nested commutator that recurs across chains is
-    normed once.
+    Sums :func:`nested_commutator_sum` at the formula's order over the chains
+    (G_D,...,G_a; G_{a-1}) built from its slot operators.  A single-slot
+    formula gives 0.  Above DENSE_NORM_CAP a nested commutator that recurs
+    across chains is normed once.
     """
-    p = pf.order if order is None else order
     norms: dict[PauliSumOp, float] = {}
     return float(sum(
-        _nested_sum(p, chain, tgt, method, norms) for chain, tgt in _slot_chains(pf)
+        _nested_sum(pf.order, chain, tgt, norms) for chain, tgt in _slot_chains(pf)
     ))
 
 
@@ -263,18 +245,18 @@ class FragmentTimeSampler:
 class _WindowSpace:
     """A formula's window layer in block form.
 
-    Holds the slot operators, the Hamiltonian and any ``extra`` operators in
-    the block form of their common invariant blocks, the slot chains, and the
-    slot eigendecompositions that build the sampled partial-product
-    unitaries.  n above the dense cap is refused before any of this work.
+    Holds the slot operators and the Hamiltonian in the block form of their
+    common invariant blocks, the slot chains, and the slot
+    eigendecompositions that build the sampled partial-product unitaries.
+    n above the dense cap is refused before any of this work.
     """
 
-    def __init__(self, pf: ProductFormula, extra: tuple[PauliSumOp, ...] = ()):
+    def __init__(self, pf: ProductFormula):
         if pf.n > DENSE_NORM_CAP:
             raise ResourceLimitError(
                 f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}"
             )
-        ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian, *extra)))
+        ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian)))
         self.parts = dict(zip(ops, invariant_blocks(ops)[1]))
         self.ham = self.parts[pf.hamiltonian]
         self.slot_chains = [([self.parts[op] for op in chain], self.parts[tgt])
@@ -324,39 +306,26 @@ class _WindowSpace:
         return {(depth, ell): float(requests[depth][0] @ top)
                 for (depth, ell), top in best.items()}
 
-    def window(self, chains, total: int, ell: int, t: float,
-               sampler: FragmentTimeSampler | None) -> float:
-        """One aggregate over the block-form (chain, target) pairs; ell = 0
-        needs no sampling, since conjugation leaves a spectral norm unchanged."""
-        weights, pieces = _block_pieces(chains, total)
-        if ell == 0:
-            return _norm_sum(weights, pieces, total)
-        if sampler is None:
-            sampler = FragmentTimeSampler()
-        rows = sampler.samples(len(self._slot_eigs), t)
-        return self.window_sums({total: (weights, pieces, [ell])}, rows)[total, ell]
-
-
-def conjugated_commutator_sum(total: int, ell: int, chain: list[PauliSumOp],
-                              target: PauliSumOp, t: float, pf: ProductFormula,
-                              sampler: FragmentTimeSampler | None = None) -> float:
-    """Sampled, conjugation-extended commutator aggregate.
-
-    For each composition the inner nested commutator is exact; the maximum of
-    ``||Ad_H^ell (U C U^{-1})||`` over partial-product unitaries U with
-    fragment times in [0, t] is approximated by the exact maximum over a
-    sample, so the result is a lower estimate of the true maximum for t > 0.
-    """
-    space = _WindowSpace(pf, extra=(*chain, target))
-    chains = [([space.parts[op] for op in chain], space.parts[target])]
-    return space.window(chains, total, ell, t, sampler)
-
 
 def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int, t: float,
                            sampler: FragmentTimeSampler | None = None) -> float:
-    """Formula-level aggregate: the conjugated sums added over the slot chains."""
+    """Sampled, conjugation-extended commutator aggregate of a formula.
+
+    Over the slot chains, each composition's inner nested commutator C is
+    exact; the maximum of ``||Ad_H^ell (U C U^{-1})||`` over partial-product
+    unitaries U with fragment times in [0, t] is the exact maximum over a
+    sample, so the result is a lower estimate of the true maximum for t > 0.
+    ell = 0 needs no sampling, since conjugation leaves a spectral norm
+    unchanged.
+    """
     space = _WindowSpace(pf)
-    return space.window(space.slot_chains, total, ell, t, sampler)
+    weights, pieces = _block_pieces(space.slot_chains, total)
+    if ell == 0:
+        return _norm_sum(weights, pieces, total)
+    if sampler is None:
+        sampler = FragmentTimeSampler()
+    rows = sampler.samples(len(pf.slot_operators), t)
+    return space.window_sums({total: (weights, pieces, [ell])}, rows)[total, ell]
 
 
 # -- the multi-product error bound -------------------------------------------

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .errors import NumericalDegeneracyError, ResourceLimitError, SolverError
-from .experiments import SCENARIOS, parse_config_text, resolve_config, run_scenario
+from .experiments import (SCENARIOS, config_help, parse_config_text, resolve_config,
+                          run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,17 +31,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="product-formula and multi-product-formula experiments",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name, schema in SCENARIOS.items():
-        p = sub.add_parser(name, help=f"run the {name} scenario")
+    for name in SCENARIOS:
+        p = sub.add_parser(name, help=f"run the {name} scenario", epilog=config_help(name),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", type=Path, default=None,
                        help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="master RNG seed (the seed config key)")
         p.add_argument("--out", type=str, default="-",
                        help="output CSV path ('-' for stdout)")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
-                       help="override any config key "
-                            f"(valid: {', '.join(sorted(schema))})")
+                       help="override a config key (keys listed below)")
     return parser
 
 

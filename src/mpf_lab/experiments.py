@@ -64,7 +64,7 @@ SCENARIOS: dict[str, dict[str, Option]] = {
         **_GRID,
     },
     "tuple-search": {
-        "p": Option("int", 2), "seed": Option("int", 2024),
+        "p": Option("int", 2),
         "k_max": Option("int", 25, "largest admissible step count"),
         "r": Option("int", 0, "tuple length; 0 means p + 1"),
         "even_powers": Option("bool", False),
@@ -91,7 +91,7 @@ SCENARIOS: dict[str, dict[str, Option]] = {
         "trajectory_out": Option("str", "", "optional second CSV with the full trajectory"),
     },
     "solve-coeffs": {
-        "p": Option("int", 2), "seed": Option("int", 2024),
+        "p": Option("int", 2),
         "steps": Option("ints", (4, 13, 17)),
         "lam": Option("int", 1),
         "even_powers": Option("bool", False),
@@ -191,14 +191,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _show(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def _config_comments(scenario: str, cfg: dict) -> list[str]:
-    out = [f"scenario = {scenario}"]
-    for key in sorted(cfg):
-        val = cfg[key]
-        if isinstance(val, tuple):
-            val = ",".join(str(v) for v in val)
-        out.append(f"{key} = {val}")
-    return out
+    return [f"scenario = {scenario}", *(f"{key} = {_show(cfg[key])}" for key in sorted(cfg))]
+
+
+def config_help(scenario: str) -> str:
+    """One line per config key of a scenario: its default and its help."""
+    schema = SCENARIOS[scenario]
+    settings = {key: f"{key} = {_show(opt.default)}" for key, opt in schema.items()}
+    width = max(map(len, settings.values()))
+    lines = ["config keys, with defaults (set with --set KEY=VALUE or a --config file):"]
+    lines += [f"  {settings[key]:<{width}}  {opt.help}".rstrip() for key, opt in schema.items()]
+    return "\n".join(lines)
 
 
 # -- scenarios --------------------------------------------------------------------

@@ -222,9 +222,8 @@ def pauli_action(ps: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     ``partner = idx ^ x_mask``; the phase is ``i^{#Y}`` times the sign
     ``(-1)^{popcount(idx & z_mask)}``, returned as a real array when
-    ``i^{#Y}`` is real.  Every mask-based kernel of the package (dense and
-    block materialization, fragment exponentials) takes its index arithmetic
-    from here.
+    ``i^{#Y}`` is real.  Every mask-based kernel of the package takes its
+    phases from here, through :func:`_couplings`.
     """
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & ps.z_mask) & 1)
     if ps.y_count % 2 == 0:
@@ -233,58 +232,60 @@ def pauli_action(ps: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return idx ^ ps.x_mask, (1j ** ps.y_count) * signs
 
 
-def _check_dense_cap(n: int):
+def _check_qubit_cap(n: int):
     if n > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(f"dense materialization capped at n={DENSE_QUBIT_CAP}")
+        raise ResourceLimitError(
+            f"exact operator work is capped at n={DENSE_QUBIT_CAP} qubits; got n={n}")
 
 
-def pauli_dense(ps: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli word."""
-    _check_dense_cap(ps.n)
-    dim = 1 << ps.n
-    cols = np.arange(dim)
-    rows, phases = pauli_action(ps, cols)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = phases
-    return mat
+def _couplings(op: PauliSumOp, idx: np.ndarray) -> dict[int, tuple[int, np.ndarray]]:
+    """Per ``x_mask`` of ``op``'s terms, in first-appearance order: the
+    support mask of that group (every qubit its terms touch) and the coupling
+    ``<i ^ x_mask| sum c P |i>`` at each index ``i`` of ``idx``.
 
-
-def to_dense(op: PauliSumOp) -> np.ndarray:
-    """Dense Hermitian matrix of a Pauli sum (n capped at DENSE_QUBIT_CAP)."""
-    _check_dense_cap(op.n)
-    dim = 1 << op.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
+    Each coupling is summed term by term in term order.  This is the one
+    place that order is fixed, so dense matrices, block stacks and fragment
+    exponentials agree bit for bit.  Entries that cancel (|00> and |11>
+    under XX + YY) are exact zeros.
+    """
+    supports: dict[int, int] = {}
+    couplings: dict[int, np.ndarray] = {}
     for coeff, ps in op.terms:
-        rows, phases = pauli_action(ps, cols)
-        mat[rows, cols] += coeff * phases
-    return mat
+        if ps.x_mask not in couplings:
+            supports[ps.x_mask] = 0
+            couplings[ps.x_mask] = np.zeros(idx.shape, dtype=complex)
+        supports[ps.x_mask] |= ps.x_mask | ps.z_mask
+        couplings[ps.x_mask] += coeff * pauli_action(ps, idx)[1]
+    return {x_mask: (supports[x_mask], c) for x_mask, c in couplings.items()}
 
 
 def _sparse_entries(op: PauliSumOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries ``(rows, cols, values)`` of a Pauli sum's matrix.
-
-    The terms sharing an ``x_mask`` fill the same entries ``(i ^ x_mask, i)``,
-    so each group's values are summed term by term, in term order, exactly as
-    :func:`to_dense` sums them; entries that cancel to an exact zero (|00>
-    and |11> under XX + YY) are dropped.
-    """
+    """Nonzero entries ``(rows, cols, values)`` of a Pauli sum's matrix: the
+    couplings of each ``x_mask`` group at ``(i ^ x_mask, i)``, exact zeros
+    dropped."""
     idx = np.arange(1 << op.n)
-    groups: dict[int, list[tuple[float, PauliString]]] = {}
-    for coeff, ps in op.terms:
-        groups.setdefault(ps.x_mask, []).append((coeff, ps))
-    rows, cols, values = [], [], []
-    for x_mask, group in groups.items():
-        coupling = np.zeros(idx.size, dtype=complex)
-        for coeff, ps in group:
-            coupling += coeff * pauli_action(ps, idx)[1]
+    rows, cols, values = [idx[:0]], [idx[:0]], [np.zeros(0, dtype=complex)]
+    for x_mask, (_, coupling) in _couplings(op, idx).items():
         keep = np.flatnonzero(coupling)
         rows.append(keep ^ x_mask)
         cols.append(keep)
         values.append(coupling[keep])
-    if not values:
-        return idx[:0], idx[:0], np.zeros(0, dtype=complex)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def to_dense(op: PauliSumOp) -> np.ndarray:
+    """Dense Hermitian matrix of a Pauli sum (n capped at DENSE_QUBIT_CAP)."""
+    _check_qubit_cap(op.n)
+    dim = 1 << op.n
+    rows, cols, values = _sparse_entries(op)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rows, cols] = values
+    return mat
+
+
+def pauli_dense(ps: PauliString) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a Pauli word."""
+    return to_dense(PauliSumOp.from_terms(ps.n, [(1.0, ps)]))
 
 
 def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
@@ -300,8 +301,10 @@ def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list
     Returns ``(blocks, parts)``.  ``blocks`` holds one ``(count, size)`` index
     array per block size, in ascending size.  ``parts[j]`` holds ``ops[j]`` as
     one ``(count, size, size)`` stack per block size, whose entries equal the
-    matching entries of :func:`to_dense` bit for bit.
+    matching entries of :func:`to_dense` bit for bit.  n above
+    DENSE_QUBIT_CAP is refused before any work.
     """
+    _check_qubit_cap(ops[0].n)
     dim = 1 << ops[0].n
     entries = [_sparse_entries(op) for op in ops]
     # Pauli sums are Hermitian, so the pattern is symmetric already.

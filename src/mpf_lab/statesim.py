@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalDegeneracyError, ResourceLimitError
-from .pauli import DENSE_QUBIT_CAP, PauliSumOp, commutes, invariant_blocks, pauli_action
+from .errors import NumericalDegeneracyError
+from .pauli import PauliSumOp, _couplings, commutes, invariant_blocks
 
 
 def basis_state(n: int, bits: str) -> np.ndarray:
@@ -65,7 +65,8 @@ class _Rotation:
 class FragmentEvolver:
     """Applies ``exp(-i t F)`` for a fragment F whose terms pairwise commute.
 
-    At construction the terms are grouped.  Z-only terms fold into one real
+    At construction the terms are grouped by ``x_mask``, with their
+    couplings read from ``pauli._couplings``.  Z-only terms fold into one real
     diagonal ``d``, applied as the phase ``exp(-i t d)``.  Terms sharing an
     ``x_mask`` fold into one Hermitian coupling G that pairs basis state
     ``lo`` with ``lo ^ x_mask``; on each pair ``G^2 = |g|^2``, so
@@ -90,35 +91,25 @@ class FragmentEvolver:
                         "fragment terms must pairwise commute; "
                         f"{terms[i][1]} and {terms[j][1]} do not"
                     )
-        self._diag = None
-        groups: dict[int, list] = {}
-        idx = np.arange(self.dim)
-        for coeff, ps in terms:
-            if ps.x_mask:
-                groups.setdefault(ps.x_mask, []).append((coeff, ps))
-                continue
-            if self._diag is None:
-                self._diag = np.zeros(self.dim)
-            self._diag += coeff * pauli_action(ps, idx)[1]
-        self._rotations = [rot for group in groups.values() for rot in self._group_rotations(group)]
+        couplings = _couplings(fragment, np.arange(self.dim))
+        diag = couplings.pop(0, None)
+        self._diag = None if diag is None else diag[1].real
+        self._rotations = [rot for x_mask, (support, coupling) in couplings.items()
+                           for rot in self._group_rotations(x_mask, support, coupling)]
         self._cached_key = None
         self._cached = None
 
-    def _group_rotations(self, group) -> list[_Rotation]:
-        """Rotations of the terms sharing one ``x_mask``, one per magnitude."""
-        support = 0
-        for _, ps in group:
-            support |= ps.x_mask | ps.z_mask
+    def _group_rotations(self, x_mask: int, support: int,
+                         coupling: np.ndarray) -> list[_Rotation]:
+        """Rotations of one ``x_mask`` group, one per magnitude, from its
+        full-index coupling sliced to the window of qubits in ``support``."""
         low = (support & -support).bit_length() - 1
         width = support.bit_length() - low
         shape = (1 << (self.n - low - width), 1 << width, 1 << low)
         window = np.arange(1 << width) << low
-        coupling = np.zeros(window.size, dtype=complex)
-        for coeff, ps in group:
-            partner, phase = pauli_action(ps, window)
-            coupling += coeff * phase
+        coupling = coupling[window]
         local = np.arange(window.size)
-        partner >>= low
+        partner = (window ^ x_mask) >> low
         mag = np.abs(coupling)
         keep = (local < partner) & (mag > 0.0)
         out = []
@@ -184,15 +175,13 @@ class FragmentEvolver:
 class SpectralOracle:
     """Exact evolution through per-block Hermitian eigendecompositions.
 
-    The constructor finds the Hamiltonian's invariant blocks (n <=
-    DENSE_QUBIT_CAP, checked before any work).  Each block is diagonalized
-    on the first ``evolve`` whose state touches it, and its reconstruction
-    is checked then.
+    The constructor finds the Hamiltonian's invariant blocks, which refuses
+    n above ``pauli.DENSE_QUBIT_CAP`` before any work.  Each block is
+    diagonalized on the first ``evolve`` whose state touches it, and its
+    reconstruction is checked then.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
-        if hamiltonian.n > DENSE_QUBIT_CAP:
-            raise ResourceLimitError(f"exact evolution capped at n={DENSE_QUBIT_CAP}")
         self.n = hamiltonian.n
         self._blocks, (self._parts,) = invariant_blocks([hamiltonian])
         # Per block size: eigenvalues, eigenvectors and a diagonalized flag.

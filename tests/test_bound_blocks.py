@@ -15,7 +15,6 @@ from mpf_lab import (
     PauliSumOp,
     build_heisenberg_chain,
     commutator_minus_i,
-    conjugated_commutator_sum,
     formula_commutator_sum,
     formula_conjugated_sum,
     fragment_decomposition_s2,
@@ -194,14 +193,6 @@ def test_window_sums_match_full_space_reference(chain4, ell):
     ham = to_dense(pf.hamiltonian)
     rows = sampler.samples(len(slots), t)
 
-    chain_ops = [chain4.fragments[1], chain4.fragments[2]]
-    target_op = chain4.fragments[0]
-    got = conjugated_commutator_sum(2, ell, chain_ops, target_op, t, pf, sampler)
-    ref = reference_sum([([to_dense(op) for op in chain_ops], to_dense(target_op))],
-                        2, ell, ham, slots, rows)
-    assert ref > 0
-    assert abs(got - ref) <= 1e-12 * ref
-
     chains = [(slots[a:][::-1], slots[a - 1]) for a in range(1, len(slots))]
     got = formula_conjugated_sum(pf, 2, ell, t, sampler)
     ref = reference_sum(chains, 2, ell, ham, slots, rows)
@@ -245,8 +236,6 @@ def test_dense_cap_checked_before_any_work(monkeypatch):
         MixtureBoundEvaluator(scheme, pf)
     with pytest.raises(ResourceLimitError, match="capped"):
         formula_conjugated_sum(pf, 2, 1, 0.3)
-    with pytest.raises(ResourceLimitError, match="capped"):
-        conjugated_commutator_sum(2, 1, [pf.slot_operators[1]], pf.slot_operators[0], 0.3, pf)
 
 
 def test_symbolic_norms_exact_at_11_qubits():
@@ -300,7 +289,7 @@ def test_symbolic_cap_checked_before_any_work(monkeypatch):
     pf = chain_formula(13)
     chain, target = list(pf.slot_operators[1:][::-1]), pf.slot_operators[0]
     with pytest.raises(ResourceLimitError, match="capped"):
-        nested_commutator_sum(2, chain, target, method="symbolic")
+        nested_commutator_sum(2, chain, target)
     with pytest.raises(ResourceLimitError, match="capped"):
         formula_commutator_sum(pf)
     with pytest.raises(ResourceLimitError, match="capped"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,20 +13,22 @@ from mpf_lab import (
     ProductFormula,
     nested_commutator_sum,
     formula_commutator_sum,
+    formula_conjugated_sum,
+    fragment_decomposition_s2,
     bernoulli,
-    conjugated_commutator_sum,
+    build_heisenberg_chain,
     adjoint_power_profile,
     commutator_profile,
     conjugation_profile,
     product_formula_error_bound,
     mixture_trace_norm,
     rho_k_state,
+    second_order,
     solve_coefficients,
     spectral_norm_dense,
     to_dense,
 )
 from mpf_lab.bounds import MixtureBoundEvaluator
-from mpf_lab.errors import ResourceLimitError
 
 
 def three_fragment_case(chain4):
@@ -109,9 +112,34 @@ def test_alpha_p_single_slot_zero(chain4):
     assert formula_commutator_sum(pf) == 0.0
 
 
-def test_alpha_symbolic_matches_dense(chain4):
-    pf, _, _ = three_fragment_case(chain4)
-    assert abs(formula_commutator_sum(pf, method="symbolic") - formula_commutator_sum(pf, method="dense")) < 1e-7
+def dense_formula_sum(pf):
+    """Full-space reference for ``formula_commutator_sum``: every composition
+    of every slot chain nested as dense matrices, norms from the SVD."""
+    slots = [to_dense(op) for op in pf.slot_operators]
+    p = pf.order
+    out = 0.0
+    for a in range(1, len(slots)):
+        chain, target = slots[a:][::-1], slots[a - 1]
+        for qs in itertools.product(range(p + 1), repeat=len(chain)):
+            if sum(qs) != p:
+                continue
+            weight = math.factorial(p) // math.prod(math.factorial(q) for q in qs)
+            c = target
+            for op, q in reversed(list(zip(chain, qs))):
+                for _ in range(q):
+                    c = op @ c - c @ op
+            out += weight * np.linalg.norm(c, 2)
+    return out
+
+
+def test_alpha_pauli_sum_route_matches_full_space():
+    # n = 9 is the first size on the Pauli-sum route.
+    n = 9
+    _, fields = build_heisenberg_chain(n, 2024)
+    pf = second_order(fragment_decomposition_s2(n, fields))
+    ref = dense_formula_sum(pf)
+    assert ref > 0
+    assert abs(formula_commutator_sum(pf) - ref) <= 1e-12 * ref
 
 
 def test_alpha_homogeneity(chain4):
@@ -144,15 +172,11 @@ def test_alpha_clifford_conjugation_invariance(chain4, rng):
     assert abs(formula_commutator_sum(conj_pf) - formula_commutator_sum(pf)) < 1e-8 * max(1.0, formula_commutator_sum(pf))
 
 
-def test_alpha_dense_cap():
+def test_alpha_above_block_route_cap():
     big = PauliSumOp.from_terms(9, [(1.0, PauliString("XXIIIIIII"))])
     other = PauliSumOp.from_terms(9, [(1.0, PauliString("ZIIIIIIII"))])
-    with pytest.raises(ResourceLimitError):
-        nested_commutator_sum(1, [big], other, method="dense")
-    # symbolic route still works above the dense cap
-    val = nested_commutator_sum(1, [big], other, method="symbolic")
-    dense_ref = 2.0  # ||[XX, ZI]|| = 2 ||YX||
-    assert abs(val - dense_ref) < 1e-8
+    # ||[XX, ZI]|| = 2 ||YX||
+    assert abs(nested_commutator_sum(1, [big], other) - 2.0) <= 1e-12
 
 
 # -- sampled window maxima -------------------------------------------------------
@@ -168,28 +192,25 @@ def test_sampler_shapes_and_determinism():
 
 
 def test_beta_degenerate_window_matches_alpha(chain4):
-    pf, bonds, fields = three_fragment_case(chain4)
-    chain = [bonds, fields]
-    a = nested_commutator_sum(2, chain, bonds)
-    b = conjugated_commutator_sum(2, 0, chain, bonds, 0.0, pf)
+    pf, _, _ = three_fragment_case(chain4)
+    a = formula_commutator_sum(pf)
+    b = formula_conjugated_sum(pf, 2, 0, 0.0)
     assert abs(a - b) < 1e-10 * max(1.0, a)
 
 
 def test_beta_nested_sampling_monotone(chain4):
-    pf, bonds, fields = three_fragment_case(chain4)
-    chain = [bonds, fields]
-    vals = [conjugated_commutator_sum(2, 1, chain, bonds, 0.4, pf,
-                      FragmentTimeSampler(random_draws=m, seed=11)) for m in (8, 32, 64)]
+    pf, _, _ = three_fragment_case(chain4)
+    vals = [formula_conjugated_sum(pf, 2, 1, 0.4, FragmentTimeSampler(random_draws=m, seed=11))
+            for m in (8, 32, 64)]
     assert vals[0] <= vals[1] + 1e-12 and vals[1] <= vals[2] + 1e-12
 
 
 def test_beta_conjugation_invariance_l0(chain4):
     """With no adjoint prefix the window maximum collapses: conjugation cannot
     change a spectral norm, so t > 0 gives the same value as t = 0."""
-    pf, bonds, fields = three_fragment_case(chain4)
-    chain = [bonds, fields]
-    assert abs(conjugated_commutator_sum(2, 0, chain, bonds, 0.9, pf)
-               - conjugated_commutator_sum(2, 0, chain, bonds, 0.0, pf)) < 1e-12
+    pf, _, _ = three_fragment_case(chain4)
+    assert abs(formula_conjugated_sum(pf, 2, 0, 0.9)
+               - formula_conjugated_sum(pf, 2, 0, 0.0)) < 1e-12
 
 
 # -- the mixture bound ------------------------------------------------------------

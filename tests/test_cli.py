@@ -1,8 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from mpf_lab.cli import main
+from mpf_lab.experiments import SCENARIOS
 
 
 def run_cli(args, capsys):
@@ -22,6 +24,38 @@ def test_unknown_key_is_config_error(capsys):
     code, _, err = run_cli(["solve-coeffs", "--set", "nope=1"], capsys)
     assert code == 2
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("scenario", ["tuple-search", "solve-coeffs"])
+def test_seed_is_not_a_key_of_unseeded_scenarios(scenario, capsys):
+    for args in (["--seed", "3"], ["--set", "seed=3"]):
+        code, _, err = run_cli([scenario, *args], capsys)
+        assert code == 2
+        assert "unknown config key 'seed'" in err
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_scenario_help_lists_each_key_with_default_and_help(scenario, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([scenario, "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for key, opt in SCENARIOS[scenario].items():
+        default = (",".join(map(str, opt.default)) if isinstance(opt.default, tuple)
+                   else str(opt.default))
+        line = next(line for line in lines if line.startswith(f"  {key} = "))
+        assert line.split(None, 2)[2].startswith(default)
+        assert line.endswith(opt.help)
+
+
+def test_scenario_help_examples(capsys):
+    with pytest.raises(SystemExit):
+        main(["mpf-sweep", "--help"])
+    assert re.search(r"^  bounds = auto +bound columns: on, off, or auto \(n <= 4\)$",
+                     capsys.readouterr().out, re.M)
+    with pytest.raises(SystemExit):
+        main(["tuple-search", "--help"])
+    assert re.search(r"^  r = 0 +tuple length; 0 means p \+ 1$", capsys.readouterr().out, re.M)
 
 
 def test_bad_value_is_config_error(capsys):

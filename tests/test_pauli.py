@@ -16,7 +16,8 @@ from mpf_lab import (
     to_dense,
 )
 from mpf_lab.errors import ResourceLimitError
-from mpf_lab.pauli import DENSE_QUBIT_CAP, commutes, pauli_action, pauli_dense, pauli_product
+from mpf_lab.pauli import (DENSE_QUBIT_CAP, _couplings, commutes, pauli_action, pauli_dense,
+                           pauli_product)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -181,3 +182,26 @@ def test_dense_caps_raise_resource_limit():
         pauli_dense(word)
     with pytest.raises(ResourceLimitError, match="capped"):
         to_dense(PauliSumOp.from_terms(n, [(1.0, word)]))
+
+
+def test_couplings_group_by_x_mask_in_term_order():
+    op = PauliSumOp.from_terms(3, [(0.5, PauliString(w)) for w in ("IZZ", "XXI", "YYI", "ZIZ")]
+                               + [(-0.25, PauliString("XIY"))])
+    idx = np.arange(8)
+    groups = _couplings(op, idx)
+    first_seen = list(dict.fromkeys(ps.x_mask for _, ps in op.terms))
+    assert list(groups) == first_seen
+    for x_mask, (support, coupling) in groups.items():
+        members = [(c, ps) for c, ps in op.terms if ps.x_mask == x_mask]
+        want_support = 0
+        ref = np.zeros(idx.size, dtype=complex)
+        for c, ps in members:
+            want_support |= ps.x_mask | ps.z_mask
+            rows = idx ^ ps.x_mask
+            ref += c * kron_word(ps.word)[rows, idx]
+        assert support == want_support
+        assert np.array_equal(coupling, ref)
+    # XX + YY cancels exactly on |00> and |11> of the first two qubits.
+    coupling = groups[PauliString("XXI").x_mask][1]
+    assert coupling[[0b000, 0b001, 0b110, 0b111]].tolist() == [0, 0, 0, 0]
+    assert np.all(coupling[[0b010, 0b011, 0b100, 0b101]] != 0)
