@@ -4,15 +4,13 @@ a1/a2/a3 coefficients, Bernoulli numbers, and locality/interaction-strength
 propagation through commutators and conjugations.
 
 Every norm is the exact largest |eigenvalue| of a Hermitian or
-anti-Hermitian piece, taken inside the invariant blocks of the operators
-involved (the connected components of their nonzero patterns, e.g. the
-total-Z sectors of the Heisenberg chain).  The blocks and each operator's
-block form come straight from its Pauli terms (``pauli.invariant_blocks``);
-no 2^n x 2^n matrix is built.  Up to n = 8 every dense step runs in that
-block form; above that, nested commutators are formed symbolically as Pauli
-sums and each one is put in block form for its norm, up to DENSE_QUBIT_CAP
-(12) qubits.  The route is fixed by n.  Larger systems are refused before
-any work.
+anti-Hermitian piece inside the invariant blocks of the operators involved
+(e.g. the total-Z sectors of the Heisenberg chain), read straight from their
+Pauli terms (``pauli.invariant_blocks``); no 2^n x 2^n matrix is built.  One
+composition pass builds and norms each distinct nested commutator once: in
+block form up to n = 8, and above that as Pauli sums put in block form for
+the norm, up to DENSE_QUBIT_CAP (12) qubits.  The route is fixed by n;
+larger systems are refused before any work.
 """
 
 from __future__ import annotations
@@ -91,27 +89,44 @@ def spectral_norm_symbolic(op: PauliSumOp) -> float:
 
 # -- composition sums over nested commutators --------------------------------
 
-def _compositions(chain: list, target, total: int, ad, is_zero):
-    """Yield ``(multinomial weight, nested commutator)`` for every composition
-    (q_1..q_s) of ``total``, evaluating Ad_{A_1}^{q_1}..Ad_{A_s}^{q_s}(target)
-    with shared prefixes (innermost adjoint applied first).  ``ad(a, x)`` is
-    the adjoint map; a prefix for which ``is_zero`` holds prunes every
-    composition that extends it."""
-    p_fact = math.factorial(total)
+def _compositions(pairs, total: int, form, ad, is_zero) -> tuple[np.ndarray, list]:
+    """The distinct pieces Ad_{A_1}^{q_1}..Ad_{A_s}^{q_s}(target) over every
+    composition (q_1..q_s) of ``total`` and every (chain, target) pair of Pauli
+    sums, in first-reached order, with their summed weights total!/(q_1!..q_s!).
 
-    def rec(pos: int, budget: int, cur, denom: int):
-        if pos < 0:
-            if budget == 0:
-                yield p_fact // denom, cur
-            return
-        for q in range(budget + 1):
-            if q > 0:
-                cur = ad(chain[pos], cur)
-                if is_zero(cur):
-                    return
-            yield from rec(pos - 1, budget - q, cur, denom * math.factorial(q))
-
-    yield from rec(len(chain) - 1, total, target, 1)
+    A piece is keyed by its target and the operators applied to it, innermost
+    first, as small integer ids, and built once as ``ad(form(A), shorter
+    piece)``, where ``form`` gives a Pauli sum's route operand; ``is_zero``
+    prunes every extension of a zero piece.  Along a chain, compositions that
+    reach one piece with one budget used are merged, their weights carried as
+    summed products of C(budget left, q).
+    """
+    ids: dict[PauliSumOp, int] = {}
+    seqs = [[ids.setdefault(op, len(ids)) for op in (target, *chain)] for chain, target in pairs]
+    values = [form(op) for op in ids]  # a target's piece has its operator's id
+    nodes: dict[tuple[int, int], int] = {}  # (shorter piece, operator) -> piece
+    weights: dict[int, int] = {}
+    for target, *chain in seqs:
+        states = {(target, 0): 1}  # (piece, budget used) -> weight so far
+        for op in reversed(chain):
+            grown: dict[tuple[int, int], int] = {}
+            for (cur, used), w in states.items():
+                for q in range(total - used + 1):
+                    if q > 0:
+                        if (cur, op) not in nodes:
+                            value = ad(values[op], values[cur])
+                            nodes[cur, op] = len(values)
+                            values.append(None if is_zero(value) else value)
+                        cur = nodes[cur, op]
+                        if values[cur] is None:
+                            break
+                    key = (cur, used + q)
+                    grown[key] = grown.get(key, 0) + w * math.comb(total - used, q)
+            states = grown
+        for (cur, used), w in states.items():
+            if used == total:
+                weights[cur] = weights.get(cur, 0) + w
+    return np.array(list(weights.values()), dtype=float), [values[k] for k in weights]
 
 
 def _symbolic_ad(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
@@ -126,17 +141,6 @@ def _symbolic_ad(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
     return out
 
 
-def _block_pieces(chains, total: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Weights and block-form pieces, stacked along a leading axis, of every
-    composition of ``total`` over the block-form (chain, target) pairs."""
-    weights, pieces = [], []
-    for chain, target in chains:
-        for w, c in _compositions(chain, target, total, _block_ad, _block_is_zero):
-            weights.append(float(w))
-            pieces.append(c)
-    return np.asarray(weights), [np.stack(g) for g in zip(*pieces)]
-
-
 def _norm_sum(weights: np.ndarray, pieces: list[np.ndarray], depth: int) -> float:
     """Weighted norm sum of stacked pieces that are nested commutators of
     Hermitian operators at commutator depth ``depth``."""
@@ -145,57 +149,51 @@ def _norm_sum(weights: np.ndarray, pieces: list[np.ndarray], depth: int) -> floa
     return float(weights @ _block_norms(pieces, anti=depth % 2 == 1))
 
 
+def _commutator_sum(pairs: list, total: int) -> float:
+    """Composition-weighted norm sum over (chain, target) pairs: nested in
+    the invariant blocks of all their operators up to DENSE_NORM_CAP qubits,
+    as Pauli sums put in block form one distinct piece at a time above."""
+    if not pairs:
+        return 0.0
+    n = pairs[0][1].n
+    if n <= DENSE_NORM_CAP:
+        ops = list(dict.fromkeys(op for chain, tgt in pairs for op in (*chain, tgt)))
+        parts = dict(zip(ops, invariant_blocks(ops)[1]))
+        weights, pieces = _compositions(pairs, total, parts.__getitem__, _block_ad,
+                                        _block_is_zero)
+        return _norm_sum(weights, [np.stack(g) for g in zip(*pieces)], total)
+    # The Pauli-sum nesting does its algebra before any block work.
+    _check_qubit_cap(n)
+    weights, pieces = _compositions(pairs, total, lambda op: op, _symbolic_ad,
+                                    lambda op: op.is_empty)
+    return float(weights @ np.array([spectral_norm_symbolic(c) for c in pieces]))
+
+
 def nested_commutator_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp) -> float:
     """Composition-weighted sum of nested-commutator norms.
 
     ``sum over q_1+..+q_s = total of total!/(q_1!..q_s!) *
     ||Ad_{A_1}^{q_1} .. Ad_{A_s}^{q_s}(target)||``.
     """
-    return _nested_sum(total, chain, target, {})
-
-
-def _nested_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp,
-                norms: dict[PauliSumOp, float]) -> float:
-    """:func:`nested_commutator_sum`.  Up to DENSE_NORM_CAP qubits it nests
-    in block form; above that it nests Pauli sums and takes the norm of each
-    distinct nested commutator once, keeping it in ``norms``."""
     if total < 0:
         raise ValueError("order must be >= 0")
     if not chain:
         raise ValueError("need at least one chain operator")
-    if target.n <= DENSE_NORM_CAP:
-        *dchain, dtarget = invariant_blocks([*chain, target])[1]
-        return _norm_sum(*_block_pieces([(dchain, dtarget)], total), total)
-    # The Pauli-sum nesting does its algebra before any block work.
-    _check_qubit_cap(target.n)
-    terms = []
-    for w, c in _compositions(chain, target, total, _symbolic_ad, lambda op: op.is_empty):
-        if c not in norms:
-            norms[c] = spectral_norm_symbolic(c)
-        terms.append(w * norms[c])
-    return float(sum(terms))
+    return _commutator_sum([(chain, target)], total)
 
 
-def _slot_chains(pf: ProductFormula):
-    """Yield ``(chain, target)`` pairs (G_D..G_a; G_{a-1}) for a = 2..D."""
+def _slot_chains(pf: ProductFormula) -> list:
+    """``(chain, target)`` pairs (G_D..G_a; G_{a-1}) for a = 2..D."""
     slots = pf.slot_operators
-    d = len(slots)
-    for a in range(1, d):
-        yield list(slots[a:][::-1]), slots[a - 1]
+    return [(list(slots[a:][::-1]), slots[a - 1]) for a in range(1, len(slots))]
 
 
 def formula_commutator_sum(pf: ProductFormula) -> float:
-    """Trotter-error commutator aggregate of a product formula.
-
-    Sums :func:`nested_commutator_sum` at the formula's order over the chains
-    (G_D,...,G_a; G_{a-1}) built from its slot operators.  A single-slot
-    formula gives 0.  Above DENSE_NORM_CAP a nested commutator that recurs
-    across chains is normed once.
-    """
-    norms: dict[PauliSumOp, float] = {}
-    return float(sum(
-        _nested_sum(pf.order, chain, tgt, norms) for chain, tgt in _slot_chains(pf)
-    ))
+    """Trotter-error commutator aggregate of a product formula: the
+    :func:`nested_commutator_sum` at its order summed over the chains
+    (G_D,...,G_a; G_{a-1}) of its slot operators, with each distinct nested
+    commutator built and normed once.  A single-slot formula gives 0."""
+    return _commutator_sum(_slot_chains(pf), pf.order)
 
 
 def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
@@ -246,9 +244,9 @@ class _WindowSpace:
     """A formula's window layer in block form.
 
     Holds the slot operators and the Hamiltonian in the block form of their
-    common invariant blocks, the slot chains, and the slot
-    eigendecompositions that build the sampled partial-product unitaries.
-    n above the dense cap is refused before any of this work.
+    common invariant blocks, and one eigendecomposition per distinct slot
+    operator to build the sampled partial-product unitaries.  n above the
+    dense cap is refused before any of this work.
     """
 
     def __init__(self, pf: ProductFormula):
@@ -256,18 +254,20 @@ class _WindowSpace:
             raise ResourceLimitError(
                 f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}"
             )
+        self.pf = pf
         ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian)))
         self.parts = dict(zip(ops, invariant_blocks(ops)[1]))
         self.ham = self.parts[pf.hamiltonian]
-        self.slot_chains = [([self.parts[op] for op in chain], self.parts[tgt])
-                            for chain, tgt in _slot_chains(pf)]
-        self._slot_eigs = []
-        for op in pf.slot_operators:
-            eigs = []
-            for g in self.parts[op]:
-                vals, vecs = np.linalg.eigh(g)
-                eigs.append((vals, vecs, vecs.conj().swapaxes(-1, -2)))
-            self._slot_eigs.append(eigs)
+        eigs = {op: [(vals, vecs, vecs.conj().swapaxes(-1, -2))
+                     for vals, vecs in map(np.linalg.eigh, self.parts[op])]
+                for op in dict.fromkeys(pf.slot_operators)}
+        self._slot_eigs = [eigs[op] for op in pf.slot_operators]
+
+    def pieces(self, total: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Weights and stacked distinct pieces of the slot chains at depth ``total``."""
+        weights, pieces = _compositions(_slot_chains(self.pf), total, self.parts.__getitem__,
+                                        _block_ad, _block_is_zero)
+        return weights, [np.stack(g) for g in zip(*pieces)]
 
     def conjugated_ham(self, taus: np.ndarray) -> list[np.ndarray]:
         """Block form of U^dag H U for U = exp(-i tau_1 G_1) .. exp(-i tau_D G_D)."""
@@ -319,7 +319,7 @@ def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int, t: float,
     unchanged.
     """
     space = _WindowSpace(pf)
-    weights, pieces = _block_pieces(space.slot_chains, total)
+    weights, pieces = space.pieces(total)
     if ell == 0:
         return _norm_sum(weights, pieces, total)
     if sampler is None:
@@ -380,7 +380,7 @@ class MixtureBoundEvaluator:
         self._fixed: dict[tuple[int, int], float] = {}
         self._sampled: dict[int, tuple] = {}
         for depth in sorted({d for d, _ in needed}):
-            weights, pieces = _block_pieces(self._space.slot_chains, depth)
+            weights, pieces = self._space.pieces(depth)
             ells = sorted(ell for d, ell in needed if d == depth)
             if ells[0] == 0:
                 self._fixed[depth, 0] = _norm_sum(weights, pieces, depth)

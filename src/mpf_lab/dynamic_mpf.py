@@ -354,33 +354,23 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
         objective=objective,
     )
 
-    states = trotter_states(pf, psi_in, t0, steps)
-    m_prev = gram_from_states(states)
-    noisy = inject_noise(m_prev, np.zeros((r, r)), eps, np.random.SeedSequence(seed, spawn_key=(0,)))
-    run.m_bars.append(noisy.m_bar)
-    run.a_bars.append(None)
-    ell = l_from_states(oracle.evolve(psi_in, t0), states)
-    run.m_exact.append(m_prev)
-    run.l_exact.append(ell)
-    c_hat[0] = c0
-    proj = dynamic_project(m_prev, ell)
-    c_star[0] = proj.coefficients
-    err_star[0] = proj.error
-    err_hat[0] = math.sqrt(max(mixture_frobenius_sq(m_prev, c0, ell), 0.0))
-
-    for j in range(1, n_steps + 1):
-        t = times[j]
+    states = None
+    for j, t in enumerate(times):
         states_next = trotter_states(pf, psi_in, t, steps)
         m_now = gram_from_states(states_next)
-        q_now = q_from_states(pf, states, states_next, dt, k0)
+        q_now = np.zeros((r, r)) if j == 0 else q_from_states(pf, states, states_next, dt, k0)
         noisy = inject_noise(m_now, q_now, eps, np.random.SeedSequence(seed, spawn_key=(j,)))
         run.m_bars.append(noisy.m_bar)
-        run.a_bars.append(noisy.a_bar)
-        c_hat[j] = minimax_step(noisy.m_bar, noisy.a_bar, c_hat[j - 1], eps)
-        objective[j] = float(
-            np.linalg.norm(noisy.m_bar @ c_hat[j] - noisy.a_bar @ c_hat[j - 1])
-            + eps * np.linalg.norm(c_hat[j])
-        )
+        if j == 0:
+            run.a_bars.append(None)
+            c_hat[0] = c0
+        else:
+            run.a_bars.append(noisy.a_bar)
+            c_hat[j] = minimax_step(noisy.m_bar, noisy.a_bar, c_hat[j - 1], eps)
+            objective[j] = float(
+                np.linalg.norm(noisy.m_bar @ c_hat[j] - noisy.a_bar @ c_hat[j - 1])
+                + eps * np.linalg.norm(c_hat[j])
+            )
         ell = l_from_states(oracle.evolve(psi_in, t), states_next)
         run.m_exact.append(m_now)
         run.l_exact.append(ell)

@@ -345,12 +345,14 @@ def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list
 
 
 def extract_coefficients(matrix: np.ndarray, words: Iterable[PauliString]) -> list[float]:
-    """Recover Pauli coefficients of a Hermitian matrix via trace inner products."""
-    dim = matrix.shape[0]
+    """Recover Pauli coefficients of a Hermitian matrix via trace inner
+    products ``Tr(P^H M) / 2^n = sum_i conj(phase_i) M[i ^ x_mask, i] / 2^n``,
+    reading only the 2^n entries each word touches (:func:`pauli_action`)."""
+    idx = np.arange(matrix.shape[0])
     out = []
     for ps in words:
-        val = np.trace(pauli_dense(ps).conj().T @ matrix) / dim
-        out.append(float(val.real))
+        partner, phase = pauli_action(ps, idx)
+        out.append(float((np.vdot(phase, matrix[partner, idx]) / idx.size).real))
     return out
 
 

@@ -1,6 +1,7 @@
 """The block-diagonal bound layer: invariant blocks, the block norm, agreement
 of the sampled window aggregates with a full-space reference, exact symbolic
-norms above the dense cap, hoisting of the t-independent aggregates, and the
+norms above the dense cap, one build and one norm per distinct nested
+commutator on both routes, hoisting of the t-independent aggregates, and the
 size caps checked before any work."""
 
 import itertools
@@ -21,6 +22,7 @@ from mpf_lab import (
     nested_commutator_sum,
     second_order,
     solve_coefficients,
+    suzuki,
     to_dense,
 )
 from mpf_lab import bounds
@@ -206,9 +208,9 @@ def test_time_points_reuse_the_fixed_aggregates(chain4, monkeypatch):
     calls = []
     compositions = bounds._compositions
 
-    def counting(chain, target, total, ad, is_zero):
+    def counting(pairs, total, form, ad, is_zero):
         calls.append(total)
-        return compositions(chain, target, total, ad, is_zero)
+        return compositions(pairs, total, form, ad, is_zero)
 
     monkeypatch.setattr(bounds, "_compositions", counting)
     scheme = solve_coefficients(2, (4, 13, 17))
@@ -255,17 +257,31 @@ def test_symbolic_norms_exact_at_11_qubits():
     assert abs(got - ref) <= 1e-12 * ref
 
 
+def plain_compositions(chain, target, total, ad):
+    """``(multinomial weight, nested commutator)`` of every composition of
+    ``total`` over the chain, innermost adjoint first, none merged or
+    pruned."""
+    def rec(pos, budget, cur, denom):
+        if budget == 0:
+            yield math.factorial(total) // denom, cur
+        elif pos >= 0:
+            for q in range(budget + 1):
+                if q > 0:
+                    cur = ad(chain[pos], cur)
+                yield from rec(pos - 1, budget - q, cur, denom * math.factorial(q))
+
+    yield from rec(len(chain) - 1, total, target, 1)
+
+
 def test_symbolic_sum_norms_each_distinct_piece_once(monkeypatch):
     # The palindromic chain formula repeats nested commutators across its
     # slot chains (17 pieces, 13 distinct at n = 9); each distinct one is
-    # normed once, and the sum keeps the order of the un-memoized one.
+    # normed once, and the sum matches the un-memoized one.
     pf = chain_formula(9)
     p = pf.order
-    chains = list(bounds._slot_chains(pf))
-    per_chain = [list(bounds._compositions(chain, tgt, p, bounds._symbolic_ad,
-                                           lambda op: op.is_empty))
-                 for chain, tgt in chains]
-    pieces = [c for chain in per_chain for _, c in chain]
+    per_chain = [list(plain_compositions(chain, tgt, p, commutator_minus_i))
+                 for chain, tgt in bounds._slot_chains(pf)]
+    pieces = [c for chain in per_chain for _, c in chain if not c.is_empty]
     assert len(set(pieces)) < len(pieces)
     plain = float(sum(float(sum(w * spectral_norm_symbolic(c) for w, c in chain))
                       for chain in per_chain))
@@ -276,8 +292,95 @@ def test_symbolic_sum_norms_each_distinct_piece_once(monkeypatch):
         return spectral_norm_symbolic(op)
 
     monkeypatch.setattr(bounds, "spectral_norm_symbolic", counting)
-    assert formula_commutator_sum(pf) == plain
+    assert abs(formula_commutator_sum(pf) - plain) <= 1e-13 * plain
     assert len(calls) == len(set(pieces))
+
+
+def plain_stacked_sum(chain, target, total):
+    """Composition-weighted norm sum with every composition's piece built and
+    normed on its own: the pieces of each partial budget are carried as one
+    stack, so none is merged with another."""
+    stacks = {0: (np.ones(1), target[None])}
+    for a in reversed(chain):
+        grown = {}
+        for used, (w, x) in stacks.items():
+            for q in range(total - used + 1):
+                if q > 0:
+                    x = a @ x - x @ a
+                grown.setdefault(used + q, []).append((w / math.factorial(q), x))
+        stacks = {used: (np.concatenate([w for w, _ in g]), np.concatenate([x for _, x in g]))
+                  for used, g in grown.items()}
+    w, x = stacks[total]
+    anti = 1j if total % 2 else 1.0
+    return math.factorial(total) * float(w @ np.abs(np.linalg.eigvalsh(anti * x)).max(axis=-1))
+
+
+def test_block_sum_builds_and_norms_each_distinct_piece_once(monkeypatch):
+    # Suzuki p=4 at n=4: 24 slot chains over 6 distinct slot operators.
+    # Brute force: every composition as its target and the operators
+    # applied to it, innermost first; a prefix is built when no shorter
+    # prefix is zero, and a full piece is normed when no prefix is zero.
+    pf = suzuki(chain_formula(4), 4)
+    p = pf.order
+    ops = list(dict.fromkeys(pf.slot_operators))
+    parts = invariant_blocks(ops)[1]
+    keys = set()
+    for chain, tgt in bounds._slot_chains(pf):
+        seq = [ops.index(a) for a in chain]
+        keys.update(key for _, key in plain_compositions(seq, (ops.index(tgt),), p,
+                                                         lambda a, key: key + (a,)))
+    prefixes = {key[:m] for key in keys for m in range(2, p + 2)}
+
+    def direct(key):
+        x = parts[key[0]]
+        for a in key[1:]:
+            x = bounds._block_ad(parts[a], x)
+        return x
+
+    zero = {key for key in prefixes if bounds._block_is_zero(direct(key))}
+    built = [key for key in prefixes if not any(key[:m] in zero for m in range(2, len(key)))]
+    normed = [key for key in keys if not any(key[:m] in zero for m in range(2, p + 2))]
+    assert len(normed) < len(built) < len(prefixes)
+
+    ads, norms = [], []
+    block_ad, block_norms = bounds._block_ad, bounds._block_norms
+
+    def counting_ad(a, x):
+        ads.append(1)
+        return block_ad(a, x)
+
+    def counting_norms(x, anti):
+        norms.append(x[0].shape[0])
+        return block_norms(x, anti)
+
+    monkeypatch.setattr(bounds, "_block_ad", counting_ad)
+    monkeypatch.setattr(bounds, "_block_norms", counting_norms)
+    got = formula_commutator_sum(pf)
+    assert len(ads) == len(built)
+    assert sum(norms) == len(normed)
+    dense = {op: to_dense(op) for op in ops}
+    # The chain's matrices are real, which keeps the reference quick.
+    assert not any(m.imag.any() for m in dense.values())
+    dense = {op: m.real for op, m in dense.items()}
+    ref = sum(plain_stacked_sum([dense[a] for a in chain], dense[tgt], p)
+              for chain, tgt in bounds._slot_chains(pf))
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_window_space_decomposes_each_distinct_slot_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for pf, distinct in ((chain_formula(4), 3), (suzuki(chain_formula(4), 4), 6)):
+        calls.clear()
+        space = bounds._WindowSpace(pf)
+        assert len(set(pf.slot_operators)) == distinct
+        assert len(calls) == distinct * len(space.ham)
 
 
 def test_symbolic_cap_checked_before_any_work(monkeypatch):

@@ -7,6 +7,7 @@ from mpf_lab import (
     LocalityProfile,
     PauliString,
     PauliSumOp,
+    build_heisenberg_chain,
     commutator_minus_i,
     extract_coefficients,
     format_op,
@@ -15,6 +16,7 @@ from mpf_lab import (
     pauli_from_sites,
     to_dense,
 )
+from mpf_lab import pauli
 from mpf_lab.errors import ResourceLimitError
 from mpf_lab.pauli import (DENSE_QUBIT_CAP, _couplings, commutes, pauli_action, pauli_dense,
                            pauli_product)
@@ -205,3 +207,16 @@ def test_couplings_group_by_x_mask_in_term_order():
     coupling = groups[PauliString("XXI").x_mask][1]
     assert coupling[[0b000, 0b001, 0b110, 0b111]].tolist() == [0, 0, 0, 0]
     assert np.all(coupling[[0b010, 0b011, 0b100, 0b101]] != 0)
+
+
+def test_extract_coefficients_reads_entries_without_pauli_matrices(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense Pauli matrix was built")
+
+    h_op, _ = build_heisenberg_chain(10, seed=2024)
+    dense = to_dense(h_op)
+    monkeypatch.setattr(pauli, "pauli_dense", forbidden)
+    recovered = extract_coefficients(dense, [ps for _, ps in h_op])
+    assert np.abs(np.asarray(recovered) - [c for c, _ in h_op]).max() <= 1e-14
+    # A word absent from the operator, with Y letters, reads 0.
+    assert extract_coefficients(dense, [PauliString("XYIIIIIIII")]) == [0.0]

@@ -1,5 +1,7 @@
 """Every module of the package, other than ``__init__.py`` (which imports
-names to export them), uses each name it imports."""
+names to export them), uses each name it imports, and every module-level
+private (``_``-prefixed) function, class or constant is referenced somewhere
+in the package."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,45 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_``-prefixed (not dunder) functions, classes and
+    assigned names, with their line numbers."""
+    found: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update({name: node.lineno for name in names
+                      if name.startswith("_") and not name.startswith("__")})
+    return found
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module reads, as a bare name or as
+    an attribute (``pauli._couplings``)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [f"{name} line {line}: {private}" for name, tree in trees.items()
+            for private, line in private_definitions(tree).items() if private not in read]
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): pass\n_CONST = 1\n_UNREAD: int = 2\n",
+        "b.py": "from .a import _used\nimport a\n_used()\nprint(a._CONST)\n",
+    }
+    assert dead_private_names(sources) == ["a.py line 2: _dead", "a.py line 4: _UNREAD"]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
