@@ -40,7 +40,6 @@ from .bounds import (
     conjugation_profile,
     formula_commutator_sum,
     formula_conjugated_sum,
-    nested_commutator_sum,
     product_formula_error_bound,
     spectral_norm_dense,
 )

@@ -6,11 +6,12 @@ propagation through commutators and conjugations.
 Every norm is the exact largest |eigenvalue| of a Hermitian or
 anti-Hermitian piece inside the invariant blocks of the operators involved
 (e.g. the total-Z sectors of the Heisenberg chain), read straight from their
-Pauli terms (``pauli.invariant_blocks``); no 2^n x 2^n matrix is built.  One
-composition pass builds and norms each distinct nested commutator once: in
-block form up to n = 8, and above that as Pauli sums put in block form for
-the norm, up to DENSE_QUBIT_CAP (12) qubits.  The route is fixed by n;
-larger systems are refused before any work.
+Pauli terms (``pauli.invariant_blocks``); no 2^n x 2^n matrix is built.  Every
+aggregate is a function of a product formula.  One composition pass over its
+slot chains builds and norms each distinct nested commutator once: in the
+formula's block form up to n = 8, and above that as Pauli sums put in block
+form for the norm, up to DENSE_QUBIT_CAP (12) qubits.  The route is fixed by
+n; larger systems are refused before any work.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,26 +90,27 @@ def spectral_norm_symbolic(op: PauliSumOp) -> float:
 
 # -- composition sums over nested commutators --------------------------------
 
-def _compositions(pairs, total: int, form, ad, is_zero) -> tuple[np.ndarray, list]:
-    """The distinct pieces Ad_{A_1}^{q_1}..Ad_{A_s}^{q_s}(target) over every
-    composition (q_1..q_s) of ``total`` and every (chain, target) pair of Pauli
-    sums, in first-reached order, with their summed weights total!/(q_1!..q_s!).
+def _compositions(slots, total: int, form, ad, is_zero) -> tuple[np.ndarray, list]:
+    """The distinct pieces Ad_{G_D}^{q_D}..Ad_{G_a}^{q_a}(G_{a-1}) over every
+    slot chain a = 2..D of the slot operators G_1..G_D and every composition
+    (q_a..q_D) of ``total``, in first-reached order, with their summed weights
+    total!/(q_a!..q_D!).  Each chain is walked from G_{a-1} outward.
 
     A piece is keyed by its target and the operators applied to it, innermost
-    first, as small integer ids, and built once as ``ad(form(A), shorter
-    piece)``, where ``form`` gives a Pauli sum's route operand; ``is_zero``
+    first, as small integer ids, and built once as ``ad(form(G), shorter
+    piece)``, where ``form`` gives a slot operator's route operand; ``is_zero``
     prunes every extension of a zero piece.  Along a chain, compositions that
     reach one piece with one budget used are merged, their weights carried as
     summed products of C(budget left, q).
     """
     ids: dict[PauliSumOp, int] = {}
-    seqs = [[ids.setdefault(op, len(ids)) for op in (target, *chain)] for chain, target in pairs]
+    seq = [ids.setdefault(op, len(ids)) for op in slots]
     values = [form(op) for op in ids]  # a target's piece has its operator's id
     nodes: dict[tuple[int, int], int] = {}  # (shorter piece, operator) -> piece
     weights: dict[int, int] = {}
-    for target, *chain in seqs:
-        states = {(target, 0): 1}  # (piece, budget used) -> weight so far
-        for op in reversed(chain):
+    for a in range(1, len(seq)):
+        states = {(seq[a - 1], 0): 1}  # (piece, budget used) -> weight so far
+        for op in seq[a:]:
             grown: dict[tuple[int, int], int] = {}
             for (cur, used), w in states.items():
                 for q in range(total - used + 1):
@@ -149,61 +151,35 @@ def _norm_sum(weights: np.ndarray, pieces: list[np.ndarray], depth: int) -> floa
     return float(weights @ _block_norms(pieces, anti=depth % 2 == 1))
 
 
-def _commutator_sum(pairs: list, total: int) -> float:
-    """Composition-weighted norm sum over (chain, target) pairs: nested in
-    the invariant blocks of all their operators up to DENSE_NORM_CAP qubits,
+def _formula_sum(pf: ProductFormula, total: int) -> float:
+    """Composition-weighted norm sum over a formula's slot chains at depth
+    ``total``: in its window layer's block form up to DENSE_NORM_CAP qubits,
     as Pauli sums put in block form one distinct piece at a time above."""
-    if not pairs:
-        return 0.0
-    n = pairs[0][1].n
-    if n <= DENSE_NORM_CAP:
-        ops = list(dict.fromkeys(op for chain, tgt in pairs for op in (*chain, tgt)))
-        parts = dict(zip(ops, invariant_blocks(ops)[1]))
-        weights, pieces = _compositions(pairs, total, parts.__getitem__, _block_ad,
-                                        _block_is_zero)
-        return _norm_sum(weights, [np.stack(g) for g in zip(*pieces)], total)
+    if pf.n <= DENSE_NORM_CAP:
+        return _norm_sum(*_WindowSpace(pf).pieces(total), total)
     # The Pauli-sum nesting does its algebra before any block work.
-    _check_qubit_cap(n)
-    weights, pieces = _compositions(pairs, total, lambda op: op, _symbolic_ad,
+    _check_qubit_cap(pf.n)
+    weights, pieces = _compositions(pf.slot_operators, total, lambda op: op, _symbolic_ad,
                                     lambda op: op.is_empty)
     return float(weights @ np.array([spectral_norm_symbolic(c) for c in pieces]))
 
 
-def nested_commutator_sum(total: int, chain: list[PauliSumOp], target: PauliSumOp) -> float:
-    """Composition-weighted sum of nested-commutator norms.
-
-    ``sum over q_1+..+q_s = total of total!/(q_1!..q_s!) *
-    ||Ad_{A_1}^{q_1} .. Ad_{A_s}^{q_s}(target)||``.
-    """
-    if total < 0:
-        raise ValueError("order must be >= 0")
-    if not chain:
-        raise ValueError("need at least one chain operator")
-    return _commutator_sum([(chain, target)], total)
-
-
-def _slot_chains(pf: ProductFormula) -> list:
-    """``(chain, target)`` pairs (G_D..G_a; G_{a-1}) for a = 2..D."""
-    slots = pf.slot_operators
-    return [(list(slots[a:][::-1]), slots[a - 1]) for a in range(1, len(slots))]
-
-
 def formula_commutator_sum(pf: ProductFormula) -> float:
-    """Trotter-error commutator aggregate of a product formula: the
-    :func:`nested_commutator_sum` at its order summed over the chains
-    (G_D,...,G_a; G_{a-1}) of its slot operators, with each distinct nested
-    commutator built and normed once.  A single-slot formula gives 0."""
-    return _commutator_sum(_slot_chains(pf), pf.order)
+    """Trotter-error commutator aggregate of a product formula: over its slot
+    chains a = 2..D and the compositions q_a + .. + q_D = p of its order, the
+    sum of ``p!/(q_a!..q_D!) ||Ad_{G_D}^{q_D} .. Ad_{G_a}^{q_a}(G_{a-1})||``.
+    A single-slot formula gives 0."""
+    return _formula_sum(pf, pf.order)
 
 
 def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
-                                commutator_sum: float | None = None) -> float:
-    """k-step product-formula error bound ``2 a_p t^{p+1} / ((p+1)! k^p)``."""
+                                commutator_sum: float) -> float:
+    """k-step product-formula error bound ``2 a_p t^{p+1} / ((p+1)! k^p)``,
+    with ``a_p`` the formula's :func:`formula_commutator_sum`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     p = pf.order
-    a = formula_commutator_sum(pf) if commutator_sum is None else commutator_sum
-    return 2.0 * a * t ** (p + 1) / (math.factorial(p + 1) * k**p)
+    return 2.0 * commutator_sum * t ** (p + 1) / (math.factorial(p + 1) * k**p)
 
 
 # -- sampled maxima over partial-product conjugations ------------------------
@@ -244,28 +220,29 @@ class _WindowSpace:
     """A formula's window layer in block form.
 
     Holds the slot operators and the Hamiltonian in the block form of their
-    common invariant blocks, and one eigendecomposition per distinct slot
-    operator to build the sampled partial-product unitaries.  n above the
-    dense cap is refused before any of this work.
+    common invariant blocks and, built on the first sampled window, one
+    eigendecomposition per distinct slot operator for the partial-product
+    unitaries.  n above the dense cap is refused before any of this work.
     """
 
     def __init__(self, pf: ProductFormula):
         if pf.n > DENSE_NORM_CAP:
-            raise ResourceLimitError(
-                f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}"
-            )
+            raise ResourceLimitError(f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}")
         self.pf = pf
         ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian)))
         self.parts = dict(zip(ops, invariant_blocks(ops)[1]))
         self.ham = self.parts[pf.hamiltonian]
+
+    @cached_property
+    def _slot_eigs(self) -> list:
         eigs = {op: [(vals, vecs, vecs.conj().swapaxes(-1, -2))
                      for vals, vecs in map(np.linalg.eigh, self.parts[op])]
-                for op in dict.fromkeys(pf.slot_operators)}
-        self._slot_eigs = [eigs[op] for op in pf.slot_operators]
+                for op in dict.fromkeys(self.pf.slot_operators)}
+        return [eigs[op] for op in self.pf.slot_operators]
 
     def pieces(self, total: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """Weights and stacked distinct pieces of the slot chains at depth ``total``."""
-        weights, pieces = _compositions(_slot_chains(self.pf), total, self.parts.__getitem__,
+        weights, pieces = _compositions(self.pf.slot_operators, total, self.parts.__getitem__,
                                         _block_ad, _block_is_zero)
         return weights, [np.stack(g) for g in zip(*pieces)]
 
@@ -316,15 +293,13 @@ def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int, t: float,
     unitaries U with fragment times in [0, t] is the exact maximum over a
     sample, so the result is a lower estimate of the true maximum for t > 0.
     ell = 0 needs no sampling, since conjugation leaves a spectral norm
-    unchanged.
+    unchanged: it is the plain sum, on either route.
     """
+    if ell == 0:
+        return _formula_sum(pf, total)
     space = _WindowSpace(pf)
     weights, pieces = space.pieces(total)
-    if ell == 0:
-        return _norm_sum(weights, pieces, total)
-    if sampler is None:
-        sampler = FragmentTimeSampler()
-    rows = sampler.samples(len(pf.slot_operators), t)
+    rows = (sampler or FragmentTimeSampler()).samples(len(pf.slot_operators), t)
     return space.window_sums({total: (weights, pieces, [ell])}, rows)[total, ell]
 
 
@@ -368,10 +343,16 @@ class MixtureBoundEvaluator:
             raise ValueError("scheme and formula order disagree")
         if len(scheme.steps) != p + 1:
             raise ValueError("the bound needs r = p + 1 circuits")
-        _check_extrapolation_residuals(scheme)
+        sum_residual, *residuals = scheme.residuals()
+        if abs(sum_residual) > 1e-10:
+            raise ValueError(f"coefficients do not sum to 1 (off by {sum_residual:.3e})")
+        if scheme.powers != tuple(range(p, 2 * p)) or max(map(abs, residuals)) > 1e-8:
+            raise ValueError(
+                f"the bound requires the consecutive-power coefficient system; got powers "
+                f"{scheme.powers}, residuals up to {max(map(abs, residuals), default=0.0):.3e}")
         self.scheme = scheme
         self.pf = pf
-        self.sampler = sampler if sampler is not None else FragmentTimeSampler()
+        self.sampler = sampler or FragmentTimeSampler()
         self.k_min = min(scheme.steps)
         self._space = _WindowSpace(pf)
         # (commutator depth, ell) of every aggregate the bound reads.
@@ -420,21 +401,6 @@ class MixtureBoundEvaluator:
             a1=self.a1, a2=a2, a3=a3, value=value, commutator_sum=self.commutator_sum,
             aggregates=aggregates, sampled=(tw > 0.0),
         )
-
-
-def _check_extrapolation_residuals(scheme: MpfScheme):
-    p = scheme.order
-    c = np.asarray(scheme.coefficients)
-    k = np.asarray(scheme.steps, dtype=float)
-    if abs(c.sum() - 1.0) > 1e-10:
-        raise ValueError("coefficients do not sum to 1")
-    for q in range(p, 2 * p):
-        res = float(np.sum(c * k**-q))
-        if abs(res) > 1e-8:
-            raise ValueError(
-                f"extrapolation residual at power {q} is {res:.3e}; the bound "
-                "requires the consecutive-power coefficient system"
-            )
 
 
 # -- locality / interaction-strength propagation ------------------------------

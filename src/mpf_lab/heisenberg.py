@@ -11,10 +11,6 @@ import numpy as np
 
 from .pauli import PauliString, PauliSumOp, pauli_from_sites
 
-# Field coefficients are drawn from numpy's PCG64 generator so that a given
-# (n, seed) pair reproduces the same chain on any platform.
-RNG_NAME = "numpy.random.Generator(PCG64)"
-
 
 def _bond_terms(n: int, j: int, weight: float) -> list[tuple[float, PauliString]]:
     return [

@@ -283,11 +283,6 @@ def to_dense(op: PauliSumOp) -> np.ndarray:
     return mat
 
 
-def pauli_dense(ps: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli word."""
-    return to_dense(PauliSumOp.from_terms(ps.n, [(1.0, ps)]))
-
-
 def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
     """Invariant blocks of a set of Pauli sums, and each sum in block form,
     without building any 2^n x 2^n matrix.

@@ -14,12 +14,12 @@ from mpf_lab import (
     FragmentTimeSampler,
     PauliString,
     PauliSumOp,
+    ProductFormula,
     build_heisenberg_chain,
     commutator_minus_i,
     formula_commutator_sum,
     formula_conjugated_sum,
     fragment_decomposition_s2,
-    nested_commutator_sum,
     second_order,
     solve_coefficients,
     suzuki,
@@ -42,6 +42,13 @@ def chain_formula(n, seed=2024):
 
 def window_ops(pf):
     return [*pf.slot_operators, pf.hamiltonian]
+
+
+def slot_chains(pf):
+    """``(chain, target)`` pairs (G_D..G_a; G_{a-1}) for a = 2..D, the
+    chain's outermost operator first."""
+    slots = pf.slot_operators
+    return [(list(slots[a:][::-1]), slots[a - 1]) for a in range(1, len(slots))]
 
 
 # -- invariant blocks -----------------------------------------------------------
@@ -208,9 +215,9 @@ def test_time_points_reuse_the_fixed_aggregates(chain4, monkeypatch):
     calls = []
     compositions = bounds._compositions
 
-    def counting(pairs, total, form, ad, is_zero):
+    def counting(slots, total, form, ad, is_zero):
         calls.append(total)
-        return compositions(pairs, total, form, ad, is_zero)
+        return compositions(slots, total, form, ad, is_zero)
 
     monkeypatch.setattr(bounds, "_compositions", counting)
     scheme = solve_coefficients(2, (4, 13, 17))
@@ -246,14 +253,18 @@ def test_symbolic_norms_exact_at_11_qubits():
     n = 11
     slots = chain_formula(n).slot_operators
     a1, a2, target = slots[4], slots[3], slots[2]
-    pieces = [(1, (a2, a2)), (2, (a1, a2)), (1, (a1, a1))]
+    # Slots (target, a2, a1): the chain (a1, a2; target) and the chain (a1; a2).
+    pf = ProductFormula(fragments=(target, a2, a1), steps=((0, 1.0), (1, 1.0), (2, 1.0)),
+                        order=2)
+    pieces = [(1, (a2, a2, target)), (2, (a1, a2, target)), (1, (a1, a1, target)),
+              (1, (a1, a1, a2))]
     weight = np.bitwise_count(np.arange(1 << n))
     ref = 0.0
-    for w, (outer, inner) in pieces:
-        dense = to_dense(commutator_minus_i(outer, commutator_minus_i(inner, target)))
+    for w, (outer, inner, tgt) in pieces:
+        dense = to_dense(commutator_minus_i(outer, commutator_minus_i(inner, tgt)))
         ref += w * max(np.abs(np.linalg.eigvalsh(dense[np.ix_(weight == m, weight == m)])).max()
                        for m in range(n + 1))
-    got = nested_commutator_sum(2, [a1, a2], target)
+    got = formula_commutator_sum(pf)
     assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -280,7 +291,7 @@ def test_symbolic_sum_norms_each_distinct_piece_once(monkeypatch):
     pf = chain_formula(9)
     p = pf.order
     per_chain = [list(plain_compositions(chain, tgt, p, commutator_minus_i))
-                 for chain, tgt in bounds._slot_chains(pf)]
+                 for chain, tgt in slot_chains(pf)]
     pieces = [c for chain in per_chain for _, c in chain if not c.is_empty]
     assert len(set(pieces)) < len(pieces)
     plain = float(sum(float(sum(w * spectral_norm_symbolic(c) for w, c in chain))
@@ -325,7 +336,7 @@ def test_block_sum_builds_and_norms_each_distinct_piece_once(monkeypatch):
     ops = list(dict.fromkeys(pf.slot_operators))
     parts = invariant_blocks(ops)[1]
     keys = set()
-    for chain, tgt in bounds._slot_chains(pf):
+    for chain, tgt in slot_chains(pf):
         seq = [ops.index(a) for a in chain]
         keys.update(key for _, key in plain_compositions(seq, (ops.index(tgt),), p,
                                                          lambda a, key: key + (a,)))
@@ -363,7 +374,7 @@ def test_block_sum_builds_and_norms_each_distinct_piece_once(monkeypatch):
     assert not any(m.imag.any() for m in dense.values())
     dense = {op: m.real for op, m in dense.items()}
     ref = sum(plain_stacked_sum([dense[a] for a in chain], dense[tgt], p)
-              for chain, tgt in bounds._slot_chains(pf))
+              for chain, tgt in slot_chains(pf))
     assert abs(got - ref) <= 1e-13 * ref
 
 
@@ -379,8 +390,27 @@ def test_window_space_decomposes_each_distinct_slot_once(monkeypatch):
     for pf, distinct in ((chain_formula(4), 3), (suzuki(chain_formula(4), 4), 6)):
         calls.clear()
         space = bounds._WindowSpace(pf)
+        assert calls == []
+        space.conjugated_ham(np.full(pf.depth, 0.1))
         assert len(set(pf.slot_operators)) == distinct
         assert len(calls) == distinct * len(space.ham)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_plain_sums_build_no_slot_eigendecomposition(monkeypatch, n):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a slot eigendecomposition was built for a plain sum")
+
+    pf = chain_formula(n)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    assert formula_commutator_sum(pf) > 0
+    assert formula_conjugated_sum(pf, 2, 0, 0.7) > 0
+
+
+def test_plain_conjugated_sum_on_the_pauli_sum_route():
+    # ell = 0 is the plain sum, so it needs no window layer and runs at n = 9.
+    pf = chain_formula(9)
+    assert formula_conjugated_sum(pf, 2, 0, 0.3) == formula_commutator_sum(pf)
 
 
 def test_symbolic_cap_checked_before_any_work(monkeypatch):
@@ -390,9 +420,6 @@ def test_symbolic_cap_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(bounds, "commutator_minus_i", forbidden)
     monkeypatch.setattr(bounds, "invariant_blocks", forbidden)
     pf = chain_formula(13)
-    chain, target = list(pf.slot_operators[1:][::-1]), pf.slot_operators[0]
-    with pytest.raises(ResourceLimitError, match="capped"):
-        nested_commutator_sum(2, chain, target)
     with pytest.raises(ResourceLimitError, match="capped"):
         formula_commutator_sum(pf)
     with pytest.raises(ResourceLimitError, match="capped"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,6 @@ from mpf_lab import (
     PauliString,
     PauliSumOp,
     ProductFormula,
-    nested_commutator_sum,
     formula_commutator_sum,
     formula_conjugated_sum,
     fragment_decomposition_s2,
@@ -37,6 +37,11 @@ def three_fragment_case(chain4):
     pf = ProductFormula(fragments=(bonds, fields, bonds),
                         steps=((0, 1.0), (1, 1.0), (2, 1.0)), order=2)
     return pf, bonds, fields
+
+
+def two_slot(target, a, p):
+    """The two-slot formula (target, A): its one slot chain sums ||Ad_A^p(target)||."""
+    return ProductFormula(fragments=(target, a), steps=((0, 1.0), (1, 1.0)), order=p)
 
 
 # -- Bernoulli ---------------------------------------------------------------
@@ -81,7 +86,7 @@ def test_spectral_norm_degenerate_spectrum():
 
 def test_alpha_single_composition(chain4):
     _, bonds, fields = three_fragment_case(chain4)
-    val = nested_commutator_sum(1, [bonds], fields)
+    val = formula_commutator_sum(two_slot(fields, bonds, 1))
     da, db = to_dense(bonds), to_dense(fields)
     ref = np.linalg.norm(da @ db - db @ da, 2)
     assert abs(val - ref) < 1e-8
@@ -91,7 +96,7 @@ def test_alpha_commuting_chain_is_zero():
     z1 = PauliSumOp.from_terms(2, [(1.0, PauliString("ZI"))])
     z2 = PauliSumOp.from_terms(2, [(0.7, PauliString("IZ"))])
     for p in (1, 2, 3):
-        assert nested_commutator_sum(p, [z1], z2) == 0.0
+        assert formula_commutator_sum(two_slot(z2, z1, p)) == 0.0
 
 
 def test_alpha2_closed_form(chain4):
@@ -176,7 +181,7 @@ def test_alpha_above_block_route_cap():
     big = PauliSumOp.from_terms(9, [(1.0, PauliString("XXIIIIIII"))])
     other = PauliSumOp.from_terms(9, [(1.0, PauliString("ZIIIIIIII"))])
     # ||[XX, ZI]|| = 2 ||YX||
-    assert abs(nested_commutator_sum(1, [big], other) - 2.0) <= 1e-12
+    assert abs(formula_commutator_sum(two_slot(other, big, 1)) - 2.0) <= 1e-12
 
 
 # -- sampled window maxima -------------------------------------------------------
@@ -227,6 +232,18 @@ def test_mixture_bound_preconditions(chain4):
         MixtureBoundEvaluator(sch4, chain4.pf).at(1.0)
 
 
+def test_mixture_bound_refuses_coefficients_off_their_sum(chain4):
+    # Consecutive powers, so only the 1e-10 sum tolerance can refuse it: the
+    # power residuals move by at most 1e-9 / 4^2.
+    base = solve_coefficients(2, (4, 13, 17))
+    c = base.coefficients
+    off = dataclasses.replace(base, coefficients=(c[0] + 1e-9, *c[1:]))
+    assert off.powers == (2, 3)
+    assert max(abs(r) for r in off.residuals()[1:]) <= 1e-8
+    with pytest.raises(ValueError, match="sum to 1"):
+        MixtureBoundEvaluator(off, chain4.pf)
+
+
 def test_mixture_bound_prefactor_rescaling(chain4):
     base = solve_coefficients(2, (4, 13, 17))
     for lam in (2, 3, 5):
@@ -264,7 +281,7 @@ def test_kstep_bound_trivial_scalings(chain4):
     b2 = product_formula_error_bound(chain4.pf, 1.0, 8, commutator_sum=alpha)
     assert abs(b1 / b2 - 2.0**2) < 1e-12
     with pytest.raises(ValueError):
-        product_formula_error_bound(chain4.pf, 1.0, 0)
+        product_formula_error_bound(chain4.pf, 1.0, 0, commutator_sum=alpha)
 
 
 def test_kstep_bound_dominates_on_grid(chain4):

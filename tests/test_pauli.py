@@ -18,14 +18,17 @@ from mpf_lab import (
 )
 from mpf_lab import pauli
 from mpf_lab.errors import ResourceLimitError
-from mpf_lab.pauli import (DENSE_QUBIT_CAP, _couplings, commutes, pauli_action, pauli_dense,
-                           pauli_product)
+from mpf_lab.pauli import DENSE_QUBIT_CAP, _couplings, commutes, pauli_action, pauli_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 SINGLE = {"I": I2, "X": X, "Y": Y, "Z": Z}
+
+
+def word_dense(ps: PauliString) -> np.ndarray:
+    return to_dense(PauliSumOp.from_terms(ps.n, [(1.0, ps)]))
 
 
 def kron_word(word: str) -> np.ndarray:
@@ -55,7 +58,7 @@ def test_pauli_from_sites_bounds():
 @given(words)
 @settings(max_examples=40, deadline=None)
 def test_dense_matches_kron(word):
-    assert np.allclose(pauli_dense(PauliString(word)), kron_word(word))
+    assert np.allclose(word_dense(PauliString(word)), kron_word(word))
 
 
 @given(st.integers(1, 4), st.data())
@@ -64,7 +67,7 @@ def test_product_phase_matches_dense(n, data):
     a = PauliString(data.draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
     b = PauliString(data.draw(st.text(alphabet="IXYZ", min_size=n, max_size=n)))
     e, r = pauli_product(a, b)
-    assert np.allclose((1j ** e) * pauli_dense(r), kron_word(a.word) @ kron_word(b.word))
+    assert np.allclose((1j ** e) * word_dense(r), kron_word(a.word) @ kron_word(b.word))
     dense_comm = kron_word(a.word) @ kron_word(b.word) - kron_word(b.word) @ kron_word(a.word)
     assert commutes(a, b) == np.allclose(dense_comm, 0)
 
@@ -181,8 +184,6 @@ def test_dense_caps_raise_resource_limit():
     n = DENSE_QUBIT_CAP + 1
     word = PauliString("Z" * n)
     with pytest.raises(ResourceLimitError, match="capped"):
-        pauli_dense(word)
-    with pytest.raises(ResourceLimitError, match="capped"):
         to_dense(PauliSumOp.from_terms(n, [(1.0, word)]))
 
 
@@ -215,7 +216,7 @@ def test_extract_coefficients_reads_entries_without_pauli_matrices(monkeypatch):
 
     h_op, _ = build_heisenberg_chain(10, seed=2024)
     dense = to_dense(h_op)
-    monkeypatch.setattr(pauli, "pauli_dense", forbidden)
+    monkeypatch.setattr(pauli, "to_dense", forbidden)
     recovered = extract_coefficients(dense, [ps for _, ps in h_op])
     assert np.abs(np.asarray(recovered) - [c for c, _ in h_op]).max() <= 1e-14
     # A word absent from the operator, with Y letters, reads 0.

@@ -1,15 +1,19 @@
 """Every module of the package, other than ``__init__.py`` (which imports
-names to export them), uses each name it imports, and every module-level
+names to export them), uses each name it imports; every module-level
 private (``_``-prefixed) function, class or constant is referenced somewhere
-in the package."""
+in the package; and every module-level public name the package does not
+export is read in the package, the benchmark or the acceptance tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mpf_lab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mpf_lab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Sources outside the package that may be the only reader of a public name.
+READERS = sorted([*(ROOT / "mpfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,9 +44,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level ``_``-prefixed (not dunder) functions, classes and
-    assigned names, with their line numbers."""
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assigned names (dunders left
+    out), with their line numbers."""
     found: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -52,21 +56,26 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        found.update({name: node.lineno for name in names
-                      if name.startswith("_") and not name.startswith("__")})
+        found.update({name: node.lineno for name in names if not name.startswith("__")})
     return found
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level names that no module reads, as a bare name or as
-    an attribute (``pauli._couplings``)."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
+def read_names(trees) -> set[str]:
+    """Names the trees read, as a bare name or as an attribute
+    (``pauli._couplings``)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             or isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = read_names(trees.values())
     return [f"{name} line {line}: {private}" for name, tree in trees.items()
-            for private, line in private_definitions(tree).items() if private not in read]
+            for private, line in definitions(tree).items()
+            if private.startswith("_") and private not in read]
 
 
 def test_checker_flags_a_dead_private_name():
@@ -80,3 +89,32 @@ def test_checker_flags_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def dead_public_names(sources: dict[str, str], exports: str, readers: list[str]) -> list[str]:
+    """Public module-level names of the package's modules that its
+    ``__init__`` source ``exports`` does not import and that neither a
+    module nor a reader source reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    exported = {alias.name for node in ast.walk(ast.parse(exports))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = read_names([*trees.values(), *map(ast.parse, readers)])
+    return [f"{name} line {line}: {public}" for name, tree in trees.items()
+            for public, line in definitions(tree).items()
+            if not public.startswith("_") and public not in exported | read]
+
+
+def test_checker_flags_a_dead_public_name():
+    sources = {
+        "a.py": "def kept(): pass\ndef dead(): pass\nCAP = 3\nLABEL = 'x'\nclass Used: pass\n",
+        "b.py": "from .a import CAP\nprint(CAP)\n",
+    }
+    exports = "from .a import kept\n"
+    readers = ["import a\nx = a.Used()\n"]
+    assert dead_public_names(sources, exports, readers) == ["a.py line 2: dead", "a.py line 4: LABEL"]
+
+
+def test_no_dead_public_names():
+    sources = {p.name: p.read_text() for p in MODULES}
+    exports = (SRC / "__init__.py").read_text()
+    assert dead_public_names(sources, exports, [p.read_text() for p in READERS]) == []
