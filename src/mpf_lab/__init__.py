@@ -2,13 +2,9 @@
 bounds, and robust time-dependent coefficient tracking at desk scale."""
 
 from .pauli import (
-    LocalityProfile,
     PauliString,
     PauliSumOp,
     commutator_minus_i,
-    extract_coefficients,
-    format_op,
-    locality_profile,
     parse_op,
     pauli_from_sites,
     to_dense,
@@ -31,13 +27,9 @@ from .static_mpf import (
     solve_coefficients,
 )
 from .bounds import (
-    FragmentTimeSampler,
     MixtureBoundEvaluator,
     MixtureErrorBound,
-    adjoint_power_profile,
     bernoulli,
-    commutator_profile,
-    conjugation_profile,
     formula_commutator_sum,
     formula_conjugated_sum,
     product_formula_error_bound,

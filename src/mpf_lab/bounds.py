@@ -1,7 +1,6 @@
 """Rigorous error-bound machinery: nested-commutator aggregates, the
 one-step/k-step product-formula bound, the multi-product bound with its
-a1/a2/a3 coefficients, Bernoulli numbers, and locality/interaction-strength
-propagation through commutators and conjugations.
+a1/a2/a3 coefficients, and Bernoulli numbers.
 
 Every norm is the exact largest |eigenvalue| of a Hermitian or
 anti-Hermitian piece inside the invariant blocks of the operators involved
@@ -11,7 +10,10 @@ aggregate is a function of a product formula.  One composition pass over its
 slot chains builds and norms each distinct nested commutator once: in the
 formula's block form up to n = 8, and above that as Pauli sums put in block
 form for the norm, up to DENSE_QUBIT_CAP (12) qubits.  The route is fixed by
-n; larger systems are refused before any work.
+n; larger systems are refused before any work.  The multi-product bound's
+window aggregates (the maxima of ``||Ad_H^l(U C U^dag)||`` over
+partial-product unitaries U) are certified from the same block spectra, up
+to n = 8: no unitary is built or sampled.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .formulas import ProductFormula
-from .pauli import (LocalityProfile, PauliSumOp, _check_qubit_cap, commutator_minus_i,
-                    invariant_blocks)
+from .pauli import PauliSumOp, _check_qubit_cap, commutator_minus_i, invariant_blocks
 from .static_mpf import MpfScheme
 
 DENSE_NORM_CAP = 8
 SYMBOLIC_TERM_GUARD = 10**6
-# Fragment-time samples: a full grid of this many points per axis whenever
-# it has at most SAMPLE_GRID_CAP points.
-SAMPLE_GRID_POINTS = 3
-SAMPLE_GRID_CAP = 243
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -64,12 +61,24 @@ def _block_is_zero(x: list[np.ndarray]) -> bool:
     return not any(g.any() for g in x)
 
 
+def _block_extremes(x: list[np.ndarray], anti: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Smallest and largest eigenvalue of every block of block-form Hermitian
+    matrices (anti-Hermitian ones with ``anti``, multiplied by i first), from
+    one ``eigvalsh`` per block size.  Leading axes are kept, blocks last."""
+    spectra = [np.linalg.eigvalsh(1j * g if anti else g) for g in x]
+    return [(v[..., 0], v[..., -1]) for v in spectra]
+
+
+def _extreme_norms(extremes: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Spectral norms from block extremes: the largest |eigenvalue| over all blocks."""
+    return np.max([np.maximum(np.abs(lo), np.abs(hi)).max(axis=-1) for lo, hi in extremes],
+                  axis=0)
+
+
 def _block_norms(x: list[np.ndarray], anti: bool) -> np.ndarray:
     """Spectral norms of block-form Hermitian matrices (anti-Hermitian ones
-    with ``anti``, multiplied by i first): the largest |eigenvalue| over all
-    blocks, from one ``eigvalsh`` per block size.  Leading axes are kept."""
-    return np.max([np.abs(np.linalg.eigvalsh(1j * g if anti else g)).max(axis=(-2, -1))
-                   for g in x], axis=0)
+    with ``anti``): the largest |eigenvalue| over all blocks."""
+    return _extreme_norms(_block_extremes(x, anti))
 
 
 # -- spectral norms ----------------------------------------------------------
@@ -143,20 +152,12 @@ def _symbolic_ad(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
     return out
 
 
-def _norm_sum(weights: np.ndarray, pieces: list[np.ndarray], depth: int) -> float:
-    """Weighted norm sum of stacked pieces that are nested commutators of
-    Hermitian operators at commutator depth ``depth``."""
-    if not weights.size:
-        return 0.0
-    return float(weights @ _block_norms(pieces, anti=depth % 2 == 1))
-
-
 def _formula_sum(pf: ProductFormula, total: int) -> float:
     """Composition-weighted norm sum over a formula's slot chains at depth
     ``total``: in its window layer's block form up to DENSE_NORM_CAP qubits,
     as Pauli sums put in block form one distinct piece at a time above."""
     if pf.n <= DENSE_NORM_CAP:
-        return _norm_sum(*_WindowSpace(pf).pieces(total), total)
+        return _WindowSpace(pf).sums(total, [0])[0]
     # The Pauli-sum nesting does its algebra before any block work.
     _check_qubit_cap(pf.n)
     weights, pieces = _compositions(pf.slot_operators, total, lambda op: op, _symbolic_ad,
@@ -182,63 +183,27 @@ def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
     return 2.0 * commutator_sum * t ** (p + 1) / (math.factorial(p + 1) * k**p)
 
 
-# -- sampled maxima over partial-product conjugations ------------------------
-
-@dataclass(frozen=True)
-class FragmentTimeSampler:
-    """Draws fragment-time tuples (tau_1..tau_d) in [0, t]^d.
-
-    A SAMPLE_GRID_POINTS-point grid per axis (when its size stays within
-    SAMPLE_GRID_CAP) plus ``random_draws`` uniform draws; the zero tuple and
-    the full-t tuple are always included.  Maxima estimated from these
-    samples are lower estimates of the true maximum and are flagged as such
-    by callers.
-    """
-
-    random_draws: int = 64
-    seed: int = 2024
-
-    def samples(self, d: int, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError("time window must be >= 0")
-        if t == 0.0:
-            return np.zeros((1, d))
-        if self.random_draws < 0:
-            raise ValueError("random_draws must be >= 0")
-        rows = [np.zeros(d), np.full(d, t)]
-        if SAMPLE_GRID_POINTS**d <= SAMPLE_GRID_CAP:
-            axes = [np.linspace(0.0, t, SAMPLE_GRID_POINTS)] * d
-            mesh = np.meshgrid(*axes, indexing="ij")
-            rows.append(np.stack([m.ravel() for m in mesh], axis=1))
-        if self.random_draws:
-            rng = np.random.default_rng(self.seed)
-            rows.append(rng.uniform(0.0, t, size=(self.random_draws, d)))
-        return np.vstack([np.atleast_2d(r) for r in rows])
-
+# -- window aggregates over partial-product conjugations ---------------------
 
 class _WindowSpace:
     """A formula's window layer in block form.
 
     Holds the slot operators and the Hamiltonian in the block form of their
-    common invariant blocks and, built on the first sampled window, one
-    eigendecomposition per distinct slot operator for the partial-product
-    unitaries.  n above the dense cap is refused before any of this work.
+    common invariant blocks and, once a window term needs it, the spread
+    (largest minus smallest eigenvalue) of H in each block.  n above the
+    dense cap is refused before any of this work.
     """
 
     def __init__(self, pf: ProductFormula):
         if pf.n > DENSE_NORM_CAP:
-            raise ResourceLimitError(f"sampled-maximum evaluation capped at n={DENSE_NORM_CAP}")
+            raise ResourceLimitError(f"window aggregates capped at n={DENSE_NORM_CAP}")
         self.pf = pf
         ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian)))
         self.parts = dict(zip(ops, invariant_blocks(ops)[1]))
-        self.ham = self.parts[pf.hamiltonian]
 
     @cached_property
-    def _slot_eigs(self) -> list:
-        eigs = {op: [(vals, vecs, vecs.conj().swapaxes(-1, -2))
-                     for vals, vecs in map(np.linalg.eigh, self.parts[op])]
-                for op in dict.fromkeys(self.pf.slot_operators)}
-        return [eigs[op] for op in self.pf.slot_operators]
+    def ham_spreads(self) -> list[np.ndarray]:
+        return [hi - lo for lo, hi in _block_extremes(self.parts[self.pf.hamiltonian], anti=False)]
 
     def pieces(self, total: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """Weights and stacked distinct pieces of the slot chains at depth ``total``."""
@@ -246,61 +211,44 @@ class _WindowSpace:
                                         _block_ad, _block_is_zero)
         return weights, [np.stack(g) for g in zip(*pieces)]
 
-    def conjugated_ham(self, taus: np.ndarray) -> list[np.ndarray]:
-        """Block form of U^dag H U for U = exp(-i tau_1 G_1) .. exp(-i tau_D G_D)."""
-        out = []
-        for g, ham in enumerate(self.ham):
-            u = None
-            for tau, eigs in zip(taus, self._slot_eigs):
-                if tau != 0.0:
-                    vals, vecs, vh = eigs[g]
-                    factor = vecs * np.exp(-1j * tau * vals)[..., None, :]
-                    u = factor @ vh if u is None else u @ factor @ vh
-            out.append(ham if u is None else u.conj().swapaxes(-1, -2) @ ham @ u)
+    def sums(self, total: int, ells) -> dict[int, float]:
+        """Window aggregates at depth ``total``, one per ell in ``ells``.
+
+        Each is the weighted sum over the pieces C of an upper bound on
+        ``||Ad_H^ell(U C U^dag)||`` over every partial-product unitary U.
+        Every U keeps the common blocks and leaves C's spectrum unchanged, and
+        in block b ``Ad_H = Ad_{H - a I}``; so ell = 0 gives the norm of C
+        itself, and ell >= 1 gives ``max_b spread_b(H)^ell spread_b(C) / 2``.
+        One ``eigvalsh`` per block size serves every ell.
+        """
+        weights, pieces = self.pieces(total)
+        if not weights.size:
+            return dict.fromkeys(ells, 0.0)
+        extremes = _block_extremes(pieces, anti=total % 2 == 1)
+        out = {}
+        for ell in ells:
+            if ell == 0:
+                per_piece = _extreme_norms(extremes)
+            else:
+                per_piece = np.max([(s**ell * (hi - lo) / 2).max(axis=-1)
+                                    for s, (lo, hi) in zip(self.ham_spreads, extremes)], axis=0)
+            out[ell] = float(weights @ per_piece)
         return out
 
-    def window_sums(self, requests: dict, rows: np.ndarray) -> dict[tuple[int, int], float]:
-        """Sampled window aggregates against one shared set of unitaries.
 
-        ``requests`` maps a commutator depth to ``(weights, pieces, ells)``
-        with every ell >= 1.  For each (depth, ell) the result is the weighted
-        sum over the pieces C of the sample maximum of
-        ``||Ad_H^ell(U C U^dag)|| = ||Ad_{H'}^ell(C)||``, ``H' = U^dag H U``,
-        over the unitaries U of the fragment-time ``rows``, one row at a time.
-        """
-        best = {(depth, ell): np.zeros(w.size)
-                for depth, (w, _, ells) in requests.items() for ell in ells}
-        for taus in rows:
-            hp = self.conjugated_ham(taus)
-            for depth, (w, x, ells) in requests.items():
-                if not w.size:
-                    continue
-                for ell in range(1, max(ells) + 1):
-                    x = _block_ad(hp, x)
-                    if ell in ells:
-                        top = best[depth, ell]
-                        np.maximum(top, _block_norms(x, anti=(depth + ell) % 2 == 1), out=top)
-        return {(depth, ell): float(requests[depth][0] @ top)
-                for (depth, ell), top in best.items()}
+def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int) -> float:
+    """Conjugation-extended commutator aggregate of a formula.
 
-
-def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int, t: float,
-                           sampler: FragmentTimeSampler | None = None) -> float:
-    """Sampled, conjugation-extended commutator aggregate of a formula.
-
-    Over the slot chains, each composition's inner nested commutator C is
-    exact; the maximum of ``||Ad_H^ell (U C U^{-1})||`` over partial-product
-    unitaries U with fragment times in [0, t] is the exact maximum over a
-    sample, so the result is a lower estimate of the true maximum for t > 0.
-    ell = 0 needs no sampling, since conjugation leaves a spectral norm
-    unchanged: it is the plain sum, on either route.
+    Over the slot chains and the compositions of ``total``, the weighted sum
+    of an upper bound on the maximum of ``||Ad_H^ell (U C U^{-1})||`` over
+    partial-product unitaries U, for each composition's nested commutator C
+    (see ``_WindowSpace.sums``); it depends on neither U nor the window.
+    ell = 0 is the plain sum, since conjugation leaves a spectral norm
+    unchanged, on either route.
     """
     if ell == 0:
         return _formula_sum(pf, total)
-    space = _WindowSpace(pf)
-    weights, pieces = space.pieces(total)
-    rows = (sampler or FragmentTimeSampler()).samples(len(pf.slot_operators), t)
-    return space.window_sums({total: (weights, pieces, [ell])}, rows)[total, ell]
+    return _WindowSpace(pf).sums(total, [ell])[ell]
 
 
 # -- the multi-product error bound -------------------------------------------
@@ -310,8 +258,8 @@ class MixtureErrorBound:
     """Evaluated multi-product error bound at one time.
 
     The a3 coefficient uses |B_l| so every term stays a nonnegative bound
-    contribution; ``sampled`` flags that the window aggregates at t > 0 are
-    sample maxima (lower estimates), not certified maxima.
+    contribution; the window aggregates are certified upper bounds (see
+    ``_WindowSpace.sums``), so ``value`` is an upper bound at every t.
     """
 
     order: int
@@ -323,21 +271,18 @@ class MixtureErrorBound:
     value: float
     commutator_sum: float
     aggregates: dict = field(default_factory=dict)
-    sampled: bool = False
 
 
 class MixtureBoundEvaluator:
     """Evaluates the multi-product bound for one (scheme, formula) pair.
 
-    The constructor builds the window layer in block form and every
-    t-independent aggregate: the commutator sum and the l = 0 terms, whose
-    window maximum is the plain norm.  Each time point then samples one set
-    of partial-product unitaries at window t/k_min and shares it across the
-    conjugated aggregates.
+    The window aggregates depend on neither the partial-product unitaries nor
+    t, so the constructor builds every aggregate and the coefficients a1, a2
+    and a3 once, from one ``eigvalsh`` per commutator depth and block size;
+    each time point is then arithmetic only.
     """
 
-    def __init__(self, scheme: MpfScheme, pf: ProductFormula,
-                 sampler: FragmentTimeSampler | None = None):
+    def __init__(self, scheme: MpfScheme, pf: ProductFormula):
         p = scheme.order
         if pf.order != p:
             raise ValueError("scheme and formula order disagree")
@@ -351,37 +296,22 @@ class MixtureBoundEvaluator:
                 f"the bound requires the consecutive-power coefficient system; got powers "
                 f"{scheme.powers}, residuals up to {max(map(abs, residuals), default=0.0):.3e}")
         self.scheme = scheme
-        self.pf = pf
-        self.sampler = sampler or FragmentTimeSampler()
-        self.k_min = min(scheme.steps)
-        self._space = _WindowSpace(pf)
+        space = _WindowSpace(pf)
         # (commutator depth, ell) of every aggregate the bound reads.
         needed = {(p, 0), (2 * p, 0), (p, p)} | {
             (2 * p - ell, ell - 1) for ell in range(1, p + 1) if bernoulli(ell) != 0}
-        self._fixed: dict[tuple[int, int], float] = {}
-        self._sampled: dict[int, tuple] = {}
+        values: dict[tuple[int, int], float] = {}
         for depth in sorted({d for d, _ in needed}):
-            weights, pieces = self._space.pieces(depth)
             ells = sorted(ell for d, ell in needed if d == depth)
-            if ells[0] == 0:
-                self._fixed[depth, 0] = _norm_sum(weights, pieces, depth)
-            if ells[-1] > 0:
-                self._sampled[depth] = (weights, pieces, [ell for ell in ells if ell > 0])
-        self.commutator_sum = self._fixed[p, 0]
+            values.update(((depth, ell), v) for ell, v in space.sums(depth, ells).items())
+        self.commutator_sum = values[p, 0]
         self.a1 = 8.0 * (self.commutator_sum / math.factorial(p + 1)) ** 2
-        # t-independent part of a2: the l=0 aggregate at a degenerate window.
-        self.window_free_sum = self._fixed[2 * p, 0]
-
-    def at(self, t: float) -> MixtureErrorBound:
-        p = self.scheme.order
-        tw = t / self.k_min
-        rows = self.sampler.samples(len(self.pf.slot_operators), tw)
-        values = {**self._fixed, **self._space.window_sums(self._sampled, rows)}
-        aggregates = {f"conj_comm_{2 * p}_0_at0": self.window_free_sum}
+        window_free_sum = values[2 * p, 0]
+        self.aggregates = {f"conj_comm_{2 * p}_0_at0": window_free_sum}
         b_pp = values[p, p]
-        aggregates[f"conj_comm_{p}_{p}_window"] = b_pp
-        a2 = (
-            4.0 * self.window_free_sum / math.factorial(2 * p)
+        self.aggregates[f"conj_comm_{p}_{p}_window"] = b_pp
+        self.a2 = (
+            4.0 * window_free_sum / math.factorial(2 * p)
             + 8.0 * b_pp / ((2.0 * math.pi) ** p * math.factorial(p))
         )
         a3 = 0.0
@@ -390,40 +320,17 @@ class MixtureBoundEvaluator:
             if bl == 0.0:
                 continue
             b_val = values[2 * p - ell, ell - 1]
-            aggregates[f"conj_comm_{2 * p - ell}_{ell - 1}_window"] = b_val
+            self.aggregates[f"conj_comm_{2 * p - ell}_{ell - 1}_window"] = b_val
             a3 += bl * b_val / (math.factorial(ell) * math.factorial(2 * p - ell))
-        a3 *= 4.0
+        self.a3 = 4.0 * a3
+
+    def at(self, t: float) -> MixtureErrorBound:
+        p = self.scheme.order
         value = self.scheme.objective * (
-            self.a1 * t ** (2 * p + 2) + a2 * t ** (2 * p + 1) + a3 * t ** (2 * p)
+            self.a1 * t ** (2 * p + 2) + self.a2 * t ** (2 * p + 1) + self.a3 * t ** (2 * p)
         )
         return MixtureErrorBound(
             order=p, t=t, prefactor=self.scheme.objective,
-            a1=self.a1, a2=a2, a3=a3, value=value, commutator_sum=self.commutator_sum,
-            aggregates=aggregates, sampled=(tw > 0.0),
+            a1=self.a1, a2=self.a2, a3=self.a3, value=value,
+            commutator_sum=self.commutator_sum, aggregates=dict(self.aggregates),
         )
-
-
-# -- locality / interaction-strength propagation ------------------------------
-
-def commutator_profile(a: LocalityProfile, b: LocalityProfile) -> LocalityProfile:
-    """Profile of [A, B]: k = k1 + k2 - 1, J = 2 J1 J2 (k1 + k2)."""
-    return LocalityProfile(
-        k=a.k + b.k - 1, strength=2.0 * a.strength * b.strength * (a.k + b.k)
-    )
-
-
-def conjugation_profile(profile: LocalityProfile, gamma: float, depth: int) -> LocalityProfile:
-    """Profile after conjugation by a depth-``depth`` circuit whose single
-    exponentials spread single-qubit operators to at most ``gamma`` qubits."""
-    factor = gamma**depth
-    return LocalityProfile(
-        k=int(math.ceil(factor * profile.k)), strength=factor * profile.strength
-    )
-
-
-def adjoint_power_profile(a: LocalityProfile, b: LocalityProfile, power: int) -> LocalityProfile:
-    """Profile of Ad_A^power (B), iterating the commutator rule."""
-    out = b
-    for _ in range(power):
-        out = commutator_profile(a, out)
-    return out

@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamic_mpf as dmp
-from .bounds import (
-    FragmentTimeSampler,
-    MixtureBoundEvaluator,
-    formula_commutator_sum,
-    product_formula_error_bound,
-)
+from .bounds import MixtureBoundEvaluator, formula_commutator_sum, product_formula_error_bound
 from .formulas import fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
@@ -76,8 +71,7 @@ SCENARIOS: dict[str, dict[str, Option]] = {
         "n": Option("int", 4), "seed": Option("int", 2024), "p": Option("int", 2),
         "steps": Option("ints", (4, 13, 17)),
         "lam": Option("int", 1),
-        "sampler_draws": Option("int", 64, "random draws for the window maxima"),
-        "sampler_seed": Option("int", 2024),
+        "sampler_seed": Option("int", 2024, "no effect"),
         **_GRID,
     },
     "minimax-shootout": {
@@ -342,15 +336,12 @@ def _run_bound_eval(cfg: dict) -> CsvDoc:
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"])
     steps = tuple(cfg["lam"] * k for k in cfg["steps"])
     scheme = solve_coefficients(cfg["p"], steps)
-    sampler = FragmentTimeSampler(random_draws=cfg["sampler_draws"], seed=cfg["sampler_seed"])
-    evaluator = MixtureBoundEvaluator(scheme, pf, sampler)
-    grid = time_grid(cfg)
-    first = evaluator.at(float(grid[0]))
-    aggregate_names = sorted(first.aggregates)
+    evaluator = MixtureBoundEvaluator(scheme, pf)
+    aggregate_names = sorted(evaluator.aggregates)
     header = ["t", "formula_commutator_sum", "a1", "a2", "a3", "prefactor", "bound", *aggregate_names]
     rows = []
-    for t in grid:
-        b = evaluator.at(float(t)) if t != grid[0] else first
+    for t in map(float, time_grid(cfg)):
+        b = evaluator.at(t)
         rows.append([b.t, b.commutator_sum, b.a1, b.a2, b.a3, b.prefactor, b.value,
                      *[b.aggregates[name] for name in aggregate_names]])
     return CsvDoc(_config_comments("bound-eval", cfg), header, rows)
@@ -400,7 +391,7 @@ def _trajectory_doc(cfg: dict, run: dmp.MinimaxRun) -> CsvDoc:
     r = run.c_hat.shape[1]
     header = (["t"] + [f"c_{i + 1}" for i in range(r)]
               + ["frobenius_error_exactdata", "frobenius_error_estimate",
-                 "l1_condition", "objective", "bound_component_max"])
+                 "l1_condition", "objective"])
     rows = []
     for j, t in enumerate(run.times):
         if j == 0:
@@ -411,7 +402,7 @@ def _trajectory_doc(cfg: dict, run: dmp.MinimaxRun) -> CsvDoc:
             est = math.sqrt(max(est_sq, 0.0))
         rows.append([float(t), *[float(v) for v in run.c_hat[j]],
                      float(run.error_hat[j]), est, float(run.kappa_hat[j]),
-                     float(run.objective[j]), None])
+                     float(run.objective[j])])
     return CsvDoc(_config_comments("minimax-shootout", cfg), header, rows)
 
 

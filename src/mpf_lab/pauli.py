@@ -185,36 +185,6 @@ def commutator_minus_i(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
     return PauliSumOp.from_terms(a.n, ((c, PauliString(w)) for w, c in acc.items()))
 
 
-@dataclass(frozen=True)
-class LocalityProfile:
-    """Locality (max support size) and per-qubit interaction strength."""
-
-    k: int
-    strength: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("locality k must be >= 1")
-        if self.strength < 0:
-            raise ValueError("interaction strength must be >= 0")
-
-
-def locality_profile(op: PauliSumOp) -> LocalityProfile:
-    """Profile of ``op``: k = max term support, strength = max over qubits of
-    the summed |coefficient| of terms touching that qubit (Pauli words have
-    unit spectral norm)."""
-    if op.is_empty:
-        return LocalityProfile(k=1, strength=0.0)
-    per_qubit = np.zeros(op.n)
-    k = 1
-    for coeff, ps in op.terms:
-        supp = ps.support
-        k = max(k, len(supp))
-        for q in supp:
-            per_qubit[q] += abs(coeff)
-    return LocalityProfile(k=k, strength=float(per_qubit.max()))
-
-
 # -- dense and block materialization -------------------------------------------
 
 def pauli_action(ps: PauliString, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,30 +309,11 @@ def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list
     return blocks, parts
 
 
-def extract_coefficients(matrix: np.ndarray, words: Iterable[PauliString]) -> list[float]:
-    """Recover Pauli coefficients of a Hermitian matrix via trace inner
-    products ``Tr(P^H M) / 2^n = sum_i conj(phase_i) M[i ^ x_mask, i] / 2^n``,
-    reading only the 2^n entries each word touches (:func:`pauli_action`)."""
-    idx = np.arange(matrix.shape[0])
-    out = []
-    for ps in words:
-        partner, phase = pauli_action(ps, idx)
-        out.append(float((np.vdot(phase, matrix[partner, idx]) / idx.size).real))
-    return out
-
-
 # -- serialization -----------------------------------------------------------
 
-def format_op(op: PauliSumOp) -> str:
-    """Line-oriented text form: one ``coeff word`` pair per line.
-
-    Blank lines and lines starting with ``#`` are ignored by the parser.
-    """
-    return "\n".join(f"{c!r} {ps.word}" for c, ps in op.terms) + "\n"
-
-
 def parse_op(text: str, n: int | None = None) -> PauliSumOp:
-    """Parse the ``coeff word`` format produced by :func:`format_op`."""
+    """Parse the line-oriented text form: one ``coeff word`` pair per line;
+    blank lines and lines starting with ``#`` are ignored."""
     terms: list[tuple[float, PauliString]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from mpf_lab import (
-    FragmentTimeSampler,
     formula_commutator_sum,
     dynamic_project,
     gram_matrix,
@@ -256,7 +255,7 @@ def test_criterion_11_tracking_bound_soundness(chain4):
     run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, steps,
                       t0=0.5, t_final=1.5, dt=dt, eps=eps, k0=k0, c0=c0, seed=42)
     sch = solve_coefficients(2, steps)
-    evaluator = MixtureBoundEvaluator(sch, chain4.pf, FragmentTimeSampler(seed=5))
+    evaluator = MixtureBoundEvaluator(sch, chain4.pf)
     drift_term = 2.0 * evaluator.commutator_sum * dt**3 / (math.factorial(3) * k0**2)
     gammas = [evaluator.at(float(t)).value + drift_term for t in run.times]
     bounds = tracking_error_bound(run.m_bars, run.a_bars, eps, run.c_hat,

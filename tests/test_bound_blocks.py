@@ -1,17 +1,15 @@
-"""The block-diagonal bound layer: invariant blocks, the block norm, agreement
-of the sampled window aggregates with a full-space reference, exact symbolic
-norms above the dense cap, one build and one norm per distinct nested
-commutator on both routes, hoisting of the t-independent aggregates, and the
-size caps checked before any work."""
+"""The block-diagonal bound layer: invariant blocks, the block norm, soundness
+of the certified window aggregates against full-space sampled conjugations,
+exact symbolic norms above the dense cap, one build and one norm per distinct
+nested commutator on both routes, time points that are arithmetic only, and
+the size caps checked before any work."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mpf_lab import (
-    FragmentTimeSampler,
     PauliString,
     PauliSumOp,
     ProductFormula,
@@ -158,60 +156,107 @@ def test_block_norm_matches_svd(rng):
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-# -- full-space reference for the sampled aggregates -------------------------------
+# -- soundness of the window certificate -------------------------------------------
 
-def dense_unitary(slots, taus):
-    """exp(-i tau_1 G_1) .. exp(-i tau_D G_D), each factor from eigh."""
+def three_slot_formula(n, seed=2024):
+    """A non-palindromic formula: odd bonds, then even bonds, then fields."""
+    _, fields = build_heisenberg_chain(n, seed)
+    odd, field, even, _, _ = fragment_decomposition_s2(n, fields)
+    return ProductFormula(fragments=(2.0 * odd, even, 2.0 * field),
+                          steps=((0, 1.0), (1, 1.0), (2, 1.0)), order=2)
+
+
+def split_formula(n):
+    """A non-palindromic formula whose blocks peak apart: with qubit 0 in |0>
+    the slots are strong commuting pair terms on qubits 1, 2 (H's largest
+    spread, zero commutators); with qubit 0 in |1> they are weak terms on
+    qubits 1, 2 that do not commute."""
+    rest = "I" * (n - 3)
+
+    def frag(strong, weak):
+        return PauliSumOp.from_terms(n, [
+            (2.5, PauliString("I" + strong + rest)), (2.5, PauliString("Z" + strong + rest)),
+            (0.5, PauliString("I" + weak)), (-0.5, PauliString("Z" + weak))])
+
+    return ProductFormula(fragments=(frag("XX", "XI" + rest), frag("YY", "ZZ" + rest),
+                                     frag("ZZ", "IX" + rest)),
+                          steps=((0, 1.0), (1, 1.0), (2, 1.0)), order=2)
+
+
+def partial_products(slots, taus):
+    """exp(-i tau_1 G_1) .. exp(-i tau_D G_D) for each row of ``taus``, in the
+    full space, each factor from ``eigh``."""
     u = np.eye(slots[0].shape[0], dtype=complex)
-    for tau, g in zip(taus, slots):
+    for g, tau in zip(slots, taus.T):
         vals, vecs = np.linalg.eigh(g)
-        u = u @ (vecs * np.exp(-1j * tau * vals)) @ vecs.conj().T
+        u = u @ (vecs * np.exp(-1j * tau[:, None, None] * vals)) @ vecs.conj().T
     return u
 
 
-def reference_sum(chains, total, ell, ham, slots, rows):
-    """Sum over compositions of the weighted sample maximum of
-    ||Ad_H^ell (U C U^dag)||, all in the full space, norms from the SVD."""
-    out = 0.0
-    unitaries = [dense_unitary(slots, taus) for taus in rows]
-    for chain, target in chains:
-        for qs in itertools.product(range(total + 1), repeat=len(chain)):
-            if sum(qs) != total:
-                continue
-            weight = math.factorial(total) // math.prod(math.factorial(q) for q in qs)
-            c = target
-            for a, q in reversed(list(zip(chain, qs))):
-                for _ in range(q):
-                    c = a @ c - c @ a
-            best = 0.0
-            for u in unitaries:
-                x = u @ c @ u.conj().T
-                for _ in range(ell):
-                    x = ham @ x - x @ ham
-                best = max(best, np.linalg.norm(x, 2))
-            out += weight * best
-    return out
+def spread(m):
+    vals = np.linalg.eigvalsh(m)
+    return vals[-1] - vals[0]
 
 
-@pytest.mark.parametrize("ell", [1, 2])
-def test_window_sums_match_full_space_reference(chain4, ell):
-    pf = chain4.pf
-    sampler = FragmentTimeSampler(random_draws=8, seed=5)
-    t = 0.6
+def window_terms(pf, total, ell, taus):
+    """Every composition's weight, sampled maximum of ||Ad_H^ell(U C U^dag)||
+    over the partial products of ``taus``, and certificate
+    ``max_b spread_b(H)^ell spread_b(C) / 2`` over the dense-pattern blocks
+    of the slots and H, all in the full space."""
     slots = [to_dense(op) for op in pf.slot_operators]
     ham = to_dense(pf.hamiltonian)
-    rows = sampler.samples(len(slots), t)
+    blocks = [members for idx in dense_pattern_blocks([*slots, ham]) for members in idx]
+    u = partial_products(slots, taus)
+    herm = 1j if total % 2 else 1.0
+    dense = dict(zip(pf.slot_operators, slots))
+    for chain, target in slot_chains(pf):
+        for weight, c in plain_compositions([dense[a] for a in chain], dense[target], total,
+                                            lambda a, x: a @ x - x @ a):
+            x = u @ c @ u.conj().swapaxes(-1, -2)
+            for _ in range(ell):
+                x = ham @ x - x @ ham
+            sampled = np.linalg.norm(x, 2, axis=(-2, -1)).max()
+            cert = max(spread(ham[np.ix_(b, b)]) ** ell * spread(herm * c[np.ix_(b, b)]) / 2
+                       for b in blocks)
+            yield weight, sampled, cert
 
-    chains = [(slots[a:][::-1], slots[a - 1]) for a in range(1, len(slots))]
-    got = formula_conjugated_sum(pf, 2, ell, t, sampler)
-    ref = reference_sum(chains, 2, ell, ham, slots, rows)
-    assert ref > 0
-    assert abs(got - ref) <= 1e-12 * ref
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("make", [chain_formula, three_slot_formula, split_formula],
+                         ids=["chain", "three_slot", "split"])
+def test_window_certificate_bounds_every_sampled_conjugation(make, n):
+    # 300 fragment-time tuples, each in [0, w]^D for its own window w <= 5.
+    pf = make(n)
+    rng = np.random.default_rng(7 + n)
+    taus = rng.uniform(0.0, 1.0, (300, pf.depth)) * rng.uniform(0.0, 5.0, (300, 1))
+    for total, ell in ((2, 1), (2, 2), (3, 1)):
+        terms = list(window_terms(pf, total, ell, taus))
+        scale = max(cert for _, _, cert in terms)
+        for _, sampled, cert in terms:
+            assert sampled <= cert + 1e-12 * scale
+        ref = sum(weight * cert for weight, _, cert in terms)
+        got = formula_conjugated_sum(pf, total, ell)
+        assert ref > 0
+        assert abs(got - ref) <= 1e-12 * ref
 
 
-# -- hoisting and fail-fast ------------------------------------------------------
+def test_certified_window_columns_stay_within_4x_of_sampled(chain4):
+    # The bound at t = 0.5 with k_min = 4: fragment times in [0, 0.125].
+    scheme = solve_coefficients(2, (4, 13, 17))
+    evaluator = MixtureBoundEvaluator(scheme, chain4.pf)
+    taus = np.random.default_rng(11).uniform(0.0, 0.5 / 4, (300, chain4.pf.depth))
+    for total, ell in ((2, 1), (2, 2)):
+        sampled = sum(weight * best
+                      for weight, best, _ in window_terms(chain4.pf, total, ell, taus))
+        certified = evaluator.at(0.5).aggregates[f"conj_comm_{total}_{ell}_window"]
+        assert sampled <= certified <= 4.0 * sampled
+
+
+# -- time points and fail-fast ----------------------------------------------------
 
 def test_time_points_reuse_the_fixed_aggregates(chain4, monkeypatch):
+    # Construction builds every aggregate from eigvalsh alone; a time point
+    # is arithmetic only, so every window column is constant in t.
     calls = []
     compositions = bounds._compositions
 
@@ -219,17 +264,22 @@ def test_time_points_reuse_the_fixed_aggregates(chain4, monkeypatch):
         calls.append(total)
         return compositions(slots, total, form, ad, is_zero)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigensolver ran where none should")
+
     monkeypatch.setattr(bounds, "_compositions", counting)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
     scheme = solve_coefficients(2, (4, 13, 17))
-    evaluator = MixtureBoundEvaluator(scheme, chain4.pf, FragmentTimeSampler(random_draws=4))
+    evaluator = MixtureBoundEvaluator(scheme, chain4.pf)
     built = len(calls)
     assert {2, 3, 4} <= set(calls)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     first, second = evaluator.at(0.5), evaluator.at(1.5)
     assert len(calls) == built
-    for name in ("conj_comm_4_0_at0", "conj_comm_3_0_window"):
-        assert first.aggregates[name] == second.aggregates[name]
-    name = "conj_comm_2_1_window"
-    assert first.aggregates[name] != second.aggregates[name]
+    assert first.aggregates == second.aggregates
+    assert set(first.aggregates) == {"conj_comm_4_0_at0", "conj_comm_3_0_window",
+                                     "conj_comm_2_1_window", "conj_comm_2_2_window"}
+    assert second.value > first.value > 0
 
 
 def test_dense_cap_checked_before_any_work(monkeypatch):
@@ -244,7 +294,7 @@ def test_dense_cap_checked_before_any_work(monkeypatch):
     with pytest.raises(ResourceLimitError, match="capped"):
         MixtureBoundEvaluator(scheme, pf)
     with pytest.raises(ResourceLimitError, match="capped"):
-        formula_conjugated_sum(pf, 2, 1, 0.3)
+        formula_conjugated_sum(pf, 2, 1)
 
 
 def test_symbolic_norms_exact_at_11_qubits():
@@ -354,7 +404,7 @@ def test_block_sum_builds_and_norms_each_distinct_piece_once(monkeypatch):
     assert len(normed) < len(built) < len(prefixes)
 
     ads, norms = [], []
-    block_ad, block_norms = bounds._block_ad, bounds._block_norms
+    block_ad, block_extremes = bounds._block_ad, bounds._block_extremes
 
     def counting_ad(a, x):
         ads.append(1)
@@ -362,10 +412,10 @@ def test_block_sum_builds_and_norms_each_distinct_piece_once(monkeypatch):
 
     def counting_norms(x, anti):
         norms.append(x[0].shape[0])
-        return block_norms(x, anti)
+        return block_extremes(x, anti)
 
     monkeypatch.setattr(bounds, "_block_ad", counting_ad)
-    monkeypatch.setattr(bounds, "_block_norms", counting_norms)
+    monkeypatch.setattr(bounds, "_block_extremes", counting_norms)
     got = formula_commutator_sum(pf)
     assert len(ads) == len(built)
     assert sum(norms) == len(normed)
@@ -378,24 +428,6 @@ def test_block_sum_builds_and_norms_each_distinct_piece_once(monkeypatch):
     assert abs(got - ref) <= 1e-13 * ref
 
 
-def test_window_space_decomposes_each_distinct_slot_once(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(a):
-        calls.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    for pf, distinct in ((chain_formula(4), 3), (suzuki(chain_formula(4), 4), 6)):
-        calls.clear()
-        space = bounds._WindowSpace(pf)
-        assert calls == []
-        space.conjugated_ham(np.full(pf.depth, 0.1))
-        assert len(set(pf.slot_operators)) == distinct
-        assert len(calls) == distinct * len(space.ham)
-
-
 @pytest.mark.parametrize("n", [4, 6])
 def test_plain_sums_build_no_slot_eigendecomposition(monkeypatch, n):
     def forbidden(*args, **kwargs):
@@ -404,13 +436,13 @@ def test_plain_sums_build_no_slot_eigendecomposition(monkeypatch, n):
     pf = chain_formula(n)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     assert formula_commutator_sum(pf) > 0
-    assert formula_conjugated_sum(pf, 2, 0, 0.7) > 0
+    assert formula_conjugated_sum(pf, 2, 0) > 0
 
 
 def test_plain_conjugated_sum_on_the_pauli_sum_route():
     # ell = 0 is the plain sum, so it needs no window layer and runs at n = 9.
     pf = chain_formula(9)
-    assert formula_conjugated_sum(pf, 2, 0, 0.3) == formula_commutator_sum(pf)
+    assert formula_conjugated_sum(pf, 2, 0) == formula_commutator_sum(pf)
 
 
 def test_symbolic_cap_checked_before_any_work(monkeypatch):

@@ -127,8 +127,10 @@ def test_trajectory_output(tmp_path: Path, capsys):
     assert code == 0
     text = traj.read_text()
     header = text.splitlines()[len(text.splitlines()) - 3]
-    assert "c_1" in text and "bound_component_max" in text
-    assert "l1_condition" in text
+    assert header == ",".join(["t", "c_1", "c_2", "c_3", "c_4", "c_5",
+                               "frobenius_error_exactdata", "frobenius_error_estimate",
+                               "l1_condition", "objective"])
+    assert "nan" not in text.splitlines()[-1]
 
 
 def test_byte_identical_reruns(tmp_path: Path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mpf_lab import (
+    PauliSumOp,
     build_heisenberg_chain,
     fragment_decomposition_s2,
-    locality_profile,
     to_dense,
 )
 
@@ -71,25 +71,15 @@ def test_n2_decomposition_edges():
     assert f2.num_terms <= 2
 
 
-def test_locality_profiles(chain10):
-    prof = locality_profile(chain10.hamiltonian)
-    assert prof.k == 2
-    assert prof.strength <= 7.0
-    f3 = chain10.fragments[2]
-    prof3 = locality_profile(f3)
-    assert (prof3.k, prof3.strength) == (2, 3.0)
-
-
 def test_field_vector_length_checked():
     with pytest.raises(ValueError):
         fragment_decomposition_s2(4, np.zeros(3))
 
 
 def test_dense_roundtrip_n6(chain6):
-    from mpf_lab import extract_coefficients
-
+    # Each coefficient in op.terms is the trace inner product of its word
+    # with the dense Hamiltonian.
     dense = to_dense(chain6.hamiltonian)
-    words = [ps for _, ps in chain6.hamiltonian]
-    recovered = extract_coefficients(dense, words)
-    expected = [c for c, _ in chain6.hamiltonian]
-    assert np.abs(np.asarray(recovered) - np.asarray(expected)).max() < 1e-12
+    for coeff, ps in chain6.hamiltonian.terms:
+        word = to_dense(PauliSumOp.from_terms(6, [(1.0, ps)]))
+        assert abs(np.trace(word @ dense).real / dense.shape[0] - coeff) < 1e-12

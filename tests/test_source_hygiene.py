@@ -1,8 +1,11 @@
 """Every module of the package, other than ``__init__.py`` (which imports
 names to export them), uses each name it imports; every module-level
 private (``_``-prefixed) function, class or constant is referenced somewhere
-in the package; and every module-level public name the package does not
-export is read in the package, the benchmark or the acceptance tests."""
+in the package; every module-level public name the package does not export
+is read in the package, the benchmark or the acceptance tests; and every
+exported name is read in the package, the benchmark (string literals
+included, since the tracer names what it wraps as strings), the acceptance
+tests or a README ``python`` block."""
 
 import ast
 from pathlib import Path
@@ -118,3 +121,43 @@ def test_no_dead_public_names():
     sources = {p.name: p.read_text() for p in MODULES}
     exports = (SRC / "__init__.py").read_text()
     assert dead_public_names(sources, exports, [p.read_text() for p in READERS]) == []
+
+
+def string_names(tree: ast.AST) -> set[str]:
+    """Dotted names spelled out as string literals (``"Class.method"``)."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".") if part.isidentifier()}
+
+
+def python_blocks(markdown: str) -> list[str]:
+    """The ```` ```python ```` code blocks of a Markdown text."""
+    return [block.partition("\n```")[0] for block in markdown.split("```python\n")[1:]]
+
+
+def unread_exports(exports: str, sources: list[str], named: list[str]) -> list[str]:
+    """Names the package's ``__init__`` source ``exports`` imports that no
+    ``sources`` tree reads and no ``named`` source reads or spells out as a
+    string literal."""
+    exported = [alias.name for node in ast.walk(ast.parse(exports))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    named_trees = [ast.parse(source) for source in named]
+    read = read_names([*map(ast.parse, sources), *named_trees])
+    read |= {name for tree in named_trees for name in string_names(tree)}
+    return [name for name in exported if name not in read]
+
+
+def test_checker_flags_an_unread_export():
+    exports = "from .a import kept, traced, shown, dead\n"
+    sources = ["from .a import kept\nkept()\n"]
+    named = ["LAYERS = ('traced.__init__',)\n", "x = shown()\n"]
+    assert unread_exports(exports, sources, named) == ["dead"]
+    readme = "text\n```python\nprint(1)\n```\n```sh\nls\n```\n```python\nx = 2\n```\n"
+    assert python_blocks(readme) == ["print(1)", "x = 2"]
+
+
+def test_every_export_is_read():
+    exports = (SRC / "__init__.py").read_text()
+    named = [*(p.read_text() for p in READERS),
+             *python_blocks((ROOT / "README.md").read_text())]
+    assert unread_exports(exports, [p.read_text() for p in MODULES], named) == []
