@@ -58,15 +58,20 @@ def gram_matrix(pf: ProductFormula, psi_in: np.ndarray, t: float, steps) -> np.n
 
 def q_from_states(pf: ProductFormula, states_prev: list[np.ndarray],
                   states_next: list[np.ndarray], dt: float, k0: int) -> np.ndarray:
-    """Propagation overlaps: Q[i, s] = |<phi_s | psi_i(t+dt)>|^2 where phi_s
-    is the previous-time state pushed forward by k0 steps over dt (all
-    previous states pushed as one block)."""
+    """Propagation overlaps ``Q[i, s] = |<psi_i(t+dt)| S(dt/k0)^k0 |psi_s(t)>|^2``
+    between the next states and the previous ones pushed forward.
+
+    The push runs all previous states as one block through the formula's
+    cached ``S(dt/k0)^k0``, built on the invariant blocks they touch by the
+    first call for this ``(dt, k0)`` and reused by later calls, so a tracking
+    run builds it once.
+    """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if k0 < 1:
         raise ValueError("k0 must be >= 1")
-    pushed = pf.apply(np.stack(states_prev, axis=1), dt / k0, k0)
-    return _overlaps_sq(states_next, pushed.T)
+    pushed = pf._block_power.apply(np.array(states_prev), dt / k0, k0)
+    return _overlaps_sq(states_next, pushed)
 
 
 def l_exact(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
@@ -325,15 +330,24 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
                 k0: int, c0, seed: int) -> MinimaxRun:
     """Track robust mixture coefficients on the uniform grid t_0 + j dt.
 
-    Surrogate data are generated per step from the exact overlaps with
-    seeded, spectral-norm-bounded Gaussian noise; the estimate is advanced by
-    :func:`minimax_step`.  Exact-data projections are recorded alongside for
-    diagnostics.
+    Each grid point runs the r circuits as one Trotter batch
+    (:func:`trotter_states`).  From the second point on, the propagation
+    overlaps push the previous states through ``S(dt/k0)^k0``
+    (:func:`q_from_states`), which is built once per run on the blocks the
+    states touch.  Surrogate data are generated per step from the exact
+    overlaps with seeded, spectral-norm-bounded Gaussian noise; the estimate
+    is advanced by :func:`minimax_step`.  Exact-data projections are recorded
+    alongside for diagnostics.  Every argument is checked before any state
+    is computed or any block diagonalized.
     """
     if not t0 < t_final:
         raise ValueError("need t0 < t_final")
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    if k0 < 1:
+        raise ValueError("k0 must be >= 1")
+    if eps < 0:
+        raise ValueError("noise magnitude must be >= 0")
     n_steps = round((t_final - t0) / dt)
     if abs(n_steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("dt must divide t_final - t0 within rounding")

@@ -13,10 +13,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSumOp, commutes
+from .pauli import PauliSumOp, _partition, commutes
 from .statesim import FragmentEvolver
 
 SUZUKI_ORDERS = (4, 6)
+# Basis columns per kernel call when a block power is built.
+_BUILD_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,91 @@ class ProductFormula:
             out[:, order] = out.copy()
         return out if state.ndim == 2 else out[:, 0]
 
+    @cached_property
+    def _block_power(self) -> "_BlockPower":
+        """The formula's ``S(t)^k`` on its invariant blocks, for the last
+        ``(t, k)`` pushed."""
+        return _BlockPower(self)
+
     def multiplier_list(self) -> list[float]:
         return [m for _, m in self.steps]
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Blockwise products ``a[i] @ b[i]``, summed as dot products of the
+    contiguous rows of ``a[i]`` and ``b[i]^T``.  ``np.einsum`` sums in a
+    fixed order without BLAS, so the result does not depend on the BLAS
+    thread count, as a BLAS product's last bits do."""
+    return np.einsum("bij,bkj->bik", a, np.ascontiguousarray(b.swapaxes(1, 2)))
+
+
+class _BlockPower:
+    """``S(t)^k`` of a formula on the common invariant blocks of its
+    fragments, kept for the last ``(t, k)`` only.
+
+    A block is built on the first ``apply`` whose states touch it, the way
+    ``SpectralOracle`` diagonalizes: one kernel step S(t) on the block's basis
+    columns, :data:`_BUILD_COLUMNS` columns per call, then the k-th power by
+    repeated squaring.  Untouched blocks are never built and stay exactly
+    zero in the output.
+    """
+
+    def __init__(self, pf: ProductFormula):
+        self._pf = pf
+        self._blocks = _partition(list(dict.fromkeys(pf.fragments)))[0]
+        self._key = None
+        # Per block size: the block powers and a built flag.
+        self._mats = []
+
+    def _build(self, g: int, new: np.ndarray, t: float, k: int) -> np.ndarray:
+        """``S(t)^k`` on blocks ``new`` of size group ``g``."""
+        members = self._blocks[g][new]
+        size = members.shape[1]
+        basis_of = members.ravel()
+        step = np.empty((new.size, size, size), dtype=complex)
+        for lo in range(0, basis_of.size, _BUILD_COLUMNS):
+            pos = np.arange(lo, min(lo + _BUILD_COLUMNS, basis_of.size))
+            cols = np.zeros((1 << self._pf.n, pos.size), dtype=complex)
+            cols[basis_of[pos], np.arange(pos.size)] = 1.0
+            out = self._pf.apply(cols, t)
+            step[pos // size, :, pos % size] = out[members[pos // size], np.arange(pos.size)[:, None]]
+        power = None
+        while True:
+            if k & 1:
+                power = step if power is None else _products(power, step)
+            k >>= 1
+            if not k:
+                return power
+            step = _products(step, step)
+
+    def apply(self, rows: np.ndarray, t: float, k: int) -> np.ndarray:
+        """Return ``S(t)^k`` applied to each row of an ``(r, 2^n)`` array of
+        states, as rows, with one block product per block size."""
+        if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
+            raise ValueError(f"states of shape {rows.shape} are not rows of "
+                             f"{self._pf.n}-qubit states")
+        key = (float(t), int(k))
+        if key != self._key:
+            self._key = key
+            self._mats = [None] * len(self._blocks)
+        out = np.zeros(rows.shape, dtype=complex)
+        for g, idx in enumerate(self._blocks):
+            amps = rows[:, idx].transpose(1, 0, 2)
+            touched = np.flatnonzero(amps.any(axis=(1, 2)))
+            if not touched.size:
+                continue
+            if self._mats[g] is None:
+                count, size = idx.shape
+                self._mats[g] = (np.empty((count, size, size), dtype=complex),
+                                 np.zeros(count, dtype=bool))
+            mats, built = self._mats[g]
+            new = touched[~built[touched]]
+            if new.size:
+                mats[new] = self._build(g, new, *key)
+                built[new] = True
+            pushed = np.einsum("bij,brj->bri", mats[touched], np.ascontiguousarray(amps[touched]))
+            out[:, idx[touched]] = pushed.transpose(1, 0, 2)
+        return out
 
 
 def _palindromic(fragments: tuple[PauliSumOp, ...]) -> bool:

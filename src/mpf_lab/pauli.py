@@ -253,21 +253,14 @@ def to_dense(op: PauliSumOp) -> np.ndarray:
     return mat
 
 
-def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-    """Invariant blocks of a set of Pauli sums, and each sum in block form,
-    without building any 2^n x 2^n matrix.
+def _partition(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[tuple]]:
+    """Common invariant blocks of a set of Pauli sums, and each sum's nonzero
+    entries (:func:`_sparse_entries`).
 
     The blocks are the connected components of the union of the operators'
-    exact nonzero patterns (:func:`_sparse_entries`), found by min-label
-    propagation with pointer jumping.  Every product, commutator and
-    exponential of the operators is block-diagonal on them; operators that
-    conserve nothing give one block of the full dimension.
-
-    Returns ``(blocks, parts)``.  ``blocks`` holds one ``(count, size)`` index
-    array per block size, in ascending size.  ``parts[j]`` holds ``ops[j]`` as
-    one ``(count, size, size)`` stack per block size, whose entries equal the
-    matching entries of :func:`to_dense` bit for bit.  n above
-    DENSE_QUBIT_CAP is refused before any work.
+    exact nonzero patterns, found by min-label propagation with pointer
+    jumping: one ``(count, size)`` index array per block size, in ascending
+    size.  n above DENSE_QUBIT_CAP is refused before any work.
     """
     _check_qubit_cap(ops[0].n)
     dim = 1 << ops[0].n
@@ -287,26 +280,54 @@ def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list
     by_size: dict[int, list[np.ndarray]] = {}
     for members in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1]):
         by_size.setdefault(members.size, []).append(members)
-    blocks = [np.array(by_size[s]) for s in sorted(by_size)]
+    return [np.array(by_size[s]) for s in sorted(by_size)], entries
 
+
+def _block_stacks(entries: list[tuple], groups: list[np.ndarray],
+                  dim: int) -> list[list[np.ndarray]]:
+    """Each operator of ``entries`` (nonzero entries, as from
+    :func:`_partition`) on the invariant blocks ``groups`` (``(count, size)``
+    index arrays into ``dim`` basis states), as one ``(count, size, size)``
+    stack per group.  The stack entries equal the matching entries of
+    :func:`to_dense` bit for bit; entries outside the groups are dropped."""
     # Entry (r, c) of a block sits at row_off[r] + col_off[c] of one flat
-    # buffer that holds every block-size stack in turn.
-    row_off = np.empty(dim, dtype=np.intp)
-    col_off = np.empty(dim, dtype=np.intp)
+    # buffer that holds every group's stack in turn; row_off < 0 off the groups.
+    row_off = np.full(dim, -1, dtype=np.intp)
+    col_off = np.zeros(dim, dtype=np.intp)
     offsets = [0]
-    for idx in blocks:
+    for idx in groups:
         count, size = idx.shape
         local = np.arange(size)
-        row_off[idx] = local * size
-        col_off[idx] = offsets[-1] + (np.arange(count) * size * size)[:, None] + local
+        row_off[idx] = offsets[-1] + (np.arange(count) * size * size)[:, None] + local * size
+        col_off[idx] = local
         offsets.append(offsets[-1] + count * size * size)
-    parts = []
+    stacks = []
     for r, c, v in entries:
+        at = row_off[r]
+        keep = at >= 0
         flat = np.zeros(offsets[-1], dtype=complex)
-        flat[row_off[r] + col_off[c]] = v
-        parts.append([flat[lo:hi].reshape(idx.shape[0], idx.shape[1], idx.shape[1])
-                      for lo, hi, idx in zip(offsets, offsets[1:], blocks)])
-    return blocks, parts
+        flat[at[keep] + col_off[c[keep]]] = v[keep]
+        stacks.append([flat[lo:hi].reshape(idx.shape[0], idx.shape[1], idx.shape[1])
+                       for lo, hi, idx in zip(offsets, offsets[1:], groups)])
+    return stacks
+
+
+def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """Invariant blocks of a set of Pauli sums, and each sum in block form,
+    without building any 2^n x 2^n matrix.
+
+    Every product, commutator and exponential of the operators is
+    block-diagonal on the blocks of :func:`_partition`; operators that
+    conserve nothing give one block of the full dimension.
+
+    Returns ``(blocks, parts)``.  ``blocks`` holds one ``(count, size)`` index
+    array per block size, in ascending size.  ``parts[j]`` holds ``ops[j]`` as
+    one ``(count, size, size)`` stack per block size, whose entries equal the
+    matching entries of :func:`to_dense` bit for bit.  n above
+    DENSE_QUBIT_CAP is refused before any work.
+    """
+    blocks, entries = _partition(ops)
+    return blocks, _block_stacks(entries, blocks, 1 << ops[0].n)
 
 
 # -- serialization -----------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .pauli import PauliSumOp, _couplings, commutes, invariant_blocks
+from .pauli import PauliSumOp, _block_stacks, _couplings, _partition, commutes
 
 
 def basis_state(n: int, bits: str) -> np.ndarray:
@@ -96,7 +96,7 @@ class FragmentEvolver:
         self._diag = None if diag is None else diag[1].real
         self._rotations = [rot for x_mask, (support, coupling) in couplings.items()
                            for rot in self._group_rotations(x_mask, support, coupling)]
-        self._cached_key = None
+        self._cached_times = None
         self._cached = None
 
     def _group_rotations(self, x_mask: int, support: int,
@@ -122,9 +122,19 @@ class FragmentEvolver:
 
     def _coefficients(self, times: np.ndarray):
         """Diagonal phases and rotation coefficients for these column times.
-        The last set is kept: a circuit reuses one time vector per slot."""
-        key = times.tobytes()
-        if key != self._cached_key:
+        The last set is kept: a circuit reuses one time vector per slot.  A
+        vector that is a prefix of the kept one (a block whose last columns
+        dropped out) is served, and kept, as the leading rows of the kept
+        arrays."""
+        cols = times.size
+        kept = self._cached_times
+        if kept is not None and cols < kept.size and kept[:cols].tobytes() == times.tobytes():
+            phase, rotations = self._cached
+            self._cached = (None if phase is None else phase[:cols],
+                            [(rot, c[:cols], a_lo[:cols], a_hi[:cols])
+                             for rot, c, a_lo, a_hi in rotations])
+            self._cached_times = kept[:cols]
+        elif kept is None or kept.tobytes() != times.tobytes():
             phase = None
             if self._diag is not None:
                 phase = np.exp(-1j * np.multiply.outer(times, self._diag))
@@ -134,7 +144,7 @@ class FragmentEvolver:
                 sin = np.sin(angle)
                 rotations.append((rot, np.cos(angle), sin * rot.u_lo, sin * rot.u_hi))
             self._cached = (phase, rotations)
-            self._cached_key = key
+            self._cached_times = times.copy()
         return self._cached
 
     def apply(self, state: np.ndarray, t) -> np.ndarray:
@@ -175,15 +185,16 @@ class FragmentEvolver:
 class SpectralOracle:
     """Exact evolution through per-block Hermitian eigendecompositions.
 
-    The constructor finds the Hamiltonian's invariant blocks, which refuses
-    n above ``pauli.DENSE_QUBIT_CAP`` before any work.  Each block is
-    diagonalized on the first ``evolve`` whose state touches it, and its
-    reconstruction is checked then.
+    The constructor finds the Hamiltonian's invariant blocks and keeps them
+    with its nonzero entries, which refuses n above ``pauli.DENSE_QUBIT_CAP``
+    before any work.  On the first ``evolve`` whose state touches a block,
+    that block's matrix is scattered from the entries and diagonalized, and
+    its reconstruction is checked; no other block is ever built.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
-        self._blocks, (self._parts,) = invariant_blocks([hamiltonian])
+        self._blocks, (self._entries,) = _partition([hamiltonian])
         # Per block size: eigenvalues, eigenvectors and a diagonalized flag.
         self._eigs = [None] * len(self._blocks)
 
@@ -197,7 +208,7 @@ class SpectralOracle:
         vals, vecs, done = self._eigs[g]
         new = touched[~done[touched]]
         if new.size:
-            blocks = self._parts[g][new]
+            blocks = _block_stacks([self._entries], [self._blocks[g][new]], 1 << self.n)[0][0]
             w, v = np.linalg.eigh(blocks)
             err = np.linalg.norm((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - blocks,
                                  axis=(-2, -1))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from mpf_lab import dynamic_mpf
 from mpf_lab.cli import main
 from mpf_lab.experiments import SCENARIOS
 
@@ -88,6 +89,22 @@ def test_exact_evolution_cap_exit_code(capsys):
     code, _, err = run_cli(["trotter-sweep", "--set", "n=13", "--set", "t_count=1"], capsys)
     assert code == 3
     assert "capped" in err
+
+
+@pytest.mark.parametrize("override, message", [("k0=0", "k0 must be >= 1"),
+                                               ("eps=-1", "noise magnitude must be >= 0")])
+def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, capsys,
+                                                           monkeypatch):
+    calls = []
+    batch, eigh = dynamic_mpf.trotter_states, dynamic_mpf.SpectralOracle._eigh
+    monkeypatch.setattr(dynamic_mpf, "trotter_states",
+                        lambda *a: calls.append("batch") or batch(*a))
+    monkeypatch.setattr(dynamic_mpf.SpectralOracle, "_eigh",
+                        lambda *a: calls.append("eigh") or eigh(*a))
+    code, _, err = run_cli(["minimax-shootout", "--set", override], capsys)
+    assert code == 2
+    assert message in err
+    assert calls == []
 
 
 def test_missing_config_file(capsys):

@@ -8,6 +8,9 @@ from mpf_lab import dynamic_mpf
 from mpf_lab import (
     FragmentEvolver,
     MinimaxRun,
+    PauliString,
+    PauliSumOp,
+    ProductFormula,
     dynamic_project,
     gram_matrix,
     inject_noise,
@@ -15,7 +18,9 @@ from mpf_lab import (
     minimax_run,
     minimax_step,
     mixture_frobenius_sq,
+    random_state,
     rho_k_state,
+    second_order,
     solve_coefficients,
     suzuki,
     tracking_error_bound,
@@ -30,6 +35,8 @@ from mpf_lab.dynamic_mpf import (
     q_from_states,
 )
 from mpf_lab.errors import SolverError
+from mpf_lab.formulas import fragment_by_commuting_groups
+from mpf_lab.pauli import invariant_blocks
 
 STEPS = (4, 13, 17)
 
@@ -69,6 +76,95 @@ def test_q_from_states_matches_single_push(chain4):
         pushed = slot_by_slot(chain4.pf, state, dt, k0)
         for i, psi in enumerate(nxt):
             assert abs(q[i, s] - abs(np.vdot(pushed, psi)) ** 2) < 1e-13
+
+
+def fresh(pf):
+    """A copy of ``pf`` with its own kernels and block power."""
+    return ProductFormula(fragments=pf.fragments, steps=pf.steps, order=pf.order)
+
+
+def conserves_nothing(n, rng):
+    """Second-order formula from the commuting groups of a random Pauli sum
+    whose invariant blocks are the whole space."""
+    words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(12)]
+    op = PauliSumOp.from_terms(n, [(float(rng.standard_normal()), PauliString(w)) for w in words])
+    frags = fragment_by_commuting_groups(op)
+    assert [b.shape for b in invariant_blocks(frags)[0]] == [(1, 1 << n)]
+    return second_order(frags)
+
+
+@pytest.mark.parametrize("case", ["neel_chain6", "random_state_chain4", "no_symmetry"])
+def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
+    rng = np.random.default_rng(7)
+    if case == "neel_chain6":
+        pf, psi = fresh(chain6.pf), chain6.psi
+    elif case == "random_state_chain4":
+        pf, psi = fresh(chain4.pf), random_state(4, rng)
+    else:
+        pf = conserves_nothing(5, rng)
+        psi = random_state(5, rng)
+    t, dt, k0 = 0.9, 0.1, 6
+    prev = trotter_states(pf, psi, t, STEPS)
+    nxt = trotter_states(pf, psi, t + dt, STEPS)
+    q = q_from_states(pf, prev, nxt, dt, k0)
+    for s, state in enumerate(prev):
+        pushed = slot_by_slot(pf, state, dt, k0)
+        for i, psi_i in enumerate(nxt):
+            assert abs(q[i, s] - abs(np.vdot(pushed, psi_i)) ** 2) < 1e-13
+    mats = pf._block_power._mats
+    if case == "neel_chain6":
+        # One total-Z sector of 20 states; no other block is built.
+        assert sum(int(m[1].sum()) for m in mats if m is not None) == 1
+    else:
+        assert all(m is not None and m[1].all() for m in mats)
+
+
+def test_block_power_is_built_once_per_dt_and_k0(chain4, monkeypatch):
+    calls = []
+    apply = FragmentEvolver.apply
+    monkeypatch.setattr(FragmentEvolver, "apply",
+                        lambda self, *a: calls.append(1) or apply(self, *a))
+    pf = fresh(chain4.pf)
+    states = {t: trotter_states(pf, chain4.psi, t, STEPS) for t in (0.4, 0.5, 0.6, 0.65)}
+
+    def kernel_calls(t_prev, t_next, k0=4):
+        calls.clear()
+        q_from_states(pf, states[t_prev], states[t_next], t_next - t_prev, k0)
+        return len(calls)
+
+    first = kernel_calls(0.4, 0.5)
+    assert first > 0
+    assert kernel_calls(0.5, 0.6) == 0
+    assert kernel_calls(0.6, 0.65) == first
+    assert kernel_calls(0.6, 0.65, k0=5) == first
+
+
+def test_minimax_run_kernel_calls_are_batches_plus_one_build(chain6, monkeypatch):
+    calls, batch_calls = [], []
+    apply = FragmentEvolver.apply
+    batch = dynamic_mpf.trotter_states
+
+    def counting_batch(*args):
+        before = len(calls)
+        out = batch(*args)
+        batch_calls.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(FragmentEvolver, "apply",
+                        lambda self, *a: calls.append(1) or apply(self, *a))
+    monkeypatch.setattr(dynamic_mpf, "trotter_states", counting_batch)
+    prev = batch(chain6.pf, chain6.psi, 0.5, STEPS)
+    nxt = batch(chain6.pf, chain6.psi, 0.75, STEPS)
+    calls.clear()
+    q_from_states(fresh(chain6.pf), prev, nxt, 0.25, 3)
+    one_build = len(calls)
+    assert one_build > 0
+    c0 = solve_coefficients(2, STEPS).coefficients
+    calls.clear()
+    minimax_run(fresh(chain6.pf), chain6.oracle, chain6.psi, STEPS,
+                t0=0.5, t_final=1.75, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
+    assert len(batch_calls) == 6
+    assert len(calls) == sum(batch_calls) + one_build
 
 
 def test_block_overlaps_match_vdot(chain4):
@@ -129,6 +225,8 @@ def test_q_matrix_validation(chain4):
         q_from_states(chain4.pf, states, states, 0.0, 3)
     with pytest.raises(ValueError):
         q_from_states(chain4.pf, states, states, 0.1, 0)
+    with pytest.raises(ValueError, match="not rows"):
+        q_from_states(chain4.pf, [s[:8] for s in states], states, 0.1, 3)
 
 
 def test_l_exact_values(chain4):
