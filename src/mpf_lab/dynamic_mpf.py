@@ -61,10 +61,19 @@ def q_from_states(pf: ProductFormula, states_prev: list[np.ndarray],
     """Propagation overlaps ``Q[i, s] = |<psi_i(t+dt)| S(dt/k0)^k0 |psi_s(t)>|^2``
     between the next states and the previous ones pushed forward.
 
-    The push runs all previous states as one block through the formula's
-    cached ``S(dt/k0)^k0``, built on the invariant blocks they touch by the
-    first call for this ``(dt, k0)`` and reused by later calls, so a tracking
-    run builds it once.
+    The push runs all previous states as one block, k0 kernel steps each,
+    until the calls at this ``(dt, k0)`` have cost as much as building
+    ``S(dt/k0)^k0`` on the invariant blocks the states touch; that call
+    builds it (one kernel step per basis state of the blocks, then about
+    ``2 log2(k0)`` block products), and it and every later call at the same
+    ``(dt, k0)`` push through it, one tiled product per block size.  On a
+    long grid the build is paid once; a short grid may never build.  At
+    n=10 from the Néel state the 252-state sector is built at the fourth
+    call.  A block above 1024 states, such as the whole space of a formula
+    that conserves nothing at n >= 11 (a 2048-state block holds 64 MB per
+    matrix), is never built, and above ``pauli.DENSE_QUBIT_CAP`` qubits every
+    call runs through the kernel.  The choice follows from the sizes alone,
+    so the output bits do not depend on timing or on the BLAS thread count.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -332,9 +341,10 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
 
     Each grid point runs the r circuits as one Trotter batch
     (:func:`trotter_states`).  From the second point on, the propagation
-    overlaps push the previous states through ``S(dt/k0)^k0``
-    (:func:`q_from_states`), which is built once per run on the blocks the
-    states touch.  Surrogate data are generated per step from the exact
+    overlaps push the previous states forward by ``S(dt/k0)^k0``
+    (:func:`q_from_states`): through the kernel at first, and through the
+    block power built on the blocks the states touch once those pushes have
+    cost as much as the build.  Surrogate data are generated per step from the exact
     overlaps with seeded, spectral-norm-bounded Gaussian noise; the estimate
     is advanced by :func:`minimax_step`.  Exact-data projections are recorded
     alongside for diagnostics.  Every argument is checked before any state

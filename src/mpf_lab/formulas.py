@@ -13,12 +13,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver
+from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
+from .statesim import FragmentEvolver, _LazyBlocks
 
 SUZUKI_ORDERS = (4, 6)
 # Basis columns per kernel call when a block power is built.
 _BUILD_COLUMNS = 16
+# Largest block a power is built for: a 1024-state block is 16 MB per
+# matrix, and a build holds several at once.
+_BUILD_MAX = 1024
+# Largest tile edge of the block products.  OpenBLAS runs a product of at
+# most 64 x 64 x 64 multiply-adds on one thread.
+_TILE = 64
+# Cost of one kernel sweep over one amplitude, in complex multiply-adds of a
+# block product: 10-25 ns against 0.3-0.4 ns on the chain formula, n = 8-12.
+_SWEEP_COST = 32
 
 
 @dataclass(frozen=True)
@@ -141,38 +150,80 @@ class ProductFormula:
         return [m for _, m in self.steps]
 
 
+def _tile(size: int) -> int:
+    """Edge of the fewest tiles of at most :data:`_TILE` that cover ``size``
+    with the least padding (63 for 252, 62 for 924)."""
+    return -(-size // -(-size // _TILE))
+
+
+def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A ``(count, R, C)`` stack as ``(count, R/rows, C/cols, rows, cols)``
+    tiles, zero-padded to whole tiles."""
+    count, r, c = x.shape
+    pad_r, pad_c = -r % rows, -c % cols
+    if pad_r or pad_c:
+        x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
+    return x.reshape(count, (r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(2, 3)
+
+
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blockwise products ``a[i] @ b[i]``, summed as dot products of the
-    contiguous rows of ``a[i]`` and ``b[i]^T``.  ``np.einsum`` sums in a
-    fixed order without BLAS, so the result does not depend on the BLAS
-    thread count, as a BLAS product's last bits do."""
-    return np.einsum("bij,bkj->bik", a, np.ascontiguousarray(b.swapaxes(1, 2)))
+    """Blockwise products ``a[i] @ b[i]`` from BLAS products of tiles at most
+    :data:`_TILE` on a side, summed over the inner tiles in a fixed order.
+    Each tile product runs on one thread, so the bits do not depend on the
+    BLAS thread count, as those of a whole-matrix BLAS product do."""
+    count, m, inner = a.shape
+    n = b.shape[2]
+    tm, tk, tn = _tile(m), _tile(inner), _tile(n)
+    a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
+    out = a4[:, :, 0, None] @ b4[:, None, 0]
+    for j in range(1, a4.shape[2]):
+        out += a4[:, :, j, None] @ b4[:, None, j]
+    return out.swapaxes(2, 3).reshape(count, out.shape[1] * tm, out.shape[2] * tn)[:, :m, :n]
 
 
 class _BlockPower:
-    """``S(t)^k`` of a formula on the common invariant blocks of its
-    fragments, kept for the last ``(t, k)`` only.
+    """``S(t)^k`` of a formula, pushed either step by step through the
+    kernel or through its power kept on the common invariant blocks of the
+    fragments, for the last ``(t, k)`` only.
 
-    A block is built on the first ``apply`` whose states touch it, the way
-    ``SpectralOracle`` diagonalizes: one kernel step S(t) on the block's basis
-    columns, :data:`_BUILD_COLUMNS` columns per call, then the k-th power by
-    repeated squaring.  Untouched blocks are never built and stay exactly
-    zero in the output.
+    A block power is built the way ``SpectralOracle`` diagonalizes, on first
+    touch: one kernel step S(t) on the block's basis columns,
+    :data:`_BUILD_COLUMNS` columns per call, then the k-th power by repeated
+    squaring.  Building pays only over enough pushes, so ``apply`` rents
+    before it buys: it pushes through the kernel until the pushes at this
+    ``(t, k)`` would have cost as much as building the blocks the states
+    touch, then builds them.  The costs count multiply-adds from the sizes
+    alone (:data:`_SWEEP_COST`), so the choice, and with it every output bit,
+    does not depend on timing.  Blocks above :data:`_BUILD_MAX` states, and
+    formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run through the
+    kernel.
     """
 
     def __init__(self, pf: ProductFormula):
         self._pf = pf
-        self._blocks = _partition(list(dict.fromkeys(pf.fragments)))[0]
+        self._blocks = None
+        if pf.n <= DENSE_QUBIT_CAP:
+            self._blocks = _LazyBlocks(_partition(list(dict.fromkeys(pf.fragments)))[0],
+                                       self._build)
+        # Cost of one step S(t) on one state.
+        self._step_cost = _SWEEP_COST * (1 << pf.n) * sum(ev.passes for ev, _ in pf._program)
         self._key = None
-        # Per block size: the block powers and a built flag.
-        self._mats = []
+        self._spent = 0.0
 
-    def _build(self, g: int, new: np.ndarray, t: float, k: int) -> np.ndarray:
-        """``S(t)^k`` on blocks ``new`` of size group ``g``."""
-        members = self._blocks[g][new]
-        size = members.shape[1]
+    def _build_cost(self, sizes: list[int], k: int) -> float:
+        """Cost of building blocks of these sizes: a kernel step on each
+        basis column, and the products of the squaring."""
+        if any(size > _BUILD_MAX for size in sizes):
+            return np.inf
+        products = k.bit_length() + k.bit_count() - 2
+        return sum(size * self._step_cost + products * size ** 3 for size in sizes)
+
+    def _build(self, members: np.ndarray) -> tuple[np.ndarray]:
+        """``S(t)^k`` on the blocks ``members`` for the kept ``(t, k)``."""
+        t, k = self._key
+        count, size = members.shape
         basis_of = members.ravel()
-        step = np.empty((new.size, size, size), dtype=complex)
+        step = np.empty((count, size, size), dtype=complex)
         for lo in range(0, basis_of.size, _BUILD_COLUMNS):
             pos = np.arange(lo, min(lo + _BUILD_COLUMNS, basis_of.size))
             cols = np.zeros((1 << self._pf.n, pos.size), dtype=complex)
@@ -185,36 +236,30 @@ class _BlockPower:
                 power = step if power is None else _products(power, step)
             k >>= 1
             if not k:
-                return power
+                return (power,)
             step = _products(step, step)
 
     def apply(self, rows: np.ndarray, t: float, k: int) -> np.ndarray:
         """Return ``S(t)^k`` applied to each row of an ``(r, 2^n)`` array of
-        states, as rows, with one block product per block size."""
+        states, as rows."""
         if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
             raise ValueError(f"states of shape {rows.shape} are not rows of "
                              f"{self._pf.n}-qubit states")
         key = (float(t), int(k))
         if key != self._key:
-            self._key = key
-            self._mats = [None] * len(self._blocks)
+            self._key, self._spent = key, 0.0
+            if self._blocks is not None:
+                self._blocks.clear()
+        push = key[1] * rows.shape[0] * self._step_cost
+        build = (np.inf if self._blocks is None
+                 else self._build_cost(self._blocks.unbuilt(rows), key[1]))
+        if self._spent + push < build:
+            self._spent += push
+            return self._pf.apply(rows.T, t, k).T
+        self._spent = 0.0
         out = np.zeros(rows.shape, dtype=complex)
-        for g, idx in enumerate(self._blocks):
-            amps = rows[:, idx].transpose(1, 0, 2)
-            touched = np.flatnonzero(amps.any(axis=(1, 2)))
-            if not touched.size:
-                continue
-            if self._mats[g] is None:
-                count, size = idx.shape
-                self._mats[g] = (np.empty((count, size, size), dtype=complex),
-                                 np.zeros(count, dtype=bool))
-            mats, built = self._mats[g]
-            new = touched[~built[touched]]
-            if new.size:
-                mats[new] = self._build(g, new, *key)
-                built[new] = True
-            pushed = np.einsum("bij,brj->bri", mats[touched], np.ascontiguousarray(amps[touched]))
-            out[:, idx[touched]] = pushed.transpose(1, 0, 2)
+        for members, (mats,) in self._blocks.touched(rows):
+            out[:, members] = _products(mats, rows[:, members].transpose(1, 2, 0)).transpose(2, 0, 1)
         return out
 
 

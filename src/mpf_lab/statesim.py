@@ -96,8 +96,14 @@ class FragmentEvolver:
         self._diag = None if diag is None else diag[1].real
         self._rotations = [rot for x_mask, (support, coupling) in couplings.items()
                            for rot in self._group_rotations(x_mask, support, coupling)]
-        self._cached_times = None
+        self._cached_key = None
         self._cached = None
+
+    @property
+    def passes(self) -> int:
+        """Sweeps over the amplitudes per ``apply``: one per rotation, and
+        one for the diagonal phase."""
+        return len(self._rotations) + (self._diag is not None)
 
     def _group_rotations(self, x_mask: int, support: int,
                          coupling: np.ndarray) -> list[_Rotation]:
@@ -122,19 +128,9 @@ class FragmentEvolver:
 
     def _coefficients(self, times: np.ndarray):
         """Diagonal phases and rotation coefficients for these column times.
-        The last set is kept: a circuit reuses one time vector per slot.  A
-        vector that is a prefix of the kept one (a block whose last columns
-        dropped out) is served, and kept, as the leading rows of the kept
-        arrays."""
-        cols = times.size
-        kept = self._cached_times
-        if kept is not None and cols < kept.size and kept[:cols].tobytes() == times.tobytes():
-            phase, rotations = self._cached
-            self._cached = (None if phase is None else phase[:cols],
-                            [(rot, c[:cols], a_lo[:cols], a_hi[:cols])
-                             for rot, c, a_lo, a_hi in rotations])
-            self._cached_times = kept[:cols]
-        elif kept is None or kept.tobytes() != times.tobytes():
+        The last set is kept: a circuit reuses one time vector per slot."""
+        key = times.tobytes()
+        if key != self._cached_key:
             phase = None
             if self._diag is not None:
                 phase = np.exp(-1j * np.multiply.outer(times, self._diag))
@@ -144,7 +140,7 @@ class FragmentEvolver:
                 sin = np.sin(angle)
                 rotations.append((rot, np.cos(angle), sin * rot.u_lo, sin * rot.u_hi))
             self._cached = (phase, rotations)
-            self._cached_times = times.copy()
+            self._cached_key = key
         return self._cached
 
     def apply(self, state: np.ndarray, t) -> np.ndarray:
@@ -182,6 +178,56 @@ class FragmentEvolver:
         return out.T if block else out[0]
 
 
+class _LazyBlocks:
+    """Arrays kept per invariant block, built the first time a state touches
+    the block (has a nonzero amplitude on it).
+
+    ``groups`` holds one ``(count, size)`` index array per block size, as
+    from ``pauli._partition``.  ``build(members)`` gets the basis indices of
+    the blocks to build, one row per block, and returns a tuple of arrays
+    with one leading entry per block.  Built arrays are kept until
+    :meth:`clear`; untouched blocks are never built.
+    """
+
+    def __init__(self, groups: list[np.ndarray], build):
+        self.groups = groups
+        self._build = build
+        self.clear()
+
+    def clear(self):
+        # Per size group: the arrays (None before the first build) and a built flag.
+        self._held = [[None, np.zeros(idx.shape[0], dtype=bool)] for idx in self.groups]
+
+    def _hit(self, g: int, state: np.ndarray) -> np.ndarray:
+        """Blocks of size group ``g`` that ``state`` (``(..., dim)``) touches."""
+        count, size = self.groups[g].shape
+        return np.flatnonzero(state[..., self.groups[g]].reshape(-1, count, size).any(axis=(0, 2)))
+
+    def unbuilt(self, state: np.ndarray) -> list[int]:
+        """Sizes of the blocks that ``state`` touches and that are not built."""
+        return [idx.shape[1] for g, idx in enumerate(self.groups)
+                for _ in range(np.count_nonzero(~self._held[g][1][self._hit(g, state)]))]
+
+    def touched(self, state: np.ndarray):
+        """Yield ``(members, arrays)`` for each block size that ``state``
+        (``(..., dim)``) touches: the touched blocks' basis indices and their
+        arrays, after building the ones not built before."""
+        for g, idx in enumerate(self.groups):
+            hit = self._hit(g, state)
+            if not hit.size:
+                continue
+            held = self._held[g]
+            new = hit[~held[1][hit]]
+            if new.size:
+                made = self._build(idx[new])
+                if held[0] is None:
+                    held[0] = tuple(np.empty((idx.shape[0],) + a.shape[1:], a.dtype) for a in made)
+                for whole, part in zip(held[0], made):
+                    whole[new] = part
+                held[1][new] = True
+            yield idx[hit], tuple(a[hit] for a in held[0])
+
+
 class SpectralOracle:
     """Exact evolution through per-block Hermitian eigendecompositions.
 
@@ -194,34 +240,23 @@ class SpectralOracle:
 
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
-        self._blocks, (self._entries,) = _partition([hamiltonian])
-        # Per block size: eigenvalues, eigenvectors and a diagonalized flag.
-        self._eigs = [None] * len(self._blocks)
+        blocks, (self._entries,) = _partition([hamiltonian])
+        self._eigs = _LazyBlocks(blocks, self._eigh)
 
-    def _eigh(self, g: int, touched: np.ndarray):
-        """Eigenpairs of the touched blocks of size group ``g``, diagonalizing
-        the ones not seen before."""
-        if self._eigs[g] is None:
-            count, size = self._blocks[g].shape
-            self._eigs[g] = (np.empty((count, size)), np.empty((count, size, size), complex),
-                             np.zeros(count, dtype=bool))
-        vals, vecs, done = self._eigs[g]
-        new = touched[~done[touched]]
-        if new.size:
-            blocks = _block_stacks([self._entries], [self._blocks[g][new]], 1 << self.n)[0][0]
-            w, v = np.linalg.eigh(blocks)
-            err = np.linalg.norm((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - blocks,
-                                 axis=(-2, -1))
-            scale = np.linalg.norm(blocks, axis=(-2, -1))
-            bad = (scale > 0) & (err > 1e-9 * scale)
-            if bad.any():
-                raise NumericalDegeneracyError(
-                    f"eigendecomposition reconstruction error {err[bad].max():.3e} "
-                    "exceeds tolerance"
-                )
-            vals[new], vecs[new] = w, v
-            done[new] = True
-        return vals[touched], vecs[touched]
+    def _eigh(self, members: np.ndarray):
+        """Eigenvalues and eigenvectors of H on the blocks ``members``."""
+        blocks = _block_stacks([self._entries], [members], 1 << self.n)[0][0]
+        w, v = np.linalg.eigh(blocks)
+        err = np.linalg.norm((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2) - blocks,
+                             axis=(-2, -1))
+        scale = np.linalg.norm(blocks, axis=(-2, -1))
+        bad = (scale > 0) & (err > 1e-9 * scale)
+        if bad.any():
+            raise NumericalDegeneracyError(
+                f"eigendecomposition reconstruction error {err[bad].max():.3e} "
+                "exceeds tolerance"
+            )
+        return w, v
 
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """Return exp(-i t H) |state>; t = 0 returns the input exactly."""
@@ -230,12 +265,7 @@ class SpectralOracle:
         if t == 0.0:
             return state.copy()
         out = np.zeros(state.shape, dtype=complex)
-        for g, idx in enumerate(self._blocks):
-            touched = np.flatnonzero(state[idx].any(axis=1))
-            if not touched.size:
-                continue
-            vals, vecs = self._eigh(g, touched)
-            members = idx[touched]
+        for members, (vals, vecs) in self._eigs.touched(state):
             coeffs = vecs.conj().swapaxes(-1, -2) @ state[members][..., None]
             out[members] = (vecs @ (np.exp(-1j * t * vals)[..., None] * coeffs))[..., 0]
         return out

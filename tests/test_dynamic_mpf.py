@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpf_lab import dynamic_mpf
+from mpf_lab import dynamic_mpf, formulas
 from mpf_lab import (
     FragmentEvolver,
     MinimaxRun,
@@ -93,6 +97,20 @@ def conserves_nothing(n, rng):
     return second_order(frags)
 
 
+def built_blocks(pf):
+    """Number of blocks the formula's block power holds, per block size."""
+    return [int(built.sum()) for _, built in pf._block_power._blocks._held]
+
+
+def pushes_before_build(pf, sizes, r, k0):
+    """Kernel pushes the cost rule makes before it builds blocks of these
+    sizes: the build happens on the first call whose push would bring the
+    spent cost up to the build cost."""
+    power = pf._block_power
+    push, build = k0 * r * power._step_cost, power._build_cost(sizes, k0)
+    return math.ceil(build / push) - 1
+
+
 @pytest.mark.parametrize("case", ["neel_chain6", "random_state_chain4", "no_symmetry"])
 def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
     rng = np.random.default_rng(7)
@@ -106,17 +124,19 @@ def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
     t, dt, k0 = 0.9, 0.1, 6
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
-    q = q_from_states(pf, prev, nxt, dt, k0)
-    for s, state in enumerate(prev):
-        pushed = slot_by_slot(pf, state, dt, k0)
-        for i, psi_i in enumerate(nxt):
-            assert abs(q[i, s] - abs(np.vdot(pushed, psi_i)) ** 2) < 1e-13
-    mats = pf._block_power._mats
+    refs = [slot_by_slot(pf, state, dt, k0) for state in prev]
+    for _ in range(6):
+        # Every call, through the kernel or through the block power, agrees.
+        q = q_from_states(pf, prev, nxt, dt, k0)
+        for s, pushed in enumerate(refs):
+            for i, psi_i in enumerate(nxt):
+                assert abs(q[i, s] - abs(np.vdot(pushed, psi_i)) ** 2) < 1e-13
     if case == "neel_chain6":
         # One total-Z sector of 20 states; no other block is built.
-        assert sum(int(m[1].sum()) for m in mats if m is not None) == 1
+        assert sum(built_blocks(pf)) == 1
     else:
-        assert all(m is not None and m[1].all() for m in mats)
+        groups = pf._block_power._blocks.groups
+        assert built_blocks(pf) == [idx.shape[0] for idx in groups]
 
 
 def test_block_power_is_built_once_per_dt_and_k0(chain4, monkeypatch):
@@ -132,6 +152,8 @@ def test_block_power_is_built_once_per_dt_and_k0(chain4, monkeypatch):
         q_from_states(pf, states[t_prev], states[t_next], t_next - t_prev, k0)
         return len(calls)
 
+    # The 6-state sector costs less to build than one push through the kernel.
+    assert pushes_before_build(pf, [6], len(STEPS), 4) == 0
     first = kernel_calls(0.4, 0.5)
     assert first > 0
     assert kernel_calls(0.5, 0.6) == 0
@@ -139,32 +161,84 @@ def test_block_power_is_built_once_per_dt_and_k0(chain4, monkeypatch):
     assert kernel_calls(0.6, 0.65, k0=5) == first
 
 
-def test_minimax_run_kernel_calls_are_batches_plus_one_build(chain6, monkeypatch):
-    calls, batch_calls = [], []
+def test_minimax_run_pushes_through_the_kernel_until_the_build_pays(chain6, monkeypatch):
+    calls, batch_calls, push_calls = [], [], []
     apply = FragmentEvolver.apply
-    batch = dynamic_mpf.trotter_states
+    batch, push = dynamic_mpf.trotter_states, dynamic_mpf.q_from_states
 
-    def counting_batch(*args):
-        before = len(calls)
-        out = batch(*args)
-        batch_calls.append(len(calls) - before)
-        return out
+    def counting(func, into):
+        def run(*args):
+            before = len(calls)
+            out = func(*args)
+            into.append(len(calls) - before)
+            return out
+        return run
 
     monkeypatch.setattr(FragmentEvolver, "apply",
                         lambda self, *a: calls.append(1) or apply(self, *a))
-    monkeypatch.setattr(dynamic_mpf, "trotter_states", counting_batch)
-    prev = batch(chain6.pf, chain6.psi, 0.5, STEPS)
-    nxt = batch(chain6.pf, chain6.psi, 0.75, STEPS)
-    calls.clear()
-    q_from_states(fresh(chain6.pf), prev, nxt, 0.25, 3)
-    one_build = len(calls)
-    assert one_build > 0
+    monkeypatch.setattr(dynamic_mpf, "trotter_states", counting(batch, batch_calls))
+    monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls))
+    pf = fresh(chain6.pf)
     c0 = solve_coefficients(2, STEPS).coefficients
-    calls.clear()
-    minimax_run(fresh(chain6.pf), chain6.oracle, chain6.psi, STEPS,
-                t0=0.5, t_final=1.75, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
-    assert len(batch_calls) == 6
-    assert len(calls) == sum(batch_calls) + one_build
+    minimax_run(pf, chain6.oracle, chain6.psi, STEPS,
+                t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
+    assert len(batch_calls) == 9 and len(push_calls) == 8
+    assert len(calls) == sum(batch_calls) + sum(push_calls)
+    # Kernel pushes while they cost less than building the 20-state sector,
+    # one build, then no kernel call at all.
+    rented = pushes_before_build(pf, [20], len(STEPS), 3)
+    assert 0 < rented < 7
+    kernel_push = push_calls[0]
+    assert push_calls[:rented] == [kernel_push] * rented
+    assert 0 < push_calls[rented] != kernel_push
+    assert push_calls[rented + 1:] == [0] * (7 - rented)
+    assert built_blocks(pf) == [0, 0, 0, 1]
+
+
+def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
+    # With the limit below the 6-state sector, every call runs through the
+    # kernel; the 1- and 4-state sectors alone would be built.
+    monkeypatch.setattr(formulas, "_BUILD_MAX", 5)
+    rng = np.random.default_rng(3)
+    pf, psi = fresh(chain4.pf), random_state(4, rng)
+    prev = trotter_states(pf, psi, 0.5, STEPS)
+    nxt = trotter_states(pf, psi, 0.6, STEPS)
+    ref = q_from_states(fresh(chain4.pf), prev, nxt, 0.1, 4)
+    for _ in range(20):
+        assert np.abs(q_from_states(pf, prev, nxt, 0.1, 4) - ref).max() < 1e-13
+    assert sum(built_blocks(pf)) == 0
+
+
+def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
+    # A 13-qubit formula: no invariant blocks are sought, so nothing refuses.
+    n = 13
+    pf = second_order((PauliSumOp.from_terms(n, [(0.7, PauliString("XX" + "I" * (n - 2)))]),
+                       PauliSumOp.from_terms(n, [(0.4, PauliString("Z" * n))])))
+    rng = np.random.default_rng(5)
+    prev = [random_state(n, rng) for _ in range(2)]
+    q = q_from_states(pf, prev, prev, 0.2, 3)
+    for s, state in enumerate(prev):
+        pushed = slot_by_slot(pf, state, 0.2, 3)
+        for i, psi_i in enumerate(prev):
+            assert abs(q[i, s] - abs(np.vdot(pushed, psi_i)) ** 2) < 1e-13
+    assert pf._block_power._blocks is None
+
+
+def test_block_products_do_not_depend_on_the_blas_thread_count():
+    code = ("import hashlib, numpy as np; from mpf_lab.formulas import _products; "
+            "r = np.random.default_rng(1); "
+            "a = r.normal(size=(2, 150, 150)) + 1j * r.normal(size=(2, 150, 150)); "
+            "v = r.normal(size=(2, 150, 5)) + 0j; "
+            "out = _products(a, a); assert np.abs(out - a @ a).max() < 1e-12; "
+            "print(hashlib.sha256(out.tobytes() + _products(a, v).tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dynamic_mpf.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def test_block_overlaps_match_vdot(chain4):

@@ -156,25 +156,6 @@ def test_block_kernel_columns_and_vectors(chain4, rng):
     assert vec.shape == (16,)
 
 
-def test_kernel_serves_prefix_times_from_its_cache(rng, monkeypatch):
-    frag = random_commuting_fragment(5, rng) + op(5, (0.4, "ZIIZI"))
-    block = random_block(5, 5, rng)
-    times = rng.uniform(0.1, 2.0, 5)
-    refs = {(lo, hi): FragmentEvolver(frag).apply(block[:, lo:hi], times[lo:hi])
-            for lo, hi in ((0, 5), (0, 3), (0, 1), (1, 3))}
-    evolver = FragmentEvolver(frag)
-    evolver.apply(block, times)
-    # A prefix of the cached times (columns dropped from the end) computes
-    # no new coefficients and gives the same bits as a fresh kernel.
-    sin = np.sin
-    monkeypatch.setattr(np, "sin", None)
-    for lo, hi in ((0, 3), (0, 3), (0, 1)):
-        assert np.array_equal(evolver.apply(block[:, lo:hi], times[lo:hi]), refs[lo, hi])
-    monkeypatch.setattr(np, "sin", sin)
-    for lo, hi in ((0, 5), (1, 3)):
-        assert np.array_equal(evolver.apply(block[:, lo:hi], times[lo:hi]), refs[lo, hi])
-
-
 def test_block_kernel_zero_time_exact(chain4, rng):
     evolver = FragmentEvolver(chain4.fragments[2])
     state = random_state(4, rng)
@@ -252,6 +233,20 @@ def test_oracle_with_x_field_is_one_block(rng):
     psi = neel_state(n)
     ref = full_eigh_evolve(h_op, psi, 1.1)
     assert np.linalg.norm(SpectralOracle(h_op).evolve(psi, 1.1) - ref) <= 1e-13
+
+
+def test_oracle_diagonalizes_each_touched_block_once(chain4, rng, monkeypatch):
+    eigh, built = SpectralOracle._eigh, []
+    monkeypatch.setattr(SpectralOracle, "_eigh",
+                        lambda self, members: built.append(members.shape) or eigh(self, members))
+    oracle = SpectralOracle(chain4.hamiltonian)
+    for t in (0.3, 0.7):
+        oracle.evolve(chain4.psi, t)
+    # The Neel state touches the one 6-state sector; a random state then
+    # touches the others, and only those are diagonalized.
+    assert built == [(1, 6)]
+    oracle.evolve(random_state(4, rng), 0.5)
+    assert sorted(built[1:]) == [(2, 1), (2, 4)]
 
 
 def test_oracle_zero_time_returns_a_copy(chain4, rng):
