@@ -20,20 +20,44 @@ from .statesim import SpectralOracle, mixture_frobenius_sq
 RIDGE = 1e-12
 PINV_RTOL = 1e-12
 MINIMAX_TOL = 1e-9
+# Amplitudes (columns x 2^n) in one Trotter batch of a grid: four grid points
+# of five circuits at n=10, one at n=12.  Each kernel keeps phase arrays of
+# this size, so the batch costs peak memory as well as saving calls.
+_BATCH_AMPLITUDES = 20 * 1024
 
 
 # -- overlap data ------------------------------------------------------------
 
-def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t: float,
-                   steps) -> list[np.ndarray]:
-    """States S(t/k_i)^{k_i} |psi_in> for each step count, run as one block."""
+def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps) -> list:
+    """States S(t/k_i)^{k_i} |psi_in> for each step count, run as one block.
+
+    For a scalar ``t`` this is the list of the r states.  For a 1-D array of
+    times it is one such list per time, from one block whose columns are the
+    (time, step count) pairs with time ``t_j / k_i``.  ``ProductFormula.apply``
+    works on each column alone, so every state has the same bits as from the
+    scalar form.
+    """
     ks = np.array([int(k) for k in steps], dtype=int)
-    if ks.size == 0:
-        return []
-    if ks.min() < 1:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array of times")
+    if ks.size and ks.min() < 1:
         raise ValueError("step count k must be >= 1")
-    block = np.repeat(np.asarray(psi_in)[:, None], ks.size, axis=1)
-    return list(pf.apply(block, t / ks, ks).T)
+    block = np.repeat(np.asarray(psi_in)[:, None], ks.size * times.size, axis=1)
+    rows = list(pf.apply(block, (times.reshape(-1, 1) / ks).ravel(), np.tile(ks, times.size)).T)
+    per_time = [rows[j * ks.size:(j + 1) * ks.size] for j in range(times.size)]
+    return per_time[0] if times.ndim == 0 else per_time
+
+
+def _states_on_grid(pf: ProductFormula, psi_in: np.ndarray, times, steps):
+    """Yield :func:`trotter_states` at each time in turn, computed by its
+    grid form in batches of whole grid points: as many as fit
+    :data:`_BATCH_AMPLITUDES`, and at least one."""
+    times = np.asarray(times, dtype=float)
+    steps = list(steps)
+    size = max(1, _BATCH_AMPLITUDES // (max(1, len(steps)) << pf.n))
+    for lo in range(0, times.size, size):
+        yield from trotter_states(pf, psi_in, times[lo:lo + size], steps)
 
 
 def _overlaps_sq(bra, ket) -> np.ndarray:
@@ -339,8 +363,10 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
                 k0: int, c0, seed: int) -> MinimaxRun:
     """Track robust mixture coefficients on the uniform grid t_0 + j dt.
 
-    Each grid point runs the r circuits as one Trotter batch
-    (:func:`trotter_states`).  From the second point on, the propagation
+    The r circuit states of consecutive grid points run as one Trotter batch
+    (the grid form of :func:`trotter_states`), as many points per batch as
+    fit :data:`_BATCH_AMPLITUDES` and at least one; the states are those of
+    one point at a time, bit for bit.  From the second point on, the propagation
     overlaps push the previous states forward by ``S(dt/k0)^k0``
     (:func:`q_from_states`): through the kernel at first, and through the
     block power built on the blocks the states touch once those pushes have
@@ -379,8 +405,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     )
 
     states = None
-    for j, t in enumerate(times):
-        states_next = trotter_states(pf, psi_in, t, steps)
+    for j, (t, states_next) in enumerate(zip(times, _states_on_grid(pf, psi_in, times, steps))):
         m_now = gram_from_states(states_next)
         q_now = np.zeros((r, r)) if j == 0 else q_from_states(pf, states, states_next, dt, k0)
         noisy = inject_noise(m_now, q_now, eps, np.random.SeedSequence(seed, spawn_key=(j,)))

@@ -246,14 +246,14 @@ def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     oracle = SpectralOracle(pf.hamiltonian)
     psi = neel_state(cfg["n"])
     commutator_sum = formula_commutator_sum(pf)
+    batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], cfg["k_list"])
     rows = []
     for t in map(float, grid):
         if t == 0.0:
             rows.extend([t, k, 0.0, 0.0, 0.0] for k in cfg["k_list"])
             continue
         exact = oracle.evolve(psi, t)
-        states = dmp.trotter_states(pf, psi, t, cfg["k_list"])
-        for k, state in zip(cfg["k_list"], states):
+        for k, state in zip(cfg["k_list"], next(batches)):
             err = mixture_trace_norm([state, exact], [1.0, -1.0])
             rows.append([
                 t, k, err,
@@ -280,13 +280,14 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     commutator_sum = formula_commutator_sum(pf)
     evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
     k_best = max(scheme.steps)
+    batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], scheme.steps)
     rows = []
     for t in map(float, grid):
         if t == 0.0:
             # every circuit reproduces the initial state identically
             rows.append([t, 0.0, 0.0, 0.0, 0.0 if with_bound else None, 0.0])
             continue
-        states = dmp.trotter_states(pf, psi, t, scheme.steps)
+        states = next(batches)
         exact = oracle.evolve(psi, t)
         trotter_err = mixture_trace_norm([states[-1], exact], [1.0, -1.0])
         mpf_err = mixture_trace_norm(states + [exact], list(scheme.coefficients) + [-1.0])

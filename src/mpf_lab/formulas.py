@@ -22,8 +22,10 @@ _BUILD_COLUMNS = 16
 # Largest block a power is built for: a 1024-state block is 16 MB per
 # matrix, and a build holds several at once.
 _BUILD_MAX = 1024
-# Largest tile edge of the block products.  OpenBLAS runs a product of at
-# most 64 x 64 x 64 multiply-adds on one thread.
+# Largest tile edge of the block products.  With tiles this small the
+# products' bits do not depend on the BLAS thread count (a test compares 1
+# and 2 threads), though OpenBLAS still spreads the tile products over its
+# threads.
 _TILE = 64
 # Cost of one kernel sweep over one amplitude, in complex multiply-adds of a
 # block product: 10-25 ns against 0.3-0.4 ns on the chain formula, n = 8-12.
@@ -169,8 +171,9 @@ def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Blockwise products ``a[i] @ b[i]`` from BLAS products of tiles at most
     :data:`_TILE` on a side, summed over the inner tiles in a fixed order.
-    Each tile product runs on one thread, so the bits do not depend on the
-    BLAS thread count, as those of a whole-matrix BLAS product do."""
+    The bits do not depend on the BLAS thread count, as those of a
+    whole-matrix BLAS product do, though OpenBLAS still spreads the tile
+    products over its threads."""
     count, m, inner = a.shape
     n = b.shape[2]
     tm, tk, tn = _tile(m), _tile(inner), _tile(n)

@@ -105,6 +105,11 @@ def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, cap
     assert code == 2
     assert message in err
     assert calls == []
+    # A valid run goes through both wrapped functions, so an empty record
+    # above means that the checks came first.
+    code, _, _ = run_cli(["minimax-shootout", "--set", "n=4", "--set", "t_final=1.2"], capsys)
+    assert code == 0
+    assert {"batch", "eigh"} <= set(calls)
 
 
 def test_missing_config_file(capsys):

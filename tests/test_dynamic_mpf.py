@@ -71,6 +71,74 @@ def test_batched_trotter_states_match_single_circuits(chain4):
         trotter_states(chain4.pf, chain4.psi, 0.7, (3, 0))
 
 
+def test_grid_form_matches_scalar_form_bit_for_bit(chain4):
+    pf4 = suzuki(chain4.pf, 4)
+    times = np.array([0.3, 2.3, 0.0, 1.1])
+    for pf, steps in ((chain4.pf, (13, 4, 17, 4)), (pf4, (3, 1, 4, 3))):
+        grid = trotter_states(pf, chain4.psi, times, steps)
+        assert len(grid) == times.size
+        for t, states in zip(times, grid):
+            scalar = trotter_states(pf, chain4.psi, t, steps)
+            assert len(states) == len(steps)
+            assert all(np.array_equal(a, b) for a, b in zip(states, scalar))
+    assert trotter_states(chain4.pf, chain4.psi, times, ()) == [[]] * times.size
+    with pytest.raises(ValueError):
+        trotter_states(chain4.pf, chain4.psi, times.reshape(2, 2), STEPS)
+
+
+def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
+    c0 = solve_coefficients(2, STEPS).coefficients
+
+    def run(points=None):
+        if points:
+            monkeypatch.setattr(dynamic_mpf, "_BATCH_AMPLITUDES", points * len(STEPS) << 6)
+        # Nine grid points: batches of 1, of 4 (4, 4, 1) and one of all nine.
+        out = minimax_run(fresh(chain6.pf), chain6.oracle, chain6.psi, STEPS,
+                          t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
+        return [out.c_hat, out.c_star, out.error_hat, out.error_star, out.kappa_hat,
+                np.array(out.m_exact), np.array(out.l_exact)]
+
+    default = run()
+    for points in (1, 4):
+        assert all(np.array_equal(a, b) for a, b in zip(run(points), default))
+
+
+def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch):
+    # Amplitudes of every block that a Trotter batch passes to the formula;
+    # the push and its build run blocks of their own.
+    widths, batching = [], []
+    apply, batch = ProductFormula.apply, dynamic_mpf.trotter_states
+
+    def counted_apply(self, state, *a):
+        if batching:
+            widths.append(state.size)
+        return apply(self, state, *a)
+
+    def counted_batch(*a):
+        batching.append(1)
+        try:
+            return batch(*a)
+        finally:
+            batching.pop()
+
+    monkeypatch.setattr(ProductFormula, "apply", counted_apply)
+    monkeypatch.setattr(dynamic_mpf, "trotter_states", counted_batch)
+    c0 = solve_coefficients(2, STEPS).coefficients
+    # Eight grid points.  Six points of three circuits at n=10 fit the
+    # default limit; at n=6 a limit of two and a half points runs two, and a
+    # limit below one point still runs one.
+    for case, limit, points in ((chain10, dynamic_mpf._BATCH_AMPLITUDES, 6),
+                                (chain6, 5 * len(STEPS) << 5, 2),
+                                (chain6, len(STEPS) << 5, 1)):
+        monkeypatch.setattr(dynamic_mpf, "_BATCH_AMPLITUDES", limit)
+        widths.clear()
+        minimax_run(fresh(case.pf), case.oracle, case.psi, STEPS,
+                    t0=0.5, t_final=1.2, dt=0.1, eps=0.01, k0=2, c0=c0, seed=1)
+        one_point = len(STEPS) << case.n
+        assert len(widths) == -(-8 // points)
+        assert max(widths) == points * one_point <= max(limit, one_point)
+
+
 def test_q_from_states_matches_single_push(chain4):
     t, dt, k0 = 1.1, 0.05, 7
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
@@ -178,21 +246,27 @@ def test_minimax_run_pushes_through_the_kernel_until_the_build_pays(chain6, monk
                         lambda self, *a: calls.append(1) or apply(self, *a))
     monkeypatch.setattr(dynamic_mpf, "trotter_states", counting(batch, batch_calls))
     monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls))
-    pf = fresh(chain6.pf)
     c0 = solve_coefficients(2, STEPS).coefficients
-    minimax_run(pf, chain6.oracle, chain6.psi, STEPS,
-                t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
-    assert len(batch_calls) == 9 and len(push_calls) == 8
-    assert len(calls) == sum(batch_calls) + sum(push_calls)
-    # Kernel pushes while they cost less than building the 20-state sector,
-    # one build, then no kernel call at all.
-    rented = pushes_before_build(pf, [20], len(STEPS), 3)
-    assert 0 < rented < 7
-    kernel_push = push_calls[0]
-    assert push_calls[:rented] == [kernel_push] * rented
-    assert 0 < push_calls[rented] != kernel_push
-    assert push_calls[rented + 1:] == [0] * (7 - rented)
-    assert built_blocks(pf) == [0, 0, 0, 1]
+    # Two grid points per batch, so batches and pushes interleave; then the
+    # default, which runs all nine points of the 6-qubit grid as one batch.
+    for limit, batches in ((2 * len(STEPS) << 6, 5), (dynamic_mpf._BATCH_AMPLITUDES, 1)):
+        monkeypatch.setattr(dynamic_mpf, "_BATCH_AMPLITUDES", limit)
+        calls.clear(), batch_calls.clear(), push_calls.clear()
+        pf = fresh(chain6.pf)
+        minimax_run(pf, chain6.oracle, chain6.psi, STEPS,
+                    t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
+        assert len(batch_calls) == batches and len(push_calls) == 8
+        assert min(batch_calls) > 0
+        assert len(calls) == sum(batch_calls) + sum(push_calls)
+        # Kernel pushes while they cost less than building the 20-state
+        # sector, one build, then no kernel call at all.
+        rented = pushes_before_build(pf, [20], len(STEPS), 3)
+        assert 0 < rented < 7
+        kernel_push = push_calls[0]
+        assert push_calls[:rented] == [kernel_push] * rented
+        assert 0 < push_calls[rented] != kernel_push
+        assert push_calls[rented + 1:] == [0] * (7 - rented)
+        assert built_blocks(pf) == [0, 0, 0, 1]
 
 
 def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
