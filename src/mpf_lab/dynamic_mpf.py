@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDegeneracyError, SolverError
-from .formulas import ProductFormula
+from .formulas import ProductFormula, _BlockPower, _kernel_columns
 from .statesim import SpectralOracle, mixture_frobenius_sq
 
 RIDGE = 1e-12
 PINV_RTOL = 1e-12
 MINIMAX_TOL = 1e-9
-# Amplitudes (columns x 2^n) in one Trotter batch of a grid: four grid points
-# of five circuits at n=10, one at n=12.  Each kernel keeps phase arrays of
-# this size, so the batch costs peak memory as well as saving calls.
-_BATCH_AMPLITUDES = 20 * 1024
 
 
 # -- overlap data ------------------------------------------------------------
@@ -51,11 +47,11 @@ def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps) -> list:
 
 def _states_on_grid(pf: ProductFormula, psi_in: np.ndarray, times, steps):
     """Yield :func:`trotter_states` at each time in turn, computed by its
-    grid form in batches of whole grid points: as many as fit
-    :data:`_BATCH_AMPLITUDES`, and at least one."""
+    grid form in batches of whole grid points: as many as fit one block of
+    kernel columns (``formulas._kernel_columns``), and at least one."""
     times = np.asarray(times, dtype=float)
     steps = list(steps)
-    size = max(1, _BATCH_AMPLITUDES // (max(1, len(steps)) << pf.n))
+    size = max(1, _kernel_columns(pf.n) // max(1, len(steps)))
     for lo in range(0, times.size, size):
         yield from trotter_states(pf, psi_in, times[lo:lo + size], steps)
 
@@ -80,31 +76,23 @@ def gram_matrix(pf: ProductFormula, psi_in: np.ndarray, t: float, steps) -> np.n
     return gram_from_states(trotter_states(pf, psi_in, t, steps))
 
 
-def q_from_states(pf: ProductFormula, states_prev: list[np.ndarray],
-                  states_next: list[np.ndarray], dt: float, k0: int) -> np.ndarray:
+def q_from_states(push: _BlockPower, states_prev: list[np.ndarray],
+                  states_next: list[np.ndarray]) -> np.ndarray:
     """Propagation overlaps ``Q[i, s] = |<psi_i(t+dt)| S(dt/k0)^k0 |psi_s(t)>|^2``
-    between the next states and the previous ones pushed forward.
+    between the next states and the previous ones pushed forward by
+    ``push``, the run's ``S(dt/k0)^k0`` (``formulas._BlockPower``), all
+    previous states as one block.
 
-    The push runs all previous states as one block, k0 kernel steps each,
-    until the calls at this ``(dt, k0)`` have cost as much as building
-    ``S(dt/k0)^k0`` on the invariant blocks the states touch; that call
-    builds it (one kernel step per basis state of the blocks, then about
-    ``2 log2(k0)`` block products), and it and every later call at the same
-    ``(dt, k0)`` push through it, one tiled product per block size.  On a
-    long grid the build is paid once; a short grid may never build.  At
-    n=10 from the Néel state the 252-state sector is built at the fourth
-    call.  A block above 1024 states, such as the whole space of a formula
-    that conserves nothing at n >= 11 (a 2048-state block holds 64 MB per
-    matrix), is never built, and above ``pauli.DENSE_QUBIT_CAP`` qubits every
-    call runs through the kernel.  The choice follows from the sizes alone,
-    so the output bits do not depend on timing or on the BLAS thread count.
+    The push's first call decides for the whole run whether every push runs
+    through the kernel, k0 steps on each state, or through ``S(dt/k0)^k0``
+    built on the invariant blocks the states touch: it builds if the run's
+    kernel pushes would cost at least as much as the build.  At k0=26 from
+    the Néel state that is a grid of four pushes or more for the 252-state
+    sector at n=10, and 21 or more for the 924-state sector at n=12.  The
+    choice follows from the sizes and the number of pushes alone, so the
+    output bits do not depend on timing or on the BLAS thread count.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if k0 < 1:
-        raise ValueError("k0 must be >= 1")
-    pushed = pf._block_power.apply(np.array(states_prev), dt / k0, k0)
-    return _overlaps_sq(states_next, pushed)
+    return _overlaps_sq(states_next, push.apply(np.array(states_prev)))
 
 
 def l_exact(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
@@ -365,12 +353,13 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
 
     The r circuit states of consecutive grid points run as one Trotter batch
     (the grid form of :func:`trotter_states`), as many points per batch as
-    fit :data:`_BATCH_AMPLITUDES` and at least one; the states are those of
-    one point at a time, bit for bit.  From the second point on, the propagation
-    overlaps push the previous states forward by ``S(dt/k0)^k0``
-    (:func:`q_from_states`): through the kernel at first, and through the
-    block power built on the blocks the states touch once those pushes have
-    cost as much as the build.  Surrogate data are generated per step from the exact
+    fit one block of kernel columns and at least one; the states are those
+    of one point at a time, bit for bit.  From the second point on, the
+    propagation overlaps push the previous states forward by
+    ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
+    first push decides from the number of grid steps whether every push runs
+    through the kernel or through the block power built on the blocks the
+    states touch.  Surrogate data are generated per step from the exact
     overlaps with seeded, spectral-norm-bounded Gaussian noise; the estimate
     is advanced by :func:`minimax_step`.  Exact-data projections are recorded
     alongside for diagnostics.  Every argument is checked before any state
@@ -389,8 +378,12 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
         raise ValueError("dt must divide t_final - t0 within rounding")
     steps = [int(k) for k in steps]
     c0 = np.asarray(c0, dtype=float)
+    if c0.shape != (len(steps),):
+        raise ValueError(f"need one initial coefficient per step count ({len(steps)}), "
+                         f"got shape {c0.shape}")
     if abs(c0.sum() - 1.0) > 1e-9:
         raise ValueError("initial coefficients must sum to 1")
+    push = _BlockPower(pf, dt / k0, k0, pushes=n_steps)
     times = t0 + dt * np.arange(n_steps + 1)
     r = len(steps)
     c_hat = np.empty((n_steps + 1, r))
@@ -407,7 +400,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     states = None
     for j, (t, states_next) in enumerate(zip(times, _states_on_grid(pf, psi_in, times, steps))):
         m_now = gram_from_states(states_next)
-        q_now = np.zeros((r, r)) if j == 0 else q_from_states(pf, states, states_next, dt, k0)
+        q_now = np.zeros((r, r)) if j == 0 else q_from_states(push, states, states_next)
         noisy = inject_noise(m_now, q_now, eps, np.random.SeedSequence(seed, spawn_key=(j,)))
         run.m_bars.append(noisy.m_bar)
         if j == 0:

@@ -395,12 +395,8 @@ def _trajectory_doc(cfg: dict, run: dmp.MinimaxRun) -> CsvDoc:
                  "l1_condition", "objective"])
     rows = []
     for j, t in enumerate(run.times):
-        if j == 0:
-            est = None
-        else:
-            prox = run.a_bars[j] @ run.c_hat[j - 1]
-            est_sq = 1.0 + run.c_hat[j] @ run.m_bars[j] @ run.c_hat[j] - 2.0 * prox @ run.c_hat[j]
-            est = math.sqrt(max(est_sq, 0.0))
+        est = None if j == 0 else math.sqrt(max(mixture_frobenius_sq(
+            run.m_bars[j], run.c_hat[j], run.a_bars[j] @ run.c_hat[j - 1]), 0.0))
         rows.append([float(t), *[float(v) for v in run.c_hat[j]],
                      float(run.error_hat[j]), est, float(run.kappa_hat[j]),
                      float(run.objective[j])])

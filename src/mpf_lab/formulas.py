@@ -17,8 +17,11 @@ from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
 from .statesim import FragmentEvolver, _LazyBlocks
 
 SUZUKI_ORDERS = (4, 6)
-# Basis columns per kernel call when a block power is built.
-_BUILD_COLUMNS = 16
+# Amplitudes (columns x 2^n) in one block of kernel columns, for a Trotter
+# batch and for a block-power build alike: four grid points of five circuits
+# at n=10, one at n=12.  Each kernel keeps phase arrays of this size, so a
+# block costs peak memory as well as saving calls.
+_KERNEL_AMPLITUDES = 20 * 1024
 # Largest block a power is built for: a 1024-state block is 16 MB per
 # matrix, and a build holds several at once.
 _BUILD_MAX = 1024
@@ -142,14 +145,14 @@ class ProductFormula:
             out[:, order] = out.copy()
         return out if state.ndim == 2 else out[:, 0]
 
-    @cached_property
-    def _block_power(self) -> "_BlockPower":
-        """The formula's ``S(t)^k`` on its invariant blocks, for the last
-        ``(t, k)`` pushed."""
-        return _BlockPower(self)
-
     def multiplier_list(self) -> list[float]:
         return [m for _, m in self.steps]
+
+
+def _kernel_columns(n: int) -> int:
+    """Columns of ``n``-qubit states in one block of kernel columns: as many
+    as fit :data:`_KERNEL_AMPLITUDES`, and at least one."""
+    return max(1, _KERNEL_AMPLITUDES >> n)
 
 
 def _tile(size: int) -> int:
@@ -185,55 +188,62 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _BlockPower:
-    """``S(t)^k`` of a formula, pushed either step by step through the
-    kernel or through its power kept on the common invariant blocks of the
-    fragments, for the last ``(t, k)`` only.
+    """``S(t)^k`` of a formula for one ``(t, k)`` and a known number of
+    pushes, run either step by step through the kernel or through its power
+    built on the common invariant blocks of the fragments.
 
-    A block power is built the way ``SpectralOracle`` diagonalizes, on first
-    touch: one kernel step S(t) on the block's basis columns,
-    :data:`_BUILD_COLUMNS` columns per call, then the k-th power by repeated
-    squaring.  Building pays only over enough pushes, so ``apply`` rents
-    before it buys: it pushes through the kernel until the pushes at this
-    ``(t, k)`` would have cost as much as building the blocks the states
-    touch, then builds them.  The costs count multiply-adds from the sizes
-    alone (:data:`_SWEEP_COST`), so the choice, and with it every output bit,
-    does not depend on timing.  Blocks above :data:`_BUILD_MAX` states, and
-    formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run through the
-    kernel.
+    The first :meth:`apply` decides, once and for every later push, which of
+    the two it is.  It builds if all the pushes through the kernel, k steps
+    on each state, would cost at least as much as building the blocks the
+    states touch (a kernel step on each basis column, and the products of
+    the squaring).  The states of a run all touch the blocks of its initial
+    state, so later pushes build no other block.  The costs count
+    multiply-adds from the sizes alone (:data:`_SWEEP_COST`), so the choice,
+    and with it every output bit, does not depend on timing.  Blocks above
+    :data:`_BUILD_MAX` states, and formulas above ``pauli.DENSE_QUBIT_CAP``
+    qubits, always run through the kernel.  A block power is built the way ``SpectralOracle`` diagonalizes,
+    on first touch: one kernel step S(t) on the block's basis columns,
+    :func:`_kernel_columns` columns per call, then the k-th power by
+    repeated squaring.
     """
 
-    def __init__(self, pf: ProductFormula):
-        self._pf = pf
+    def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int):
+        if not (t > 0 and k >= 1 and pushes >= 1):
+            raise ValueError(f"need t > 0, k >= 1 and pushes >= 1; got {t}, {k}, {pushes}")
+        self._pf, self._t, self._k = pf, float(t), int(k)
+        # Pushes the decision is made for; None once it is made.
+        self._pushes = pushes
         self._blocks = None
         if pf.n <= DENSE_QUBIT_CAP:
             self._blocks = _LazyBlocks(_partition(list(dict.fromkeys(pf.fragments)))[0],
                                        self._build)
-        # Cost of one step S(t) on one state.
-        self._step_cost = _SWEEP_COST * (1 << pf.n) * sum(ev.passes for ev, _ in pf._program)
-        self._key = None
-        self._spent = 0.0
 
-    def _build_cost(self, sizes: list[int], k: int) -> float:
-        """Cost of building blocks of these sizes: a kernel step on each
-        basis column, and the products of the squaring."""
+    def _build_pays(self, rows: np.ndarray) -> bool:
+        """Whether building the blocks ``rows`` touch costs no more than
+        pushing these rows through the kernel at every push."""
+        sizes = self._blocks.sizes(rows)
         if any(size > _BUILD_MAX for size in sizes):
-            return np.inf
+            return False
+        k = self._k
+        # Cost of one step S(t) on one state.
+        step = _SWEEP_COST * (1 << self._pf.n) * sum(ev.passes for ev, _ in self._pf._program)
         products = k.bit_length() + k.bit_count() - 2
-        return sum(size * self._step_cost + products * size ** 3 for size in sizes)
+        build = sum(size * step + products * size ** 3 for size in sizes)
+        return self._pushes * k * rows.shape[0] * step >= build
 
     def _build(self, members: np.ndarray) -> tuple[np.ndarray]:
-        """``S(t)^k`` on the blocks ``members`` for the kept ``(t, k)``."""
-        t, k = self._key
+        """``S(t)^k`` on the blocks ``members``."""
         count, size = members.shape
         basis_of = members.ravel()
+        width = _kernel_columns(self._pf.n)
         step = np.empty((count, size, size), dtype=complex)
-        for lo in range(0, basis_of.size, _BUILD_COLUMNS):
-            pos = np.arange(lo, min(lo + _BUILD_COLUMNS, basis_of.size))
+        for lo in range(0, basis_of.size, width):
+            pos = np.arange(lo, min(lo + width, basis_of.size))
             cols = np.zeros((1 << self._pf.n, pos.size), dtype=complex)
             cols[basis_of[pos], np.arange(pos.size)] = 1.0
-            out = self._pf.apply(cols, t)
+            out = self._pf.apply(cols, self._t)
             step[pos // size, :, pos % size] = out[members[pos // size], np.arange(pos.size)[:, None]]
-        power = None
+        power, k = None, self._k
         while True:
             if k & 1:
                 power = step if power is None else _products(power, step)
@@ -242,24 +252,18 @@ class _BlockPower:
                 return (power,)
             step = _products(step, step)
 
-    def apply(self, rows: np.ndarray, t: float, k: int) -> np.ndarray:
+    def apply(self, rows: np.ndarray) -> np.ndarray:
         """Return ``S(t)^k`` applied to each row of an ``(r, 2^n)`` array of
         states, as rows."""
         if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
             raise ValueError(f"states of shape {rows.shape} are not rows of "
                              f"{self._pf.n}-qubit states")
-        key = (float(t), int(k))
-        if key != self._key:
-            self._key, self._spent = key, 0.0
-            if self._blocks is not None:
-                self._blocks.clear()
-        push = key[1] * rows.shape[0] * self._step_cost
-        build = (np.inf if self._blocks is None
-                 else self._build_cost(self._blocks.unbuilt(rows), key[1]))
-        if self._spent + push < build:
-            self._spent += push
-            return self._pf.apply(rows.T, t, k).T
-        self._spent = 0.0
+        if self._pushes is not None:
+            if self._blocks is not None and not self._build_pays(rows):
+                self._blocks = None
+            self._pushes = None
+        if self._blocks is None:
+            return self._pf.apply(rows.T, self._t, self._k).T
         out = np.zeros(rows.shape, dtype=complex)
         for members, (mats,) in self._blocks.touched(rows):
             out[:, members] = _products(mats, rows[:, members].transpose(1, 2, 0)).transpose(2, 0, 1)

@@ -185,28 +185,25 @@ class _LazyBlocks:
     ``groups`` holds one ``(count, size)`` index array per block size, as
     from ``pauli._partition``.  ``build(members)`` gets the basis indices of
     the blocks to build, one row per block, and returns a tuple of arrays
-    with one leading entry per block.  Built arrays are kept until
-    :meth:`clear`; untouched blocks are never built.
+    with one leading entry per block.  Built arrays are kept; untouched
+    blocks are never built.
     """
 
     def __init__(self, groups: list[np.ndarray], build):
         self.groups = groups
         self._build = build
-        self.clear()
-
-    def clear(self):
         # Per size group: the arrays (None before the first build) and a built flag.
-        self._held = [[None, np.zeros(idx.shape[0], dtype=bool)] for idx in self.groups]
+        self._held = [[None, np.zeros(idx.shape[0], dtype=bool)] for idx in groups]
 
     def _hit(self, g: int, state: np.ndarray) -> np.ndarray:
         """Blocks of size group ``g`` that ``state`` (``(..., dim)``) touches."""
         count, size = self.groups[g].shape
         return np.flatnonzero(state[..., self.groups[g]].reshape(-1, count, size).any(axis=(0, 2)))
 
-    def unbuilt(self, state: np.ndarray) -> list[int]:
-        """Sizes of the blocks that ``state`` touches and that are not built."""
+    def sizes(self, state: np.ndarray) -> list[int]:
+        """Sizes of the blocks that ``state`` touches."""
         return [idx.shape[1] for g, idx in enumerate(self.groups)
-                for _ in range(np.count_nonzero(~self._held[g][1][self._hit(g, state)]))]
+                for _ in range(self._hit(g, state).size)]
 
     def touched(self, state: np.ndarray):
         """Yield ``(members, arrays)`` for each block size that ``state``

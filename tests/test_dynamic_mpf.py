@@ -39,7 +39,7 @@ from mpf_lab.dynamic_mpf import (
     q_from_states,
 )
 from mpf_lab.errors import SolverError
-from mpf_lab.formulas import fragment_by_commuting_groups
+from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
 from mpf_lab.pauli import invariant_blocks
 
 STEPS = (4, 13, 17)
@@ -91,9 +91,10 @@ def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
 
     def run(points=None):
         if points:
-            monkeypatch.setattr(dynamic_mpf, "_BATCH_AMPLITUDES", points * len(STEPS) << 6)
-        # Nine grid points: batches of 1, of 4 (4, 4, 1) and one of all nine.
-        out = minimax_run(fresh(chain6.pf), chain6.oracle, chain6.psi, STEPS,
+            monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", points * len(STEPS) << 6)
+        # Nine grid points: batches of 1, of 4 (4, 4, 1) and one of all nine,
+        # and the push's build in calls of 3, 12 and all 20 basis columns.
+        out = minimax_run(chain6.pf, chain6.oracle, chain6.psi, STEPS,
                           t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
         return [out.c_hat, out.c_star, out.error_hat, out.error_star, out.kappa_hat,
                 np.array(out.m_exact), np.array(out.l_exact)]
@@ -104,55 +105,66 @@ def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
 
 
 def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch):
-    # Amplitudes of every block that a Trotter batch passes to the formula;
-    # the push and its build run blocks of their own.
-    widths, batching = [], []
-    apply, batch = ProductFormula.apply, dynamic_mpf.trotter_states
+    # Amplitudes of every block that a Trotter batch or a block-power build
+    # passes to the formula; a kernel push runs the r states of one point.
+    widths = {"batch": [], "build": []}
+    within = []
+    apply = ProductFormula.apply
 
     def counted_apply(self, state, *a):
-        if batching:
-            widths.append(state.size)
+        if within:
+            widths[within[-1]].append(state.size)
         return apply(self, state, *a)
 
-    def counted_batch(*a):
-        batching.append(1)
-        try:
-            return batch(*a)
-        finally:
-            batching.pop()
+    def tagged(func, tag):
+        def run(*a):
+            within.append(tag)
+            try:
+                return func(*a)
+            finally:
+                within.pop()
+        return run
 
     monkeypatch.setattr(ProductFormula, "apply", counted_apply)
-    monkeypatch.setattr(dynamic_mpf, "trotter_states", counted_batch)
+    monkeypatch.setattr(dynamic_mpf, "trotter_states", tagged(dynamic_mpf.trotter_states, "batch"))
+    monkeypatch.setattr(formulas._BlockPower, "_build", tagged(formulas._BlockPower._build, "build"))
     c0 = solve_coefficients(2, STEPS).coefficients
     # Eight grid points.  Six points of three circuits at n=10 fit the
-    # default limit; at n=6 a limit of two and a half points runs two, and a
-    # limit below one point still runs one.
-    for case, limit, points in ((chain10, dynamic_mpf._BATCH_AMPLITUDES, 6),
+    # default limit, and seven pushes there never pay for the build.  At n=6
+    # a limit of two and a half points runs two, and a limit below one point
+    # still runs one; the build of the 20-state sector runs 7 and 1 basis
+    # columns per call.
+    for case, limit, points in ((chain10, formulas._KERNEL_AMPLITUDES, 6),
                                 (chain6, 5 * len(STEPS) << 5, 2),
                                 (chain6, len(STEPS) << 5, 1)):
-        monkeypatch.setattr(dynamic_mpf, "_BATCH_AMPLITUDES", limit)
-        widths.clear()
-        minimax_run(fresh(case.pf), case.oracle, case.psi, STEPS,
+        monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", limit)
+        widths["batch"].clear(), widths["build"].clear()
+        minimax_run(case.pf, case.oracle, case.psi, STEPS,
                     t0=0.5, t_final=1.2, dt=0.1, eps=0.01, k0=2, c0=c0, seed=1)
         one_point = len(STEPS) << case.n
-        assert len(widths) == -(-8 // points)
-        assert max(widths) == points * one_point <= max(limit, one_point)
+        assert len(widths["batch"]) == -(-8 // points)
+        assert max(widths["batch"]) == points * one_point <= max(limit, one_point)
+        if case is chain10:
+            assert widths["build"] == []
+        else:
+            columns = max(1, limit >> case.n)
+            assert sum(widths["build"]) == 20 << case.n
+            assert max(widths["build"]) == columns << case.n <= max(limit, 1 << case.n)
 
 
 def test_q_from_states_matches_single_push(chain4):
     t, dt, k0 = 1.1, 0.05, 7
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
-    q = q_from_states(chain4.pf, prev, nxt, dt, k0)
-    for s, state in enumerate(prev):
-        pushed = slot_by_slot(chain4.pf, state, dt, k0)
-        for i, psi in enumerate(nxt):
-            assert abs(q[i, s] - abs(np.vdot(pushed, psi)) ** 2) < 1e-13
+    for pushes in (1, 100):
+        q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, pushes), prev, nxt)
+        assert np.abs(q - q_reference(chain4.pf, prev, nxt, dt, k0)).max() < 1e-13
 
 
-def fresh(pf):
-    """A copy of ``pf`` with its own kernels and block power."""
-    return ProductFormula(fragments=pf.fragments, steps=pf.steps, order=pf.order)
+def q_reference(pf, prev, nxt, dt, k0):
+    """Propagation overlaps from slot-by-slot pushes and ``np.vdot``."""
+    pushed = [slot_by_slot(pf, state, dt, k0) for state in prev]
+    return np.array([[abs(np.vdot(p, psi)) ** 2 for p in pushed] for psi in nxt])
 
 
 def conserves_nothing(n, rng):
@@ -165,122 +177,145 @@ def conserves_nothing(n, rng):
     return second_order(frags)
 
 
-def built_blocks(pf):
-    """Number of blocks the formula's block power holds, per block size."""
-    return [int(built.sum()) for _, built in pf._block_power._blocks._held]
+def built_blocks(push):
+    """Number of blocks a push holds built; zero once it has chosen the
+    kernel."""
+    if push._blocks is None:
+        return 0
+    return sum(int(built.sum()) for _, built in push._blocks._held)
 
 
-def pushes_before_build(pf, sizes, r, k0):
-    """Kernel pushes the cost rule makes before it builds blocks of these
-    sizes: the build happens on the first call whose push would bring the
-    spent cost up to the build cost."""
-    power = pf._block_power
-    push, build = k0 * r * power._step_cost, power._build_cost(sizes, k0)
-    return math.ceil(build / push) - 1
+def crossover(pf, states, dt, k0):
+    """Fewest pushes for which the first push of ``states`` builds."""
+    for pushes in range(1, 1000):
+        push = _BlockPower(pf, dt / k0, k0, pushes)
+        push.apply(np.array(states))
+        if built_blocks(push):
+            return pushes
+    raise AssertionError("no build below 1000 pushes")
 
 
 @pytest.mark.parametrize("case", ["neel_chain6", "random_state_chain4", "no_symmetry"])
 def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
     rng = np.random.default_rng(7)
     if case == "neel_chain6":
-        pf, psi = fresh(chain6.pf), chain6.psi
+        pf, psi = chain6.pf, chain6.psi
     elif case == "random_state_chain4":
-        pf, psi = fresh(chain4.pf), random_state(4, rng)
+        pf, psi = chain4.pf, random_state(4, rng)
     else:
         pf = conserves_nothing(5, rng)
         psi = random_state(5, rng)
     t, dt, k0 = 0.9, 0.1, 6
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
-    refs = [slot_by_slot(pf, state, dt, k0) for state in prev]
-    for _ in range(6):
-        # Every call, through the kernel or through the block power, agrees.
-        q = q_from_states(pf, prev, nxt, dt, k0)
-        for s, pushed in enumerate(refs):
-            for i, psi_i in enumerate(nxt):
-                assert abs(q[i, s] - abs(np.vdot(pushed, psi_i)) ** 2) < 1e-13
+    ref = q_reference(pf, prev, nxt, dt, k0)
+    # Enough pushes that the first one builds.
+    push = _BlockPower(pf, dt / k0, k0, 1000)
+    for _ in range(3):
+        assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
     if case == "neel_chain6":
         # One total-Z sector of 20 states; no other block is built.
-        assert sum(built_blocks(pf)) == 1
+        assert built_blocks(push) == 1
     else:
-        groups = pf._block_power._blocks.groups
-        assert built_blocks(pf) == [idx.shape[0] for idx in groups]
+        assert built_blocks(push) == sum(idx.shape[0] for idx in push._blocks.groups)
 
 
-def test_block_power_is_built_once_per_dt_and_k0(chain4, monkeypatch):
+def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
     calls = []
     apply = FragmentEvolver.apply
     monkeypatch.setattr(FragmentEvolver, "apply",
                         lambda self, *a: calls.append(1) or apply(self, *a))
-    pf = fresh(chain4.pf)
-    states = {t: trotter_states(pf, chain4.psi, t, STEPS) for t in (0.4, 0.5, 0.6, 0.65)}
-
-    def kernel_calls(t_prev, t_next, k0=4):
+    pf, dt, k0 = chain6.pf, 0.25, 3
+    prev = np.array(trotter_states(pf, chain6.psi, 0.75, STEPS))
+    least = crossover(pf, prev, dt, k0)
+    assert 1 < least < 8
+    # At the crossover the first push builds the 20-state sector, and every
+    # later push, even of one state, runs through it.
+    push = _BlockPower(pf, dt / k0, k0, least)
+    push.apply(prev)
+    assert built_blocks(push) == 1
+    calls.clear()
+    for rows in (prev, prev[:1], prev):
+        push.apply(rows)
+    assert calls == []
+    # One push short of it nothing is ever built, even for more states.
+    push = _BlockPower(pf, dt / k0, k0, least - 1)
+    push.apply(prev)
+    for rows in (np.concatenate([prev, prev]), prev):
         calls.clear()
-        q_from_states(pf, states[t_prev], states[t_next], t_next - t_prev, k0)
-        return len(calls)
-
-    # The 6-state sector costs less to build than one push through the kernel.
-    assert pushes_before_build(pf, [6], len(STEPS), 4) == 0
-    first = kernel_calls(0.4, 0.5)
-    assert first > 0
-    assert kernel_calls(0.5, 0.6) == 0
-    assert kernel_calls(0.6, 0.65) == first
-    assert kernel_calls(0.6, 0.65, k0=5) == first
+        push.apply(rows)
+        assert calls and built_blocks(push) == 0
 
 
-def test_minimax_run_pushes_through_the_kernel_until_the_build_pays(chain6, monkeypatch):
-    calls, batch_calls, push_calls = [], [], []
-    apply = FragmentEvolver.apply
+def minimax_push_calls(case, monkeypatch, **grid):
+    """Run a tracker on ``case`` with kernel calls counted: the calls of
+    each Trotter batch and of each push, and the builds made in each push."""
+    calls, batch_calls, push_calls, builds = [], [], [], []
+    apply, build = FragmentEvolver.apply, formulas._BlockPower._build
     batch, push = dynamic_mpf.trotter_states, dynamic_mpf.q_from_states
 
     def counting(func, into):
         def run(*args):
-            before = len(calls)
+            before = len(calls), len(builds)
             out = func(*args)
-            into.append(len(calls) - before)
+            into.append((len(calls) - before[0], len(builds) - before[1]))
             return out
         return run
 
     monkeypatch.setattr(FragmentEvolver, "apply",
                         lambda self, *a: calls.append(1) or apply(self, *a))
+    monkeypatch.setattr(formulas._BlockPower, "_build",
+                        lambda self, *a: builds.append(1) or build(self, *a))
     monkeypatch.setattr(dynamic_mpf, "trotter_states", counting(batch, batch_calls))
     monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls))
     c0 = solve_coefficients(2, STEPS).coefficients
+    minimax_run(case.pf, case.oracle, case.psi, STEPS, eps=0.01, c0=c0, seed=1, **grid)
+    assert min(calls for calls, _ in batch_calls) > 0
+    assert len(calls) == sum(c for c, _ in batch_calls) + sum(c for c, _ in push_calls)
+    return batch_calls, push_calls
+
+
+def test_minimax_run_builds_at_the_first_push_of_a_long_grid(chain6, monkeypatch):
+    # Eight pushes, at least the crossover: the first push builds the
+    # 20-state sector, and no later push calls the kernel or builds.
+    states = trotter_states(chain6.pf, chain6.psi, 0.5, STEPS)
+    assert crossover(chain6.pf, states, 0.25, 3) <= 8
     # Two grid points per batch, so batches and pushes interleave; then the
     # default, which runs all nine points of the 6-qubit grid as one batch.
-    for limit, batches in ((2 * len(STEPS) << 6, 5), (dynamic_mpf._BATCH_AMPLITUDES, 1)):
-        monkeypatch.setattr(dynamic_mpf, "_BATCH_AMPLITUDES", limit)
-        calls.clear(), batch_calls.clear(), push_calls.clear()
-        pf = fresh(chain6.pf)
-        minimax_run(pf, chain6.oracle, chain6.psi, STEPS,
-                    t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
+    for limit, batches in ((2 * len(STEPS) << 6, 5), (formulas._KERNEL_AMPLITUDES, 1)):
+        monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", limit)
+        batch_calls, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5,
+                                                     t_final=2.5, dt=0.25, k0=3)
         assert len(batch_calls) == batches and len(push_calls) == 8
-        assert min(batch_calls) > 0
-        assert len(calls) == sum(batch_calls) + sum(push_calls)
-        # Kernel pushes while they cost less than building the 20-state
-        # sector, one build, then no kernel call at all.
-        rented = pushes_before_build(pf, [20], len(STEPS), 3)
-        assert 0 < rented < 7
-        kernel_push = push_calls[0]
-        assert push_calls[:rented] == [kernel_push] * rented
-        assert 0 < push_calls[rented] != kernel_push
-        assert push_calls[rented + 1:] == [0] * (7 - rented)
-        assert built_blocks(pf) == [0, 0, 0, 1]
+        assert push_calls[0][0] > 0 and push_calls[0][1] == 1
+        assert push_calls[1:] == [(0, 0)] * 7
+
+
+def test_minimax_run_never_builds_on_a_grid_shorter_than_the_crossover(chain6, monkeypatch):
+    # Two pushes, fewer than the crossover: every push runs through the
+    # kernel, k0 steps of the same circuit, and nothing is built.
+    states = trotter_states(chain6.pf, chain6.psi, 0.5, STEPS)
+    assert crossover(chain6.pf, states, 0.25, 3) > 2
+    _, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5, t_final=1.0,
+                                       dt=0.25, k0=3)
+    assert len(push_calls) == 2
+    assert push_calls[0][0] > 0 and push_calls == [(push_calls[0][0], 0)] * 2
 
 
 def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
-    # With the limit below the 6-state sector, every call runs through the
-    # kernel; the 1- and 4-state sectors alone would be built.
+    # With the limit below the 6-state sector, every push runs through the
+    # kernel however many there are; the 1- and 4-state sectors alone would
+    # be built.
     monkeypatch.setattr(formulas, "_BUILD_MAX", 5)
     rng = np.random.default_rng(3)
-    pf, psi = fresh(chain4.pf), random_state(4, rng)
+    pf, psi = chain4.pf, random_state(4, rng)
     prev = trotter_states(pf, psi, 0.5, STEPS)
     nxt = trotter_states(pf, psi, 0.6, STEPS)
-    ref = q_from_states(fresh(chain4.pf), prev, nxt, 0.1, 4)
+    ref = q_reference(pf, prev, nxt, 0.1, 4)
+    push = _BlockPower(pf, 0.1 / 4, 4, 1000)
     for _ in range(20):
-        assert np.abs(q_from_states(pf, prev, nxt, 0.1, 4) - ref).max() < 1e-13
-    assert sum(built_blocks(pf)) == 0
+        assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
+    assert push._blocks is None
 
 
 def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
@@ -290,12 +325,10 @@ def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
                        PauliSumOp.from_terms(n, [(0.4, PauliString("Z" * n))])))
     rng = np.random.default_rng(5)
     prev = [random_state(n, rng) for _ in range(2)]
-    q = q_from_states(pf, prev, prev, 0.2, 3)
-    for s, state in enumerate(prev):
-        pushed = slot_by_slot(pf, state, 0.2, 3)
-        for i, psi_i in enumerate(prev):
-            assert abs(q[i, s] - abs(np.vdot(pushed, psi_i)) ** 2) < 1e-13
-    assert pf._block_power._blocks is None
+    push = _BlockPower(pf, 0.2 / 3, 3, 1000)
+    q = q_from_states(push, prev, prev)
+    assert np.abs(q - q_reference(pf, prev, prev, 0.2, 3)).max() < 1e-13
+    assert push._blocks is None
 
 
 def test_block_products_do_not_depend_on_the_blas_thread_count():
@@ -313,6 +346,23 @@ def test_block_products_do_not_depend_on_the_blas_thread_count():
                               text=True, check=True)
         digests.add(done.stdout)
     assert len(digests) == 1
+
+
+def test_shootout_times_and_kappa_do_not_depend_on_the_blas_thread_count():
+    # The error columns move under a second BLAS thread at n=10 (at n=8 no
+    # column does), so this runs the default shootout at n=10.
+    kept = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(dynamic_mpf.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "mpf_lab.cli", "minimax-shootout",
+                               "--seed", "2024"], env=env, capture_output=True, text=True,
+                              check=True)
+        header, *rows = [line.split(",") for line in done.stdout.splitlines()
+                         if not line.startswith("#")]
+        assert header[0] == "t" and header[-1] == "kappa_minimax" and len(rows) == 71
+        kept.add(tuple((row[0], row[-1]) for row in rows))
+    assert len(kept) == 1
 
 
 def test_block_overlaps_match_vdot(chain4):
@@ -350,7 +400,7 @@ def test_q_matrix_entries(chain4):
     t, dt, k0 = 0.6, 0.1, 9
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
-    q = q_from_states(chain4.pf, prev, nxt, dt, k0)
+    q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, 1), prev, nxt)
     assert q.min() >= 0.0 and q.max() <= 1.0 + 1e-12
     # dense oracle
     for s, ps in enumerate(prev):
@@ -362,19 +412,19 @@ def test_q_matrix_entries(chain4):
 
 
 def test_q_matrix_small_dt_diagonal(chain4):
-    q = q_from_states(chain4.pf, trotter_states(chain4.pf, chain4.psi, 0.5, STEPS),
-                      trotter_states(chain4.pf, chain4.psi, 0.5 + 1e-8, STEPS), 1e-8, 1)
+    q = q_from_states(_BlockPower(chain4.pf, 1e-8, 1, 1),
+                      trotter_states(chain4.pf, chain4.psi, 0.5, STEPS),
+                      trotter_states(chain4.pf, chain4.psi, 0.5 + 1e-8, STEPS))
     assert np.allclose(np.diag(q), 1.0, atol=1e-6)
 
 
 def test_q_matrix_validation(chain4):
     states = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
-    with pytest.raises(ValueError):
-        q_from_states(chain4.pf, states, states, 0.0, 3)
-    with pytest.raises(ValueError):
-        q_from_states(chain4.pf, states, states, 0.1, 0)
+    for t, k, pushes in ((0.0, 3, 1), (0.1, 0, 1), (0.1, 3, 0)):
+        with pytest.raises(ValueError):
+            _BlockPower(chain4.pf, t, k, pushes)
     with pytest.raises(ValueError, match="not rows"):
-        q_from_states(chain4.pf, [s[:8] for s in states], states, 0.1, 3)
+        q_from_states(_BlockPower(chain4.pf, 0.1, 3, 1), [s[:8] for s in states], states)
 
 
 def test_l_exact_values(chain4):
@@ -588,6 +638,16 @@ def test_minimax_run_grid_validation(chain4):
     with pytest.raises(ValueError):
         minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1.0, 0.1,
                     0.0, 4, (1.0, 1.0, 1.0), 0)
+
+
+def test_minimax_run_refuses_c0_of_the_wrong_length(chain4, monkeypatch):
+    # One coefficient would broadcast over the three step counts (and sum to
+    # 3), two would fail inside NumPy; both are refused before any state.
+    monkeypatch.setattr(ProductFormula, "apply", lambda *a: pytest.fail("state computed"))
+    for c0 in ([1.0], [0.5, 0.5], [[0.2, 0.3, 0.5]]):
+        with pytest.raises(ValueError, match="one initial coefficient per step count"):
+            minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, t0=0.5, t_final=1.0,
+                        dt=0.1, eps=0.01, k0=3, c0=c0, seed=1)
 
 
 def test_minimax_run_eps0_matches_projection_chain(chain4):
