@@ -253,6 +253,23 @@ def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int) -> float:
 
 # -- the multi-product error bound -------------------------------------------
 
+def mixture_bound_refusal(scheme: MpfScheme) -> str | None:
+    """Why the multi-product bound does not apply to ``scheme``, or None if
+    it does: the bound needs r = p + 1 circuits whose coefficients sum to 1
+    and cancel the consecutive powers p .. 2p - 1."""
+    p = scheme.order
+    if len(scheme.steps) != p + 1:
+        return "the bound needs r = p + 1 circuits"
+    sum_residual, *residuals = scheme.residuals()
+    worst = max(map(abs, residuals), default=0.0)
+    if abs(sum_residual) > 1e-10:
+        return f"coefficients do not sum to 1 (off by {sum_residual:.3e})"
+    if scheme.powers != tuple(range(p, 2 * p)) or worst > 1e-8:
+        return (f"the bound requires the consecutive-power coefficient system; got powers "
+                f"{scheme.powers}, residuals up to {worst:.3e}")
+    return None
+
+
 @dataclass(frozen=True)
 class MixtureErrorBound:
     """Evaluated multi-product error bound at one time.
@@ -286,15 +303,8 @@ class MixtureBoundEvaluator:
         p = scheme.order
         if pf.order != p:
             raise ValueError("scheme and formula order disagree")
-        if len(scheme.steps) != p + 1:
-            raise ValueError("the bound needs r = p + 1 circuits")
-        sum_residual, *residuals = scheme.residuals()
-        if abs(sum_residual) > 1e-10:
-            raise ValueError(f"coefficients do not sum to 1 (off by {sum_residual:.3e})")
-        if scheme.powers != tuple(range(p, 2 * p)) or max(map(abs, residuals)) > 1e-8:
-            raise ValueError(
-                f"the bound requires the consecutive-power coefficient system; got powers "
-                f"{scheme.powers}, residuals up to {max(map(abs, residuals), default=0.0):.3e}")
+        if refusal := mixture_bound_refusal(scheme):
+            raise ValueError(refusal)
         self.scheme = scheme
         space = _WindowSpace(pf)
         # (commutator depth, ell) of every aggregate the bound reads.

@@ -5,8 +5,8 @@ CSV document (or writes it with --out) whose header comments contain the
 schema version and the fully resolved configuration, so outputs are
 self-describing and reproducible from their own header.
 
-Exit codes: 0 success, 2 invalid configuration, 3 resource cap exceeded,
-4 solver or numerical failure.
+Exit codes: 0 success, 2 invalid configuration or unwritable output path,
+3 resource cap exceeded, 4 solver or numerical failure.
 """
 
 from __future__ import annotations
@@ -66,8 +66,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             sources.append({"seed": str(args.seed)})
         cfg = resolve_config(args.scenario, *sources)
+        for path in filter(None, ["" if args.out == "-" else args.out,
+                                  cfg.get("trajectory_out", "")]):
+            # Refuse an unwritable output before the run; leave the files as they were.
+            existed = Path(path).exists()
+            Path(path).open("a").close()
+            if not existed:
+                Path(path).unlink()
         doc, trajectory = run_scenario(args.scenario, cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:

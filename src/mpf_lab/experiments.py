@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamic_mpf as dmp
-from .bounds import MixtureBoundEvaluator, formula_commutator_sum, product_formula_error_bound
+from .bounds import (MixtureBoundEvaluator, formula_commutator_sum, mixture_bound_refusal,
+                     product_formula_error_bound)
 from .formulas import fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
@@ -30,65 +31,61 @@ SCHEMA_LINE = "# mpf-lab schema v1"
 
 @dataclass(frozen=True)
 class Option:
-    kind: str          # int | float | bool | ints | str
-    default: object
+    default: object    # its type is the key's type; a tuple holds integers
     help: str = ""
 
 
 _GRID = {
-    "t_start": Option("float", 0.5, "first grid time"),
-    "t_stop": Option("float", 3.0, "last grid time"),
-    "t_count": Option("int", 6, "number of grid times"),
-    "t_scale": Option("str", "linear", "linear or log spacing"),
+    "t_start": Option(0.5, "first grid time"),
+    "t_stop": Option(3.0, "last grid time"),
+    "t_count": Option(6, "number of grid times"),
+    "t_scale": Option("linear", "linear or log spacing"),
 }
 
 SCENARIOS: dict[str, dict[str, Option]] = {
     "trotter-sweep": {
-        "n": Option("int", 6), "seed": Option("int", 2024), "p": Option("int", 2),
-        "k_list": Option("ints", (1, 2, 4, 8, 16), "step counts to sweep"),
-        "hamiltonian": Option("str", "", "text file with a custom operator"),
+        "n": Option(6), "seed": Option(2024), "p": Option(2),
+        "k_list": Option((1, 2, 4, 8, 16), "step counts to sweep"),
+        "hamiltonian": Option("", "text file with a custom operator"),
         **_GRID,
     },
     "mpf-sweep": {
-        "n": Option("int", 6), "seed": Option("int", 2024), "p": Option("int", 2),
-        "steps": Option("ints", (4, 13, 17), "base step tuple"),
-        "lam": Option("int", 1, "integer rescaling of the step tuple"),
-        "even_powers": Option("bool", False, "even-only cancellation powers"),
-        "bounds": Option("str", "auto", "bound columns: on, off, or auto (n <= 4)"),
-        "hamiltonian": Option("str", "", "text file with a custom operator"),
+        "n": Option(6), "seed": Option(2024), "p": Option(2),
+        "steps": Option((4, 13, 17), "step tuple"),
+        "even_powers": Option(False, "even-only cancellation powers"),
+        "bounds": Option("auto", "bound columns: on, off, or auto (n <= 4)"),
+        "hamiltonian": Option("", "text file with a custom operator"),
         **_GRID,
     },
     "tuple-search": {
-        "p": Option("int", 2),
-        "k_max": Option("int", 25, "largest admissible step count"),
-        "r": Option("int", 0, "tuple length; 0 means p + 1"),
-        "even_powers": Option("bool", False),
-        "kappa_cap": Option("float", 0.0, "drop tuples above this 1-norm; 0 disables"),
-        "limit": Option("int", 25, "ranked tuples to emit"),
-        "reference": Option("ints", (), "tuple to locate in the ranking"),
+        "p": Option(2),
+        "k_max": Option(25, "largest admissible step count"),
+        "r": Option(0, "tuple length; 0 means p + 1"),
+        "even_powers": Option(False),
+        "kappa_cap": Option(0.0, "drop tuples above this 1-norm; 0 disables"),
+        "limit": Option(25, "ranked tuples to emit"),
+        "reference": Option((), "tuple to locate in the ranking"),
     },
     "bound-eval": {
-        "n": Option("int", 4), "seed": Option("int", 2024), "p": Option("int", 2),
-        "steps": Option("ints", (4, 13, 17)),
-        "lam": Option("int", 1),
-        "sampler_seed": Option("int", 2024, "no effect"),
+        "n": Option(4), "seed": Option(2024), "p": Option(2),
+        "steps": Option((4, 13, 17)),
+        "sampler_seed": Option(2024, "no effect"),
         **_GRID,
     },
     "minimax-shootout": {
-        "n": Option("int", 10), "seed": Option("int", 2024),
-        "steps": Option("ints", (8, 20, 26, 30, 34)),
-        "static_subset": Option("ints", (0, 2, 4), "indices of the static comparator"),
-        "t0": Option("float", 1.0), "t_final": Option("float", 4.5),
-        "dt": Option("float", 0.05), "eps": Option("float", 0.01),
-        "k0": Option("int", 26, "steps used to push the mixture forward by dt"),
-        "even_powers": Option("bool", True, "power convention for the static seed"),
-        "trajectory_out": Option("str", "", "optional second CSV with the full trajectory"),
+        "n": Option(10), "seed": Option(2024),
+        "steps": Option((8, 20, 26, 30, 34)),
+        "static_subset": Option((0, 2, 4), "indices of the static comparator"),
+        "t0": Option(1.0), "t_final": Option(4.5),
+        "dt": Option(0.05), "eps": Option(0.01),
+        "k0": Option(26, "steps used to push the mixture forward by dt"),
+        "even_powers": Option(True, "power convention for the static seed"),
+        "trajectory_out": Option("", "optional second CSV with the full trajectory"),
     },
     "solve-coeffs": {
-        "p": Option("int", 2),
-        "steps": Option("ints", (4, 13, 17)),
-        "lam": Option("int", 1),
-        "even_powers": Option("bool", False),
+        "p": Option(2),
+        "steps": Option((4, 13, 17)),
+        "even_powers": Option(False),
     },
 }
 
@@ -107,26 +104,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _coerce(kind: str, raw: str):
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
+def _coerce(default, raw: str):
+    """Read a string value as the type of the key's default."""
+    if isinstance(default, bool):
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "ints":
-        raw = raw.strip()
-        if not raw:
-            return ()
+    if isinstance(default, tuple):
         return tuple(int(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
-    if kind == "str":
-        return raw
-    raise ValueError(f"unknown option kind {kind!r}")
+    return type(default)(raw)
 
 
 def resolve_config(scenario: str, *sources: dict[str, str]) -> dict:
@@ -139,7 +128,7 @@ def resolve_config(scenario: str, *sources: dict[str, str]) -> dict:
         for key, raw in src.items():
             if key not in schema:
                 raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
-            cfg[key] = _coerce(schema[key].kind, raw) if isinstance(raw, str) else raw
+            cfg[key] = _coerce(schema[key].default, raw) if isinstance(raw, str) else raw
     return cfg
 
 
@@ -208,6 +197,8 @@ def config_help(scenario: str) -> str:
 # -- scenarios --------------------------------------------------------------------
 
 def _build_formula(n: int, seed: int, p: int, hamiltonian_path: str = ""):
+    if p not in (2, 4):
+        raise ValueError("supported formula orders are 2 and 4")
     if hamiltonian_path:
         op = parse_op(Path(hamiltonian_path).read_text())
         if op.n != n:
@@ -219,11 +210,7 @@ def _build_formula(n: int, seed: int, p: int, hamiltonian_path: str = ""):
         _, fields = build_heisenberg_chain(n, seed)
         frags = fragment_decomposition_s2(n, fields)
     pf = second_order(frags)
-    if p == 4:
-        pf = suzuki(pf, 4)
-    elif p != 2:
-        raise ValueError("supported formula orders are 2 and 4")
-    return pf
+    return suzuki(pf, 4) if p == 4 else pf
 
 
 def _trotter_fit(p: int, n: int, t: float, k: int) -> float:
@@ -238,22 +225,31 @@ def _mpf_fit(p: int, n: int, t: float, objective: float) -> float:
     return 0.00014 * n * n * t**10 * objective
 
 
-def _run_trotter_sweep(cfg: dict) -> CsvDoc:
+def _sweep_grid(cfg: dict, steps):
+    """A sweep's formula, its commutator sum, and its walk over the time grid:
+    ``(t, states, exact)`` with the Trotter states of the step counts
+    ``steps`` and the exact state, both from the Néel state.  At t = 0 both
+    are None, since every circuit reproduces the initial state."""
     grid = time_grid(cfg)
-    if any(k < 1 for k in cfg["k_list"]):
-        raise ValueError("step counts in k_list must be >= 1")
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     oracle = SpectralOracle(pf.hamiltonian)
     psi = neel_state(cfg["n"])
-    commutator_sum = formula_commutator_sum(pf)
-    batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], cfg["k_list"])
+    batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], steps)
+    walk = ((t, None, None) if t == 0.0 else (t, next(batches), oracle.evolve(psi, t))
+            for t in map(float, grid))
+    return pf, formula_commutator_sum(pf), walk
+
+
+def _run_trotter_sweep(cfg: dict) -> CsvDoc:
+    if any(k < 1 for k in cfg["k_list"]):
+        raise ValueError("step counts in k_list must be >= 1")
+    pf, commutator_sum, walk = _sweep_grid(cfg, cfg["k_list"])
     rows = []
-    for t in map(float, grid):
-        if t == 0.0:
+    for t, states, exact in walk:
+        if states is None:
             rows.extend([t, k, 0.0, 0.0, 0.0] for k in cfg["k_list"])
             continue
-        exact = oracle.evolve(psi, t)
-        for k, state in zip(cfg["k_list"], next(batches)):
+        for k, state in zip(cfg["k_list"], states):
             err = mixture_trace_norm([state, exact], [1.0, -1.0])
             rows.append([
                 t, k, err,
@@ -265,30 +261,22 @@ def _run_trotter_sweep(cfg: dict) -> CsvDoc:
 
 
 def _run_mpf_sweep(cfg: dict) -> CsvDoc:
-    grid = time_grid(cfg)
     mode = cfg["bounds"]
     if mode not in ("on", "off", "auto"):
         raise ValueError("bounds must be on, off, or auto")
-    with_bound = mode == "on" or (mode == "auto" and cfg["n"] <= 4)
-    if with_bound and cfg["even_powers"]:
-        raise ValueError("the mixture bound needs the consecutive-power scheme")
-    steps = tuple(cfg["lam"] * k for k in cfg["steps"])
-    scheme = solve_coefficients(cfg["p"], steps, cfg["even_powers"])
-    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
-    oracle = SpectralOracle(pf.hamiltonian)
-    psi = neel_state(cfg["n"])
-    commutator_sum = formula_commutator_sum(pf)
+    scheme = solve_coefficients(cfg["p"], cfg["steps"], cfg["even_powers"])
+    refusal = mixture_bound_refusal(scheme)
+    if mode == "on" and refusal:
+        raise ValueError(refusal)
+    with_bound = refusal is None and (mode == "on" or mode == "auto" and cfg["n"] <= 4)
+    pf, commutator_sum, walk = _sweep_grid(cfg, scheme.steps)
     evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
     k_best = max(scheme.steps)
-    batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], scheme.steps)
     rows = []
-    for t in map(float, grid):
-        if t == 0.0:
-            # every circuit reproduces the initial state identically
+    for t, states, exact in walk:
+        if states is None:
             rows.append([t, 0.0, 0.0, 0.0, 0.0 if with_bound else None, 0.0])
             continue
-        states = next(batches)
-        exact = oracle.evolve(psi, t)
         trotter_err = mixture_trace_norm([states[-1], exact], [1.0, -1.0])
         mpf_err = mixture_trace_norm(states + [exact], list(scheme.coefficients) + [-1.0])
         rows.append([
@@ -301,47 +289,47 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     return CsvDoc(_config_comments("mpf-sweep", cfg), header, rows)
 
 
+_SCHEME_HEADER = ["p", "steps", "coefficients", "kappa", "objective", "condition"]
+
+
+def _scheme_row(sch) -> list:
+    return [sch.order, ";".join(map(str, sch.steps)),
+            ";".join(format(c, ".12e") for c in sch.coefficients),
+            sch.kappa, sch.objective, sch.system_condition]
+
+
 def _run_solve_coeffs(cfg: dict) -> CsvDoc:
-    steps = tuple(cfg["lam"] * k for k in cfg["steps"])
-    sch = solve_coefficients(cfg["p"], steps, cfg["even_powers"])
-    header = ["p", "steps", "coefficients", "kappa", "objective", "condition"]
-    rows = [[sch.order, ";".join(map(str, sch.steps)),
-             ";".join(format(c, ".12e") for c in sch.coefficients),
-             sch.kappa, sch.objective, sch.system_condition]]
-    return CsvDoc(_config_comments("solve-coeffs", cfg), header, rows)
+    sch = solve_coefficients(cfg["p"], cfg["steps"], cfg["even_powers"])
+    return CsvDoc(_config_comments("solve-coeffs", cfg), _SCHEME_HEADER, [_scheme_row(sch)])
 
 
 def _run_tuple_search(cfg: dict) -> CsvDoc:
     r = cfg["r"] if cfg["r"] > 0 else cfg["p"] + 1
     cap = cfg["kappa_cap"] if cfg["kappa_cap"] > 0 else None
+    ref = (solve_coefficients(cfg["p"], cfg["reference"], cfg["even_powers"])
+           if cfg["reference"] else None)
     ranked = search_steps(cfg["p"], cfg["k_max"], r, even_powers=cfg["even_powers"],
                           kappa_cap=cap, limit=max(cfg["limit"], 1))
     comments = _config_comments("tuple-search", cfg)
-    if cfg["reference"]:
-        ref = solve_coefficients(cfg["p"], cfg["reference"], cfg["even_powers"])
+    if ref is not None:
         pos = rank_of_tuple(ranked, cfg["reference"])
         comments.append(f"reference_rank = {'unranked' if pos is None else pos}")
         comments.append(f"best_tuple = {','.join(map(str, ranked[0].steps))}")
         comments.append(
             f"reference_objective_ratio = {format(ref.objective / ranked[0].objective, '.6e')}"
         )
-    header = ["rank", "p", "steps", "coefficients", "kappa", "objective", "condition"]
-    rows = [[i, sch.order, ";".join(map(str, sch.steps)),
-             ";".join(format(c, ".12e") for c in sch.coefficients),
-             sch.kappa, sch.objective, sch.system_condition]
-            for i, sch in enumerate(ranked)]
-    return CsvDoc(comments, header, rows)
+    rows = [[i, *_scheme_row(sch)] for i, sch in enumerate(ranked)]
+    return CsvDoc(comments, ["rank", *_SCHEME_HEADER], rows)
 
 
 def _run_bound_eval(cfg: dict) -> CsvDoc:
-    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"])
-    steps = tuple(cfg["lam"] * k for k in cfg["steps"])
-    scheme = solve_coefficients(cfg["p"], steps)
-    evaluator = MixtureBoundEvaluator(scheme, pf)
+    grid = time_grid(cfg)
+    scheme = solve_coefficients(cfg["p"], cfg["steps"])
+    evaluator = MixtureBoundEvaluator(scheme, _build_formula(cfg["n"], cfg["seed"], cfg["p"]))
     aggregate_names = sorted(evaluator.aggregates)
     header = ["t", "formula_commutator_sum", "a1", "a2", "a3", "prefactor", "bound", *aggregate_names]
     rows = []
-    for t in map(float, time_grid(cfg)):
+    for t in map(float, grid):
         b = evaluator.at(t)
         rows.append([b.t, b.commutator_sum, b.a1, b.a2, b.a3, b.prefactor, b.value,
                      *[b.aggregates[name] for name in aggregate_names]])
@@ -361,14 +349,13 @@ def _run_minimax_shootout(cfg: dict) -> tuple[CsvDoc, CsvDoc | None]:
     oracle = SpectralOracle(pf.hamiltonian)
     psi = neel_state(cfg["n"])
     sub_scheme = solve_coefficients(2, tuple(steps[i] for i in subset), cfg["even_powers"])
+    ids = list(subset)
     c0 = np.zeros(len(steps))
-    for pos, coeff in zip(subset, sub_scheme.coefficients):
-        c0[pos] = coeff
+    c0[ids] = sub_scheme.coefficients
     run = dmp.minimax_run(pf, oracle, psi, steps, t0=cfg["t0"], t_final=cfg["t_final"],
                           dt=cfg["dt"], eps=cfg["eps"], k0=cfg["k0"], c0=c0,
                           seed=cfg["seed"])
     c_sub = np.asarray(sub_scheme.coefficients)
-    ids = list(subset)
     rows = []
     for j, t in enumerate(run.times):
         m_x, l_x = run.m_exact[j], run.l_exact[j]
@@ -405,19 +392,14 @@ def _trajectory_doc(cfg: dict, run: dmp.MinimaxRun) -> CsvDoc:
 
 def run_scenario(scenario: str, cfg: dict):
     """Run one scenario; returns (CsvDoc, optional trajectory CsvDoc)."""
-    if scenario == "trotter-sweep":
-        return _run_trotter_sweep(cfg), None
-    if scenario == "mpf-sweep":
-        return _run_mpf_sweep(cfg), None
-    if scenario == "solve-coeffs":
-        return _run_solve_coeffs(cfg), None
-    if scenario == "tuple-search":
-        return _run_tuple_search(cfg), None
-    if scenario == "bound-eval":
-        return _run_bound_eval(cfg), None
     if scenario == "minimax-shootout":
         return _run_minimax_shootout(cfg)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    runners = {"trotter-sweep": _run_trotter_sweep, "mpf-sweep": _run_mpf_sweep,
+               "solve-coeffs": _run_solve_coeffs, "tuple-search": _run_tuple_search,
+               "bound-eval": _run_bound_eval}
+    if scenario not in runners:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return runners[scenario](cfg), None
 
 
 # -- scaling-law fits -------------------------------------------------------------

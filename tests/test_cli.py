@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mpf_lab import dynamic_mpf
+from mpf_lab import cli, dynamic_mpf
 from mpf_lab.cli import main
 from mpf_lab.experiments import SCENARIOS
 
@@ -110,6 +110,35 @@ def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, cap
     code, _, _ = run_cli(["minimax-shootout", "--set", "n=4", "--set", "t_final=1.2"], capsys)
     assert code == 0
     assert {"batch", "eigh"} <= set(calls)
+
+
+@pytest.mark.parametrize("args", [
+    ["solve-coeffs", "--out", "/nonexistent/dir/x.csv"],
+    ["minimax-shootout", "--set", "trajectory_out=/nonexistent/t.csv"],
+])
+def test_unwritable_output_refused_before_the_run(args, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("scenario ran"))
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "/nonexistent/" in err
+    assert out == ""
+
+
+def test_output_check_leaves_files_as_they_were(tmp_path: Path, capsys, monkeypatch):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("old\n")
+    calls = []
+
+    def failing_run(*args):
+        calls.append(args)
+        raise ValueError("the run failed")
+
+    monkeypatch.setattr(cli, "run_scenario", failing_run)
+    for path in (kept, fresh):
+        code, _, err = run_cli(["solve-coeffs", "--out", str(path)], capsys)
+        assert code == 2 and "the run failed" in err
+    assert len(calls) == 2
+    assert kept.read_text() == "old\n" and not fresh.exists()
 
 
 def test_missing_config_file(capsys):

@@ -22,8 +22,8 @@ def test_parse_config_text():
 
 
 def test_resolve_config_layers():
-    cfg = resolve_config("mpf-sweep", {"n": "4"}, {"n": "6", "lam": "2"})
-    assert cfg["n"] == 6 and cfg["lam"] == 2
+    cfg = resolve_config("mpf-sweep", {"n": "4", "p": "4"}, {"n": "6"})
+    assert cfg["n"] == 6 and cfg["p"] == 4
     assert cfg["steps"] == (4, 13, 17)
     with pytest.raises(ValueError):
         resolve_config("mpf-sweep", {"bogus": "1"})
@@ -37,6 +37,15 @@ def test_coercions():
     assert cfg["steps"] == (2, 9, 17)
     with pytest.raises(ValueError):
         resolve_config("mpf-sweep", {"even_powers": "maybe"})
+
+
+@pytest.mark.parametrize("scenario", list(experiments.SCENARIOS))
+def test_every_default_resolves_back_to_itself(scenario):
+    # A string value is read by the type of the key's default; the default
+    # as --help and the CSV header write it reads back unchanged.
+    for key, opt in experiments.SCENARIOS[scenario].items():
+        value = resolve_config(scenario, {key: experiments._show(opt.default)})[key]
+        assert value == opt.default and type(value) is type(opt.default), key
 
 
 def test_time_grid():
@@ -112,19 +121,32 @@ def test_mpf_sweep_bound_columns_dominate(chain4):
 
 
 @pytest.mark.parametrize("scenario, overrides, message", [
-    ("mpf-sweep", {"bounds": "bogus"}, "bounds must be"),
-    ("mpf-sweep", {"bounds": "on", "even_powers": "true"}, "consecutive-power"),
-    ("trotter-sweep", {"k_list": "4,0"}, "k_list"),
+    ("mpf-sweep", {"n": "11", "bounds": "bogus"}, "bounds must be"),
+    ("mpf-sweep", {"n": "11", "bounds": "on", "even_powers": "true"}, "consecutive-power"),
+    ("trotter-sweep", {"n": "11", "k_list": "4,0"}, "k_list"),
+    ("mpf-sweep", {"n": "6", "p": "4", "bounds": "on"}, r"r = p \+ 1"),
+    ("tuple-search", {"k_max": "40", "r": "4", "reference": "13,4,17,20"},
+     "strictly increasing"),
+    ("bound-eval", {"n": "8", "t_count": "0"}, "t_count must be >= 1"),
 ])
 def test_sweep_config_checked_before_any_work(monkeypatch, scenario, overrides, message):
     def forbidden(*args, **kwargs):
-        raise AssertionError("sweep work started before the config was checked")
+        raise AssertionError("scenario work started before the config was checked")
 
-    monkeypatch.setattr(experiments, "SpectralOracle", forbidden)
-    monkeypatch.setattr(experiments, "formula_commutator_sum", forbidden)
-    cfg = resolve_config(scenario, {"n": "11", **overrides})
+    for name in ("SpectralOracle", "formula_commutator_sum", "search_steps",
+                 "MixtureBoundEvaluator"):
+        monkeypatch.setattr(experiments, name, forbidden)
+    cfg = resolve_config(scenario, overrides)
     with pytest.raises(ValueError, match=message):
         run_scenario(scenario, cfg)
+
+
+@pytest.mark.parametrize("overrides", [{"even_powers": "true"}, {"steps": "4,13,17,20"}])
+def test_mpf_sweep_auto_leaves_an_inadmissible_bound_empty(overrides):
+    cfg = resolve_config("mpf-sweep", {"n": "4", "t_count": "2", **overrides})
+    doc, _ = run_scenario("mpf-sweep", cfg)
+    assert all(row[4] is None for row in doc.rows)
+    assert doc.text().splitlines()[-1].split(",")[4] == "nan"
 
 
 def test_trotter_sweep_shape():

@@ -161,3 +161,25 @@ def test_every_export_is_read():
     named = [*(p.read_text() for p in READERS),
              *python_blocks((ROOT / "README.md").read_text())]
     assert unread_exports(exports, [p.read_text() for p in MODULES], named) == []
+
+
+def cfg_reads(source: str) -> set[str]:
+    """Keys a source reads as ``cfg["key"]``."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+
+
+def test_checker_finds_cfg_reads():
+    assert cfg_reads('x = cfg["n"] + cfg.get("m")\ncfg["o"] = 1\ny = other["p"]\n') == {"n", "o"}
+
+
+def test_every_config_key_is_read():
+    from mpf_lab.experiments import SCENARIOS
+
+    read = cfg_reads((SRC / "experiments.py").read_text())
+    # bound-eval keeps sampler_seed, which has no effect, only because the
+    # benchmark's bounds workload still passes it.
+    unread = [f"{scenario}: {key}" for scenario, schema in SCENARIOS.items()
+              for key in schema if key not in read]
+    assert unread == ["bound-eval: sampler_seed"]
