@@ -185,6 +185,11 @@ def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
 
 # -- window aggregates over partial-product conjugations ---------------------
 
+def _check_window_cap(n: int):
+    if n > DENSE_NORM_CAP:
+        raise ResourceLimitError(f"window aggregates capped at n={DENSE_NORM_CAP}")
+
+
 class _WindowSpace:
     """A formula's window layer in block form.
 
@@ -195,8 +200,7 @@ class _WindowSpace:
     """
 
     def __init__(self, pf: ProductFormula):
-        if pf.n > DENSE_NORM_CAP:
-            raise ResourceLimitError(f"window aggregates capped at n={DENSE_NORM_CAP}")
+        _check_window_cap(pf.n)
         self.pf = pf
         ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian)))
         self.parts = dict(zip(ops, invariant_blocks(ops)[1]))

@@ -4,6 +4,11 @@ A recipe is an ordered list of ``(fragment index, time multiplier)`` slots;
 slot ``(a, m)`` contributes the unitary ``exp(-i m t F_a)`` and slots are
 applied left to right.  Multipliers for each fragment index sum to one, so a
 recipe always approximates ``exp(-i t H)`` with ``H`` the fragment sum.
+
+Every state a formula makes from a start state stays in the common invariant
+blocks of the fragments that the start touches.  ``ProductFormula.apply``
+runs on those blocks alone when given their basis indices, which is how the
+Trotter batches, the kernel pushes and the block-power builds run.
 """
 
 from __future__ import annotations
@@ -14,13 +19,15 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, _LazyBlocks
+from .statesim import FragmentEvolver, _LazyBlocks, _touched
 
 SUZUKI_ORDERS = (4, 6)
-# Amplitudes (columns x 2^n) in one block of kernel columns, for a Trotter
-# batch and for a block-power build alike: four grid points of five circuits
-# at n=10, one at n=12.  Each kernel keeps phase arrays of this size, so a
-# block costs peak memory as well as saving calls.
+# Amplitudes (columns x the amplitudes of the space the kernel runs on) in
+# one block of kernel columns, for a Trotter batch and for a block-power
+# build alike.  From the Neel state that space is its total-Z sector: 81
+# columns of 252 amplitudes at n=10 (16 grid points of five circuits), 22 of
+# 924 at n=12 (four points).  Each kernel keeps phase arrays of this size, so
+# a block costs peak memory as well as saving calls.
 _KERNEL_AMPLITUDES = 20 * 1024
 # Largest block a power is built for: a 1024-state block is 16 MB per
 # matrix, and a build holds several at once.
@@ -30,9 +37,13 @@ _BUILD_MAX = 1024
 # and 2 threads), though OpenBLAS still spreads the tile products over its
 # threads.
 _TILE = 64
-# Cost of one kernel sweep over one amplitude, in complex multiply-adds of a
-# block product: 10-25 ns against 0.3-0.4 ns on the chain formula, n = 8-12.
-_SWEEP_COST = 32
+# Cost of one kernel pass over one amplitude, in complex multiply-adds of a
+# block product, fitted to wall time: from the Neel state with k0=26 and r=5
+# (2 BLAS threads, medians of four in-process runs) the build pays from 4.5
+# pushes at n=10 and 122 at n=12, counting the block pushes after it; 28 puts
+# the rule at 8 and 75, within 1.8x of both.  A pass costs 8-23 ns per
+# amplitude against 0.3-0.4 ns per multiply-add of the squaring.
+_SWEEP_COST = 28
 
 
 @dataclass(frozen=True)
@@ -79,32 +90,70 @@ class ProductFormula:
         return tuple(mult * self.fragments[idx] for idx, mult in self.steps)
 
     @cached_property
-    def _program(self) -> tuple[tuple[FragmentEvolver, float], ...]:
-        """The recipe as ``(evolver, multiplier)`` slots, with one evolver per
-        distinct fragment and adjacent slots on equal fragments merged."""
-        evolvers: dict[PauliSumOp, FragmentEvolver] = {}
-        program: list[tuple[FragmentEvolver, float]] = []
-        for idx, mult in self.steps:
-            frag = self.fragments[idx]
-            if frag not in evolvers:
-                evolvers[frag] = FragmentEvolver(frag)
-            evolver = evolvers[frag]
-            if program and program[-1][0] is evolver:
-                program[-1] = (evolver, program[-1][1] + mult)
-            else:
-                program.append((evolver, mult))
-        return tuple(program)
+    def _blocks(self) -> list[np.ndarray] | None:
+        """Common invariant blocks of the distinct fragments, one
+        ``(count, size)`` array of ascending basis indices per block size
+        (``pauli._partition``); None above ``pauli.DENSE_QUBIT_CAP``, where
+        none are sought."""
+        if self.n > DENSE_QUBIT_CAP:
+            return None
+        return _partition(list(dict.fromkeys(self.fragments)))[0]
 
-    def apply(self, state: np.ndarray, t, k=1) -> np.ndarray:
+    def _basis(self, states: np.ndarray) -> np.ndarray | None:
+        """The sorted basis indices of the common invariant blocks that
+        ``states`` (``(..., 2^n)``) touches: an invariant subspace that holds
+        every state the formula makes from them.  None when that is the
+        whole space, or when no blocks are sought."""
+        if self._blocks is None:
+            return None
+        basis = np.sort(np.concatenate([idx[_touched(idx, states)].ravel()
+                                        for idx in self._blocks]))
+        return None if basis.size == 1 << self.n else basis
+
+    @cached_property
+    def _programs(self) -> dict:
+        return {}
+
+    @property
+    def _program(self) -> tuple[tuple[FragmentEvolver, float], ...]:
+        return self._program_on(None)
+
+    def _program_on(self, basis: np.ndarray | None) -> tuple[tuple[FragmentEvolver, float], ...]:
+        """The recipe as ``(evolver, multiplier)`` slots on the states of
+        ``basis`` (the whole space for None, or for a basis of every index),
+        with one evolver per distinct fragment and adjacent slots on equal
+        fragments merged.  Built once per basis."""
+        if basis is not None and basis.size == 1 << self.n:
+            basis = None
+        key = None if basis is None else basis.tobytes()
+        if key not in self._programs:
+            evolvers: dict[PauliSumOp, FragmentEvolver] = {}
+            program: list[tuple[FragmentEvolver, float]] = []
+            for idx, mult in self.steps:
+                frag = self.fragments[idx]
+                if frag not in evolvers:
+                    evolvers[frag] = FragmentEvolver(frag, basis)
+                evolver = evolvers[frag]
+                if program and program[-1][0] is evolver:
+                    program[-1] = (evolver, program[-1][1] + mult)
+                else:
+                    program.append((evolver, mult))
+            self._programs[key] = tuple(program)
+        return self._programs[key]
+
+    def apply(self, state: np.ndarray, t, k=1, basis: np.ndarray | None = None) -> np.ndarray:
         """Return ``S(t)^k |state>``; the input array is not modified.
 
-        ``state`` is ``(2^n,)`` or a ``(2^n, r)`` block of columns, and for a
+        ``state`` is ``(dim,)`` or a ``(dim, r)`` block of columns, and for a
         block ``t`` and ``k`` may be length-r vectors: column i gets
-        ``S(t_i)^{k_i}``.  The columns run as one block, longest circuit
-        first, and a column drops out once its k_i steps are done.  When the
-        recipe closes on the fragment it opens with (a palindrome), the
-        closing slot of one step and the opening slot of the next run as one
-        slot of summed time.
+        ``S(t_i)^{k_i}``.  ``dim`` is 2^n, or S for states given in the
+        coordinates of ``basis``, the S sorted indices of a union of common
+        invariant blocks of the fragments (as from :meth:`_basis`); the
+        result is in the same coordinates.  The columns run as one block,
+        longest circuit first, and a column drops out once its k_i steps are
+        done.  When the recipe closes on the fragment it opens with (a
+        palindrome), the closing slot of one step and the opening slot of
+        the next run as one slot of summed time.
         """
         state = np.asarray(state)
         if state.ndim not in (1, 2):
@@ -124,7 +173,7 @@ class ProductFormula:
         permuted = np.any(order != np.arange(cols))
         if permuted:
             block, times, reps = block[:, order], times[order], reps[order]
-        program = self._program
+        program = self._program_on(basis)
         last = len(program) - 1
         wrap = last > 0 and program[0][0] is program[last][0]
         out = np.empty(block.shape, dtype=complex, order="F")
@@ -149,10 +198,10 @@ class ProductFormula:
         return [m for _, m in self.steps]
 
 
-def _kernel_columns(n: int) -> int:
-    """Columns of ``n``-qubit states in one block of kernel columns: as many
+def _kernel_columns(dim: int) -> int:
+    """Columns of ``dim`` amplitudes in one block of kernel columns: as many
     as fit :data:`_KERNEL_AMPLITUDES`, and at least one."""
-    return max(1, _KERNEL_AMPLITUDES >> n)
+    return max(1, _KERNEL_AMPLITUDES // dim)
 
 
 def _tile(size: int) -> int:
@@ -198,11 +247,14 @@ class _BlockPower:
     states touch (a kernel step on each basis column, and the products of
     the squaring).  The states of a run all touch the blocks of its initial
     state, so later pushes build no other block.  The costs count
-    multiply-adds from the sizes alone (:data:`_SWEEP_COST`), so the choice,
-    and with it every output bit, does not depend on timing.  Blocks above
-    :data:`_BUILD_MAX` states, and formulas above ``pauli.DENSE_QUBIT_CAP``
-    qubits, always run through the kernel.  A block power is built the way ``SpectralOracle`` diagonalizes,
-    on first touch: one kernel step S(t) on the block's basis columns,
+    multiply-adds from the sizes alone (:data:`_SWEEP_COST` per amplitude a
+    kernel pass sweeps), so the choice, and with it every output bit, does
+    not depend on timing.  Blocks above :data:`_BUILD_MAX` states, and
+    formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run through the
+    kernel.  A kernel push runs on the touched blocks alone
+    (``ProductFormula._basis``).  A block power is built the way
+    ``SpectralOracle`` diagonalizes, on first touch: one kernel step S(t) on
+    the block's own basis columns, in the block's coordinates and
     :func:`_kernel_columns` columns per call, then the k-th power by
     repeated squaring.
     """
@@ -214,9 +266,8 @@ class _BlockPower:
         # Pushes the decision is made for; None once it is made.
         self._pushes = pushes
         self._blocks = None
-        if pf.n <= DENSE_QUBIT_CAP:
-            self._blocks = _LazyBlocks(_partition(list(dict.fromkeys(pf.fragments)))[0],
-                                       self._build)
+        if pf._blocks is not None:
+            self._blocks = _LazyBlocks(pf._blocks, self._build)
 
     def _build_pays(self, rows: np.ndarray) -> bool:
         """Whether building the blocks ``rows`` touch costs no more than
@@ -225,24 +276,22 @@ class _BlockPower:
         if any(size > _BUILD_MAX for size in sizes):
             return False
         k = self._k
-        # Cost of one step S(t) on one state.
-        step = _SWEEP_COST * (1 << self._pf.n) * sum(ev.passes for ev, _ in self._pf._program)
+        # Cost of one step S(t) per amplitude it sweeps.
+        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in self._pf._program)
         products = k.bit_length() + k.bit_count() - 2
-        build = sum(size * step + products * size ** 3 for size in sizes)
-        return self._pushes * k * rows.shape[0] * step >= build
+        build = sum(size * size * sweep + products * size ** 3 for size in sizes)
+        return self._pushes * k * rows.shape[0] * sum(sizes) * sweep >= build
 
     def _build(self, members: np.ndarray) -> tuple[np.ndarray]:
         """``S(t)^k`` on the blocks ``members``."""
         count, size = members.shape
-        basis_of = members.ravel()
-        width = _kernel_columns(self._pf.n)
+        width = _kernel_columns(size)
         step = np.empty((count, size, size), dtype=complex)
-        for lo in range(0, basis_of.size, width):
-            pos = np.arange(lo, min(lo + width, basis_of.size))
-            cols = np.zeros((1 << self._pf.n, pos.size), dtype=complex)
-            cols[basis_of[pos], np.arange(pos.size)] = 1.0
-            out = self._pf.apply(cols, self._t)
-            step[pos // size, :, pos % size] = out[members[pos // size], np.arange(pos.size)[:, None]]
+        for block, basis in zip(step, members):
+            for lo in range(0, size, width):
+                # Basis columns lo, lo + 1, ... of the block, in its coordinates.
+                cols = np.eye(size, min(width, size - lo), -lo, dtype=complex)
+                block[:, lo:lo + width] = self._pf.apply(cols, self._t, basis=basis)
         power, k = None, self._k
         while True:
             if k & 1:
@@ -263,7 +312,12 @@ class _BlockPower:
                 self._blocks = None
             self._pushes = None
         if self._blocks is None:
-            return self._pf.apply(rows.T, self._t, self._k).T
+            basis = self._pf._basis(rows)
+            if basis is None:
+                return self._pf.apply(rows.T, self._t, self._k).T
+            out = np.zeros(rows.shape, dtype=complex)
+            out[:, basis] = self._pf.apply(rows[:, basis].T, self._t, self._k, basis=basis).T
+            return out
         out = np.zeros(rows.shape, dtype=complex)
         for members, (mats,) in self._blocks.touched(rows):
             out[:, members] = _products(mats, rows[:, members].transpose(1, 2, 0)).transpose(2, 0, 1)

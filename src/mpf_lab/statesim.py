@@ -1,10 +1,12 @@
 """Statevector kernels: fragment exponentials, exact evolution inside the
 Hamiltonian's invariant blocks, and low-rank norms of pure-state mixtures.
 
-No 2^n x 2^n matrix is materialized here.  Exact evolution diagonalizes only
-the invariant blocks (e.g. total-Z sectors) that a state touches, and the
-trace norm of a mixture of r pure states comes from the r x r triangular
-factor of a QR of the state block, which keeps its accuracy down to
+No 2^n x 2^n matrix is materialized here.  The fragment kernel runs on the
+whole space or on an invariant subspace (a union of blocks such as total-Z
+sectors) in its own coordinates, with the same bits on the subspace's
+amplitudes.  Exact evolution diagonalizes only the invariant blocks that a
+state touches, and the trace norm of a mixture of r pure states comes from
+the r x r triangular factor of a QR of the state block, which keeps its accuracy down to
 distances near machine precision.
 """
 
@@ -48,18 +50,44 @@ def _index_view(local: np.ndarray):
 
 
 class _Rotation:
-    """One ``x_mask`` group at one coupling magnitude ``mag``, on the window
-    of qubits its terms touch.  The amplitude block is viewed as
-    ``(columns, above, window, below)``; ``lo``/``hi`` index the paired
-    window states and ``u_lo``/``u_hi`` hold ``-i <hi|G|lo> / mag`` and
-    ``-i <lo|G|hi> / mag``."""
+    """One ``x_mask`` group at one coupling magnitude ``mag``.  On the whole
+    space the amplitude block is viewed as ``(columns, above, window,
+    below)``, with the window the qubits the group's terms touch; on an
+    invariant subspace of S states it is viewed as ``(columns, 1, S, 1)``.
+    ``lo``/``hi`` index the paired states on the third axis and
+    ``u_lo``/``u_hi`` hold ``-i <hi|G|lo> / mag`` and ``-i <lo|G|hi> / mag``."""
 
     __slots__ = ("shape", "lo", "hi", "u_lo", "u_hi", "mag")
 
     def __init__(self, shape, lo, hi, u_lo, u_hi, mag):
         self.shape, self.lo, self.hi, self.mag = shape, lo, hi, mag
-        self.u_lo = -1j * u_lo.reshape(-1, 1)
-        self.u_hi = -1j * u_hi.reshape(-1, 1)
+        self.u_lo = -1j * _column(u_lo)
+        self.u_hi = -1j * _column(u_hi)
+
+
+def _column(u: np.ndarray) -> np.ndarray:
+    """``u`` as a column, or as one entry when every entry has the same
+    bits (as for the pairs of one bond), which broadcasts to the same
+    products and keeps the per-column coefficients small."""
+    bits = np.ascontiguousarray(u, dtype=complex).view(np.uint64).reshape(-1, 2)
+    return (u[:1] if (bits == bits[0]).all() else u).reshape(-1, 1)
+
+
+def _split(shape, coupling: np.ndarray, index: np.ndarray, partner: np.ndarray,
+           at: np.ndarray) -> list[_Rotation]:
+    """One rotation per coupling magnitude over the pairs ``index < partner``
+    with nonzero coupling, on amplitude blocks viewed as ``shape``;
+    ``coupling`` and ``index`` hold each state's coupling and basis index,
+    ``partner`` its partner's basis index and ``at`` its partner's position."""
+    mag = np.abs(coupling)
+    keep = (index < partner) & (mag > 0.0)
+    out = []
+    for value in np.unique(mag[keep]):
+        lo = np.flatnonzero(keep & (mag == value))
+        hi = at[lo]
+        out.append(_Rotation(shape, _index_view(lo), _index_view(hi),
+                             coupling[lo] / value, coupling[hi] / value, value))
+    return out
 
 
 class FragmentEvolver:
@@ -73,16 +101,23 @@ class FragmentEvolver:
     ``exp(-i t G) = cos(t|g|) - i sin(t|g|) G/|g|`` in closed form.  Pairs
     with zero coupling are dropped (|00>, |11> under XX + YY) and the rest
     are split by |g|, so each rotation needs one cos/sin per column.  The
-    groups commute, so their order does not matter.
+    groups run in one fixed order, the rotations of one group touch disjoint
+    pairs, and each amplitude takes the same arithmetic on every space.
 
-    ``apply`` takes one state ``(2^n,)`` or a block ``(2^n, r)`` of columns,
-    with one time or a length-r vector of per-column times.
+    With ``basis`` None the kernel acts on the whole space, and each rotation
+    works on slice views of its qubit window.  Given ``basis``, the sorted
+    indices of a union of invariant blocks of F, it acts on states in those
+    coordinates, and each rotation gathers its pairs from the S amplitudes;
+    the results equal the whole-space ones on those indices bit for bit.
+
+    ``apply`` takes one state ``(dim,)`` or a block ``(dim, r)`` of columns,
+    with one time or a length-r vector of per-column times; ``dim`` is 2^n,
+    or S on a basis.
     """
 
-    def __init__(self, fragment: PauliSumOp):
+    def __init__(self, fragment: PauliSumOp, basis: np.ndarray | None = None):
         self.fragment = fragment
         self.n = fragment.n
-        self.dim = 1 << fragment.n
         terms = fragment.terms
         for i in range(len(terms)):
             for j in range(i + 1, len(terms)):
@@ -91,11 +126,15 @@ class FragmentEvolver:
                         "fragment terms must pairwise commute; "
                         f"{terms[i][1]} and {terms[j][1]} do not"
                     )
-        couplings = _couplings(fragment, np.arange(self.dim))
+        index = np.arange(1 << self.n) if basis is None else basis
+        self.dim = index.size
+        couplings = _couplings(fragment, index)
         diag = couplings.pop(0, None)
         self._diag = None if diag is None else diag[1].real
         self._rotations = [rot for x_mask, (support, coupling) in couplings.items()
-                           for rot in self._group_rotations(x_mask, support, coupling)]
+                           for rot in (self._group_rotations(x_mask, support, coupling)
+                                       if basis is None
+                                       else self._basis_rotations(x_mask, coupling, basis))]
         self._cached_key = None
         self._cached = None
 
@@ -107,24 +146,26 @@ class FragmentEvolver:
 
     def _group_rotations(self, x_mask: int, support: int,
                          coupling: np.ndarray) -> list[_Rotation]:
-        """Rotations of one ``x_mask`` group, one per magnitude, from its
+        """Rotations of one ``x_mask`` group on the whole space, from its
         full-index coupling sliced to the window of qubits in ``support``."""
         low = (support & -support).bit_length() - 1
         width = support.bit_length() - low
         shape = (1 << (self.n - low - width), 1 << width, 1 << low)
         window = np.arange(1 << width) << low
-        coupling = coupling[window]
-        local = np.arange(window.size)
         partner = (window ^ x_mask) >> low
-        mag = np.abs(coupling)
-        keep = (local < partner) & (mag > 0.0)
-        out = []
-        for value in np.unique(mag[keep]):
-            lo = local[keep & (mag == value)]
-            hi = partner[lo]
-            out.append(_Rotation(shape, _index_view(lo), _index_view(hi),
-                                 coupling[lo] / value, coupling[hi] / value, value))
-        return out
+        return _split(shape, coupling[window], np.arange(window.size), partner, partner)
+
+    @staticmethod
+    def _basis_rotations(x_mask: int, coupling: np.ndarray,
+                         basis: np.ndarray) -> list[_Rotation]:
+        """Rotations of one ``x_mask`` group on the states of ``basis``, from
+        its coupling at each basis index; every coupled partner must lie in
+        the basis."""
+        partner = basis ^ x_mask
+        at = np.minimum(np.searchsorted(basis, partner), basis.size - 1)
+        if np.any((basis[at] != partner) & (coupling != 0)):
+            raise ValueError("basis is not invariant under the fragment")
+        return _split((1, basis.size, 1), coupling, basis, partner, at)
 
     def _coefficients(self, times: np.ndarray):
         """Diagonal phases and rotation coefficients for these column times.
@@ -146,7 +187,7 @@ class FragmentEvolver:
     def apply(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t F) |state>; the input array is not modified.
 
-        ``state`` is ``(2^n,)`` or ``(2^n, r)``; ``t`` is a scalar or, for a
+        ``state`` is ``(dim,)`` or ``(dim, r)``; ``t`` is a scalar or, for a
         block, a length-r vector of per-column times.
         """
         state = np.asarray(state)
@@ -178,6 +219,13 @@ class FragmentEvolver:
         return out.T if block else out[0]
 
 
+def _touched(idx: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Which of the blocks ``idx`` (``(count, size)`` basis indices)
+    ``state`` (``(..., dim)``) touches, that is has a nonzero amplitude on."""
+    count, size = idx.shape
+    return np.flatnonzero(state[..., idx].reshape(-1, count, size).any(axis=(0, 2)))
+
+
 class _LazyBlocks:
     """Arrays kept per invariant block, built the first time a state touches
     the block (has a nonzero amplitude on it).
@@ -195,22 +243,16 @@ class _LazyBlocks:
         # Per size group: the arrays (None before the first build) and a built flag.
         self._held = [[None, np.zeros(idx.shape[0], dtype=bool)] for idx in groups]
 
-    def _hit(self, g: int, state: np.ndarray) -> np.ndarray:
-        """Blocks of size group ``g`` that ``state`` (``(..., dim)``) touches."""
-        count, size = self.groups[g].shape
-        return np.flatnonzero(state[..., self.groups[g]].reshape(-1, count, size).any(axis=(0, 2)))
-
     def sizes(self, state: np.ndarray) -> list[int]:
         """Sizes of the blocks that ``state`` touches."""
-        return [idx.shape[1] for g, idx in enumerate(self.groups)
-                for _ in range(self._hit(g, state).size)]
+        return [idx.shape[1] for idx in self.groups for _ in range(_touched(idx, state).size)]
 
     def touched(self, state: np.ndarray):
         """Yield ``(members, arrays)`` for each block size that ``state``
         (``(..., dim)``) touches: the touched blocks' basis indices and their
         arrays, after building the ones not built before."""
         for g, idx in enumerate(self.groups):
-            hit = self._hit(g, state)
+            hit = _touched(idx, state)
             if not hit.size:
                 continue
             held = self._held[g]

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mpf_lab import cli, dynamic_mpf
+from mpf_lab import cli, dynamic_mpf, experiments
 from mpf_lab.cli import main
 from mpf_lab.experiments import SCENARIOS
 
@@ -83,6 +83,16 @@ def test_resource_cap_exit_code(capsys):
     code, _, err = run_cli(["bound-eval", "--set", "n=9", "--set", "t_count=1"], capsys)
     assert code == 3
     assert "resource" in err.lower() or "capped" in err.lower()
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_mixture_bound_cap_refused_before_the_sweep(n, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_sweep_grid", lambda *a: pytest.fail("sweep ran"))
+    code, out, err = run_cli(["mpf-sweep", "--set", f"n={n}", "--set", "bounds=on",
+                              "--set", "t_count=1"], capsys)
+    assert code == 3
+    assert err == "resource limit: window aggregates capped at n=8\n"
+    assert out == ""
 
 
 def test_exact_evolution_cap_exit_code(capsys):

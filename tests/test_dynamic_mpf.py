@@ -91,7 +91,8 @@ def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
 
     def run(points=None):
         if points:
-            monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", points * len(STEPS) << 6)
+            # Room for `points` grid points on the 20-state Neel sector.
+            monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", points * len(STEPS) * 20)
         # Nine grid points: batches of 1, of 4 (4, 4, 1) and one of all nine,
         # and the push's build in calls of 3, 12 and all 20 basis columns.
         out = minimax_run(chain6.pf, chain6.oracle, chain6.psi, STEPS,
@@ -107,14 +108,16 @@ def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
 def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch):
     # Amplitudes of every block that a Trotter batch or a block-power build
     # passes to the formula; a kernel push runs the r states of one point.
+    # Every block runs on the Neel sector: 252 amplitudes a column at n=10,
+    # 20 at n=6.
     widths = {"batch": [], "build": []}
     within = []
     apply = ProductFormula.apply
 
-    def counted_apply(self, state, *a):
+    def counted_apply(self, state, *a, **kw):
         if within:
             widths[within[-1]].append(state.size)
-        return apply(self, state, *a)
+        return apply(self, state, *a, **kw)
 
     def tagged(func, tag):
         def run(*a):
@@ -129,27 +132,27 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
     monkeypatch.setattr(dynamic_mpf, "trotter_states", tagged(dynamic_mpf.trotter_states, "batch"))
     monkeypatch.setattr(formulas._BlockPower, "_build", tagged(formulas._BlockPower._build, "build"))
     c0 = solve_coefficients(2, STEPS).coefficients
-    # Eight grid points.  Six points of three circuits at n=10 fit the
-    # default limit, and seven pushes there never pay for the build.  At n=6
-    # a limit of two and a half points runs two, and a limit below one point
-    # still runs one; the build of the 20-state sector runs 7 and 1 basis
-    # columns per call.
-    for case, limit, points in ((chain10, formulas._KERNEL_AMPLITUDES, 6),
-                                (chain6, 5 * len(STEPS) << 5, 2),
-                                (chain6, len(STEPS) << 5, 1)):
+    # Eight grid points.  At n=10 the default limit holds 81 columns of 252
+    # amplitudes, so all eight points of three circuits run as one batch, and
+    # seven pushes there never pay for the build.  At n=6 a limit of two and
+    # a half points runs two, and a limit below one point still runs one;
+    # the build of the 20-state sector runs 7 and 1 basis columns per call.
+    for case, sector, limit, points in ((chain10, 252, formulas._KERNEL_AMPLITUDES, 8),
+                                        (chain6, 20, 5 * len(STEPS) * 20 // 2, 2),
+                                        (chain6, 20, len(STEPS) * 20 // 2, 1)):
         monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", limit)
         widths["batch"].clear(), widths["build"].clear()
         minimax_run(case.pf, case.oracle, case.psi, STEPS,
                     t0=0.5, t_final=1.2, dt=0.1, eps=0.01, k0=2, c0=c0, seed=1)
-        one_point = len(STEPS) << case.n
+        one_point = len(STEPS) * sector
         assert len(widths["batch"]) == -(-8 // points)
         assert max(widths["batch"]) == points * one_point <= max(limit, one_point)
         if case is chain10:
             assert widths["build"] == []
         else:
-            columns = max(1, limit >> case.n)
-            assert sum(widths["build"]) == 20 << case.n
-            assert max(widths["build"]) == columns << case.n <= max(limit, 1 << case.n)
+            columns = max(1, limit // sector)
+            assert sum(widths["build"]) == sector * sector
+            assert max(widths["build"]) == columns * sector <= max(limit, sector)
 
 
 def test_q_from_states_matches_single_push(chain4):
@@ -282,13 +285,22 @@ def test_minimax_run_builds_at_the_first_push_of_a_long_grid(chain6, monkeypatch
     assert crossover(chain6.pf, states, 0.25, 3) <= 8
     # Two grid points per batch, so batches and pushes interleave; then the
     # default, which runs all nine points of the 6-qubit grid as one batch.
-    for limit, batches in ((2 * len(STEPS) << 6, 5), (formulas._KERNEL_AMPLITUDES, 1)):
+    for limit, batches in ((2 * len(STEPS) * 20, 5), (formulas._KERNEL_AMPLITUDES, 1)):
         monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", limit)
         batch_calls, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5,
                                                      t_final=2.5, dt=0.25, k0=3)
         assert len(batch_calls) == batches and len(push_calls) == 8
         assert push_calls[0][0] > 0 and push_calls[0][1] == 1
         assert push_calls[1:] == [(0, 0)] * 7
+
+
+def test_build_rule_counts_the_amplitudes_of_the_subspace(chain10):
+    # The shootout's push at n=10 (k0=26, five circuits) from the Neel
+    # state: counted on the 252-state sector it builds from more pushes than
+    # the 4 it took counted on 1024 amplitudes, and the 70-push shootout
+    # still builds.
+    states = trotter_states(chain10.pf, chain10.psi, 1.0, (8, 20, 26, 30, 34))
+    assert 4 < crossover(chain10.pf, states, 0.05, 26) <= 70
 
 
 def test_minimax_run_never_builds_on_a_grid_shorter_than_the_crossover(chain6, monkeypatch):

@@ -13,6 +13,7 @@ from mpf_lab import (
     neel_state,
     random_state,
     rho_k_state,
+    second_order,
     suzuki,
     to_dense,
 )
@@ -180,6 +181,69 @@ def test_fragment_evolver_rejects_wrong_dimension(rng):
 def test_noncommuting_fragment_rejected():
     with pytest.raises(ValueError, match="commute"):
         FragmentEvolver(op(2, (1.0, "XI"), (1.0, "ZI")))
+
+
+def subspace_columns(n, basis, cols, rng):
+    """Random columns with amplitudes on the indices ``basis`` only."""
+    block = np.zeros((1 << n, cols), dtype=complex)
+    block[basis] = rng.standard_normal((basis.size, cols)) + 1j * rng.standard_normal(
+        (basis.size, cols))
+    return block
+
+
+@pytest.mark.parametrize("case", ["neel_6", "neel_10", "two_sectors_6"])
+def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, rng):
+    chain = chain10 if case == "neel_10" else chain6
+    pf, n = chain.pf, chain.n
+    psi = chain.psi.copy()
+    if case == "two_sectors_6":
+        # Add a basis state of weight two to the weight-three Neel state.
+        psi[0b000011] = 1.0
+    basis = pf._basis(psi)
+    sizes = {"neel_6": 20, "neel_10": 252, "two_sectors_6": 20 + 15}
+    assert basis.size == sizes[case] and np.all(np.diff(basis) > 0)
+    outside = np.setdiff1d(np.arange(1 << n), basis)
+    block = subspace_columns(n, basis, 5, rng)
+    times = np.array([0.31, -1.7, 2.4, 0.0, 0.9])
+    for frag in dict.fromkeys(pf.fragments):
+        full = FragmentEvolver(frag).apply(block, times)
+        sub = FragmentEvolver(frag, basis)
+        assert sub.dim == basis.size
+        assert all(rot.shape == (1, basis.size, 1) for rot in sub._rotations)
+        assert np.array_equal(sub.apply(block[basis], times), full[basis])
+        assert not full[outside].any()
+    ks = np.array([3, 1, 7, 2, 4])
+    full = pf.apply(block, times, ks)
+    assert np.array_equal(pf.apply(block[basis], times, ks, basis=basis), full[basis])
+    assert np.array_equal(pf.apply(block[basis, 0], 0.8, 5, basis=basis),
+                          pf.apply(block[:, 0], 0.8, 5)[basis])
+
+
+def test_window_kernel_runs_where_nothing_is_conserved(rng):
+    words = ["XYZIX", "ZZXYI", "IYXZZ", "XIIYZ", "YZXIX", "ZXYZI", "IIXXY", "YYZIZ",
+             "XIIII", "IIIIY"]
+    ham = PauliSumOp.from_terms(
+        5, [(float(rng.standard_normal()), PauliString(w)) for w in words])
+    pf = second_order(fragment_by_commuting_groups(ham))
+    assert [idx.shape for idx in pf._blocks] == [(1, 32)]
+    psi = random_state(5, rng)
+    assert pf._basis(psi) is None
+    # A basis of every index is the whole space: the same evolvers, on windows.
+    assert pf._program_on(np.arange(32)) is pf._program
+    for evolver, _ in pf._program:
+        assert all(len(rot.shape) == 3 and np.prod(rot.shape) == 32
+                   for rot in evolver._rotations)
+    block = random_block(5, 3, rng)
+    assert np.array_equal(pf.apply(block, 0.7, 3, basis=np.arange(32)), pf.apply(block, 0.7, 3))
+
+
+def test_fragment_evolver_refuses_a_basis_that_is_not_invariant(chain6):
+    # The ten states of the Neel sector with qubit 0 down: the hopping on
+    # qubits 0 and 1 leads out of them.
+    basis = chain6.pf._basis(chain6.psi)[:10]
+    FragmentEvolver(chain6.fragments[0], basis)
+    with pytest.raises(ValueError, match="not invariant"):
+        FragmentEvolver(chain6.fragments[2], basis)
 
 
 def test_oracle_identity_and_composition(chain4, rng):
