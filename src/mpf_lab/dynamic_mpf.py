@@ -9,13 +9,12 @@ nothing here touches 2^n x 2^n density matrices.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalDegeneracyError, SolverError
-from .formulas import ProductFormula, _BlockPower, _kernel_columns
+from .formulas import ProductFormula, _BlockPower
 from .statesim import SpectralOracle, mixture_frobenius_sq
 
 RIDGE = 1e-12
@@ -25,46 +24,15 @@ MINIMAX_TOL = 1e-9
 
 # -- overlap data ------------------------------------------------------------
 
-class _PerTime(Sequence):
-    """One list of r states per time, held as one block of kernel columns
-    (time-major, r per time) in the coordinates of ``basis``, or of the whole
-    space for None; each time's states are scattered to ``dim`` amplitudes
-    when its list is read."""
-
-    def __init__(self, block: np.ndarray, basis: np.ndarray | None, dim: int, r: int,
-                 count: int):
-        self._block, self._basis, self._dim, self._r, self._count = block, basis, dim, r, count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, j: int) -> list[np.ndarray]:
-        if not -self._count <= j < self._count:
-            raise IndexError(j)
-        j %= self._count
-        cols = self._block[:, j * self._r:(j + 1) * self._r].T
-        if self._basis is None:
-            return list(cols)
-        rows = np.zeros((self._r, self._dim), dtype=complex)
-        rows[:, self._basis] = cols
-        return list(rows)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
-
-
 def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps):
     """States S(t/k_i)^{k_i} |psi_in> for each step count, run as one block.
 
     For a scalar ``t`` this is the list of the r states.  For a 1-D array of
-    times it is a sequence of one such list per time, from one block whose
-    columns are the (time, step count) pairs with time ``t_j / k_i``.  The
-    block runs at call time on the invariant subspace that ``psi_in``
-    touches (``ProductFormula._basis``) and stays in its coordinates; a
-    time's states are scattered to 2^n amplitudes when its list is read.
-    ``ProductFormula.apply`` works on each column alone, and on the subspace
-    with the same arithmetic as on the whole space, so every state has the
-    same bits as from the scalar form.
+    times it is a list of one such list per time, from one block whose
+    columns are the (time, step count) pairs with time ``t_j / k_i``; each
+    time's states own their memory, so holding one time keeps no other
+    alive.  ``ProductFormula.apply`` works on each column alone, so every
+    state has the same bits as from the scalar form.
     """
     ks = np.array([int(k) for k in steps], dtype=int)
     times = np.asarray(t, dtype=float)
@@ -73,24 +41,21 @@ def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps):
     if ks.size and ks.min() < 1:
         raise ValueError("step count k must be >= 1")
     psi_in = np.asarray(psi_in)
-    basis = pf._basis(psi_in)
-    start = psi_in if basis is None else psi_in[basis]
-    block = pf.apply(np.repeat(start[:, None], ks.size * times.size, axis=1),
-                     (times.reshape(-1, 1) / ks).ravel(), np.tile(ks, times.size), basis=basis)
-    per_time = _PerTime(block, basis, psi_in.size, ks.size, times.size)
+    r = ks.size
+    block = pf.apply(np.broadcast_to(psi_in[:, None], (psi_in.size, r * times.size)),
+                     (times.reshape(-1, 1) / ks).ravel(), np.tile(ks, times.size))
+    per_time = [list(block[:, j * r:(j + 1) * r].T.copy()) for j in range(times.size)]
     return per_time[0] if times.ndim == 0 else per_time
 
 
 def _states_on_grid(pf: ProductFormula, psi_in: np.ndarray, times, steps):
     """Yield :func:`trotter_states` at each time in turn, computed by its
     grid form in batches of whole grid points: as many as fit one block of
-    kernel columns (``formulas._kernel_columns``) of the amplitudes of the
-    subspace ``psi_in`` touches, and at least one."""
+    kernel columns (``ProductFormula._columns_per_call``), and at least
+    one."""
     times = np.asarray(times, dtype=float)
     steps = list(steps)
-    basis = pf._basis(np.asarray(psi_in))
-    size = max(1, _kernel_columns(1 << pf.n if basis is None else basis.size)
-               // max(1, len(steps)))
+    size = max(1, pf._columns_per_call(np.asarray(psi_in)) // max(1, len(steps)))
     for lo in range(0, times.size, size):
         yield from trotter_states(pf, psi_in, times[lo:lo + size], steps)
 
@@ -124,13 +89,10 @@ def q_from_states(push: _BlockPower, states_prev: list[np.ndarray],
 
     The push's first call decides for the whole run whether every push runs
     through the kernel, k0 steps on each state, or through ``S(dt/k0)^k0``
-    built on the invariant blocks the states touch: it builds if the run's
-    kernel pushes, on the amplitudes of those blocks, would cost at least as
-    much as the build.  At k0=26 with five states from the Néel state that
-    is a grid of eight pushes or more for the 252-state sector at n=10, and
-    75 or more for the 924-state sector at n=12.  The choice follows from
-    the sizes and the number of pushes alone, so the output bits do not
-    depend on timing or on the BLAS thread count.
+    built on the invariant blocks the states touch (``_BlockPower`` states
+    the rule and its thresholds).  The choice follows from the sizes and the
+    number of pushes alone, so the output bits do not depend on timing or on
+    the BLAS thread count.
     """
     return _overlaps_sq(states_next, push.apply(np.array(states_prev)))
 
@@ -400,12 +362,16 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
     first push decides from the number of grid steps whether every push runs
     through the kernel or through the block power built on the blocks the
-    states touch.  Surrogate data are generated per step from the exact
-    overlaps with seeded, spectral-norm-bounded Gaussian noise; the estimate
-    is advanced by :func:`minimax_step`.  Exact-data projections are recorded
-    alongside for diagnostics.  Every argument is checked before any state
+    states touch (``formulas._BlockPower`` gives the thresholds).  Surrogate
+    data are generated per step from the exact overlaps with seeded,
+    spectral-norm-bounded Gaussian noise; the estimate is advanced by
+    :func:`minimax_step`.  Exact-data projections are recorded alongside for
+    diagnostics.  Every argument is checked before any state
     is computed or any block diagonalized.
     """
+    if not all(map(math.isfinite, (t0, t_final, dt, eps))):
+        raise ValueError(f"t0, t_final, dt and eps must be finite; got {t0}, {t_final}, "
+                         f"{dt}, {eps}")
     if not t0 < t_final:
         raise ValueError("need t0 < t_final")
     if dt <= 0:

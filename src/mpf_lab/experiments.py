@@ -119,7 +119,8 @@ def _coerce(default, raw: str):
 
 
 def resolve_config(scenario: str, *sources: dict[str, str]) -> dict:
-    """Layer defaults and string-valued sources into a typed config dict."""
+    """Layer defaults and string-valued sources into a typed config dict;
+    a float value must be finite."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     schema = SCENARIOS[scenario]
@@ -128,7 +129,10 @@ def resolve_config(scenario: str, *sources: dict[str, str]) -> dict:
         for key, raw in src.items():
             if key not in schema:
                 raise ValueError(f"unknown config key {key!r} for scenario {scenario}")
-            cfg[key] = _coerce(schema[key].default, raw) if isinstance(raw, str) else raw
+            value = _coerce(schema[key].default, raw) if isinstance(raw, str) else raw
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite, got {raw!r}")
+            cfg[key] = value
     return cfg
 
 

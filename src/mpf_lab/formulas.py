@@ -7,8 +7,9 @@ recipe always approximates ``exp(-i t H)`` with ``H`` the fragment sum.
 
 Every state a formula makes from a start state stays in the common invariant
 blocks of the fragments that the start touches.  ``ProductFormula.apply``
-runs on those blocks alone when given their basis indices, which is how the
-Trotter batches, the kernel pushes and the block-power builds run.
+takes and returns states of 2^n amplitudes and runs the kernel on those
+blocks alone; a block-power build runs it in each block's own coordinates.
+Whether a run of pushes builds is decided in :class:`_BlockPower`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ _TILE = 64
 # block product, fitted to wall time: from the Neel state with k0=26 and r=5
 # (2 BLAS threads, medians of four in-process runs) the build pays from 4.5
 # pushes at n=10 and 122 at n=12, counting the block pushes after it; 28 puts
-# the rule at 8 and 75, within 1.8x of both.  A pass costs 8-23 ns per
-# amplitude against 0.3-0.4 ns per multiply-add of the squaring.
+# the rule (its thresholds are in `_BlockPower`) within 1.8x of both.  A pass
+# costs 8-23 ns per amplitude against 0.3-0.4 ns per multiply-add of the
+# squaring.
 _SWEEP_COST = 28
 
 
@@ -103,12 +105,12 @@ class ProductFormula:
         """The sorted basis indices of the common invariant blocks that
         ``states`` (``(..., 2^n)``) touches: an invariant subspace that holds
         every state the formula makes from them.  None when that is the
-        whole space, or when no blocks are sought."""
+        whole space or empty (zero states), or when no blocks are sought."""
         if self._blocks is None:
             return None
         basis = np.sort(np.concatenate([idx[_touched(idx, states)].ravel()
                                         for idx in self._blocks]))
-        return None if basis.size == 1 << self.n else basis
+        return None if basis.size in (0, 1 << self.n) else basis
 
     @cached_property
     def _programs(self) -> dict:
@@ -141,23 +143,42 @@ class ProductFormula:
             self._programs[key] = tuple(program)
         return self._programs[key]
 
-    def apply(self, state: np.ndarray, t, k=1, basis: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, state: np.ndarray, t, k=1) -> np.ndarray:
         """Return ``S(t)^k |state>``; the input array is not modified.
 
-        ``state`` is ``(dim,)`` or a ``(dim, r)`` block of columns, and for a
+        ``state`` is ``(2^n,)`` or a ``(2^n, r)`` block of columns, and for a
         block ``t`` and ``k`` may be length-r vectors: column i gets
-        ``S(t_i)^{k_i}``.  ``dim`` is 2^n, or S for states given in the
-        coordinates of ``basis``, the S sorted indices of a union of common
-        invariant blocks of the fragments (as from :meth:`_basis`); the
-        result is in the same coordinates.  The columns run as one block,
-        longest circuit first, and a column drops out once its k_i steps are
-        done.  When the recipe closes on the fragment it opens with (a
-        palindrome), the closing slot of one step and the opening slot of
-        the next run as one slot of summed time.
+        ``S(t_i)^{k_i}``.  The columns run as one block, longest circuit
+        first, and a column drops out once its k_i steps are done.  When the
+        recipe closes on the fragment it opens with (a palindrome), the
+        closing slot of one step and the opening slot of the next run as one
+        slot of summed time.  The block runs on the invariant subspace the
+        states touch (:meth:`_basis`), with the same bits on its indices as
+        on the whole space, and zeros elsewhere.
         """
         state = np.asarray(state)
-        if state.ndim not in (1, 2):
-            raise ValueError("state must be a vector or a (2^n, r) block")
+        if state.ndim not in (1, 2) or state.shape[0] != 1 << self.n:
+            raise ValueError(f"state of shape {state.shape} is not a (2^n,) vector "
+                             f"or a (2^n, r) block for n={self.n}")
+        # The amplitudes any column touches, as one flag per amplitude.
+        basis = self._basis(state if state.ndim == 1 else state.any(axis=1))
+        if basis is None:
+            return self._apply_on(state, t, k, None)
+        out = np.zeros(state.shape, dtype=complex)
+        out[basis] = self._apply_on(state[basis], t, k, basis)
+        return out
+
+    def _columns_per_call(self, states: np.ndarray) -> int:
+        """Columns of the subspace ``states`` (``(..., 2^n)``) touches that
+        fit one block of kernel columns (:func:`_kernel_columns`)."""
+        basis = self._basis(states)
+        return _kernel_columns(1 << self.n if basis is None else basis.size)
+
+    def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray | None) -> np.ndarray:
+        """:meth:`apply` on ``(S,)`` or ``(S, r)`` states in the coordinates
+        of ``basis``, the S sorted indices of a union of common invariant
+        blocks of the fragments (of the whole space for None); the result is
+        in the same coordinates."""
         block = state if state.ndim == 2 else state[:, None]
         cols = block.shape[1]
         try:
@@ -251,12 +272,12 @@ class _BlockPower:
     kernel pass sweeps), so the choice, and with it every output bit, does
     not depend on timing.  Blocks above :data:`_BUILD_MAX` states, and
     formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run through the
-    kernel.  A kernel push runs on the touched blocks alone
-    (``ProductFormula._basis``).  A block power is built the way
-    ``SpectralOracle`` diagonalizes, on first touch: one kernel step S(t) on
-    the block's own basis columns, in the block's coordinates and
-    :func:`_kernel_columns` columns per call, then the k-th power by
-    repeated squaring.
+    kernel.  From the Neel state with k0=26 and five states the rule builds
+    for 8 pushes or more at n=10 (the 252-state sector) and for 75 or more
+    at n=12 (924 states).  A block power is built the way ``SpectralOracle``
+    diagonalizes, on first touch: one kernel step S(t) on the block's own
+    basis columns, in the block's coordinates and :func:`_kernel_columns`
+    columns per call, then the k-th power by repeated squaring.
     """
 
     def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int):
@@ -291,7 +312,7 @@ class _BlockPower:
             for lo in range(0, size, width):
                 # Basis columns lo, lo + 1, ... of the block, in its coordinates.
                 cols = np.eye(size, min(width, size - lo), -lo, dtype=complex)
-                block[:, lo:lo + width] = self._pf.apply(cols, self._t, basis=basis)
+                block[:, lo:lo + width] = self._pf._apply_on(cols, self._t, 1, basis)
         power, k = None, self._k
         while True:
             if k & 1:
@@ -312,12 +333,7 @@ class _BlockPower:
                 self._blocks = None
             self._pushes = None
         if self._blocks is None:
-            basis = self._pf._basis(rows)
-            if basis is None:
-                return self._pf.apply(rows.T, self._t, self._k).T
-            out = np.zeros(rows.shape, dtype=complex)
-            out[:, basis] = self._pf.apply(rows[:, basis].T, self._t, self._k, basis=basis).T
-            return out
+            return self._pf.apply(rows.T, self._t, self._k).T
         out = np.zeros(rows.shape, dtype=complex)
         for members, (mats,) in self._blocks.touched(rows):
             out[:, members] = _products(mats, rows[:, members].transpose(1, 2, 0)).transpose(2, 0, 1)

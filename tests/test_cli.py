@@ -122,6 +122,21 @@ def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, cap
     assert {"batch", "eigh"} <= set(calls)
 
 
+@pytest.mark.parametrize("args, key", [
+    (["minimax-shootout", "--set", "t_final=inf"], "t_final"),
+    (["trotter-sweep", "--set", "t_stop=nan", "--set", "t_count=2"], "t_stop"),
+    (["minimax-shootout", "--set", "eps=nan"], "eps"),
+    (["minimax-shootout", "--set", "dt=nan"], "dt"),
+    (["mpf-sweep", "--set", "t_start=inf"], "t_start"),
+])
+def test_non_finite_config_value_refused_before_the_run(args, key, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("scenario ran"))
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith(f"error: config key '{key}' must be finite")
+    assert out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["solve-coeffs", "--out", "/nonexistent/dir/x.csv"],
     ["minimax-shootout", "--set", "trajectory_out=/nonexistent/t.csv"],

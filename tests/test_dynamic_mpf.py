@@ -76,11 +76,17 @@ def test_grid_form_matches_scalar_form_bit_for_bit(chain4):
     times = np.array([0.3, 2.3, 0.0, 1.1])
     for pf, steps in ((chain4.pf, (13, 4, 17, 4)), (pf4, (3, 1, 4, 3))):
         grid = trotter_states(pf, chain4.psi, times, steps)
-        assert len(grid) == times.size
+        assert type(grid) is list and len(grid) == times.size
         for t, states in zip(times, grid):
             scalar = trotter_states(pf, chain4.psi, t, steps)
             assert len(states) == len(steps)
             assert all(np.array_equal(a, b) for a, b in zip(states, scalar))
+        # A slice holds the same lists as indexing.
+        assert len(grid[1:3]) == 2
+        for sliced, j in zip(grid[1:3], (1, 2)):
+            assert all(np.array_equal(a, b) for a, b in zip(sliced, grid[j], strict=True))
+        # Each time's states share one array of their own, not the batch.
+        assert all(state.base.shape == (len(steps), 16) for states in grid for state in states)
     assert trotter_states(chain4.pf, chain4.psi, times, ()) == [[]] * times.size
     with pytest.raises(ValueError):
         trotter_states(chain4.pf, chain4.psi, times.reshape(2, 2), STEPS)
@@ -106,18 +112,18 @@ def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
 
 
 def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch):
-    # Amplitudes of every block that a Trotter batch or a block-power build
-    # passes to the formula; a kernel push runs the r states of one point.
+    # Amplitudes of every working block the kernel gets from a Trotter batch
+    # or a block-power build; a kernel push runs the r states of one point.
     # Every block runs on the Neel sector: 252 amplitudes a column at n=10,
     # 20 at n=6.
     widths = {"batch": [], "build": []}
     within = []
-    apply = ProductFormula.apply
+    apply_on = ProductFormula._apply_on
 
-    def counted_apply(self, state, *a, **kw):
+    def counted_apply_on(self, state, *a):
         if within:
             widths[within[-1]].append(state.size)
-        return apply(self, state, *a, **kw)
+        return apply_on(self, state, *a)
 
     def tagged(func, tag):
         def run(*a):
@@ -128,7 +134,7 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
                 within.pop()
         return run
 
-    monkeypatch.setattr(ProductFormula, "apply", counted_apply)
+    monkeypatch.setattr(ProductFormula, "_apply_on", counted_apply_on)
     monkeypatch.setattr(dynamic_mpf, "trotter_states", tagged(dynamic_mpf.trotter_states, "batch"))
     monkeypatch.setattr(formulas._BlockPower, "_build", tagged(formulas._BlockPower._build, "build"))
     c0 = solve_coefficients(2, STEPS).coefficients
@@ -650,6 +656,16 @@ def test_minimax_run_grid_validation(chain4):
     with pytest.raises(ValueError):
         minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1.0, 0.1,
                     0.0, 4, (1.0, 1.0, 1.0), 0)
+
+
+@pytest.mark.parametrize("arg, value", [("t0", -math.inf), ("t_final", math.inf),
+                                        ("dt", math.nan), ("eps", math.nan)])
+def test_minimax_run_refuses_non_finite_arguments(arg, value, chain4, monkeypatch):
+    monkeypatch.setattr(ProductFormula, "apply", lambda *a: pytest.fail("state computed"))
+    grid = {"t0": 0.5, "t_final": 1.0, "dt": 0.1, "eps": 0.01, arg: value}
+    with pytest.raises(ValueError, match="must be finite"):
+        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, k0=3,
+                    c0=solve_coefficients(2, STEPS).coefficients, seed=1, **grid)
 
 
 def test_minimax_run_refuses_c0_of_the_wrong_length(chain4, monkeypatch):

@@ -158,6 +158,10 @@ def test_apply_block_matches_columns(chain4, rng):
         chain4.pf.apply(block, times, np.array([1, 0, 2]))
     with pytest.raises(ValueError):
         chain4.pf.apply(block, np.array([0.1, 0.2]))
+    # A state of the wrong size is refused; a zero state touches no block.
+    with pytest.raises(ValueError, match="not a"):
+        chain4.pf.apply(block[:8], 0.3)
+    assert np.array_equal(chain4.pf.apply(np.zeros(16), 0.3, 2), np.zeros(16))
 
 
 def test_distinct_fragments_share_one_evolver(chain4):

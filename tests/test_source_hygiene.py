@@ -183,3 +183,41 @@ def test_every_config_key_is_read():
     unread = [f"{scenario}: {key}" for scenario, schema in SCENARIOS.items()
               for key in schema if key not in read]
     assert unread == ["bound-eval: sampler_seed"]
+
+
+# Names of the subspace coordinates a state runs in, which stay inside the
+# formula and the kernel: every other module passes states of 2^n amplitudes.
+SUBSPACE_NAMES = {"_basis", "_apply_on", "_kernel_columns"}
+SUBSPACE_MODULES = {"formulas.py", "statesim.py"}
+
+
+def subspace_mentions(source: str) -> list[str]:
+    """Lines of a source that name a subspace helper (read, imported or as
+    an attribute) or pass a ``basis=`` argument."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.keyword) and node.arg == "basis":
+            names = ["basis="]
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name in SUBSPACE_NAMES | {"basis="}]
+    return found
+
+
+def test_checker_flags_subspace_mentions():
+    source = ("from .formulas import _kernel_columns, apply\n"
+              "b = pf._basis(psi)\nout = pf.apply(psi, 1.0, basis=b)\nbasis = 3\n")
+    assert subspace_mentions(source) == ["line 1: _kernel_columns", "line 2: _basis",
+                                         "line 3: basis="]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in SUBSPACE_MODULES],
+                         ids=lambda p: p.name)
+def test_subspace_coordinates_stay_in_the_formula_and_kernel(path):
+    assert subspace_mentions(path.read_text()) == []

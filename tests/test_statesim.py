@@ -213,10 +213,15 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
         assert np.array_equal(sub.apply(block[basis], times), full[basis])
         assert not full[outside].any()
     ks = np.array([3, 1, 7, 2, 4])
-    full = pf.apply(block, times, ks)
-    assert np.array_equal(pf.apply(block[basis], times, ks, basis=basis), full[basis])
-    assert np.array_equal(pf.apply(block[basis, 0], 0.8, 5, basis=basis),
-                          pf.apply(block[:, 0], 0.8, 5)[basis])
+    full = pf._apply_on(block, times, ks, None)
+    assert np.array_equal(pf._apply_on(block[basis], times, ks, basis), full[basis])
+    assert np.array_equal(pf._apply_on(block[basis, 0], 0.8, 5, basis),
+                          pf._apply_on(block[:, 0], 0.8, 5, None)[basis])
+    # The public form takes the 2^n block, runs it on the subspace and
+    # scatters it back: the full-space bits there, zeros elsewhere.
+    public = pf.apply(block, times, ks)
+    assert np.array_equal(public, full)
+    assert not public[outside].any()
 
 
 def test_window_kernel_runs_where_nothing_is_conserved(rng):
@@ -234,7 +239,7 @@ def test_window_kernel_runs_where_nothing_is_conserved(rng):
         assert all(len(rot.shape) == 3 and np.prod(rot.shape) == 32
                    for rot in evolver._rotations)
     block = random_block(5, 3, rng)
-    assert np.array_equal(pf.apply(block, 0.7, 3, basis=np.arange(32)), pf.apply(block, 0.7, 3))
+    assert np.array_equal(pf._apply_on(block, 0.7, 3, np.arange(32)), pf.apply(block, 0.7, 3))
 
 
 def test_fragment_evolver_refuses_a_basis_that_is_not_invariant(chain6):
