@@ -66,8 +66,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             sources.append({"seed": str(args.seed)})
         cfg = resolve_config(args.scenario, *sources)
-        for path in filter(None, ["" if args.out == "-" else args.out,
-                                  cfg.get("trajectory_out", "")]):
+        paths = list(filter(None, ["" if args.out == "-" else args.out,
+                                   cfg.get("trajectory_out", "")]))
+        if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+            raise ValueError(f"--out and trajectory_out name the same file: {paths[1]}")
+        for path in paths:
             # Refuse an unwritable output before the run; leave the files as they were.
             existed = Path(path).exists()
             Path(path).open("a").close()

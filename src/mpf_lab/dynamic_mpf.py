@@ -87,12 +87,12 @@ def q_from_states(push: _BlockPower, states_prev: list[np.ndarray],
     ``push``, the run's ``S(dt/k0)^k0`` (``formulas._BlockPower``), all
     previous states as one block.
 
-    The push's first call decides for the whole run whether every push runs
-    through the kernel, k0 steps on each state, or through ``S(dt/k0)^k0``
-    built on the invariant blocks the states touch (``_BlockPower`` states
-    the rule and its thresholds).  The choice follows from the sizes and the
-    number of pushes alone, so the output bits do not depend on timing or on
-    the BLAS thread count.
+    The push is made with the rows of the run's first push and decides then,
+    for the whole run, whether every push runs through the kernel, k0 steps
+    on each state, or through ``S(dt/k0)^k0`` built on the invariant blocks
+    those rows touch (``_BlockPower`` states the rule and its thresholds).
+    The choice follows from the sizes and the number of pushes alone, so the
+    output bits do not depend on timing or on the BLAS thread count.
     """
     return _overlaps_sq(states_next, push.apply(np.array(states_prev)))
 
@@ -360,9 +360,10 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     bit for bit.  From the second point on, the
     propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
-    first push decides from the number of grid steps whether every push runs
-    through the kernel or through the block power built on the blocks the
-    states touch (``formulas._BlockPower`` gives the thresholds).  Surrogate
+    push is made at the first of them, from the first point's states and
+    the number of grid steps, and decides there whether every push runs
+    through the kernel or through the block power it builds on the blocks
+    those states touch (``formulas._BlockPower`` gives the thresholds).  Surrogate
     data are generated per step from the exact overlaps with seeded,
     spectral-norm-bounded Gaussian noise; the estimate is advanced by
     :func:`minimax_step`.  Exact-data projections are recorded alongside for
@@ -381,7 +382,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     if eps < 0:
         raise ValueError("noise magnitude must be >= 0")
     n_steps = round((t_final - t0) / dt)
-    if abs(n_steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
+    if n_steps < 1 or abs(n_steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("dt must divide t_final - t0 within rounding")
     steps = [int(k) for k in steps]
     c0 = np.asarray(c0, dtype=float)
@@ -390,7 +391,6 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
                          f"got shape {c0.shape}")
     if abs(c0.sum() - 1.0) > 1e-9:
         raise ValueError("initial coefficients must sum to 1")
-    push = _BlockPower(pf, dt / k0, k0, pushes=n_steps)
     times = t0 + dt * np.arange(n_steps + 1)
     r = len(steps)
     c_hat = np.empty((n_steps + 1, r))
@@ -404,9 +404,11 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
         objective=objective,
     )
 
-    states = None
+    states = push = None
     for j, (t, states_next) in enumerate(zip(times, _states_on_grid(pf, psi_in, times, steps))):
         m_now = gram_from_states(states_next)
+        if j == 1:
+            push = _BlockPower(pf, dt / k0, k0, n_steps, np.array(states))
         q_now = np.zeros((r, r)) if j == 0 else q_from_states(push, states, states_next)
         noisy = inject_noise(m_now, q_now, eps, np.random.SeedSequence(seed, spawn_key=(j,)))
         run.m_bars.append(noisy.m_bar)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, _LazyBlocks, _touched
+from .statesim import FragmentEvolver, _touched
 
 SUZUKI_ORDERS = (4, 6)
 # Amplitudes (columns x the amplitudes of the space the kernel runs on) in
@@ -75,10 +75,6 @@ class ProductFormula:
     def n(self) -> int:
         return self.fragments[0].n
 
-    @property
-    def depth(self) -> int:
-        return len(self.steps)
-
     @cached_property
     def hamiltonian(self) -> PauliSumOp:
         total = self.fragments[0]
@@ -115,10 +111,6 @@ class ProductFormula:
     @cached_property
     def _programs(self) -> dict:
         return {}
-
-    @property
-    def _program(self) -> tuple[tuple[FragmentEvolver, float], ...]:
-        return self._program_on(None)
 
     def _program_on(self, basis: np.ndarray | None) -> tuple[tuple[FragmentEvolver, float], ...]:
         """The recipe as ``(evolver, multiplier)`` slots on the states of
@@ -215,9 +207,6 @@ class ProductFormula:
             out[:, order] = out.copy()
         return out if state.ndim == 2 else out[:, 0]
 
-    def multiplier_list(self) -> list[float]:
-        return [m for _, m in self.steps]
-
 
 def _kernel_columns(dim: int) -> int:
     """Columns of ``dim`` amplitudes in one block of kernel columns: as many
@@ -262,48 +251,61 @@ class _BlockPower:
     pushes, run either step by step through the kernel or through its power
     built on the common invariant blocks of the fragments.
 
-    The first :meth:`apply` decides, once and for every later push, which of
-    the two it is.  It builds if all the pushes through the kernel, k steps
-    on each state, would cost at least as much as building the blocks the
-    states touch (a kernel step on each basis column, and the products of
-    the squaring).  The states of a run all touch the blocks of its initial
-    state, so later pushes build no other block.  The costs count
-    multiply-adds from the sizes alone (:data:`_SWEEP_COST` per amplitude a
-    kernel pass sweeps), so the choice, and with it every output bit, does
-    not depend on timing.  Blocks above :data:`_BUILD_MAX` states, and
-    formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run through the
-    kernel.  From the Neel state with k0=26 and five states the rule builds
-    for 8 pushes or more at n=10 (the 252-state sector) and for 75 or more
-    at n=12 (924 states).  A block power is built the way ``SpectralOracle``
-    diagonalizes, on first touch: one kernel step S(t) on the block's own
-    basis columns, in the block's coordinates and :func:`_kernel_columns`
-    columns per call, then the k-th power by repeated squaring.
+    The constructor takes the rows of the first push and decides, once and
+    for every push, which of the two it is.  It builds if all the pushes
+    through the kernel, k steps on each state, would cost at least as much
+    as building the blocks the rows touch (a kernel step on each basis
+    column, and the products of the squaring), and then builds those blocks
+    at once.  The states of a run all touch the blocks of its initial state;
+    :meth:`apply` refuses states with amplitude outside the built blocks.
+    The costs count multiply-adds from the sizes alone (:data:`_SWEEP_COST`
+    per amplitude a kernel pass sweeps), so the choice, and with it every
+    output bit, does not depend on timing.  Blocks above :data:`_BUILD_MAX`
+    states, and formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run
+    through the kernel.  From the Neel state with k0=26 and five states the
+    rule builds for 8 pushes or more at n=10 (the 252-state sector) and for
+    75 or more at n=12 (924 states).  A block power is one kernel step S(t)
+    on the block's own basis columns, in the block's coordinates and
+    :func:`_kernel_columns` columns per call, then the k-th power by
+    repeated squaring.
     """
 
-    def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int):
+    def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int, rows: np.ndarray):
         if not (t > 0 and k >= 1 and pushes >= 1):
             raise ValueError(f"need t > 0, k >= 1 and pushes >= 1; got {t}, {k}, {pushes}")
         self._pf, self._t, self._k = pf, float(t), int(k)
-        # Pushes the decision is made for; None once it is made.
-        self._pushes = pushes
-        self._blocks = None
+        self._check(rows)
+        # (members, power) per block size of the touched blocks; None when
+        # every push runs through the kernel.
+        self._powers = None
         if pf._blocks is not None:
-            self._blocks = _LazyBlocks(pf._blocks, self._build)
+            groups = [idx[hit] for idx in pf._blocks if (hit := _touched(idx, rows)).size]
+            if self._build_pays(groups, pushes, rows.shape[0]):
+                self._powers = [(members, self._build(members)) for members in groups]
+                self._outside = np.ones(1 << pf.n, dtype=bool)
+                for members, _ in self._powers:
+                    self._outside[members] = False
 
-    def _build_pays(self, rows: np.ndarray) -> bool:
-        """Whether building the blocks ``rows`` touch costs no more than
-        pushing these rows through the kernel at every push."""
-        sizes = self._blocks.sizes(rows)
-        if any(size > _BUILD_MAX for size in sizes):
+    def _check(self, rows: np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
+            raise ValueError(f"states of shape {rows.shape} are not rows of "
+                             f"{self._pf.n}-qubit states")
+
+    def _build_pays(self, groups: list[np.ndarray], pushes: int, states: int) -> bool:
+        """Whether building the blocks ``groups`` (``(count, size)`` index
+        arrays) costs no more than pushing this many ``states`` through the
+        kernel at every push."""
+        shapes = [members.shape for members in groups]
+        if not shapes or max(size for _, size in shapes) > _BUILD_MAX:
             return False
         k = self._k
         # Cost of one step S(t) per amplitude it sweeps.
-        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in self._pf._program)
+        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in self._pf._program_on(None))
         products = k.bit_length() + k.bit_count() - 2
-        build = sum(size * size * sweep + products * size ** 3 for size in sizes)
-        return self._pushes * k * rows.shape[0] * sum(sizes) * sweep >= build
+        build = sum(count * (size * size * sweep + products * size ** 3) for count, size in shapes)
+        return pushes * k * states * sum(count * size for count, size in shapes) * sweep >= build
 
-    def _build(self, members: np.ndarray) -> tuple[np.ndarray]:
+    def _build(self, members: np.ndarray) -> np.ndarray:
         """``S(t)^k`` on the blocks ``members``."""
         count, size = members.shape
         width = _kernel_columns(size)
@@ -319,23 +321,19 @@ class _BlockPower:
                 power = step if power is None else _products(power, step)
             k >>= 1
             if not k:
-                return (power,)
+                return power
             step = _products(step, step)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """Return ``S(t)^k`` applied to each row of an ``(r, 2^n)`` array of
         states, as rows."""
-        if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
-            raise ValueError(f"states of shape {rows.shape} are not rows of "
-                             f"{self._pf.n}-qubit states")
-        if self._pushes is not None:
-            if self._blocks is not None and not self._build_pays(rows):
-                self._blocks = None
-            self._pushes = None
-        if self._blocks is None:
+        self._check(rows)
+        if self._powers is None:
             return self._pf.apply(rows.T, self._t, self._k).T
+        if rows[:, self._outside].any():
+            raise ValueError("states have amplitude outside the blocks the push was built on")
         out = np.zeros(rows.shape, dtype=complex)
-        for members, (mats,) in self._blocks.touched(rows):
+        for members, mats in self._powers:
             out[:, members] = _products(mats, rows[:, members].transpose(1, 2, 0)).transpose(2, 0, 1)
         return out
 

@@ -29,6 +29,11 @@ def chain4():
 
 
 @pytest.fixture(scope="session")
+def chain5():
+    return ChainCase(5)
+
+
+@pytest.fixture(scope="session")
 def chain6():
     return ChainCase(6)
 

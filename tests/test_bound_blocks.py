@@ -228,7 +228,7 @@ def test_window_certificate_bounds_every_sampled_conjugation(make, n):
     # 300 fragment-time tuples, each in [0, w]^D for its own window w <= 5.
     pf = make(n)
     rng = np.random.default_rng(7 + n)
-    taus = rng.uniform(0.0, 1.0, (300, pf.depth)) * rng.uniform(0.0, 5.0, (300, 1))
+    taus = rng.uniform(0.0, 1.0, (300, len(pf.steps))) * rng.uniform(0.0, 5.0, (300, 1))
     for total, ell in ((2, 1), (2, 2), (3, 1)):
         terms = list(window_terms(pf, total, ell, taus))
         scale = max(cert for _, _, cert in terms)
@@ -244,7 +244,7 @@ def test_certified_window_columns_stay_within_4x_of_sampled(chain4):
     # The bound at t = 0.5 with k_min = 4: fragment times in [0, 0.125].
     scheme = solve_coefficients(2, (4, 13, 17))
     evaluator = MixtureBoundEvaluator(scheme, chain4.pf)
-    taus = np.random.default_rng(11).uniform(0.0, 0.5 / 4, (300, chain4.pf.depth))
+    taus = np.random.default_rng(11).uniform(0.0, 0.5 / 4, (300, len(chain4.pf.steps)))
     for total, ell in ((2, 1), (2, 2)):
         sampled = sum(weight * best
                       for weight, best, _ in window_terms(chain4.pf, total, ell, taus))

@@ -149,6 +149,19 @@ def test_unwritable_output_refused_before_the_run(args, capsys, monkeypatch):
     assert out == ""
 
 
+def test_trajectory_to_the_main_output_refused_before_the_run(tmp_path: Path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("scenario ran"))
+    monkeypatch.chdir(tmp_path)
+    for out, traj in (("x.csv", "x.csv"), ("x.csv", str(tmp_path / "x.csv")),
+                      (str(tmp_path / "x.csv"), "./sub/../x.csv")):
+        code, stdout, err = run_cli(["minimax-shootout", "--out", out,
+                                     "--set", f"trajectory_out={traj}"], capsys)
+        assert code == 2
+        assert err.startswith("error: --out and trajectory_out name the same file")
+        assert stdout == "" and not (tmp_path / "x.csv").exists()
+
+
 def test_output_check_leaves_files_as_they_were(tmp_path: Path, capsys, monkeypatch):
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("old\n")

@@ -15,6 +15,7 @@ from mpf_lab import (
     PauliString,
     PauliSumOp,
     ProductFormula,
+    SpectralOracle,
     dynamic_project,
     gram_matrix,
     inject_noise,
@@ -41,6 +42,7 @@ from mpf_lab.dynamic_mpf import (
 from mpf_lab.errors import SolverError
 from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
 from mpf_lab.pauli import invariant_blocks
+from test_statesim import full_eigh_evolve
 
 STEPS = (4, 13, 17)
 
@@ -166,7 +168,8 @@ def test_q_from_states_matches_single_push(chain4):
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
     for pushes in (1, 100):
-        q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, pushes), prev, nxt)
+        q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, pushes, np.array(prev)),
+                          prev, nxt)
         assert np.abs(q - q_reference(chain4.pf, prev, nxt, dt, k0)).max() < 1e-13
 
 
@@ -187,18 +190,18 @@ def conserves_nothing(n, rng):
 
 
 def built_blocks(push):
-    """Number of blocks a push holds built; zero once it has chosen the
+    """Number of blocks a push holds built; zero when it runs through the
     kernel."""
-    if push._blocks is None:
+    if push._powers is None:
         return 0
-    return sum(int(built.sum()) for _, built in push._blocks._held)
+    return sum(members.shape[0] for members, _ in push._powers)
 
 
 def crossover(pf, states, dt, k0):
-    """Fewest pushes for which the first push of ``states`` builds."""
+    """Fewest pushes for which a push made with ``states`` as its first
+    rows builds."""
     for pushes in range(1, 1000):
-        push = _BlockPower(pf, dt / k0, k0, pushes)
-        push.apply(np.array(states))
+        push = _BlockPower(pf, dt / k0, k0, pushes, np.array(states))
         if built_blocks(push):
             return pushes
     raise AssertionError("no build below 1000 pushes")
@@ -218,15 +221,65 @@ def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
     ref = q_reference(pf, prev, nxt, dt, k0)
-    # Enough pushes that the first one builds.
-    push = _BlockPower(pf, dt / k0, k0, 1000)
+    # Enough pushes that the push builds.
+    push = _BlockPower(pf, dt / k0, k0, 1000, np.array(prev))
     for _ in range(3):
         assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
     if case == "neel_chain6":
         # One total-Z sector of 20 states; no other block is built.
         assert built_blocks(push) == 1
     else:
-        assert built_blocks(push) == sum(idx.shape[0] for idx in push._blocks.groups)
+        assert built_blocks(push) == sum(idx.shape[0] for idx in pf._blocks)
+
+
+def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
+    # At n=5 the Neel state's sector (three qubits up) has ten states, as
+    # has the sector with two up: the oracle diagonalizes, and the push
+    # builds, the touched one alone.
+    sector = [i for i in range(32) if i.bit_count() == 3]
+    diagonalized, built = [], []
+    eigh, build = SpectralOracle._eigh, formulas._BlockPower._build
+    monkeypatch.setattr(SpectralOracle, "_eigh",
+                        lambda self, members: diagonalized.append(members.tolist())
+                        or eigh(self, members))
+    monkeypatch.setattr(formulas._BlockPower, "_build",
+                        lambda self, members: built.append(members.tolist())
+                        or build(self, members))
+    pf, psi = chain5.pf, chain5.psi
+    assert [idx.shape for idx in pf._blocks] == [(2, 1), (2, 5), (2, 10)]
+    oracle = SpectralOracle(chain5.hamiltonian)
+    for t in (0.4, 1.3):
+        assert np.linalg.norm(oracle.evolve(psi, t) - full_eigh_evolve(
+            chain5.hamiltonian, psi, t)) <= 1e-13
+    assert diagonalized == [sector]
+    t, dt, k0 = 0.9, 0.1, 6
+    prev = trotter_states(pf, psi, t, STEPS)
+    nxt = trotter_states(pf, psi, t + dt, STEPS)
+    push = _BlockPower(pf, dt / k0, k0, 1000, np.array(prev))
+    assert built == [[sector]]
+    ref = q_reference(pf, prev, nxt, dt, k0)
+    for _ in range(2):
+        assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
+    assert built == [[sector]]
+
+
+def test_built_push_refuses_states_outside_its_blocks(chain5, monkeypatch):
+    # A push built on the Neel sector refuses a state with any amplitude
+    # outside it, where it would drop that amplitude; a push through the
+    # kernel (the sector above the size limit) takes any state.
+    pf, psi = chain5.pf, chain5.psi
+    rows = np.array(trotter_states(pf, psi, 0.5, STEPS))
+    push = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
+    assert built_blocks(push) == 1
+    stray = rows.copy()
+    stray[0, 0] = 1e-300
+    for bad in (stray, np.array([random_state(5, np.random.default_rng(2))])):
+        with pytest.raises(ValueError, match="outside the blocks"):
+            push.apply(bad)
+    monkeypatch.setattr(formulas, "_BUILD_MAX", 9)
+    kernel = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
+    assert built_blocks(kernel) == 0
+    assert np.array_equal(kernel.apply(stray), pf.apply(stray.T, 0.1 / 6, 6).T)
 
 
 def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
@@ -238,18 +291,16 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
     prev = np.array(trotter_states(pf, chain6.psi, 0.75, STEPS))
     least = crossover(pf, prev, dt, k0)
     assert 1 < least < 8
-    # At the crossover the first push builds the 20-state sector, and every
-    # later push, even of one state, runs through it.
-    push = _BlockPower(pf, dt / k0, k0, least)
-    push.apply(prev)
+    # At the crossover a push made with these rows builds the 20-state
+    # sector, and every push, even of one state, runs through it.
+    push = _BlockPower(pf, dt / k0, k0, least, prev)
     assert built_blocks(push) == 1
     calls.clear()
     for rows in (prev, prev[:1], prev):
         push.apply(rows)
     assert calls == []
     # One push short of it nothing is ever built, even for more states.
-    push = _BlockPower(pf, dt / k0, k0, least - 1)
-    push.apply(prev)
+    push = _BlockPower(pf, dt / k0, k0, least - 1, prev)
     for rows in (np.concatenate([prev, prev]), prev):
         calls.clear()
         push.apply(rows)
@@ -258,16 +309,18 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
 
 def minimax_push_calls(case, monkeypatch, **grid):
     """Run a tracker on ``case`` with kernel calls counted: the calls of
-    each Trotter batch and of each push, and the builds made in each push."""
-    calls, batch_calls, push_calls, builds = [], [], [], []
+    each Trotter batch, of making the push and of each push, with the builds
+    made in each; and the order in which they ran."""
+    calls, batch_calls, made, push_calls, builds, order = [], [], [], [], [], []
     apply, build = FragmentEvolver.apply, formulas._BlockPower._build
     batch, push = dynamic_mpf.trotter_states, dynamic_mpf.q_from_states
 
-    def counting(func, into):
+    def counting(func, into, name):
         def run(*args):
             before = len(calls), len(builds)
             out = func(*args)
             into.append((len(calls) - before[0], len(builds) - before[1]))
+            order.append(name)
             return out
         return run
 
@@ -275,29 +328,36 @@ def minimax_push_calls(case, monkeypatch, **grid):
                         lambda self, *a: calls.append(1) or apply(self, *a))
     monkeypatch.setattr(formulas._BlockPower, "_build",
                         lambda self, *a: builds.append(1) or build(self, *a))
-    monkeypatch.setattr(dynamic_mpf, "trotter_states", counting(batch, batch_calls))
-    monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls))
+    monkeypatch.setattr(dynamic_mpf, "trotter_states", counting(batch, batch_calls, "batch"))
+    monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls, "push"))
+    monkeypatch.setattr(dynamic_mpf, "_BlockPower", counting(formulas._BlockPower, made, "made"))
     c0 = solve_coefficients(2, STEPS).coefficients
     minimax_run(case.pf, case.oracle, case.psi, STEPS, eps=0.01, c0=c0, seed=1, **grid)
     assert min(calls for calls, _ in batch_calls) > 0
-    assert len(calls) == sum(c for c, _ in batch_calls) + sum(c for c, _ in push_calls)
-    return batch_calls, push_calls
+    assert len(calls) == sum(c for c, _ in batch_calls + made + push_calls)
+    # The push is made once, after the first batch and right before the
+    # first push.
+    assert len(made) == 1
+    at = order.index("made")
+    assert order[0] == "batch" and order[at + 1] == "push" and "push" not in order[:at]
+    return batch_calls, made[0], push_calls
 
 
 def test_minimax_run_builds_at_the_first_push_of_a_long_grid(chain6, monkeypatch):
-    # Eight pushes, at least the crossover: the first push builds the
-    # 20-state sector, and no later push calls the kernel or builds.
+    # Eight pushes, at least the crossover: the push, made at the first
+    # push, builds the 20-state sector, and no push calls the kernel or
+    # builds.
     states = trotter_states(chain6.pf, chain6.psi, 0.5, STEPS)
     assert crossover(chain6.pf, states, 0.25, 3) <= 8
     # Two grid points per batch, so batches and pushes interleave; then the
     # default, which runs all nine points of the 6-qubit grid as one batch.
     for limit, batches in ((2 * len(STEPS) * 20, 5), (formulas._KERNEL_AMPLITUDES, 1)):
         monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", limit)
-        batch_calls, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5,
-                                                     t_final=2.5, dt=0.25, k0=3)
+        batch_calls, made, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5,
+                                                           t_final=2.5, dt=0.25, k0=3)
         assert len(batch_calls) == batches and len(push_calls) == 8
-        assert push_calls[0][0] > 0 and push_calls[0][1] == 1
-        assert push_calls[1:] == [(0, 0)] * 7
+        assert made[0] > 0 and made[1] == 1
+        assert push_calls == [(0, 0)] * 8
 
 
 def test_build_rule_counts_the_amplitudes_of_the_subspace(chain10):
@@ -314,9 +374,9 @@ def test_minimax_run_never_builds_on_a_grid_shorter_than_the_crossover(chain6, m
     # kernel, k0 steps of the same circuit, and nothing is built.
     states = trotter_states(chain6.pf, chain6.psi, 0.5, STEPS)
     assert crossover(chain6.pf, states, 0.25, 3) > 2
-    _, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5, t_final=1.0,
-                                       dt=0.25, k0=3)
-    assert len(push_calls) == 2
+    _, made, push_calls = minimax_push_calls(chain6, monkeypatch, t0=0.5, t_final=1.0,
+                                             dt=0.25, k0=3)
+    assert len(push_calls) == 2 and made == (0, 0)
     assert push_calls[0][0] > 0 and push_calls == [(push_calls[0][0], 0)] * 2
 
 
@@ -330,10 +390,10 @@ def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
     prev = trotter_states(pf, psi, 0.5, STEPS)
     nxt = trotter_states(pf, psi, 0.6, STEPS)
     ref = q_reference(pf, prev, nxt, 0.1, 4)
-    push = _BlockPower(pf, 0.1 / 4, 4, 1000)
+    push = _BlockPower(pf, 0.1 / 4, 4, 1000, np.array(prev))
     for _ in range(20):
         assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
-    assert push._blocks is None
+    assert push._powers is None
 
 
 def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
@@ -343,10 +403,10 @@ def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
                        PauliSumOp.from_terms(n, [(0.4, PauliString("Z" * n))])))
     rng = np.random.default_rng(5)
     prev = [random_state(n, rng) for _ in range(2)]
-    push = _BlockPower(pf, 0.2 / 3, 3, 1000)
+    push = _BlockPower(pf, 0.2 / 3, 3, 1000, np.array(prev))
     q = q_from_states(push, prev, prev)
     assert np.abs(q - q_reference(pf, prev, prev, 0.2, 3)).max() < 1e-13
-    assert push._blocks is None
+    assert push._powers is None
 
 
 def test_block_products_do_not_depend_on_the_blas_thread_count():
@@ -418,7 +478,7 @@ def test_q_matrix_entries(chain4):
     t, dt, k0 = 0.6, 0.1, 9
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
-    q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, 1), prev, nxt)
+    q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, 1, np.array(prev)), prev, nxt)
     assert q.min() >= 0.0 and q.max() <= 1.0 + 1e-12
     # dense oracle
     for s, ps in enumerate(prev):
@@ -430,19 +490,22 @@ def test_q_matrix_entries(chain4):
 
 
 def test_q_matrix_small_dt_diagonal(chain4):
-    q = q_from_states(_BlockPower(chain4.pf, 1e-8, 1, 1),
-                      trotter_states(chain4.pf, chain4.psi, 0.5, STEPS),
+    prev = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
+    q = q_from_states(_BlockPower(chain4.pf, 1e-8, 1, 1, np.array(prev)), prev,
                       trotter_states(chain4.pf, chain4.psi, 0.5 + 1e-8, STEPS))
     assert np.allclose(np.diag(q), 1.0, atol=1e-6)
 
 
 def test_q_matrix_validation(chain4):
     states = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
+    rows = np.array(states)
     for t, k, pushes in ((0.0, 3, 1), (0.1, 0, 1), (0.1, 3, 0)):
         with pytest.raises(ValueError):
-            _BlockPower(chain4.pf, t, k, pushes)
+            _BlockPower(chain4.pf, t, k, pushes, rows)
     with pytest.raises(ValueError, match="not rows"):
-        q_from_states(_BlockPower(chain4.pf, 0.1, 3, 1), [s[:8] for s in states], states)
+        _BlockPower(chain4.pf, 0.1, 3, 1, rows[:, :8])
+    with pytest.raises(ValueError, match="not rows"):
+        q_from_states(_BlockPower(chain4.pf, 0.1, 3, 1, rows), [s[:8] for s in states], states)
 
 
 def test_l_exact_values(chain4):
@@ -656,6 +719,11 @@ def test_minimax_run_grid_validation(chain4):
     with pytest.raises(ValueError):
         minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1.0, 0.1,
                     0.0, 4, (1.0, 1.0, 1.0), 0)
+    # An interval within rounding of zero holds no grid step: refused, not
+    # run as one point with no push.
+    with pytest.raises(ValueError, match="dt must divide"):
+        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1e-12, 0.1,
+                    0.0, 4, c0, 0)
 
 
 @pytest.mark.parametrize("arg, value", [("t0", -math.inf), ("t_final", math.inf),

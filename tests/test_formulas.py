@@ -34,7 +34,7 @@ def test_single_fragment_exact(chain4, rng):
 
 def test_palindromic_recipe(chain6):
     pf = chain6.pf
-    assert pf.multiplier_list() == pf.multiplier_list()[::-1]
+    assert [m for _, m in pf.steps] == [m for _, m in pf.steps][::-1]
     assert [idx for idx, _ in pf.steps] == [0, 1, 2, 3, 4]
 
 
@@ -42,7 +42,7 @@ def test_strang_symmetrization(chain4):
     odd, field, even = (chain4.fragments[0] * 2.0, chain4.fragments[1] * 2.0,
                         chain4.fragments[2])
     pf = second_order([odd, field, even])
-    mults = pf.multiplier_list()
+    mults = [m for _, m in pf.steps]
     assert mults == [0.5, 0.5, 1.0, 0.5, 0.5]
     assert mults == mults[::-1]
     # equals the pre-halved palindromic recipe as an operator product
@@ -65,8 +65,8 @@ def test_suzuki_multipliers(chain4):
     pf4 = suzuki(chain4.pf, 4)
     u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
     assert abs(u - 0.4144907717943757) < 1e-15
-    assert pf4.depth == 25
-    mults = pf4.multiplier_list()
+    assert len(pf4.steps) == 25
+    mults = [m for _, m in pf4.steps]
     assert abs(mults[0] - u) < 1e-15
     assert abs(mults[12] - (1.0 - 4.0 * u)) < 1e-15
     sums = {}
@@ -101,7 +101,7 @@ def test_empirical_orders(chain4):
 
 def test_order6_slope(chain4):
     pf6 = suzuki(chain4.pf, 6)
-    assert pf6.depth == 125
+    assert len(pf6.steps) == 125
     ts = np.geomspace(0.15, 0.4, 4)
     errs = [dense_trace_norm_error(pf6, chain4.oracle, chain4.psi, t) for t in ts]
     slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
@@ -165,7 +165,7 @@ def test_apply_block_matches_columns(chain4, rng):
 
 
 def test_distinct_fragments_share_one_evolver(chain4):
-    program = chain4.pf._program
+    program = chain4.pf._program_on(None)
     assert len(program) == 5
     assert len({id(evolver) for evolver, _ in program}) == 3
     assert program[0][0] is program[-1][0]
@@ -184,5 +184,5 @@ def test_fragment_by_commuting_groups(chain4):
         terms = [ps for _, ps in g]
         assert all(commutes(a, b) for i, a in enumerate(terms) for b in terms[i + 1:])
     pf = second_order(groups)
-    mults = pf.multiplier_list()
+    mults = [m for _, m in pf.steps]
     assert mults == mults[::-1]

@@ -5,9 +5,12 @@ in the package; every module-level public name the package does not export
 is read in the package, the benchmark or the acceptance tests; and every
 exported name is read in the package, the benchmark (string literals
 included, since the tracer names what it wraps as strings), the acceptance
-tests or a README ``python`` block."""
+tests or a README ``python`` block; and every backticked ``module.name``
+in the README resolves in the package."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -221,3 +224,40 @@ def test_checker_flags_subspace_mentions():
                          ids=lambda p: p.name)
 def test_subspace_coordinates_stay_in_the_formula_and_kernel(path):
     assert subspace_mentions(path.read_text()) == []
+
+
+def unresolved_code_names(markdown: str, package) -> list[str]:
+    """Backticked dotted names of a Markdown text (``module.name``, with an
+    optional call after it) that start at the package, one of its modules
+    or one of its exports and do not resolve there."""
+    missing = []
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", markdown):
+        head, *rest = dotted.split(".")
+        if head == package.__name__:
+            obj = package
+        elif (SRC / f"{head}.py").exists():
+            obj = importlib.import_module(f"{package.__name__}.{head}")
+        elif hasattr(package, head):
+            obj = getattr(package, head)
+        else:
+            continue
+        for part in rest:
+            if not hasattr(obj, part):
+                missing.append(dotted)
+                break
+            obj = getattr(obj, part)
+    return missing
+
+
+def test_checker_flags_an_unresolved_code_name():
+    import mpf_lab
+
+    text = ("`pauli._partition`, `formulas._Gone`, `ProductFormula.apply(state, t)`, "
+            "`ProductFormula.nope`, `mpf_lab.parse_op`, `np.array_equal`, `a.b c`")
+    assert unresolved_code_names(text, mpf_lab) == ["formulas._Gone", "ProductFormula.nope"]
+
+
+def test_every_code_name_in_the_readme_resolves():
+    import mpf_lab
+
+    assert unresolved_code_names((ROOT / "README.md").read_text(), mpf_lab) == []

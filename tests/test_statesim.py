@@ -234,8 +234,8 @@ def test_window_kernel_runs_where_nothing_is_conserved(rng):
     psi = random_state(5, rng)
     assert pf._basis(psi) is None
     # A basis of every index is the whole space: the same evolvers, on windows.
-    assert pf._program_on(np.arange(32)) is pf._program
-    for evolver, _ in pf._program:
+    assert pf._program_on(np.arange(32)) is pf._program_on(None)
+    for evolver, _ in pf._program_on(None):
         assert all(len(rot.shape) == 3 and np.prod(rot.shape) == 32
                    for rot in evolver._rotations)
     block = random_block(5, 3, rng)
@@ -312,10 +312,10 @@ def test_oracle_diagonalizes_each_touched_block_once(chain4, rng, monkeypatch):
     for t in (0.3, 0.7):
         oracle.evolve(chain4.psi, t)
     # The Neel state touches the one 6-state sector; a random state then
-    # touches the others, and only those are diagonalized.
-    assert built == [(1, 6)]
+    # touches the others, and only those are diagonalized, one at a time.
+    assert built == [(6,)]
     oracle.evolve(random_state(4, rng), 0.5)
-    assert sorted(built[1:]) == [(2, 1), (2, 4)]
+    assert sorted(built[1:]) == [(1,), (1,), (4,), (4,)]
 
 
 def test_oracle_zero_time_returns_a_copy(chain4, rng):
