@@ -28,11 +28,11 @@ def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps):
     """States S(t/k_i)^{k_i} |psi_in> for each step count, run as one block.
 
     For a scalar ``t`` this is the list of the r states.  For a 1-D array of
-    times it is a list of one such list per time, from one block whose
-    columns are the (time, step count) pairs with time ``t_j / k_i``; each
-    time's states own their memory, so holding one time keeps no other
-    alive.  ``ProductFormula.apply`` works on each column alone, so every
-    state has the same bits as from the scalar form.
+    times it is a list of one such list per time, from one block whose rows
+    are the (time, step count) pairs with time ``t_j / k_i``; each time's
+    states own their memory, so holding one time keeps no other alive.
+    ``ProductFormula.apply`` works on each row alone, so every state has the
+    same bits as from the scalar form.
     """
     ks = np.array([int(k) for k in steps], dtype=int)
     times = np.asarray(t, dtype=float)
@@ -42,20 +42,19 @@ def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps):
         raise ValueError("step count k must be >= 1")
     psi_in = np.asarray(psi_in)
     r = ks.size
-    block = pf.apply(np.broadcast_to(psi_in[:, None], (psi_in.size, r * times.size)),
+    block = pf.apply(np.broadcast_to(psi_in, (r * times.size, psi_in.size)),
                      (times.reshape(-1, 1) / ks).ravel(), np.tile(ks, times.size))
-    per_time = [list(block[:, j * r:(j + 1) * r].T.copy()) for j in range(times.size)]
+    per_time = [list(block[j * r:(j + 1) * r].copy()) for j in range(times.size)]
     return per_time[0] if times.ndim == 0 else per_time
 
 
 def _states_on_grid(pf: ProductFormula, psi_in: np.ndarray, times, steps):
     """Yield :func:`trotter_states` at each time in turn, computed by its
     grid form in batches of whole grid points: as many as fit one block of
-    kernel columns (``ProductFormula._columns_per_call``), and at least
-    one."""
+    kernel rows (``ProductFormula._rows_per_call``), and at least one."""
     times = np.asarray(times, dtype=float)
     steps = list(steps)
-    size = max(1, pf._columns_per_call(np.asarray(psi_in)) // max(1, len(steps)))
+    size = max(1, pf._rows_per_call(np.asarray(psi_in)) // max(1, len(steps)))
     for lo in range(0, times.size, size):
         yield from trotter_states(pf, psi_in, times[lo:lo + size], steps)
 
@@ -63,7 +62,7 @@ def _states_on_grid(pf: ProductFormula, psi_in: np.ndarray, times, steps):
 def _overlaps_sq(bra, ket) -> np.ndarray:
     """``|<bra_i|ket_j>|^2`` for every pair, as one block product; each side
     is a list of states or an ``(r, 2^n)`` array of rows."""
-    return np.abs(np.array(bra).conj() @ np.array(ket).T) ** 2
+    return np.abs(np.inner(np.array(bra).conj(), np.array(ket))) ** 2
 
 
 def gram_from_states(states: list[np.ndarray]) -> np.ndarray:
@@ -356,7 +355,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     The r circuit states of consecutive grid points run as one Trotter batch
     (the grid form of :func:`trotter_states`) on the invariant subspace that
     ``psi_in`` touches, as many points per batch as fit one block of kernel
-    columns and at least one; the states are those of one point at a time,
+    rows and at least one; the states are those of one point at a time,
     bit for bit.  From the second point on, the
     propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The

@@ -310,12 +310,15 @@ def _run_solve_coeffs(cfg: dict) -> CsvDoc:
 
 
 def _run_tuple_search(cfg: dict) -> CsvDoc:
-    r = cfg["r"] if cfg["r"] > 0 else cfg["p"] + 1
-    cap = cfg["kappa_cap"] if cfg["kappa_cap"] > 0 else None
+    for key, least in (("r", 0), ("kappa_cap", 0), ("limit", 1)):
+        if cfg[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {cfg[key]}")
+    r = cfg["r"] or cfg["p"] + 1
+    cap = cfg["kappa_cap"] or None
     ref = (solve_coefficients(cfg["p"], cfg["reference"], cfg["even_powers"])
            if cfg["reference"] else None)
     ranked = search_steps(cfg["p"], cfg["k_max"], r, even_powers=cfg["even_powers"],
-                          kappa_cap=cap, limit=max(cfg["limit"], 1))
+                          kappa_cap=cap, limit=cfg["limit"])
     comments = _config_comments("tuple-search", cfg)
     if ref is not None:
         pos = rank_of_tuple(ranked, cfg["reference"])

@@ -23,11 +23,11 @@ from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
 from .statesim import FragmentEvolver, _touched
 
 SUZUKI_ORDERS = (4, 6)
-# Amplitudes (columns x the amplitudes of the space the kernel runs on) in
-# one block of kernel columns, for a Trotter batch and for a block-power
-# build alike.  From the Neel state that space is its total-Z sector: 81
-# columns of 252 amplitudes at n=10 (16 grid points of five circuits), 22 of
-# 924 at n=12 (four points).  Each kernel keeps phase arrays of this size, so
+# Amplitudes (rows x the amplitudes of the space the kernel runs on) in one
+# block of kernel rows, for a Trotter batch and for a block-power build
+# alike.  From the Neel state that space is its total-Z sector: 81 rows of
+# 252 amplitudes at n=10 (16 grid points of five circuits), 22 of 924 at
+# n=12 (four points).  Each kernel keeps phase arrays of this size, so
 # a block costs peak memory as well as saving calls.
 _KERNEL_AMPLITUDES = 20 * 1024
 # Largest block a power is built for: a 1024-state block is 16 MB per
@@ -138,10 +138,10 @@ class ProductFormula:
     def apply(self, state: np.ndarray, t, k=1) -> np.ndarray:
         """Return ``S(t)^k |state>``; the input array is not modified.
 
-        ``state`` is ``(2^n,)`` or a ``(2^n, r)`` block of columns, and for a
-        block ``t`` and ``k`` may be length-r vectors: column i gets
-        ``S(t_i)^{k_i}``.  The columns run as one block, longest circuit
-        first, and a column drops out once its k_i steps are done.  When the
+        ``state`` is ``(2^n,)`` or an ``(r, 2^n)`` block of rows, and for a
+        block ``t`` and ``k`` may be length-r vectors: row i gets
+        ``S(t_i)^{k_i}``.  The rows run as one block, longest circuit first,
+        and a row drops out once its k_i steps are done.  When the
         recipe closes on the fragment it opens with (a palindrome), the
         closing slot of one step and the opening slot of the next run as one
         slot of summed time.  The block runs on the invariant subspace the
@@ -149,68 +149,63 @@ class ProductFormula:
         on the whole space, and zeros elsewhere.
         """
         state = np.asarray(state)
-        if state.ndim not in (1, 2) or state.shape[0] != 1 << self.n:
+        if state.ndim not in (1, 2) or state.shape[-1] != 1 << self.n:
             raise ValueError(f"state of shape {state.shape} is not a (2^n,) vector "
-                             f"or a (2^n, r) block for n={self.n}")
-        # The amplitudes any column touches, as one flag per amplitude.
-        basis = self._basis(state if state.ndim == 1 else state.any(axis=1))
+                             f"or an (r, 2^n) block for n={self.n}")
+        # The amplitudes any row touches, as one flag per amplitude.
+        basis = self._basis(np.atleast_2d(state).any(axis=0))
         if basis is None:
             return self._apply_on(state, t, k, None)
         out = np.zeros(state.shape, dtype=complex)
-        out[basis] = self._apply_on(state[basis], t, k, basis)
+        out[..., basis] = self._apply_on(state[..., basis], t, k, basis)
         return out
 
-    def _columns_per_call(self, states: np.ndarray) -> int:
-        """Columns of the subspace ``states`` (``(..., 2^n)``) touches that
-        fit one block of kernel columns (:func:`_kernel_columns`)."""
+    def _rows_per_call(self, states: np.ndarray) -> int:
+        """Rows of the subspace ``states`` (``(..., 2^n)``) touches that fit
+        one block of kernel rows (:func:`_kernel_rows`)."""
         basis = self._basis(states)
-        return _kernel_columns(1 << self.n if basis is None else basis.size)
+        return _kernel_rows(1 << self.n if basis is None else basis.size)
 
     def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray | None) -> np.ndarray:
-        """:meth:`apply` on ``(S,)`` or ``(S, r)`` states in the coordinates
+        """:meth:`apply` on ``(S,)`` or ``(r, S)`` states in the coordinates
         of ``basis``, the S sorted indices of a union of common invariant
         blocks of the fragments (of the whole space for None); the result is
         in the same coordinates."""
-        block = state if state.ndim == 2 else state[:, None]
-        cols = block.shape[1]
+        rows = state if state.ndim == 2 else state[None]
+        count = rows.shape[0]
         try:
-            times = np.broadcast_to(np.asarray(t, dtype=float), (cols,))
-            reps = np.broadcast_to(np.asarray(k), (cols,))
+            times = np.broadcast_to(np.asarray(t, dtype=float), (count,))
+            reps = np.broadcast_to(np.asarray(k), (count,))
         except ValueError:
-            raise ValueError(f"t and k must be scalars or have one entry per column ({cols})") from None
-        if cols == 0:
-            return block.astype(complex)
+            raise ValueError(f"t and k must be scalars or have one entry per row ({count})") from None
+        if count == 0:
+            return rows.astype(complex)
         if not np.issubdtype(reps.dtype, np.integer) or reps.min() < 1:
             raise ValueError("step count k must be an integer >= 1")
         order = np.argsort(-reps, kind="stable")
-        permuted = np.any(order != np.arange(cols))
-        if permuted:
-            block, times, reps = block[:, order], times[order], reps[order]
+        cur, times, reps = rows[order], times[order], reps[order]
         program = self._program_on(basis)
         last = len(program) - 1
         wrap = last > 0 and program[0][0] is program[last][0]
-        out = np.empty(block.shape, dtype=complex, order="F")
-        cur = block
+        out = np.empty(rows.shape, dtype=complex)
         for step in range(int(reps[0])):
             live = int(np.count_nonzero(reps > step))
-            if live < cur.shape[1]:
-                out[:, live:cur.shape[1]] = cur[:, live:]
-                cur = cur[:, :live]
+            # Rows whose steps are done go to their slots in the output.
+            out[order[live:cur.shape[0]]] = cur[live:]
+            cur = cur[:live]
             for j, (evolver, mult) in enumerate(program):
                 if wrap and j == 0 and step > 0:
                     continue
                 if wrap and j == last:
                     mult = np.where(reps[:live] > step + 1, mult + program[0][1], mult)
                 cur = evolver.apply(cur, mult * times[:live])
-        out[:, :cur.shape[1]] = cur
-        if permuted:
-            out[:, order] = out.copy()
-        return out if state.ndim == 2 else out[:, 0]
+        out[order[:cur.shape[0]]] = cur
+        return out if state.ndim == 2 else out[0]
 
 
-def _kernel_columns(dim: int) -> int:
-    """Columns of ``dim`` amplitudes in one block of kernel columns: as many
-    as fit :data:`_KERNEL_AMPLITUDES`, and at least one."""
+def _kernel_rows(dim: int) -> int:
+    """Rows of ``dim`` amplitudes in one block of kernel rows: as many as
+    fit :data:`_KERNEL_AMPLITUDES`, and at least one."""
     return max(1, _KERNEL_AMPLITUDES // dim)
 
 
@@ -255,7 +250,7 @@ class _BlockPower:
     for every push, which of the two it is.  It builds if all the pushes
     through the kernel, k steps on each state, would cost at least as much
     as building the blocks the rows touch (a kernel step on each basis
-    column, and the products of the squaring), and then builds those blocks
+    state, and the products of the squaring), and then builds those blocks
     at once.  The states of a run all touch the blocks of its initial state;
     :meth:`apply` refuses states with amplitude outside the built blocks.
     The costs count multiply-adds from the sizes alone (:data:`_SWEEP_COST`
@@ -265,9 +260,9 @@ class _BlockPower:
     through the kernel.  From the Neel state with k0=26 and five states the
     rule builds for 8 pushes or more at n=10 (the 252-state sector) and for
     75 or more at n=12 (924 states).  A block power is one kernel step S(t)
-    on the block's own basis columns, in the block's coordinates and
-    :func:`_kernel_columns` columns per call, then the k-th power by
-    repeated squaring.
+    on the block's own basis states, in the block's coordinates and
+    :func:`_kernel_rows` rows per call, then the k-th power by repeated
+    squaring.
     """
 
     def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int, rows: np.ndarray):
@@ -280,7 +275,7 @@ class _BlockPower:
         self._powers = None
         if pf._blocks is not None:
             groups = [idx[hit] for idx in pf._blocks if (hit := _touched(idx, rows)).size]
-            if self._build_pays(groups, pushes, rows.shape[0]):
+            if self._build_pays(groups, pushes, rows):
                 self._powers = [(members, self._build(members)) for members in groups]
                 self._outside = np.ones(1 << pf.n, dtype=bool)
                 for members, _ in self._powers:
@@ -291,30 +286,32 @@ class _BlockPower:
             raise ValueError(f"states of shape {rows.shape} are not rows of "
                              f"{self._pf.n}-qubit states")
 
-    def _build_pays(self, groups: list[np.ndarray], pushes: int, states: int) -> bool:
+    def _build_pays(self, groups: list[np.ndarray], pushes: int, rows: np.ndarray) -> bool:
         """Whether building the blocks ``groups`` (``(count, size)`` index
-        arrays) costs no more than pushing this many ``states`` through the
-        kernel at every push."""
+        arrays) costs no more than pushing ``rows`` through the kernel at
+        every push."""
         shapes = [members.shape for members in groups]
         if not shapes or max(size for _, size in shapes) > _BUILD_MAX:
             return False
-        k = self._k
-        # Cost of one step S(t) per amplitude it sweeps.
-        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in self._pf._program_on(None))
+        k, pf = self._k, self._pf
+        # Cost of one step S(t) per amplitude it sweeps, counted on the
+        # program a kernel push runs: the one on the subspace the rows touch.
+        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in pf._program_on(pf._basis(rows)))
         products = k.bit_length() + k.bit_count() - 2
         build = sum(count * (size * size * sweep + products * size ** 3) for count, size in shapes)
-        return pushes * k * states * sum(count * size for count, size in shapes) * sweep >= build
+        return pushes * k * rows.shape[0] * sum(count * size for count, size in shapes) * sweep >= build
 
     def _build(self, members: np.ndarray) -> np.ndarray:
         """``S(t)^k`` on the blocks ``members``."""
         count, size = members.shape
-        width = _kernel_columns(size)
+        width = _kernel_rows(size)
         step = np.empty((count, size, size), dtype=complex)
         for block, basis in zip(step, members):
             for lo in range(0, size, width):
-                # Basis columns lo, lo + 1, ... of the block, in its coordinates.
-                cols = np.eye(size, min(width, size - lo), -lo, dtype=complex)
-                block[:, lo:lo + width] = self._pf._apply_on(cols, self._t, 1, basis)
+                # Basis states lo, lo + 1, ... of the block, in its coordinates;
+                # their images are those columns of S(t).
+                basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
+                block[:, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, basis).T
         power, k = None, self._k
         while True:
             if k & 1:
@@ -329,7 +326,7 @@ class _BlockPower:
         states, as rows."""
         self._check(rows)
         if self._powers is None:
-            return self._pf.apply(rows.T, self._t, self._k).T
+            return self._pf.apply(rows, self._t, self._k)
         if rows[:, self._outside].any():
             raise ValueError("states have amplitude outside the blocks the push was built on")
         out = np.zeros(rows.shape, dtype=complex)

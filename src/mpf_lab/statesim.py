@@ -51,9 +51,9 @@ def _index_view(local: np.ndarray):
 
 class _Rotation:
     """One ``x_mask`` group at one coupling magnitude ``mag``.  On the whole
-    space the amplitude block is viewed as ``(columns, above, window,
+    space the amplitude block is viewed as ``(rows, above, window,
     below)``, with the window the qubits the group's terms touch; on an
-    invariant subspace of S states it is viewed as ``(columns, 1, S, 1)``.
+    invariant subspace of S states it is viewed as ``(rows, 1, S, 1)``.
     ``lo``/``hi`` index the paired states on the third axis and
     ``u_lo``/``u_hi`` hold ``-i <hi|G|lo> / mag`` and ``-i <lo|G|hi> / mag``."""
 
@@ -68,7 +68,7 @@ class _Rotation:
 def _column(u: np.ndarray) -> np.ndarray:
     """``u`` as a column, or as one entry when every entry has the same
     bits (as for the pairs of one bond), which broadcasts to the same
-    products and keeps the per-column coefficients small."""
+    products and keeps the per-row coefficients small."""
     bits = np.ascontiguousarray(u, dtype=complex).view(np.uint64).reshape(-1, 2)
     return (u[:1] if (bits == bits[0]).all() else u).reshape(-1, 1)
 
@@ -100,7 +100,7 @@ class FragmentEvolver:
     ``lo`` with ``lo ^ x_mask``; on each pair ``G^2 = |g|^2``, so
     ``exp(-i t G) = cos(t|g|) - i sin(t|g|) G/|g|`` in closed form.  Pairs
     with zero coupling are dropped (|00>, |11> under XX + YY) and the rest
-    are split by |g|, so each rotation needs one cos/sin per column.  The
+    are split by |g|, so each rotation needs one cos/sin per row.  The
     groups run in one fixed order, the rotations of one group touch disjoint
     pairs, and each amplitude takes the same arithmetic on every space.
 
@@ -110,9 +110,9 @@ class FragmentEvolver:
     coordinates, and each rotation gathers its pairs from the S amplitudes;
     the results equal the whole-space ones on those indices bit for bit.
 
-    ``apply`` takes one state ``(dim,)`` or a block ``(dim, r)`` of columns,
-    with one time or a length-r vector of per-column times; ``dim`` is 2^n,
-    or S on a basis.
+    ``apply`` takes one state ``(dim,)`` or a block ``(r, dim)`` of rows,
+    with one time or a length-r vector of per-row times; ``dim`` is 2^n, or
+    S on a basis.
     """
 
     def __init__(self, fragment: PauliSumOp, basis: np.ndarray | None = None):
@@ -168,7 +168,7 @@ class FragmentEvolver:
         return _split((1, basis.size, 1), coupling, basis, partner, at)
 
     def _coefficients(self, times: np.ndarray):
-        """Diagonal phases and rotation coefficients for these column times.
+        """Diagonal phases and rotation coefficients for these row times.
         The last set is kept: a circuit reuses one time vector per slot."""
         key = times.tobytes()
         if key != self._cached_key:
@@ -187,36 +187,35 @@ class FragmentEvolver:
     def apply(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t F) |state>; the input array is not modified.
 
-        ``state`` is ``(dim,)`` or ``(dim, r)``; ``t`` is a scalar or, for a
-        block, a length-r vector of per-column times.
+        ``state`` is ``(dim,)`` or ``(r, dim)``; ``t`` is a scalar or, for a
+        block, a length-r vector of per-row times.
         """
         state = np.asarray(state)
-        if state.ndim not in (1, 2) or state.shape[0] != self.dim:
+        if state.ndim not in (1, 2) or state.shape[-1] != self.dim:
             raise ValueError(
                 f"state of shape {state.shape} does not match {self.n} qubits "
-                f"(leading dimension {self.dim})"
+                f"(rows of dimension {self.dim})"
             )
         block = state.ndim == 2
-        cols = state.shape[1] if block else 1
+        rows = state.shape[0] if block else 1
         times = np.asarray(t, dtype=float)
         if times.ndim == 0:
-            times = np.full(cols, float(times))
-        elif times.shape != (cols,) or not block:
+            times = np.full(rows, float(times))
+        elif times.shape != (rows,) or not block:
             raise ValueError(f"times of shape {times.shape} do not match state of shape {state.shape}")
-        # Columns-major working copy: one contiguous row per column.
-        out = np.array(state.T if block else state[None, :], dtype=complex, order="C")
+        out = np.array(state if block else state[None, :], dtype=complex)
         if times.any():
             phase, rotations = self._coefficients(times)
             if phase is not None:
                 out *= phase
             for rot, c, a_lo, a_hi in rotations:
-                view = out.reshape(cols, *rot.shape)
+                view = out.reshape(rows, *rot.shape)
                 x = view[:, :, rot.lo]
                 y = view[:, :, rot.hi]
                 new_x = c * x + a_hi * y
                 view[:, :, rot.hi] = c * y + a_lo * x
                 view[:, :, rot.lo] = new_x
-        return out.T if block else out[0]
+        return out if block else out[0]
 
 
 def _touched(idx: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -272,8 +271,8 @@ class SpectralOracle:
                     # against 51.1 MB without them).
                     self._eigs[g, b] = tuple(a.copy() for a in self._eigh(members))
                 vals, vecs = self._eigs[g, b]
-                coeffs = vecs.conj().T @ state[members][:, None]
-                out[members] = (vecs @ (np.exp(-1j * t * vals)[:, None] * coeffs))[:, 0]
+                coeffs = (state[members].conj() @ vecs).conj()
+                out[members] = vecs @ (np.exp(-1j * t * vals) * coeffs)
         return out
 
 
@@ -288,7 +287,7 @@ def mixture_trace_norm(states: list[np.ndarray], weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if len(states) != weights.size or weights.size == 0:
         raise ValueError("need matching, nonempty states and weights")
-    r = np.linalg.qr(np.array(states).T, mode="r")
+    r = np.linalg.qr(np.stack(states, axis=1), mode="r")
     return float(np.abs(np.linalg.eigvalsh((r * weights) @ r.conj().T)).sum())
 
 

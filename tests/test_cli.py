@@ -65,6 +65,27 @@ def test_bad_value_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("override, message", [("r=-1", "r must be >= 0"),
+                                               ("limit=0", "limit must be >= 1"),
+                                               ("limit=-3", "limit must be >= 1"),
+                                               ("kappa_cap=-2", "kappa_cap must be >= 0")])
+def test_tuple_search_refuses_out_of_range_values_before_the_search(override, message,
+                                                                     capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "search_steps", lambda *a, **k: pytest.fail("search ran"))
+    code, out, err = run_cli(["tuple-search", "--set", override], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_tuple_search_keeps_its_zero_sentinels(capsys):
+    # r = 0 means p + 1 and kappa_cap = 0 means no cap, as by default.
+    code, out, _ = run_cli(["tuple-search", "--set", "r=0", "--set", "kappa_cap=0",
+                            "--set", "limit=1"], capsys)
+    assert code == 0
+    assert out == run_cli(["tuple-search", "--set", "limit=1"], capsys)[1]
+
+
 def test_malformed_override(capsys):
     code, _, err = run_cli(["solve-coeffs", "--set", "oops"], capsys)
     assert code == 2

@@ -42,6 +42,7 @@ from mpf_lab.dynamic_mpf import (
 from mpf_lab.errors import SolverError
 from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
 from mpf_lab.pauli import invariant_blocks
+from conftest import ChainCase
 from test_statesim import full_eigh_evolve
 
 STEPS = (4, 13, 17)
@@ -279,7 +280,7 @@ def test_built_push_refuses_states_outside_its_blocks(chain5, monkeypatch):
     monkeypatch.setattr(formulas, "_BUILD_MAX", 9)
     kernel = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
     assert built_blocks(kernel) == 0
-    assert np.array_equal(kernel.apply(stray), pf.apply(stray.T, 0.1 / 6, 6).T)
+    assert np.array_equal(kernel.apply(stray), pf.apply(stray, 0.1 / 6, 6))
 
 
 def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
@@ -305,6 +306,21 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
         calls.clear()
         push.apply(rows)
         assert calls and built_blocks(push) == 0
+
+
+def test_neel_run_makes_no_whole_space_evolver(monkeypatch):
+    # Every evolver of a run from the Neel state, those the push's cost
+    # model counts included, works on the 20-state Neel sector.  A new chain
+    # has no evolvers cached from other tests.
+    bases = []
+    init = FragmentEvolver.__init__
+    monkeypatch.setattr(FragmentEvolver, "__init__",
+                        lambda self, frag, basis=None: bases.append(basis) or init(self, frag, basis))
+    case = ChainCase(6)
+    c0 = solve_coefficients(2, STEPS).coefficients
+    minimax_run(case.pf, case.oracle, case.psi, STEPS,
+                t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
+    assert bases and all(basis is not None and basis.size == 20 for basis in bases)
 
 
 def minimax_push_calls(case, monkeypatch, **grid):

@@ -143,24 +143,24 @@ def test_formula_rejects_out_of_range_fragment_index():
 
 
 def test_apply_block_matches_columns(chain4, rng):
-    """A block with per-column times and step counts equals the columns run
-    one by one, and a slot merge across step boundaries changes nothing."""
-    block = np.stack([random_state(4, rng) for _ in range(3)], axis=1)
+    """A block with per-row times and step counts equals the rows run one by
+    one, and a slot merge across step boundaries changes nothing."""
+    block = np.stack([random_state(4, rng) for _ in range(3)])
     times = np.array([0.3, -0.1, 0.05])
     reps = np.array([2, 5, 3])
     out = chain4.pf.apply(block, times, reps)
-    for c in range(3):
-        ref = block[:, c]
-        for _ in range(reps[c]):
-            ref = chain4.pf.apply(ref, times[c])
-        assert np.abs(out[:, c] - ref).max() < 1e-13
+    for i in range(3):
+        ref = block[i]
+        for _ in range(reps[i]):
+            ref = chain4.pf.apply(ref, times[i])
+        assert np.abs(out[i] - ref).max() < 1e-13
     with pytest.raises(ValueError):
         chain4.pf.apply(block, times, np.array([1, 0, 2]))
     with pytest.raises(ValueError):
         chain4.pf.apply(block, np.array([0.1, 0.2]))
     # A state of the wrong size is refused; a zero state touches no block.
     with pytest.raises(ValueError, match="not a"):
-        chain4.pf.apply(block[:8], 0.3)
+        chain4.pf.apply(block[:, :8], 0.3)
     assert np.array_equal(chain4.pf.apply(np.zeros(16), 0.3, 2), np.zeros(16))
 
 

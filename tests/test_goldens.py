@@ -1,0 +1,58 @@
+"""Byte identity of the CLI's CSV output across commits.
+
+Each scenario runs in a fresh interpreter with one BLAS thread, in a
+temporary working directory (the relative trajectory path is recorded in the
+header), and the SHA-256 of every CSV it writes must equal the digest
+recorded here.  The digests were taken with NumPy 2.4 on its bundled
+OpenBLAS 0.3.31 (x86-64); the bits of the floating-point results can move
+with the NumPy or BLAS build.  A change that alters output on purpose
+updates these digests and states the measured size of the change in
+CHANGES.md.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Scenario, its overrides, and the digest of each CSV the run writes.
+GOLDENS = {
+    "minimax-shootout": (
+        ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
+        {"out.csv": "38b04cb271cc1171c63ed1da9e28631bea4aeac843bd42767cf37e3bff7130ea",
+         "traj.csv": "5a77e172e71e0f3d1b35caae738cfcec179955a0542e3d1bbce23b2c5a39a2c7"},
+    ),
+    "trotter-sweep": (
+        [], {"out.csv": "e2481ed56e85a04e7f568fbddb70071eecabb45415b17163f754eb72b88d9ef1"},
+    ),
+    "mpf-sweep": (
+        ["--set", "n=4", "--set", "bounds=on"],
+        {"out.csv": "3e44a296ce11e7ed1842ad5c544fa052df3e7234d6cf07b0d8d9aabe927b8b25"},
+    ),
+    "bound-eval": (
+        [], {"out.csv": "d93f50ba7e93d146d0fec2ffcff2bfdb713c203a1ebe258056fe27fc0df018c0"},
+    ),
+    "tuple-search": (
+        ["--set", "reference=4,13,17"],
+        {"out.csv": "c5ed073987cc7c7902ff31f20ac7e43bd7d16740cce4f7d6fcf739302e03c262"},
+    ),
+    "solve-coeffs": (
+        [], {"out.csv": "d4b84e2539f80e7b6f37f010e482a1b0962d4c42a39defdf3d4984bd8d31b7a5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", list(GOLDENS))
+def test_cli_output_matches_its_recorded_digest(scenario, tmp_path):
+    args, digests = GOLDENS[scenario]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-m", "mpf_lab.cli", scenario, *args, "--out", "out.csv"],
+                   cwd=tmp_path, env=env, capture_output=True, check=True)
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("*.csv")}
+    assert written == digests

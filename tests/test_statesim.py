@@ -86,13 +86,13 @@ def random_commuting_fragment(n, rng, size=8):
     return PauliSumOp.from_terms(n, [(float(rng.standard_normal()), ps) for ps in kept])
 
 
-def expm_columns(frag, block, times):
+def expm_rows(frag, block, times):
     dense = to_dense(frag)
-    return np.stack([sla.expm(-1j * t * dense) @ block[:, c] for c, t in enumerate(times)], axis=1)
+    return np.stack([sla.expm(-1j * t * dense) @ block[i] for i, t in enumerate(times)])
 
 
 def random_block(n, r, rng):
-    return np.stack([random_state(n, rng) for _ in range(r)], axis=1)
+    return np.stack([random_state(n, rng) for _ in range(r)])
 
 
 def test_block_kernel_matches_expm_random_fragments(rng):
@@ -106,7 +106,7 @@ def test_block_kernel_matches_expm_random_fragments(rng):
         times = rng.uniform(-2.0, 2.0, 4)
         fast = FragmentEvolver(frag).apply(block, times)
         assert fast.shape == block.shape
-        assert np.abs(fast - expm_columns(frag, block, times)).max() < 1e-12
+        assert np.abs(fast - expm_rows(frag, block, times)).max() < 1e-12
     assert shared >= 5
 
 
@@ -125,7 +125,7 @@ def test_block_kernel_grouped_fragments(rng):
         block = random_block(frag.n, 3, rng)
         times = np.array([0.37, -1.2, 2.9])
         fast = FragmentEvolver(frag).apply(block, times)
-        assert np.abs(fast - expm_columns(frag, block, times)).max() < 1e-12
+        assert np.abs(fast - expm_rows(frag, block, times)).max() < 1e-12
 
 
 def test_block_kernel_commuting_groups_fragments(rng):
@@ -138,7 +138,7 @@ def test_block_kernel_commuting_groups_fragments(rng):
     for frag in groups:
         times = rng.uniform(-1.0, 1.0, 2)
         fast = FragmentEvolver(frag).apply(block, times)
-        assert np.abs(fast - expm_columns(frag, block, times)).max() < 1e-12
+        assert np.abs(fast - expm_rows(frag, block, times)).max() < 1e-12
 
 
 def test_block_kernel_columns_and_vectors(chain4, rng):
@@ -148,12 +148,12 @@ def test_block_kernel_columns_and_vectors(chain4, rng):
     times = np.array([0.1, 0.7, -0.4])
     out = evolver.apply(block, times)
     assert np.array_equal(block, before)
-    for c, t in enumerate(times):
-        assert np.abs(out[:, c] - evolver.apply(block[:, c], t)).max() < 1e-14
-    # one scalar time applies to every column
+    for i, t in enumerate(times):
+        assert np.abs(out[i] - evolver.apply(block[i], t)).max() < 1e-14
+    # one scalar time applies to every row
     same = evolver.apply(block, 0.7)
-    assert np.abs(same[:, 1] - out[:, 1]).max() < 1e-14
-    vec = evolver.apply(block[:, 0], 0.1)
+    assert np.abs(same[1] - out[1]).max() < 1e-14
+    vec = evolver.apply(block[0], 0.1)
     assert vec.shape == (16,)
 
 
@@ -168,9 +168,9 @@ def test_block_kernel_zero_time_exact(chain4, rng):
 
 def test_fragment_evolver_rejects_wrong_dimension(rng):
     evolver = FragmentEvolver(op(2, (1.0, "XX"), (1.0, "YY")))
-    with pytest.raises(ValueError, match="leading dimension"):
+    with pytest.raises(ValueError, match="rows of dimension"):
         evolver.apply(random_state(3, rng), 0.3)
-    with pytest.raises(ValueError, match="leading dimension"):
+    with pytest.raises(ValueError, match="rows of dimension"):
         evolver.apply(random_block(3, 2, rng), 0.3)
     with pytest.raises(ValueError):
         evolver.apply(random_block(2, 2, rng), np.array([0.1, 0.2, 0.3]))
@@ -178,16 +178,25 @@ def test_fragment_evolver_rejects_wrong_dimension(rng):
         evolver.apply(random_state(2, rng), np.array([0.1, 0.2]))
 
 
+def test_kernels_refuse_a_block_of_columns(chain4, rng):
+    # A (2^n, r) block of columns, r != 2^n, is refused, not read as rows.
+    columns = random_block(4, 3, rng).T
+    with pytest.raises(ValueError, match="rows of dimension"):
+        FragmentEvolver(chain4.fragments[0]).apply(columns, 0.3)
+    with pytest.raises(ValueError, match="not a"):
+        chain4.pf.apply(columns, 0.3)
+
+
 def test_noncommuting_fragment_rejected():
     with pytest.raises(ValueError, match="commute"):
         FragmentEvolver(op(2, (1.0, "XI"), (1.0, "ZI")))
 
 
-def subspace_columns(n, basis, cols, rng):
-    """Random columns with amplitudes on the indices ``basis`` only."""
-    block = np.zeros((1 << n, cols), dtype=complex)
-    block[basis] = rng.standard_normal((basis.size, cols)) + 1j * rng.standard_normal(
-        (basis.size, cols))
+def subspace_rows(n, basis, count, rng):
+    """Random rows with amplitudes on the indices ``basis`` only."""
+    block = np.zeros((count, 1 << n), dtype=complex)
+    block[:, basis] = (rng.standard_normal((basis.size, count)) + 1j * rng.standard_normal(
+        (basis.size, count))).T
     return block
 
 
@@ -203,25 +212,25 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
     sizes = {"neel_6": 20, "neel_10": 252, "two_sectors_6": 20 + 15}
     assert basis.size == sizes[case] and np.all(np.diff(basis) > 0)
     outside = np.setdiff1d(np.arange(1 << n), basis)
-    block = subspace_columns(n, basis, 5, rng)
+    block = subspace_rows(n, basis, 5, rng)
     times = np.array([0.31, -1.7, 2.4, 0.0, 0.9])
     for frag in dict.fromkeys(pf.fragments):
         full = FragmentEvolver(frag).apply(block, times)
         sub = FragmentEvolver(frag, basis)
         assert sub.dim == basis.size
         assert all(rot.shape == (1, basis.size, 1) for rot in sub._rotations)
-        assert np.array_equal(sub.apply(block[basis], times), full[basis])
-        assert not full[outside].any()
+        assert np.array_equal(sub.apply(block[:, basis], times), full[:, basis])
+        assert not full[:, outside].any()
     ks = np.array([3, 1, 7, 2, 4])
     full = pf._apply_on(block, times, ks, None)
-    assert np.array_equal(pf._apply_on(block[basis], times, ks, basis), full[basis])
-    assert np.array_equal(pf._apply_on(block[basis, 0], 0.8, 5, basis),
-                          pf._apply_on(block[:, 0], 0.8, 5, None)[basis])
+    assert np.array_equal(pf._apply_on(block[:, basis], times, ks, basis), full[:, basis])
+    assert np.array_equal(pf._apply_on(block[0, basis], 0.8, 5, basis),
+                          pf._apply_on(block[0], 0.8, 5, None)[basis])
     # The public form takes the 2^n block, runs it on the subspace and
     # scatters it back: the full-space bits there, zeros elsewhere.
     public = pf.apply(block, times, ks)
     assert np.array_equal(public, full)
-    assert not public[outside].any()
+    assert not public[:, outside].any()
 
 
 def test_window_kernel_runs_where_nothing_is_conserved(rng):
