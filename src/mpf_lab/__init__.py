@@ -28,7 +28,6 @@ from .static_mpf import (
 )
 from .bounds import (
     MixtureBoundEvaluator,
-    MixtureErrorBound,
     bernoulli,
     formula_commutator_sum,
     formula_conjugated_sum,

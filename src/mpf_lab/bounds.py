@@ -19,7 +19,6 @@ to n = 8: no unitary is built or sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -152,25 +151,12 @@ def _symbolic_ad(a: PauliSumOp, b: PauliSumOp) -> PauliSumOp:
     return out
 
 
-def _formula_sum(pf: ProductFormula, total: int) -> float:
-    """Composition-weighted norm sum over a formula's slot chains at depth
-    ``total``: in its window layer's block form up to DENSE_NORM_CAP qubits,
-    as Pauli sums put in block form one distinct piece at a time above."""
-    if pf.n <= DENSE_NORM_CAP:
-        return _WindowSpace(pf).sums(total, [0])[0]
-    # The Pauli-sum nesting does its algebra before any block work.
-    _check_qubit_cap(pf.n)
-    weights, pieces = _compositions(pf.slot_operators, total, lambda op: op, _symbolic_ad,
-                                    lambda op: op.is_empty)
-    return float(weights @ np.array([spectral_norm_symbolic(c) for c in pieces]))
-
-
 def formula_commutator_sum(pf: ProductFormula) -> float:
     """Trotter-error commutator aggregate of a product formula: over its slot
     chains a = 2..D and the compositions q_a + .. + q_D = p of its order, the
     sum of ``p!/(q_a!..q_D!) ||Ad_{G_D}^{q_D} .. Ad_{G_a}^{q_a}(G_{a-1})||``.
     A single-slot formula gives 0."""
-    return _formula_sum(pf, pf.order)
+    return formula_conjugated_sum(pf, pf.order, 0)
 
 
 def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
@@ -179,6 +165,8 @@ def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
     with ``a_p`` the formula's :func:`formula_commutator_sum`."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if t < 0:
+        raise ValueError(f"the bound needs t >= 0, got {t}")
     p = pf.order
     return 2.0 * commutator_sum * t ** (p + 1) / (math.factorial(p + 1) * k**p)
 
@@ -248,11 +236,17 @@ def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int) -> float:
     partial-product unitaries U, for each composition's nested commutator C
     (see ``_WindowSpace.sums``); it depends on neither U nor the window.
     ell = 0 is the plain sum, since conjugation leaves a spectral norm
-    unchanged, on either route.
+    unchanged.  It runs in the window layer's block form up to DENSE_NORM_CAP
+    qubits; above that only ell = 0 is served, as Pauli sums put in block
+    form one distinct piece at a time.
     """
-    if ell == 0:
-        return _formula_sum(pf, total)
-    return _WindowSpace(pf).sums(total, [ell])[ell]
+    if pf.n <= DENSE_NORM_CAP or ell:
+        return _WindowSpace(pf).sums(total, [ell])[ell]
+    # The Pauli-sum nesting does its algebra before any block work.
+    _check_qubit_cap(pf.n)
+    weights, pieces = _compositions(pf.slot_operators, total, lambda op: op, _symbolic_ad,
+                                    lambda op: op.is_empty)
+    return float(weights @ np.array([spectral_norm_symbolic(c) for c in pieces]))
 
 
 # -- the multi-product error bound -------------------------------------------
@@ -274,33 +268,18 @@ def mixture_bound_refusal(scheme: MpfScheme) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class MixtureErrorBound:
-    """Evaluated multi-product error bound at one time.
-
-    The a3 coefficient uses |B_l| so every term stays a nonnegative bound
-    contribution; the window aggregates are certified upper bounds (see
-    ``_WindowSpace.sums``), so ``value`` is an upper bound at every t.
-    """
-
-    order: int
-    t: float
-    prefactor: float
-    a1: float
-    a2: float
-    a3: float
-    value: float
-    commutator_sum: float
-    aggregates: dict = field(default_factory=dict)
-
-
 class MixtureBoundEvaluator:
     """Evaluates the multi-product bound for one (scheme, formula) pair.
 
     The window aggregates depend on neither the partial-product unitaries nor
     t, so the constructor builds every aggregate and the coefficients a1, a2
     and a3 once, from one ``eigvalsh`` per commutator depth and block size;
-    each time point is then arithmetic only.
+    each time point is then arithmetic only.  The a3 coefficient uses |B_l|
+    so every term stays a nonnegative bound contribution, and the window
+    aggregates are certified upper bounds (see ``_WindowSpace.sums``), so
+    ``at(t)`` is an upper bound at every t >= 0.  The fixed quantities are
+    attributes: ``commutator_sum``, ``a1``, ``a2``, ``a3`` and the named
+    window ``aggregates``; the prefactor is ``scheme.objective``.
     """
 
     def __init__(self, scheme: MpfScheme, pf: ProductFormula):
@@ -338,13 +317,11 @@ class MixtureBoundEvaluator:
             a3 += bl * b_val / (math.factorial(ell) * math.factorial(2 * p - ell))
         self.a3 = 4.0 * a3
 
-    def at(self, t: float) -> MixtureErrorBound:
+    def at(self, t: float) -> float:
+        """The bound ``prefactor (a1 t^(2p+2) + a2 t^(2p+1) + a3 t^(2p))`` at time t >= 0."""
+        if t < 0:
+            raise ValueError(f"the bound needs t >= 0, got {t}")
         p = self.scheme.order
-        value = self.scheme.objective * (
+        return self.scheme.objective * (
             self.a1 * t ** (2 * p + 2) + self.a2 * t ** (2 * p + 1) + self.a3 * t ** (2 * p)
-        )
-        return MixtureErrorBound(
-            order=p, t=t, prefactor=self.scheme.objective,
-            a1=self.a1, a2=self.a2, a3=self.a3, value=value,
-            commutator_sum=self.commutator_sum, aggregates=dict(self.aggregates),
         )

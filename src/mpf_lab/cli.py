@@ -86,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverError, NumericalDegeneracyError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ArithmeticError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     if args.out == "-":
         sys.stdout.write(doc.text())
     else:

@@ -137,14 +137,19 @@ def resolve_config(scenario: str, *sources: dict[str, str]) -> dict:
 
 
 def time_grid(cfg: dict) -> np.ndarray:
+    """A sweep's times: every bound grows as a power of t, so each is >= 0."""
     count = cfg["t_count"]
     if count < 1:
         raise ValueError("t_count must be >= 1")
+    for key in ("t_start", "t_stop"):
+        if cfg[key] < 0:
+            raise ValueError(f"{key} must be >= 0, got {cfg[key]}")
     if cfg["t_scale"] == "linear":
         return np.linspace(cfg["t_start"], cfg["t_stop"], count)
     if cfg["t_scale"] == "log":
-        if cfg["t_start"] <= 0:
-            raise ValueError("log grids need t_start > 0")
+        for key in ("t_start", "t_stop"):
+            if cfg[key] == 0:
+                raise ValueError(f"log grids need {key} > 0")
         return np.geomspace(cfg["t_start"], cfg["t_stop"], count)
     raise ValueError(f"unknown t_scale {cfg['t_scale']!r}")
 
@@ -230,10 +235,12 @@ def _mpf_fit(p: int, n: int, t: float, objective: float) -> float:
 
 
 def _sweep_grid(cfg: dict, steps):
-    """A sweep's formula, its commutator sum, and its walk over the time grid:
+    """A sweep's formula and its walk over the time grid:
     ``(t, states, exact)`` with the Trotter states of the step counts
     ``steps`` and the exact state, both from the Néel state.  At t = 0 both
-    are None, since every circuit reproduces the initial state."""
+    are None, since every circuit reproduces the initial state.  The grid is
+    checked before the formula is built; each sweep computes the commutator
+    sum it needs (a bounded mpf-sweep reads its evaluator's)."""
     grid = time_grid(cfg)
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     oracle = SpectralOracle(pf.hamiltonian)
@@ -241,13 +248,14 @@ def _sweep_grid(cfg: dict, steps):
     batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], steps)
     walk = ((t, None, None) if t == 0.0 else (t, next(batches), oracle.evolve(psi, t))
             for t in map(float, grid))
-    return pf, formula_commutator_sum(pf), walk
+    return pf, walk
 
 
 def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     if any(k < 1 for k in cfg["k_list"]):
         raise ValueError("step counts in k_list must be >= 1")
-    pf, commutator_sum, walk = _sweep_grid(cfg, cfg["k_list"])
+    pf, walk = _sweep_grid(cfg, cfg["k_list"])
+    commutator_sum = formula_commutator_sum(pf)
     rows = []
     for t, states, exact in walk:
         if states is None:
@@ -275,8 +283,9 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     with_bound = refusal is None and (mode == "on" or mode == "auto" and cfg["n"] <= 4)
     if with_bound:
         _check_window_cap(cfg["n"])
-    pf, commutator_sum, walk = _sweep_grid(cfg, scheme.steps)
+    pf, walk = _sweep_grid(cfg, scheme.steps)
     evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
+    commutator_sum = evaluator.commutator_sum if with_bound else formula_commutator_sum(pf)
     k_best = max(scheme.steps)
     rows = []
     for t, states, exact in walk:
@@ -288,7 +297,7 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
         rows.append([
             t, trotter_err, mpf_err,
             product_formula_error_bound(pf, t, k_best, commutator_sum=commutator_sum),
-            evaluator.at(t).value if with_bound else None,
+            evaluator.at(t) if with_bound else None,
             _mpf_fit(cfg["p"], cfg["n"], t, scheme.objective),
         ])
     header = ["t", "trotter_error_best_k", "mpf_error", "trotter_bound", "mpf_bound", "fit_value"]
@@ -337,11 +346,9 @@ def _run_bound_eval(cfg: dict) -> CsvDoc:
     evaluator = MixtureBoundEvaluator(scheme, _build_formula(cfg["n"], cfg["seed"], cfg["p"]))
     aggregate_names = sorted(evaluator.aggregates)
     header = ["t", "formula_commutator_sum", "a1", "a2", "a3", "prefactor", "bound", *aggregate_names]
-    rows = []
-    for t in map(float, grid):
-        b = evaluator.at(t)
-        rows.append([b.t, b.commutator_sum, b.a1, b.a2, b.a3, b.prefactor, b.value,
-                     *[b.aggregates[name] for name in aggregate_names]])
+    fixed = [evaluator.commutator_sum, evaluator.a1, evaluator.a2, evaluator.a3, scheme.objective]
+    windows = [evaluator.aggregates[name] for name in aggregate_names]
+    rows = [[t, *fixed, evaluator.at(t), *windows] for t in map(float, grid)]
     return CsvDoc(_config_comments("bound-eval", cfg), header, rows)
 
 

@@ -257,7 +257,7 @@ def test_criterion_11_tracking_bound_soundness(chain4):
     sch = solve_coefficients(2, steps)
     evaluator = MixtureBoundEvaluator(sch, chain4.pf)
     drift_term = 2.0 * evaluator.commutator_sum * dt**3 / (math.factorial(3) * k0**2)
-    gammas = [evaluator.at(float(t)).value + drift_term for t in run.times]
+    gammas = [evaluator.at(float(t)) + drift_term for t in run.times]
     bounds = tracking_error_bound(run.m_bars, run.a_bars, eps, run.c_hat,
                             np.linalg.norm(run.c_star, axis=1), gammas, run.c_star[0])
     checks = []

@@ -240,14 +240,28 @@ def test_mixture_bound_dominates_measured_error(chain4):
         states = [rho_k_state(chain4.pf, chain4.psi, t, k) for k in sch.steps]
         states.append(chain4.oracle.evolve(chain4.psi, t))
         err = mixture_trace_norm(states, list(sch.coefficients) + [-1.0])
-        assert bound.value >= err
-        assert bound.a1 > 0 and bound.a2 > 0 and bound.a3 >= 0
+        assert bound >= err
+        assert evaluator.a1 > 0 and evaluator.a2 > 0 and evaluator.a3 >= 0
 
 
 def test_mixture_bound_zero_time(chain4):
     sch = solve_coefficients(2, (4, 13, 17))
     bound = MixtureBoundEvaluator(sch, chain4.pf).at(0.0)
-    assert bound.value == 0.0
+    assert bound == 0.0
+
+
+def test_bounds_refuse_negative_times(chain4):
+    # Both bounds carry odd powers of t, so a negative time would print a
+    # negative "bound"; each refuses it and keeps t = 0.
+    sch = solve_coefficients(2, (4, 13, 17))
+    evaluator = MixtureBoundEvaluator(sch, chain4.pf)
+    alpha = evaluator.commutator_sum
+    with pytest.raises(ValueError, match="t >= 0"):
+        evaluator.at(-1.0)
+    with pytest.raises(ValueError, match="t >= 0"):
+        product_formula_error_bound(chain4.pf, -1.0, 4, commutator_sum=alpha)
+    assert evaluator.at(0.0) == 0.0
+    assert product_formula_error_bound(chain4.pf, 0.0, 4, commutator_sum=alpha) == 0.0
 
 
 # -- the k-step bound ---------------------------------------------------------------

@@ -116,6 +116,35 @@ def test_mixture_bound_cap_refused_before_the_sweep(n, capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["trotter-sweep", "--set", "k_list=1", "--set", "t_start=-1", "--set", "t_stop=1",
+      "--set", "t_count=3"], "t_start must be >= 0"),
+    (["mpf-sweep", "--set", "bounds=on", "--set", "t_start=-3", "--set", "t_stop=-0.5"],
+     "t_start must be >= 0"),
+    (["bound-eval", "--set", "t_count=2", "--set", "t_start=-1", "--set", "t_stop=1"],
+     "t_start must be >= 0"),
+    (["trotter-sweep", "--set", "t_scale=log", "--set", "t_stop=-1"], "t_stop must be >= 0"),
+    (["trotter-sweep", "--set", "t_scale=log", "--set", "t_stop=0"],
+     "log grids need t_stop > 0"),
+])
+def test_grid_times_refused_before_any_formula_is_built(args, message, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_build_formula", lambda *a: pytest.fail("formula built"))
+    code, out, err = run_cli([*args, "--set", "n=4"], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("scenario", ["trotter-sweep", "bound-eval"])
+def test_overflow_exits_as_a_numerical_failure(scenario, capsys):
+    # t^(p+1) at t = 1e300 overflows a float: exit 4 with one line, no traceback.
+    code, out, err = run_cli([scenario, "--set", "n=4", "--set", "t_start=1e300",
+                              "--set", "t_stop=1e300", "--set", "t_count=1"], capsys)
+    assert code == 4
+    assert err.startswith("numerical failure: OverflowError") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_exact_evolution_cap_exit_code(capsys):
     code, _, err = run_cli(["trotter-sweep", "--set", "n=13", "--set", "t_count=1"], capsys)
     assert code == 3

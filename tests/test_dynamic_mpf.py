@@ -813,7 +813,7 @@ def test_tracking_bound_dominates_tracked_error(chain4):
                       t0=0.5, t_final=1.0, dt=0.1, eps=0.01, k0=9, c0=c0, seed=42)
     sch = solve_coefficients(2, STEPS)
     ev = MixtureBoundEvaluator(sch, chain4.pf)
-    gammas = [ev.at(float(t)).value
+    gammas = [ev.at(float(t))
               + 2.0 * ev.commutator_sum * 0.1**3 / (math.factorial(3) * 9**2)
               for t in run.times]
     steps_out = tracking_error_bound(run.m_bars, run.a_bars, 0.01, run.c_hat,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpf_lab import experiments
+from mpf_lab import bounds, experiments
 from mpf_lab.experiments import (
     CsvDoc,
     SCHEMA_LINE,
@@ -57,6 +57,10 @@ def test_time_grid():
         time_grid({"t_start": 0.0, "t_stop": 1.0, "t_count": 3, "t_scale": "log"})
     with pytest.raises(ValueError):
         time_grid({"t_start": 0.0, "t_stop": 1.0, "t_count": 0, "t_scale": "linear"})
+    with pytest.raises(ValueError, match="t_stop must be >= 0"):
+        time_grid({"t_start": 0.5, "t_stop": -0.5, "t_count": 3, "t_scale": "linear"})
+    with pytest.raises(ValueError, match="log grids need t_stop > 0"):
+        time_grid({"t_start": 0.5, "t_stop": 0.0, "t_count": 3, "t_scale": "log"})
 
 
 def test_csv_doc_format():
@@ -147,6 +151,22 @@ def test_mpf_sweep_auto_leaves_an_inadmissible_bound_empty(overrides):
     doc, _ = run_scenario("mpf-sweep", cfg)
     assert all(row[4] is None for row in doc.rows)
     assert doc.text().splitlines()[-1].split(",")[4] == "nan"
+
+
+def test_bounded_mpf_sweep_builds_one_window_space(monkeypatch):
+    # trotter_bound reads the evaluator's plain sum, so one block form and
+    # one depth-p pass serve both bound columns.
+    built = []
+
+    class CountingSpace(bounds._WindowSpace):
+        def __init__(self, pf):
+            built.append(pf)
+            super().__init__(pf)
+
+    monkeypatch.setattr(bounds, "_WindowSpace", CountingSpace)
+    doc, _ = run_scenario("mpf-sweep", resolve_config("mpf-sweep", {"n": "4", "bounds": "on"}))
+    assert len(built) == 1
+    assert all(row[4] is not None for row in doc.rows)
 
 
 def test_trotter_sweep_shape():

@@ -20,36 +20,49 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Scenario, its overrides, and the digest of each CSV the run writes.
+# A label, then its scenario, overrides, and the digest of each CSV the run writes.
 GOLDENS = {
     "minimax-shootout": (
-        ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
+        "minimax-shootout", ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
         {"out.csv": "38b04cb271cc1171c63ed1da9e28631bea4aeac843bd42767cf37e3bff7130ea",
          "traj.csv": "5a77e172e71e0f3d1b35caae738cfcec179955a0542e3d1bbce23b2c5a39a2c7"},
     ),
     "trotter-sweep": (
-        [], {"out.csv": "e2481ed56e85a04e7f568fbddb70071eecabb45415b17163f754eb72b88d9ef1"},
+        "trotter-sweep", [],
+        {"out.csv": "e2481ed56e85a04e7f568fbddb70071eecabb45415b17163f754eb72b88d9ef1"},
     ),
     "mpf-sweep": (
-        ["--set", "n=4", "--set", "bounds=on"],
+        "mpf-sweep", ["--set", "n=4", "--set", "bounds=on"],
         {"out.csv": "3e44a296ce11e7ed1842ad5c544fa052df3e7234d6cf07b0d8d9aabe927b8b25"},
     ),
     "bound-eval": (
-        [], {"out.csv": "d93f50ba7e93d146d0fec2ffcff2bfdb713c203a1ebe258056fe27fc0df018c0"},
+        "bound-eval", [],
+        {"out.csv": "d93f50ba7e93d146d0fec2ffcff2bfdb713c203a1ebe258056fe27fc0df018c0"},
     ),
     "tuple-search": (
-        ["--set", "reference=4,13,17"],
+        "tuple-search", ["--set", "reference=4,13,17"],
         {"out.csv": "c5ed073987cc7c7902ff31f20ac7e43bd7d16740cce4f7d6fcf739302e03c262"},
     ),
     "solve-coeffs": (
-        [], {"out.csv": "d4b84e2539f80e7b6f37f010e482a1b0962d4c42a39defdf3d4984bd8d31b7a5"},
+        "solve-coeffs", [],
+        {"out.csv": "d4b84e2539f80e7b6f37f010e482a1b0962d4c42a39defdf3d4984bd8d31b7a5"},
+    ),
+    # The benchmark's bound-eval config.
+    "bound-eval-n6": (
+        "bound-eval", ["--set", "n=6", "--set", "t_count=2"],
+        {"out.csv": "3ac74b6e92ed0da8b69c0157609ece036c70420f9b49e93d67f49db8b1aecdae"},
+    ),
+    # The mixture bound at the window cap.
+    "mpf-sweep-n8-bounds": (
+        "mpf-sweep", ["--set", "n=8", "--set", "bounds=on"],
+        {"out.csv": "ade8e0198a9990b3311afe0d4b2ddde8222245d666e5b594a4efdc01383cd969"},
     ),
 }
 
 
-@pytest.mark.parametrize("scenario", list(GOLDENS))
-def test_cli_output_matches_its_recorded_digest(scenario, tmp_path):
-    args, digests = GOLDENS[scenario]
+@pytest.mark.parametrize("label", list(GOLDENS))
+def test_cli_output_matches_its_recorded_digest(label, tmp_path):
+    scenario, args, digests = GOLDENS[label]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-m", "mpf_lab.cli", scenario, *args, "--out", "out.csv"],
                    cwd=tmp_path, env=env, capture_output=True, check=True)
