@@ -48,21 +48,25 @@ def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps):
     return per_time[0] if times.ndim == 0 else per_time
 
 
-def _states_on_grid(pf: ProductFormula, psi_in: np.ndarray, times, steps):
-    """Yield :func:`trotter_states` at each time in turn, computed by its
+def _states_on_grid(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
+                    times, steps):
+    """Yield ``(states, exact)`` at each time in turn: :func:`trotter_states`
+    and the exact state ``oracle.evolve(psi_in, t)``, each computed by its
     grid form in batches of whole grid points: as many as fit one block of
     kernel rows (``ProductFormula._rows_per_call``), and at least one."""
     times = np.asarray(times, dtype=float)
     steps = list(steps)
     size = max(1, pf._rows_per_call(np.asarray(psi_in)) // max(1, len(steps)))
     for lo in range(0, times.size, size):
-        yield from trotter_states(pf, psi_in, times[lo:lo + size], steps)
+        batch = times[lo:lo + size]
+        yield from zip(trotter_states(pf, psi_in, batch, steps), oracle.evolve(psi_in, batch))
 
 
 def _overlaps_sq(bra, ket) -> np.ndarray:
-    """``|<bra_i|ket_j>|^2`` for every pair, as one block product; each side
-    is a list of states or an ``(r, 2^n)`` array of rows."""
-    return np.abs(np.inner(np.array(bra).conj(), np.array(ket))) ** 2
+    """``|<bra_i|ket_j>|^2`` for every pair, each sum in one fixed order by
+    ``np.einsum`` (no BLAS, so the bits do not depend on the BLAS thread
+    count); each side is a list of states or an ``(r, 2^n)`` array of rows."""
+    return np.abs(np.einsum("ij,kj->ik", np.conj(bra), np.asarray(ket))) ** 2
 
 
 def gram_from_states(states: list[np.ndarray]) -> np.ndarray:
@@ -356,7 +360,8 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     (the grid form of :func:`trotter_states`) on the invariant subspace that
     ``psi_in`` touches, as many points per batch as fit one block of kernel
     rows and at least one; the states are those of one point at a time,
-    bit for bit.  From the second point on, the
+    bit for bit.  The exact states of a batch come from one grid-form
+    ``oracle.evolve``.  From the second point on, the
     propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
     push is made at the first of them, from the first point's states and
@@ -404,7 +409,8 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     )
 
     states = push = None
-    for j, (t, states_next) in enumerate(zip(times, _states_on_grid(pf, psi_in, times, steps))):
+    grid = _states_on_grid(pf, oracle, psi_in, times, steps)
+    for j, (t, (states_next, exact)) in enumerate(zip(times, grid)):
         m_now = gram_from_states(states_next)
         if j == 1:
             push = _BlockPower(pf, dt / k0, k0, n_steps, np.array(states))
@@ -421,7 +427,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
                 np.linalg.norm(noisy.m_bar @ c_hat[j] - noisy.a_bar @ c_hat[j - 1])
                 + eps * np.linalg.norm(c_hat[j])
             )
-        ell = l_from_states(oracle.evolve(psi_in, t), states_next)
+        ell = l_from_states(exact, states_next)
         run.m_exact.append(m_now)
         run.l_exact.append(ell)
         proj = dynamic_project(m_now, ell)

@@ -1,5 +1,4 @@
-"""Experiment harness: scenario configuration, seeded runs emitting CSV, and
-power-law fits of error-scaling data.
+"""Experiment harness: scenario configuration and seeded runs emitting CSV.
 
 Every scenario resolves a flat key=value configuration (defaults, then config
 file, then command-line overrides), runs deterministically for a fixed
@@ -234,40 +233,39 @@ def _mpf_fit(p: int, n: int, t: float, objective: float) -> float:
     return 0.00014 * n * n * t**10 * objective
 
 
-def _sweep_grid(cfg: dict, steps):
-    """A sweep's formula and its walk over the time grid:
-    ``(t, states, exact)`` with the Trotter states of the step counts
-    ``steps`` and the exact state, both from the Néel state.  At t = 0 both
-    are None, since every circuit reproduces the initial state.  The grid is
-    checked before the formula is built; each sweep computes the commutator
-    sum it needs (a bounded mpf-sweep reads its evaluator's)."""
-    grid = time_grid(cfg)
-    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
+def _sweep_grid(pf, grid: np.ndarray, steps, columns):
+    """A sweep's walk over the time grid: ``(t, states, exact)`` with the
+    Trotter states of the step counts ``steps`` and the exact state, both
+    from the Néel state and computed a batch of grid points at a time.  At
+    t = 0 both are None, since every circuit reproduces the initial state.
+
+    ``columns(t)`` gives a time's bound and fit columns, which grow with t.
+    It is called first at the largest grid time, so a time whose columns
+    overflow is refused before any state is computed."""
+    columns(float(grid.max()))
     oracle = SpectralOracle(pf.hamiltonian)
-    psi = neel_state(cfg["n"])
-    batches = dmp._states_on_grid(pf, psi, grid[grid != 0.0], steps)
-    walk = ((t, None, None) if t == 0.0 else (t, next(batches), oracle.evolve(psi, t))
-            for t in map(float, grid))
-    return pf, walk
+    batches = dmp._states_on_grid(pf, oracle, neel_state(pf.n), grid[grid != 0.0], steps)
+    return ((t, None, None) if t == 0.0 else (t, *next(batches)) for t in map(float, grid))
 
 
 def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     if any(k < 1 for k in cfg["k_list"]):
         raise ValueError("step counts in k_list must be >= 1")
-    pf, walk = _sweep_grid(cfg, cfg["k_list"])
+    grid = time_grid(cfg)
+    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     commutator_sum = formula_commutator_sum(pf)
+
+    def columns(t: float) -> list[list[float]]:
+        return [[product_formula_error_bound(pf, t, k, commutator_sum=commutator_sum),
+                 _trotter_fit(cfg["p"], cfg["n"], t, k)] for k in cfg["k_list"]]
+
     rows = []
-    for t, states, exact in walk:
+    for t, states, exact in _sweep_grid(pf, grid, cfg["k_list"], columns):
         if states is None:
             rows.extend([t, k, 0.0, 0.0, 0.0] for k in cfg["k_list"])
             continue
-        for k, state in zip(cfg["k_list"], states):
-            err = mixture_trace_norm([state, exact], [1.0, -1.0])
-            rows.append([
-                t, k, err,
-                product_formula_error_bound(pf, t, k, commutator_sum=commutator_sum),
-                _trotter_fit(cfg["p"], cfg["n"], t, k),
-            ])
+        for k, state, tail in zip(cfg["k_list"], states, columns(t)):
+            rows.append([t, k, mixture_trace_norm([state, exact], [1.0, -1.0]), *tail])
     header = ["t", "k", "trotter_error", "trotter_bound", "fit_value"]
     return CsvDoc(_config_comments("trotter-sweep", cfg), header, rows)
 
@@ -276,6 +274,7 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     mode = cfg["bounds"]
     if mode not in ("on", "off", "auto"):
         raise ValueError("bounds must be on, off, or auto")
+    grid = time_grid(cfg)
     scheme = solve_coefficients(cfg["p"], cfg["steps"], cfg["even_powers"])
     refusal = mixture_bound_refusal(scheme)
     if mode == "on" and refusal:
@@ -283,23 +282,24 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     with_bound = refusal is None and (mode == "on" or mode == "auto" and cfg["n"] <= 4)
     if with_bound:
         _check_window_cap(cfg["n"])
-    pf, walk = _sweep_grid(cfg, scheme.steps)
+    pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
     commutator_sum = evaluator.commutator_sum if with_bound else formula_commutator_sum(pf)
     k_best = max(scheme.steps)
+
+    def columns(t: float) -> list:
+        return [product_formula_error_bound(pf, t, k_best, commutator_sum=commutator_sum),
+                evaluator.at(t) if with_bound else None,
+                _mpf_fit(cfg["p"], cfg["n"], t, scheme.objective)]
+
     rows = []
-    for t, states, exact in walk:
+    for t, states, exact in _sweep_grid(pf, grid, scheme.steps, columns):
         if states is None:
             rows.append([t, 0.0, 0.0, 0.0, 0.0 if with_bound else None, 0.0])
             continue
         trotter_err = mixture_trace_norm([states[-1], exact], [1.0, -1.0])
         mpf_err = mixture_trace_norm(states + [exact], list(scheme.coefficients) + [-1.0])
-        rows.append([
-            t, trotter_err, mpf_err,
-            product_formula_error_bound(pf, t, k_best, commutator_sum=commutator_sum),
-            evaluator.at(t) if with_bound else None,
-            _mpf_fit(cfg["p"], cfg["n"], t, scheme.objective),
-        ])
+        rows.append([t, trotter_err, mpf_err, *columns(t)])
     header = ["t", "trotter_error_best_k", "mpf_error", "trotter_bound", "mpf_bound", "fit_value"]
     return CsvDoc(_config_comments("mpf-sweep", cfg), header, rows)
 
@@ -416,51 +416,3 @@ def run_scenario(scenario: str, cfg: dict):
     if scenario not in runners:
         raise ValueError(f"unknown scenario {scenario!r}")
     return runners[scenario](cfg), None
-
-
-# -- scaling-law fits -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FitResult:
-    prefactor: float
-    exponents: dict[str, float]
-    max_log10_residual: float
-
-    def predict(self, **axes) -> np.ndarray:
-        out = np.full_like(np.asarray(next(iter(axes.values())), dtype=float),
-                           self.prefactor)
-        for name, exp in self.exponents.items():
-            out = out * np.asarray(axes[name], dtype=float) ** exp
-        return out
-
-
-def fit_scaling(values, **axes) -> FitResult:
-    """Least-squares fit of ``value = a * prod axis_i^b_i`` in log10 space.
-
-    Every supplied axis must be strictly positive and take at least two
-    distinct values; otherwise the design matrix is degenerate.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0 or np.any(vals <= 0):
-        raise ValueError("values must be positive for a log-space fit")
-    if not axes:
-        raise ValueError("need at least one axis")
-    cols = [np.ones(vals.size)]
-    names = sorted(axes)
-    for name in names:
-        ax = np.asarray(axes[name], dtype=float)
-        if ax.shape != vals.shape or np.any(ax <= 0):
-            raise ValueError(f"axis {name!r} must be positive and match values")
-        if np.unique(ax).size < 2:
-            raise ValueError(f"degenerate design matrix: axis {name!r} is constant")
-        cols.append(np.log10(ax))
-    design = np.column_stack(cols)
-    if vals.size < design.shape[1]:
-        raise ValueError("not enough samples for the requested fit")
-    coef, *_ = np.linalg.lstsq(design, np.log10(vals), rcond=None)
-    resid = design @ coef - np.log10(vals)
-    return FitResult(
-        prefactor=float(10.0 ** coef[0]),
-        exponents={name: float(c) for name, c in zip(names, coef[1:])},
-        max_log10_residual=float(np.abs(resid).max()),
-    )

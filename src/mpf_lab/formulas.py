@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, _touched
+from .statesim import FragmentEvolver, _products, _touched, _whole
 
 SUZUKI_ORDERS = (4, 6)
 # Amplitudes (rows x the amplitudes of the space the kernel runs on) in one
@@ -30,14 +30,9 @@ SUZUKI_ORDERS = (4, 6)
 # n=12 (four points).  Each kernel keeps phase arrays of this size, so
 # a block costs peak memory as well as saving calls.
 _KERNEL_AMPLITUDES = 20 * 1024
-# Largest block a power is built for: a 1024-state block is 16 MB per
-# matrix, and a build holds several at once.
+# Largest block a power is built for: a 1024-state block is 17 MB per
+# matrix once padded to whole tiles (1040), and a build holds several at once.
 _BUILD_MAX = 1024
-# Largest tile edge of the block products.  With tiles this small the
-# products' bits do not depend on the BLAS thread count (a test compares 1
-# and 2 threads), though OpenBLAS still spreads the tile products over its
-# threads.
-_TILE = 64
 # Cost of one kernel pass over one amplitude, in complex multiply-adds of a
 # block product, fitted to wall time: from the Neel state with k0=26 and r=5
 # (2 BLAS threads, medians of four in-process runs) the build pays from 4.5
@@ -209,38 +204,6 @@ def _kernel_rows(dim: int) -> int:
     return max(1, _KERNEL_AMPLITUDES // dim)
 
 
-def _tile(size: int) -> int:
-    """Edge of the fewest tiles of at most :data:`_TILE` that cover ``size``
-    with the least padding (63 for 252, 62 for 924)."""
-    return -(-size // -(-size // _TILE))
-
-
-def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A ``(count, R, C)`` stack as ``(count, R/rows, C/cols, rows, cols)``
-    tiles, zero-padded to whole tiles."""
-    count, r, c = x.shape
-    pad_r, pad_c = -r % rows, -c % cols
-    if pad_r or pad_c:
-        x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
-    return x.reshape(count, (r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(2, 3)
-
-
-def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blockwise products ``a[i] @ b[i]`` from BLAS products of tiles at most
-    :data:`_TILE` on a side, summed over the inner tiles in a fixed order.
-    The bits do not depend on the BLAS thread count, as those of a
-    whole-matrix BLAS product do, though OpenBLAS still spreads the tile
-    products over its threads."""
-    count, m, inner = a.shape
-    n = b.shape[2]
-    tm, tk, tn = _tile(m), _tile(inner), _tile(n)
-    a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
-    out = a4[:, :, 0, None] @ b4[:, None, 0]
-    for j in range(1, a4.shape[2]):
-        out += a4[:, :, j, None] @ b4[:, None, j]
-    return out.swapaxes(2, 3).reshape(count, out.shape[1] * tm, out.shape[2] * tn)[:, :m, :n]
-
-
 class _BlockPower:
     """``S(t)^k`` of a formula for one ``(t, k)`` and a known number of
     pushes, run either step by step through the kernel or through its power
@@ -302,16 +265,18 @@ class _BlockPower:
         return pushes * k * rows.shape[0] * sum(count * size for count, size in shapes) * sweep >= build
 
     def _build(self, members: np.ndarray) -> np.ndarray:
-        """``S(t)^k`` on the blocks ``members``."""
+        """``S(t)^k`` on the blocks ``members``, zero-padded to whole tiles
+        of the block products (``statesim._products``): the step is made
+        padded, so neither the squaring nor a push pads or copies it."""
         count, size = members.shape
         width = _kernel_rows(size)
-        step = np.empty((count, size, size), dtype=complex)
+        step = np.zeros((count, _whole(size), _whole(size)), dtype=complex)
         for block, basis in zip(step, members):
             for lo in range(0, size, width):
                 # Basis states lo, lo + 1, ... of the block, in its coordinates;
                 # their images are those columns of S(t).
                 basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
-                block[:, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, basis).T
+                block[:size, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, basis).T
         power, k = None, self._k
         while True:
             if k & 1:
@@ -331,7 +296,8 @@ class _BlockPower:
             raise ValueError("states have amplitude outside the blocks the push was built on")
         out = np.zeros(rows.shape, dtype=complex)
         for members, mats in self._powers:
-            out[:, members] = _products(mats, rows[:, members].transpose(1, 2, 0)).transpose(2, 0, 1)
+            images = _products(mats, rows[:, members].transpose(1, 2, 0))
+            out[:, members] = images[:, :members.shape[1]].transpose(2, 0, 1)
         return out
 
 

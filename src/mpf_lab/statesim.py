@@ -225,6 +225,80 @@ def _touched(idx: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.flatnonzero(state[..., idx].reshape(-1, count, size).any(axis=(0, 2)))
 
 
+# Largest tile edge of the block products.  OpenBLAS runs a complex product
+# of up to 65,536 multiply-adds (40^3 = 64,000) on the calling thread and
+# larger ones (41^3 on) on two, so every tile product stays on one thread,
+# and the products' bits do not depend on the BLAS thread count (a test
+# compares 1 and 2 threads).
+_TILE = 40
+# Bytes of partial sums a block product holds at once: it sums its tile
+# products a band of row tiles at a time, as many as fit and at least one.
+# A 252-state squaring of the push build (1 MB) then holds one 36-row band,
+# 145 KB, which leaves room under the shootout's peak RSS for the batch of
+# exact states held at that point; a push or an exact-state batch runs as
+# one band.
+_PARTIAL_BYTES = 1 << 18
+
+
+def _tile(size: int) -> int:
+    """Edge of the fewest tiles of at most :data:`_TILE` that cover ``size``
+    with the least padding (36 for 252, 39 for 924).  A size padded to
+    whole tiles has the same edge."""
+    return -(-size // -(-size // _TILE))
+
+
+def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A ``(count, R, C)`` stack as ``(count, R/rows, C/cols, rows, cols)``
+    tiles, zero-padded to whole tiles; a stack already padded is viewed in
+    place."""
+    count, r, c = x.shape
+    pad_r, pad_c = -r % rows, -c % cols
+    if pad_r or pad_c:
+        x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
+    return x.reshape(count, (r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(2, 3)
+
+
+def _whole(size: int) -> int:
+    """``size`` padded to whole tiles (252 for 252, 936 for 924)."""
+    return size + -size % _tile(size)
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """A new copy of the ``(count, R, C)`` stack ``x``, zero-padded to whole
+    tiles on both axes: an operand stored once and multiplied often, which
+    :func:`_products` then neither pads nor copies."""
+    count, r, c = x.shape
+    return np.pad(x, ((0, 0), (0, _whole(r) - r), (0, _whole(c) - c)))
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Blockwise products ``a[i] @ b[i]`` of two ``(count, ...)`` stacks (a
+    count of 1 broadcasts) from BLAS products of tiles at most
+    :data:`_TILE` on a side, summed over the inner tiles in a fixed order,
+    so each tile product runs on one thread and the bits do not depend on
+    the BLAS thread count, as those of a whole-matrix BLAS product do.
+
+    Either operand may come padded to whole tiles (:func:`_padded`), and the
+    inner sizes need only agree once padded: the tiles are then the same
+    zero-padded ones, so the bits are those of the unpadded operands.  The
+    result has the rows of ``a`` and the columns of ``b`` as given, padding
+    included."""
+    m, inner, n = a.shape[1], a.shape[2], b.shape[2]
+    tm, tk, tn = _tile(m), _tile(inner), _tile(n)
+    a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
+    count = max(a4.shape[0], b4.shape[0])
+    out = np.empty((count, a4.shape[1], tm, b4.shape[2], tn), dtype=np.result_type(a, b))
+    # The tile products land in the tiles of the result, so it needs no copy.
+    tiles = out.swapaxes(2, 3)
+    band = max(1, _PARTIAL_BYTES * a4.shape[1] // out.nbytes)
+    for lo in range(0, a4.shape[1], band):
+        rows = tiles[:, lo:lo + band]
+        np.matmul(a4[:, lo:lo + band, 0, None], b4[:, None, 0], out=rows)
+        for j in range(1, a4.shape[2]):
+            rows += a4[:, lo:lo + band, j, None] @ b4[:, None, j]
+    return out.reshape(count, a4.shape[1] * tm, b4.shape[2] * tn)[:, :m, :n]
+
+
 class SpectralOracle:
     """Exact evolution through per-block Hermitian eigendecompositions.
 
@@ -254,26 +328,43 @@ class SpectralOracle:
             )
         return w, v
 
-    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
-        """Return exp(-i t H) |state>; t = 0 returns the input exactly."""
+    def evolve(self, state: np.ndarray, t) -> np.ndarray:
+        """Return exp(-i t H) |state>; at t = 0 the input exactly.
+
+        For a scalar ``t`` this is one state.  For a 1-D array of times it
+        is one row per time.  Per touched block it takes one coefficient
+        product ``(psi_b^H V)^*`` and one product of V with the phased
+        coefficients of every time, one column each, so a row has the bits
+        of the scalar call at its time.  Both are tiled products
+        (:func:`_products`) on the eigenvectors V, stored padded to whole
+        tiles when the block was diagonalized.
+        """
+        times = np.asarray(t, dtype=float)
         if state.shape != (1 << self.n,):
             raise ValueError("dimension mismatch between oracle and state")
-        if t == 0.0:
-            return state.copy()
-        out = np.zeros(state.shape, dtype=complex)
-        for g, idx in enumerate(self._groups):
+        if times.ndim > 1:
+            raise ValueError("t must be a scalar or a 1-D array of times")
+        grid = times.reshape(-1)
+        out = np.zeros((grid.size, state.size), dtype=complex)
+        # No block is diagonalized when every time is zero.
+        for g, idx in enumerate(self._groups if grid.any() else ()):
             for b in _touched(idx, state):
                 members = idx[b]
                 if (g, b) not in self._eigs:
                     # Copies, made once the block matrix is freed: then freeing
-                    # eigh's own output frees the top of the heap (peak RSS of
-                    # the n=10 shootout on 2 cores and 2 BLAS threads 50.2 MB,
-                    # against 51.1 MB without them).
-                    self._eigs[g, b] = tuple(a.copy() for a in self._eigh(members))
+                    # eigh's own output frees the top of the heap.
+                    w, v = self._eigh(members)
+                    self._eigs[g, b] = w.copy(), _padded(v[None])
                 vals, vecs = self._eigs[g, b]
-                coeffs = (state[members].conj() @ vecs).conj()
-                out[members] = vecs @ (np.exp(-1j * t * vals) * coeffs)
-        return out
+                coeffs = _products(state[members].conj()[None, None], vecs)[0, 0, :vals.size].conj()
+                # Each time's phased coefficients by their own product of one
+                # block's length, and as their own column of the stacked
+                # product: SIMD loops and BLAS both treat elements in groups,
+                # so this keeps a time's bits apart from the rest of its batch.
+                phased = np.stack([np.exp(-1j * t * vals) * coeffs for t in grid])
+                out[:, members] = _products(vecs, phased[:, :, None])[:, :vals.size, 0]
+        out[grid == 0.0] = state
+        return out if times.ndim else out[0]
 
 
 def mixture_trace_norm(states: list[np.ndarray], weights) -> float:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,51 @@ def chain10():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+# -- scaling-law fits of error data ---------------------------------------------
+
+@dataclass(frozen=True)
+class FitResult:
+    prefactor: float
+    exponents: dict[str, float]
+    max_log10_residual: float
+
+    def predict(self, **axes) -> np.ndarray:
+        out = np.full_like(np.asarray(next(iter(axes.values())), dtype=float),
+                           self.prefactor)
+        for name, exp in self.exponents.items():
+            out = out * np.asarray(axes[name], dtype=float) ** exp
+        return out
+
+
+def fit_scaling(values, **axes) -> FitResult:
+    """Least-squares fit of ``value = a * prod axis_i^b_i`` in log10 space.
+
+    Every supplied axis must be strictly positive and take at least two
+    distinct values; otherwise the design matrix is degenerate.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0 or np.any(vals <= 0):
+        raise ValueError("values must be positive for a log-space fit")
+    if not axes:
+        raise ValueError("need at least one axis")
+    cols = [np.ones(vals.size)]
+    names = sorted(axes)
+    for name in names:
+        ax = np.asarray(axes[name], dtype=float)
+        if ax.shape != vals.shape or np.any(ax <= 0):
+            raise ValueError(f"axis {name!r} must be positive and match values")
+        if np.unique(ax).size < 2:
+            raise ValueError(f"degenerate design matrix: axis {name!r} is constant")
+        cols.append(np.log10(ax))
+    design = np.column_stack(cols)
+    if vals.size < design.shape[1]:
+        raise ValueError("not enough samples for the requested fit")
+    coef, *_ = np.linalg.lstsq(design, np.log10(vals), rcond=None)
+    resid = design @ coef - np.log10(vals)
+    return FitResult(
+        prefactor=float(10.0 ** coef[0]),
+        exponents={name: float(c) for name, c in zip(names, coef[1:])},
+        max_log10_residual=float(np.abs(resid).max()),
+    )

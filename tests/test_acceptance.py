@@ -148,8 +148,7 @@ def test_criterion_05_order_scaling(chain6, chain10):
 
 
 def test_criterion_06_fit_constant_ballpark(chain6, chain10):
-    from conftest import ChainCase
-    from mpf_lab.experiments import fit_scaling
+    from conftest import ChainCase, fit_scaling
 
     lam = 4
     sch = solve_coefficients(2, tuple(lam * k for k in (4, 13, 17)))

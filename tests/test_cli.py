@@ -145,6 +145,39 @@ def test_overflow_exits_as_a_numerical_failure(scenario, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("scenario", ["trotter-sweep", "mpf-sweep"])
+def test_overflowing_grid_time_is_refused_before_any_state(scenario, capsys, monkeypatch):
+    # Only the last grid time overflows; its bound and fit columns are
+    # evaluated first, so no Trotter state and no exact state is computed.
+    calls = []
+    batch, evolve = dynamic_mpf.trotter_states, dynamic_mpf.SpectralOracle.evolve
+    monkeypatch.setattr(dynamic_mpf, "trotter_states",
+                        lambda *a: calls.append("batch") or batch(*a))
+    monkeypatch.setattr(dynamic_mpf.SpectralOracle, "evolve",
+                        lambda *a: calls.append("exact") or evolve(*a))
+    code, out, err = run_cli([scenario, "--set", "n=4", "--set", "t_start=1",
+                              "--set", "t_stop=1e300", "--set", "t_count=3"], capsys)
+    assert code == 4
+    assert err.startswith("numerical failure: OverflowError") and err.count("\n") == 1
+    assert out == ""
+    assert calls == []
+    # A valid run goes through both wrapped functions, so an empty record
+    # above means that the check came first.
+    code, _, _ = run_cli([scenario, "--set", "n=4", "--set", "t_count=2"], capsys)
+    assert code == 0
+    assert {"batch", "exact"} <= set(calls)
+
+
+def test_mpf_sweep_checks_the_grid_before_the_window_cap(capsys, monkeypatch):
+    # n=9 is above the window cap, but the negative time is a config error.
+    monkeypatch.setattr(experiments, "_build_formula", lambda *a: pytest.fail("formula built"))
+    code, out, err = run_cli(["mpf-sweep", "--set", "n=9", "--set", "bounds=on",
+                              "--set", "t_start=-1"], capsys)
+    assert code == 2
+    assert err == "error: t_start must be >= 0, got -1.0\n"
+    assert out == ""
+
+
 def test_exact_evolution_cap_exit_code(capsys):
     code, _, err = run_cli(["trotter-sweep", "--set", "n=13", "--set", "t_count=1"], capsys)
     assert code == 3

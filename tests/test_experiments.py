@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from conftest import fit_scaling
 
 from mpf_lab import bounds, experiments
 from mpf_lab.experiments import (
     CsvDoc,
     SCHEMA_LINE,
-    fit_scaling,
     parse_config_text,
     resolve_config,
     run_scenario,

@@ -24,8 +24,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDENS = {
     "minimax-shootout": (
         "minimax-shootout", ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
-        {"out.csv": "38b04cb271cc1171c63ed1da9e28631bea4aeac843bd42767cf37e3bff7130ea",
-         "traj.csv": "5a77e172e71e0f3d1b35caae738cfcec179955a0542e3d1bbce23b2c5a39a2c7"},
+        {"out.csv": "5bc62e4f5781b50ba917871a0095966beef00f28897a9cb8748bc3b2e39a6af4",
+         "traj.csv": "d83dd7e4f4095ec75c58ca5e48e2462ea6ff7ba582d80eab6cdd11f636ac7c09"},
     ),
     "trotter-sweep": (
         "trotter-sweep", [],
@@ -55,7 +55,7 @@ GOLDENS = {
     # The mixture bound at the window cap.
     "mpf-sweep-n8-bounds": (
         "mpf-sweep", ["--set", "n=8", "--set", "bounds=on"],
-        {"out.csv": "ade8e0198a9990b3311afe0d4b2ddde8222245d666e5b594a4efdc01383cd969"},
+        {"out.csv": "cf961b96860909f13a6c6339da1ef20b5a5d456471a501117701bbd5c10ab93b"},
     ),
 }
 

@@ -334,6 +334,71 @@ def test_oracle_zero_time_returns_a_copy(chain4, rng):
     assert not np.shares_memory(out, psi)
 
 
+GRID = np.array([0.0, 0.4, -1.3, 2.9, 0.0, 7.5])
+
+
+def test_oracle_grid_rows_equal_the_scalar_calls(chain6, rng):
+    # Each time is its own column of the stacked product, so a row has the
+    # bits of the scalar call at its time, whatever else is in the batch.
+    for psi in (chain6.psi, random_state(6, rng)):
+        rows = chain6.oracle.evolve(psi, GRID)
+        assert rows.shape == (GRID.size, 1 << 6)
+        for row, t in zip(rows, GRID):
+            assert np.array_equal(row, chain6.oracle.evolve(psi, t))
+            assert np.array_equal(row, chain6.oracle.evolve(psi, np.array([t, 1.1]))[0])
+    with pytest.raises(ValueError, match="1-D"):
+        chain6.oracle.evolve(chain6.psi, GRID.reshape(2, 3))
+
+
+def test_oracle_grid_matches_expm(chain6, rng):
+    dense = to_dense(chain6.hamiltonian)
+    for psi in (chain6.psi, random_state(6, rng)):
+        rows = chain6.oracle.evolve(psi, GRID)
+        for row, t in zip(rows, GRID):
+            assert np.linalg.norm(row - sla.expm(-1j * t * dense) @ psi) <= 1e-12
+
+
+def test_oracle_grid_zero_times_are_exact(chain6, rng):
+    psi = random_state(6, rng)
+    rows = chain6.oracle.evolve(psi, GRID)
+    for i in np.flatnonzero(GRID == 0.0):
+        assert np.array_equal(rows[i], psi)
+    zeros = chain6.oracle.evolve(psi, np.zeros(3))
+    assert np.array_equal(zeros, np.tile(psi, (3, 1)))
+    assert not np.shares_memory(zeros, psi)
+
+
+def test_oracle_grid_leaves_untouched_blocks_zero(chain6):
+    # The Neel state lives in the 20-state sector with three qubits up.
+    rows = chain6.oracle.evolve(chain6.psi, GRID)
+    outside = np.bitwise_count(np.arange(1 << 6)) != 3
+    assert not rows[:, outside].any()
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) < 1e-13)
+
+
+@pytest.mark.parametrize("size", [41, 83])
+def test_block_products_take_a_padded_operand_in_place(size):
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
+    v = rng.normal(size=(2, size, 5)) + 1j * rng.normal(size=(2, size, 5))
+    padded = statesim._padded(a)
+    whole, tile = statesim._whole(size), statesim._tile(size)
+    assert padded.shape == (2, whole, whole) and whole > size
+    assert np.array_equal(padded[:, :size, :size], a) and not padded[:, size:].any()
+    # The tiles of a padded operand are views of it: no product copies it.
+    assert np.shares_memory(statesim._tiles(padded, tile, tile), padded)
+    plain = statesim._products(a, v)
+    assert np.abs(plain - a @ v).max() < 1e-12
+    # As the push's left operand, its squaring, and the oracle's right one.
+    out = statesim._products(padded, v)
+    assert np.array_equal(out[:, :size], plain) and not out[:, size:].any()
+    square = statesim._products(padded, padded)
+    assert np.array_equal(square[:, :size, :size], statesim._products(a, a))
+    row = v[:, None, :, 0].conj()
+    assert np.array_equal(statesim._products(row, padded)[:, :, :size],
+                          statesim._products(row, a))
+
+
 def test_oracle_reconstruction_check_per_block(chain4, monkeypatch):
     eigh = np.linalg.eigh
 
