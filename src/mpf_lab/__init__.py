@@ -13,11 +13,9 @@ from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .statesim import (
     FragmentEvolver,
     SpectralOracle,
-    basis_state,
     mixture_frobenius_sq,
     mixture_trace_norm,
     neel_state,
-    random_state,
 )
 from .formulas import ProductFormula, rho_k_state, second_order, suzuki
 from .static_mpf import (

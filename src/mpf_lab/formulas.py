@@ -266,17 +266,19 @@ class _BlockPower:
 
     def _build(self, members: np.ndarray) -> np.ndarray:
         """``S(t)^k`` on the blocks ``members``, zero-padded to whole tiles
-        of the block products (``statesim._products``): the step is made
-        padded, so neither the squaring nor a push pads or copies it."""
+        of the block products (``statesim._products``): the step is
+        allocated padded, so neither the squaring nor a push pads or copies
+        it, and each block is filled through its ``size``-square view, so the
+        padding stays zero and no index here depends on it."""
         count, size = members.shape
         width = _kernel_rows(size)
         step = np.zeros((count, _whole(size), _whole(size)), dtype=complex)
-        for block, basis in zip(step, members):
+        for block, basis in zip(step[:, :size, :size], members):
             for lo in range(0, size, width):
                 # Basis states lo, lo + 1, ... of the block, in its coordinates;
                 # their images are those columns of S(t).
                 basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
-                block[:size, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, basis).T
+                block[:, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, basis).T
         power, k = None, self._k
         while True:
             if k & 1:

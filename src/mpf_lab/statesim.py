@@ -18,23 +18,11 @@ from .errors import NumericalDegeneracyError
 from .pauli import PauliSumOp, _block_stacks, _couplings, _partition, commutes
 
 
-def basis_state(n: int, bits: str) -> np.ndarray:
-    """Computational basis state; ``bits[j]`` is the value of qubit j."""
-    if len(bits) != n or set(bits) - {"0", "1"}:
-        raise ValueError(f"need {n} characters of 0/1, got {bits!r}")
-    state = np.zeros(1 << n, dtype=complex)
-    state[int(bits, 2)] = 1.0
-    return state
-
-
 def neel_state(n: int) -> np.ndarray:
     """The |1010...> initial state (qubit 0 excited)."""
-    return basis_state(n, "".join("1" if j % 2 == 0 else "0" for j in range(n)))
-
-
-def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return vec / np.linalg.norm(vec)
+    state = np.zeros(1 << n, dtype=complex)
+    state[int("".join("1" if j % 2 == 0 else "0" for j in range(n)), 2)] = 1.0
+    return state
 
 
 def _index_view(local: np.ndarray):
@@ -231,13 +219,6 @@ def _touched(idx: np.ndarray, state: np.ndarray) -> np.ndarray:
 # and the products' bits do not depend on the BLAS thread count (a test
 # compares 1 and 2 threads).
 _TILE = 40
-# Bytes of partial sums a block product holds at once: it sums its tile
-# products a band of row tiles at a time, as many as fit and at least one.
-# A 252-state squaring of the push build (1 MB) then holds one 36-row band,
-# 145 KB, which leaves room under the shootout's peak RSS for the batch of
-# exact states held at that point; a push or an exact-state batch runs as
-# one band.
-_PARTIAL_BYTES = 1 << 18
 
 
 def _tile(size: int) -> int:
@@ -282,7 +263,13 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner sizes need only agree once padded: the tiles are then the same
     zero-padded ones, so the bits are those of the unpadded operands.  The
     result has the rows of ``a`` and the columns of ``b`` as given, padding
-    included."""
+    included.
+
+    The tile products are summed a band of row tiles at a time: as many as
+    keep the band's partial sums no larger than one row of tiles of ``a``,
+    and at least one.  A squaring thus holds one row of tiles of partial
+    sums at once, and a push of a few states runs as one band.  A band
+    changes no bit: every tile sums its products in the same order."""
     m, inner, n = a.shape[1], a.shape[2], b.shape[2]
     tm, tk, tn = _tile(m), _tile(inner), _tile(n)
     a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
@@ -290,7 +277,7 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((count, a4.shape[1], tm, b4.shape[2], tn), dtype=np.result_type(a, b))
     # The tile products land in the tiles of the result, so it needs no copy.
     tiles = out.swapaxes(2, 3)
-    band = max(1, _PARTIAL_BYTES * a4.shape[1] // out.nbytes)
+    band = max(1, a4.size // out.size)
     for lo in range(0, a4.shape[1], band):
         rows = tiles[:, lo:lo + band]
         np.matmul(a4[:, lo:lo + band, 0, None], b4[:, None, 0], out=rows)

@@ -9,6 +9,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -122,7 +123,10 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
 
     Ranking uses a float solve; the returned schemes are re-solved exactly.
     ``kappa_cap`` drops tuples whose condition number exceeds the ceiling.
+    Only the best ``limit`` are kept while ranking (all for None).
     """
+    if p < 1:
+        raise ValueError("order p must be >= 1")
     if r is None:
         r = p + 1
     if r < 1:
@@ -132,21 +136,19 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
     if k_max < r:
         raise ValueError("k_max too small for the tuple length")
     powers = extrapolation_powers(p, r, even_powers)
-    ranked: list[tuple[float, float, tuple[int, ...]]] = []
-    for tup in combinations(range(1, k_max + 1), r):
-        karr = np.asarray(tup, dtype=float)
-        try:
-            c = _solve_float(karr, powers)
-        except np.linalg.LinAlgError:
-            continue
-        kappa = float(np.abs(c).sum())
-        if kappa_cap is not None and kappa > kappa_cap:
-            continue
-        objective = float(np.sum(np.abs(c) * karr ** (-2.0 * p)))
-        ranked.append((objective, kappa, tup))
-    ranked.sort()
-    if limit is not None:
-        ranked = ranked[:limit]
+
+    def candidates():
+        for tup in combinations(range(1, k_max + 1), r):
+            karr = np.asarray(tup, dtype=float)
+            try:
+                c = _solve_float(karr, powers)
+            except np.linalg.LinAlgError:
+                continue
+            kappa = float(np.abs(c).sum())
+            if kappa_cap is None or kappa <= kappa_cap:
+                yield float(np.sum(np.abs(c) * karr ** (-2.0 * p))), kappa, tup
+
+    ranked = sorted(candidates()) if limit is None else heapq.nsmallest(limit, candidates())
     return [solve_coefficients(p, tup, even_powers) for _, _, tup in ranked]
 
 

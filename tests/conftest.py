@@ -45,6 +45,20 @@ def chain10():
     return ChainCase(10)
 
 
+def basis_state(n: int, bits: str) -> np.ndarray:
+    """Computational basis state; ``bits[j]`` is the value of qubit j."""
+    if len(bits) != n or set(bits) - {"0", "1"}:
+        raise ValueError(f"need {n} characters of 0/1, got {bits!r}")
+    state = np.zeros(1 << n, dtype=complex)
+    state[int(bits, 2)] = 1.0
+    return state
+
+
+def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return vec / np.linalg.norm(vec)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)

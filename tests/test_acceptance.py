@@ -17,7 +17,6 @@ from mpf_lab import (
     minimax_run,
     mixture_frobenius_sq,
     mixture_trace_norm,
-    random_state,
     rho_k_state,
     solve_coefficients,
     tracking_error_bound,
@@ -27,6 +26,7 @@ from mpf_lab import (
 from mpf_lab.bounds import MixtureBoundEvaluator
 from mpf_lab.cli import main
 from mpf_lab.dynamic_mpf import ProductFormula  # noqa: F401  (re-export sanity)
+from conftest import random_state
 
 
 def report(index: int, name: str, checks: list[tuple[str, bool]]):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mpf_lab import cli, dynamic_mpf, experiments
+from mpf_lab import cli, dynamic_mpf, experiments, static_mpf
 from mpf_lab.cli import main
 from mpf_lab.experiments import SCENARIOS
 
@@ -75,6 +75,17 @@ def test_tuple_search_refuses_out_of_range_values_before_the_search(override, me
     code, out, err = run_cli(["tuple-search", "--set", override], capsys)
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("overrides", [("p=0", "r=2"), ("p=-2", "r=3")])
+def test_tuple_search_refuses_an_order_below_one_before_any_tuple(overrides, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(static_mpf, "_solve_float", lambda *a: pytest.fail("tuple ranked"))
+    code, out, err = run_cli(["tuple-search", *(x for o in overrides for x in ("--set", o))],
+                             capsys)
+    assert code == 2
+    assert err == "error: order p must be >= 1\n"
     assert out == ""
 
 
@@ -176,6 +187,15 @@ def test_mpf_sweep_checks_the_grid_before_the_window_cap(capsys, monkeypatch):
     assert code == 2
     assert err == "error: t_start must be >= 0, got -1.0\n"
     assert out == ""
+
+
+def test_shootout_builds_the_push_on_a_padded_sector(capsys):
+    # At n=9 the 126-state Neel sector is padded to 128 for the block
+    # products, and the push is built on it.
+    code, out, err = run_cli(["minimax-shootout", "--set", "n=9", "--set", "dt=0.25"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("# mpf-lab schema v1")
 
 
 def test_exact_evolution_cap_exit_code(capsys):

@@ -23,7 +23,6 @@ from mpf_lab import (
     minimax_run,
     minimax_step,
     mixture_frobenius_sq,
-    random_state,
     rho_k_state,
     second_order,
     solve_coefficients,
@@ -42,7 +41,7 @@ from mpf_lab.dynamic_mpf import (
 from mpf_lab.errors import SolverError
 from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
 from mpf_lab.pauli import invariant_blocks
-from conftest import ChainCase
+from conftest import ChainCase, random_state
 from test_statesim import full_eigh_evolve
 
 STEPS = (4, 13, 17)
@@ -231,6 +230,18 @@ def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
         assert built_blocks(push) == 1
     else:
         assert built_blocks(push) == sum(idx.shape[0] for idx in pf._blocks)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_built_push_matches_the_kernel_on_every_neel_sector(n):
+    # Sectors of 2 to 462 states.  At 126 (n=9) and 462 (n=11) the block is
+    # padded to whole tiles (128, 468) and the build's last kernel call
+    # takes fewer basis states than a full call.
+    case = ChainCase(n)
+    rows = np.array(trotter_states(case.pf, case.psi, 0.5, STEPS))
+    push = _BlockPower(case.pf, 0.1 / 6, 6, 10**6, rows)
+    assert built_blocks(push) == 1
+    assert np.abs(push.apply(rows) - case.pf.apply(rows, 0.1 / 6, 6)).max() < 1e-12
 
 
 def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):

@@ -5,12 +5,12 @@ from mpf_lab import (
     PauliString,
     PauliSumOp,
     ProductFormula,
-    random_state,
     rho_k_state,
     second_order,
     suzuki,
     to_dense,
 )
+from conftest import random_state
 
 
 def dense_trace_norm_error(pf, oracle, psi, t, k=1):

@@ -7,11 +7,9 @@ from mpf_lab import (
     PauliString,
     PauliSumOp,
     SpectralOracle,
-    basis_state,
     mixture_frobenius_sq,
     mixture_trace_norm,
     neel_state,
-    random_state,
     rho_k_state,
     second_order,
     suzuki,
@@ -23,6 +21,7 @@ from mpf_lab.errors import NumericalDegeneracyError, ResourceLimitError
 from mpf_lab.formulas import fragment_by_commuting_groups
 from mpf_lab.heisenberg import build_heisenberg_chain
 from mpf_lab.pauli import commutes, invariant_blocks
+from conftest import basis_state, random_state
 
 
 def op(n, *terms):
@@ -397,6 +396,13 @@ def test_block_products_take_a_padded_operand_in_place(size):
     row = v[:, None, :, 0].conj()
     assert np.array_equal(statesim._products(row, padded)[:, :, :size],
                           statesim._products(row, a))
+
+
+def test_padding_to_whole_tiles_keeps_the_tile_edge():
+    # Block products tile a padded operand and an unpadded one of the same
+    # logical size alike, so their tiles meet only if padding keeps the edge.
+    for size in range(1, 4097):
+        assert statesim._tile(statesim._whole(size)) == statesim._tile(size)
 
 
 def test_oracle_reconstruction_check_per_block(chain4, monkeypatch):

@@ -101,6 +101,17 @@ def test_search_guards():
         search_steps(2, 45)
     with pytest.raises(ValueError):
         search_steps(2, 2, r=3)
+    for p, r in ((0, 2), (-2, 3)):
+        with pytest.raises(ValueError, match="order p must be >= 1"):
+            search_steps(p, 6, r)
+
+
+@pytest.mark.parametrize("k_max, r, kappa_cap", [(12, 3, None), (16, 4, 50.0), (20, 3, 5.0)])
+def test_search_limit_keeps_the_head_of_the_full_ranking(k_max, r, kappa_cap):
+    full = search_steps(2, k_max, r, kappa_cap=kappa_cap, limit=None)
+    assert len(full) > 10
+    for limit in (1, 10, len(full), len(full) + 3):
+        assert search_steps(2, k_max, r, kappa_cap=kappa_cap, limit=limit) == full[:limit]
 
 
 def test_search_r1_degenerate():
