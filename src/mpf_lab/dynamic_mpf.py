@@ -372,7 +372,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     spectral-norm-bounded Gaussian noise; the estimate is advanced by
     :func:`minimax_step`.  Exact-data projections are recorded alongside for
     diagnostics.  Every argument is checked before any state
-    is computed or any block diagonalized.
+    is computed or any block operator built.
     """
     if not all(map(math.isfinite, (t0, t_final, dt, eps))):
         raise ValueError(f"t0, t_final, dt and eps must be finite; got {t0}, {t_final}, "

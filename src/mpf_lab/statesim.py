@@ -4,18 +4,22 @@ Hamiltonian's invariant blocks, and low-rank norms of pure-state mixtures.
 No 2^n x 2^n matrix is materialized here.  The fragment kernel runs on the
 whole space or on an invariant subspace (a union of blocks such as total-Z
 sectors) in its own coordinates, with the same bits on the subspace's
-amplitudes.  Exact evolution diagonalizes only the invariant blocks that a
-state touches, and the trace norm of a mixture of r pure states comes from
-the r x r triangular factor of a QR of the state block, which keeps its accuracy down to
-distances near machine precision.
+amplitudes.  Exact evolution sums a Chebyshev series of the Hamiltonian on
+each invariant block that a state touches, from sparse products on the
+block's own basis; it diagonalizes nothing and calls no BLAS.  The trace
+norm of a mixture of r pure states comes from the r x r triangular factor
+of a QR of the state block, which keeps its accuracy down to distances near
+machine precision.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import NumericalDegeneracyError
-from .pauli import PauliSumOp, _block_stacks, _couplings, _partition, commutes
+from .errors import NumericalDegeneracyError, ResourceLimitError
+from .pauli import PauliSumOp, _couplings, _partition, commutes
 
 
 def neel_state(n: int) -> np.ndarray:
@@ -76,6 +80,17 @@ def _split(shape, coupling: np.ndarray, index: np.ndarray, partner: np.ndarray,
         out.append(_Rotation(shape, _index_view(lo), _index_view(hi),
                              coupling[lo] / value, coupling[hi] / value, value))
     return out
+
+
+def _partner_positions(basis: np.ndarray, x_mask: int, coupling: np.ndarray) -> np.ndarray:
+    """Position in the sorted ``basis`` of each state's partner ``i ^ x_mask``
+    (clipped into range where there is none); every state with a nonzero
+    ``coupling`` must have its partner in the basis."""
+    partner = basis ^ x_mask
+    at = np.minimum(np.searchsorted(basis, partner), basis.size - 1)
+    if np.any((basis[at] != partner) & (coupling != 0)):
+        raise ValueError("basis is not invariant under the operator")
+    return at
 
 
 class FragmentEvolver:
@@ -149,11 +164,8 @@ class FragmentEvolver:
         """Rotations of one ``x_mask`` group on the states of ``basis``, from
         its coupling at each basis index; every coupled partner must lie in
         the basis."""
-        partner = basis ^ x_mask
-        at = np.minimum(np.searchsorted(basis, partner), basis.size - 1)
-        if np.any((basis[at] != partner) & (coupling != 0)):
-            raise ValueError("basis is not invariant under the fragment")
-        return _split((1, basis.size, 1), coupling, basis, partner, at)
+        return _split((1, basis.size, 1), coupling, basis, basis ^ x_mask,
+                      _partner_positions(basis, x_mask, coupling))
 
     def _coefficients(self, times: np.ndarray):
         """Diagonal phases and rotation coefficients for these row times.
@@ -244,14 +256,6 @@ def _whole(size: int) -> int:
     return size + -size % _tile(size)
 
 
-def _padded(x: np.ndarray) -> np.ndarray:
-    """A new copy of the ``(count, R, C)`` stack ``x``, zero-padded to whole
-    tiles on both axes: an operand stored once and multiplied often, which
-    :func:`_products` then neither pads nor copies."""
-    count, r, c = x.shape
-    return np.pad(x, ((0, 0), (0, _whole(r) - r), (0, _whole(c) - c)))
-
-
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Blockwise products ``a[i] @ b[i]`` of two ``(count, ...)`` stacks (a
     count of 1 broadcasts) from BLAS products of tiles at most
@@ -259,11 +263,11 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so each tile product runs on one thread and the bits do not depend on
     the BLAS thread count, as those of a whole-matrix BLAS product do.
 
-    Either operand may come padded to whole tiles (:func:`_padded`), and the
-    inner sizes need only agree once padded: the tiles are then the same
-    zero-padded ones, so the bits are those of the unpadded operands.  The
-    result has the rows of ``a`` and the columns of ``b`` as given, padding
-    included.
+    Either operand may come padded to whole tiles, as the block power's
+    stored step does, and the inner sizes need only agree once padded: the
+    tiles are then the same zero-padded ones, so the bits are those of the
+    unpadded operands.  The result has the rows of ``a`` and the columns of
+    ``b`` as given, padding included.
 
     The tile products are summed a band of row tiles at a time: as many as
     keep the band's partial sums no larger than one row of tiles of ``a``,
@@ -286,70 +290,197 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(count, a4.shape[1] * tm, b4.shape[2] * tn)[:, :m, :n]
 
 
-class SpectralOracle:
-    """Exact evolution through per-block Hermitian eigendecompositions.
+# Share of a state's norm that the Chebyshev series of an exact evolution may
+# drop: the rigorous bound on the dropped terms sums to no more than this.
+_TAIL = 2.0 ** -53
 
-    The constructor finds the Hamiltonian's invariant blocks and keeps them
-    with its nonzero entries, which refuses n above ``pauli.DENSE_QUBIT_CAP``
-    before any work.  On the first ``evolve`` whose state touches a block,
-    that block's matrix is scattered from the entries and diagonalized, and
-    its reconstruction is checked; no other block is ever built.
+# Amplitudes (series terms x block states) that one Chebyshev series may
+# hold, 128 MB; a longer series is refused before any matrix-vector product.
+# The chain's 924-state sector at n=12 reaches it near t = 350.
+_SERIES_MAX = 1 << 23
+
+
+def _terms(x: float, tail: float) -> int:
+    """Fewest terms K of ``exp(-i x y) = sum_k (2 - [k = 0]) (-i)^k J_k(x)
+    T_k(y)`` whose dropped terms sum to at most ``tail`` for every y in
+    [-1, 1], by the bound ``|J_k(x)| <= (x/2)^k / k!``: from K >= x on the
+    bound at least halves from one term to the next, so the dropped terms
+    sum to at most ``4 (x/2)^K / K!``."""
+    if x == 0.0:
+        return 1
+    k = max(1, math.ceil(x))
+    step = math.log(x / 2.0)
+    log_dropped = math.log(4.0) + k * step - math.lgamma(k + 1)
+    while log_dropped > math.log(tail):
+        k += 1
+        log_dropped += step - math.log(k)
+    return k
+
+
+def _bessel(x: float) -> np.ndarray:
+    """``J_0(x), J_1(x), ..`` for ``x > 0`` by Miller's backward recurrence,
+    in the ratio form ``J_k / J_{k-1} = x / (2k - x J_{k+1} / J_k)``, which
+    cannot overflow.  It starts at ``J_{N+1} = 0`` with N the term count for
+    the square of :data:`_TAIL`, so the start's error on the terms a series
+    keeps is far below its tail, and is normalised by
+    ``J_0 + 2 (J_2 + J_4 + ...) = 1``.  Returns ``J_0 .. J_N``."""
+    start = _terms(x, _TAIL * _TAIL)
+    ratios = np.empty(start)
+    r = 0.0
+    for k in range(start, 0, -1):
+        r = x / (2 * k - x * r)
+        ratios[k - 1] = r
+    scaled = np.cumprod(np.concatenate(([1.0], ratios)))
+    return scaled / (1.0 + 2.0 * scaled[2::2].sum())
+
+
+def _series(x: float) -> np.ndarray:
+    """The Bessel values ``J_0(x) .. J_{K-1}(x)`` of the series of
+    ``exp(-i x y)`` that keeps K = ``_terms(x, _TAIL)`` terms, certified:
+    the terms it drops (as far as :func:`_bessel` computes them) must sum
+    within the tail bound, and the values must satisfy
+    ``J_0^2 + 2 (J_1^2 + J_2^2 + ...) = 1``, which their normalisation does
+    not impose, to 1e-13."""
+    if x == 0.0:
+        return np.ones(1)
+    values = _bessel(x)
+    kept = _terms(x, _TAIL)
+    dropped = 2.0 * np.abs(values[kept:]).sum()
+    parseval = values[0] ** 2 + 2.0 * (values[1:] ** 2).sum() - 1.0
+    if not dropped <= _TAIL:
+        raise NumericalDegeneracyError(
+            f"Chebyshev certificate failed at x = {x:.6g}: the dropped terms sum to "
+            f"{dropped:.3e}, above the tail bound {_TAIL:.3e}")
+    if not abs(parseval) <= 1e-13:
+        raise NumericalDegeneracyError(
+            f"Chebyshev certificate failed at x = {x:.6g}: the Bessel normalisation "
+            f"is off by {parseval:.3e}")
+    return values[:kept]
+
+
+class _ChebyshevBlock:
+    """H on one invariant block, for the Chebyshev series of ``exp(-i t H)``
+    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+    Built from the couplings of ``pauli._couplings`` on the block's sorted
+    basis indices: row 0 of ``_cols``/``_entries`` is the diagonal, and each
+    further row one ``x_mask`` group with a nonzero coupling on the block,
+    holding the position of each state's partner and ``<i|H|i ^ x_mask>``.
+    The spectral interval is Gershgorin's on these rows, which is rigorous
+    and needs no diagonalization.  The entries are stored as those of
+    ``-i (H - centre) / half``, with the interval's centre and half-width,
+    whose spectrum lies in [-i, i].  One product is one gather, one
+    multiply and one sum over the rows in their fixed order, and calls no
+    BLAS.
+    """
+
+    def __init__(self, hamiltonian: PauliSumOp, members: np.ndarray):
+        size = members.size
+        couplings = _couplings(hamiltonian, members)
+        diag = couplings.pop(0, (0, np.zeros(size)))[1].real
+        cols, entries = [np.arange(size)], []
+        for x_mask, (_, coupling) in couplings.items():
+            if coupling.any():
+                cols.append(_partner_positions(members, x_mask, coupling))
+                entries.append(coupling.conj())
+        radius = np.abs(np.array(entries)).sum(axis=0) if entries else 0.0
+        lo, hi = (diag - radius).min(), (diag + radius).max()
+        self.centre, self.half = (lo + hi) / 2.0, (hi - lo) / 2.0
+        scale = -1j / self.half if self.half > 0.0 else 0.0
+        self._cols = np.array(cols)
+        self._entries = np.array([(diag - self.centre) * scale, *(e * scale for e in entries)])
+
+    def evolve(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``exp(-i t H) psi`` for each nonzero time, one row per time.
+
+        With ``M = -i (H - centre) / half`` and ``x = half |t|``, this is
+        ``exp(-i centre t) sum_k (2 - [k = 0]) J_k(x) sign(t)^k v_k`` over the
+        vectors ``v_k = (-i)^k T_k(i M) psi``: ``v_0 = psi``, ``v_1 = M psi``
+        and ``v_{k+1} = 2 M v_k + v_{k-1}``.  The vectors do not depend on t,
+        so they are made once, up to the longest series of the batch, and
+        the weights are real.  Each time takes its own term count and Bessel
+        values, and its row is its own sum over its terms in one fixed order
+        (``np.einsum`` on the real and imaginary parts), so a row has the
+        bits of the scalar call at its time whatever else is in the batch.
+        Every row must keep the norm of ``psi`` to 1e-12 of it.
+        """
+        xs = self.half * np.abs(times)
+        if xs.max() * psi.size > _SERIES_MAX:
+            raise ResourceLimitError(
+                f"a Chebyshev series of about {xs.max():.3g} terms on {psi.size} states "
+                f"exceeds the cap of {_SERIES_MAX} amplitudes")
+        values = [_series(x) for x in xs]
+        count = max(j.size for j in values)
+        vectors = np.empty((count, psi.size), dtype=complex)
+        vectors[0] = psi
+        for k in range(1, count):
+            image = (self._entries * vectors[k - 1][self._cols]).sum(axis=0)
+            vectors[k] = image if k == 1 else 2.0 * image + vectors[k - 2]
+        rows = np.empty((times.size, psi.size), dtype=complex)
+        for row, t, j in zip(rows, times, values):
+            weights = 2.0 * j
+            weights[0] = j[0]
+            if t < 0.0:
+                weights[1::2] *= -1.0
+            row[:] = (np.einsum("k,ks->s", weights, vectors[:j.size].view(float)).view(complex)
+                      * np.exp(-1j * self.centre * t))
+        norm = np.sqrt((psi.real ** 2 + psi.imag ** 2).sum())
+        drift = np.abs(np.sqrt((rows.real ** 2 + rows.imag ** 2).sum(axis=1)) - norm)
+        if not np.all(drift <= 1e-12 * norm):
+            raise NumericalDegeneracyError(
+                f"Chebyshev certificate failed: an evolved row's norm is off by "
+                f"{drift.max():.3e}")
+        return rows
+
+
+class SpectralOracle:
+    """Exact evolution by a Chebyshev series inside the invariant blocks
+    that a state touches.
+
+    The constructor finds the Hamiltonian's invariant blocks, which refuses
+    n above ``pauli.DENSE_QUBIT_CAP`` before any work.  On the first
+    ``evolve`` whose state touches a block, that block's operator is built
+    (:class:`_ChebyshevBlock`) and kept; no other block is ever built, and
+    no block is diagonalized.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
-        self._groups, (self._entries,) = _partition([hamiltonian])
-        # Eigenvalues and eigenvectors of each block diagonalized so far, by
-        # (size group, block) position.
-        self._eigs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._hamiltonian = hamiltonian
+        self._groups = _partition([hamiltonian])[0]
+        # The operator of each block built so far, by (size group, block) position.
+        self._blocks: dict[tuple[int, int], _ChebyshevBlock] = {}
 
-    def _eigh(self, members: np.ndarray):
-        """Eigenvalues and eigenvectors of H on the block ``members``."""
-        block = _block_stacks([self._entries], [members[None]], 1 << self.n)[0][0][0]
-        w, v = np.linalg.eigh(block)
-        err = np.linalg.norm((v * w) @ v.conj().T - block)
-        scale = np.linalg.norm(block)
-        if scale > 0 and err > 1e-9 * scale:
-            raise NumericalDegeneracyError(
-                f"eigendecomposition reconstruction error {err:.3e} exceeds tolerance"
-            )
-        return w, v
+    def _operator(self, members: np.ndarray) -> _ChebyshevBlock:
+        """H on the block ``members``."""
+        return _ChebyshevBlock(self._hamiltonian, members)
 
     def evolve(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t H) |state>; at t = 0 the input exactly.
 
         For a scalar ``t`` this is one state.  For a 1-D array of times it
-        is one row per time.  Per touched block it takes one coefficient
-        product ``(psi_b^H V)^*`` and one product of V with the phased
-        coefficients of every time, one column each, so a row has the bits
-        of the scalar call at its time.  Both are tiled products
-        (:func:`_products`) on the eigenvectors V, stored padded to whole
-        tiles when the block was diagonalized.
+        is one row per time, and each row has the bits of the scalar call at
+        its time (:meth:`_ChebyshevBlock.evolve`).  Untouched blocks stay
+        exactly zero.
         """
         times = np.asarray(t, dtype=float)
         if state.shape != (1 << self.n,):
             raise ValueError("dimension mismatch between oracle and state")
         if times.ndim > 1:
             raise ValueError("t must be a scalar or a 1-D array of times")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
         grid = times.reshape(-1)
         out = np.zeros((grid.size, state.size), dtype=complex)
-        # No block is diagonalized when every time is zero.
-        for g, idx in enumerate(self._groups if grid.any() else ()):
+        moving = np.flatnonzero(grid)
+        # No block is built when every time is zero.
+        for g, idx in enumerate(self._groups if moving.size else ()):
             for b in _touched(idx, state):
                 members = idx[b]
-                if (g, b) not in self._eigs:
-                    # Copies, made once the block matrix is freed: then freeing
-                    # eigh's own output frees the top of the heap.
-                    w, v = self._eigh(members)
-                    self._eigs[g, b] = w.copy(), _padded(v[None])
-                vals, vecs = self._eigs[g, b]
-                coeffs = _products(state[members].conj()[None, None], vecs)[0, 0, :vals.size].conj()
-                # Each time's phased coefficients by their own product of one
-                # block's length, and as their own column of the stacked
-                # product: SIMD loops and BLAS both treat elements in groups,
-                # so this keeps a time's bits apart from the rest of its batch.
-                phased = np.stack([np.exp(-1j * t * vals) * coeffs for t in grid])
-                out[:, members] = _products(vecs, phased[:, :, None])[:, :vals.size, 0]
+                if (g, b) not in self._blocks:
+                    self._blocks[g, b] = self._operator(members)
+                out[np.ix_(moving, members)] = self._blocks[g, b].evolve(state[members],
+                                                                         grid[moving])
         out[grid == 0.0] = state
         return out if times.ndim else out[0]
 

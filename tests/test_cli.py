@@ -209,11 +209,11 @@ def test_exact_evolution_cap_exit_code(capsys):
 def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, capsys,
                                                            monkeypatch):
     calls = []
-    batch, eigh = dynamic_mpf.trotter_states, dynamic_mpf.SpectralOracle._eigh
+    batch, operator = dynamic_mpf.trotter_states, dynamic_mpf.SpectralOracle._operator
     monkeypatch.setattr(dynamic_mpf, "trotter_states",
                         lambda *a: calls.append("batch") or batch(*a))
-    monkeypatch.setattr(dynamic_mpf.SpectralOracle, "_eigh",
-                        lambda *a: calls.append("eigh") or eigh(*a))
+    monkeypatch.setattr(dynamic_mpf.SpectralOracle, "_operator",
+                        lambda *a: calls.append("operator") or operator(*a))
     code, _, err = run_cli(["minimax-shootout", "--set", override], capsys)
     assert code == 2
     assert message in err
@@ -222,7 +222,7 @@ def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, cap
     # above means that the checks came first.
     code, _, _ = run_cli(["minimax-shootout", "--set", "n=4", "--set", "t_final=1.2"], capsys)
     assert code == 0
-    assert {"batch", "eigh"} <= set(calls)
+    assert {"batch", "operator"} <= set(calls)
 
 
 @pytest.mark.parametrize("args, key", [

@@ -246,14 +246,14 @@ def test_built_push_matches_the_kernel_on_every_neel_sector(n):
 
 def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     # At n=5 the Neel state's sector (three qubits up) has ten states, as
-    # has the sector with two up: the oracle diagonalizes, and the push
-    # builds, the touched one alone.
+    # has the sector with two up: the oracle and the push each build the
+    # touched one alone.
     sector = [i for i in range(32) if i.bit_count() == 3]
-    diagonalized, built = [], []
-    eigh, build = SpectralOracle._eigh, formulas._BlockPower._build
-    monkeypatch.setattr(SpectralOracle, "_eigh",
-                        lambda self, members: diagonalized.append(members.tolist())
-                        or eigh(self, members))
+    operators, built = [], []
+    operator, build = SpectralOracle._operator, formulas._BlockPower._build
+    monkeypatch.setattr(SpectralOracle, "_operator",
+                        lambda self, members: operators.append(members.tolist())
+                        or operator(self, members))
     monkeypatch.setattr(formulas._BlockPower, "_build",
                         lambda self, members: built.append(members.tolist())
                         or build(self, members))
@@ -263,7 +263,7 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     for t in (0.4, 1.3):
         assert np.linalg.norm(oracle.evolve(psi, t) - full_eigh_evolve(
             chain5.hamiltonian, psi, t)) <= 1e-13
-    assert diagonalized == [sector]
+    assert operators == [sector]
     t, dt, k0 = 0.9, 0.1, 6
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
@@ -453,21 +453,38 @@ def test_block_products_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
+def run_shootout(threads: str, *args: str, cwd: Path | None = None) -> str:
+    """Standard output of the benchmark's shootout (n=10, seed 2024) in a
+    fresh interpreter under the given BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(dynamic_mpf.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mpf_lab.cli", "minimax-shootout", "--seed",
+                           "2024", *args], cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_shootout_times_and_kappa_do_not_depend_on_the_blas_thread_count():
-    # The error columns move under a second BLAS thread at n=10 (at n=8 no
-    # column does), so this runs the default shootout at n=10.
+    # The default shootout at n=10: at n=8 even a threaded eigendecomposition
+    # on the exact path moved no column, so a check there would show nothing.
+    # The next test requires every column to match.
     kept = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(dynamic_mpf.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "mpf_lab.cli", "minimax-shootout",
-                               "--seed", "2024"], env=env, capture_output=True, text=True,
-                              check=True)
-        header, *rows = [line.split(",") for line in done.stdout.splitlines()
+        header, *rows = [line.split(",") for line in run_shootout(threads).splitlines()
                          if not line.startswith("#")]
         assert header[0] == "t" and header[-1] == "kappa_minimax" and len(rows) == 71
         kept.add(tuple((row[0], row[-1]) for row in rows))
     assert len(kept) == 1
+
+
+def test_shootout_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Every column of the main and the trajectory CSV: the exact states, the
+    # overlaps and the block products each sum in a fixed order on one thread.
+    outputs = set()
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        main = run_shootout(threads, "--set", "trajectory_out=traj.csv", cwd=tmp_path / threads)
+        outputs.add((main, (tmp_path / threads / "traj.csv").read_text()))
+    assert len(outputs) == 1
 
 
 def test_block_overlaps_match_vdot(chain4):

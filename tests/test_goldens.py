@@ -24,16 +24,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDENS = {
     "minimax-shootout": (
         "minimax-shootout", ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
-        {"out.csv": "5bc62e4f5781b50ba917871a0095966beef00f28897a9cb8748bc3b2e39a6af4",
-         "traj.csv": "d83dd7e4f4095ec75c58ca5e48e2462ea6ff7ba582d80eab6cdd11f636ac7c09"},
+        {"out.csv": "9615550ccc2a57a2a2d735f9bbad3e50a753fa2904a3d0c3277a0fac088ad8d3",
+         "traj.csv": "1b7dd94a25cbb0184edc1621fa62f1597a19275c7e42590edeabb254b22ee2ca"},
     ),
     "trotter-sweep": (
         "trotter-sweep", [],
-        {"out.csv": "e2481ed56e85a04e7f568fbddb70071eecabb45415b17163f754eb72b88d9ef1"},
+        {"out.csv": "ff634f2bb08b2f0d80c28651dc7606d0412bee0372db5577589212c28f80e4b8"},
     ),
     "mpf-sweep": (
         "mpf-sweep", ["--set", "n=4", "--set", "bounds=on"],
-        {"out.csv": "3e44a296ce11e7ed1842ad5c544fa052df3e7234d6cf07b0d8d9aabe927b8b25"},
+        {"out.csv": "f9565afcb4b213e2495cd02d05bfd65eefdfd0fc4c59636fd5984e2716c0e862"},
     ),
     "bound-eval": (
         "bound-eval", [],
@@ -55,7 +55,7 @@ GOLDENS = {
     # The mixture bound at the window cap.
     "mpf-sweep-n8-bounds": (
         "mpf-sweep", ["--set", "n=8", "--set", "bounds=on"],
-        {"out.csv": "cf961b96860909f13a6c6339da1ef20b5a5d456471a501117701bbd5c10ab93b"},
+        {"out.csv": "d8e6c57c3e564a806439fe6a1962c7b6504a174d5429d091b170dbec62c20155"},
     ),
 }
 

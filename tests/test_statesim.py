@@ -278,6 +278,12 @@ def test_oracle_matches_expm(chain4):
 def test_oracle_dimension_checks(chain4):
     with pytest.raises(ValueError):
         chain4.oracle.evolve(np.zeros(8, dtype=complex), 0.1)
+    for t in (np.nan, np.array([0.5, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            chain4.oracle.evolve(chain4.psi, t)
+    # About 7e6 terms on the 6-state sector: refused before any product.
+    with pytest.raises(ResourceLimitError, match="Chebyshev series"):
+        SpectralOracle(chain4.hamiltonian).evolve(chain4.psi, 1e6)
     big = PauliSumOp.from_terms(13, [(1.0, PauliString("Z" + "I" * 12))])
     with pytest.raises(ResourceLimitError, match="capped"):
         SpectralOracle(big)
@@ -312,15 +318,65 @@ def test_oracle_with_x_field_is_one_block(rng):
     assert np.linalg.norm(SpectralOracle(h_op).evolve(psi, 1.1) - ref) <= 1e-13
 
 
-def test_oracle_diagonalizes_each_touched_block_once(chain4, rng, monkeypatch):
-    eigh, built = SpectralOracle._eigh, []
-    monkeypatch.setattr(SpectralOracle, "_eigh",
-                        lambda self, members: built.append(members.shape) or eigh(self, members))
+def test_oracle_matches_the_neel_sector_eigh_at_n11():
+    # The 462-state sector alone, diagonalized dense, against the series.
+    n = 11
+    h_op, _ = build_heisenberg_chain(n, seed=2024)
+    psi = neel_state(n)
+    blocks, (stacks,) = invariant_blocks([h_op])
+    index = np.flatnonzero(psi)[0]
+    ((members, block),) = [(idx[b], stack[b]) for idx, stack in zip(blocks, stacks)
+                           for b in np.flatnonzero((idx == index).any(axis=1))]
+    assert members.size == 462
+    vals, vecs = np.linalg.eigh(block)
+    times = np.array([0.05, 1.0, 4.5])
+    rows = SpectralOracle(h_op).evolve(psi, times)
+    for row, t in zip(rows, times):
+        ref = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ psi[members]))
+        assert np.linalg.norm(row[members] - ref) <= 1e-13
+        assert not np.delete(row, members).any()
+
+
+@pytest.mark.parametrize("t", [-3.0, 40.0])
+def test_oracle_negative_and_long_times_match_expm(t, rng):
+    # A random state touches every sector; at t = 40 the 70-state sector's
+    # series keeps hundreds of terms.
+    n = 8
+    h_op, _ = build_heisenberg_chain(n, seed=2024)
+    psi = random_state(n, rng)
+    oracle = SpectralOracle(h_op)
+    ref = sla.expm(-1j * t * to_dense(h_op)) @ psi
+    assert np.linalg.norm(oracle.evolve(psi, t) - ref) <= 1e-13
+    if t == 40.0:
+        sector = max(oracle._blocks.values(), key=lambda block: block.half)
+        assert statesim._terms(sector.half * t, statesim._TAIL) > 300
+
+
+def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
+    # XY - YX on the first bond keeps total Z but makes the sectors complex.
+    h_op = chain6.hamiltonian + op(6, (0.3, "XYIIII"), (-0.3, "YXIIII"))
+    dense = to_dense(h_op)
+    assert np.abs(dense.imag).max() > 0.0
+    oracle = SpectralOracle(h_op)
+    times = np.array([0.0, -3.0, 40.0, 0.7, 0.0])
+    for psi in (chain6.psi, random_state(6, rng)):
+        rows = oracle.evolve(psi, times)
+        for row, t in zip(rows, times):
+            assert np.linalg.norm(row - sla.expm(-1j * t * dense) @ psi) <= 1e-13
+            assert np.array_equal(row, oracle.evolve(psi, t))
+            assert np.array_equal(row, oracle.evolve(psi, np.array([0.4, t]))[1])
+
+
+def test_oracle_builds_each_touched_block_once(chain4, rng, monkeypatch):
+    operator, built = SpectralOracle._operator, []
+    monkeypatch.setattr(SpectralOracle, "_operator",
+                        lambda self, members: built.append(members.shape)
+                        or operator(self, members))
     oracle = SpectralOracle(chain4.hamiltonian)
     for t in (0.3, 0.7):
         oracle.evolve(chain4.psi, t)
     # The Neel state touches the one 6-state sector; a random state then
-    # touches the others, and only those are diagonalized, one at a time.
+    # touches the others, and only those are built, one at a time.
     assert built == [(6,)]
     oracle.evolve(random_state(4, rng), 0.5)
     assert sorted(built[1:]) == [(1,), (1,), (4,), (4,)]
@@ -380,15 +436,15 @@ def test_block_products_take_a_padded_operand_in_place(size):
     rng = np.random.default_rng(size)
     a = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
     v = rng.normal(size=(2, size, 5)) + 1j * rng.normal(size=(2, size, 5))
-    padded = statesim._padded(a)
     whole, tile = statesim._whole(size), statesim._tile(size)
+    padded = np.pad(a, ((0, 0), (0, whole - size), (0, whole - size)))
     assert padded.shape == (2, whole, whole) and whole > size
     assert np.array_equal(padded[:, :size, :size], a) and not padded[:, size:].any()
     # The tiles of a padded operand are views of it: no product copies it.
     assert np.shares_memory(statesim._tiles(padded, tile, tile), padded)
     plain = statesim._products(a, v)
     assert np.abs(plain - a @ v).max() < 1e-12
-    # As the push's left operand, its squaring, and the oracle's right one.
+    # As the push's left operand, its squaring, and a right operand.
     out = statesim._products(padded, v)
     assert np.array_equal(out[:, :size], plain) and not out[:, size:].any()
     square = statesim._products(padded, padded)
@@ -405,16 +461,25 @@ def test_padding_to_whole_tiles_keeps_the_tile_edge():
         assert statesim._tile(statesim._whole(size)) == statesim._tile(size)
 
 
-def test_oracle_reconstruction_check_per_block(chain4, monkeypatch):
-    eigh = np.linalg.eigh
-
-    def perturbed(a):
-        vals, vecs = eigh(a)
-        return vals, vecs + 1e-6
-
+def test_oracle_certificate_check_per_block(chain4, monkeypatch):
+    # Each forced fault breaks one part of the certificate: the Bessel
+    # normalisation, the tail bound, and (with the block's operator scaled
+    # past its spectral interval) the norm of the evolved rows.
+    bessel, terms = statesim._bessel, statesim._terms
+    faults = [("_bessel", lambda x: bessel(x) * (1.0 + 1e-6), "Bessel normalisation"),
+              ("_terms", lambda x, tail: terms(x, tail) - 3, "tail bound")]
+    for name, fault, part in faults:
+        oracle = SpectralOracle(chain4.hamiltonian)
+        with monkeypatch.context() as patch:
+            patch.setattr(statesim, name, fault)
+            with pytest.raises(NumericalDegeneracyError, match=f"certificate.*{part}"):
+                oracle.evolve(chain4.psi, 0.5)
+        assert np.linalg.norm(oracle.evolve(chain4.psi, 0.5)) == pytest.approx(1.0, abs=1e-13)
     oracle = SpectralOracle(chain4.hamiltonian)
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
-    with pytest.raises(NumericalDegeneracyError, match="reconstruction"):
+    oracle.evolve(chain4.psi, 0.5)
+    (block,) = oracle._blocks.values()
+    block._entries = 2.0 * block._entries
+    with pytest.raises(NumericalDegeneracyError, match="certificate.*row's norm"):
         oracle.evolve(chain4.psi, 0.5)
 
 
