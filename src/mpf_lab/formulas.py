@@ -9,7 +9,8 @@ Every state a formula makes from a start state stays in the common invariant
 blocks of the fragments that the start touches.  ``ProductFormula.apply``
 takes and returns states of 2^n amplitudes and runs the kernel on those
 blocks alone; a block-power build runs it in each block's own coordinates.
-Whether a run of pushes builds is decided in :class:`_BlockPower`.
+Whether a run of pushes builds is decided in :class:`_BlockPower`, which
+multiplies its blocks by tiled products (:func:`_products`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, _products, _touched, _whole
+from .statesim import FragmentEvolver, _touched
 
 SUZUKI_ORDERS = (4, 6)
 # Amplitudes (rows x the amplitudes of the space the kernel runs on) in one
@@ -204,6 +205,71 @@ def _kernel_rows(dim: int) -> int:
     return max(1, _KERNEL_AMPLITUDES // dim)
 
 
+# Largest tile edge of the block products.  OpenBLAS runs a complex product
+# of up to 65,536 multiply-adds (40^3 = 64,000) on the calling thread and
+# larger ones (41^3 on) on two, so every tile product stays on one thread,
+# and the products' bits do not depend on the BLAS thread count (a test
+# compares 1 and 2 threads).
+_TILE = 40
+
+
+def _tile(size: int) -> int:
+    """Edge of the fewest tiles of at most :data:`_TILE` that cover ``size``
+    with the least padding (36 for 252, 39 for 924).  A size padded to
+    whole tiles has the same edge."""
+    return -(-size // -(-size // _TILE))
+
+
+def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A ``(count, R, C)`` stack as ``(count, R/rows, C/cols, rows, cols)``
+    tiles, zero-padded to whole tiles; a stack already padded is viewed in
+    place."""
+    count, r, c = x.shape
+    pad_r, pad_c = -r % rows, -c % cols
+    if pad_r or pad_c:
+        x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
+    return x.reshape(count, (r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(2, 3)
+
+
+def _whole(size: int) -> int:
+    """``size`` padded to whole tiles (252 for 252, 936 for 924)."""
+    return size + -size % _tile(size)
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Blockwise products ``a[i] @ b[i]`` of two ``(count, ...)`` stacks (a
+    count of 1 broadcasts) from BLAS products of tiles at most
+    :data:`_TILE` on a side, summed over the inner tiles in a fixed order,
+    so each tile product runs on one thread and the bits do not depend on
+    the BLAS thread count, as those of a whole-matrix BLAS product do.
+
+    Either operand may come padded to whole tiles, as the block power's
+    stored step does, and the inner sizes need only agree once padded: the
+    tiles are then the same zero-padded ones, so the bits are those of the
+    unpadded operands.  The result has the rows of ``a`` and the columns of
+    ``b`` as given, padding included.
+
+    The tile products are summed a band of row tiles at a time: as many as
+    keep the band's partial sums no larger than one row of tiles of ``a``,
+    and at least one.  A squaring thus holds one row of tiles of partial
+    sums at once, and a push of a few states runs as one band.  A band
+    changes no bit: every tile sums its products in the same order."""
+    m, inner, n = a.shape[1], a.shape[2], b.shape[2]
+    tm, tk, tn = _tile(m), _tile(inner), _tile(n)
+    a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
+    count = max(a4.shape[0], b4.shape[0])
+    out = np.empty((count, a4.shape[1], tm, b4.shape[2], tn), dtype=np.result_type(a, b))
+    # The tile products land in the tiles of the result, so it needs no copy.
+    tiles = out.swapaxes(2, 3)
+    band = max(1, a4.size // out.size)
+    for lo in range(0, a4.shape[1], band):
+        rows = tiles[:, lo:lo + band]
+        np.matmul(a4[:, lo:lo + band, 0, None], b4[:, None, 0], out=rows)
+        for j in range(1, a4.shape[2]):
+            rows += a4[:, lo:lo + band, j, None] @ b4[:, None, j]
+    return out.reshape(count, a4.shape[1] * tm, b4.shape[2] * tn)[:, :m, :n]
+
+
 class _BlockPower:
     """``S(t)^k`` of a formula for one ``(t, k)`` and a known number of
     pushes, run either step by step through the kernel or through its power
@@ -266,9 +332,9 @@ class _BlockPower:
 
     def _build(self, members: np.ndarray) -> np.ndarray:
         """``S(t)^k`` on the blocks ``members``, zero-padded to whole tiles
-        of the block products (``statesim._products``): the step is
-        allocated padded, so neither the squaring nor a push pads or copies
-        it, and each block is filled through its ``size``-square view, so the
+        of the block products (:func:`_products`): the step is allocated
+        padded, so neither the squaring nor a push pads or copies it, and
+        each block is filled through its ``size``-square view, so the
         padding stays zero and no index here depends on it."""
         count, size = members.shape
         width = _kernel_rows(size)

@@ -208,25 +208,21 @@ def _check_qubit_cap(n: int):
             f"exact operator work is capped at n={DENSE_QUBIT_CAP} qubits; got n={n}")
 
 
-def _couplings(op: PauliSumOp, idx: np.ndarray) -> dict[int, tuple[int, np.ndarray]]:
+def _couplings(op: PauliSumOp, idx: np.ndarray) -> dict[int, np.ndarray]:
     """Per ``x_mask`` of ``op``'s terms, in first-appearance order: the
-    support mask of that group (every qubit its terms touch) and the coupling
-    ``<i ^ x_mask| sum c P |i>`` at each index ``i`` of ``idx``.
+    coupling ``<i ^ x_mask| sum c P |i>`` at each index ``i`` of ``idx``.
 
     Each coupling is summed term by term in term order.  This is the one
     place that order is fixed, so dense matrices, block stacks and fragment
     exponentials agree bit for bit.  Entries that cancel (|00> and |11>
     under XX + YY) are exact zeros.
     """
-    supports: dict[int, int] = {}
     couplings: dict[int, np.ndarray] = {}
     for coeff, ps in op.terms:
         if ps.x_mask not in couplings:
-            supports[ps.x_mask] = 0
             couplings[ps.x_mask] = np.zeros(idx.shape, dtype=complex)
-        supports[ps.x_mask] |= ps.x_mask | ps.z_mask
         couplings[ps.x_mask] += coeff * pauli_action(ps, idx)[1]
-    return {x_mask: (supports[x_mask], c) for x_mask, c in couplings.items()}
+    return couplings
 
 
 def _sparse_entries(op: PauliSumOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,7 +231,7 @@ def _sparse_entries(op: PauliSumOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     dropped."""
     idx = np.arange(1 << op.n)
     rows, cols, values = [idx[:0]], [idx[:0]], [np.zeros(0, dtype=complex)]
-    for x_mask, (_, coupling) in _couplings(op, idx).items():
+    for x_mask, coupling in _couplings(op, idx).items():
         keep = np.flatnonzero(coupling)
         rows.append(keep ^ x_mask)
         cols.append(keep)

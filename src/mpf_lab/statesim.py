@@ -1,15 +1,15 @@
 """Statevector kernels: fragment exponentials, exact evolution inside the
 Hamiltonian's invariant blocks, and low-rank norms of pure-state mixtures.
 
-No 2^n x 2^n matrix is materialized here.  The fragment kernel runs on the
-whole space or on an invariant subspace (a union of blocks such as total-Z
-sectors) in its own coordinates, with the same bits on the subspace's
-amplitudes.  Exact evolution sums a Chebyshev series of the Hamiltonian on
-each invariant block that a state touches, from sparse products on the
-block's own basis; it diagonalizes nothing and calls no BLAS.  The trace
-norm of a mixture of r pure states comes from the r x r triangular factor
-of a QR of the state block, which keeps its accuracy down to distances near
-machine precision.
+No 2^n x 2^n matrix is materialized here.  The fragment kernel runs in the
+coordinates of a basis: an invariant subspace (a union of blocks such as
+total-Z sectors) or the whole space, the basis of every index, with the
+same bits on the subspace's amplitudes.  Exact evolution sums a Chebyshev
+series of the Hamiltonian on each invariant block that a state touches,
+from sparse products on the block's own basis; it diagonalizes nothing and
+calls no BLAS.  The trace norm of a mixture of r pure states comes from the
+r x r triangular factor of a QR of the state block, which keeps its
+accuracy down to distances near machine precision.
 """
 
 from __future__ import annotations
@@ -42,42 +42,38 @@ def _index_view(local: np.ndarray):
 
 
 class _Rotation:
-    """One ``x_mask`` group at one coupling magnitude ``mag``.  On the whole
-    space the amplitude block is viewed as ``(rows, above, window,
-    below)``, with the window the qubits the group's terms touch; on an
-    invariant subspace of S states it is viewed as ``(rows, 1, S, 1)``.
-    ``lo``/``hi`` index the paired states on the third axis and
+    """One ``x_mask`` group at one coupling magnitude ``mag``, on the S
+    amplitudes of a basis: ``lo``/``hi`` index the paired states and
     ``u_lo``/``u_hi`` hold ``-i <hi|G|lo> / mag`` and ``-i <lo|G|hi> / mag``."""
 
-    __slots__ = ("shape", "lo", "hi", "u_lo", "u_hi", "mag")
+    __slots__ = ("lo", "hi", "u_lo", "u_hi", "mag")
 
-    def __init__(self, shape, lo, hi, u_lo, u_hi, mag):
-        self.shape, self.lo, self.hi, self.mag = shape, lo, hi, mag
+    def __init__(self, lo, hi, u_lo, u_hi, mag):
+        self.lo, self.hi, self.mag = lo, hi, mag
         self.u_lo = -1j * _column(u_lo)
         self.u_hi = -1j * _column(u_hi)
 
 
 def _column(u: np.ndarray) -> np.ndarray:
-    """``u`` as a column, or as one entry when every entry has the same
-    bits (as for the pairs of one bond), which broadcasts to the same
-    products and keeps the per-row coefficients small."""
+    """``u``, or its first entry alone when every entry has the same bits
+    (as for the pairs of one bond), which broadcasts to the same products
+    and keeps the per-row coefficients small."""
     bits = np.ascontiguousarray(u, dtype=complex).view(np.uint64).reshape(-1, 2)
-    return (u[:1] if (bits == bits[0]).all() else u).reshape(-1, 1)
+    return u[:1] if (bits == bits[0]).all() else u
 
 
-def _split(shape, coupling: np.ndarray, index: np.ndarray, partner: np.ndarray,
-           at: np.ndarray) -> list[_Rotation]:
-    """One rotation per coupling magnitude over the pairs ``index < partner``
-    with nonzero coupling, on amplitude blocks viewed as ``shape``;
-    ``coupling`` and ``index`` hold each state's coupling and basis index,
-    ``partner`` its partner's basis index and ``at`` its partner's position."""
+def _split(coupling: np.ndarray, basis: np.ndarray, x_mask: int) -> list[_Rotation]:
+    """One rotation per coupling magnitude over the pairs ``i < i ^ x_mask``
+    of the sorted ``basis`` with nonzero coupling; ``coupling`` holds each
+    state's coupling to its partner, which must lie in the basis."""
+    at = _partner_positions(basis, x_mask, coupling)
     mag = np.abs(coupling)
-    keep = (index < partner) & (mag > 0.0)
+    keep = (basis < basis ^ x_mask) & (mag > 0.0)
     out = []
     for value in np.unique(mag[keep]):
         lo = np.flatnonzero(keep & (mag == value))
         hi = at[lo]
-        out.append(_Rotation(shape, _index_view(lo), _index_view(hi),
+        out.append(_Rotation(_index_view(lo), _index_view(hi),
                              coupling[lo] / value, coupling[hi] / value, value))
     return out
 
@@ -105,17 +101,16 @@ class FragmentEvolver:
     with zero coupling are dropped (|00>, |11> under XX + YY) and the rest
     are split by |g|, so each rotation needs one cos/sin per row.  The
     groups run in one fixed order, the rotations of one group touch disjoint
-    pairs, and each amplitude takes the same arithmetic on every space.
+    pairs, and each amplitude takes the same arithmetic on every basis.
 
-    With ``basis`` None the kernel acts on the whole space, and each rotation
-    works on slice views of its qubit window.  Given ``basis``, the sorted
-    indices of a union of invariant blocks of F, it acts on states in those
-    coordinates, and each rotation gathers its pairs from the S amplitudes;
-    the results equal the whole-space ones on those indices bit for bit.
+    The kernel acts on states in the coordinates of ``basis``, the sorted
+    indices of a union of invariant blocks of F; None is the whole space,
+    the basis of every index.  Each rotation gathers its pairs from the S
+    amplitudes (as slices where they are evenly spaced), so the results on
+    a subspace equal the whole-space ones on its indices bit for bit.
 
-    ``apply`` takes one state ``(dim,)`` or a block ``(r, dim)`` of rows,
-    with one time or a length-r vector of per-row times; ``dim`` is 2^n, or
-    S on a basis.
+    ``apply`` takes one state ``(S,)`` or a block ``(r, S)`` of rows, with
+    one time or a length-r vector of per-row times.
     """
 
     def __init__(self, fragment: PauliSumOp, basis: np.ndarray | None = None):
@@ -129,15 +124,14 @@ class FragmentEvolver:
                         "fragment terms must pairwise commute; "
                         f"{terms[i][1]} and {terms[j][1]} do not"
                     )
-        index = np.arange(1 << self.n) if basis is None else basis
-        self.dim = index.size
-        couplings = _couplings(fragment, index)
+        if basis is None:
+            basis = np.arange(1 << self.n)
+        self.dim = basis.size
+        couplings = _couplings(fragment, basis)
         diag = couplings.pop(0, None)
-        self._diag = None if diag is None else diag[1].real
-        self._rotations = [rot for x_mask, (support, coupling) in couplings.items()
-                           for rot in (self._group_rotations(x_mask, support, coupling)
-                                       if basis is None
-                                       else self._basis_rotations(x_mask, coupling, basis))]
+        self._diag = None if diag is None else diag.real
+        self._rotations = [rot for x_mask, coupling in couplings.items()
+                           for rot in _split(coupling, basis, x_mask)]
         self._cached_key = None
         self._cached = None
 
@@ -146,26 +140,6 @@ class FragmentEvolver:
         """Sweeps over the amplitudes per ``apply``: one per rotation, and
         one for the diagonal phase."""
         return len(self._rotations) + (self._diag is not None)
-
-    def _group_rotations(self, x_mask: int, support: int,
-                         coupling: np.ndarray) -> list[_Rotation]:
-        """Rotations of one ``x_mask`` group on the whole space, from its
-        full-index coupling sliced to the window of qubits in ``support``."""
-        low = (support & -support).bit_length() - 1
-        width = support.bit_length() - low
-        shape = (1 << (self.n - low - width), 1 << width, 1 << low)
-        window = np.arange(1 << width) << low
-        partner = (window ^ x_mask) >> low
-        return _split(shape, coupling[window], np.arange(window.size), partner, partner)
-
-    @staticmethod
-    def _basis_rotations(x_mask: int, coupling: np.ndarray,
-                         basis: np.ndarray) -> list[_Rotation]:
-        """Rotations of one ``x_mask`` group on the states of ``basis``, from
-        its coupling at each basis index; every coupled partner must lie in
-        the basis."""
-        return _split((1, basis.size, 1), coupling, basis, basis ^ x_mask,
-                      _partner_positions(basis, x_mask, coupling))
 
     def _coefficients(self, times: np.ndarray):
         """Diagonal phases and rotation coefficients for these row times.
@@ -177,7 +151,7 @@ class FragmentEvolver:
                 phase = np.exp(-1j * np.multiply.outer(times, self._diag))
             rotations = []
             for rot in self._rotations:
-                angle = (rot.mag * times)[:, None, None, None]
+                angle = (rot.mag * times)[:, None]
                 sin = np.sin(angle)
                 rotations.append((rot, np.cos(angle), sin * rot.u_lo, sin * rot.u_hi))
             self._cached = (phase, rotations)
@@ -187,7 +161,7 @@ class FragmentEvolver:
     def apply(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t F) |state>; the input array is not modified.
 
-        ``state`` is ``(dim,)`` or ``(r, dim)``; ``t`` is a scalar or, for a
+        ``state`` is ``(S,)`` or ``(r, S)``; ``t`` is a scalar or, for a
         block, a length-r vector of per-row times.
         """
         state = np.asarray(state)
@@ -209,12 +183,11 @@ class FragmentEvolver:
             if phase is not None:
                 out *= phase
             for rot, c, a_lo, a_hi in rotations:
-                view = out.reshape(rows, *rot.shape)
-                x = view[:, :, rot.lo]
-                y = view[:, :, rot.hi]
+                x = out[:, rot.lo]
+                y = out[:, rot.hi]
                 new_x = c * x + a_hi * y
-                view[:, :, rot.hi] = c * y + a_lo * x
-                view[:, :, rot.lo] = new_x
+                out[:, rot.hi] = c * y + a_lo * x
+                out[:, rot.lo] = new_x
         return out if block else out[0]
 
 
@@ -223,71 +196,6 @@ def _touched(idx: np.ndarray, state: np.ndarray) -> np.ndarray:
     ``state`` (``(..., dim)``) touches, that is has a nonzero amplitude on."""
     count, size = idx.shape
     return np.flatnonzero(state[..., idx].reshape(-1, count, size).any(axis=(0, 2)))
-
-
-# Largest tile edge of the block products.  OpenBLAS runs a complex product
-# of up to 65,536 multiply-adds (40^3 = 64,000) on the calling thread and
-# larger ones (41^3 on) on two, so every tile product stays on one thread,
-# and the products' bits do not depend on the BLAS thread count (a test
-# compares 1 and 2 threads).
-_TILE = 40
-
-
-def _tile(size: int) -> int:
-    """Edge of the fewest tiles of at most :data:`_TILE` that cover ``size``
-    with the least padding (36 for 252, 39 for 924).  A size padded to
-    whole tiles has the same edge."""
-    return -(-size // -(-size // _TILE))
-
-
-def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A ``(count, R, C)`` stack as ``(count, R/rows, C/cols, rows, cols)``
-    tiles, zero-padded to whole tiles; a stack already padded is viewed in
-    place."""
-    count, r, c = x.shape
-    pad_r, pad_c = -r % rows, -c % cols
-    if pad_r or pad_c:
-        x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
-    return x.reshape(count, (r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(2, 3)
-
-
-def _whole(size: int) -> int:
-    """``size`` padded to whole tiles (252 for 252, 936 for 924)."""
-    return size + -size % _tile(size)
-
-
-def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blockwise products ``a[i] @ b[i]`` of two ``(count, ...)`` stacks (a
-    count of 1 broadcasts) from BLAS products of tiles at most
-    :data:`_TILE` on a side, summed over the inner tiles in a fixed order,
-    so each tile product runs on one thread and the bits do not depend on
-    the BLAS thread count, as those of a whole-matrix BLAS product do.
-
-    Either operand may come padded to whole tiles, as the block power's
-    stored step does, and the inner sizes need only agree once padded: the
-    tiles are then the same zero-padded ones, so the bits are those of the
-    unpadded operands.  The result has the rows of ``a`` and the columns of
-    ``b`` as given, padding included.
-
-    The tile products are summed a band of row tiles at a time: as many as
-    keep the band's partial sums no larger than one row of tiles of ``a``,
-    and at least one.  A squaring thus holds one row of tiles of partial
-    sums at once, and a push of a few states runs as one band.  A band
-    changes no bit: every tile sums its products in the same order."""
-    m, inner, n = a.shape[1], a.shape[2], b.shape[2]
-    tm, tk, tn = _tile(m), _tile(inner), _tile(n)
-    a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
-    count = max(a4.shape[0], b4.shape[0])
-    out = np.empty((count, a4.shape[1], tm, b4.shape[2], tn), dtype=np.result_type(a, b))
-    # The tile products land in the tiles of the result, so it needs no copy.
-    tiles = out.swapaxes(2, 3)
-    band = max(1, a4.size // out.size)
-    for lo in range(0, a4.shape[1], band):
-        rows = tiles[:, lo:lo + band]
-        np.matmul(a4[:, lo:lo + band, 0, None], b4[:, None, 0], out=rows)
-        for j in range(1, a4.shape[2]):
-            rows += a4[:, lo:lo + band, j, None] @ b4[:, None, j]
-    return out.reshape(count, a4.shape[1] * tm, b4.shape[2] * tn)[:, :m, :n]
 
 
 # Share of a state's norm that the Chebyshev series of an exact evolution may
@@ -377,9 +285,9 @@ class _ChebyshevBlock:
     def __init__(self, hamiltonian: PauliSumOp, members: np.ndarray):
         size = members.size
         couplings = _couplings(hamiltonian, members)
-        diag = couplings.pop(0, (0, np.zeros(size)))[1].real
+        diag = couplings.pop(0, np.zeros(size)).real
         cols, entries = [np.arange(size)], []
-        for x_mask, (_, coupling) in couplings.items():
+        for x_mask, coupling in couplings.items():
             if coupling.any():
                 cols.append(_partner_positions(members, x_mask, coupling))
                 entries.append(coupling.conj())
@@ -463,6 +371,7 @@ class SpectralOracle:
         its time (:meth:`_ChebyshevBlock.evolve`).  Untouched blocks stay
         exactly zero.
         """
+        state = np.asarray(state)
         times = np.asarray(t, dtype=float)
         if state.shape != (1 << self.n,):
             raise ValueError("dimension mismatch between oracle and state")

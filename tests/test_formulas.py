@@ -10,6 +10,7 @@ from mpf_lab import (
     suzuki,
     to_dense,
 )
+from mpf_lab import formulas
 from conftest import random_state
 
 
@@ -186,3 +187,33 @@ def test_fragment_by_commuting_groups(chain4):
     pf = second_order(groups)
     mults = [m for _, m in pf.steps]
     assert mults == mults[::-1]
+
+
+@pytest.mark.parametrize("size", [41, 83])
+def test_block_products_take_a_padded_operand_in_place(size):
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
+    v = rng.normal(size=(2, size, 5)) + 1j * rng.normal(size=(2, size, 5))
+    whole, tile = formulas._whole(size), formulas._tile(size)
+    padded = np.pad(a, ((0, 0), (0, whole - size), (0, whole - size)))
+    assert padded.shape == (2, whole, whole) and whole > size
+    assert np.array_equal(padded[:, :size, :size], a) and not padded[:, size:].any()
+    # The tiles of a padded operand are views of it: no product copies it.
+    assert np.shares_memory(formulas._tiles(padded, tile, tile), padded)
+    plain = formulas._products(a, v)
+    assert np.abs(plain - a @ v).max() < 1e-12
+    # As the push's left operand, its squaring, and a right operand.
+    out = formulas._products(padded, v)
+    assert np.array_equal(out[:, :size], plain) and not out[:, size:].any()
+    square = formulas._products(padded, padded)
+    assert np.array_equal(square[:, :size, :size], formulas._products(a, a))
+    row = v[:, None, :, 0].conj()
+    assert np.array_equal(formulas._products(row, padded)[:, :, :size],
+                          formulas._products(row, a))
+
+
+def test_padding_to_whole_tiles_keeps_the_tile_edge():
+    # Block products tile a padded operand and an unpadded one of the same
+    # logical size alike, so their tiles meet only if padding keeps the edge.
+    for size in range(1, 4097):
+        assert formulas._tile(formulas._whole(size)) == formulas._tile(size)

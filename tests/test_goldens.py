@@ -1,8 +1,8 @@
 """Byte identity of the CLI's CSV output across commits.
 
 Each scenario runs in a fresh interpreter with one BLAS thread, in a
-temporary working directory (the relative trajectory path is recorded in the
-header), and the SHA-256 of every CSV it writes must equal the digest
+temporary working directory (the relative trajectory and operator paths are
+recorded in the header), and the SHA-256 of every CSV it writes must equal the digest
 recorded here.  The digests were taken with NumPy 2.4 on its bundled
 OpenBLAS 0.3.31 (x86-64); the bits of the floating-point results can move
 with the NumPy or BLAS build.  A change that alters output on purpose
@@ -19,6 +19,20 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# XX bonds, Z fields, and an X and a Y on the end qubits: one invariant block
+# of all 16 states, so the Trotter kernel runs on the whole space.
+CONSERVES_NOTHING = """\
+1.0 XXII
+0.8 IXXI
+1.2 IIXX
+0.5 ZIII
+-0.3 IZII
+0.4 IIZI
+-0.6 IIIZ
+0.35 XIII
+0.25 IIIY
+"""
 
 # A label, then its scenario, overrides, and the digest of each CSV the run writes.
 GOLDENS = {
@@ -57,12 +71,22 @@ GOLDENS = {
         "mpf-sweep", ["--set", "n=8", "--set", "bounds=on"],
         {"out.csv": "d8e6c57c3e564a806439fe6a1962c7b6504a174d5429d091b170dbec62c20155"},
     ),
+    # The whole-space kernel, from an operator file written beside the output.
+    "trotter-sweep-conserves-nothing": (
+        "trotter-sweep", ["--set", "n=4", "--set", "hamiltonian=ham.txt"],
+        {"out.csv": "cab6cca8b8afaf508b03c61ef4766453ec464618e99bb5bbd63268c45ccf5e96"},
+    ),
 }
+
+# Input files a golden's run reads, written into its working directory first.
+INPUTS = {"trotter-sweep-conserves-nothing": {"ham.txt": CONSERVES_NOTHING}}
 
 
 @pytest.mark.parametrize("label", list(GOLDENS))
 def test_cli_output_matches_its_recorded_digest(label, tmp_path):
     scenario, args, digests = GOLDENS[label]
+    for name, text in INPUTS.get(label, {}).items():
+        (tmp_path / name).write_text(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-m", "mpf_lab.cli", scenario, *args, "--out", "out.csv"],
                    cwd=tmp_path, env=env, capture_output=True, check=True)

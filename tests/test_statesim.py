@@ -217,7 +217,6 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
         full = FragmentEvolver(frag).apply(block, times)
         sub = FragmentEvolver(frag, basis)
         assert sub.dim == basis.size
-        assert all(rot.shape == (1, basis.size, 1) for rot in sub._rotations)
         assert np.array_equal(sub.apply(block[:, basis], times), full[:, basis])
         assert not full[:, outside].any()
     ks = np.array([3, 1, 7, 2, 4])
@@ -232,7 +231,7 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
     assert not public[:, outside].any()
 
 
-def test_window_kernel_runs_where_nothing_is_conserved(rng):
+def test_whole_space_kernel_runs_where_nothing_is_conserved(rng):
     words = ["XYZIX", "ZZXYI", "IYXZZ", "XIIYZ", "YZXIX", "ZXYZI", "IIXXY", "YYZIZ",
              "XIIII", "IIIIY"]
     ham = PauliSumOp.from_terms(
@@ -241,11 +240,8 @@ def test_window_kernel_runs_where_nothing_is_conserved(rng):
     assert [idx.shape for idx in pf._blocks] == [(1, 32)]
     psi = random_state(5, rng)
     assert pf._basis(psi) is None
-    # A basis of every index is the whole space: the same evolvers, on windows.
+    # A basis of every index is the whole space: the same evolvers.
     assert pf._program_on(np.arange(32)) is pf._program_on(None)
-    for evolver, _ in pf._program_on(None):
-        assert all(len(rot.shape) == 3 and np.prod(rot.shape) == 32
-                   for rot in evolver._rotations)
     block = random_block(5, 3, rng)
     assert np.array_equal(pf._apply_on(block, 0.7, 3, np.arange(32)), pf.apply(block, 0.7, 3))
 
@@ -287,6 +283,13 @@ def test_oracle_dimension_checks(chain4):
     big = PauliSumOp.from_terms(13, [(1.0, PauliString("Z" + "I" * 12))])
     with pytest.raises(ResourceLimitError, match="capped"):
         SpectralOracle(big)
+
+
+def test_oracle_takes_a_list_state(chain4):
+    # As the kernel and the formulas do.
+    for t in (0.7, np.array([0.0, -1.3, 0.7])):
+        assert np.array_equal(chain4.oracle.evolve(chain4.psi.tolist(), t),
+                              chain4.oracle.evolve(chain4.psi, t))
 
 
 def full_eigh_evolve(hamiltonian, psi, t):
@@ -429,36 +432,6 @@ def test_oracle_grid_leaves_untouched_blocks_zero(chain6):
     outside = np.bitwise_count(np.arange(1 << 6)) != 3
     assert not rows[:, outside].any()
     assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) < 1e-13)
-
-
-@pytest.mark.parametrize("size", [41, 83])
-def test_block_products_take_a_padded_operand_in_place(size):
-    rng = np.random.default_rng(size)
-    a = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
-    v = rng.normal(size=(2, size, 5)) + 1j * rng.normal(size=(2, size, 5))
-    whole, tile = statesim._whole(size), statesim._tile(size)
-    padded = np.pad(a, ((0, 0), (0, whole - size), (0, whole - size)))
-    assert padded.shape == (2, whole, whole) and whole > size
-    assert np.array_equal(padded[:, :size, :size], a) and not padded[:, size:].any()
-    # The tiles of a padded operand are views of it: no product copies it.
-    assert np.shares_memory(statesim._tiles(padded, tile, tile), padded)
-    plain = statesim._products(a, v)
-    assert np.abs(plain - a @ v).max() < 1e-12
-    # As the push's left operand, its squaring, and a right operand.
-    out = statesim._products(padded, v)
-    assert np.array_equal(out[:, :size], plain) and not out[:, size:].any()
-    square = statesim._products(padded, padded)
-    assert np.array_equal(square[:, :size, :size], statesim._products(a, a))
-    row = v[:, None, :, 0].conj()
-    assert np.array_equal(statesim._products(row, padded)[:, :, :size],
-                          statesim._products(row, a))
-
-
-def test_padding_to_whole_tiles_keeps_the_tile_edge():
-    # Block products tile a padded operand and an unpadded one of the same
-    # logical size alike, so their tiles meet only if padding keeps the edge.
-    for size in range(1, 4097):
-        assert statesim._tile(statesim._whole(size)) == statesim._tile(size)
 
 
 def test_oracle_certificate_check_per_block(chain4, monkeypatch):
