@@ -6,7 +6,7 @@ schema version and the fully resolved configuration, so outputs are
 self-describing and reproducible from their own header.
 
 Exit codes: 0 success, 2 invalid configuration or unwritable output path,
-3 resource cap exceeded, 4 solver or numerical failure.
+3 resource cap exceeded or memory refused, 4 solver or numerical failure.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (SolverError, NumericalDegeneracyError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

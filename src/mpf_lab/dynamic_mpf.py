@@ -92,8 +92,8 @@ def q_from_states(push: _BlockPower, states_prev: list[np.ndarray],
 
     The push is made with the rows of the run's first push and decides then,
     for the whole run, whether every push runs through the kernel, k0 steps
-    on each state, or through ``S(dt/k0)^k0`` built on the invariant blocks
-    those rows touch (``_BlockPower`` states the rule and its thresholds).
+    on each state, or through ``S(dt/k0)^k0`` built on the subspace those
+    rows touch (``_BlockPower`` states the rule and its thresholds).
     The choice follows from the sizes and the number of pushes alone, so the
     output bits do not depend on timing or on the BLAS thread count.
     """
@@ -366,8 +366,8 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
     push is made at the first of them, from the first point's states and
     the number of grid steps, and decides there whether every push runs
-    through the kernel or through the block power it builds on the blocks
-    those states touch (``formulas._BlockPower`` gives the thresholds).  Surrogate
+    through the kernel or through the power it builds on the subspace those
+    states touch (``formulas._BlockPower`` gives the thresholds).  Surrogate
     data are generated per step from the exact overlaps with seeded,
     spectral-norm-bounded Gaussian noise; the estimate is advanced by
     :func:`minimax_step`.  Exact-data projections are recorded alongside for

@@ -6,11 +6,12 @@ applied left to right.  Multipliers for each fragment index sum to one, so a
 recipe always approximates ``exp(-i t H)`` with ``H`` the fragment sum.
 
 Every state a formula makes from a start state stays in the common invariant
-blocks of the fragments that the start touches.  ``ProductFormula.apply``
-takes and returns states of 2^n amplitudes and runs the kernel on those
-blocks alone; a block-power build runs it in each block's own coordinates.
-Whether a run of pushes builds is decided in :class:`_BlockPower`, which
-multiplies its blocks by tiled products (:func:`_products`).
+blocks of the fragments that the start touches, whose sorted basis indices
+(``statesim._subspace``) are the one subspace of the state path.
+``ProductFormula.apply`` takes and returns states of 2^n amplitudes and runs
+the kernel on that subspace alone, and a block-power build runs it there
+too.  Whether a run of pushes builds is decided in :class:`_BlockPower`,
+which multiplies its power by tiled products (:func:`_products`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, _touched
+from .statesim import FragmentEvolver, _subspace
 
 SUZUKI_ORDERS = (4, 6)
 # Amplitudes (rows x the amplitudes of the space the kernel runs on) in one
@@ -93,29 +94,22 @@ class ProductFormula:
             return None
         return _partition(list(dict.fromkeys(self.fragments)))[0]
 
-    def _basis(self, states: np.ndarray) -> np.ndarray | None:
+    def _basis(self, states: np.ndarray) -> np.ndarray:
         """The sorted basis indices of the common invariant blocks that
-        ``states`` (``(..., 2^n)``) touches: an invariant subspace that holds
-        every state the formula makes from them.  None when that is the
-        whole space or empty (zero states), or when no blocks are sought."""
-        if self._blocks is None:
-            return None
-        basis = np.sort(np.concatenate([idx[_touched(idx, states)].ravel()
-                                        for idx in self._blocks]))
-        return None if basis.size in (0, 1 << self.n) else basis
+        ``states`` (``(..., 2^n)``) touches (``statesim._subspace``): an
+        invariant subspace that holds every state the formula makes from
+        them.  Every index when no blocks are sought, none for zero states."""
+        return _subspace(self._blocks, states)
 
     @cached_property
     def _programs(self) -> dict:
         return {}
 
-    def _program_on(self, basis: np.ndarray | None) -> tuple[tuple[FragmentEvolver, float], ...]:
+    def _program_on(self, basis: np.ndarray) -> tuple[tuple[FragmentEvolver, float], ...]:
         """The recipe as ``(evolver, multiplier)`` slots on the states of
-        ``basis`` (the whole space for None, or for a basis of every index),
-        with one evolver per distinct fragment and adjacent slots on equal
-        fragments merged.  Built once per basis."""
-        if basis is not None and basis.size == 1 << self.n:
-            basis = None
-        key = None if basis is None else basis.tobytes()
+        ``basis``, with one evolver per distinct fragment and adjacent slots
+        on equal fragments merged.  Built once per basis."""
+        key = basis.tobytes()
         if key not in self._programs:
             evolvers: dict[PauliSumOp, FragmentEvolver] = {}
             program: list[tuple[FragmentEvolver, float]] = []
@@ -148,10 +142,7 @@ class ProductFormula:
         if state.ndim not in (1, 2) or state.shape[-1] != 1 << self.n:
             raise ValueError(f"state of shape {state.shape} is not a (2^n,) vector "
                              f"or an (r, 2^n) block for n={self.n}")
-        # The amplitudes any row touches, as one flag per amplitude.
-        basis = self._basis(np.atleast_2d(state).any(axis=0))
-        if basis is None:
-            return self._apply_on(state, t, k, None)
+        basis = self._basis(state)
         out = np.zeros(state.shape, dtype=complex)
         out[..., basis] = self._apply_on(state[..., basis], t, k, basis)
         return out
@@ -159,14 +150,12 @@ class ProductFormula:
     def _rows_per_call(self, states: np.ndarray) -> int:
         """Rows of the subspace ``states`` (``(..., 2^n)``) touches that fit
         one block of kernel rows (:func:`_kernel_rows`)."""
-        basis = self._basis(states)
-        return _kernel_rows(1 << self.n if basis is None else basis.size)
+        return _kernel_rows(self._basis(states).size)
 
-    def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray | None) -> np.ndarray:
+    def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray) -> np.ndarray:
         """:meth:`apply` on ``(S,)`` or ``(r, S)`` states in the coordinates
         of ``basis``, the S sorted indices of a union of common invariant
-        blocks of the fragments (of the whole space for None); the result is
-        in the same coordinates."""
+        blocks of the fragments; the result is in the same coordinates."""
         rows = state if state.ndim == 2 else state[None]
         count = rows.shape[0]
         try:
@@ -202,7 +191,7 @@ class ProductFormula:
 def _kernel_rows(dim: int) -> int:
     """Rows of ``dim`` amplitudes in one block of kernel rows: as many as
     fit :data:`_KERNEL_AMPLITUDES`, and at least one."""
-    return max(1, _KERNEL_AMPLITUDES // dim)
+    return max(1, _KERNEL_AMPLITUDES // max(1, dim))
 
 
 # Largest tile edge of the block products.  OpenBLAS runs a complex product
@@ -221,14 +210,14 @@ def _tile(size: int) -> int:
 
 
 def _tiles(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A ``(count, R, C)`` stack as ``(count, R/rows, C/cols, rows, cols)``
-    tiles, zero-padded to whole tiles; a stack already padded is viewed in
+    """An ``(R, C)`` matrix as ``(R/rows, C/cols, rows, cols)`` tiles,
+    zero-padded to whole tiles; a matrix already padded is viewed in
     place."""
-    count, r, c = x.shape
+    r, c = x.shape
     pad_r, pad_c = -r % rows, -c % cols
     if pad_r or pad_c:
-        x = np.pad(x, ((0, 0), (0, pad_r), (0, pad_c)))
-    return x.reshape(count, (r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(2, 3)
+        x = np.pad(x, ((0, pad_r), (0, pad_c)))
+    return x.reshape((r + pad_r) // rows, rows, (c + pad_c) // cols, cols).swapaxes(1, 2)
 
 
 def _whole(size: int) -> int:
@@ -237,8 +226,7 @@ def _whole(size: int) -> int:
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blockwise products ``a[i] @ b[i]`` of two ``(count, ...)`` stacks (a
-    count of 1 broadcasts) from BLAS products of tiles at most
+    """The matrix product ``a @ b`` from BLAS products of tiles at most
     :data:`_TILE` on a side, summed over the inner tiles in a fixed order,
     so each tile product runs on one thread and the bits do not depend on
     the BLAS thread count, as those of a whole-matrix BLAS product do.
@@ -254,44 +242,44 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and at least one.  A squaring thus holds one row of tiles of partial
     sums at once, and a push of a few states runs as one band.  A band
     changes no bit: every tile sums its products in the same order."""
-    m, inner, n = a.shape[1], a.shape[2], b.shape[2]
+    (m, inner), n = a.shape, b.shape[1]
     tm, tk, tn = _tile(m), _tile(inner), _tile(n)
     a4, b4 = _tiles(a, tm, tk), _tiles(b, tk, tn)
-    count = max(a4.shape[0], b4.shape[0])
-    out = np.empty((count, a4.shape[1], tm, b4.shape[2], tn), dtype=np.result_type(a, b))
+    out = np.empty((a4.shape[0], tm, b4.shape[1], tn), dtype=np.result_type(a, b))
     # The tile products land in the tiles of the result, so it needs no copy.
-    tiles = out.swapaxes(2, 3)
+    tiles = out.swapaxes(1, 2)
     band = max(1, a4.size // out.size)
-    for lo in range(0, a4.shape[1], band):
-        rows = tiles[:, lo:lo + band]
-        np.matmul(a4[:, lo:lo + band, 0, None], b4[:, None, 0], out=rows)
-        for j in range(1, a4.shape[2]):
-            rows += a4[:, lo:lo + band, j, None] @ b4[:, None, j]
-    return out.reshape(count, a4.shape[1] * tm, b4.shape[2] * tn)[:, :m, :n]
+    for lo in range(0, a4.shape[0], band):
+        rows = tiles[lo:lo + band]
+        np.matmul(a4[lo:lo + band, 0, None], b4[None, 0], out=rows)
+        for j in range(1, a4.shape[1]):
+            rows += a4[lo:lo + band, j, None] @ b4[None, j]
+    return out.reshape(a4.shape[0] * tm, b4.shape[1] * tn)[:m, :n]
 
 
 class _BlockPower:
     """``S(t)^k`` of a formula for one ``(t, k)`` and a known number of
     pushes, run either step by step through the kernel or through its power
-    built on the common invariant blocks of the fragments.
+    built on the subspace that the rows of the first push touch
+    (``ProductFormula._basis``).
 
-    The constructor takes the rows of the first push and decides, once and
-    for every push, which of the two it is.  It builds if all the pushes
-    through the kernel, k steps on each state, would cost at least as much
-    as building the blocks the rows touch (a kernel step on each basis
-    state, and the products of the squaring), and then builds those blocks
-    at once.  The states of a run all touch the blocks of its initial state;
-    :meth:`apply` refuses states with amplitude outside the built blocks.
-    The costs count multiply-adds from the sizes alone (:data:`_SWEEP_COST`
-    per amplitude a kernel pass sweeps), so the choice, and with it every
-    output bit, does not depend on timing.  Blocks above :data:`_BUILD_MAX`
-    states, and formulas above ``pauli.DENSE_QUBIT_CAP`` qubits, always run
-    through the kernel.  From the Neel state with k0=26 and five states the
-    rule builds for 8 pushes or more at n=10 (the 252-state sector) and for
-    75 or more at n=12 (924 states).  A block power is one kernel step S(t)
-    on the block's own basis states, in the block's coordinates and
-    :func:`_kernel_rows` rows per call, then the k-th power by repeated
-    squaring.
+    The constructor takes those rows and decides, once and for every push,
+    which of the two it is.  It builds if all the pushes through the
+    kernel, k steps on each state, would cost at least as much as building
+    the power (a kernel step on each basis state of the subspace, and the
+    products of the squaring), and then builds it at once.  The states of
+    a run all stay in the subspace of its initial state; :meth:`apply`
+    refuses states with amplitude outside it.  The costs count
+    multiply-adds from the sizes alone (:data:`_SWEEP_COST` per amplitude a
+    kernel pass sweeps), so the choice, and with it every output bit, does
+    not depend on timing.  A subspace above :data:`_BUILD_MAX` states always
+    runs through the kernel, and so does every formula above
+    ``pauli.DENSE_QUBIT_CAP`` qubits, whose subspace is the whole space.
+    From the Neel state with k0=26 and five states the rule builds for 8
+    pushes or more at n=10 (the 252-state sector) and for 75 or more at
+    n=12 (924 states).  The power is one kernel step S(t) on the basis
+    states of the subspace, in its coordinates and :func:`_kernel_rows`
+    rows per call, then the k-th power by repeated squaring.
     """
 
     def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int, rows: np.ndarray):
@@ -299,52 +287,44 @@ class _BlockPower:
             raise ValueError(f"need t > 0, k >= 1 and pushes >= 1; got {t}, {k}, {pushes}")
         self._pf, self._t, self._k = pf, float(t), int(k)
         self._check(rows)
-        # (members, power) per block size of the touched blocks; None when
-        # every push runs through the kernel.
-        self._powers = None
-        if pf._blocks is not None:
-            groups = [idx[hit] for idx in pf._blocks if (hit := _touched(idx, rows)).size]
-            if self._build_pays(groups, pushes, rows):
-                self._powers = [(members, self._build(members)) for members in groups]
-                self._outside = np.ones(1 << pf.n, dtype=bool)
-                for members, _ in self._powers:
-                    self._outside[members] = False
+        self._basis = pf._basis(rows)
+        # The power, padded to whole tiles; None when every push runs
+        # through the kernel.
+        self._power = self._build() if self._build_pays(pushes, rows) else None
 
     def _check(self, rows: np.ndarray):
         if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
             raise ValueError(f"states of shape {rows.shape} are not rows of "
                              f"{self._pf.n}-qubit states")
 
-    def _build_pays(self, groups: list[np.ndarray], pushes: int, rows: np.ndarray) -> bool:
-        """Whether building the blocks ``groups`` (``(count, size)`` index
-        arrays) costs no more than pushing ``rows`` through the kernel at
-        every push."""
-        shapes = [members.shape for members in groups]
-        if not shapes or max(size for _, size in shapes) > _BUILD_MAX:
+    def _build_pays(self, pushes: int, rows: np.ndarray) -> bool:
+        """Whether building the power on the subspace costs no more than
+        pushing ``rows`` through the kernel at every push."""
+        size, k, pf = self._basis.size, self._k, self._pf
+        if not 0 < size <= _BUILD_MAX:
             return False
-        k, pf = self._k, self._pf
         # Cost of one step S(t) per amplitude it sweeps, counted on the
-        # program a kernel push runs: the one on the subspace the rows touch.
-        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in pf._program_on(pf._basis(rows)))
+        # program a kernel push runs.
+        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in pf._program_on(self._basis))
         products = k.bit_length() + k.bit_count() - 2
-        build = sum(count * (size * size * sweep + products * size ** 3) for count, size in shapes)
-        return pushes * k * rows.shape[0] * sum(count * size for count, size in shapes) * sweep >= build
+        build = size * size * sweep + products * size ** 3
+        return pushes * k * rows.shape[0] * size * sweep >= build
 
-    def _build(self, members: np.ndarray) -> np.ndarray:
-        """``S(t)^k`` on the blocks ``members``, zero-padded to whole tiles
-        of the block products (:func:`_products`): the step is allocated
-        padded, so neither the squaring nor a push pads or copies it, and
-        each block is filled through its ``size``-square view, so the
-        padding stays zero and no index here depends on it."""
-        count, size = members.shape
+    def _build(self) -> np.ndarray:
+        """``S(t)^k`` on the subspace, zero-padded to whole tiles of the
+        block products (:func:`_products`): the step is allocated padded, so
+        neither the squaring nor a push pads or copies it, and it is filled
+        through its ``size``-square view, so the padding stays zero and no
+        index here depends on it."""
+        size = self._basis.size
         width = _kernel_rows(size)
-        step = np.zeros((count, _whole(size), _whole(size)), dtype=complex)
-        for block, basis in zip(step[:, :size, :size], members):
-            for lo in range(0, size, width):
-                # Basis states lo, lo + 1, ... of the block, in its coordinates;
-                # their images are those columns of S(t).
-                basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
-                block[:, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, basis).T
+        step = np.zeros((_whole(size), _whole(size)), dtype=complex)
+        block = step[:size, :size]
+        for lo in range(0, size, width):
+            # Basis states lo, lo + 1, ... of the subspace, in its
+            # coordinates; their images are those columns of S(t).
+            basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
+            block[:, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, self._basis).T
         power, k = None, self._k
         while True:
             if k & 1:
@@ -358,14 +338,15 @@ class _BlockPower:
         """Return ``S(t)^k`` applied to each row of an ``(r, 2^n)`` array of
         states, as rows."""
         self._check(rows)
-        if self._powers is None:
+        if self._power is None:
             return self._pf.apply(rows, self._t, self._k)
-        if rows[:, self._outside].any():
+        basis = self._basis
+        stray = rows.any(axis=0)
+        stray[basis] = False
+        if stray.any():
             raise ValueError("states have amplitude outside the blocks the push was built on")
         out = np.zeros(rows.shape, dtype=complex)
-        for members, mats in self._powers:
-            images = _products(mats, rows[:, members].transpose(1, 2, 0))
-            out[:, members] = images[:, :members.shape[1]].transpose(2, 0, 1)
+        out[:, basis] = _products(self._power, rows[:, basis].T)[:basis.size].T
         return out
 
 

@@ -5,11 +5,12 @@ No 2^n x 2^n matrix is materialized here.  The fragment kernel runs in the
 coordinates of a basis: an invariant subspace (a union of blocks such as
 total-Z sectors) or the whole space, the basis of every index, with the
 same bits on the subspace's amplitudes.  Exact evolution sums a Chebyshev
-series of the Hamiltonian on each invariant block that a state touches,
-from sparse products on the block's own basis; it diagonalizes nothing and
-calls no BLAS.  The trace norm of a mixture of r pure states comes from the
-r x r triangular factor of a QR of the state block, which keeps its
-accuracy down to distances near machine precision.
+series of the Hamiltonian on an invariant subspace, from sparse products on
+its own basis; it diagonalizes nothing and calls no BLAS.  Both take the
+subspace a state touches from one helper, :func:`_subspace`.  The trace
+norm of a mixture of r pure states comes from the r x r triangular factor
+of a QR of the state block, which keeps its accuracy down to distances near
+machine precision.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ def neel_state(n: int) -> np.ndarray:
 
 def _index_view(local: np.ndarray):
     """A basic slice when ``local`` is an arithmetic progression (so the
-    kernel works on views), else the index array itself."""
+    kernel works on views), else the index array itself.  From the Neel
+    state at n=10 one of the 13 rotations of a step is a slice; with index
+    arrays its gathers would copy, and the shootout's peak RSS read about
+    0.1 MB higher (medians of 8 fresh CLI runs on one BLAS thread, twice:
+    46.55 against 46.43 MB, and 46.49 against 46.40 MB)."""
     if local.size == 1:
         return slice(int(local[0]), int(local[0]) + 1)
     step = int(local[1] - local[0])
@@ -191,18 +196,24 @@ class FragmentEvolver:
         return out if block else out[0]
 
 
-def _touched(idx: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Which of the blocks ``idx`` (``(count, size)`` basis indices)
-    ``state`` (``(..., dim)``) touches, that is has a nonzero amplitude on."""
-    count, size = idx.shape
-    return np.flatnonzero(state[..., idx].reshape(-1, count, size).any(axis=(0, 2)))
+def _subspace(blocks: list[np.ndarray] | None, states: np.ndarray) -> np.ndarray:
+    """The sorted basis indices of the blocks that ``states`` (``(..., dim)``)
+    touches, that is has a nonzero amplitude on: an invariant subspace that
+    holds them.  ``blocks`` holds one ``(count, size)`` index array per block
+    size (``pauli._partition``), or is None where no blocks are sought, and
+    then the subspace is every index.  Zero states touch none."""
+    dim = states.shape[-1]
+    if blocks is None:
+        return np.arange(dim)
+    touched = states.reshape(-1, dim).any(axis=0)
+    return np.sort(np.concatenate([idx[touched[idx].any(axis=1)].ravel() for idx in blocks]))
 
 
 # Share of a state's norm that the Chebyshev series of an exact evolution may
 # drop: the rigorous bound on the dropped terms sums to no more than this.
 _TAIL = 2.0 ** -53
 
-# Amplitudes (series terms x block states) that one Chebyshev series may
+# Amplitudes (series terms x subspace states) that one Chebyshev series may
 # hold, 128 MB; a longer series is refused before any matrix-vector product.
 # The chain's 924-state sector at n=12 reaches it near t = 350.
 _SERIES_MAX = 1 << 23
@@ -267,12 +278,13 @@ def _series(x: float) -> np.ndarray:
 
 
 class _ChebyshevBlock:
-    """H on one invariant block, for the Chebyshev series of ``exp(-i t H)``
-    (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+    """H on one invariant subspace (a union of blocks), for the Chebyshev
+    series of ``exp(-i t H)`` (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+    (1984)).
 
-    Built from the couplings of ``pauli._couplings`` on the block's sorted
+    Built from the couplings of ``pauli._couplings`` on the subspace's sorted
     basis indices: row 0 of ``_cols``/``_entries`` is the diagonal, and each
-    further row one ``x_mask`` group with a nonzero coupling on the block,
+    further row one ``x_mask`` group with a nonzero coupling on it,
     holding the position of each state's partner and ``<i|H|i ^ x_mask>``.
     The spectral interval is Gershgorin's on these rows, which is rigorous
     and needs no diagonalization.  The entries are stored as those of
@@ -342,26 +354,27 @@ class _ChebyshevBlock:
 
 
 class SpectralOracle:
-    """Exact evolution by a Chebyshev series inside the invariant blocks
-    that a state touches.
+    """Exact evolution by a Chebyshev series on the invariant subspace that
+    a state touches.
 
     The constructor finds the Hamiltonian's invariant blocks, which refuses
     n above ``pauli.DENSE_QUBIT_CAP`` before any work.  On the first
-    ``evolve`` whose state touches a block, that block's operator is built
-    (:class:`_ChebyshevBlock`) and kept; no other block is ever built, and
-    no block is diagonalized.
+    ``evolve`` of a state that touches a new union of blocks
+    (:func:`_subspace`), H on that union is built (:class:`_ChebyshevBlock`)
+    and kept by its basis; no other block is ever built, and nothing is
+    diagonalized.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
         self._hamiltonian = hamiltonian
         self._groups = _partition([hamiltonian])[0]
-        # The operator of each block built so far, by (size group, block) position.
-        self._blocks: dict[tuple[int, int], _ChebyshevBlock] = {}
+        # The operator of each subspace built so far, by the bytes of its basis.
+        self._blocks: dict[bytes, _ChebyshevBlock] = {}
 
-    def _operator(self, members: np.ndarray) -> _ChebyshevBlock:
-        """H on the block ``members``."""
-        return _ChebyshevBlock(self._hamiltonian, members)
+    def _operator(self, basis: np.ndarray) -> _ChebyshevBlock:
+        """H on the invariant subspace ``basis``."""
+        return _ChebyshevBlock(self._hamiltonian, basis)
 
     def evolve(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t H) |state>; at t = 0 the input exactly.
@@ -382,14 +395,13 @@ class SpectralOracle:
         grid = times.reshape(-1)
         out = np.zeros((grid.size, state.size), dtype=complex)
         moving = np.flatnonzero(grid)
-        # No block is built when every time is zero.
-        for g, idx in enumerate(self._groups if moving.size else ()):
-            for b in _touched(idx, state):
-                members = idx[b]
-                if (g, b) not in self._blocks:
-                    self._blocks[g, b] = self._operator(members)
-                out[np.ix_(moving, members)] = self._blocks[g, b].evolve(state[members],
-                                                                         grid[moving])
+        basis = _subspace(self._groups, state)
+        # Nothing is built when every time is zero, or for a zero state.
+        if moving.size and basis.size:
+            key = basis.tobytes()
+            if key not in self._blocks:
+                self._blocks[key] = self._operator(basis)
+            out[np.ix_(moving, basis)] = self._blocks[key].evolve(state[basis], grid[moving])
         out[grid == 0.0] = state
         return out if times.ndim else out[0]
 

@@ -198,6 +198,24 @@ def test_shootout_builds_the_push_on_a_padded_sector(capsys):
     assert out.startswith("# mpf-lab schema v1")
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type float64",
+     "Unable to allocate 74.5 GiB"),
+    ("", "out of memory"),
+])
+def test_memory_error_is_a_resource_limit(message, shown, capsys, monkeypatch):
+    # A grid too large to allocate exits 3 with one line, not a traceback;
+    # the run is replaced, so the test allocates nothing.
+    def refused(*a):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_scenario", refused)
+    code, out, err = run_cli(["trotter-sweep", "--set", "t_count=10000000000"], capsys)
+    assert code == 3
+    assert err.startswith(f"resource limit: {shown}") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_exact_evolution_cap_exit_code(capsys):
     code, _, err = run_cli(["trotter-sweep", "--set", "n=13", "--set", "t_count=1"], capsys)
     assert code == 3

@@ -189,12 +189,10 @@ def conserves_nothing(n, rng):
     return second_order(frags)
 
 
-def built_blocks(push):
-    """Number of blocks a push holds built; zero when it runs through the
-    kernel."""
-    if push._powers is None:
-        return 0
-    return sum(members.shape[0] for members, _ in push._powers)
+def built_states(push):
+    """Number of basis states of the subspace a push holds its power on;
+    zero when it runs through the kernel."""
+    return 0 if push._power is None else push._basis.size
 
 
 def crossover(pf, states, dt, k0):
@@ -202,7 +200,7 @@ def crossover(pf, states, dt, k0):
     rows builds."""
     for pushes in range(1, 1000):
         push = _BlockPower(pf, dt / k0, k0, pushes, np.array(states))
-        if built_blocks(push):
+        if built_states(push):
             return pushes
     raise AssertionError("no build below 1000 pushes")
 
@@ -227,9 +225,10 @@ def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
         assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
     if case == "neel_chain6":
         # One total-Z sector of 20 states; no other block is built.
-        assert built_blocks(push) == 1
+        assert built_states(push) == 20
     else:
-        assert built_blocks(push) == sum(idx.shape[0] for idx in pf._blocks)
+        # A random state touches every block: the power is built on all.
+        assert built_states(push) == 1 << pf.n
 
 
 @pytest.mark.parametrize("n", range(2, 12))
@@ -240,23 +239,22 @@ def test_built_push_matches_the_kernel_on_every_neel_sector(n):
     case = ChainCase(n)
     rows = np.array(trotter_states(case.pf, case.psi, 0.5, STEPS))
     push = _BlockPower(case.pf, 0.1 / 6, 6, 10**6, rows)
-    assert built_blocks(push) == 1
+    assert built_states(push) == math.comb(n, n // 2)
     assert np.abs(push.apply(rows) - case.pf.apply(rows, 0.1 / 6, 6)).max() < 1e-12
 
 
 def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     # At n=5 the Neel state's sector (three qubits up) has ten states, as
-    # has the sector with two up: the oracle and the push each build the
+    # has the sector with two up: the oracle and the push each build on the
     # touched one alone.
     sector = [i for i in range(32) if i.bit_count() == 3]
     operators, built = [], []
     operator, build = SpectralOracle._operator, formulas._BlockPower._build
     monkeypatch.setattr(SpectralOracle, "_operator",
-                        lambda self, members: operators.append(members.tolist())
-                        or operator(self, members))
+                        lambda self, basis: operators.append(basis.tolist())
+                        or operator(self, basis))
     monkeypatch.setattr(formulas._BlockPower, "_build",
-                        lambda self, members: built.append(members.tolist())
-                        or build(self, members))
+                        lambda self: built.append(self._basis.tolist()) or build(self))
     pf, psi = chain5.pf, chain5.psi
     assert [idx.shape for idx in pf._blocks] == [(2, 1), (2, 5), (2, 10)]
     oracle = SpectralOracle(chain5.hamiltonian)
@@ -268,11 +266,11 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
     push = _BlockPower(pf, dt / k0, k0, 1000, np.array(prev))
-    assert built == [[sector]]
+    assert built == [sector]
     ref = q_reference(pf, prev, nxt, dt, k0)
     for _ in range(2):
         assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
-    assert built == [[sector]]
+    assert built == [sector]
 
 
 def test_built_push_refuses_states_outside_its_blocks(chain5, monkeypatch):
@@ -282,7 +280,7 @@ def test_built_push_refuses_states_outside_its_blocks(chain5, monkeypatch):
     pf, psi = chain5.pf, chain5.psi
     rows = np.array(trotter_states(pf, psi, 0.5, STEPS))
     push = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
-    assert built_blocks(push) == 1
+    assert built_states(push) == 10
     stray = rows.copy()
     stray[0, 0] = 1e-300
     for bad in (stray, np.array([random_state(5, np.random.default_rng(2))])):
@@ -290,7 +288,7 @@ def test_built_push_refuses_states_outside_its_blocks(chain5, monkeypatch):
             push.apply(bad)
     monkeypatch.setattr(formulas, "_BUILD_MAX", 9)
     kernel = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
-    assert built_blocks(kernel) == 0
+    assert built_states(kernel) == 0
     assert np.array_equal(kernel.apply(stray), pf.apply(stray, 0.1 / 6, 6))
 
 
@@ -306,7 +304,7 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
     # At the crossover a push made with these rows builds the 20-state
     # sector, and every push, even of one state, runs through it.
     push = _BlockPower(pf, dt / k0, k0, least, prev)
-    assert built_blocks(push) == 1
+    assert built_states(push) == 20
     calls.clear()
     for rows in (prev, prev[:1], prev):
         push.apply(rows)
@@ -316,7 +314,7 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
     for rows in (np.concatenate([prev, prev]), prev):
         calls.clear()
         push.apply(rows)
-        assert calls and built_blocks(push) == 0
+        assert calls and built_states(push) == 0
 
 
 def test_neel_run_makes_no_whole_space_evolver(monkeypatch):
@@ -408,10 +406,9 @@ def test_minimax_run_never_builds_on_a_grid_shorter_than_the_crossover(chain6, m
 
 
 def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
-    # With the limit below the 6-state sector, every push runs through the
-    # kernel however many there are; the 1- and 4-state sectors alone would
-    # be built.
-    monkeypatch.setattr(formulas, "_BUILD_MAX", 5)
+    # A random state touches all 16 states.  With the limit one below that,
+    # every push runs through the kernel however many there are.
+    monkeypatch.setattr(formulas, "_BUILD_MAX", 15)
     rng = np.random.default_rng(3)
     pf, psi = chain4.pf, random_state(4, rng)
     prev = trotter_states(pf, psi, 0.5, STEPS)
@@ -420,11 +417,12 @@ def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
     push = _BlockPower(pf, 0.1 / 4, 4, 1000, np.array(prev))
     for _ in range(20):
         assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
-    assert push._powers is None
+    assert push._power is None
 
 
 def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
-    # A 13-qubit formula: no invariant blocks are sought, so nothing refuses.
+    # A 13-qubit formula: no invariant blocks are sought, so nothing refuses,
+    # and the subspace is the whole space, above the build limit.
     n = 13
     pf = second_order((PauliSumOp.from_terms(n, [(0.7, PauliString("XX" + "I" * (n - 2)))]),
                        PauliSumOp.from_terms(n, [(0.4, PauliString("Z" * n))])))
@@ -433,14 +431,14 @@ def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
     push = _BlockPower(pf, 0.2 / 3, 3, 1000, np.array(prev))
     q = q_from_states(push, prev, prev)
     assert np.abs(q - q_reference(pf, prev, prev, 0.2, 3)).max() < 1e-13
-    assert push._powers is None
+    assert push._power is None and push._basis.size == 1 << n
 
 
 def test_block_products_do_not_depend_on_the_blas_thread_count():
     code = ("import hashlib, numpy as np; from mpf_lab.formulas import _products; "
             "r = np.random.default_rng(1); "
-            "a = r.normal(size=(2, 150, 150)) + 1j * r.normal(size=(2, 150, 150)); "
-            "v = r.normal(size=(2, 150, 5)) + 0j; "
+            "a = r.normal(size=(150, 150)) + 1j * r.normal(size=(150, 150)); "
+            "v = r.normal(size=(150, 5)) + 0j; "
             "out = _products(a, a); assert np.abs(out - a @ a).max() < 1e-12; "
             "print(hashlib.sha256(out.tobytes() + _products(a, v).tobytes()).hexdigest())")
     digests = set()

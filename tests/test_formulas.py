@@ -166,7 +166,7 @@ def test_apply_block_matches_columns(chain4, rng):
 
 
 def test_distinct_fragments_share_one_evolver(chain4):
-    program = chain4.pf._program_on(None)
+    program = chain4.pf._program_on(np.arange(16))
     assert len(program) == 5
     assert len({id(evolver) for evolver, _ in program}) == 3
     assert program[0][0] is program[-1][0]
@@ -192,23 +192,23 @@ def test_fragment_by_commuting_groups(chain4):
 @pytest.mark.parametrize("size", [41, 83])
 def test_block_products_take_a_padded_operand_in_place(size):
     rng = np.random.default_rng(size)
-    a = rng.normal(size=(2, size, size)) + 1j * rng.normal(size=(2, size, size))
-    v = rng.normal(size=(2, size, 5)) + 1j * rng.normal(size=(2, size, 5))
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    v = rng.normal(size=(size, 5)) + 1j * rng.normal(size=(size, 5))
     whole, tile = formulas._whole(size), formulas._tile(size)
-    padded = np.pad(a, ((0, 0), (0, whole - size), (0, whole - size)))
-    assert padded.shape == (2, whole, whole) and whole > size
-    assert np.array_equal(padded[:, :size, :size], a) and not padded[:, size:].any()
+    padded = np.pad(a, ((0, whole - size), (0, whole - size)))
+    assert padded.shape == (whole, whole) and whole > size
+    assert np.array_equal(padded[:size, :size], a) and not padded[size:].any()
     # The tiles of a padded operand are views of it: no product copies it.
     assert np.shares_memory(formulas._tiles(padded, tile, tile), padded)
     plain = formulas._products(a, v)
     assert np.abs(plain - a @ v).max() < 1e-12
     # As the push's left operand, its squaring, and a right operand.
     out = formulas._products(padded, v)
-    assert np.array_equal(out[:, :size], plain) and not out[:, size:].any()
+    assert np.array_equal(out[:size], plain) and not out[size:].any()
     square = formulas._products(padded, padded)
-    assert np.array_equal(square[:, :size, :size], formulas._products(a, a))
-    row = v[:, None, :, 0].conj()
-    assert np.array_equal(formulas._products(row, padded)[:, :, :size],
+    assert np.array_equal(square[:size, :size], formulas._products(a, a))
+    row = v[None, :, 0].conj()
+    assert np.array_equal(formulas._products(row, padded)[:, :size],
                           formulas._products(row, a))
 
 

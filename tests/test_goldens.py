@@ -41,6 +41,12 @@ GOLDENS = {
         {"out.csv": "9615550ccc2a57a2a2d735f9bbad3e50a753fa2904a3d0c3277a0fac088ad8d3",
          "traj.csv": "1b7dd94a25cbb0184edc1621fa62f1597a19275c7e42590edeabb254b22ee2ca"},
     ),
+    # The benchmark's shootout config: the paper's defaults, n=10.
+    "minimax-shootout-n10": (
+        "minimax-shootout", ["--set", "trajectory_out=traj.csv"],
+        {"out.csv": "05c180b3d652e0354d62f7366adb96b1f4f958503c8d0ac1d40d5114188973c9",
+         "traj.csv": "cf6549283c2604d13dc8cb456d017591d33b2af8ad0de94ae54dd24108b26df1"},
+    ),
     "trotter-sweep": (
         "trotter-sweep", [],
         {"out.csv": "ff634f2bb08b2f0d80c28651dc7606d0412bee0372db5577589212c28f80e4b8"},

@@ -190,7 +190,7 @@ def test_every_config_key_is_read():
 
 # Names of the subspace coordinates a state runs in, which stay inside the
 # formula and the kernel: every other module passes states of 2^n amplitudes.
-SUBSPACE_NAMES = {"_basis", "_apply_on", "_kernel_rows"}
+SUBSPACE_NAMES = {"_subspace", "_basis", "_apply_on", "_kernel_rows"}
 SUBSPACE_MODULES = {"formulas.py", "statesim.py"}
 
 
@@ -215,9 +215,10 @@ def subspace_mentions(source: str) -> list[str]:
 
 def test_checker_flags_subspace_mentions():
     source = ("from .formulas import _kernel_rows, apply\n"
-              "b = pf._basis(psi)\nout = pf.apply(psi, 1.0, basis=b)\nbasis = 3\n")
+              "b = pf._basis(psi)\nout = pf.apply(psi, 1.0, basis=b)\nbasis = 3\n"
+              "s = statesim._subspace(blocks, psi)\n")
     assert subspace_mentions(source) == ["line 1: _kernel_rows", "line 2: _basis",
-                                         "line 3: basis="]
+                                         "line 3: basis=", "line 5: _subspace"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in SUBSPACE_MODULES],

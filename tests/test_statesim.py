@@ -18,7 +18,7 @@ from mpf_lab import (
 from mpf_lab import bounds, pauli, statesim
 from mpf_lab.bounds import spectral_norm_symbolic
 from mpf_lab.errors import NumericalDegeneracyError, ResourceLimitError
-from mpf_lab.formulas import fragment_by_commuting_groups
+from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
 from mpf_lab.heisenberg import build_heisenberg_chain
 from mpf_lab.pauli import commutes, invariant_blocks
 from conftest import basis_state, random_state
@@ -220,10 +220,11 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
         assert np.array_equal(sub.apply(block[:, basis], times), full[:, basis])
         assert not full[:, outside].any()
     ks = np.array([3, 1, 7, 2, 4])
-    full = pf._apply_on(block, times, ks, None)
+    whole = np.arange(1 << n)
+    full = pf._apply_on(block, times, ks, whole)
     assert np.array_equal(pf._apply_on(block[:, basis], times, ks, basis), full[:, basis])
     assert np.array_equal(pf._apply_on(block[0, basis], 0.8, 5, basis),
-                          pf._apply_on(block[0], 0.8, 5, None)[basis])
+                          pf._apply_on(block[0], 0.8, 5, whole)[basis])
     # The public form takes the 2^n block, runs it on the subspace and
     # scatters it back: the full-space bits there, zeros elsewhere.
     public = pf.apply(block, times, ks)
@@ -231,19 +232,95 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
     assert not public[:, outside].any()
 
 
-def test_whole_space_kernel_runs_where_nothing_is_conserved(rng):
+def conserves_nothing(rng):
+    """A 5-qubit second-order formula, from the commuting groups of a random
+    Pauli sum, whose one invariant block is the whole space."""
     words = ["XYZIX", "ZZXYI", "IYXZZ", "XIIYZ", "YZXIX", "ZXYZI", "IIXXY", "YYZIZ",
              "XIIII", "IIIIY"]
     ham = PauliSumOp.from_terms(
         5, [(float(rng.standard_normal()), PauliString(w)) for w in words])
-    pf = second_order(fragment_by_commuting_groups(ham))
+    return second_order(fragment_by_commuting_groups(ham))
+
+
+def test_whole_space_kernel_runs_where_nothing_is_conserved(rng):
+    pf = conserves_nothing(rng)
     assert [idx.shape for idx in pf._blocks] == [(1, 32)]
     psi = random_state(5, rng)
-    assert pf._basis(psi) is None
-    # A basis of every index is the whole space: the same evolvers.
-    assert pf._program_on(np.arange(32)) is pf._program_on(None)
+    assert np.array_equal(pf._basis(psi), np.arange(32))
+    # The state's basis is the whole space: the same evolvers.
+    assert pf._program_on(pf._basis(psi)) is pf._program_on(np.arange(32))
     block = random_block(5, 3, rng)
     assert np.array_equal(pf._apply_on(block, 0.7, 3, np.arange(32)), pf.apply(block, 0.7, 3))
+
+
+def touched_union(ops, states):
+    """The sorted union of the blocks of ``pauli.invariant_blocks(ops)`` on
+    which ``states`` (``(..., 2^n)``) has a nonzero amplitude."""
+    members = [m for idx in invariant_blocks(ops)[0] for m in idx]
+    return np.sort(np.concatenate([np.zeros(0, dtype=int),
+                                   *(m for m in members if states[..., m].any())]))
+
+
+def oracle_basis(hamiltonian, state, monkeypatch):
+    """The basis a new oracle builds H on to evolve ``state``; empty when
+    it builds nothing."""
+    built, operator = [], SpectralOracle._operator
+    with monkeypatch.context() as patch:
+        patch.setattr(SpectralOracle, "_operator",
+                      lambda self, basis: built.append(basis) or operator(self, basis))
+        SpectralOracle(hamiltonian).evolve(state, 0.5)
+    assert len(built) <= 1
+    return built[0] if built else np.zeros(0, dtype=int)
+
+
+SUBSPACE_SIZES = {"random_4": 16, "random_6": 64, "two_sectors_4": 4 + 6,
+                  "two_sectors_6": 6 + 20, "neel_6": 20, "zero_6": 0, "conserves_nothing_5": 32}
+
+
+@pytest.mark.parametrize("case", list(SUBSPACE_SIZES))
+def test_kernel_push_and_oracle_share_the_touched_subspace(case, chain4, chain6, rng,
+                                                            monkeypatch):
+    if case == "conserves_nothing_5":
+        pf, n = conserves_nothing(rng), 5
+    else:
+        chain = chain4 if case.endswith("4") else chain6
+        pf, n = chain.pf, chain.n
+    rows = np.array([random_state(n, rng)])
+    if case == "neel_6":
+        rows = chain6.psi[None]
+    elif case == "zero_6":
+        rows = np.zeros((1, 1 << n), dtype=complex)
+    elif case.startswith("two_sectors"):
+        # Random amplitudes with one qubit up in one row, half up in the other.
+        weight = np.bitwise_count(np.arange(1 << n))
+        rows = np.array([np.where(weight == 1, rows[0], 0.0),
+                         np.where(weight == n // 2, random_state(n, rng), 0.0)])
+    psi = rows.sum(axis=0)
+    ref = touched_union(list(pf.fragments), psi)
+    assert ref.size == SUBSPACE_SIZES[case]
+    assert np.array_equal(touched_union([pf.hamiltonian], psi), ref)
+    assert np.array_equal(statesim._subspace(pf._blocks, rows), ref)
+    assert np.array_equal(pf._basis(psi), ref) and np.array_equal(pf._basis(rows), ref)
+    # Enough pushes that the push builds, on that subspace, wherever it has states.
+    push = _BlockPower(pf, 0.1, 2, 10**6, rows)
+    assert np.array_equal(push._basis, ref) and (push._power is None) == (ref.size == 0)
+    assert np.array_equal(oracle_basis(pf.hamiltonian, psi, monkeypatch), ref)
+
+
+def test_subspace_above_the_qubit_cap_is_every_index():
+    # No blocks are sought at 13 qubits, so even a basis state's subspace is
+    # the whole space, above the push's build limit; the oracle refuses.
+    n = 13
+    pf = second_order((op(n, (0.7, "XX" + "I" * (n - 2))), op(n, (0.4, "Z" * n))))
+    psi = basis_state(n, "01" * 6 + "0")
+    assert pf._blocks is None
+    assert np.array_equal(pf._basis(psi), np.arange(1 << n))
+    push = _BlockPower(pf, 0.1, 2, 10**6, psi[None])
+    assert np.array_equal(push._basis, np.arange(1 << n)) and push._power is None
+    for refused in (lambda: invariant_blocks(list(pf.fragments)),
+                    lambda: SpectralOracle(pf.hamiltonian)):
+        with pytest.raises(ResourceLimitError):
+            refused()
 
 
 def test_fragment_evolver_refuses_a_basis_that_is_not_invariant(chain6):
@@ -373,16 +450,19 @@ def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
 def test_oracle_builds_each_touched_block_once(chain4, rng, monkeypatch):
     operator, built = SpectralOracle._operator, []
     monkeypatch.setattr(SpectralOracle, "_operator",
-                        lambda self, members: built.append(members.shape)
-                        or operator(self, members))
+                        lambda self, basis: built.append(basis.shape)
+                        or operator(self, basis))
     oracle = SpectralOracle(chain4.hamiltonian)
     for t in (0.3, 0.7):
         oracle.evolve(chain4.psi, t)
     # The Neel state touches the one 6-state sector; a random state then
-    # touches the others, and only those are built, one at a time.
+    # touches every sector, and H is built once on their 16-state union.
     assert built == [(6,)]
-    oracle.evolve(random_state(4, rng), 0.5)
-    assert sorted(built[1:]) == [(1,), (1,), (4,), (4,)]
+    psi = random_state(4, rng)
+    for t in (0.5, 1.1):
+        oracle.evolve(psi, t)
+    oracle.evolve(chain4.psi, 0.2)
+    assert built == [(6,), (16,)]
 
 
 def test_oracle_zero_time_returns_a_copy(chain4, rng):
