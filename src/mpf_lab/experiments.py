@@ -140,6 +140,7 @@ def time_grid(cfg: dict) -> np.ndarray:
     count = cfg["t_count"]
     if count < 1:
         raise ValueError("t_count must be >= 1")
+    dmp._check_grid(count)
     for key in ("t_start", "t_stop"):
         if cfg[key] < 0:
             raise ValueError(f"{key} must be >= 0, got {cfg[key]}")

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import DENSE_QUBIT_CAP, PauliSumOp, _partition, commutes
+from .pauli import PauliSumOp, _partition, commutes
 from .statesim import FragmentEvolver, _subspace
 
 SUZUKI_ORDERS = (4, 6)
@@ -85,20 +85,17 @@ class ProductFormula:
         return tuple(mult * self.fragments[idx] for idx, mult in self.steps)
 
     @cached_property
-    def _blocks(self) -> list[np.ndarray] | None:
+    def _blocks(self) -> list[np.ndarray]:
         """Common invariant blocks of the distinct fragments, one
         ``(count, size)`` array of ascending basis indices per block size
-        (``pauli._partition``); None above ``pauli.DENSE_QUBIT_CAP``, where
-        none are sought."""
-        if self.n > DENSE_QUBIT_CAP:
-            return None
-        return _partition(list(dict.fromkeys(self.fragments)))[0]
+        (``pauli._partition``), at any qubit count."""
+        return _partition(list(dict.fromkeys(self.fragments)))
 
     def _basis(self, states: np.ndarray) -> np.ndarray:
         """The sorted basis indices of the common invariant blocks that
         ``states`` (``(..., 2^n)``) touches (``statesim._subspace``): an
         invariant subspace that holds every state the formula makes from
-        them.  Every index when no blocks are sought, none for zero states."""
+        them.  Every index when nothing is conserved, none for zero states."""
         return _subspace(self._blocks, states)
 
     @cached_property
@@ -273,8 +270,8 @@ class _BlockPower:
     multiply-adds from the sizes alone (:data:`_SWEEP_COST` per amplitude a
     kernel pass sweeps), so the choice, and with it every output bit, does
     not depend on timing.  A subspace above :data:`_BUILD_MAX` states always
-    runs through the kernel, and so does every formula above
-    ``pauli.DENSE_QUBIT_CAP`` qubits, whose subspace is the whole space.
+    runs through the kernel; a smaller one builds by the same rule at any
+    qubit count, above ``pauli.DENSE_QUBIT_CAP`` too (a 2-state block at 13).
     From the Neel state with k0=26 and five states the rule builds for 8
     pushes or more at n=10 (the 252-state sector) and for 75 or more at
     n=12 (924 states).  The power is one kernel step S(t) on the basis

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import NumericalDegeneracyError, ResourceLimitError
-from .pauli import PauliSumOp, _couplings, _partition, commutes
+from .pauli import PauliSumOp, _check_qubit_cap, _couplings, _partition, commutes
 
 
 def neel_state(n: int) -> np.ndarray:
@@ -74,8 +74,11 @@ def _split(coupling: np.ndarray, basis: np.ndarray, x_mask: int) -> list[_Rotati
     at = _partner_positions(basis, x_mask, coupling)
     mag = np.abs(coupling)
     keep = (basis < basis ^ x_mask) & (mag > 0.0)
+    # The distinct magnitudes in ascending order (each kept one is positive);
+    # a plain np.unique would import numpy.ma.
+    mags = np.sort(mag[keep])
     out = []
-    for value in np.unique(mag[keep]):
+    for value in mags[np.diff(mags, prepend=0.0) > 0.0]:
         lo = np.flatnonzero(keep & (mag == value))
         hi = at[lo]
         out.append(_Rotation(_index_view(lo), _index_view(hi),
@@ -196,15 +199,13 @@ class FragmentEvolver:
         return out if block else out[0]
 
 
-def _subspace(blocks: list[np.ndarray] | None, states: np.ndarray) -> np.ndarray:
+def _subspace(blocks: list[np.ndarray], states: np.ndarray) -> np.ndarray:
     """The sorted basis indices of the blocks that ``states`` (``(..., dim)``)
     touches, that is has a nonzero amplitude on: an invariant subspace that
     holds them.  ``blocks`` holds one ``(count, size)`` index array per block
-    size (``pauli._partition``), or is None where no blocks are sought, and
-    then the subspace is every index.  Zero states touch none."""
+    size (``pauli._partition``, at any qubit count).  Every index when
+    nothing is conserved, none for zero states."""
     dim = states.shape[-1]
-    if blocks is None:
-        return np.arange(dim)
     touched = states.reshape(-1, dim).any(axis=0)
     return np.sort(np.concatenate([idx[touched[idx].any(axis=1)].ravel() for idx in blocks]))
 
@@ -357,8 +358,8 @@ class SpectralOracle:
     """Exact evolution by a Chebyshev series on the invariant subspace that
     a state touches.
 
-    The constructor finds the Hamiltonian's invariant blocks, which refuses
-    n above ``pauli.DENSE_QUBIT_CAP`` before any work.  On the first
+    The constructor refuses n above ``pauli.DENSE_QUBIT_CAP`` before any
+    work, then finds the Hamiltonian's invariant blocks.  On the first
     ``evolve`` of a state that touches a new union of blocks
     (:func:`_subspace`), H on that union is built (:class:`_ChebyshevBlock`)
     and kept by its basis; no other block is ever built, and nothing is
@@ -368,7 +369,8 @@ class SpectralOracle:
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
         self._hamiltonian = hamiltonian
-        self._groups = _partition([hamiltonian])[0]
+        _check_qubit_cap(self.n)
+        self._groups = _partition([hamiltonian])
         # The operator of each subspace built so far, by the bytes of its basis.
         self._blocks: dict[bytes, _ChebyshevBlock] = {}
 

@@ -113,6 +113,11 @@ def helper_cases():
     cases += [random_ops(rng, n, count) for n, count in ((3, 1), (4, 2), (5, 2), (6, 1))]
     cases.append([PauliSumOp.from_terms(2, [(0.5, PauliString("XX")), (0.5, PauliString("YY"))])])
     cases.append([PauliSumOp.zero(3)])
+    # The Z-only group comes first; XX + YY is an exact zero on |00> and |11>,
+    # whose partners lie in other blocks, so a placement that wrote zero
+    # couplings would overwrite their diagonal entries.
+    cases.append([PauliSumOp.from_terms(
+        2, [(0.3, PauliString("IZ")), (0.5, PauliString("XX")), (0.5, PauliString("YY"))])])
     return cases
 
 

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -214,6 +218,39 @@ def test_memory_error_is_a_resource_limit(message, shown, capsys, monkeypatch):
     assert code == 3
     assert err.startswith(f"resource limit: {shown}") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("args, points", [
+    (["trotter-sweep", "--set", f"t_count={dynamic_mpf.GRID_POINT_CAP + 1}"],
+     dynamic_mpf.GRID_POINT_CAP + 1),
+    (["minimax-shootout", "--set", "n=4", "--set", "t0=0", "--set", "dt=1e-9"], 4_500_000_001),
+])
+def test_time_grid_cap_refused_before_the_grid_is_made(args, points, capsys):
+    # Both grids are refused by the point cap, not by the allocator, with
+    # less memory traced over the whole run than the grid would take.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(args, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert err == (f"resource limit: a time grid of {points} points exceeds the cap of "
+                   f"{dynamic_mpf.GRID_POINT_CAP} points\n")
+    assert out == ""
+    assert peak < 8 * points
+
+
+def test_shootout_does_not_import_numpy_ma(tmp_path: Path):
+    # A plain np.unique imports numpy.ma, once per process.
+    script = ("import sys\nfrom mpf_lab import cli\n"
+              "code = cli.main(['minimax-shootout', '--set', 'n=6', '--set', 'dt=0.25',"
+              " '--out', 'out.csv'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), text=True, check=True)
+    assert result.stdout == "0 False\n"
 
 
 def test_exact_evolution_cap_exit_code(capsys):

@@ -421,8 +421,8 @@ def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
 
 
 def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
-    # A 13-qubit formula: no invariant blocks are sought, so nothing refuses,
-    # and the subspace is the whole space, above the build limit.
+    # A 13-qubit formula: nothing refuses, and random states touch every
+    # 2-state block, so the subspace is the whole space, above the build limit.
     n = 13
     pf = second_order((PauliSumOp.from_terms(n, [(0.7, PauliString("XX" + "I" * (n - 2)))]),
                        PauliSumOp.from_terms(n, [(0.4, PauliString("Z" * n))])))

@@ -77,6 +77,13 @@ GOLDENS = {
         "mpf-sweep", ["--set", "n=8", "--set", "bounds=on"],
         {"out.csv": "d8e6c57c3e564a806439fe6a1962c7b6504a174d5429d091b170dbec62c20155"},
     ),
+    # Above the window cap: the commutator sums take their norms on the
+    # Pauli-sum route, one block search per piece, and the state path runs on
+    # the 252-state sector.
+    "trotter-sweep-n10": (
+        "trotter-sweep", ["--set", "n=10"],
+        {"out.csv": "bb283b5bda8ab5a38397d0b47103ecc985862a52ba478fc629d7f838fbdb1351"},
+    ),
     # The whole-space kernel, from an operator file written beside the output.
     "trotter-sweep-conserves-nothing": (
         "trotter-sweep", ["--set", "n=4", "--set", "hamiltonian=ham.txt"],

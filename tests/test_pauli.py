@@ -139,9 +139,9 @@ def _to_dense_per_term(op: PauliSumOp) -> np.ndarray:
 def test_pauli_action_matches_kron():
     idx = np.arange(8)
     for word in ("XYZ", "YYI", "IZX", "III", "ZZZ"):
-        partner, phase = pauli_action(PauliString(word), idx)
+        ps = PauliString(word)
         dense = np.zeros((8, 8), dtype=complex)
-        dense[partner, idx] = phase
+        dense[idx ^ ps.x_mask, idx] = pauli_action(ps, idx)
         assert np.array_equal(dense, kron_word(word))
 
 

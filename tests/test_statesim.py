@@ -307,18 +307,27 @@ def test_kernel_push_and_oracle_share_the_touched_subspace(case, chain4, chain6,
     assert np.array_equal(oracle_basis(pf.hamiltonian, psi, monkeypatch), ref)
 
 
-def test_subspace_above_the_qubit_cap_is_every_index():
-    # No blocks are sought at 13 qubits, so even a basis state's subspace is
-    # the whole space, above the push's build limit; the oracle refuses.
+def test_subspace_above_the_qubit_cap_is_the_touched_block():
+    # Blocks are sought at every qubit count: at 13 qubits a basis state's
+    # subspace is its 2-state block under the XX bond, where the push builds
+    # and the kernel has the whole-space bits; the oracle, the block stacks
+    # and the dense matrix still refuse.
     n = 13
     pf = second_order((op(n, (0.7, "XX" + "I" * (n - 2))), op(n, (0.4, "Z" * n))))
     psi = basis_state(n, "01" * 6 + "0")
-    assert pf._blocks is None
-    assert np.array_equal(pf._basis(psi), np.arange(1 << n))
+    start = int(np.flatnonzero(psi)[0])
+    basis = pf._basis(psi)
+    assert basis.tolist() == sorted([start, start ^ 0b11 << (n - 2)])
     push = _BlockPower(pf, 0.1, 2, 10**6, psi[None])
-    assert np.array_equal(push._basis, np.arange(1 << n)) and push._power is None
+    assert np.array_equal(push._basis, basis) and push._power is not None
+    whole = pf._apply_on(psi, 0.1, 2, np.arange(1 << n))
+    kernel = pf.apply(psi, 0.1, 2)
+    assert np.array_equal(kernel[basis], whole[basis])
+    assert not np.delete(kernel, basis).any() and not np.delete(whole, basis).any()
+    assert np.allclose(push.apply(psi[None])[0], kernel, rtol=0.0, atol=1e-15)
     for refused in (lambda: invariant_blocks(list(pf.fragments)),
-                    lambda: SpectralOracle(pf.hamiltonian)):
+                    lambda: SpectralOracle(pf.hamiltonian),
+                    lambda: to_dense(pf.hamiltonian)):
         with pytest.raises(ResourceLimitError):
             refused()
 
