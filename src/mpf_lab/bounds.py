@@ -9,8 +9,9 @@ Pauli terms (``pauli.invariant_blocks``); no 2^n x 2^n matrix is built.  Every
 aggregate is a function of a product formula.  One composition pass over its
 slot chains builds and norms each distinct nested commutator once: in the
 formula's block form up to n = 8, and above that as Pauli sums put in block
-form for the norm, up to DENSE_QUBIT_CAP (12) qubits.  The route is fixed by
-n; larger systems are refused before any work.  The multi-product bound's
+form for the norm, up to DENSE_QUBIT_CAP (12) qubits.  One function,
+``formula_conjugated_sum``, chooses that route for a whole set of aggregates;
+larger systems are refused before any work.  The multi-product bound's
 window aggregates (the maxima of ``||Ad_H^l(U C U^dag)||`` over
 partial-product unitaries U) are certified from the same block spectra, up
 to n = 8: no unitary is built or sampled.
@@ -156,7 +157,7 @@ def formula_commutator_sum(pf: ProductFormula) -> float:
     chains a = 2..D and the compositions q_a + .. + q_D = p of its order, the
     sum of ``p!/(q_a!..q_D!) ||Ad_{G_D}^{q_D} .. Ad_{G_a}^{q_a}(G_{a-1})||``.
     A single-slot formula gives 0."""
-    return formula_conjugated_sum(pf, pf.order, 0)
+    return formula_conjugated_sum(pf, {(pf.order, 0)})[pf.order, 0]
 
 
 def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
@@ -173,11 +174,6 @@ def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
 
 # -- window aggregates over partial-product conjugations ---------------------
 
-def _check_window_cap(n: int):
-    if n > DENSE_NORM_CAP:
-        raise ResourceLimitError(f"window aggregates capped at n={DENSE_NORM_CAP}")
-
-
 class _WindowSpace:
     """A formula's window layer in block form.
 
@@ -188,7 +184,8 @@ class _WindowSpace:
     """
 
     def __init__(self, pf: ProductFormula):
-        _check_window_cap(pf.n)
+        if pf.n > DENSE_NORM_CAP:
+            raise ResourceLimitError(f"window aggregates capped at n={DENSE_NORM_CAP}")
         self.pf = pf
         ops = list(dict.fromkeys((*pf.slot_operators, pf.hamiltonian)))
         self.parts = dict(zip(ops, invariant_blocks(ops)[1]))
@@ -196,12 +193,6 @@ class _WindowSpace:
     @cached_property
     def ham_spreads(self) -> list[np.ndarray]:
         return [hi - lo for lo, hi in _block_extremes(self.parts[self.pf.hamiltonian], anti=False)]
-
-    def pieces(self, total: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Weights and stacked distinct pieces of the slot chains at depth ``total``."""
-        weights, pieces = _compositions(self.pf.slot_operators, total, self.parts.__getitem__,
-                                        _block_ad, _block_is_zero)
-        return weights, [np.stack(g) for g in zip(*pieces)]
 
     def sums(self, total: int, ells) -> dict[int, float]:
         """Window aggregates at depth ``total``, one per ell in ``ells``.
@@ -213,10 +204,11 @@ class _WindowSpace:
         itself, and ell >= 1 gives ``max_b spread_b(H)^ell spread_b(C) / 2``.
         One ``eigvalsh`` per block size serves every ell.
         """
-        weights, pieces = self.pieces(total)
+        weights, pieces = _compositions(self.pf.slot_operators, total, self.parts.__getitem__,
+                                        _block_ad, _block_is_zero)
         if not weights.size:
             return dict.fromkeys(ells, 0.0)
-        extremes = _block_extremes(pieces, anti=total % 2 == 1)
+        extremes = _block_extremes([np.stack(g) for g in zip(*pieces)], anti=total % 2 == 1)
         out = {}
         for ell in ells:
             if ell == 0:
@@ -228,25 +220,38 @@ class _WindowSpace:
         return out
 
 
-def formula_conjugated_sum(pf: ProductFormula, total: int, ell: int) -> float:
-    """Conjugation-extended commutator aggregate of a formula.
+def formula_conjugated_sum(pf: ProductFormula,
+                           needed: set[tuple[int, int]]) -> dict[tuple[int, int], float]:
+    """Conjugation-extended commutator aggregates of a formula, one for each
+    ``(depth, ell)`` pair in ``needed``.
 
-    Over the slot chains and the compositions of ``total``, the weighted sum
-    of an upper bound on the maximum of ``||Ad_H^ell (U C U^{-1})||`` over
-    partial-product unitaries U, for each composition's nested commutator C
-    (see ``_WindowSpace.sums``); it depends on neither U nor the window.
-    ell = 0 is the plain sum, since conjugation leaves a spectral norm
-    unchanged.  It runs in the window layer's block form up to DENSE_NORM_CAP
-    qubits; above that only ell = 0 is served, as Pauli sums put in block
-    form one distinct piece at a time.
+    Each is, over the slot chains and the compositions of ``depth``, the
+    weighted sum of an upper bound on the maximum of
+    ``||Ad_H^ell (U C U^{-1})||`` over partial-product unitaries U, for each
+    composition's nested commutator C (see ``_WindowSpace.sums``); it depends
+    on neither U nor the window.  ell = 0 is the plain sum, since
+    conjugation leaves a spectral norm unchanged.
+
+    The one route decision, made once for the whole set: up to
+    DENSE_NORM_CAP qubits, or when any ell >= 1, one window layer in block
+    form (which refuses a larger n before any work) serves every pair, with
+    one ``eigvalsh`` per depth and block size for all its ells.  Otherwise
+    each depth's plain sum nests as Pauli sums, each distinct piece put in
+    block form for its norm.
     """
-    if pf.n <= DENSE_NORM_CAP or ell:
-        return _WindowSpace(pf).sums(total, [ell])[ell]
+    depths = sorted({depth for depth, _ in needed})
+    if pf.n <= DENSE_NORM_CAP or any(ell for _, ell in needed):
+        space = _WindowSpace(pf)
+        return {(depth, ell): value for depth in depths for ell, value in
+                space.sums(depth, sorted(ell for d, ell in needed if d == depth)).items()}
     # The Pauli-sum nesting does its algebra before any block work.
     _check_qubit_cap(pf.n)
-    weights, pieces = _compositions(pf.slot_operators, total, lambda op: op, _symbolic_ad,
-                                    lambda op: op.is_empty)
-    return float(weights @ np.array([spectral_norm_symbolic(c) for c in pieces]))
+    out = {}
+    for depth in depths:
+        weights, pieces = _compositions(pf.slot_operators, depth, lambda op: op, _symbolic_ad,
+                                        lambda op: op.is_empty)
+        out[depth, 0] = float(weights @ np.array([spectral_norm_symbolic(c) for c in pieces]))
+    return out
 
 
 # -- the multi-product error bound -------------------------------------------
@@ -272,10 +277,11 @@ class MixtureBoundEvaluator:
     """Evaluates the multi-product bound for one (scheme, formula) pair.
 
     The window aggregates depend on neither the partial-product unitaries nor
-    t, so the constructor builds every aggregate and the coefficients a1, a2
-    and a3 once, from one ``eigvalsh`` per commutator depth and block size;
-    each time point is then arithmetic only.  The a3 coefficient uses |B_l|
-    so every term stays a nonnegative bound contribution, and the window
+    t, so the constructor reads every aggregate the bound needs from one
+    :func:`formula_conjugated_sum` call, which refuses n above
+    DENSE_NORM_CAP before any work, and forms a1, a2 and a3 once; each time
+    point is then arithmetic only.  The a3 coefficient uses |B_l| so every
+    term stays a nonnegative bound contribution, and the window
     aggregates are certified upper bounds (see ``_WindowSpace.sums``), so
     ``at(t)`` is an upper bound at every t >= 0.  The fixed quantities are
     attributes: ``commutator_sum``, ``a1``, ``a2``, ``a3`` and the named
@@ -289,33 +295,18 @@ class MixtureBoundEvaluator:
         if refusal := mixture_bound_refusal(scheme):
             raise ValueError(refusal)
         self.scheme = scheme
-        space = _WindowSpace(pf)
-        # (commutator depth, ell) of every aggregate the bound reads.
-        needed = {(p, 0), (2 * p, 0), (p, p)} | {
-            (2 * p - ell, ell - 1) for ell in range(1, p + 1) if bernoulli(ell) != 0}
-        values: dict[tuple[int, int], float] = {}
-        for depth in sorted({d for d, _ in needed}):
-            ells = sorted(ell for d, ell in needed if d == depth)
-            values.update(((depth, ell), v) for ell, v in space.sums(depth, ells).items())
+        # (commutator depth, ell) of every window aggregate the bound reads.
+        window = [(p, p)] + [(2 * p - ell, ell - 1) for ell in range(1, p + 1) if bernoulli(ell)]
+        values = formula_conjugated_sum(pf, {(p, 0), (2 * p, 0), *window})
         self.commutator_sum = values[p, 0]
+        self.aggregates = {f"conj_comm_{2 * p}_0_at0": values[2 * p, 0],
+                           **{f"conj_comm_{d}_{ell}_window": values[d, ell] for d, ell in window}}
         self.a1 = 8.0 * (self.commutator_sum / math.factorial(p + 1)) ** 2
-        window_free_sum = values[2 * p, 0]
-        self.aggregates = {f"conj_comm_{2 * p}_0_at0": window_free_sum}
-        b_pp = values[p, p]
-        self.aggregates[f"conj_comm_{p}_{p}_window"] = b_pp
-        self.a2 = (
-            4.0 * window_free_sum / math.factorial(2 * p)
-            + 8.0 * b_pp / ((2.0 * math.pi) ** p * math.factorial(p))
-        )
-        a3 = 0.0
-        for ell in range(1, p + 1):
-            bl = abs(float(bernoulli(ell)))
-            if bl == 0.0:
-                continue
-            b_val = values[2 * p - ell, ell - 1]
-            self.aggregates[f"conj_comm_{2 * p - ell}_{ell - 1}_window"] = b_val
-            a3 += bl * b_val / (math.factorial(ell) * math.factorial(2 * p - ell))
-        self.a3 = 4.0 * a3
+        self.a2 = (4.0 * values[2 * p, 0] / math.factorial(2 * p)
+                   + 8.0 * values[p, p] / ((2.0 * math.pi) ** p * math.factorial(p)))
+        self.a3 = 4.0 * sum(abs(float(bernoulli(ell))) * values[2 * p - ell, ell - 1]
+                            / (math.factorial(ell) * math.factorial(2 * p - ell))
+                            for ell in range(1, p + 1) if bernoulli(ell))
 
     def at(self, t: float) -> float:
         """The bound ``prefactor (a1 t^(2p+2) + a2 t^(2p+1) + a3 t^(2p))`` at time t >= 0."""

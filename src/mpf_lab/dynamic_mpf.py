@@ -63,9 +63,12 @@ def _states_on_grid(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarr
     """Yield ``(states, exact)`` at each time in turn: :func:`trotter_states`
     and the exact state ``oracle.evolve(psi_in, t)``, each computed by its
     grid form in batches of whole grid points: as many as fit one block of
-    kernel rows (``ProductFormula._rows_per_call``), and at least one."""
+    kernel rows (``ProductFormula._rows_per_call``), and at least one.  A
+    series too long for the largest |t| is refused before the first batch
+    (``SpectralOracle.check_series``)."""
     times = np.asarray(times, dtype=float)
     steps = list(steps)
+    oracle.check_series(psi_in, times)
     size = max(1, pf._rows_per_call(np.asarray(psi_in)) // max(1, len(steps)))
     for lo in range(0, times.size, size):
         batch = times[lo:lo + size]

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamic_mpf as dmp
-from .bounds import (MixtureBoundEvaluator, _check_window_cap, formula_commutator_sum,
-                     mixture_bound_refusal, product_formula_error_bound)
+from .bounds import (MixtureBoundEvaluator, formula_commutator_sum, mixture_bound_refusal,
+                     product_formula_error_bound)
 from .formulas import fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
@@ -281,8 +281,6 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     if mode == "on" and refusal:
         raise ValueError(refusal)
     with_bound = refusal is None and (mode == "on" or mode == "auto" and cfg["n"] <= 4)
-    if with_bound:
-        _check_window_cap(cfg["n"])
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
     commutator_sum = evaluator.commutator_sum if with_bound else formula_commutator_sum(pf)

@@ -22,7 +22,9 @@ from .errors import ResourceLimitError
 
 _VALID = frozenset("IXYZ")
 
-# Maximum qubit count for dense materialization (4096 x 4096).
+# Most qubits for exact operator work on all 2^n basis states: ``to_dense``
+# (4096 x 4096 at the cap), ``invariant_blocks``, the norms of Pauli sums, and
+# ``statesim.SpectralOracle``, whose series runs on the subspace a state touches.
 DENSE_QUBIT_CAP = 12
 
 
@@ -236,7 +238,8 @@ def to_dense(op: PauliSumOp) -> np.ndarray:
     return mat
 
 
-def _partition(ops: list[PauliSumOp]) -> list[np.ndarray]:
+def _partition(ops: list[PauliSumOp],
+               couplings: Iterable[dict[int, np.ndarray]] | None = None) -> list[np.ndarray]:
     """Common invariant blocks of a set of Pauli sums, at any qubit count:
     one ``(count, size)`` array of ascending basis indices per block size,
     in ascending size.
@@ -247,13 +250,17 @@ def _partition(ops: list[PauliSumOp]) -> list[np.ndarray]:
     permutation of the basis, so a sweep is one masked minimum per mask, in
     place, which needs fewer sweeps (three from the Neel state at n=10 and
     12, against five and six with the labels of the last sweep).
-    Memory is a few arrays of 2^n entries and one operator's couplings.
+    ``couplings`` holds every operator's couplings on all 2^n states when
+    the caller has read them; else they are read one operator at a time, and
+    memory is a few arrays of 2^n entries and one operator's couplings.
     """
     idx = np.arange(1 << ops[0].n)
+    if couplings is None:
+        couplings = (_couplings(op, idx) for op in ops)
     # Pauli sums are Hermitian, so a pair is linked from both of its ends.
     linked: dict[int, np.ndarray] = {}
-    for op in ops:
-        for x_mask, coupling in _couplings(op, idx).items():
+    for groups in couplings:
+        for x_mask, coupling in groups.items():
             if x_mask:
                 linked[x_mask] = linked.get(x_mask, False) | (coupling != 0)
     label = idx.copy()
@@ -289,8 +296,9 @@ def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list
     match bit for bit.  n above DENSE_QUBIT_CAP is refused before any work.
     """
     _check_qubit_cap(ops[0].n)
-    blocks = _partition(ops)
     states = np.arange(1 << ops[0].n)
+    couplings = [_couplings(op, states) for op in ops]
+    blocks = _partition(ops, couplings)
     # Entry (r, c) of a block sits at row_at[r] + col_at[c] of one flat
     # buffer that holds every block size's stack in turn.
     row_at, col_at = np.empty_like(states), np.empty_like(states)
@@ -302,9 +310,9 @@ def invariant_blocks(ops: list[PauliSumOp]) -> tuple[list[np.ndarray], list[list
         col_at[idx] = local
         offsets.append(offsets[-1] + count * size * size)
     parts = []
-    for op in ops:
+    for groups in couplings:
         flat = np.zeros(offsets[-1], dtype=complex)
-        for x_mask, coupling in _couplings(op, states).items():
+        for x_mask, coupling in groups.items():
             # Only nonzero couplings: a zero one may pair a state with one in
             # another block, and would land on an entry of this one.
             keep = np.flatnonzero(coupling)

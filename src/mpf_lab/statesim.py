@@ -214,9 +214,10 @@ def _subspace(blocks: list[np.ndarray], states: np.ndarray) -> np.ndarray:
 # drop: the rigorous bound on the dropped terms sums to no more than this.
 _TAIL = 2.0 ** -53
 
-# Amplitudes (series terms x subspace states) that one Chebyshev series may
-# hold, 128 MB; a longer series is refused before any matrix-vector product.
-# The chain's 924-state sector at n=12 reaches it near t = 350.
+# Amplitudes (K series vectors x S subspace states) that one Chebyshev series
+# may hold, 128 MB; a longer series is refused before any matrix-vector
+# product (``_check_series``).  From the Neel state the chain's sector reaches
+# it near t = 258 at n=12 (924 states) and t = 1,150 at n=10 (252 states).
 _SERIES_MAX = 1 << 23
 
 
@@ -235,6 +236,18 @@ def _terms(x: float, tail: float) -> int:
         k += 1
         log_dropped += step - math.log(k)
     return k
+
+
+def _check_series(x: float, size: int):
+    """Refuse the series of ``exp(-i x y)`` on ``size`` states when its
+    K = ``_terms(x, _TAIL)`` vectors would hold more than :data:`_SERIES_MAX`
+    amplitudes.  K >= x, so x times ``size`` above the cap is refused
+    without counting K."""
+    count = None if x * size > _SERIES_MAX else _terms(x, _TAIL)
+    if count is None or count * size > _SERIES_MAX:
+        raise ResourceLimitError(
+            f"a Chebyshev series of {count or f'at least {x:.0f}'} terms on {size} states "
+            f"exceeds the cap of {_SERIES_MAX} amplitudes")
 
 
 def _bessel(x: float) -> np.ndarray:
@@ -326,10 +339,7 @@ class _ChebyshevBlock:
         Every row must keep the norm of ``psi`` to 1e-12 of it.
         """
         xs = self.half * np.abs(times)
-        if xs.max() * psi.size > _SERIES_MAX:
-            raise ResourceLimitError(
-                f"a Chebyshev series of about {xs.max():.3g} terms on {psi.size} states "
-                f"exceeds the cap of {_SERIES_MAX} amplitudes")
+        _check_series(float(xs.max()), psi.size)
         values = [_series(x) for x in xs]
         count = max(j.size for j in values)
         vectors = np.empty((count, psi.size), dtype=complex)
@@ -378,6 +388,23 @@ class SpectralOracle:
         """H on the invariant subspace ``basis``."""
         return _ChebyshevBlock(self._hamiltonian, basis)
 
+    def _kept(self, basis: np.ndarray) -> _ChebyshevBlock:
+        """H on the invariant subspace ``basis``, built on first use and kept."""
+        key = basis.tobytes()
+        if key not in self._blocks:
+            self._blocks[key] = self._operator(basis)
+        return self._blocks[key]
+
+    def check_series(self, state: np.ndarray, t) -> None:
+        """Refuse, before any evolution, the series that ``evolve(state, t)``
+        would refuse as too long, at the largest |t| of ``t``.  Only H on the
+        subspace ``state`` touches is built (and kept), for its half-width;
+        no Chebyshev vector is made."""
+        longest = float(np.abs(np.asarray(t, dtype=float)).max(initial=0.0))
+        basis = _subspace(self._groups, np.asarray(state))
+        if longest and basis.size:
+            _check_series(self._kept(basis).half * longest, basis.size)
+
     def evolve(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t H) |state>; at t = 0 the input exactly.
 
@@ -400,10 +427,7 @@ class SpectralOracle:
         basis = _subspace(self._groups, state)
         # Nothing is built when every time is zero, or for a zero state.
         if moving.size and basis.size:
-            key = basis.tobytes()
-            if key not in self._blocks:
-                self._blocks[key] = self._operator(basis)
-            out[np.ix_(moving, basis)] = self._blocks[key].evolve(state[basis], grid[moving])
+            out[np.ix_(moving, basis)] = self._kept(basis).evolve(state[basis], grid[moving])
         out[grid == 0.0] = state
         return out if times.ndim else out[0]
 

@@ -122,7 +122,8 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
     lexicographic tuple).
 
     Ranking uses a float solve; the returned schemes are re-solved exactly.
-    ``kappa_cap`` drops tuples whose condition number exceeds the ceiling.
+    ``kappa_cap`` drops tuples whose coefficient 1-norm ``kappa = sum |c_i|``
+    exceeds it.
     Only the best ``limit`` are kept while ranking (all for None).
     """
     if p < 1:

@@ -23,7 +23,7 @@ from mpf_lab import (
     suzuki,
     to_dense,
 )
-from mpf_lab import bounds
+from mpf_lab import bounds, pauli
 from mpf_lab.bounds import (
     MixtureBoundEvaluator,
     _block_norms,
@@ -119,6 +119,17 @@ def helper_cases():
     cases.append([PauliSumOp.from_terms(
         2, [(0.3, PauliString("IZ")), (0.5, PauliString("XX")), (0.5, PauliString("YY"))])])
     return cases
+
+
+def test_invariant_blocks_reads_each_operators_couplings_once(monkeypatch):
+    # The block search and the placement share one read per operator.
+    ops = window_ops(chain_formula(6))
+    reads = []
+    couplings = pauli._couplings
+    monkeypatch.setattr(pauli, "_couplings",
+                        lambda op, idx: reads.append(op) or couplings(op, idx))
+    invariant_blocks(ops)
+    assert reads == ops
 
 
 @pytest.mark.parametrize("ops", helper_cases())
@@ -240,9 +251,34 @@ def test_window_certificate_bounds_every_sampled_conjugation(make, n):
         for _, sampled, cert in terms:
             assert sampled <= cert + 1e-12 * scale
         ref = sum(weight * cert for weight, _, cert in terms)
-        got = formula_conjugated_sum(pf, total, ell)
+        got = formula_conjugated_sum(pf, {(total, ell)})[total, ell]
         assert ref > 0
         assert abs(got - ref) <= 1e-12 * ref
+
+
+def even_odd_suzuki(n):
+    """The chain's p=4 Suzuki formula on two fragments: the odd bonds, and
+    the even bonds with the fields.  (On the five-fragment split of
+    :func:`chain_formula` the n=3 evaluator alone takes about 25 s.)"""
+    h_op, _ = build_heisenberg_chain(n, 2024)
+    odd = [len(ps.support) == 2 and min(ps.support) % 2 == 1 for _, ps in h_op.terms]
+    frags = [PauliSumOp.from_terms(n, [t for t, o in zip(h_op.terms, odd) if o == want])
+             for want in (False, True)]
+    return suzuki(second_order(frags), 4)
+
+
+@pytest.mark.parametrize("p, n, steps", [(2, 4, (4, 13, 17)), (2, 6, (4, 13, 17)),
+                                         (4, 3, (2, 4, 6, 8, 10))])
+def test_evaluator_reads_each_aggregate_from_the_conjugated_sum(p, n, steps):
+    # One call for the whole set gives each aggregate the bits of a call
+    # for that aggregate alone.
+    pf = even_odd_suzuki(n) if p == 4 else chain_formula(n)
+    evaluator = MixtureBoundEvaluator(solve_coefficients(p, steps), pf)
+    assert evaluator.commutator_sum == formula_conjugated_sum(pf, {(p, 0)})[p, 0]
+    assert len(evaluator.aggregates) == (4 if p == 2 else 5)
+    for name, value in evaluator.aggregates.items():
+        depth, ell = map(int, name.split("_")[2:4])
+        assert value == formula_conjugated_sum(pf, {(depth, ell)})[depth, ell]
 
 
 def test_certified_window_columns_stay_within_4x_of_sampled(chain4):
@@ -300,7 +336,7 @@ def test_dense_cap_checked_before_any_work(monkeypatch):
     with pytest.raises(ResourceLimitError, match="capped"):
         MixtureBoundEvaluator(scheme, pf)
     with pytest.raises(ResourceLimitError, match="capped"):
-        formula_conjugated_sum(pf, 2, 1)
+        formula_conjugated_sum(pf, {(2, 1)})[2, 1]
 
 
 def test_symbolic_norms_exact_at_11_qubits():
@@ -442,13 +478,13 @@ def test_plain_sums_build_no_slot_eigendecomposition(monkeypatch, n):
     pf = chain_formula(n)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     assert formula_commutator_sum(pf) > 0
-    assert formula_conjugated_sum(pf, 2, 0) > 0
+    assert formula_conjugated_sum(pf, {(2, 0)})[2, 0] > 0
 
 
 def test_plain_conjugated_sum_on_the_pauli_sum_route():
     # ell = 0 is the plain sum, so it needs no window layer and runs at n = 9.
     pf = chain_formula(9)
-    assert formula_conjugated_sum(pf, 2, 0) == formula_commutator_sum(pf)
+    assert formula_conjugated_sum(pf, {(2, 0)})[2, 0] == formula_commutator_sum(pf)
 
 
 def test_symbolic_cap_checked_before_any_work(monkeypatch):

@@ -185,7 +185,7 @@ def test_alpha_above_block_route_cap():
 def test_beta_degenerate_window_matches_alpha(chain4):
     pf, _, _ = three_fragment_case(chain4)
     a = formula_commutator_sum(pf)
-    b = formula_conjugated_sum(pf, 2, 0)
+    b = formula_conjugated_sum(pf, {(2, 0)})[2, 0]
     assert abs(a - b) < 1e-10 * max(1.0, a)
 
 
@@ -195,7 +195,7 @@ def test_beta_conjugation_invariance_l0(chain4):
     same eigenvalues as its ell >= 1 terms, is the plain sum bit for bit."""
     pf, _, _ = three_fragment_case(chain4)
     window = bounds._WindowSpace(pf).sums(2, [0, 1])
-    assert window[0] == formula_conjugated_sum(pf, 2, 0)
+    assert window[0] == formula_conjugated_sum(pf, {(2, 0)})[2, 0]
 
 
 # -- the mixture bound ------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpf_lab import cli, dynamic_mpf, experiments, static_mpf
+from mpf_lab import bounds, cli, dynamic_mpf, experiments, formulas, static_mpf, statesim
 from mpf_lab.cli import main
 from mpf_lab.experiments import SCENARIOS
 
@@ -123,7 +123,12 @@ def test_resource_cap_exit_code(capsys):
 
 @pytest.mark.parametrize("n", [9, 12])
 def test_mixture_bound_cap_refused_before_the_sweep(n, capsys, monkeypatch):
+    # The evaluator is built right after the formula, and its window layer
+    # refuses n > 8 before any bound or state work.
     monkeypatch.setattr(experiments, "_sweep_grid", lambda *a: pytest.fail("sweep ran"))
+    monkeypatch.setattr(experiments, "SpectralOracle", lambda *a: pytest.fail("oracle built"))
+    for name in ("_compositions", "invariant_blocks", "formula_commutator_sum"):
+        monkeypatch.setattr(bounds, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     code, out, err = run_cli(["mpf-sweep", "--set", f"n={n}", "--set", "bounds=on",
                               "--set", "t_count=1"], capsys)
     assert code == 3
@@ -181,6 +186,38 @@ def test_overflowing_grid_time_is_refused_before_any_state(scenario, capsys, mon
     code, _, _ = run_cli([scenario, "--set", "n=4", "--set", "t_count=2"], capsys)
     assert code == 0
     assert {"batch", "exact"} <= set(calls)
+
+
+@pytest.mark.parametrize("args, made", [
+    (["trotter-sweep", "--set", "n=4"], {"batch", "apply"}),
+    (["minimax-shootout", "--set", "n=4", "--set", "t_final=2", "--set", "dt=0.25"],
+     {"batch", "apply", "step"}),
+])
+def test_overlong_series_is_refused_before_any_state(args, made, capsys, monkeypatch):
+    # The n=4 Neel sector has 6 states, and a series of K terms holds 6 K
+    # amplitudes: 228 at t = 1.5 and 264 at t = 2.  A cap of 250 refuses
+    # only the grid's last times; each batch holds one grid point.
+    calls = []
+    batch, step = dynamic_mpf.trotter_states, dynamic_mpf.minimax_step
+    apply = statesim.FragmentEvolver.apply
+    monkeypatch.setattr(dynamic_mpf, "trotter_states",
+                        lambda *a: calls.append("batch") or batch(*a))
+    monkeypatch.setattr(dynamic_mpf, "minimax_step", lambda *a: calls.append("step") or step(*a))
+    monkeypatch.setattr(statesim.FragmentEvolver, "apply",
+                        lambda *a: calls.append("apply") or apply(*a))
+    monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", 1)
+    with monkeypatch.context() as capped:
+        capped.setattr(statesim, "_SERIES_MAX", 250)
+        code, out, err = run_cli(args, capsys)
+    assert code == 3
+    assert err.startswith("resource limit: a Chebyshev series of ") and err.count("\n") == 1
+    assert out == ""
+    assert calls == []
+    # A valid run goes through every wrapped function it uses, so an empty
+    # record above means that the check came first.
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    assert made <= set(calls)
 
 
 def test_mpf_sweep_checks_the_grid_before_the_window_cap(capsys, monkeypatch):

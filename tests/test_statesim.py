@@ -371,6 +371,24 @@ def test_oracle_dimension_checks(chain4):
         SpectralOracle(big)
 
 
+def test_series_cap_counts_the_vectors_it_holds(chain4, monkeypatch):
+    # At t = 1 the 6-state Neel sector's series keeps K = 31 terms for
+    # x = 6.98: a cap between x S and K S refuses it, and K S admits it.
+    oracle = SpectralOracle(chain4.hamiltonian)
+    basis = statesim._subspace(oracle._groups, chain4.psi)
+    x = oracle._kept(basis).half
+    terms = statesim._terms(x, statesim._TAIL)
+    assert x * basis.size < terms * basis.size - 1
+    monkeypatch.setattr(statesim, "_SERIES_MAX", terms * basis.size - 1)
+    for refused in (lambda: oracle.evolve(chain4.psi, np.array([0.5, -1.0])),
+                    lambda: oracle.check_series(chain4.psi, np.array([0.5, -1.0]))):
+        with pytest.raises(ResourceLimitError, match=f"of {terms} terms on {basis.size} states"):
+            refused()
+    monkeypatch.setattr(statesim, "_SERIES_MAX", terms * basis.size)
+    oracle.check_series(chain4.psi, np.array([0.5, -1.0]))
+    assert np.array_equal(oracle.evolve(chain4.psi, -1.0), chain4.oracle.evolve(chain4.psi, -1.0))
+
+
 def test_oracle_takes_a_list_state(chain4):
     # As the kernel and the formulas do.
     for t in (0.7, np.array([0.0, -1.3, 0.7])):
