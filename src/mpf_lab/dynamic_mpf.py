@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDegeneracyError, ResourceLimitError, SolverError
-from .formulas import ProductFormula, _BlockPower
+from .formulas import ProductFormula, _BlockPower, _Walk
 from .statesim import SpectralOracle, mixture_frobenius_sq
 
 RIDGE = 1e-12
@@ -34,56 +34,27 @@ def _check_grid(count: int):
 
 # -- overlap data ------------------------------------------------------------
 
-def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t, steps):
-    """States S(t/k_i)^{k_i} |psi_in> for each step count, run as one block.
-
-    For a scalar ``t`` this is the list of the r states.  For a 1-D array of
-    times it is a list of one such list per time, from one block whose rows
-    are the (time, step count) pairs with time ``t_j / k_i``; each time's
-    states own their memory, so holding one time keeps no other alive.
-    ``ProductFormula.apply`` works on each row alone, so every state has the
-    same bits as from the scalar form.
-    """
+def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t: float, steps):
+    """The states S(t/k_i)^{k_i} |psi_in> for each step count, of 2^n
+    amplitudes, run as one block (``ProductFormula.apply``).  A run takes
+    the same states, bit for bit, in its subspace's coordinates from
+    ``formulas._Walk``."""
     ks = np.array([int(k) for k in steps], dtype=int)
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array of times")
     if ks.size and ks.min() < 1:
         raise ValueError("step count k must be >= 1")
     psi_in = np.asarray(psi_in)
-    r = ks.size
-    block = pf.apply(np.broadcast_to(psi_in, (r * times.size, psi_in.size)),
-                     (times.reshape(-1, 1) / ks).ravel(), np.tile(ks, times.size))
-    per_time = [list(block[j * r:(j + 1) * r].copy()) for j in range(times.size)]
-    return per_time[0] if times.ndim == 0 else per_time
-
-
-def _states_on_grid(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
-                    times, steps):
-    """Yield ``(states, exact)`` at each time in turn: :func:`trotter_states`
-    and the exact state ``oracle.evolve(psi_in, t)``, each computed by its
-    grid form in batches of whole grid points: as many as fit one block of
-    kernel rows (``ProductFormula._rows_per_call``), and at least one.  A
-    series too long for the largest |t| is refused before the first batch
-    (``SpectralOracle.check_series``)."""
-    times = np.asarray(times, dtype=float)
-    steps = list(steps)
-    oracle.check_series(psi_in, times)
-    size = max(1, pf._rows_per_call(np.asarray(psi_in)) // max(1, len(steps)))
-    for lo in range(0, times.size, size):
-        batch = times[lo:lo + size]
-        yield from zip(trotter_states(pf, psi_in, batch, steps), oracle.evolve(psi_in, batch))
+    return list(pf.apply(np.broadcast_to(psi_in, (ks.size, psi_in.size)), float(t) / ks, ks))
 
 
 def _overlaps_sq(bra, ket) -> np.ndarray:
     """``|<bra_i|ket_j>|^2`` for every pair, each sum in one fixed order by
     ``np.einsum`` (no BLAS, so the bits do not depend on the BLAS thread
-    count); each side is a list of states or an ``(r, 2^n)`` array of rows."""
+    count); each side is a list of states or an ``(r, dim)`` array of rows."""
     return np.abs(np.einsum("ij,kj->ik", np.conj(bra), np.asarray(ket))) ** 2
 
 
 def gram_from_states(states: list[np.ndarray]) -> np.ndarray:
-    if not states:
+    if len(states) == 0:
         return np.empty((0, 0))
     upper = np.triu(_overlaps_sq(states, states), 1)
     m = upper + upper.T
@@ -96,21 +67,21 @@ def gram_matrix(pf: ProductFormula, psi_in: np.ndarray, t: float, steps) -> np.n
     return gram_from_states(trotter_states(pf, psi_in, t, steps))
 
 
-def q_from_states(push: _BlockPower, states_prev: list[np.ndarray],
-                  states_next: list[np.ndarray]) -> np.ndarray:
+def q_from_states(push: _BlockPower, states_prev, states_next) -> np.ndarray:
     """Propagation overlaps ``Q[i, s] = |<psi_i(t+dt)| S(dt/k0)^k0 |psi_s(t)>|^2``
     between the next states and the previous ones pushed forward by
     ``push``, the run's ``S(dt/k0)^k0`` (``formulas._BlockPower``), all
-    previous states as one block.
+    previous states as one block.  Both sides are ``(r, S)`` rows in the
+    coordinates of the push's subspace.
 
-    The push is made with the rows of the run's first push and decides then,
-    for the whole run, whether every push runs through the kernel, k0 steps
-    on each state, or through ``S(dt/k0)^k0`` built on the subspace those
-    rows touch (``_BlockPower`` states the rule and its thresholds).
-    The choice follows from the sizes and the number of pushes alone, so the
-    output bits do not depend on timing or on the BLAS thread count.
+    The push is made with the run's number of pushes and decides then, for
+    the whole run, whether every push runs through the kernel, k0 steps on
+    each state, or through ``S(dt/k0)^k0`` built on its subspace
+    (``_BlockPower`` states the rule and its thresholds).  The choice
+    follows from the sizes and the number of pushes alone, so the output
+    bits do not depend on timing or on the BLAS thread count.
     """
-    return _overlaps_sq(states_next, push.apply(np.array(states_prev)))
+    return _overlaps_sq(states_next, push.apply(np.asarray(states_prev)))
 
 
 def l_exact(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
@@ -369,18 +340,17 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
                 k0: int, c0, seed: int) -> MinimaxRun:
     """Track robust mixture coefficients on the uniform grid t_0 + j dt.
 
-    The r circuit states of consecutive grid points run as one Trotter batch
-    (the grid form of :func:`trotter_states`) on the invariant subspace that
-    ``psi_in`` touches, as many points per batch as fit one block of kernel
-    rows and at least one; the states are those of one point at a time,
-    bit for bit.  The exact states of a batch come from one grid-form
-    ``oracle.evolve``.  From the second point on, the
-    propagation overlaps push the previous states forward by
+    The run's states come from one walk (``formulas._Walk``) in the
+    coordinates of the invariant subspace that ``psi_in`` touches: the r
+    circuit states of a few grid points at a time as one Trotter batch, and
+    the exact states from one set of Chebyshev vectors, made for the last
+    grid time before the first Trotter state.  From the second point on,
+    the propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
-    push is made at the first of them, from the first point's states and
-    the number of grid steps, and decides there whether every push runs
-    through the kernel or through the power it builds on the subspace those
-    states touch (``formulas._BlockPower`` gives the thresholds).  Surrogate
+    push is made at the first of them by the walk, from the number of grid
+    steps, and decides there whether every push runs through the kernel or
+    through the power it builds on the subspace (``formulas._BlockPower``
+    gives the thresholds).  Surrogate
     data are generated per step from the exact overlaps with seeded,
     spectral-norm-bounded Gaussian noise; the estimate is advanced by
     :func:`minimax_step`.  Exact-data projections are recorded alongside for
@@ -423,11 +393,11 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     )
 
     states = push = None
-    grid = _states_on_grid(pf, oracle, psi_in, times, steps)
-    for j, (t, (states_next, exact)) in enumerate(zip(times, grid)):
+    walk = _Walk(pf, oracle, psi_in, times, steps)
+    for j, (states_next, exact) in enumerate(walk):
         m_now = gram_from_states(states_next)
         if j == 1:
-            push = _BlockPower(pf, dt / k0, k0, n_steps, np.array(states))
+            push = walk.push(dt / k0, k0, n_steps)
         q_now = np.zeros((r, r)) if j == 0 else q_from_states(push, states, states_next)
         noisy = inject_noise(m_now, q_now, eps, np.random.SeedSequence(seed, spawn_key=(j,)))
         run.m_bars.append(noisy.m_bar)

@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamic_mpf as dmp
 from .bounds import (MixtureBoundEvaluator, formula_commutator_sum, mixture_bound_refusal,
                      product_formula_error_bound)
-from .formulas import fragment_by_commuting_groups, second_order, suzuki
+from .formulas import _Walk, fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
 from .statesim import SpectralOracle, mixture_frobenius_sq, mixture_trace_norm, neel_state
@@ -235,21 +235,25 @@ def _mpf_fit(p: int, n: int, t: float, objective: float) -> float:
 
 
 def _sweep_grid(pf, grid: np.ndarray, steps, columns):
-    """A sweep's walk over the time grid: ``(t, states, exact)`` with the
-    Trotter states of the step counts ``steps`` and the exact state, both
-    from the Néel state and computed a batch of grid points at a time.  At
-    t = 0 both are None, since every circuit reproduces the initial state.
+    """A sweep's walk over the time grid (``formulas._Walk``): ``(t, states,
+    exact)`` with the Trotter states of the step counts ``steps`` and the
+    exact state, both from the Néel state, in the coordinates of its
+    subspace and computed a batch of grid points at a time.  At t = 0 both
+    are None, since every circuit reproduces the initial state.
 
     ``columns(t)`` gives a time's bound and fit columns, which grow with t.
     It is called first at the largest grid time, so a time whose columns
-    overflow is refused before any state is computed."""
+    overflow is refused before any state is computed, and a series too long
+    for it is refused next, when the walk is made."""
     columns(float(grid.max()))
-    oracle = SpectralOracle(pf.hamiltonian)
-    batches = dmp._states_on_grid(pf, oracle, neel_state(pf.n), grid[grid != 0.0], steps)
-    return ((t, None, None) if t == 0.0 else (t, *next(batches)) for t in map(float, grid))
+    walk = iter(_Walk(pf, SpectralOracle(pf.hamiltonian), neel_state(pf.n),
+                      grid[grid != 0.0], steps))
+    return ((t, None, None) if t == 0.0 else (t, *next(walk)) for t in map(float, grid))
 
 
 def _run_trotter_sweep(cfg: dict) -> CsvDoc:
+    if not cfg["k_list"]:
+        raise ValueError("k_list must hold at least one step count")
     if any(k < 1 for k in cfg["k_list"]):
         raise ValueError("step counts in k_list must be >= 1")
     grid = time_grid(cfg)
@@ -297,7 +301,7 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
             rows.append([t, 0.0, 0.0, 0.0, 0.0 if with_bound else None, 0.0])
             continue
         trotter_err = mixture_trace_norm([states[-1], exact], [1.0, -1.0])
-        mpf_err = mixture_trace_norm(states + [exact], list(scheme.coefficients) + [-1.0])
+        mpf_err = mixture_trace_norm([*states, exact], list(scheme.coefficients) + [-1.0])
         rows.append([t, trotter_err, mpf_err, *columns(t)])
     header = ["t", "trotter_error_best_k", "mpf_error", "trotter_bound", "mpf_bound", "fit_value"]
     return CsvDoc(_config_comments("mpf-sweep", cfg), header, rows)
@@ -356,6 +360,8 @@ def _run_minimax_shootout(cfg: dict) -> tuple[CsvDoc, CsvDoc | None]:
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
     subset = cfg["static_subset"]
+    if not subset:
+        raise ValueError("static_subset must hold at least one index")
     if any(i < 0 or i >= len(steps) for i in subset):
         raise ValueError("static_subset indexes outside the step tuple")
     if any(b <= a for a, b in zip(subset, subset[1:])):

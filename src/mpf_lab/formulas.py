@@ -7,11 +7,11 @@ recipe always approximates ``exp(-i t H)`` with ``H`` the fragment sum.
 
 Every state a formula makes from a start state stays in the common invariant
 blocks of the fragments that the start touches, whose sorted basis indices
-(``statesim._subspace``) are the one subspace of the state path.
-``ProductFormula.apply`` takes and returns states of 2^n amplitudes and runs
-the kernel on that subspace alone, and a block-power build runs it there
-too.  Whether a run of pushes builds is decided in :class:`_BlockPower`,
-which multiplies its power by tiled products (:func:`_products`).
+(``statesim._subspace``) are the one subspace of the state path.  A run
+(:class:`_Walk`) finds it once and carries its Trotter states, its exact
+states and its pushes (:class:`_BlockPower`, built by tiled products,
+:func:`_products`) in its coordinates.  ``ProductFormula.apply`` is the
+2^n-amplitude form of the same kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, _subspace
+from .statesim import FragmentEvolver, SpectralOracle, _subspace
 
 SUZUKI_ORDERS = (4, 6)
 # Amplitudes (rows x the amplitudes of the space the kernel runs on) in one
@@ -144,11 +144,6 @@ class ProductFormula:
         out[..., basis] = self._apply_on(state[..., basis], t, k, basis)
         return out
 
-    def _rows_per_call(self, states: np.ndarray) -> int:
-        """Rows of the subspace ``states`` (``(..., 2^n)``) touches that fit
-        one block of kernel rows (:func:`_kernel_rows`)."""
-        return _kernel_rows(self._basis(states).size)
-
     def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray) -> np.ndarray:
         """:meth:`apply` on ``(S,)`` or ``(r, S)`` states in the coordinates
         of ``basis``, the S sorted indices of a union of common invariant
@@ -256,47 +251,40 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _BlockPower:
     """``S(t)^k`` of a formula for one ``(t, k)`` and a known number of
-    pushes, run either step by step through the kernel or through its power
-    built on the subspace that the rows of the first push touch
-    (``ProductFormula._basis``).
+    pushes of ``count`` states each, on the states of ``basis``, the sorted
+    indices of a union of common invariant blocks of the fragments
+    (``ProductFormula._basis``): run either step by step through the kernel
+    or through its power built on that subspace.
 
-    The constructor takes those rows and decides, once and for every push,
-    which of the two it is.  It builds if all the pushes through the
-    kernel, k steps on each state, would cost at least as much as building
-    the power (a kernel step on each basis state of the subspace, and the
-    products of the squaring), and then builds it at once.  The states of
-    a run all stay in the subspace of its initial state; :meth:`apply`
-    refuses states with amplitude outside it.  The costs count
-    multiply-adds from the sizes alone (:data:`_SWEEP_COST` per amplitude a
-    kernel pass sweeps), so the choice, and with it every output bit, does
-    not depend on timing.  A subspace above :data:`_BUILD_MAX` states always
-    runs through the kernel; a smaller one builds by the same rule at any
-    qubit count, above ``pauli.DENSE_QUBIT_CAP`` too (a 2-state block at 13).
-    From the Neel state with k0=26 and five states the rule builds for 8
-    pushes or more at n=10 (the 252-state sector) and for 75 or more at
-    n=12 (924 states).  The power is one kernel step S(t) on the basis
-    states of the subspace, in its coordinates and :func:`_kernel_rows`
-    rows per call, then the k-th power by repeated squaring.
+    The constructor decides, once and for every push, which of the two it
+    is.  It builds if all the pushes through the kernel, k steps on each
+    state, would cost at least as much as building the power (a kernel step
+    on each basis state of the subspace, and the products of the squaring),
+    and then builds it at once.  The costs count multiply-adds from the
+    sizes alone (:data:`_SWEEP_COST` per amplitude a kernel pass sweeps), so
+    the choice, and with it every output bit, does not depend on timing.  A
+    subspace above :data:`_BUILD_MAX` states always runs through the kernel;
+    a smaller one builds by the same rule at any qubit count, above
+    ``pauli.DENSE_QUBIT_CAP`` too (a 2-state block at 13).  From the Neel
+    state with k0=26 and five states the rule builds for 8 pushes or more at
+    n=10 (the 252-state sector) and for 75 or more at n=12 (924 states).
+    The power is one kernel step S(t) on the basis states of the subspace,
+    in its coordinates and :func:`_kernel_rows` rows per call, then the k-th
+    power by repeated squaring.
     """
 
-    def __init__(self, pf: ProductFormula, t: float, k: int, pushes: int, rows: np.ndarray):
+    def __init__(self, pf: ProductFormula, basis: np.ndarray, t: float, k: int, pushes: int,
+                 count: int):
         if not (t > 0 and k >= 1 and pushes >= 1):
             raise ValueError(f"need t > 0, k >= 1 and pushes >= 1; got {t}, {k}, {pushes}")
-        self._pf, self._t, self._k = pf, float(t), int(k)
-        self._check(rows)
-        self._basis = pf._basis(rows)
+        self._pf, self._basis, self._t, self._k = pf, basis, float(t), int(k)
         # The power, padded to whole tiles; None when every push runs
         # through the kernel.
-        self._power = self._build() if self._build_pays(pushes, rows) else None
+        self._power = self._build() if self._build_pays(pushes, count) else None
 
-    def _check(self, rows: np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != 1 << self._pf.n:
-            raise ValueError(f"states of shape {rows.shape} are not rows of "
-                             f"{self._pf.n}-qubit states")
-
-    def _build_pays(self, pushes: int, rows: np.ndarray) -> bool:
+    def _build_pays(self, pushes: int, count: int) -> bool:
         """Whether building the power on the subspace costs no more than
-        pushing ``rows`` through the kernel at every push."""
+        pushing ``count`` states through the kernel at every push."""
         size, k, pf = self._basis.size, self._k, self._pf
         if not 0 < size <= _BUILD_MAX:
             return False
@@ -305,7 +293,7 @@ class _BlockPower:
         sweep = _SWEEP_COST * sum(ev.passes for ev, _ in pf._program_on(self._basis))
         products = k.bit_length() + k.bit_count() - 2
         build = size * size * sweep + products * size ** 3
-        return pushes * k * rows.shape[0] * size * sweep >= build
+        return pushes * k * count * size * sweep >= build
 
     def _build(self) -> np.ndarray:
         """``S(t)^k`` on the subspace, zero-padded to whole tiles of the
@@ -332,19 +320,61 @@ class _BlockPower:
             step = _products(step, step)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Return ``S(t)^k`` applied to each row of an ``(r, 2^n)`` array of
-        states, as rows."""
-        self._check(rows)
+        """Return ``S(t)^k`` applied to each row of an ``(r, S)`` array of
+        states in the coordinates of the basis, as rows."""
+        size = self._basis.size
+        if rows.ndim != 2 or rows.shape[1] != size:
+            # The products zero-pad, so a narrower row would pass silently.
+            raise ValueError(f"states of shape {rows.shape} are not rows of the push's "
+                             f"{size} basis states")
         if self._power is None:
-            return self._pf.apply(rows, self._t, self._k)
-        basis = self._basis
-        stray = rows.any(axis=0)
-        stray[basis] = False
-        if stray.any():
-            raise ValueError("states have amplitude outside the blocks the push was built on")
-        out = np.zeros(rows.shape, dtype=complex)
-        out[:, basis] = _products(self._power, rows[:, basis].T)[:basis.size].T
-        return out
+            return self._pf._apply_on(rows, self._t, self._k, self._basis)
+        return _products(self._power, rows.T)[:size].T
+
+
+class _Walk:
+    """One run's states over a grid of ``times``, all in the coordinates of
+    the subspace its initial state touches (:meth:`ProductFormula._basis`,
+    found once): arrays of S amplitudes, not 2^n.
+
+    Iterating yields ``(states, exact)`` at each time in turn: the r Trotter
+    states ``S(t/k_i)^{k_i} psi_in`` of the step counts ``steps`` as an
+    ``(r, S)`` array, and ``exp(-i t H) psi_in``.  The Trotter states run a
+    batch of grid points at a time, as many as fit one block of kernel rows
+    (:func:`_kernel_rows`) and at least one; the kernel works on each row
+    alone, so every state has the bits of ``dynamic_mpf.trotter_states`` at
+    its time on the basis.  H, the fragments' sum, keeps that basis
+    invariant, and the exact states are summed from one set of Chebyshev
+    vectors of H on it (``oracle._kept``), made here for the grid's largest
+    |t|: a series too long is refused by the constructor, before any
+    Trotter state.  :meth:`push` makes the run's
+    :class:`_BlockPower` on the basis.
+    """
+
+    def __init__(self, pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
+                 times: np.ndarray, steps):
+        psi_in = np.asarray(psi_in)
+        self._pf, self._times = pf, np.asarray(times, dtype=float)
+        self._steps = np.array([int(k) for k in steps], dtype=int)
+        self._basis = pf._basis(psi_in)
+        self._psi = psi_in[self._basis]
+        self._exact = oracle._kept(self._basis)
+        self._vectors = self._exact.vectors(self._psi, np.abs(self._times).max(initial=0.0))
+
+    def __iter__(self):
+        r, size = self._steps.size, self._basis.size
+        points = max(1, _kernel_rows(size) // max(1, r))
+        for lo in range(0, self._times.size, points):
+            batch = self._times[lo:lo + points]
+            rows = self._pf._apply_on(np.broadcast_to(self._psi, (r * batch.size, size)),
+                                      (batch[:, None] / self._steps).ravel(),
+                                      np.tile(self._steps, batch.size), self._basis)
+            for j, t in enumerate(batch):
+                yield rows[j * r:(j + 1) * r], self._exact.evolve(self._vectors, t)
+
+    def push(self, t: float, k: int, pushes: int) -> _BlockPower:
+        """The run's ``S(t)^k`` for ``pushes`` pushes of its r states."""
+        return _BlockPower(self._pf, self._basis, t, k, pushes, self._steps.size)
 
 
 def _palindromic(fragments: tuple[PauliSumOp, ...]) -> bool:

@@ -5,9 +5,10 @@ No 2^n x 2^n matrix is materialized here.  The fragment kernel runs in the
 coordinates of a basis: an invariant subspace (a union of blocks such as
 total-Z sectors) or the whole space, the basis of every index, with the
 same bits on the subspace's amplitudes.  Exact evolution sums a Chebyshev
-series of the Hamiltonian on an invariant subspace, from sparse products on
-its own basis; it diagonalizes nothing and calls no BLAS.  Both take the
-subspace a state touches from one helper, :func:`_subspace`.  The trace
+series of the Hamiltonian on an invariant subspace, from Chebyshev vectors
+made once by sparse products on its own basis; it diagonalizes nothing and
+calls no BLAS.  The subspace a state touches comes from one helper,
+:func:`_subspace`.  The trace
 norm of a mixture of r pure states comes from the r x r triangular factor
 of a QR of the state block, which keeps its accuracy down to distances near
 machine precision.
@@ -16,6 +17,7 @@ machine precision.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -214,10 +216,11 @@ def _subspace(blocks: list[np.ndarray], states: np.ndarray) -> np.ndarray:
 # drop: the rigorous bound on the dropped terms sums to no more than this.
 _TAIL = 2.0 ** -53
 
-# Amplitudes (K series vectors x S subspace states) that one Chebyshev series
-# may hold, 128 MB; a longer series is refused before any matrix-vector
-# product (``_check_series``).  From the Neel state the chain's sector reaches
-# it near t = 258 at n=12 (924 states) and t = 1,150 at n=10 (252 states).
+# Amplitudes (K series vectors x S subspace states) that one set of Chebyshev
+# vectors may hold, 128 MB; a longer series is refused before any
+# matrix-vector product (``_ChebyshevBlock.vectors``).  From the Neel state
+# the chain's sector reaches it near t = 258 at n=12 (924 states) and
+# t = 1,150 at n=10 (252 states).
 _SERIES_MAX = 1 << 23
 
 
@@ -236,18 +239,6 @@ def _terms(x: float, tail: float) -> int:
         k += 1
         log_dropped += step - math.log(k)
     return k
-
-
-def _check_series(x: float, size: int):
-    """Refuse the series of ``exp(-i x y)`` on ``size`` states when its
-    K = ``_terms(x, _TAIL)`` vectors would hold more than :data:`_SERIES_MAX`
-    amplitudes.  K >= x, so x times ``size`` above the cap is refused
-    without counting K."""
-    count = None if x * size > _SERIES_MAX else _terms(x, _TAIL)
-    if count is None or count * size > _SERIES_MAX:
-        raise ResourceLimitError(
-            f"a Chebyshev series of {count or f'at least {x:.0f}'} terms on {size} states "
-            f"exceeds the cap of {_SERIES_MAX} amplitudes")
 
 
 def _bessel(x: float) -> np.ndarray:
@@ -324,44 +315,58 @@ class _ChebyshevBlock:
         self._cols = np.array(cols)
         self._entries = np.array([(diag - self.centre) * scale, *(e * scale for e in entries)])
 
-    def evolve(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """``exp(-i t H) psi`` for each nonzero time, one row per time.
+    def vectors(self, psi: np.ndarray, longest: float) -> np.ndarray:
+        """The Chebyshev vectors of ``psi`` that the series of every time up
+        to ``longest`` in magnitude sums, one row each.
 
-        With ``M = -i (H - centre) / half`` and ``x = half |t|``, this is
-        ``exp(-i centre t) sum_k (2 - [k = 0]) J_k(x) sign(t)^k v_k`` over the
-        vectors ``v_k = (-i)^k T_k(i M) psi``: ``v_0 = psi``, ``v_1 = M psi``
-        and ``v_{k+1} = 2 M v_k + v_{k-1}``.  The vectors do not depend on t,
-        so they are made once, up to the longest series of the batch, and
-        the weights are real.  Each time takes its own term count and Bessel
-        values, and its row is its own sum over its terms in one fixed order
-        (``np.einsum`` on the real and imaginary parts), so a row has the
-        bits of the scalar call at its time whatever else is in the batch.
-        Every row must keep the norm of ``psi`` to 1e-12 of it.
-        """
-        xs = self.half * np.abs(times)
-        _check_series(float(xs.max()), psi.size)
-        values = [_series(x) for x in xs]
-        count = max(j.size for j in values)
-        vectors = np.empty((count, psi.size), dtype=complex)
+        With ``M = -i (H - centre) / half`` they are ``v_k = (-i)^k T_k(i M)
+        psi``: ``v_0 = psi``, ``v_1 = M psi`` and ``v_{k+1} = 2 M v_k +
+        v_{k-1}``, K = ``_terms(half * longest, _TAIL)`` of them.  They do
+        not depend on t, and each has the same bits however many are made.
+        When the K vectors would hold more than :data:`_SERIES_MAX`
+        amplitudes the series is refused before any product; K >= x, so x
+        times the size above the cap is refused without counting K."""
+        x, size = self.half * longest, psi.size
+        count = None if x * size > _SERIES_MAX else _terms(x, _TAIL)
+        if count is None or count * size > _SERIES_MAX:
+            raise ResourceLimitError(
+                f"a Chebyshev series of {count or f'at least {x:.0f}'} terms on {size} states "
+                f"exceeds the cap of {_SERIES_MAX} amplitudes")
+        vectors = np.empty((count, size), dtype=complex)
         vectors[0] = psi
         for k in range(1, count):
             image = (self._entries * vectors[k - 1][self._cols]).sum(axis=0)
             vectors[k] = image if k == 1 else 2.0 * image + vectors[k - 2]
-        rows = np.empty((times.size, psi.size), dtype=complex)
-        for row, t, j in zip(rows, times, values):
-            weights = 2.0 * j
-            weights[0] = j[0]
-            if t < 0.0:
-                weights[1::2] *= -1.0
-            row[:] = (np.einsum("k,ks->s", weights, vectors[:j.size].view(float)).view(complex)
-                      * np.exp(-1j * self.centre * t))
+        return vectors
+
+    def evolve(self, vectors: np.ndarray, t: float) -> np.ndarray:
+        """``exp(-i t H) psi`` from the Chebyshev vectors of ``psi``
+        (:meth:`vectors`, made for a magnitude of at least ``|t|``); at
+        t = 0 ``psi`` exactly.
+
+        With ``x = half |t|`` this is ``exp(-i centre t) sum_k (2 - [k = 0])
+        J_k(x) sign(t)^k v_k``, so the weights are real.  The time takes its
+        own term count and Bessel values, and its sum over its terms runs in
+        one fixed order (``np.einsum`` on the real and imaginary parts), so
+        the result has the same bits from any set of vectors long enough for
+        it.  It must keep the norm of ``psi`` to 1e-12 of it.
+        """
+        if t == 0.0:
+            return vectors[0].copy()
+        j = _series(self.half * abs(t))
+        weights = 2.0 * j
+        weights[0] = j[0]
+        if t < 0.0:
+            weights[1::2] *= -1.0
+        row = (np.einsum("k,ks->s", weights, vectors[:j.size].view(float)).view(complex)
+               * np.exp(-1j * self.centre * t))
+        psi = vectors[0]
         norm = np.sqrt((psi.real ** 2 + psi.imag ** 2).sum())
-        drift = np.abs(np.sqrt((rows.real ** 2 + rows.imag ** 2).sum(axis=1)) - norm)
-        if not np.all(drift <= 1e-12 * norm):
+        drift = abs(np.sqrt((row.real ** 2 + row.imag ** 2).sum()) - norm)
+        if not drift <= 1e-12 * norm:
             raise NumericalDegeneracyError(
-                f"Chebyshev certificate failed: an evolved row's norm is off by "
-                f"{drift.max():.3e}")
-        return rows
+                f"Chebyshev certificate failed: an evolved row's norm is off by {drift:.3e}")
+        return row
 
 
 class SpectralOracle:
@@ -369,20 +374,24 @@ class SpectralOracle:
     a state touches.
 
     The constructor refuses n above ``pauli.DENSE_QUBIT_CAP`` before any
-    work, then finds the Hamiltonian's invariant blocks.  On the first
-    ``evolve`` of a state that touches a new union of blocks
-    (:func:`_subspace`), H on that union is built (:class:`_ChebyshevBlock`)
-    and kept by its basis; no other block is ever built, and nothing is
-    diagonalized.
+    work, and does nothing else.  The Hamiltonian's invariant blocks are
+    found when :meth:`evolve` first needs them.  On the first use of a new
+    union of blocks (:func:`_subspace`), H on that union is built
+    (:class:`_ChebyshevBlock`) and kept by its basis; no other block is
+    ever built, and nothing is diagonalized.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
         self._hamiltonian = hamiltonian
         _check_qubit_cap(self.n)
-        self._groups = _partition([hamiltonian])
         # The operator of each subspace built so far, by the bytes of its basis.
         self._blocks: dict[bytes, _ChebyshevBlock] = {}
+
+    @cached_property
+    def _groups(self) -> list[np.ndarray]:
+        """The Hamiltonian's invariant blocks (``pauli._partition``)."""
+        return _partition([self._hamiltonian])
 
     def _operator(self, basis: np.ndarray) -> _ChebyshevBlock:
         """H on the invariant subspace ``basis``."""
@@ -395,41 +404,24 @@ class SpectralOracle:
             self._blocks[key] = self._operator(basis)
         return self._blocks[key]
 
-    def check_series(self, state: np.ndarray, t) -> None:
-        """Refuse, before any evolution, the series that ``evolve(state, t)``
-        would refuse as too long, at the largest |t| of ``t``.  Only H on the
-        subspace ``state`` touches is built (and kept), for its half-width;
-        no Chebyshev vector is made."""
-        longest = float(np.abs(np.asarray(t, dtype=float)).max(initial=0.0))
-        basis = _subspace(self._groups, np.asarray(state))
-        if longest and basis.size:
-            _check_series(self._kept(basis).half * longest, basis.size)
-
-    def evolve(self, state: np.ndarray, t) -> np.ndarray:
-        """Return exp(-i t H) |state>; at t = 0 the input exactly.
-
-        For a scalar ``t`` this is one state.  For a 1-D array of times it
-        is one row per time, and each row has the bits of the scalar call at
-        its time (:meth:`_ChebyshevBlock.evolve`).  Untouched blocks stay
-        exactly zero.
-        """
-        state = np.asarray(state)
-        times = np.asarray(t, dtype=float)
+    def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
+        """Return exp(-i t H) |state> for one time t; at t = 0 the input
+        exactly.  The series runs on the subspace the state touches, with
+        vectors made for this call alone, and untouched blocks stay exactly
+        zero."""
+        state, time = np.asarray(state), np.asarray(t, dtype=float)
         if state.shape != (1 << self.n,):
             raise ValueError("dimension mismatch between oracle and state")
-        if times.ndim > 1:
-            raise ValueError("t must be a scalar or a 1-D array of times")
-        if not np.isfinite(times).all():
-            raise ValueError("times must be finite")
-        grid = times.reshape(-1)
-        out = np.zeros((grid.size, state.size), dtype=complex)
-        moving = np.flatnonzero(grid)
-        basis = _subspace(self._groups, state)
-        # Nothing is built when every time is zero, or for a zero state.
-        if moving.size and basis.size:
-            out[np.ix_(moving, basis)] = self._kept(basis).evolve(state[basis], grid[moving])
-        out[grid == 0.0] = state
-        return out if times.ndim else out[0]
+        if time.ndim or not np.isfinite(time):
+            raise ValueError(f"t must be one finite time, got {t!r}")
+        t, out = float(time), state.astype(complex)
+        # Nothing is searched or built at t = 0, and nothing is built for a
+        # zero state.
+        basis = _subspace(self._groups, state) if t else state[:0]
+        if basis.size:
+            block = self._kept(basis)
+            out[basis] = block.evolve(block.vectors(state[basis], abs(t)), t)
+        return out
 
 
 def mixture_trace_norm(states: list[np.ndarray], weights) -> float:

@@ -155,6 +155,21 @@ def test_grid_times_refused_before_any_formula_is_built(args, message, capsys, m
     assert out == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["trotter-sweep", "--set", "k_list="], "k_list must hold at least one step count"),
+    (["minimax-shootout", "--set", "static_subset="],
+     "static_subset must hold at least one index"),
+])
+def test_empty_tuple_refused_before_any_formula_is_built(args, message, capsys, monkeypatch):
+    # An empty k_list would print a header and no rows after the commutator
+    # sum; an empty static subset would fail later on a key it does not name.
+    monkeypatch.setattr(experiments, "_build_formula", lambda *a: pytest.fail("formula built"))
+    code, out, err = run_cli([*args, "--set", "n=4"], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("scenario", ["trotter-sweep", "bound-eval"])
 def test_overflow_exits_as_a_numerical_failure(scenario, capsys):
     # t^(p+1) at t = 1e300 overflows a float: exit 4 with one line, no traceback.
@@ -168,13 +183,14 @@ def test_overflow_exits_as_a_numerical_failure(scenario, capsys):
 @pytest.mark.parametrize("scenario", ["trotter-sweep", "mpf-sweep"])
 def test_overflowing_grid_time_is_refused_before_any_state(scenario, capsys, monkeypatch):
     # Only the last grid time overflows; its bound and fit columns are
-    # evaluated first, so no Trotter state and no exact state is computed.
+    # evaluated first, so no Trotter state and no exact state is computed:
+    # the walk's kernel batches and Chebyshev vectors are never made.
     calls = []
-    batch, evolve = dynamic_mpf.trotter_states, dynamic_mpf.SpectralOracle.evolve
-    monkeypatch.setattr(dynamic_mpf, "trotter_states",
+    batch, vectors = formulas.ProductFormula._apply_on, statesim._ChebyshevBlock.vectors
+    monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
                         lambda *a: calls.append("batch") or batch(*a))
-    monkeypatch.setattr(dynamic_mpf.SpectralOracle, "evolve",
-                        lambda *a: calls.append("exact") or evolve(*a))
+    monkeypatch.setattr(statesim._ChebyshevBlock, "vectors",
+                        lambda *a: calls.append("exact") or vectors(*a))
     code, out, err = run_cli([scenario, "--set", "n=4", "--set", "t_start=1",
                               "--set", "t_stop=1e300", "--set", "t_count=3"], capsys)
     assert code == 4
@@ -198,9 +214,9 @@ def test_overlong_series_is_refused_before_any_state(args, made, capsys, monkeyp
     # amplitudes: 228 at t = 1.5 and 264 at t = 2.  A cap of 250 refuses
     # only the grid's last times; each batch holds one grid point.
     calls = []
-    batch, step = dynamic_mpf.trotter_states, dynamic_mpf.minimax_step
+    batch, step = formulas.ProductFormula._apply_on, dynamic_mpf.minimax_step
     apply = statesim.FragmentEvolver.apply
-    monkeypatch.setattr(dynamic_mpf, "trotter_states",
+    monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
                         lambda *a: calls.append("batch") or batch(*a))
     monkeypatch.setattr(dynamic_mpf, "minimax_step", lambda *a: calls.append("step") or step(*a))
     monkeypatch.setattr(statesim.FragmentEvolver, "apply",
@@ -301,8 +317,8 @@ def test_exact_evolution_cap_exit_code(capsys):
 def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, capsys,
                                                            monkeypatch):
     calls = []
-    batch, operator = dynamic_mpf.trotter_states, dynamic_mpf.SpectralOracle._operator
-    monkeypatch.setattr(dynamic_mpf, "trotter_states",
+    batch, operator = formulas.ProductFormula._apply_on, dynamic_mpf.SpectralOracle._operator
+    monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
                         lambda *a: calls.append("batch") or batch(*a))
     monkeypatch.setattr(dynamic_mpf.SpectralOracle, "_operator",
                         lambda *a: calls.append("operator") or operator(*a))

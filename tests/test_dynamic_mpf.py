@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpf_lab import dynamic_mpf, formulas
+from mpf_lab import dynamic_mpf, formulas, statesim
 from mpf_lab import (
     FragmentEvolver,
     MinimaxRun,
@@ -38,8 +38,8 @@ from mpf_lab.dynamic_mpf import (
     l_from_states,
     q_from_states,
 )
-from mpf_lab.errors import SolverError
-from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
+from mpf_lab.errors import ResourceLimitError, SolverError
+from mpf_lab.formulas import _BlockPower, _Walk, fragment_by_commuting_groups
 from mpf_lab.pauli import invariant_blocks
 from conftest import ChainCase, random_state
 from test_statesim import full_eigh_evolve
@@ -73,25 +73,95 @@ def test_batched_trotter_states_match_single_circuits(chain4):
         trotter_states(chain4.pf, chain4.psi, 0.7, (3, 0))
 
 
-def test_grid_form_matches_scalar_form_bit_for_bit(chain4):
+def test_walk_rows_match_the_scalar_calls_bit_for_bit(chain4):
+    # Each time's Trotter states and exact state, in the coordinates of the
+    # 6-state Neel sector, have the bits of the scalar calls there.
     pf4 = suzuki(chain4.pf, 4)
-    times = np.array([0.3, 2.3, 0.0, 1.1])
+    times = np.array([0.3, 2.3, 0.0, -1.1])
+    basis = chain4.pf._basis(chain4.psi)
+    assert basis.size == 6
     for pf, steps in ((chain4.pf, (13, 4, 17, 4)), (pf4, (3, 1, 4, 3))):
-        grid = trotter_states(pf, chain4.psi, times, steps)
-        assert type(grid) is list and len(grid) == times.size
-        for t, states in zip(times, grid):
+        walk = list(_Walk(pf, chain4.oracle, chain4.psi, times, steps))
+        assert len(walk) == times.size
+        for t, (states, exact) in zip(times, walk):
+            assert states.shape == (len(steps), basis.size)
             scalar = trotter_states(pf, chain4.psi, t, steps)
-            assert len(states) == len(steps)
-            assert all(np.array_equal(a, b) for a, b in zip(states, scalar))
-        # A slice holds the same lists as indexing.
-        assert len(grid[1:3]) == 2
-        for sliced, j in zip(grid[1:3], (1, 2)):
-            assert all(np.array_equal(a, b) for a, b in zip(sliced, grid[j], strict=True))
-        # Each time's states share one array of their own, not the batch.
-        assert all(state.base.shape == (len(steps), 16) for states in grid for state in states)
-    assert trotter_states(chain4.pf, chain4.psi, times, ()) == [[]] * times.size
-    with pytest.raises(ValueError):
-        trotter_states(chain4.pf, chain4.psi, times.reshape(2, 2), STEPS)
+            assert all(np.array_equal(a, b[basis]) for a, b in zip(states, scalar, strict=True))
+            assert np.array_equal(exact, chain4.oracle.evolve(chain4.psi, t)[basis])
+    empty = list(_Walk(chain4.pf, chain4.oracle, chain4.psi, times, ()))
+    assert [states.shape for states, _ in empty] == [(0, basis.size)] * times.size
+    with pytest.raises(TypeError):
+        trotter_states(chain4.pf, chain4.psi, times, STEPS)
+
+
+def test_minimax_run_finds_its_basis_once(chain6, monkeypatch):
+    # One search for the subspace, on the formula's blocks; no whole-space
+    # search of the Hamiltonian's blocks.
+    found, basis = [], ProductFormula._basis
+    monkeypatch.setattr(ProductFormula, "_basis",
+                        lambda self, states: found.append(1) or basis(self, states))
+    oracle = SpectralOracle(chain6.hamiltonian)
+    minimax_run(chain6.pf, oracle, chain6.psi, STEPS, t0=0.5, t_final=2.5, dt=0.25,
+                eps=0.01, k0=3, c0=solve_coefficients(2, STEPS).coefficients, seed=1)
+    assert found == [1]
+    assert "_groups" not in vars(oracle)
+
+
+def test_run_does_one_whole_space_block_search(monkeypatch):
+    # The formula searches its fragments' blocks; the oracle searches H's
+    # only when its public evolve first needs them.  A new chain has no
+    # blocks cached from other tests.
+    searched = []
+    for module in (formulas, statesim):
+        partition = module._partition
+        monkeypatch.setattr(module, "_partition",
+                            lambda ops, *a, f=partition: searched.append(len(ops)) or f(ops, *a))
+    case = ChainCase(6)
+    assert searched == []
+    minimax_run(case.pf, case.oracle, case.psi, STEPS, t0=0.5, t_final=1.0, dt=0.25,
+                eps=0.01, k0=3, c0=solve_coefficients(2, STEPS).coefficients, seed=1)
+    assert searched == [3]
+    case.oracle.evolve(case.psi, 0.5)
+    case.oracle.evolve(case.psi, 0.7)
+    assert searched == [3, 1]
+
+
+def test_overlong_series_is_refused_before_any_trotter_state(chain4, monkeypatch):
+    # The walk makes its Chebyshev vectors for the grid's largest |t| when
+    # it is made: a cap below the last time's series refuses it there.
+    monkeypatch.setattr(ProductFormula, "_apply_on", lambda *a: pytest.fail("state computed"))
+    block = chain4.oracle._kept(chain4.pf._basis(chain4.psi))
+    size = block.vectors(chain4.psi[chain4.pf._basis(chain4.psi)], 2.0).size
+    monkeypatch.setattr(statesim, "_SERIES_MAX", size - 1)
+    with pytest.raises(ResourceLimitError, match="Chebyshev series"):
+        _Walk(chain4.pf, chain4.oracle, chain4.psi, np.array([0.5, -2.0, 1.0]), STEPS)
+    with pytest.raises(ResourceLimitError, match="Chebyshev series"):
+        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, t0=0.0, t_final=2.0, dt=0.5,
+                    eps=0.01, k0=3, c0=solve_coefficients(2, STEPS).coefficients, seed=1)
+
+
+def test_walk_builds_h_on_the_formula_basis_where_h_has_finer_blocks():
+    # H's XX terms cancel, so H (the Z terms) keeps every basis state alone,
+    # while the fragments pair them: the walk builds H on the formula's
+    # larger basis, which holds a state the input does not touch.
+    n = 3
+    field = [(-0.7, "ZZI"), (0.45, "IIZ")]
+    frags = (PauliSumOp.from_terms(n, [(0.5, PauliString("XXI")),
+                                       *((c, PauliString(w)) for c, w in field)]),
+             PauliSumOp.from_terms(n, [(-0.5, PauliString("XXI"))]))
+    pf = second_order(frags)
+    oracle = SpectralOracle(pf.hamiltonian)
+    psi = random_state(n, np.random.default_rng(4))
+    psi[[0b010, 0b011, 0b100, 0b101, 0b111]] = 0.0
+    basis = pf._basis(psi)
+    assert basis.tolist() == [0b000, 0b001, 0b110, 0b111]
+    assert [b.shape for b in oracle._groups] == [(8, 1)]
+    times = np.array([0.4, -1.3, 2.9])
+    steps = (2, 5)
+    for t, (states, exact) in zip(times, _Walk(pf, oracle, psi, times, steps)):
+        assert np.linalg.norm(exact - oracle.evolve(psi, t)[basis]) <= 1e-13
+        scalar = trotter_states(pf, psi, t, steps)
+        assert all(np.array_equal(a, b[basis]) for a, b in zip(states, scalar, strict=True))
 
 
 def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
@@ -118,13 +188,13 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
     # or a block-power build; a kernel push runs the r states of one point.
     # Every block runs on the Neel sector: 252 amplitudes a column at n=10,
     # 20 at n=6.
-    widths = {"batch": [], "build": []}
+    widths = {"batch": [], "build": [], "push": []}
     within = []
     apply_on = ProductFormula._apply_on
 
     def counted_apply_on(self, state, *a):
-        if within:
-            widths[within[-1]].append(state.size)
+        # The walk's batches are the calls outside a push and a build.
+        widths[within[-1] if within else "batch"].append(state.size)
         return apply_on(self, state, *a)
 
     def tagged(func, tag):
@@ -137,7 +207,7 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
         return run
 
     monkeypatch.setattr(ProductFormula, "_apply_on", counted_apply_on)
-    monkeypatch.setattr(dynamic_mpf, "trotter_states", tagged(dynamic_mpf.trotter_states, "batch"))
+    monkeypatch.setattr(formulas._BlockPower, "apply", tagged(formulas._BlockPower.apply, "push"))
     monkeypatch.setattr(formulas._BlockPower, "_build", tagged(formulas._BlockPower._build, "build"))
     c0 = solve_coefficients(2, STEPS).coefficients
     # Eight grid points.  At n=10 the default limit holds 81 columns of 252
@@ -168,9 +238,21 @@ def test_q_from_states_matches_single_push(chain4):
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
     for pushes in (1, 100):
-        q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, pushes, np.array(prev)),
-                          prev, nxt)
+        push = push_on(chain4.pf, prev, dt / k0, k0, pushes)
+        q = q_from_states(push, coords(push, prev), coords(push, nxt))
         assert np.abs(q - q_reference(chain4.pf, prev, nxt, dt, k0)).max() < 1e-13
+
+
+def push_on(pf, states, t, k, pushes):
+    """The push a run makes for ``pushes`` pushes of as many states as
+    ``states`` (2^n amplitudes) holds, on the subspace they touch."""
+    rows = np.array(states)
+    return _BlockPower(pf, pf._basis(rows), t, k, pushes, len(rows))
+
+
+def coords(push, states):
+    """``states`` (2^n amplitudes) as rows in the coordinates of ``push``."""
+    return np.array(states)[:, push._basis]
 
 
 def q_reference(pf, prev, nxt, dt, k0):
@@ -199,7 +281,7 @@ def crossover(pf, states, dt, k0):
     """Fewest pushes for which a push made with ``states`` as its first
     rows builds."""
     for pushes in range(1, 1000):
-        push = _BlockPower(pf, dt / k0, k0, pushes, np.array(states))
+        push = push_on(pf, states, dt / k0, k0, pushes)
         if built_states(push):
             return pushes
     raise AssertionError("no build below 1000 pushes")
@@ -220,9 +302,9 @@ def test_block_power_push_matches_slot_by_slot(case, chain4, chain6):
     nxt = trotter_states(pf, psi, t + dt, STEPS)
     ref = q_reference(pf, prev, nxt, dt, k0)
     # Enough pushes that the push builds.
-    push = _BlockPower(pf, dt / k0, k0, 1000, np.array(prev))
+    push = push_on(pf, prev, dt / k0, k0, 1000)
     for _ in range(3):
-        assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
+        assert np.abs(q_from_states(push, coords(push, prev), coords(push, nxt)) - ref).max() < 1e-13
     if case == "neel_chain6":
         # One total-Z sector of 20 states; no other block is built.
         assert built_states(push) == 20
@@ -238,9 +320,10 @@ def test_built_push_matches_the_kernel_on_every_neel_sector(n):
     # takes fewer basis states than a full call.
     case = ChainCase(n)
     rows = np.array(trotter_states(case.pf, case.psi, 0.5, STEPS))
-    push = _BlockPower(case.pf, 0.1 / 6, 6, 10**6, rows)
+    push = push_on(case.pf, rows, 0.1 / 6, 6, 10**6)
     assert built_states(push) == math.comb(n, n // 2)
-    assert np.abs(push.apply(rows) - case.pf.apply(rows, 0.1 / 6, 6)).max() < 1e-12
+    kernel = case.pf.apply(rows, 0.1 / 6, 6)
+    assert np.abs(push.apply(coords(push, rows)) - coords(push, kernel)).max() < 1e-12
 
 
 def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
@@ -265,31 +348,12 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     t, dt, k0 = 0.9, 0.1, 6
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
-    push = _BlockPower(pf, dt / k0, k0, 1000, np.array(prev))
+    push = push_on(pf, prev, dt / k0, k0, 1000)
     assert built == [sector]
     ref = q_reference(pf, prev, nxt, dt, k0)
     for _ in range(2):
-        assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
+        assert np.abs(q_from_states(push, coords(push, prev), coords(push, nxt)) - ref).max() < 1e-13
     assert built == [sector]
-
-
-def test_built_push_refuses_states_outside_its_blocks(chain5, monkeypatch):
-    # A push built on the Neel sector refuses a state with any amplitude
-    # outside it, where it would drop that amplitude; a push through the
-    # kernel (the sector above the size limit) takes any state.
-    pf, psi = chain5.pf, chain5.psi
-    rows = np.array(trotter_states(pf, psi, 0.5, STEPS))
-    push = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
-    assert built_states(push) == 10
-    stray = rows.copy()
-    stray[0, 0] = 1e-300
-    for bad in (stray, np.array([random_state(5, np.random.default_rng(2))])):
-        with pytest.raises(ValueError, match="outside the blocks"):
-            push.apply(bad)
-    monkeypatch.setattr(formulas, "_BUILD_MAX", 9)
-    kernel = _BlockPower(pf, 0.1 / 6, 6, 1000, rows)
-    assert built_states(kernel) == 0
-    assert np.array_equal(kernel.apply(stray), pf.apply(stray, 0.1 / 6, 6))
 
 
 def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
@@ -298,19 +362,20 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
     monkeypatch.setattr(FragmentEvolver, "apply",
                         lambda self, *a: calls.append(1) or apply(self, *a))
     pf, dt, k0 = chain6.pf, 0.25, 3
-    prev = np.array(trotter_states(pf, chain6.psi, 0.75, STEPS))
-    least = crossover(pf, prev, dt, k0)
+    states = trotter_states(pf, chain6.psi, 0.75, STEPS)
+    least = crossover(pf, states, dt, k0)
     assert 1 < least < 8
     # At the crossover a push made with these rows builds the 20-state
     # sector, and every push, even of one state, runs through it.
-    push = _BlockPower(pf, dt / k0, k0, least, prev)
+    push = push_on(pf, states, dt / k0, k0, least)
+    prev = coords(push, states)
     assert built_states(push) == 20
     calls.clear()
     for rows in (prev, prev[:1], prev):
         push.apply(rows)
     assert calls == []
     # One push short of it nothing is ever built, even for more states.
-    push = _BlockPower(pf, dt / k0, k0, least - 1, prev)
+    push = push_on(pf, states, dt / k0, k0, least - 1)
     for rows in (np.concatenate([prev, prev]), prev):
         calls.clear()
         push.apply(rows)
@@ -337,25 +402,33 @@ def minimax_push_calls(case, monkeypatch, **grid):
     each Trotter batch, of making the push and of each push, with the builds
     made in each; and the order in which they ran."""
     calls, batch_calls, made, push_calls, builds, order = [], [], [], [], [], []
+    within = []
     apply, build = FragmentEvolver.apply, formulas._BlockPower._build
-    batch, push = dynamic_mpf.trotter_states, dynamic_mpf.q_from_states
+    apply_on, make, push = ProductFormula._apply_on, _Walk.push, dynamic_mpf.q_from_states
 
     def counting(func, into, name):
         def run(*args):
             before = len(calls), len(builds)
-            out = func(*args)
+            within.append(name)
+            try:
+                out = func(*args)
+            finally:
+                within.pop()
             into.append((len(calls) - before[0], len(builds) - before[1]))
             order.append(name)
             return out
         return run
 
+    batch = counting(apply_on, batch_calls, "batch")
     monkeypatch.setattr(FragmentEvolver, "apply",
                         lambda self, *a: calls.append(1) or apply(self, *a))
     monkeypatch.setattr(formulas._BlockPower, "_build",
                         lambda self, *a: builds.append(1) or build(self, *a))
-    monkeypatch.setattr(dynamic_mpf, "trotter_states", counting(batch, batch_calls, "batch"))
+    # A kernel call outside a push and its making is one of the walk's batches.
+    monkeypatch.setattr(ProductFormula, "_apply_on",
+                        lambda *a: (apply_on if within else batch)(*a))
     monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls, "push"))
-    monkeypatch.setattr(dynamic_mpf, "_BlockPower", counting(formulas._BlockPower, made, "made"))
+    monkeypatch.setattr(_Walk, "push", counting(make, made, "made"))
     c0 = solve_coefficients(2, STEPS).coefficients
     minimax_run(case.pf, case.oracle, case.psi, STEPS, eps=0.01, c0=c0, seed=1, **grid)
     assert min(calls for calls, _ in batch_calls) > 0
@@ -414,9 +487,9 @@ def test_block_power_never_builds_above_its_size_limit(chain4, monkeypatch):
     prev = trotter_states(pf, psi, 0.5, STEPS)
     nxt = trotter_states(pf, psi, 0.6, STEPS)
     ref = q_reference(pf, prev, nxt, 0.1, 4)
-    push = _BlockPower(pf, 0.1 / 4, 4, 1000, np.array(prev))
+    push = push_on(pf, prev, 0.1 / 4, 4, 1000)
     for _ in range(20):
-        assert np.abs(q_from_states(push, prev, nxt) - ref).max() < 1e-13
+        assert np.abs(q_from_states(push, coords(push, prev), coords(push, nxt)) - ref).max() < 1e-13
     assert push._power is None
 
 
@@ -428,8 +501,8 @@ def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
                        PauliSumOp.from_terms(n, [(0.4, PauliString("Z" * n))])))
     rng = np.random.default_rng(5)
     prev = [random_state(n, rng) for _ in range(2)]
-    push = _BlockPower(pf, 0.2 / 3, 3, 1000, np.array(prev))
-    q = q_from_states(push, prev, prev)
+    push = push_on(pf, prev, 0.2 / 3, 3, 1000)
+    q = q_from_states(push, coords(push, prev), coords(push, prev))
     assert np.abs(q - q_reference(pf, prev, prev, 0.2, 3)).max() < 1e-13
     assert push._power is None and push._basis.size == 1 << n
 
@@ -451,14 +524,19 @@ def test_block_products_do_not_depend_on_the_blas_thread_count():
     assert len(digests) == 1
 
 
+def run_cli(threads: str, *args: str, cwd: Path | None = None) -> str:
+    """Standard output of a CLI run in a fresh interpreter under the given
+    BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(dynamic_mpf.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mpf_lab.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def run_shootout(threads: str, *args: str, cwd: Path | None = None) -> str:
     """Standard output of the benchmark's shootout (n=10, seed 2024) in a
     fresh interpreter under the given BLAS thread count."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               PYTHONPATH=str(Path(dynamic_mpf.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "mpf_lab.cli", "minimax-shootout", "--seed",
-                           "2024", *args], cwd=cwd, env=env, capture_output=True, text=True,
-                          check=True).stdout
+    return run_cli(threads, "minimax-shootout", "--seed", "2024", *args, cwd=cwd)
 
 
 def test_shootout_times_and_kappa_do_not_depend_on_the_blas_thread_count():
@@ -482,6 +560,13 @@ def test_shootout_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         (tmp_path / threads).mkdir()
         main = run_shootout(threads, "--set", "trajectory_out=traj.csv", cwd=tmp_path / threads)
         outputs.add((main, (tmp_path / threads / "traj.csv").read_text()))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("scenario", ["trotter-sweep", "mpf-sweep"])
+def test_sweep_output_does_not_depend_on_the_blas_thread_count(scenario):
+    # The trace norms take a LAPACK QR of rows of the 252-state sector.
+    outputs = {run_cli(threads, scenario, "--set", "n=10") for threads in ("1", "2")}
     assert len(outputs) == 1
 
 
@@ -520,7 +605,8 @@ def test_q_matrix_entries(chain4):
     t, dt, k0 = 0.6, 0.1, 9
     prev = trotter_states(chain4.pf, chain4.psi, t, STEPS)
     nxt = trotter_states(chain4.pf, chain4.psi, t + dt, STEPS)
-    q = q_from_states(_BlockPower(chain4.pf, dt / k0, k0, 1, np.array(prev)), prev, nxt)
+    push = push_on(chain4.pf, prev, dt / k0, k0, 1)
+    q = q_from_states(push, coords(push, prev), coords(push, nxt))
     assert q.min() >= 0.0 and q.max() <= 1.0 + 1e-12
     # dense oracle
     for s, ps in enumerate(prev):
@@ -533,21 +619,28 @@ def test_q_matrix_entries(chain4):
 
 def test_q_matrix_small_dt_diagonal(chain4):
     prev = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
-    q = q_from_states(_BlockPower(chain4.pf, 1e-8, 1, 1, np.array(prev)), prev,
-                      trotter_states(chain4.pf, chain4.psi, 0.5 + 1e-8, STEPS))
+    push = push_on(chain4.pf, prev, 1e-8, 1, 1)
+    q = q_from_states(push, coords(push, prev),
+                      coords(push, trotter_states(chain4.pf, chain4.psi, 0.5 + 1e-8, STEPS)))
     assert np.allclose(np.diag(q), 1.0, atol=1e-6)
 
 
-def test_q_matrix_validation(chain4):
+def test_q_matrix_validation(chain4, monkeypatch):
     states = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
-    rows = np.array(states)
+    basis = chain4.pf._basis(chain4.psi)
     for t, k, pushes in ((0.0, 3, 1), (0.1, 0, 1), (0.1, 3, 0)):
         with pytest.raises(ValueError):
-            _BlockPower(chain4.pf, t, k, pushes, rows)
-    with pytest.raises(ValueError, match="not rows"):
-        _BlockPower(chain4.pf, 0.1, 3, 1, rows[:, :8])
-    with pytest.raises(ValueError, match="not rows"):
-        q_from_states(_BlockPower(chain4.pf, 0.1, 3, 1, rows), [s[:8] for s in states], states)
+            _BlockPower(chain4.pf, basis, t, k, pushes, len(STEPS))
+    # Rows of another width than the push's 6 basis states are refused by a
+    # built push, whose products would zero-pad them, and by a kernel push.
+    for limit in (6, 5):
+        monkeypatch.setattr(formulas, "_BUILD_MAX", limit)
+        push = push_on(chain4.pf, states, 0.1, 3, 10**6)
+        assert built_states(push) == (6 if limit == 6 else 0)
+        rows = coords(push, states)
+        for bad in (rows[:, :5], np.pad(rows, ((0, 0), (0, 1))), rows[0]):
+            with pytest.raises(ValueError, match="not rows"):
+                q_from_states(push, bad, rows)
 
 
 def test_l_exact_values(chain4):

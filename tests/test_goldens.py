@@ -53,7 +53,7 @@ GOLDENS = {
     ),
     "mpf-sweep": (
         "mpf-sweep", ["--set", "n=4", "--set", "bounds=on"],
-        {"out.csv": "f9565afcb4b213e2495cd02d05bfd65eefdfd0fc4c59636fd5984e2716c0e862"},
+        {"out.csv": "cf1dc1034adedd1683b6eebdb37a7e06a653768e43ffb13b0925d1646b08dbc2"},
     ),
     "bound-eval": (
         "bound-eval", [],
@@ -75,7 +75,7 @@ GOLDENS = {
     # The mixture bound at the window cap.
     "mpf-sweep-n8-bounds": (
         "mpf-sweep", ["--set", "n=8", "--set", "bounds=on"],
-        {"out.csv": "d8e6c57c3e564a806439fe6a1962c7b6504a174d5429d091b170dbec62c20155"},
+        {"out.csv": "b164e5cff35f6cf0338b3c0aa28f1fbe788670602ea62835171c8b4b64517276"},
     ),
     # Above the window cap: the commutator sums take their norms on the
     # Pauli-sum route, one block search per piece, and the state path runs on

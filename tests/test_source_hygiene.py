@@ -189,7 +189,9 @@ def test_every_config_key_is_read():
 
 
 # Names of the subspace coordinates a state runs in, which stay inside the
-# formula and the kernel: every other module passes states of 2^n amplitudes.
+# formula and the kernel: a run's states are carried in those coordinates,
+# but only through the walk (``formulas._Walk``) and its push, so every
+# other module names no subspace helper.
 SUBSPACE_NAMES = {"_subspace", "_basis", "_apply_on", "_kernel_rows"}
 SUBSPACE_MODULES = {"formulas.py", "statesim.py"}
 

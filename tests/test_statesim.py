@@ -18,7 +18,7 @@ from mpf_lab import (
 from mpf_lab import bounds, pauli, statesim
 from mpf_lab.bounds import spectral_norm_symbolic
 from mpf_lab.errors import NumericalDegeneracyError, ResourceLimitError
-from mpf_lab.formulas import _BlockPower, fragment_by_commuting_groups
+from mpf_lab.formulas import _BlockPower, _Walk, fragment_by_commuting_groups
 from mpf_lab.heisenberg import build_heisenberg_chain
 from mpf_lab.pauli import commutes, invariant_blocks
 from conftest import basis_state, random_state
@@ -301,8 +301,8 @@ def test_kernel_push_and_oracle_share_the_touched_subspace(case, chain4, chain6,
     assert np.array_equal(touched_union([pf.hamiltonian], psi), ref)
     assert np.array_equal(statesim._subspace(pf._blocks, rows), ref)
     assert np.array_equal(pf._basis(psi), ref) and np.array_equal(pf._basis(rows), ref)
-    # Enough pushes that the push builds, on that subspace, wherever it has states.
-    push = _BlockPower(pf, 0.1, 2, 10**6, rows)
+    # Enough pushes that the push builds on that subspace, wherever it has states.
+    push = _BlockPower(pf, pf._basis(rows), 0.1, 2, 10**6, len(rows))
     assert np.array_equal(push._basis, ref) and (push._power is None) == (ref.size == 0)
     assert np.array_equal(oracle_basis(pf.hamiltonian, psi, monkeypatch), ref)
 
@@ -318,13 +318,13 @@ def test_subspace_above_the_qubit_cap_is_the_touched_block():
     start = int(np.flatnonzero(psi)[0])
     basis = pf._basis(psi)
     assert basis.tolist() == sorted([start, start ^ 0b11 << (n - 2)])
-    push = _BlockPower(pf, 0.1, 2, 10**6, psi[None])
-    assert np.array_equal(push._basis, basis) and push._power is not None
+    push = _BlockPower(pf, basis, 0.1, 2, 10**6, 1)
+    assert push._power is not None
     whole = pf._apply_on(psi, 0.1, 2, np.arange(1 << n))
     kernel = pf.apply(psi, 0.1, 2)
     assert np.array_equal(kernel[basis], whole[basis])
     assert not np.delete(kernel, basis).any() and not np.delete(whole, basis).any()
-    assert np.allclose(push.apply(psi[None])[0], kernel, rtol=0.0, atol=1e-15)
+    assert np.allclose(push.apply(psi[None, basis])[0], kernel[basis], rtol=0.0, atol=1e-15)
     for refused in (lambda: invariant_blocks(list(pf.fragments)),
                     lambda: SpectralOracle(pf.hamiltonian),
                     lambda: to_dense(pf.hamiltonian)):
@@ -376,22 +376,23 @@ def test_series_cap_counts_the_vectors_it_holds(chain4, monkeypatch):
     # x = 6.98: a cap between x S and K S refuses it, and K S admits it.
     oracle = SpectralOracle(chain4.hamiltonian)
     basis = statesim._subspace(oracle._groups, chain4.psi)
-    x = oracle._kept(basis).half
+    block = oracle._kept(basis)
+    x = block.half
     terms = statesim._terms(x, statesim._TAIL)
     assert x * basis.size < terms * basis.size - 1
     monkeypatch.setattr(statesim, "_SERIES_MAX", terms * basis.size - 1)
-    for refused in (lambda: oracle.evolve(chain4.psi, np.array([0.5, -1.0])),
-                    lambda: oracle.check_series(chain4.psi, np.array([0.5, -1.0]))):
+    for refused in (lambda: oracle.evolve(chain4.psi, -1.0),
+                    lambda: block.vectors(chain4.psi[basis], 1.0)):
         with pytest.raises(ResourceLimitError, match=f"of {terms} terms on {basis.size} states"):
             refused()
     monkeypatch.setattr(statesim, "_SERIES_MAX", terms * basis.size)
-    oracle.check_series(chain4.psi, np.array([0.5, -1.0]))
+    assert block.vectors(chain4.psi[basis], 1.0).shape == (terms, basis.size)
     assert np.array_equal(oracle.evolve(chain4.psi, -1.0), chain4.oracle.evolve(chain4.psi, -1.0))
 
 
 def test_oracle_takes_a_list_state(chain4):
     # As the kernel and the formulas do.
-    for t in (0.7, np.array([0.0, -1.3, 0.7])):
+    for t in (0.7, 0.0, -1.3):
         assert np.array_equal(chain4.oracle.evolve(chain4.psi.tolist(), t),
                               chain4.oracle.evolve(chain4.psi, t))
 
@@ -437,8 +438,9 @@ def test_oracle_matches_the_neel_sector_eigh_at_n11():
     assert members.size == 462
     vals, vecs = np.linalg.eigh(block)
     times = np.array([0.05, 1.0, 4.5])
-    rows = SpectralOracle(h_op).evolve(psi, times)
-    for row, t in zip(rows, times):
+    oracle = SpectralOracle(h_op)
+    for t in times:
+        row = oracle.evolve(psi, t)
         ref = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ psi[members]))
         assert np.linalg.norm(row[members] - ref) <= 1e-13
         assert not np.delete(row, members).any()
@@ -459,6 +461,13 @@ def test_oracle_negative_and_long_times_match_expm(t, rng):
         assert statesim._terms(sector.half * t, statesim._TAIL) > 300
 
 
+def walk_exact(pf, oracle, psi, times):
+    """The exact states of a walk over ``times`` from ``psi``, as rows in
+    the coordinates of its basis, and that basis."""
+    walk = _Walk(pf, oracle, psi, times, ())
+    return np.array([exact for _, exact in walk]), walk._basis
+
+
 def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
     # XY - YX on the first bond keeps total Z but makes the sectors complex.
     h_op = chain6.hamiltonian + op(6, (0.3, "XYIIII"), (-0.3, "YXIIII"))
@@ -467,11 +476,15 @@ def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
     oracle = SpectralOracle(h_op)
     times = np.array([0.0, -3.0, 40.0, 0.7, 0.0])
     for psi in (chain6.psi, random_state(6, rng)):
-        rows = oracle.evolve(psi, times)
-        for row, t in zip(rows, times):
+        basis = statesim._subspace(oracle._groups, psi)
+        block = oracle._kept(basis)
+        for t in times:
+            row = oracle.evolve(psi, t)
             assert np.linalg.norm(row - sla.expm(-1j * t * dense) @ psi) <= 1e-13
-            assert np.array_equal(row, oracle.evolve(psi, t))
-            assert np.array_equal(row, oracle.evolve(psi, np.array([0.4, t]))[1])
+            # The bits of one time's row do not depend on how many vectors
+            # were made for it.
+            for longest in (abs(t), 40.0):
+                assert np.array_equal(row[basis], block.evolve(block.vectors(psi[basis], longest), t))
 
 
 def test_oracle_builds_each_touched_block_once(chain4, rng, monkeypatch):
@@ -503,41 +516,49 @@ GRID = np.array([0.0, 0.4, -1.3, 2.9, 0.0, 7.5])
 
 
 def test_oracle_grid_rows_equal_the_scalar_calls(chain6, rng):
-    # Each time is its own column of the stacked product, so a row has the
-    # bits of the scalar call at its time, whatever else is in the batch.
+    # A walk's exact state at each time has the bits of the scalar call at
+    # that time, whatever else is on its grid.
     for psi in (chain6.psi, random_state(6, rng)):
-        rows = chain6.oracle.evolve(psi, GRID)
-        assert rows.shape == (GRID.size, 1 << 6)
+        rows, basis = walk_exact(chain6.pf, chain6.oracle, psi, GRID)
+        assert rows.shape == (GRID.size, basis.size)
         for row, t in zip(rows, GRID):
-            assert np.array_equal(row, chain6.oracle.evolve(psi, t))
-            assert np.array_equal(row, chain6.oracle.evolve(psi, np.array([t, 1.1]))[0])
-    with pytest.raises(ValueError, match="1-D"):
-        chain6.oracle.evolve(chain6.psi, GRID.reshape(2, 3))
+            assert np.array_equal(row, chain6.oracle.evolve(psi, t)[basis])
+            assert np.array_equal(row, walk_exact(chain6.pf, chain6.oracle, psi,
+                                                  np.array([t, 1.1]))[0][0])
+    with pytest.raises(ValueError, match="one finite time"):
+        chain6.oracle.evolve(chain6.psi, GRID)
 
 
 def test_oracle_grid_matches_expm(chain6, rng):
     dense = to_dense(chain6.hamiltonian)
     for psi in (chain6.psi, random_state(6, rng)):
-        rows = chain6.oracle.evolve(psi, GRID)
+        rows, basis = walk_exact(chain6.pf, chain6.oracle, psi, GRID)
         for row, t in zip(rows, GRID):
-            assert np.linalg.norm(row - sla.expm(-1j * t * dense) @ psi) <= 1e-12
+            assert np.linalg.norm(row - (sla.expm(-1j * t * dense) @ psi)[basis]) <= 1e-12
 
 
 def test_oracle_grid_zero_times_are_exact(chain6, rng):
     psi = random_state(6, rng)
-    rows = chain6.oracle.evolve(psi, GRID)
+    rows, basis = walk_exact(chain6.pf, chain6.oracle, psi, GRID)
+    assert basis.size == 1 << 6
     for i in np.flatnonzero(GRID == 0.0):
         assert np.array_equal(rows[i], psi)
-    zeros = chain6.oracle.evolve(psi, np.zeros(3))
-    assert np.array_equal(zeros, np.tile(psi, (3, 1)))
-    assert not np.shares_memory(zeros, psi)
+    block = chain6.oracle._kept(basis)
+    vectors = block.vectors(psi, 1.0)
+    zero = block.evolve(vectors, 0.0)
+    assert np.array_equal(zero, psi)
+    assert not np.shares_memory(zero, vectors) and not np.shares_memory(zero, psi)
 
 
 def test_oracle_grid_leaves_untouched_blocks_zero(chain6):
-    # The Neel state lives in the 20-state sector with three qubits up.
-    rows = chain6.oracle.evolve(chain6.psi, GRID)
+    # The Neel state lives in the 20-state sector with three qubits up: the
+    # walk's states have no other coordinates, and the scalar calls leave
+    # every other amplitude zero.
+    rows, basis = walk_exact(chain6.pf, chain6.oracle, chain6.psi, GRID)
+    assert np.array_equal(basis, np.flatnonzero(np.bitwise_count(np.arange(1 << 6)) == 3))
     outside = np.bitwise_count(np.arange(1 << 6)) != 3
-    assert not rows[:, outside].any()
+    for t in GRID:
+        assert not chain6.oracle.evolve(chain6.psi, t)[outside].any()
     assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) < 1e-13)
 
 
