@@ -335,16 +335,16 @@ class MinimaxRun:
     l_exact: list = field(default_factory=list)
 
 
-def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
-                steps, t0: float, t_final: float, dt: float, eps: float,
-                k0: int, c0, seed: int) -> MinimaxRun:
+def minimax_run(pf: ProductFormula, psi_in: np.ndarray, steps, t0: float, t_final: float,
+                dt: float, eps: float, k0: int, c0, seed: int) -> MinimaxRun:
     """Track robust mixture coefficients on the uniform grid t_0 + j dt.
 
     The run's states come from one walk (``formulas._Walk``) in the
     coordinates of the invariant subspace that ``psi_in`` touches: the r
     circuit states of a few grid points at a time as one Trotter batch, and
-    the exact states from one set of Chebyshev vectors, made for the last
-    grid time before the first Trotter state.  From the second point on,
+    the exact states from one set of Chebyshev vectors of H, the fragments'
+    sum, built there by the walk and made for the last grid time before the
+    first Trotter state.  From the second point on,
     the propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
     push is made at the first of them by the walk, from the number of grid
@@ -354,8 +354,9 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     data are generated per step from the exact overlaps with seeded,
     spectral-norm-bounded Gaussian noise; the estimate is advanced by
     :func:`minimax_step`.  Exact-data projections are recorded alongside for
-    diagnostics.  Every argument is checked before any state
-    is computed or any block operator built.
+    diagnostics.  Every argument, with the qubit cap and the step counts
+    that the walk checks first, is checked before any state is computed or
+    any block operator built.
     """
     if not all(map(math.isfinite, (t0, t_final, dt, eps))):
         raise ValueError(f"t0, t_final, dt and eps must be finite; got {t0}, {t_final}, "
@@ -393,7 +394,7 @@ def minimax_run(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
     )
 
     states = push = None
-    walk = _Walk(pf, oracle, psi_in, times, steps)
+    walk = _Walk(pf, psi_in, times, steps)
     for j, (states_next, exact) in enumerate(walk):
         m_now = gram_from_states(states_next)
         if j == 1:

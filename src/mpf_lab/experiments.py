@@ -20,7 +20,7 @@ from .bounds import (MixtureBoundEvaluator, formula_commutator_sum, mixture_boun
 from .formulas import _Walk, fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
-from .statesim import SpectralOracle, mixture_frobenius_sq, mixture_trace_norm, neel_state
+from .statesim import mixture_frobenius_sq, mixture_trace_norm, neel_state
 from .static_mpf import rank_of_tuple, search_steps, solve_coefficients
 
 SCHEMA_LINE = "# mpf-lab schema v1"
@@ -246,8 +246,7 @@ def _sweep_grid(pf, grid: np.ndarray, steps, columns):
     overflow is refused before any state is computed, and a series too long
     for it is refused next, when the walk is made."""
     columns(float(grid.max()))
-    walk = iter(_Walk(pf, SpectralOracle(pf.hamiltonian), neel_state(pf.n),
-                      grid[grid != 0.0], steps))
+    walk = iter(_Walk(pf, neel_state(pf.n), grid[grid != 0.0], steps))
     return ((t, None, None) if t == 0.0 else (t, *next(walk)) for t in map(float, grid))
 
 
@@ -367,13 +366,12 @@ def _run_minimax_shootout(cfg: dict) -> tuple[CsvDoc, CsvDoc | None]:
     if any(b <= a for a, b in zip(subset, subset[1:])):
         raise ValueError("static_subset must be strictly increasing")
     pf = _build_formula(cfg["n"], cfg["seed"], 2)
-    oracle = SpectralOracle(pf.hamiltonian)
     psi = neel_state(cfg["n"])
     sub_scheme = solve_coefficients(2, tuple(steps[i] for i in subset), cfg["even_powers"])
     ids = list(subset)
     c0 = np.zeros(len(steps))
     c0[ids] = sub_scheme.coefficients
-    run = dmp.minimax_run(pf, oracle, psi, steps, t0=cfg["t0"], t_final=cfg["t_final"],
+    run = dmp.minimax_run(pf, psi, steps, t0=cfg["t0"], t_final=cfg["t_final"],
                           dt=cfg["dt"], eps=cfg["eps"], k0=cfg["k0"], c0=c0,
                           seed=cfg["seed"])
     c_sub = np.asarray(sub_scheme.coefficients)

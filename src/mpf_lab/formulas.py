@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSumOp, _partition, commutes
-from .statesim import FragmentEvolver, SpectralOracle, _subspace
+from .pauli import PauliSumOp, _check_qubit_cap, _partition, commutes
+from .statesim import FragmentEvolver, _ChebyshevBlock, _subspace
 
 SUZUKI_ORDERS = (4, 6)
 # Amplitudes (rows x the amplitudes of the space the kernel runs on) in one
@@ -155,6 +155,8 @@ class ProductFormula:
             reps = np.broadcast_to(np.asarray(k), (count,))
         except ValueError:
             raise ValueError(f"t and k must be scalars or have one entry per row ({count})") from None
+        if not np.isfinite(times).all():
+            raise ValueError("t must be finite")
         if count == 0:
             return rows.astype(complex)
         if not np.issubdtype(reps.dtype, np.integer) or reps.min() < 1:
@@ -344,21 +346,24 @@ class _Walk:
     (:func:`_kernel_rows`) and at least one; the kernel works on each row
     alone, so every state has the bits of ``dynamic_mpf.trotter_states`` at
     its time on the basis.  H, the fragments' sum, keeps that basis
-    invariant, and the exact states are summed from one set of Chebyshev
-    vectors of H on it (``oracle._kept``), made here for the grid's largest
-    |t|: a series too long is refused by the constructor, before any
-    Trotter state.  :meth:`push` makes the run's
-    :class:`_BlockPower` on the basis.
+    invariant; the walk builds it there (``statesim._ChebyshevBlock``) and
+    sums the exact states from one set of its Chebyshev vectors, made for
+    the grid's largest |t|.  The constructor refuses n above
+    ``pauli.DENSE_QUBIT_CAP`` and a step count below 1 before any search,
+    and a series too long before any Trotter state.  :meth:`push` makes
+    the run's :class:`_BlockPower` on the basis.
     """
 
-    def __init__(self, pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
-                 times: np.ndarray, steps):
+    def __init__(self, pf: ProductFormula, psi_in: np.ndarray, times: np.ndarray, steps):
+        _check_qubit_cap(pf.n)
+        self._steps = np.array([int(k) for k in steps], dtype=int)
+        if (self._steps < 1).any():
+            raise ValueError("step count k must be an integer >= 1")
         psi_in = np.asarray(psi_in)
         self._pf, self._times = pf, np.asarray(times, dtype=float)
-        self._steps = np.array([int(k) for k in steps], dtype=int)
         self._basis = pf._basis(psi_in)
         self._psi = psi_in[self._basis]
-        self._exact = oracle._kept(self._basis)
+        self._exact = _ChebyshevBlock(pf.hamiltonian, self._basis)
         self._vectors = self._exact.vectors(self._psi, np.abs(self._times).max(initial=0.0))
 
     def __iter__(self):

@@ -24,7 +24,8 @@ _VALID = frozenset("IXYZ")
 
 # Most qubits for exact operator work on all 2^n basis states: ``to_dense``
 # (4096 x 4096 at the cap), ``invariant_blocks``, the norms of Pauli sums, and
-# ``statesim.SpectralOracle``, whose series runs on the subspace a state touches.
+# exact evolution, whose series runs on the subspace a state touches: a run's
+# walk (``formulas._Walk``) and ``statesim.SpectralOracle`` refuse above it.
 DENSE_QUBIT_CAP = 12
 
 

@@ -370,45 +370,33 @@ class _ChebyshevBlock:
 
 
 class SpectralOracle:
-    """Exact evolution by a Chebyshev series on the invariant subspace that
-    a state touches.
+    """Exact evolution of a 2^n-amplitude state by a Chebyshev series on the
+    invariant subspace that it touches.
 
     The constructor refuses n above ``pauli.DENSE_QUBIT_CAP`` before any
     work, and does nothing else.  The Hamiltonian's invariant blocks are
-    found when :meth:`evolve` first needs them.  On the first use of a new
-    union of blocks (:func:`_subspace`), H on that union is built
-    (:class:`_ChebyshevBlock`) and kept by its basis; no other block is
-    ever built, and nothing is diagonalized.
+    found when :meth:`evolve` first needs them.  Each call builds H on the
+    union of blocks the state touches (:func:`_subspace`,
+    :class:`_ChebyshevBlock`) and keeps nothing; no other block is built,
+    and nothing is diagonalized.  Runs take their exact states from
+    ``formulas._Walk``, which builds H on its own basis once.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
         self.n = hamiltonian.n
         self._hamiltonian = hamiltonian
         _check_qubit_cap(self.n)
-        # The operator of each subspace built so far, by the bytes of its basis.
-        self._blocks: dict[bytes, _ChebyshevBlock] = {}
 
     @cached_property
     def _groups(self) -> list[np.ndarray]:
         """The Hamiltonian's invariant blocks (``pauli._partition``)."""
         return _partition([self._hamiltonian])
 
-    def _operator(self, basis: np.ndarray) -> _ChebyshevBlock:
-        """H on the invariant subspace ``basis``."""
-        return _ChebyshevBlock(self._hamiltonian, basis)
-
-    def _kept(self, basis: np.ndarray) -> _ChebyshevBlock:
-        """H on the invariant subspace ``basis``, built on first use and kept."""
-        key = basis.tobytes()
-        if key not in self._blocks:
-            self._blocks[key] = self._operator(basis)
-        return self._blocks[key]
-
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """Return exp(-i t H) |state> for one time t; at t = 0 the input
         exactly.  The series runs on the subspace the state touches, with
-        vectors made for this call alone, and untouched blocks stay exactly
-        zero."""
+        H there and its vectors made for this call alone, and untouched
+        blocks stay exactly zero."""
         state, time = np.asarray(state), np.asarray(t, dtype=float)
         if state.shape != (1 << self.n,):
             raise ValueError("dimension mismatch between oracle and state")
@@ -419,7 +407,7 @@ class SpectralOracle:
         # zero state.
         basis = _subspace(self._groups, state) if t else state[:0]
         if basis.size:
-            block = self._kept(basis)
+            block = _ChebyshevBlock(self._hamiltonian, basis)
             out[basis] = block.evolve(block.vectors(state[basis], abs(t)), t)
         return out
 

@@ -214,7 +214,7 @@ def test_criterion_08_projection_optimality(chain6):
 def test_criterion_09_minimax_reduction(chain4):
     steps = (4, 13, 17)
     c0 = np.asarray(solve_coefficients(2, steps).coefficients)
-    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, steps,
+    run = minimax_run(chain4.pf, chain4.psi, steps,
                       t0=0.5, t_final=1.5, dt=0.1, eps=0.0, k0=9, c0=c0, seed=11)
     c = c0
     worst = 0.0
@@ -251,7 +251,7 @@ def test_criterion_11_tracking_bound_soundness(chain4):
     m0 = gram_matrix(chain4.pf, chain4.psi, 0.5, steps)
     l0 = l_exact(chain4.pf, chain4.oracle, chain4.psi, 0.5, steps)
     c0 = dynamic_project(m0, l0).coefficients
-    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, steps,
+    run = minimax_run(chain4.pf, chain4.psi, steps,
                       t0=0.5, t_final=1.5, dt=dt, eps=eps, k0=k0, c0=c0, seed=42)
     sch = solve_coefficients(2, steps)
     evaluator = MixtureBoundEvaluator(sch, chain4.pf)

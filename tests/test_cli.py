@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -126,7 +127,7 @@ def test_mixture_bound_cap_refused_before_the_sweep(n, capsys, monkeypatch):
     # The evaluator is built right after the formula, and its window layer
     # refuses n > 8 before any bound or state work.
     monkeypatch.setattr(experiments, "_sweep_grid", lambda *a: pytest.fail("sweep ran"))
-    monkeypatch.setattr(experiments, "SpectralOracle", lambda *a: pytest.fail("oracle built"))
+    monkeypatch.setattr(experiments, "_Walk", lambda *a: pytest.fail("walk built"))
     for name in ("_compositions", "invariant_blocks", "formula_commutator_sum"):
         monkeypatch.setattr(bounds, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     code, out, err = run_cli(["mpf-sweep", "--set", f"n={n}", "--set", "bounds=on",
@@ -317,10 +318,10 @@ def test_exact_evolution_cap_exit_code(capsys):
 def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, capsys,
                                                            monkeypatch):
     calls = []
-    batch, operator = formulas.ProductFormula._apply_on, dynamic_mpf.SpectralOracle._operator
+    batch, operator = formulas.ProductFormula._apply_on, statesim._ChebyshevBlock.__init__
     monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
                         lambda *a: calls.append("batch") or batch(*a))
-    monkeypatch.setattr(dynamic_mpf.SpectralOracle, "_operator",
+    monkeypatch.setattr(statesim._ChebyshevBlock, "__init__",
                         lambda *a: calls.append("operator") or operator(*a))
     code, _, err = run_cli(["minimax-shootout", "--set", override], capsys)
     assert code == 2
@@ -331,6 +332,33 @@ def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, cap
     code, _, _ = run_cli(["minimax-shootout", "--set", "n=4", "--set", "t_final=1.2"], capsys)
     assert code == 0
     assert {"batch", "operator"} <= set(calls)
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["--set", "n=13"], 3,
+     "resource limit: exact operator work is capped at n=12 qubits; got n=13\n"),
+    (["--set", "n=6", "--set", "dt=0.25", "--set", "steps=0,20,26,30,34",
+      "--set", "static_subset=1,2,4"], 2, "error: step count k must be an integer >= 1\n"),
+], ids=["qubit_cap", "zero_step_count"])
+def test_shootout_refuses_the_qubit_cap_and_step_counts_before_any_search(
+        args, code, message, capsys, monkeypatch):
+    # The walk checks both first: no block search, no H on a subspace, no
+    # Chebyshev vector, no kernel batch and no warning.
+    calls = []
+    hooks = [(formulas, "_partition"), (statesim._ChebyshevBlock, "__init__"),
+             (statesim._ChebyshevBlock, "vectors"), (formulas.ProductFormula, "_apply_on")]
+    for owner, name in hooks:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, f=getattr(owner, name):
+                            calls.append(name) or f(*a))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(["minimax-shootout", *args], capsys)
+    assert result == (code, "", message)
+    assert calls == [] and caught == []
+    # A valid run goes through every wrapped function, so an empty record
+    # above means that the checks came first.
+    assert run_cli(["minimax-shootout", "--set", "n=4", "--set", "t_final=1.2"], capsys)[0] == 0
+    assert set(calls) == {name for _, name in hooks}
 
 
 @pytest.mark.parametrize("args, key", [

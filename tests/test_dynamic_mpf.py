@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,21 @@ def test_batched_trotter_states_match_single_circuits(chain4):
         trotter_states(chain4.pf, chain4.psi, 0.7, (3, 0))
 
 
+def test_non_finite_times_are_refused_before_the_kernel(chain4, monkeypatch):
+    # Every form refuses before its first pass, with no NaN row and no warning.
+    monkeypatch.setattr(FragmentEvolver, "apply", lambda *a: pytest.fail("kernel ran"))
+    pf, psi = chain4.pf, chain4.psi
+    for call in (lambda: trotter_states(pf, psi, np.nan, [1, 2]),
+                 lambda: rho_k_state(pf, psi, np.inf, 2),
+                 lambda: gram_matrix(pf, psi, -np.inf, [1, 2]),
+                 lambda: pf.apply(psi, np.nan),
+                 lambda: pf.apply(np.array([psi, psi]), [0.5, np.inf], [1, 2])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be finite"):
+                call()
+
+
 def test_walk_rows_match_the_scalar_calls_bit_for_bit(chain4):
     # Each time's Trotter states and exact state, in the coordinates of the
     # 6-state Neel sector, have the bits of the scalar calls there.
@@ -81,14 +97,14 @@ def test_walk_rows_match_the_scalar_calls_bit_for_bit(chain4):
     basis = chain4.pf._basis(chain4.psi)
     assert basis.size == 6
     for pf, steps in ((chain4.pf, (13, 4, 17, 4)), (pf4, (3, 1, 4, 3))):
-        walk = list(_Walk(pf, chain4.oracle, chain4.psi, times, steps))
+        walk = list(_Walk(pf, chain4.psi, times, steps))
         assert len(walk) == times.size
         for t, (states, exact) in zip(times, walk):
             assert states.shape == (len(steps), basis.size)
             scalar = trotter_states(pf, chain4.psi, t, steps)
             assert all(np.array_equal(a, b[basis]) for a, b in zip(states, scalar, strict=True))
             assert np.array_equal(exact, chain4.oracle.evolve(chain4.psi, t)[basis])
-    empty = list(_Walk(chain4.pf, chain4.oracle, chain4.psi, times, ()))
+    empty = list(_Walk(chain4.pf, chain4.psi, times, ()))
     assert [states.shape for states, _ in empty] == [(0, basis.size)] * times.size
     with pytest.raises(TypeError):
         trotter_states(chain4.pf, chain4.psi, times, STEPS)
@@ -100,11 +116,10 @@ def test_minimax_run_finds_its_basis_once(chain6, monkeypatch):
     found, basis = [], ProductFormula._basis
     monkeypatch.setattr(ProductFormula, "_basis",
                         lambda self, states: found.append(1) or basis(self, states))
-    oracle = SpectralOracle(chain6.hamiltonian)
-    minimax_run(chain6.pf, oracle, chain6.psi, STEPS, t0=0.5, t_final=2.5, dt=0.25,
+    monkeypatch.setattr(SpectralOracle, "__init__", lambda *a: pytest.fail("oracle built"))
+    minimax_run(chain6.pf, chain6.psi, STEPS, t0=0.5, t_final=2.5, dt=0.25,
                 eps=0.01, k0=3, c0=solve_coefficients(2, STEPS).coefficients, seed=1)
     assert found == [1]
-    assert "_groups" not in vars(oracle)
 
 
 def test_run_does_one_whole_space_block_search(monkeypatch):
@@ -118,7 +133,7 @@ def test_run_does_one_whole_space_block_search(monkeypatch):
                             lambda ops, *a, f=partition: searched.append(len(ops)) or f(ops, *a))
     case = ChainCase(6)
     assert searched == []
-    minimax_run(case.pf, case.oracle, case.psi, STEPS, t0=0.5, t_final=1.0, dt=0.25,
+    minimax_run(case.pf, case.psi, STEPS, t0=0.5, t_final=1.0, dt=0.25,
                 eps=0.01, k0=3, c0=solve_coefficients(2, STEPS).coefficients, seed=1)
     assert searched == [3]
     case.oracle.evolve(case.psi, 0.5)
@@ -130,13 +145,13 @@ def test_overlong_series_is_refused_before_any_trotter_state(chain4, monkeypatch
     # The walk makes its Chebyshev vectors for the grid's largest |t| when
     # it is made: a cap below the last time's series refuses it there.
     monkeypatch.setattr(ProductFormula, "_apply_on", lambda *a: pytest.fail("state computed"))
-    block = chain4.oracle._kept(chain4.pf._basis(chain4.psi))
-    size = block.vectors(chain4.psi[chain4.pf._basis(chain4.psi)], 2.0).size
+    basis = chain4.pf._basis(chain4.psi)
+    size = statesim._ChebyshevBlock(chain4.hamiltonian, basis).vectors(chain4.psi[basis], 2.0).size
     monkeypatch.setattr(statesim, "_SERIES_MAX", size - 1)
     with pytest.raises(ResourceLimitError, match="Chebyshev series"):
-        _Walk(chain4.pf, chain4.oracle, chain4.psi, np.array([0.5, -2.0, 1.0]), STEPS)
+        _Walk(chain4.pf, chain4.psi, np.array([0.5, -2.0, 1.0]), STEPS)
     with pytest.raises(ResourceLimitError, match="Chebyshev series"):
-        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, t0=0.0, t_final=2.0, dt=0.5,
+        minimax_run(chain4.pf, chain4.psi, STEPS, t0=0.0, t_final=2.0, dt=0.5,
                     eps=0.01, k0=3, c0=solve_coefficients(2, STEPS).coefficients, seed=1)
 
 
@@ -158,7 +173,7 @@ def test_walk_builds_h_on_the_formula_basis_where_h_has_finer_blocks():
     assert [b.shape for b in oracle._groups] == [(8, 1)]
     times = np.array([0.4, -1.3, 2.9])
     steps = (2, 5)
-    for t, (states, exact) in zip(times, _Walk(pf, oracle, psi, times, steps)):
+    for t, (states, exact) in zip(times, _Walk(pf, psi, times, steps)):
         assert np.linalg.norm(exact - oracle.evolve(psi, t)[basis]) <= 1e-13
         scalar = trotter_states(pf, psi, t, steps)
         assert all(np.array_equal(a, b[basis]) for a, b in zip(states, scalar, strict=True))
@@ -173,7 +188,7 @@ def test_minimax_run_does_not_depend_on_the_batch_size(chain6, monkeypatch):
             monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", points * len(STEPS) * 20)
         # Nine grid points: batches of 1, of 4 (4, 4, 1) and one of all nine,
         # and the push's build in calls of 3, 12 and all 20 basis columns.
-        out = minimax_run(chain6.pf, chain6.oracle, chain6.psi, STEPS,
+        out = minimax_run(chain6.pf, chain6.psi, STEPS,
                           t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
         return [out.c_hat, out.c_star, out.error_hat, out.error_star, out.kappa_hat,
                 np.array(out.m_exact), np.array(out.l_exact)]
@@ -220,7 +235,7 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
                                         (chain6, 20, len(STEPS) * 20 // 2, 1)):
         monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", limit)
         widths["batch"].clear(), widths["build"].clear()
-        minimax_run(case.pf, case.oracle, case.psi, STEPS,
+        minimax_run(case.pf, case.psi, STEPS,
                     t0=0.5, t_final=1.2, dt=0.1, eps=0.01, k0=2, c0=c0, seed=1)
         one_point = len(STEPS) * sector
         assert len(widths["batch"]) == -(-8 // points)
@@ -332,10 +347,10 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     # touched one alone.
     sector = [i for i in range(32) if i.bit_count() == 3]
     operators, built = [], []
-    operator, build = SpectralOracle._operator, formulas._BlockPower._build
-    monkeypatch.setattr(SpectralOracle, "_operator",
-                        lambda self, basis: operators.append(basis.tolist())
-                        or operator(self, basis))
+    operator, build = statesim._ChebyshevBlock.__init__, formulas._BlockPower._build
+    monkeypatch.setattr(statesim._ChebyshevBlock, "__init__",
+                        lambda self, h, basis: operators.append(basis.tolist())
+                        or operator(self, h, basis))
     monkeypatch.setattr(formulas._BlockPower, "_build",
                         lambda self: built.append(self._basis.tolist()) or build(self))
     pf, psi = chain5.pf, chain5.psi
@@ -344,7 +359,8 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
     for t in (0.4, 1.3):
         assert np.linalg.norm(oracle.evolve(psi, t) - full_eigh_evolve(
             chain5.hamiltonian, psi, t)) <= 1e-13
-    assert operators == [sector]
+    # The oracle keeps nothing, so each call builds H on that sector again.
+    assert operators == [sector, sector]
     t, dt, k0 = 0.9, 0.1, 6
     prev = trotter_states(pf, psi, t, STEPS)
     nxt = trotter_states(pf, psi, t + dt, STEPS)
@@ -392,7 +408,7 @@ def test_neel_run_makes_no_whole_space_evolver(monkeypatch):
                         lambda self, frag, basis=None: bases.append(basis) or init(self, frag, basis))
     case = ChainCase(6)
     c0 = solve_coefficients(2, STEPS).coefficients
-    minimax_run(case.pf, case.oracle, case.psi, STEPS,
+    minimax_run(case.pf, case.psi, STEPS,
                 t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
     assert bases and all(basis is not None and basis.size == 20 for basis in bases)
 
@@ -430,7 +446,7 @@ def minimax_push_calls(case, monkeypatch, **grid):
     monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls, "push"))
     monkeypatch.setattr(_Walk, "push", counting(make, made, "made"))
     c0 = solve_coefficients(2, STEPS).coefficients
-    minimax_run(case.pf, case.oracle, case.psi, STEPS, eps=0.01, c0=c0, seed=1, **grid)
+    minimax_run(case.pf, case.psi, STEPS, eps=0.01, c0=c0, seed=1, **grid)
     assert min(calls for calls, _ in batch_calls) > 0
     assert len(calls) == sum(c for c, _ in batch_calls + made + push_calls)
     # The push is made once, after the first batch and right before the
@@ -846,18 +862,18 @@ def test_published_seed_embedding():
 def test_minimax_run_grid_validation(chain4):
     c0 = solve_coefficients(2, STEPS).coefficients
     with pytest.raises(ValueError):
-        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 1.0, 0.5, 0.1,
+        minimax_run(chain4.pf, chain4.psi, STEPS, 1.0, 0.5, 0.1,
                     0.0, 4, c0, 0)
     with pytest.raises(ValueError):
-        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1.0, 0.3,
+        minimax_run(chain4.pf, chain4.psi, STEPS, 0.0, 1.0, 0.3,
                     0.0, 4, c0, 0)
     with pytest.raises(ValueError):
-        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1.0, 0.1,
+        minimax_run(chain4.pf, chain4.psi, STEPS, 0.0, 1.0, 0.1,
                     0.0, 4, (1.0, 1.0, 1.0), 0)
     # An interval within rounding of zero holds no grid step: refused, not
     # run as one point with no push.
     with pytest.raises(ValueError, match="dt must divide"):
-        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, 0.0, 1e-12, 0.1,
+        minimax_run(chain4.pf, chain4.psi, STEPS, 0.0, 1e-12, 0.1,
                     0.0, 4, c0, 0)
 
 
@@ -867,7 +883,7 @@ def test_minimax_run_refuses_non_finite_arguments(arg, value, chain4, monkeypatc
     monkeypatch.setattr(ProductFormula, "apply", lambda *a: pytest.fail("state computed"))
     grid = {"t0": 0.5, "t_final": 1.0, "dt": 0.1, "eps": 0.01, arg: value}
     with pytest.raises(ValueError, match="must be finite"):
-        minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, k0=3,
+        minimax_run(chain4.pf, chain4.psi, STEPS, k0=3,
                     c0=solve_coefficients(2, STEPS).coefficients, seed=1, **grid)
 
 
@@ -877,13 +893,13 @@ def test_minimax_run_refuses_c0_of_the_wrong_length(chain4, monkeypatch):
     monkeypatch.setattr(ProductFormula, "apply", lambda *a: pytest.fail("state computed"))
     for c0 in ([1.0], [0.5, 0.5], [[0.2, 0.3, 0.5]]):
         with pytest.raises(ValueError, match="one initial coefficient per step count"):
-            minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS, t0=0.5, t_final=1.0,
+            minimax_run(chain4.pf, chain4.psi, STEPS, t0=0.5, t_final=1.0,
                         dt=0.1, eps=0.01, k0=3, c0=c0, seed=1)
 
 
 def test_minimax_run_eps0_matches_projection_chain(chain4):
     c0 = np.asarray(solve_coefficients(2, STEPS).coefficients)
-    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS,
+    run = minimax_run(chain4.pf, chain4.psi, STEPS,
                       t0=0.5, t_final=1.1, dt=0.1, eps=0.0, k0=5, c0=c0, seed=9)
     assert isinstance(run, MinimaxRun)
     c = c0
@@ -896,7 +912,7 @@ def test_minimax_run_eps0_matches_projection_chain(chain4):
 
 def test_minimax_run_records_diagnostics(chain4):
     c0 = solve_coefficients(2, STEPS).coefficients
-    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS,
+    run = minimax_run(chain4.pf, chain4.psi, STEPS,
                       t0=0.5, t_final=0.9, dt=0.1, eps=0.01, k0=5, c0=c0, seed=3)
     assert len(run.m_bars) == len(run.times) == 5
     assert run.a_bars[0] is None
@@ -928,7 +944,7 @@ def test_tracking_bound_dominates_tracked_error(chain4):
     m0 = gram_matrix(chain4.pf, chain4.psi, 0.5, STEPS)
     l0 = l_exact(chain4.pf, chain4.oracle, chain4.psi, 0.5, STEPS)
     c0 = dynamic_project(m0, l0).coefficients
-    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS,
+    run = minimax_run(chain4.pf, chain4.psi, STEPS,
                       t0=0.5, t_final=1.0, dt=0.1, eps=0.01, k0=9, c0=c0, seed=42)
     sch = solve_coefficients(2, STEPS)
     ev = MixtureBoundEvaluator(sch, chain4.pf)
@@ -981,7 +997,7 @@ def _tracking_bound_from_scratch(m_bars, a_bars, eps, c_hat, c_star_norms,
 
 def test_tracking_bound_prefix_chain_matches_from_scratch(chain4):
     c0 = solve_coefficients(2, STEPS).coefficients
-    run = minimax_run(chain4.pf, chain4.oracle, chain4.psi, STEPS,
+    run = minimax_run(chain4.pf, chain4.psi, STEPS,
                       t0=0.5, t_final=1.7, dt=0.1, eps=0.01, k0=5, c0=c0, seed=11)
     norms = np.linalg.norm(run.c_star, axis=1)
     gammas = np.linspace(1e-4, 3e-4, len(run.times))

@@ -137,7 +137,7 @@ def test_sweep_config_checked_before_any_work(monkeypatch, scenario, overrides, 
     def forbidden(*args, **kwargs):
         raise AssertionError("scenario work started before the config was checked")
 
-    for name in ("SpectralOracle", "formula_commutator_sum", "search_steps",
+    for name in ("_Walk", "formula_commutator_sum", "search_steps",
                  "MixtureBoundEvaluator"):
         monkeypatch.setattr(experiments, name, forbidden)
     cfg = resolve_config(scenario, overrides)

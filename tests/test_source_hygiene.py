@@ -166,6 +166,16 @@ def test_every_export_is_read():
     assert unread_exports(exports, [p.read_text() for p in MODULES], named) == []
 
 
+README_BLOCKS = python_blocks((ROOT / "README.md").read_text())
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    # Each block runs alone, in a fresh namespace, against the package as it is.
+    exec(compile(README_BLOCKS[index], f"README.md python block {index}", "exec"),
+         {"__name__": "readme"})
+
+
 def cfg_reads(source: str) -> set[str]:
     """Keys a source reads as ``cfg["key"]``."""
     return {node.slice.value for node in ast.walk(ast.parse(source))

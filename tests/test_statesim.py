@@ -264,10 +264,10 @@ def touched_union(ops, states):
 def oracle_basis(hamiltonian, state, monkeypatch):
     """The basis a new oracle builds H on to evolve ``state``; empty when
     it builds nothing."""
-    built, operator = [], SpectralOracle._operator
+    built, init = [], statesim._ChebyshevBlock.__init__
     with monkeypatch.context() as patch:
-        patch.setattr(SpectralOracle, "_operator",
-                      lambda self, basis: built.append(basis) or operator(self, basis))
+        patch.setattr(statesim._ChebyshevBlock, "__init__",
+                      lambda self, h, basis: built.append(basis) or init(self, h, basis))
         SpectralOracle(hamiltonian).evolve(state, 0.5)
     assert len(built) <= 1
     return built[0] if built else np.zeros(0, dtype=int)
@@ -376,7 +376,7 @@ def test_series_cap_counts_the_vectors_it_holds(chain4, monkeypatch):
     # x = 6.98: a cap between x S and K S refuses it, and K S admits it.
     oracle = SpectralOracle(chain4.hamiltonian)
     basis = statesim._subspace(oracle._groups, chain4.psi)
-    block = oracle._kept(basis)
+    block = statesim._ChebyshevBlock(chain4.hamiltonian, basis)
     x = block.half
     terms = statesim._terms(x, statesim._TAIL)
     assert x * basis.size < terms * basis.size - 1
@@ -448,8 +448,8 @@ def test_oracle_matches_the_neel_sector_eigh_at_n11():
 
 @pytest.mark.parametrize("t", [-3.0, 40.0])
 def test_oracle_negative_and_long_times_match_expm(t, rng):
-    # A random state touches every sector; at t = 40 the 70-state sector's
-    # series keeps hundreds of terms.
+    # A random state touches every sector; at t = 40 the series on their
+    # union keeps hundreds of terms.
     n = 8
     h_op, _ = build_heisenberg_chain(n, seed=2024)
     psi = random_state(n, rng)
@@ -457,14 +457,14 @@ def test_oracle_negative_and_long_times_match_expm(t, rng):
     ref = sla.expm(-1j * t * to_dense(h_op)) @ psi
     assert np.linalg.norm(oracle.evolve(psi, t) - ref) <= 1e-13
     if t == 40.0:
-        sector = max(oracle._blocks.values(), key=lambda block: block.half)
-        assert statesim._terms(sector.half * t, statesim._TAIL) > 300
+        union = statesim._ChebyshevBlock(h_op, statesim._subspace(oracle._groups, psi))
+        assert statesim._terms(union.half * t, statesim._TAIL) > 300
 
 
-def walk_exact(pf, oracle, psi, times):
+def walk_exact(pf, psi, times):
     """The exact states of a walk over ``times`` from ``psi``, as rows in
     the coordinates of its basis, and that basis."""
-    walk = _Walk(pf, oracle, psi, times, ())
+    walk = _Walk(pf, psi, times, ())
     return np.array([exact for _, exact in walk]), walk._basis
 
 
@@ -477,7 +477,7 @@ def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
     times = np.array([0.0, -3.0, 40.0, 0.7, 0.0])
     for psi in (chain6.psi, random_state(6, rng)):
         basis = statesim._subspace(oracle._groups, psi)
-        block = oracle._kept(basis)
+        block = statesim._ChebyshevBlock(h_op, basis)
         for t in times:
             row = oracle.evolve(psi, t)
             assert np.linalg.norm(row - sla.expm(-1j * t * dense) @ psi) <= 1e-13
@@ -488,21 +488,22 @@ def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
 
 
 def test_oracle_builds_each_touched_block_once(chain4, rng, monkeypatch):
-    operator, built = SpectralOracle._operator, []
-    monkeypatch.setattr(SpectralOracle, "_operator",
-                        lambda self, basis: built.append(basis.shape)
-                        or operator(self, basis))
+    init, built = statesim._ChebyshevBlock.__init__, []
+    monkeypatch.setattr(statesim._ChebyshevBlock, "__init__",
+                        lambda self, h, basis: built.append(basis.shape)
+                        or init(self, h, basis))
     oracle = SpectralOracle(chain4.hamiltonian)
     for t in (0.3, 0.7):
         oracle.evolve(chain4.psi, t)
-    # The Neel state touches the one 6-state sector; a random state then
-    # touches every sector, and H is built once on their 16-state union.
-    assert built == [(6,)]
+    # Each call builds H once, on the union of blocks it touches: the Neel
+    # state touches the one 6-state sector, a random state every sector,
+    # whose union has 16 states.
+    assert built == [(6,)] * 2
     psi = random_state(4, rng)
     for t in (0.5, 1.1):
         oracle.evolve(psi, t)
     oracle.evolve(chain4.psi, 0.2)
-    assert built == [(6,), (16,)]
+    assert built == [(6,)] * 2 + [(16,)] * 2 + [(6,)]
 
 
 def test_oracle_zero_time_returns_a_copy(chain4, rng):
@@ -519,12 +520,11 @@ def test_oracle_grid_rows_equal_the_scalar_calls(chain6, rng):
     # A walk's exact state at each time has the bits of the scalar call at
     # that time, whatever else is on its grid.
     for psi in (chain6.psi, random_state(6, rng)):
-        rows, basis = walk_exact(chain6.pf, chain6.oracle, psi, GRID)
+        rows, basis = walk_exact(chain6.pf, psi, GRID)
         assert rows.shape == (GRID.size, basis.size)
         for row, t in zip(rows, GRID):
             assert np.array_equal(row, chain6.oracle.evolve(psi, t)[basis])
-            assert np.array_equal(row, walk_exact(chain6.pf, chain6.oracle, psi,
-                                                  np.array([t, 1.1]))[0][0])
+            assert np.array_equal(row, walk_exact(chain6.pf, psi, np.array([t, 1.1]))[0][0])
     with pytest.raises(ValueError, match="one finite time"):
         chain6.oracle.evolve(chain6.psi, GRID)
 
@@ -532,18 +532,18 @@ def test_oracle_grid_rows_equal_the_scalar_calls(chain6, rng):
 def test_oracle_grid_matches_expm(chain6, rng):
     dense = to_dense(chain6.hamiltonian)
     for psi in (chain6.psi, random_state(6, rng)):
-        rows, basis = walk_exact(chain6.pf, chain6.oracle, psi, GRID)
+        rows, basis = walk_exact(chain6.pf, psi, GRID)
         for row, t in zip(rows, GRID):
             assert np.linalg.norm(row - (sla.expm(-1j * t * dense) @ psi)[basis]) <= 1e-12
 
 
 def test_oracle_grid_zero_times_are_exact(chain6, rng):
     psi = random_state(6, rng)
-    rows, basis = walk_exact(chain6.pf, chain6.oracle, psi, GRID)
+    rows, basis = walk_exact(chain6.pf, psi, GRID)
     assert basis.size == 1 << 6
     for i in np.flatnonzero(GRID == 0.0):
         assert np.array_equal(rows[i], psi)
-    block = chain6.oracle._kept(basis)
+    block = statesim._ChebyshevBlock(chain6.hamiltonian, basis)
     vectors = block.vectors(psi, 1.0)
     zero = block.evolve(vectors, 0.0)
     assert np.array_equal(zero, psi)
@@ -554,7 +554,7 @@ def test_oracle_grid_leaves_untouched_blocks_zero(chain6):
     # The Neel state lives in the 20-state sector with three qubits up: the
     # walk's states have no other coordinates, and the scalar calls leave
     # every other amplitude zero.
-    rows, basis = walk_exact(chain6.pf, chain6.oracle, chain6.psi, GRID)
+    rows, basis = walk_exact(chain6.pf, chain6.psi, GRID)
     assert np.array_equal(basis, np.flatnonzero(np.bitwise_count(np.arange(1 << 6)) == 3))
     outside = np.bitwise_count(np.arange(1 << 6)) != 3
     for t in GRID:
@@ -576,12 +576,15 @@ def test_oracle_certificate_check_per_block(chain4, monkeypatch):
             with pytest.raises(NumericalDegeneracyError, match=f"certificate.*{part}"):
                 oracle.evolve(chain4.psi, 0.5)
         assert np.linalg.norm(oracle.evolve(chain4.psi, 0.5)) == pytest.approx(1.0, abs=1e-13)
-    oracle = SpectralOracle(chain4.hamiltonian)
-    oracle.evolve(chain4.psi, 0.5)
-    (block,) = oracle._blocks.values()
-    block._entries = 2.0 * block._entries
+    init = statesim._ChebyshevBlock.__init__
+
+    def scaled(self, hamiltonian, basis):
+        init(self, hamiltonian, basis)
+        self._entries = 2.0 * self._entries
+
+    monkeypatch.setattr(statesim._ChebyshevBlock, "__init__", scaled)
     with pytest.raises(NumericalDegeneracyError, match="certificate.*row's norm"):
-        oracle.evolve(chain4.psi, 0.5)
+        SpectralOracle(chain4.hamiltonian).evolve(chain4.psi, 0.5)
 
 
 def test_oracle_and_symbolic_norm_build_no_full_matrix(monkeypatch):
