@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .formulas import ProductFormula
+from .formulas import ProductFormula, _step_count
 from .pauli import PauliSumOp, _check_qubit_cap, commutator_minus_i, invariant_blocks
 from .static_mpf import MpfScheme
 
@@ -160,14 +160,18 @@ def formula_commutator_sum(pf: ProductFormula) -> float:
     return formula_conjugated_sum(pf, {(pf.order, 0)})[pf.order, 0]
 
 
+def _check_time(t: float):
+    """Refuse a negative time (odd powers of t would print a negative bound) or NaN and inf."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"the bound needs a finite t >= 0, got {t}")
+
+
 def product_formula_error_bound(pf: ProductFormula, t: float, k: int,
                                 commutator_sum: float) -> float:
     """k-step product-formula error bound ``2 a_p t^{p+1} / ((p+1)! k^p)``,
     with ``a_p`` the formula's :func:`formula_commutator_sum`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if t < 0:
-        raise ValueError(f"the bound needs t >= 0, got {t}")
+    k = _step_count(k)
+    _check_time(t)
     p = pf.order
     return 2.0 * commutator_sum * t ** (p + 1) / (math.factorial(p + 1) * k**p)
 
@@ -310,8 +314,7 @@ class MixtureBoundEvaluator:
 
     def at(self, t: float) -> float:
         """The bound ``prefactor (a1 t^(2p+2) + a2 t^(2p+1) + a3 t^(2p))`` at time t >= 0."""
-        if t < 0:
-            raise ValueError(f"the bound needs t >= 0, got {t}")
+        _check_time(t)
         p = self.scheme.order
         return self.scheme.objective * (
             self.a1 * t ** (2 * p + 2) + self.a2 * t ** (2 * p + 1) + self.a3 * t ** (2 * p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDegeneracyError, ResourceLimitError, SolverError
-from .formulas import ProductFormula, _BlockPower, _Walk
+from .formulas import ProductFormula, _BlockPower, _step_count, _Walk
 from .statesim import SpectralOracle, mixture_frobenius_sq
 
 RIDGE = 1e-12
@@ -39,9 +39,7 @@ def trotter_states(pf: ProductFormula, psi_in: np.ndarray, t: float, steps):
     amplitudes, run as one block (``ProductFormula.apply``).  A run takes
     the same states, bit for bit, in its subspace's coordinates from
     ``formulas._Walk``."""
-    ks = np.array([int(k) for k in steps], dtype=int)
-    if ks.size and ks.min() < 1:
-        raise ValueError("step count k must be >= 1")
+    ks = np.array([_step_count(k) for k in steps], dtype=int)
     psi_in = np.asarray(psi_in)
     return list(pf.apply(np.broadcast_to(psi_in, (ks.size, psi_in.size)), float(t) / ks, ks))
 
@@ -87,7 +85,8 @@ def q_from_states(push: _BlockPower, states_prev, states_next) -> np.ndarray:
 def l_exact(pf: ProductFormula, oracle: SpectralOracle, psi_in: np.ndarray,
             t: float, steps) -> np.ndarray:
     """Overlaps of the exact state with each circuit state at time t."""
-    return l_from_states(oracle.evolve(psi_in, t), trotter_states(pf, psi_in, t, steps))
+    states = trotter_states(pf, psi_in, t, steps)
+    return l_from_states(oracle.evolve(psi_in, t), states)
 
 
 def l_from_states(exact_state: np.ndarray, states: list[np.ndarray]) -> np.ndarray:
@@ -149,6 +148,12 @@ def dynamic_project(m: np.ndarray, ell: np.ndarray) -> ProjectionResult:
 
 # -- noisy surrogates ----------------------------------------------------------
 
+def _check_noise(eps: float):
+    """Refuse a negative or non-finite eps: surrogates must lie within eps of exact data."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"noise magnitude must be >= 0 and finite; got {eps}")
+
+
 @dataclass(frozen=True)
 class NoisyOverlaps:
     m_bar: np.ndarray
@@ -163,8 +168,7 @@ def inject_noise(m: np.ndarray, q: np.ndarray, eps: float, seed) -> NoisyOverlap
     diagonal.  Clamping can push the final deviation slightly above eps, so
     the realized spectral deviations are reported.
     """
-    if eps < 0:
-        raise ValueError("noise magnitude must be >= 0")
+    _check_noise(eps)
     m = np.asarray(m, dtype=float)
     q = np.asarray(q, dtype=float)
     if eps == 0.0:
@@ -262,6 +266,7 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     a_bar = np.asarray(a_bar, dtype=float)
     c_prev = np.asarray(c_prev, dtype=float)
     r = c_prev.size
+    _check_noise(eps)
     if m_bar.shape != (r, r) or a_bar.shape != (r, r):
         raise ValueError("shape mismatch")
     b = a_bar @ c_prev
@@ -365,15 +370,12 @@ def minimax_run(pf: ProductFormula, psi_in: np.ndarray, steps, t0: float, t_fina
         raise ValueError("need t0 < t_final")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if k0 < 1:
-        raise ValueError("k0 must be >= 1")
-    if eps < 0:
-        raise ValueError("noise magnitude must be >= 0")
+    k0 = _step_count(k0, "k0")
+    _check_noise(eps)
     n_steps = round((t_final - t0) / dt)
     if n_steps < 1 or abs(n_steps * dt - (t_final - t0)) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("dt must divide t_final - t0 within rounding")
     _check_grid(n_steps + 1)
-    steps = [int(k) for k in steps]
     c0 = np.asarray(c0, dtype=float)
     if c0.shape != (len(steps),):
         raise ValueError(f"need one initial coefficient per step count ({len(steps)}), "

@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamic_mpf as dmp
 from .bounds import (MixtureBoundEvaluator, formula_commutator_sum, mixture_bound_refusal,
                      product_formula_error_bound)
-from .formulas import _Walk, fragment_by_commuting_groups, second_order, suzuki
+from .formulas import _step_count, _Walk, fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
 from .statesim import mixture_frobenius_sq, mixture_trace_norm, neel_state
@@ -253,8 +253,8 @@ def _sweep_grid(pf, grid: np.ndarray, steps, columns):
 def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     if not cfg["k_list"]:
         raise ValueError("k_list must hold at least one step count")
-    if any(k < 1 for k in cfg["k_list"]):
-        raise ValueError("step counts in k_list must be >= 1")
+    for k in cfg["k_list"]:
+        _step_count(k, "in k_list")
     grid = time_grid(cfg)
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     commutator_sum = formula_commutator_sum(pf)

@@ -45,6 +45,19 @@ _BUILD_MAX = 1024
 _SWEEP_COST = 28
 
 
+def _step_count(k, name: str = "k") -> int:
+    """A step count as an int: an integer >= 1, where an integral float
+    reads as its integer (4.0 as 4).  Anything else (2.5, 0, -1, NaN, inf)
+    is refused, so no circuit runs other than the one asked for."""
+    try:
+        count = int(k)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count < 1 or count != k:
+        raise ValueError(f"step count {name} must be an integer >= 1")
+    return count
+
+
 @dataclass(frozen=True)
 class ProductFormula:
     """An ordered exponential recipe over a fragment registry."""
@@ -157,17 +170,16 @@ class ProductFormula:
             raise ValueError(f"t and k must be scalars or have one entry per row ({count})") from None
         if not np.isfinite(times).all():
             raise ValueError("t must be finite")
+        reps = np.array([_step_count(rep) for rep in reps], dtype=int)
         if count == 0:
             return rows.astype(complex)
-        if not np.issubdtype(reps.dtype, np.integer) or reps.min() < 1:
-            raise ValueError("step count k must be an integer >= 1")
         order = np.argsort(-reps, kind="stable")
         cur, times, reps = rows[order], times[order], reps[order]
         program = self._program_on(basis)
         last = len(program) - 1
         wrap = last > 0 and program[0][0] is program[last][0]
         out = np.empty(rows.shape, dtype=complex)
-        for step in range(int(reps[0])):
+        for step in range(reps[0]):
             live = int(np.count_nonzero(reps > step))
             # Rows whose steps are done go to their slots in the output.
             out[order[live:cur.shape[0]]] = cur[live:]
@@ -277,9 +289,9 @@ class _BlockPower:
 
     def __init__(self, pf: ProductFormula, basis: np.ndarray, t: float, k: int, pushes: int,
                  count: int):
-        if not (t > 0 and k >= 1 and pushes >= 1):
-            raise ValueError(f"need t > 0, k >= 1 and pushes >= 1; got {t}, {k}, {pushes}")
-        self._pf, self._basis, self._t, self._k = pf, basis, float(t), int(k)
+        if not (t > 0 and pushes >= 1):
+            raise ValueError(f"need t > 0 and pushes >= 1; got {t}, {pushes}")
+        self._pf, self._basis, self._t, self._k = pf, basis, float(t), _step_count(k)
         # The power, padded to whole tiles; None when every push runs
         # through the kernel.
         self._power = self._build() if self._build_pays(pushes, count) else None
@@ -349,16 +361,14 @@ class _Walk:
     invariant; the walk builds it there (``statesim._ChebyshevBlock``) and
     sums the exact states from one set of its Chebyshev vectors, made for
     the grid's largest |t|.  The constructor refuses n above
-    ``pauli.DENSE_QUBIT_CAP`` and a step count below 1 before any search,
-    and a series too long before any Trotter state.  :meth:`push` makes
-    the run's :class:`_BlockPower` on the basis.
+    ``pauli.DENSE_QUBIT_CAP`` and any step count :func:`_step_count` refuses
+    before any search, and a series too long before any Trotter state.
+    :meth:`push` makes the run's :class:`_BlockPower` on the basis.
     """
 
     def __init__(self, pf: ProductFormula, psi_in: np.ndarray, times: np.ndarray, steps):
         _check_qubit_cap(pf.n)
-        self._steps = np.array([int(k) for k in steps], dtype=int)
-        if (self._steps < 1).any():
-            raise ValueError("step count k must be an integer >= 1")
+        self._steps = np.array([_step_count(k) for k in steps], dtype=int)
         psi_in = np.asarray(psi_in)
         self._pf, self._times = pf, np.asarray(times, dtype=float)
         self._basis = pf._basis(psi_in)
@@ -447,6 +457,5 @@ def suzuki(base: ProductFormula, order: int) -> ProductFormula:
 
 def rho_k_state(pf: ProductFormula, psi_in: np.ndarray, t: float, k: int) -> np.ndarray:
     """Apply k repetitions of S(t/k) to the initial state."""
-    if k < 1:
-        raise ValueError("step count k must be >= 1")
+    k = _step_count(k)
     return pf.apply(psi_in, t / k, k)

@@ -32,22 +32,6 @@ def neel_state(n: int) -> np.ndarray:
     return state
 
 
-def _index_view(local: np.ndarray):
-    """A basic slice when ``local`` is an arithmetic progression (so the
-    kernel works on views), else the index array itself.  From the Neel
-    state at n=10 one of the 13 rotations of a step is a slice; with index
-    arrays its gathers would copy, and the shootout's peak RSS read about
-    0.1 MB higher (medians of 8 fresh CLI runs on one BLAS thread, twice:
-    46.55 against 46.43 MB, and 46.49 against 46.40 MB)."""
-    if local.size == 1:
-        return slice(int(local[0]), int(local[0]) + 1)
-    step = int(local[1] - local[0])
-    if step != 0 and np.all(np.diff(local) == step):
-        stop = int(local[-1]) + step
-        return slice(int(local[0]), stop if stop >= 0 else None, step)
-    return local
-
-
 class _Rotation:
     """One ``x_mask`` group at one coupling magnitude ``mag``, on the S
     amplitudes of a basis: ``lo``/``hi`` index the paired states and
@@ -83,8 +67,7 @@ def _split(coupling: np.ndarray, basis: np.ndarray, x_mask: int) -> list[_Rotati
     for value in mags[np.diff(mags, prepend=0.0) > 0.0]:
         lo = np.flatnonzero(keep & (mag == value))
         hi = at[lo]
-        out.append(_Rotation(_index_view(lo), _index_view(hi),
-                             coupling[lo] / value, coupling[hi] / value, value))
+        out.append(_Rotation(lo, hi, coupling[lo] / value, coupling[hi] / value, value))
     return out
 
 
@@ -116,8 +99,8 @@ class FragmentEvolver:
     The kernel acts on states in the coordinates of ``basis``, the sorted
     indices of a union of invariant blocks of F; None is the whole space,
     the basis of every index.  Each rotation gathers its pairs from the S
-    amplitudes (as slices where they are evenly spaced), so the results on
-    a subspace equal the whole-space ones on its indices bit for bit.
+    amplitudes by index arrays, so the results on a subspace equal the
+    whole-space ones on its indices bit for bit.
 
     ``apply`` takes one state ``(S,)`` or a block ``(r, S)`` of rows, with
     one time or a length-r vector of per-row times.
@@ -193,11 +176,11 @@ class FragmentEvolver:
             if phase is not None:
                 out *= phase
             for rot, c, a_lo, a_hi in rotations:
+                # The gathers copy, so each half is written from them alone.
                 x = out[:, rot.lo]
                 y = out[:, rot.hi]
-                new_x = c * x + a_hi * y
                 out[:, rot.hi] = c * y + a_lo * x
-                out[:, rot.lo] = new_x
+                out[:, rot.lo] = c * x + a_hi * y
         return out if block else out[0]
 
 

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .formulas import _step_count
+
 SEARCH_KMAX_CAP = 40
 
 
@@ -51,7 +53,7 @@ def _solve_rational(steps: Sequence[int], powers: Sequence[int]) -> list[Fractio
     rows: list[list[Fraction]] = [[Fraction(1)] * r]
     rhs = [Fraction(1)] + [Fraction(0)] * len(powers)
     for q in powers:
-        rows.append([Fraction(1, int(k) ** q) for k in steps])
+        rows.append([Fraction(1, k ** q) for k in steps])
     aug = [row + [rhs[i]] for i, row in enumerate(rows)]
     for col in range(r):
         piv = next((i for i in range(col, r) if aug[i][col] != 0), None)
@@ -84,16 +86,16 @@ def solve_coefficients(p: int, steps: Sequence[int],
     """
     if p < 1:
         raise ValueError("order p must be >= 1")
-    steps = tuple(int(k) for k in steps)
-    if not steps or any(k < 1 for k in steps):
-        raise ValueError("steps must be positive integers")
+    steps = tuple(map(_step_count, steps))
+    if not steps:
+        raise ValueError("need at least one step count")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
     powers = extrapolation_powers(p, len(steps), even_powers)
     exact = _solve_rational(steps, powers)
     coeffs = tuple(float(c) for c in exact)
     kappa = float(sum(abs(c) for c in exact))
-    objective = float(sum(abs(c) / Fraction(int(k) ** (2 * p)) for c, k in zip(exact, steps)))
+    objective = float(sum(abs(c) / k ** (2 * p) for c, k in zip(exact, steps)))
     karr = np.asarray(steps, dtype=float)
     system = np.vstack([np.ones(len(steps))] + [karr**-q for q in powers])
     return MpfScheme(
@@ -155,7 +157,7 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
 
 def rank_of_tuple(schemes: list[MpfScheme], steps: Sequence[int]) -> int | None:
     """Position of a tuple in a ranked scheme list, or None if absent."""
-    target = tuple(int(k) for k in steps)
+    target = tuple(map(_step_count, steps))
     for i, sch in enumerate(schemes):
         if sch.steps == target:
             return i

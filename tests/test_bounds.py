@@ -252,14 +252,15 @@ def test_mixture_bound_zero_time(chain4):
 
 def test_bounds_refuse_negative_times(chain4):
     # Both bounds carry odd powers of t, so a negative time would print a
-    # negative "bound"; each refuses it and keeps t = 0.
+    # negative "bound", and NaN a NaN one; each refuses them and keeps t = 0.
     sch = solve_coefficients(2, (4, 13, 17))
     evaluator = MixtureBoundEvaluator(sch, chain4.pf)
     alpha = evaluator.commutator_sum
-    with pytest.raises(ValueError, match="t >= 0"):
-        evaluator.at(-1.0)
-    with pytest.raises(ValueError, match="t >= 0"):
-        product_formula_error_bound(chain4.pf, -1.0, 4, commutator_sum=alpha)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="the bound needs a finite t >= 0"):
+            evaluator.at(t)
+        with pytest.raises(ValueError, match="the bound needs a finite t >= 0"):
+            product_formula_error_bound(chain4.pf, t, 4, commutator_sum=alpha)
     assert evaluator.at(0.0) == 0.0
     assert product_formula_error_bound(chain4.pf, 0.0, 4, commutator_sum=alpha) == 0.0
 

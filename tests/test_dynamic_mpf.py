@@ -732,8 +732,13 @@ def test_inject_noise_contract(rng):
     # deviation report: within eps up to clamping slack
     assert noisy1.m_deviation <= 0.05 * 2.5
     assert noisy1.a_deviation <= 0.05 * 2.5
-    with pytest.raises(ValueError):
-        inject_noise(m, q, -0.1, 0)
+    # The bound assumes surrogates within eps of the data: no eps is read
+    # that is negative or not finite, by the surrogate or by the step.
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise magnitude must be >= 0 and finite"):
+            inject_noise(m, q, eps, 0)
+        with pytest.raises(ValueError, match="noise magnitude must be >= 0 and finite"):
+            minimax_step(m, q, np.full(3, 1 / 3), eps)
 
 
 def test_minimax_step_eps0_reduction(rng):
