@@ -313,8 +313,9 @@ def test_exact_evolution_cap_exit_code(capsys):
     assert "capped" in err
 
 
-@pytest.mark.parametrize("override, message", [("k0=0", "step count k0 must be an integer >= 1"),
-                                               ("eps=-1", "noise magnitude must be >= 0")])
+@pytest.mark.parametrize("override, message", [
+    pytest.param("k0=0", "step count k0 must be an integer >= 1", id="k0=0-k0 must be >= 1"),
+    ("eps=-1", "noise magnitude must be >= 0")])
 def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, capsys,
                                                            monkeypatch):
     calls = []
