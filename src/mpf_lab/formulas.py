@@ -173,8 +173,13 @@ class ProductFormula:
         reps = np.array([_step_count(rep) for rep in reps], dtype=int)
         if count == 0:
             return rows.astype(complex)
+        if rows.shape[1] != basis.size:
+            raise ValueError(f"states of shape {state.shape} are not in the coordinates of "
+                             f"{basis.size} basis states")
         order = np.argsort(-reps, kind="stable")
-        cur, times, reps = rows[order], times[order], reps[order]
+        # The gather copies, so the kernel works on these rows in place.
+        cur = rows[order].astype(complex, copy=False)
+        times, reps = times[order], reps[order]
         program = self._program_on(basis)
         last = len(program) - 1
         wrap = last > 0 and program[0][0] is program[last][0]
@@ -189,7 +194,7 @@ class ProductFormula:
                     continue
                 if wrap and j == last:
                     mult = np.where(reps[:live] > step + 1, mult + program[0][1], mult)
-                cur = evolver.apply(cur, mult * times[:live])
+                evolver._apply_in_place(cur, mult * times[:live])
         out[order[:cur.shape[0]]] = cur
         return out if state.ndim == 2 else out[0]
 

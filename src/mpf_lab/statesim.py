@@ -102,6 +102,14 @@ class FragmentEvolver:
     amplitudes by index arrays, so the results on a subspace equal the
     whole-space ones on its indices bit for bit.
 
+    The kernel works in place on rows it is handed (:meth:`_apply_in_place`,
+    which ``ProductFormula._apply_on`` calls on the rows it owns); ``apply``
+    copies first.  A rotation writes its halves from the two gathered copies
+    with two temporaries, in the operation order of ``c y + a_lo x`` and
+    ``c x + a_hi y``.  The phase exponentiates each distinct diagonal level
+    once (five at most on the chain's fragments) and gathers it to the
+    amplitudes, so it has the bits of one ``exp`` per amplitude.
+
     ``apply`` takes one state ``(S,)`` or a block ``(r, S)`` of rows, with
     one time or a length-r vector of per-row times.
     """
@@ -122,7 +130,18 @@ class FragmentEvolver:
         self.dim = basis.size
         couplings = _couplings(fragment, basis)
         diag = couplings.pop(0, None)
-        self._diag = None if diag is None else diag.real
+        self._levels = self._level_of = None
+        if diag is not None:
+            # The distinct levels by their bits (so 0.0 and -0.0 stay apart),
+            # sorted and compared; a plain np.unique would import numpy.ma.
+            bits = np.ascontiguousarray(diag.real).view(np.uint64)
+            order = np.argsort(bits, kind="stable")
+            ranked = bits[order]
+            first = np.ones(ranked.size, dtype=bool)
+            first[1:] = ranked[1:] != ranked[:-1]
+            self._level_of = np.empty(bits.size, dtype=np.intp)
+            self._level_of[order] = np.cumsum(first) - 1
+            self._levels = ranked[first].view(float)
         self._rotations = [rot for x_mask, coupling in couplings.items()
                            for rot in _split(coupling, basis, x_mask)]
         self._cached_key = None
@@ -132,7 +151,7 @@ class FragmentEvolver:
     def passes(self) -> int:
         """Sweeps over the amplitudes per ``apply``: one per rotation, and
         one for the diagonal phase."""
-        return len(self._rotations) + (self._diag is not None)
+        return len(self._rotations) + (self._levels is not None)
 
     def _coefficients(self, times: np.ndarray):
         """Diagonal phases and rotation coefficients for these row times.
@@ -140,8 +159,8 @@ class FragmentEvolver:
         key = times.tobytes()
         if key != self._cached_key:
             phase = None
-            if self._diag is not None:
-                phase = np.exp(-1j * np.multiply.outer(times, self._diag))
+            if self._levels is not None:
+                phase = np.exp(-1j * np.multiply.outer(times, self._levels))[:, self._level_of]
             rotations = []
             for rot in self._rotations:
                 angle = (rot.mag * times)[:, None]
@@ -171,17 +190,30 @@ class FragmentEvolver:
         elif times.shape != (rows,) or not block:
             raise ValueError(f"times of shape {times.shape} do not match state of shape {state.shape}")
         out = np.array(state if block else state[None, :], dtype=complex)
-        if times.any():
-            phase, rotations = self._coefficients(times)
-            if phase is not None:
-                out *= phase
-            for rot, c, a_lo, a_hi in rotations:
-                # The gathers copy, so each half is written from them alone.
-                x = out[:, rot.lo]
-                y = out[:, rot.hi]
-                out[:, rot.hi] = c * y + a_lo * x
-                out[:, rot.lo] = c * x + a_hi * y
+        self._apply_in_place(out, times)
         return out if block else out[0]
+
+    def _apply_in_place(self, rows: np.ndarray, times: np.ndarray):
+        """Overwrite the complex ``(r, S)`` ``rows`` with exp(-i t_i F) of
+        each row, for a length-r vector of row times; no check is made."""
+        if not times.any():
+            return
+        phase, rotations = self._coefficients(times)
+        if phase is not None:
+            rows *= phase
+        for rot, c, a_lo, a_hi in rotations:
+            # The gathers copy, so each half is written from them alone.
+            x = rows[:, rot.lo]
+            y = rows[:, rot.hi]
+            new_lo = c * x
+            new_lo += a_hi * y
+            y *= c
+            # Not x *= a_lo: a complex product's bits depend on the order of
+            # its operands.
+            np.multiply(a_lo, x, out=x)
+            y += x
+            rows[:, rot.hi] = y
+            rows[:, rot.lo] = new_lo
 
 
 def _subspace(blocks: list[np.ndarray], states: np.ndarray) -> np.ndarray:

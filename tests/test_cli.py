@@ -216,11 +216,11 @@ def test_overlong_series_is_refused_before_any_state(args, made, capsys, monkeyp
     # only the grid's last times; each batch holds one grid point.
     calls = []
     batch, step = formulas.ProductFormula._apply_on, dynamic_mpf.minimax_step
-    apply = statesim.FragmentEvolver.apply
+    apply = statesim.FragmentEvolver._apply_in_place
     monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
                         lambda *a: calls.append("batch") or batch(*a))
     monkeypatch.setattr(dynamic_mpf, "minimax_step", lambda *a: calls.append("step") or step(*a))
-    monkeypatch.setattr(statesim.FragmentEvolver, "apply",
+    monkeypatch.setattr(statesim.FragmentEvolver, "_apply_in_place",
                         lambda *a: calls.append("apply") or apply(*a))
     monkeypatch.setattr(formulas, "_KERNEL_AMPLITUDES", 1)
     with monkeypatch.context() as capped:

@@ -76,7 +76,7 @@ def test_batched_trotter_states_match_single_circuits(chain4):
 
 def test_non_finite_times_are_refused_before_the_kernel(chain4, monkeypatch):
     # Every form refuses before its first pass, with no NaN row and no warning.
-    monkeypatch.setattr(FragmentEvolver, "apply", lambda *a: pytest.fail("kernel ran"))
+    monkeypatch.setattr(FragmentEvolver, "_apply_in_place", lambda *a: pytest.fail("kernel ran"))
     pf, psi = chain4.pf, chain4.psi
     for call in (lambda: trotter_states(pf, psi, np.nan, [1, 2]),
                  lambda: rho_k_state(pf, psi, np.inf, 2),
@@ -374,8 +374,8 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
 
 def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
     calls = []
-    apply = FragmentEvolver.apply
-    monkeypatch.setattr(FragmentEvolver, "apply",
+    apply = FragmentEvolver._apply_in_place
+    monkeypatch.setattr(FragmentEvolver, "_apply_in_place",
                         lambda self, *a: calls.append(1) or apply(self, *a))
     pf, dt, k0 = chain6.pf, 0.25, 3
     states = trotter_states(pf, chain6.psi, 0.75, STEPS)
@@ -419,7 +419,7 @@ def minimax_push_calls(case, monkeypatch, **grid):
     made in each; and the order in which they ran."""
     calls, batch_calls, made, push_calls, builds, order = [], [], [], [], [], []
     within = []
-    apply, build = FragmentEvolver.apply, formulas._BlockPower._build
+    apply, build = FragmentEvolver._apply_in_place, formulas._BlockPower._build
     apply_on, make, push = ProductFormula._apply_on, _Walk.push, dynamic_mpf.q_from_states
 
     def counting(func, into, name):
@@ -436,7 +436,7 @@ def minimax_push_calls(case, monkeypatch, **grid):
         return run
 
     batch = counting(apply_on, batch_calls, "batch")
-    monkeypatch.setattr(FragmentEvolver, "apply",
+    monkeypatch.setattr(FragmentEvolver, "_apply_in_place",
                         lambda self, *a: calls.append(1) or apply(self, *a))
     monkeypatch.setattr(formulas._BlockPower, "_build",
                         lambda self, *a: builds.append(1) or build(self, *a))

@@ -11,7 +11,9 @@ from mpf_lab import (
     to_dense,
 )
 from mpf_lab import formulas
+from mpf_lab.pauli import parse_op
 from conftest import random_state
+from test_goldens import CONSERVES_NOTHING
 
 
 def dense_trace_norm_error(pf, oracle, psi, t, k=1):
@@ -163,6 +165,65 @@ def test_apply_block_matches_columns(chain4, rng):
     with pytest.raises(ValueError, match="not a"):
         chain4.pf.apply(block[:, :8], 0.3)
     assert np.array_equal(chain4.pf.apply(np.zeros(16), 0.3, 2), np.zeros(16))
+
+
+def slot_by_slot_copies(pf, rows, times, reps, basis):
+    """Each row alone through ``FragmentEvolver.apply``, which copies, slot
+    by slot in the order ``_apply_on`` runs them: adjacent equal fragments
+    merged and, in a palindrome, each step's closing slot merged with the
+    next step's opening one."""
+    program = pf._program_on(basis)
+    last = len(program) - 1
+    wrap = last > 0 and program[0][0] is program[last][0]
+    out = []
+    for row, t, k in zip(rows, times, reps):
+        for step in range(k):
+            for j, (evolver, mult) in enumerate(program):
+                if wrap and j == 0 and step > 0:
+                    continue
+                if wrap and j == last and step + 1 < k:
+                    mult = mult + program[0][1]
+                row = evolver.apply(row, mult * t)
+        out.append(row)
+    return np.array(out).reshape(rows.shape)
+
+
+def kernel_cases(chain10, rng):
+    """(formula, rows in the coordinates of a basis, basis): the n=10 Neel
+    sector under the chain and its fourth-order formula, the whole space
+    of a 4-qubit operator that conserves nothing, and an empty basis."""
+    basis = chain10.pf._basis(chain10.psi)
+    assert basis.size == 252
+    sector = np.stack([chain10.psi[basis]] * 2 + [random_state(10, rng)[basis] for _ in range(4)])
+    whole = parse_op(CONSERVES_NOTHING)
+    pf_whole = formulas.second_order(formulas.fragment_by_commuting_groups(whole))
+    assert [idx.shape for idx in pf_whole._blocks] == [(1, 16)]
+    return [(chain10.pf, sector, basis),
+            (formulas.suzuki(chain10.pf, 4), sector[:3], basis),
+            (pf_whole, np.stack([random_state(4, rng) for _ in range(6)]), np.arange(16)),
+            (chain10.pf, np.zeros((6, 0), dtype=complex), basis[:0])]
+
+
+def test_in_place_kernel_has_the_bits_of_the_copying_one(chain10, rng):
+    # Per-row times (a zero and a negative one among them), and step counts
+    # that make rows drop out at different steps.
+    times = np.array([0.31, -0.17, 0.0, 0.045, 1.3, 0.31])
+    reps = np.array([3, 7, 2, 1, 5, 7])
+    for pf, rows, basis in kernel_cases(chain10, rng):
+        count = rows.shape[0]
+        kept = rows.copy()
+        out = pf._apply_on(rows, times[:count], reps[:count], basis)
+        assert np.array_equal(rows, kept)
+        assert np.array_equal(out, slot_by_slot_copies(pf, rows, times[:count],
+                                                       reps[:count], basis))
+        # One state, and a scalar time and count.
+        assert np.array_equal(pf._apply_on(rows[0], 0.2, 3, basis),
+                              slot_by_slot_copies(pf, rows[:1], [0.2], [3], basis)[0])
+        # The copying kernel leaves its input as it was.
+        for evolver, _ in pf._program_on(basis):
+            evolver.apply(rows, times[:count])
+            evolver.apply(rows[0], 0.4)
+            assert np.array_equal(rows, kept)
 
 
 def test_distinct_fragments_share_one_evolver(chain4):

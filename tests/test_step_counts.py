@@ -67,7 +67,7 @@ def bits(value):
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_every_entry_reads_a_step_count_by_one_rule(entry, chain4, monkeypatch):
     run = ENTRIES[entry]
-    for owner, name in ((statesim.FragmentEvolver, "apply"),
+    for owner, name in ((statesim.FragmentEvolver, "_apply_in_place"),
                         (statesim._ChebyshevBlock, "__init__")):
         monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     for bad in (2.5, 0, -1, math.nan, math.inf):
