@@ -248,6 +248,27 @@ def _dual_gap(a: np.ndarray, b: np.ndarray, eps: float, x: np.ndarray) -> float:
     return gap
 
 
+def _ridge_point(d: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndarray,
+                 lam: float) -> np.ndarray:
+    """The ridge point ``x(lam) = (M^T M + lam I)^-1 (M^T b + mu 1)`` on the
+    slice ``sum x = 1``, from the eigenpairs ``d``, ``v`` of ``M^T M``, with
+    ``p = v^T M^T b`` and ``q = v^T 1``: one O(r^2) solve."""
+    w = 1.0 / (d + lam)
+    mu = (1.0 - float(q @ (w * p))) / float(q @ (w * q))
+    x = v @ (w * (p + mu * q))
+    # Project the rounding off the slice (for r = 1, exactly onto [1]).
+    return x + (1.0 - x.sum()) / x.size
+
+
+def _scaling(g_new: float, g_old: float) -> float:
+    """Anderson and Bjorck's factor for the g kept at one end of a regula
+    falsi bracket when the other end moves from ``g_old`` to ``g_new`` on
+    the same side of the root: ``1 - g_new / g_old``, or 1/2 where that is
+    not positive."""
+    factor = 1.0 - g_new / g_old
+    return factor if factor > 0.0 else 0.5
+
+
 def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
                  eps: float) -> np.ndarray:
     """One robust tracking step: minimize ``|M x - A c_prev| + eps |x|`` over
@@ -257,10 +278,14 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     eps > 0 the optimum lies on the ridge path
     ``x(lam) = (M^T M + lam I)^-1 (M^T b + mu 1)``, mu fixed by the sum, at the
     lam solving ``lam |x(lam)| = eps |M x(lam) - b|``.  One ``eigh`` of
-    ``M^T M`` makes each x(lam) O(r^2), and lam is found by bisection in
-    log lam.  A dual feasible point certifies the objective gap, also at an
-    optimum on the kink ``M x = b``; failure to certify :data:`MINIMAX_TOL`
-    raises :class:`SolverError` carrying the best point.
+    ``M^T M`` makes each x(lam) O(r^2) (:func:`_ridge_point`), and lam is the
+    root of ``g(s) = log(lam |x|) - log(eps |M x - b|)`` in ``s = log lam``,
+    found by a safeguarded secant (regula falsi in the Illinois family) on
+    a bracket that it narrows to float resolution: about 13 solves a step
+    on the shootout, where a bisection takes about 60.  A dual feasible
+    point certifies the objective gap, also at an optimum on the kink
+    ``M x = b``; failure to certify :data:`MINIMAX_TOL` raises
+    :class:`SolverError` carrying the best point.
     """
     m_bar = np.asarray(m_bar, dtype=float)
     a_bar = np.asarray(a_bar, dtype=float)
@@ -281,30 +306,52 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     p = v.T @ (m_s.T @ b_s)
     q = v.sum(axis=0)
 
-    def ridge_point(lam: float) -> np.ndarray:
-        w = 1.0 / (d + lam)
-        mu = (1.0 - float(q @ (w * p))) / float(q @ (w * q))
-        x = v @ (w * (p + mu * q))
-        # Project the rounding off the slice (for r = 1, exactly onto [1]).
-        return x + (1.0 - x.sum()) / r
+    def balance(lam: float) -> tuple[np.ndarray, float]:
+        """x(lam) and g at s = log lam: negative below the root, >= 0 from
+        it on (+inf on the kink, where the residual is 0)."""
+        x = _ridge_point(d, v, p, q, lam)
+        res = e_s * float(np.linalg.norm(m_s @ x - b_s))
+        if not res > 0.0:
+            return x, math.inf
+        return x, math.log(lam * float(np.linalg.norm(x))) - math.log(res)
 
     # Every ridge point has |x| >= 1/sqrt(r) and a residual no larger than the
-    # uniform mixture's, so lam |x| > eps |res| at `hi`.  Below `lo` the
-    # residual at a root would sit beneath its own rounding (the kink).  The
-    # problem is strictly convex on the slice, so any root is the optimum;
-    # halving the log-bracket to float resolution takes about 60 steps.
+    # uniform mixture's, so g >= 0 at `hi`.  Below `lo` the residual at a root
+    # would sit beneath its own rounding, so g >= 0 at `lo` is the kink and
+    # its answer.  The problem is strictly convex on the slice, so any root
+    # is the optimum, and an exact one ends the search.  g is close to s plus
+    # a constant towards both ends of the bracket, so regula falsi in s needs
+    # few solves.  When the same end moves twice running, the other end's g
+    # is scaled down (Anderson and Bjorck; by half where their factor is not
+    # positive, as in the Illinois rule) so that it moves too.  The search
+    # stops when no point lies strictly inside the bracket.
     hi = e_s * (math.sqrt(r) * float(np.linalg.norm(m_s.mean(axis=1) - b_s)) + e_s)
     lo = hi * np.finfo(float).eps ** 2
-    for _ in range(100):
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        if not lo < mid < hi:
-            break
-        x = ridge_point(mid)
-        if mid * np.linalg.norm(x) < e_s * np.linalg.norm(m_s @ x - b_s):
-            lo = mid
+    x, g_hi = balance(hi)
+    if lo > 0.0 and g_hi > 0.0:
+        x_lo, g_lo = balance(lo)
+        if g_lo >= 0.0:
+            x = x_lo
         else:
-            hi = mid
-    x = ridge_point(hi)
+            s_lo, s_hi, moved = math.log(lo), math.log(hi), 0
+            for _ in range(100):
+                # g_lo < 0 < g_hi, so the secant point lies in [s_lo, s_hi].
+                s = s_hi - g_hi * (s_hi - s_lo) / (g_hi - g_lo)
+                if not s_lo < s < s_hi:
+                    s = 0.5 * (s_lo + s_hi)
+                    if not s_lo < s < s_hi:
+                        break
+                x_s, g = balance(math.exp(s))
+                if g < 0.0:
+                    if moved < 0:
+                        g_hi *= _scaling(g, g_lo)
+                    s_lo, g_lo, moved = s, g, -1
+                else:
+                    if moved > 0:
+                        g_lo *= _scaling(g, g_hi)
+                    s_hi, g_hi, x, moved = s, g, x_s, 1
+                    if g == 0.0:
+                        break
     gap = _dual_gap(m_s, b_s, e_s, x)
     if not math.isfinite(gap) or gap > MINIMAX_TOL:
         raise SolverError(

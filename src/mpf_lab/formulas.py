@@ -39,9 +39,12 @@ _BUILD_MAX = 1024
 # block product, fitted to wall time: from the Neel state with k0=26 and r=5
 # (2 BLAS threads, medians of four in-process runs) the build pays from 4.5
 # pushes at n=10 and 122 at n=12, counting the block pushes after it; 28 puts
-# the rule (its thresholds are in `_BlockPower`) within 1.8x of both.  A pass
-# costs 8-23 ns per amplitude against 0.3-0.4 ns per multiply-add of the
-# squaring.
+# the rule (its thresholds are in `_BlockPower`) within 1.8x of both.  With
+# the in-place kernel, which speeds the build's kernel steps and the kernel
+# pushes alike, three such medians gave 4.8-5.6 pushes at n=10 and 130-155
+# at n=12 (113-157 with the copying kernel, alternating), so the rule stays
+# within 2x of both.  A pass costs 8-23 ns per amplitude against 0.3-0.4 ns
+# per multiply-add of the squaring.
 _SWEEP_COST = 28
 
 

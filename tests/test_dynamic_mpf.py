@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpf_lab import dynamic_mpf, formulas, statesim
+from mpf_lab import dynamic_mpf, experiments, formulas, statesim
 from mpf_lab import (
     FragmentEvolver,
     MinimaxRun,
@@ -33,6 +33,7 @@ from mpf_lab import (
 )
 from mpf_lab.dynamic_mpf import (
     MINIMAX_TOL,
+    _check_noise,
     _dual_gap,
     _pinv,
     gram_from_states,
@@ -822,10 +823,9 @@ def test_minimax_step_certified_regression_set():
             assert np.array_equal(x, [1.0])
 
 
-def test_minimax_step_zero_residual_kink_certified():
-    # The sum-one least-squares point reaches b exactly and is the optimum
-    # (a subgradient with |u| = 0.25 exists).  The residual direction is
-    # undefined there, so only the kink multiplier can certify it.
+def kink_instance():
+    """A robust step whose sum-one least-squares point reaches b exactly and
+    is the optimum (a subgradient with |u| = 0.25 exists)."""
     m = np.eye(4)
     m[np.triu_indices(4, 1)] = (0.8598286368718316, 0.915533733759983,
                                 1.3498396929440826, 0.6615167347323085,
@@ -835,7 +835,13 @@ def test_minimax_step_zero_residual_kink_certified():
                  -2.0074156577057063])
     c_prev = np.array([0.9641491780473957, -0.06986752529332062,
                        0.6524184819891494, -0.5467001347432245])
-    eps = 0.11926114159808276
+    return m, a, c_prev, 0.11926114159808276
+
+
+def test_minimax_step_zero_residual_kink_certified():
+    # The residual direction is undefined at the kink, so only the kink
+    # multiplier can certify it.
+    m, a, c_prev, eps = kink_instance()
     b = a @ c_prev
     kink = np.linalg.solve(m, b)
     assert abs(kink.sum() - 1.0) < 1e-14
@@ -854,6 +860,100 @@ def test_minimax_step_uncertified_raises_with_best_point(monkeypatch):
         minimax_step(m, a, c_prev, eps)
     assert abs(info.value.best.sum() - 1.0) <= 1e-12
     assert 0.0 <= info.value.gap <= MINIMAX_TOL
+
+
+def bisection_step(m_bar, a_bar, c_prev, eps):
+    """The robust step by bisection in log lam to float resolution, about
+    60 ridge solves a step: the reference that the secant search of
+    ``minimax_step`` must match.  Kept verbatim."""
+    m_bar = np.asarray(m_bar, dtype=float)
+    a_bar = np.asarray(a_bar, dtype=float)
+    c_prev = np.asarray(c_prev, dtype=float)
+    r = c_prev.size
+    _check_noise(eps)
+    if m_bar.shape != (r, r) or a_bar.shape != (r, r):
+        raise ValueError("shape mismatch")
+    b = a_bar @ c_prev
+    if eps == 0.0:
+        return dynamic_project(m_bar.T @ m_bar, m_bar.T @ b).coefficients
+    # The objective is positively homogeneous in (M, b, eps), so normalize to
+    # unit data scale; the certified gap transfers as MINIMAX_TOL * scale.
+    scale = max(1.0, float(np.linalg.norm(b)))
+    m_s, b_s, e_s = m_bar / scale, b / scale, eps / scale
+    d, v = np.linalg.eigh(m_s.T @ m_s)
+    d = np.maximum(d, 0.0)
+    p = v.T @ (m_s.T @ b_s)
+    q = v.sum(axis=0)
+
+    def ridge_point(lam: float) -> np.ndarray:
+        w = 1.0 / (d + lam)
+        mu = (1.0 - float(q @ (w * p))) / float(q @ (w * q))
+        x = v @ (w * (p + mu * q))
+        # Project the rounding off the slice (for r = 1, exactly onto [1]).
+        return x + (1.0 - x.sum()) / r
+
+    # Every ridge point has |x| >= 1/sqrt(r) and a residual no larger than the
+    # uniform mixture's, so lam |x| > eps |res| at `hi`.  Below `lo` the
+    # residual at a root would sit beneath its own rounding (the kink).  The
+    # problem is strictly convex on the slice, so any root is the optimum;
+    # halving the log-bracket to float resolution takes about 60 steps.
+    hi = e_s * (math.sqrt(r) * float(np.linalg.norm(m_s.mean(axis=1) - b_s)) + e_s)
+    lo = hi * np.finfo(float).eps ** 2
+    for _ in range(100):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            break
+        x = ridge_point(mid)
+        if mid * np.linalg.norm(x) < e_s * np.linalg.norm(m_s @ x - b_s):
+            lo = mid
+        else:
+            hi = mid
+    x = ridge_point(hi)
+    gap = _dual_gap(m_s, b_s, e_s, x)
+    if not math.isfinite(gap) or gap > MINIMAX_TOL:
+        raise SolverError(
+            f"robust step failed to certify gap {MINIMAX_TOL:g} at unit data scale "
+            f"(achieved {gap:.3e}, data scale {scale:.3e})",
+            best=x, gap=gap,
+        )
+    return x
+
+
+def robust_objective(m, a, c_prev, eps, x):
+    return float(np.linalg.norm(m @ x - a @ c_prev) + eps * np.linalg.norm(x))
+
+
+def test_secant_step_matches_the_bisection(monkeypatch):
+    # The 70 robust steps of the n=10, seed-2024 shootout, with the ridge
+    # solves each took.
+    solves, steps = [], []
+    ridge, step = dynamic_mpf._ridge_point, dynamic_mpf.minimax_step
+    monkeypatch.setattr(dynamic_mpf, "_ridge_point", lambda *a: solves.append(1) or ridge(*a))
+
+    def counted(*args):
+        before = len(solves)
+        x = step(*args)
+        steps.append((args, len(solves) - before))
+        return x
+
+    monkeypatch.setattr(dynamic_mpf, "minimax_step", counted)
+    cfg = experiments.resolve_config("minimax-shootout", {"n": "10", "seed": "2024"})
+    doc, _ = experiments.run_scenario("minimax-shootout", cfg)
+    monkeypatch.undo()
+    assert len(steps) == 70
+    assert sum(count for _, count in steps) <= 15 * len(steps)
+    # The robust estimate beats the best Trotter circuit from t = 2.5 on.
+    columns = dict(zip(doc.header, zip(*doc.rows)))
+    for t, trotter, minimax in zip(columns["t"], columns["err_best_trotter"],
+                                   columns["err_minimax"]):
+        assert t < 2.5 or minimax <= trotter, t
+    instances = [*_regression_instances(), kink_instance(), *(args for args, _ in steps)]
+    for idx, (m, a, c_prev, eps) in enumerate(instances):
+        x, ref = minimax_step(m, a, c_prev, eps), bisection_step(m, a, c_prev, eps)
+        best = robust_objective(m, a, c_prev, eps, ref)
+        assert robust_objective(m, a, c_prev, eps, x) <= best * (1.0 + 1e-13), idx
+        scale = max(1.0, float(np.linalg.norm(a @ c_prev)))
+        assert _dual_gap(m / scale, a @ c_prev / scale, eps / scale, x) <= MINIMAX_TOL, idx
 
 
 def test_published_seed_embedding():

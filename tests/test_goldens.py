@@ -38,14 +38,14 @@ CONSERVES_NOTHING = """\
 GOLDENS = {
     "minimax-shootout": (
         "minimax-shootout", ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
-        {"out.csv": "9615550ccc2a57a2a2d735f9bbad3e50a753fa2904a3d0c3277a0fac088ad8d3",
-         "traj.csv": "1b7dd94a25cbb0184edc1621fa62f1597a19275c7e42590edeabb254b22ee2ca"},
+        {"out.csv": "efc250022a595351a18ea33e757919d213c2f06d632b71461b2fd049ea22f6f8",
+         "traj.csv": "06b66b15e566024cbb8ef4e4d18d8febc9a6f3bca5bfc6fa28bc859e337139f2"},
     ),
     # The benchmark's shootout config: the paper's defaults, n=10.
     "minimax-shootout-n10": (
         "minimax-shootout", ["--set", "trajectory_out=traj.csv"],
-        {"out.csv": "05c180b3d652e0354d62f7366adb96b1f4f958503c8d0ac1d40d5114188973c9",
-         "traj.csv": "cf6549283c2604d13dc8cb456d017591d33b2af8ad0de94ae54dd24108b26df1"},
+        {"out.csv": "900e2669704d638e3ca87b2442b196b9c0c1415a3cc29631a22c52b8e3992695",
+         "traj.csv": "e4216bbebad04345c34831cd995e956c6c6cfa6fb1d6c136ccb44aeb768df2ec"},
     ),
     "trotter-sweep": (
         "trotter-sweep", [],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -678,6 +680,51 @@ def test_frobenius_validation():
     skew = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):
         mixture_frobenius_sq(skew, [0.5, 0.5], [1.0, 1.0])
+
+
+def near_symmetric_cases(rng):
+    """Square matrices at and around the edges of ``np.allclose(m, m.T,
+    atol=1e-10)``: within and beyond its absolute and relative tolerances,
+    with NaN and +-inf entries, overflowing differences and signed zeros."""
+    base = rng.standard_normal((4, 4))
+    base = base + base.T
+    cases = [base, np.eye(3), np.zeros((1, 1)), np.full((1, 1), np.nan)]
+    for i, j in ((0, 1), (2, 3), (1, 1)):
+        for x, y in ((1.0, 1.0 + 1e-11), (1.0, 1.0 + 3e-10), (1e6, 1e6 + 9.0),
+                     (1e6, 1e6 + 11.0), (0.0, -0.0), (np.nan, np.nan), (np.nan, 1.0),
+                     (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, -np.inf),
+                     (np.inf, 1e308), (1e308, np.inf), (1e308, -1e308), (5e-324, 0.0),
+                     (np.inf, np.nan)):
+            m = base.copy()
+            m[i, j], m[j, i] = x, y
+            cases.append(m)
+            # The same pair beside a symmetric inf, so the entry-by-entry
+            # form judges the finite ones too.
+            flagged = m.copy()
+            flagged[3, 3] = np.inf
+            cases.append(flagged)
+    return cases
+
+
+def test_symmetry_check_refuses_what_allclose_refuses(rng):
+    refused = 0
+    for m in near_symmetric_cases(rng):
+        r = m.shape[0]
+        # Each decides the same, and the check warns of nothing that
+        # np.allclose does not (it does of the overflow in 1e308 + 1e308).
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            expected = np.allclose(m, m.T, atol=1e-10)
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            assert statesim._near_symmetric(m) is expected
+        assert {str(w.message) for w in ours} <= {str(w.message) for w in theirs}
+        if not expected:
+            refused += 1
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValueError, match="^Gram matrix must be symmetric$"):
+                mixture_frobenius_sq(m, np.full(r, 1.0 / r), np.zeros(r))
+    assert 0 < refused < len(near_symmetric_cases(rng))
 
 
 def test_neel_state():
