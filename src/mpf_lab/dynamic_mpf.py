@@ -269,6 +269,48 @@ def _scaling(g_new: float, g_old: float) -> float:
     return factor if factor > 0.0 else 0.5
 
 
+def _secant_root(balance, lo: float, hi: float) -> np.ndarray:
+    """The ridge point at the root of g in ``s = log lam`` on the bracket
+    [lo, hi], where ``balance(lam)`` gives the point at lam and its g,
+    negative below the root.  It is the point at ``hi`` when g is not
+    positive there (or lo is 0), and the one at ``lo`` when g >= 0 there
+    too (the kink).
+
+    g is close to s plus a constant towards both ends of the bracket, so
+    regula falsi in s needs few solves.  When the same end moves twice
+    running, the other end's g is scaled down (Anderson and Bjorck; by half
+    where their factor is not positive, as in the Illinois rule) so that it
+    moves too.  The search stops at an exact root, when no point lies
+    strictly inside the bracket, or after 100 steps, and returns the point
+    at its upper end."""
+    x, g_hi = balance(hi)
+    if not (lo > 0.0 and g_hi > 0.0):
+        return x
+    x_lo, g_lo = balance(lo)
+    if g_lo >= 0.0:
+        return x_lo
+    s_lo, s_hi, moved = math.log(lo), math.log(hi), 0
+    for _ in range(100):
+        # g_lo < 0 < g_hi, so the secant point lies in [s_lo, s_hi].
+        s = s_hi - g_hi * (s_hi - s_lo) / (g_hi - g_lo)
+        if not s_lo < s < s_hi:
+            s = 0.5 * (s_lo + s_hi)
+            if not s_lo < s < s_hi:
+                break
+        x_s, g = balance(math.exp(s))
+        if g < 0.0:
+            if moved < 0:
+                g_hi *= _scaling(g, g_lo)
+            s_lo, g_lo, moved = s, g, -1
+        else:
+            if moved > 0:
+                g_lo *= _scaling(g, g_hi)
+            s_hi, g_hi, x, moved = s, g, x_s, 1
+            if g == 0.0:
+                break
+    return x
+
+
 def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
                  eps: float) -> np.ndarray:
     """One robust tracking step: minimize ``|M x - A c_prev| + eps |x|`` over
@@ -280,9 +322,9 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     lam solving ``lam |x(lam)| = eps |M x(lam) - b|``.  One ``eigh`` of
     ``M^T M`` makes each x(lam) O(r^2) (:func:`_ridge_point`), and lam is the
     root of ``g(s) = log(lam |x|) - log(eps |M x - b|)`` in ``s = log lam``,
-    found by a safeguarded secant (regula falsi in the Illinois family) on
-    a bracket that it narrows to float resolution: about 13 solves a step
-    on the shootout, where a bisection takes about 60.  A dual feasible
+    found by a safeguarded secant on a bracket that it narrows to float
+    resolution (:func:`_secant_root`): about 13 solves a step on the
+    shootout, where a bisection takes about 60.  A dual feasible
     point certifies the objective gap, also at an optimum on the kink
     ``M x = b``; failure to certify :data:`MINIMAX_TOL` raises
     :class:`SolverError` carrying the best point.
@@ -319,39 +361,9 @@ def minimax_step(m_bar: np.ndarray, a_bar: np.ndarray, c_prev: np.ndarray,
     # uniform mixture's, so g >= 0 at `hi`.  Below `lo` the residual at a root
     # would sit beneath its own rounding, so g >= 0 at `lo` is the kink and
     # its answer.  The problem is strictly convex on the slice, so any root
-    # is the optimum, and an exact one ends the search.  g is close to s plus
-    # a constant towards both ends of the bracket, so regula falsi in s needs
-    # few solves.  When the same end moves twice running, the other end's g
-    # is scaled down (Anderson and Bjorck; by half where their factor is not
-    # positive, as in the Illinois rule) so that it moves too.  The search
-    # stops when no point lies strictly inside the bracket.
+    # is the optimum.
     hi = e_s * (math.sqrt(r) * float(np.linalg.norm(m_s.mean(axis=1) - b_s)) + e_s)
-    lo = hi * np.finfo(float).eps ** 2
-    x, g_hi = balance(hi)
-    if lo > 0.0 and g_hi > 0.0:
-        x_lo, g_lo = balance(lo)
-        if g_lo >= 0.0:
-            x = x_lo
-        else:
-            s_lo, s_hi, moved = math.log(lo), math.log(hi), 0
-            for _ in range(100):
-                # g_lo < 0 < g_hi, so the secant point lies in [s_lo, s_hi].
-                s = s_hi - g_hi * (s_hi - s_lo) / (g_hi - g_lo)
-                if not s_lo < s < s_hi:
-                    s = 0.5 * (s_lo + s_hi)
-                    if not s_lo < s < s_hi:
-                        break
-                x_s, g = balance(math.exp(s))
-                if g < 0.0:
-                    if moved < 0:
-                        g_hi *= _scaling(g, g_lo)
-                    s_lo, g_lo, moved = s, g, -1
-                else:
-                    if moved > 0:
-                        g_lo *= _scaling(g, g_hi)
-                    s_hi, g_hi, x, moved = s, g, x_s, 1
-                    if g == 0.0:
-                        break
+    x = _secant_root(balance, hi * np.finfo(float).eps ** 2, hi)
     gap = _dual_gap(m_s, b_s, e_s, x)
     if not math.isfinite(gap) or gap > MINIMAX_TOL:
         raise SolverError(

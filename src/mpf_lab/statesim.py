@@ -126,8 +126,9 @@ class FragmentEvolver:
     with two temporaries, in the operation order of ``c y + a_lo x`` and
     ``c x + a_hi y``.  The phase exponentiates each distinct diagonal level
     once (:func:`_levels`: five and three on the chain's bond fragments at
-    n=10, against 252 amplitudes) and gathers it to the amplitudes, so it
-    has the bits of one ``exp`` per amplitude.
+    n=10, against 252 amplitudes), so it has the bits of one ``exp`` per
+    amplitude; the kept coefficients hold the levels' phases, which each
+    call gathers to the amplitudes.
 
     ``apply`` takes one state ``(S,)`` or a block ``(r, S)`` of rows, with
     one time or a length-r vector of per-row times.
@@ -162,13 +163,14 @@ class FragmentEvolver:
         return len(self._rotations) + (self._levels is not None)
 
     def _coefficients(self, times: np.ndarray):
-        """Diagonal phases and rotation coefficients for these row times.
-        The last set is kept: a circuit reuses one time vector per slot."""
+        """Phases of the diagonal levels and rotation coefficients for these
+        row times.  The last set is kept: a circuit reuses one time vector
+        per slot."""
         key = times.tobytes()
         if key != self._cached_key:
             phase = None
             if self._levels is not None:
-                phase = np.exp(-1j * np.multiply.outer(times, self._levels))[:, self._level_of]
+                phase = np.exp(-1j * np.multiply.outer(times, self._levels))
             rotations = []
             for rot in self._rotations:
                 angle = (rot.mag * times)[:, None]
@@ -208,7 +210,7 @@ class FragmentEvolver:
             return
         phase, rotations = self._coefficients(times)
         if phase is not None:
-            rows *= phase
+            rows *= phase[:, self._level_of]
         for rot, c, a_lo, a_hi in rotations:
             # The gathers copy, so each half is written from them alone.
             x = rows[:, rot.lo]

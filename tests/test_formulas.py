@@ -219,6 +219,10 @@ def test_in_place_kernel_has_the_bits_of_the_copying_one(chain10, rng):
         # One state, and a scalar time and count.
         assert np.array_equal(pf._apply_on(rows[0], 0.2, 3, basis),
                               slot_by_slot_copies(pf, rows[:1], [0.2], [3], basis)[0])
+        # Rows of another width are refused before the in-place kernel.
+        if basis.size:
+            with pytest.raises(ValueError, match="not in the coordinates of"):
+                pf._apply_on(rows[:, 1:], 0.2, 3, basis)
         # The copying kernel leaves its input as it was.
         for evolver, _ in pf._program_on(basis):
             evolver.apply(rows, times[:count])
