@@ -180,25 +180,23 @@ class ProductFormula:
             raise ValueError(f"states of shape {state.shape} are not in the coordinates of "
                              f"{basis.size} basis states")
         order = np.argsort(-reps, kind="stable")
-        # The gather copies, so the kernel works on these rows in place.
+        # The gather copies, so the kernel works on these rows in place; the
+        # live rows lead, and a row whose steps are done stays where it is.
         cur = rows[order].astype(complex, copy=False)
         times, reps = times[order], reps[order]
         program = self._program_on(basis)
         last = len(program) - 1
         wrap = last > 0 and program[0][0] is program[last][0]
-        out = np.empty(rows.shape, dtype=complex)
         for step in range(reps[0]):
             live = int(np.count_nonzero(reps > step))
-            # Rows whose steps are done go to their slots in the output.
-            out[order[live:cur.shape[0]]] = cur[live:]
-            cur = cur[:live]
             for j, (evolver, mult) in enumerate(program):
                 if wrap and j == 0 and step > 0:
                     continue
                 if wrap and j == last:
                     mult = np.where(reps[:live] > step + 1, mult + program[0][1], mult)
-                evolver._apply_in_place(cur, mult * times[:live])
-        out[order[:cur.shape[0]]] = cur
+                evolver._apply_in_place(cur[:live], mult * times[:live])
+        out = np.empty(rows.shape, dtype=complex)
+        out[order] = cur
         return out if state.ndim == 2 else out[0]
 
 
