@@ -84,6 +84,11 @@ GOLDENS = {
         "trotter-sweep", ["--set", "n=10"],
         {"out.csv": "bb283b5bda8ab5a38397d0b47103ecc985862a52ba478fc629d7f838fbdb1351"},
     ),
+    # The fourth-order Suzuki formula, its commutator sum and fit.
+    "trotter-sweep-p4": (
+        "trotter-sweep", ["--set", "p=4", "--set", "n=4"],
+        {"out.csv": "e6b5ef1ae1b668f04c5cfe0038b061b7fac070cf68d456e814306958725b5ce4"},
+    ),
     # The whole-space kernel, from an operator file written beside the output.
     "trotter-sweep-conserves-nothing": (
         "trotter-sweep", ["--set", "n=4", "--set", "hamiltonian=ham.txt"],
