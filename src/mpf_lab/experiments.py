@@ -234,22 +234,6 @@ def _mpf_fit(p: int, n: int, t: float, objective: float) -> float:
     return 0.00014 * n * n * t**10 * objective
 
 
-def _sweep_grid(pf, grid: np.ndarray, steps, columns):
-    """A sweep's walk over the time grid (``formulas._Walk``): ``(t, states,
-    exact)`` with the Trotter states of the step counts ``steps`` and the
-    exact state, both from the Néel state, in the coordinates of its
-    subspace and computed a batch of grid points at a time.  At t = 0 both
-    are None, since every circuit reproduces the initial state.
-
-    ``columns(t)`` gives a time's bound and fit columns, which grow with t.
-    It is called first at the largest grid time, so a time whose columns
-    overflow is refused before any state is computed, and a series too long
-    for it is refused next, when the walk is made."""
-    columns(float(grid.max()))
-    walk = iter(_Walk(pf, neel_state(pf.n), grid[grid != 0.0], steps))
-    return ((t, None, None) if t == 0.0 else (t, *next(walk)) for t in map(float, grid))
-
-
 def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     if not cfg["k_list"]:
         raise ValueError("k_list must hold at least one step count")
@@ -258,18 +242,15 @@ def _run_trotter_sweep(cfg: dict) -> CsvDoc:
     grid = time_grid(cfg)
     pf = _build_formula(cfg["n"], cfg["seed"], cfg["p"], cfg["hamiltonian"])
     commutator_sum = formula_commutator_sum(pf)
-
-    def columns(t: float) -> list[list[float]]:
-        return [[product_formula_error_bound(pf, t, k, commutator_sum=commutator_sum),
-                 _trotter_fit(cfg["p"], cfg["n"], t, k)] for k in cfg["k_list"]]
-
-    rows = []
-    for t, states, exact in _sweep_grid(pf, grid, cfg["k_list"], columns):
-        if states is None:
-            rows.extend([t, k, 0.0, 0.0, 0.0] for k in cfg["k_list"])
-            continue
-        for k, state, tail in zip(cfg["k_list"], states, columns(t)):
-            rows.append([t, k, mixture_trace_norm([state, exact], [1.0, -1.0]), *tail])
+    # Every time's bound and fit first: a time that overflows is refused
+    # before the walk makes any state.
+    tails = [[[product_formula_error_bound(pf, t, k, commutator_sum=commutator_sum),
+               _trotter_fit(cfg["p"], cfg["n"], t, k)] for k in cfg["k_list"]]
+             for t in map(float, grid)]
+    walk = _Walk(pf, neel_state(pf.n), grid, cfg["k_list"])
+    rows = [[t, k, mixture_trace_norm([state, exact], [1.0, -1.0]), *tail]
+            for t, (states, exact), columns in zip(map(float, grid), walk, tails)
+            for k, state, tail in zip(cfg["k_list"], states, columns)]
     header = ["t", "k", "trotter_error", "trotter_bound", "fit_value"]
     return CsvDoc(_config_comments("trotter-sweep", cfg), header, rows)
 
@@ -288,20 +269,15 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     evaluator = MixtureBoundEvaluator(scheme, pf) if with_bound else None
     commutator_sum = evaluator.commutator_sum if with_bound else formula_commutator_sum(pf)
     k_best = max(scheme.steps)
-
-    def columns(t: float) -> list:
-        return [product_formula_error_bound(pf, t, k_best, commutator_sum=commutator_sum),
-                evaluator.at(t) if with_bound else None,
-                _mpf_fit(cfg["p"], cfg["n"], t, scheme.objective)]
-
-    rows = []
-    for t, states, exact in _sweep_grid(pf, grid, scheme.steps, columns):
-        if states is None:
-            rows.append([t, 0.0, 0.0, 0.0, 0.0 if with_bound else None, 0.0])
-            continue
-        trotter_err = mixture_trace_norm([states[-1], exact], [1.0, -1.0])
-        mpf_err = mixture_trace_norm([*states, exact], list(scheme.coefficients) + [-1.0])
-        rows.append([t, trotter_err, mpf_err, *columns(t)])
+    # As in the Trotter sweep, every time's columns come before any state.
+    tails = [[product_formula_error_bound(pf, t, k_best, commutator_sum=commutator_sum),
+              evaluator.at(t) if with_bound else None,
+              _mpf_fit(cfg["p"], cfg["n"], t, scheme.objective)] for t in map(float, grid)]
+    walk = _Walk(pf, neel_state(pf.n), grid, scheme.steps)
+    weights = [*scheme.coefficients, -1.0]
+    rows = [[t, mixture_trace_norm([states[-1], exact], [1.0, -1.0]),
+             mixture_trace_norm([*states, exact], weights), *tail]
+            for t, (states, exact), tail in zip(map(float, grid), walk, tails)]
     header = ["t", "trotter_error_best_k", "mpf_error", "trotter_bound", "mpf_bound", "fit_value"]
     return CsvDoc(_config_comments("mpf-sweep", cfg), header, rows)
 

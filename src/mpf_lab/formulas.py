@@ -359,8 +359,9 @@ class _Walk:
 
     Iterating yields ``(states, exact)`` at each time in turn: the r Trotter
     states ``S(t/k_i)^{k_i} psi_in`` of the step counts ``steps`` as an
-    ``(r, S)`` array, and ``exp(-i t H) psi_in``.  The Trotter states run a
-    batch of grid points at a time, as many as fit one block of kernel rows
+    ``(r, S)`` array, and ``exp(-i t H) psi_in``; a time of 0 yields the
+    input state exactly in both.  The Trotter states run a batch of grid
+    points at a time, as many as fit one block of kernel rows
     (:func:`_kernel_rows`) and at least one; the kernel works on each row
     alone, so every state has the bits of ``dynamic_mpf.trotter_states`` at
     its time on the basis.  H, the fragments' sum, keeps that basis

@@ -126,7 +126,6 @@ def test_resource_cap_exit_code(capsys):
 def test_mixture_bound_cap_refused_before_the_sweep(n, capsys, monkeypatch):
     # The evaluator is built right after the formula, and its window layer
     # refuses n > 8 before any bound or state work.
-    monkeypatch.setattr(experiments, "_sweep_grid", lambda *a: pytest.fail("sweep ran"))
     monkeypatch.setattr(experiments, "_Walk", lambda *a: pytest.fail("walk built"))
     for name in ("_compositions", "invariant_blocks", "formula_commutator_sum"):
         monkeypatch.setattr(bounds, name, lambda *a, name=name: pytest.fail(f"{name} ran"))

@@ -11,6 +11,8 @@ from mpf_lab.experiments import (
     run_scenario,
     time_grid,
 )
+from mpf_lab.statesim import mixture_trace_norm, neel_state
+from mpf_lab.static_mpf import solve_coefficients
 
 
 def test_parse_config_text():
@@ -106,10 +108,24 @@ def test_mpf_sweep_rows_and_zero_time(chain4):
     assert doc.header[0] == "t"
     first = doc.rows[0]
     assert first[0] == 0.0
-    assert abs(first[1]) < 1e-9 and abs(first[2]) < 1e-9  # errors vanish at t = 0
+    # At t = 0 every circuit and the exact evolution give the Neel state
+    # itself, so the Trotter error is exactly 0 and the mixture's error is
+    # that of its coefficients' rounding, computed like every other row.
+    scheme = solve_coefficients(cfg["p"], cfg["steps"])
+    copies = [neel_state(4)] * (len(scheme.steps) + 1)
+    assert first[1] == 0.0
+    assert first[2] == mixture_trace_norm(copies, [*scheme.coefficients, -1.0])
     assert first[3] == 0.0 and first[5] == 0.0
     # bound columns present but disabled
     assert first[4] is None
+    # The Trotter sweep's t = 0 rows, one per step count, are exact zeros.
+    cfg = resolve_config("trotter-sweep", {
+        "n": "4", "t_start": "0.0", "t_stop": "1.0", "t_count": "3",
+    })
+    doc, _ = run_scenario("trotter-sweep", cfg)
+    zero = [row for row in doc.rows if row[0] == 0.0]
+    assert [row[1] for row in zero] == list(cfg["k_list"])
+    assert all(row[2:] == [0.0, 0.0, 0.0] for row in zero)
 
 
 def test_mpf_sweep_bound_columns_dominate(chain4):
