@@ -86,11 +86,21 @@ def test_tuple_search_refuses_out_of_range_values_before_the_search(override, me
 @pytest.mark.parametrize("overrides", [("p=0", "r=2"), ("p=-2", "r=3")])
 def test_tuple_search_refuses_an_order_below_one_before_any_tuple(overrides, capsys,
                                                                   monkeypatch):
-    monkeypatch.setattr(static_mpf, "_solve_float", lambda *a: pytest.fail("tuple ranked"))
+    monkeypatch.setattr(static_mpf, "_float_keys", lambda *a: pytest.fail("tuple ranked"))
     code, out, err = run_cli(["tuple-search", *(x for o in overrides for x in ("--set", o))],
                              capsys)
     assert code == 2
     assert err == "error: order p must be >= 1\n"
+    assert out == ""
+
+
+def test_tuple_search_refuses_too_many_tuples_before_any_tuple(capsys, monkeypatch):
+    # C(40, 20) = 1.38e11 tuples.
+    monkeypatch.setattr(static_mpf, "_float_keys", lambda *a: pytest.fail("tuple ranked"))
+    code, out, err = run_cli(["tuple-search", "--set", "k_max=40", "--set", "r=20"], capsys)
+    assert code == 3
+    assert err == ("resource limit: tuple search capped at 20000000 tuples, "
+                   "k_max=40 with r=20 gives 137846528820\n")
     assert out == ""
 
 

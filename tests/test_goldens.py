@@ -63,6 +63,12 @@ GOLDENS = {
         "tuple-search", ["--set", "reference=4,13,17"],
         {"out.csv": "c5ed073987cc7c7902ff31f20ac7e43bd7d16740cce4f7d6fcf739302e03c262"},
     ),
+    # Fifth-order extrapolation of a fourth-order formula: the widest
+    # coefficient spread the tuple search ranks.
+    "tuple-search-p4": (
+        "tuple-search", ["--set", "p=4", "--set", "r=5", "--set", "k_max=30"],
+        {"out.csv": "d2b1d3e6f62e1992f16df109a18e73d248bec6071a981e25eb26efa0b09eae46"},
+    ),
     "solve-coeffs": (
         "solve-coeffs", [],
         {"out.csv": "d4b84e2539f80e7b6f37f010e482a1b0962d4c42a39defdf3d4984bd8d31b7a5"},
