@@ -26,7 +26,6 @@ from .static_mpf import (
 )
 from .bounds import (
     MixtureBoundEvaluator,
-    bernoulli,
     formula_commutator_sum,
     formula_conjugated_sum,
     product_formula_error_bound,

@@ -282,13 +282,13 @@ def _run_mpf_sweep(cfg: dict) -> CsvDoc:
     return CsvDoc(_config_comments("mpf-sweep", cfg), header, rows)
 
 
-_SCHEME_HEADER = ["p", "steps", "coefficients", "kappa", "objective", "condition"]
+_SCHEME_HEADER = ["p", "steps", "coefficients", "kappa", "objective"]
 
 
 def _scheme_row(sch) -> list:
     return [sch.order, ";".join(map(str, sch.steps)),
             ";".join(format(c, ".12e") for c in sch.coefficients),
-            sch.kappa, sch.objective, sch.system_condition]
+            sch.kappa, sch.objective]
 
 
 def _run_solve_coeffs(cfg: dict) -> CsvDoc:
@@ -306,6 +306,8 @@ def _run_tuple_search(cfg: dict) -> CsvDoc:
            if cfg["reference"] else None)
     ranked = search_steps(cfg["p"], cfg["k_max"], r, even_powers=cfg["even_powers"],
                           kappa_cap=cap, limit=cfg["limit"])
+    if not ranked:
+        raise ValueError(f"no tuple has kappa <= kappa_cap={cfg['kappa_cap']}")
     comments = _config_comments("tuple-search", cfg)
     if ref is not None:
         pos = rank_of_tuple(ranked, cfg["reference"])
@@ -332,6 +334,8 @@ def _run_bound_eval(cfg: dict) -> CsvDoc:
 
 def _run_minimax_shootout(cfg: dict) -> tuple[CsvDoc, CsvDoc | None]:
     steps = cfg["steps"]
+    if not steps:
+        raise ValueError("steps must hold at least one step count")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
     subset = cfg["static_subset"]

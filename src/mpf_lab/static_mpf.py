@@ -5,7 +5,7 @@ p + s, ..., p + s(r - 2) (s = 1: consecutive powers, s = 2: even ones), a
 Vandermonde system in ``k_i^-s`` for ``c_i / k_i^p``. Its one solution is
 ``c_i = w_i / sum_j w_j``, ``w_i = k_i^(p + s(r-2)) / prod_{l != i} (k_l^s - k_i^s)``
 (even powers: Low, Kliuchnikov and Wiebe, arXiv:1907.11679), evaluated in
-rationals. The float system's condition number is a diagnostic of the tuple.
+rationals. An order whose objectives a float cannot hold is refused.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class MpfScheme:
     powers: tuple[int, ...]
     kappa: float
     objective: float
-    system_condition: float
 
     def residuals(self) -> list[float]:
         """Constraint residuals: [sum c - 1] + [sum c/k^q for each power]."""
@@ -70,39 +69,44 @@ def _closed_form(p: int, steps: tuple[int, ...], s: int) -> list[Fraction]:
     return [x / total for x in w]
 
 
+def _check_order(p: int, k_max: int, r: int) -> None:
+    """Refuse an order below 1, or one whose objectives, each at least ``k_max^(-2p) / r``
+    since a sum-one mixture has ``max |c_i| >= 1/r``, fall below the smallest normal float."""
+    if p < 1:
+        raise ValueError("order p must be >= 1")
+    if r * k_max ** min(2 * p, 1023) > 2**1022:  # the clipped power refuses any k_max >= 2
+        raise ValueError(f"order p={p} puts every objective below 2^-1022 at steps up to {k_max}")
+
+
 def solve_coefficients(p: int, steps: Sequence[int],
                        even_powers: bool = False) -> MpfScheme:
     """The exact mixture coefficients of a time-step tuple. ``even_powers``
     cancels q = p, p+2, ... only, for symmetric base formulas (odd orders vanish)."""
-    if p < 1:
-        raise ValueError("order p must be >= 1")
     steps = tuple(map(_step_count, steps))
     if not steps:
         raise ValueError("need at least one step count")
     if any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValueError("steps must be strictly increasing")
     s, r = 2 if even_powers else 1, len(steps)
-    powers = tuple(range(p, p + s * (r - 1), s))
+    _check_order(p, steps[-1], r)
     exact = _closed_form(p, steps, s)
-    system = np.vstack([np.ones(r)] + [np.asarray(steps, dtype=float) ** -q for q in powers])
-    return MpfScheme(order=p, steps=steps, coefficients=tuple(map(float, exact)), powers=powers,
+    return MpfScheme(order=p, steps=steps, coefficients=tuple(map(float, exact)),
+                     powers=tuple(range(p, p + s * (r - 1), s)),
                      kappa=float(sum(map(abs, exact))),
-                     objective=float(sum(abs(c) / k ** (2 * p) for c, k in zip(exact, steps))),
-                     system_condition=float(np.linalg.cond(system)))
+                     objective=float(sum(abs(c) / k ** (2 * p) for c, k in zip(exact, steps))))
 
 
 def _float_keys(p: int, tuples: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float objective and kappa of each row of ``tuples``; NaN where a power overflows."""
+    """Float objective and kappa per row; under ``_check_order`` no power tops 2^511 * 40^76."""
     r = tuples.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = tuples ** (p + s * (r - 2))
-        powers = tuples**s
-        for j in range(r):
-            gaps = powers[:, j:j + 1] - powers
-            gaps[:, j] = 1.0
-            w /= gaps
-        total = np.abs(w.sum(axis=1))
-        return (np.abs(w) * tuples ** (-2.0 * p)).sum(axis=1) / total, np.abs(w).sum(axis=1) / total
+    w = tuples ** (p + s * (r - 2))
+    powers = tuples**s
+    for j in range(r):
+        gaps = powers[:, j:j + 1] - powers
+        gaps[:, j] = 1.0
+        w /= gaps
+    total = np.abs(w.sum(axis=1))
+    return (np.abs(w) * tuples ** (-2.0 * p)).sum(axis=1) / total, np.abs(w).sum(axis=1) / total
 
 
 def search_steps(p: int, k_max: int, r: int | None = None, *,
@@ -113,15 +117,14 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
     lexicographic tuple), keeping the best ``limit`` (all for None).
     ``kappa_cap`` drops tuples whose ``kappa = sum |c_i|`` exceeds it.
 
-    Each tuple is keyed by the closed form in floats, trusted to a relative
-    ``_BAND * (1 + kappa)``. The tuples whose keys lie within that band of the
-    ``limit``-th objective and of ``kappa_cap`` are solved exactly and ordered
-    by their exact ``(objective, kappa, steps)``, so ties fall as stated. Over
-    ``SEARCH_TUPLE_CAP`` tuples raise ``ResourceLimitError`` before any is formed.
+    Each tuple is keyed by the closed form in floats, trusted to ``_BAND * (1 + kappa)``
+    relative. Tuples keyed within that band of the ``limit``-th objective and of ``kappa_cap``
+    are solved exactly and ordered by ``(objective, kappa, steps)``, so ties fall as stated.
+    Before any tuple is formed, an order past the float range raises ``ValueError`` and over
+    ``SEARCH_TUPLE_CAP`` tuples raise ``ResourceLimitError``.
     """
-    if p < 1:
-        raise ValueError("order p must be >= 1")
     r = p + 1 if r is None else r
+    _check_order(p, k_max, r)
     if r < 1:
         raise ValueError("tuple length must be >= 1")
     if k_max > SEARCH_KMAX_CAP:
@@ -145,7 +148,6 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
         slack = 1 + _BAND * (1 + kept[:, 1])
         upper = np.sort((kept[:, 0] * slack)[kept[:, 1] * slack <= cap])
         threshold = upper[need - 1] if upper.size >= need else math.inf
-        # A NaN key bounds nothing, so its tuple stays.
         kept = kept[~((kept[:, 0] > threshold * slack) | (kept[:, 1] > cap * slack))]
         if len(kept) > need + _CHUNK:
             raise ResourceLimitError(f"float keys cannot rank {len(kept)} tuples near the best {need}")
@@ -157,7 +159,4 @@ def search_steps(p: int, k_max: int, r: int | None = None, *,
 def rank_of_tuple(schemes: list[MpfScheme], steps: Sequence[int]) -> int | None:
     """Position of a tuple in a ranked scheme list, or None if absent."""
     target = tuple(map(_step_count, steps))
-    for i, sch in enumerate(schemes):
-        if sch.steps == target:
-            return i
-    return None
+    return next((i for i, sch in enumerate(schemes) if sch.steps == target), None)

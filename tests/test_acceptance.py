@@ -50,7 +50,7 @@ def test_criterion_01_coefficient_goldens():
         checks.append((f"p=4 coefficient {exp}",
                        abs(got - exp) <= 5e-7 * max(abs(exp), 1e-8)))
     five = solve_coefficients(2, (8, 20, 26, 30, 34), even_powers=True)
-    checks.append(("r=5 condition number within 1% of 57",
+    checks.append(("r=5 kappa within 1% of 57",
                    abs(five.kappa - 57.0) <= 0.01 * 57.0))
     seed3 = solve_coefficients(2, (8, 26, 34), even_powers=True)
     printed_seed = (0.00612895, -1.55561002, 2.54948107)

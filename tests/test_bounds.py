@@ -13,7 +13,6 @@ from mpf_lab import (
     formula_commutator_sum,
     formula_conjugated_sum,
     fragment_decomposition_s2,
-    bernoulli,
     build_heisenberg_chain,
     product_formula_error_bound,
     mixture_trace_norm,
@@ -24,7 +23,7 @@ from mpf_lab import (
     to_dense,
 )
 from mpf_lab import bounds
-from mpf_lab.bounds import MixtureBoundEvaluator
+from mpf_lab.bounds import MixtureBoundEvaluator, bernoulli
 
 
 def three_fragment_case(chain4):

@@ -104,6 +104,31 @@ def test_tuple_search_refuses_too_many_tuples_before_any_tuple(capsys, monkeypat
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("tuple-search", "--set", "p=200", "--set", "r=2", "--set", "k_max=40"),
+    ("tuple-search", "--set", "p=96", "--set", "r=2", "--set", "k_max=40"),
+    ("solve-coeffs", "--set", "p=200", "--set", "steps=2,21"),
+])
+def test_order_past_the_float_range_is_refused_before_any_tuple(args, capsys, monkeypatch):
+    # Every objective would lie below 2^-1022, where float objectives tie at 0.0.
+    monkeypatch.setattr(static_mpf, "_float_keys", lambda *a: pytest.fail("tuple ranked"))
+    monkeypatch.setattr(static_mpf, "combinations", lambda *a: pytest.fail("tuple formed"))
+    code, out, err = run_cli(list(args), capsys)
+    assert code == 2
+    assert re.fullmatch(r"error: order p=\d+ puts every objective below 2\^-1022 at steps "
+                        r"up to \d+\n", err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("reference", [(), ("--set", "reference=4,13,17")])
+def test_tuple_search_refuses_an_empty_ranking(reference, capsys):
+    # Every mixture of two or more steps has kappa > 1.
+    code, out, err = run_cli(["tuple-search", "--set", "kappa_cap=1.0", *reference], capsys)
+    assert code == 2
+    assert err == "error: no tuple has kappa <= kappa_cap=1.0\n"
+    assert out == ""
+
+
 def test_tuple_search_keeps_its_zero_sentinels(capsys):
     # r = 0 means p + 1 and kappa_cap = 0 means no cap, as by default.
     code, out, _ = run_cli(["tuple-search", "--set", "r=0", "--set", "kappa_cap=0",
@@ -169,6 +194,7 @@ def test_grid_times_refused_before_any_formula_is_built(args, message, capsys, m
     (["trotter-sweep", "--set", "k_list="], "k_list must hold at least one step count"),
     (["minimax-shootout", "--set", "static_subset="],
      "static_subset must hold at least one index"),
+    (["minimax-shootout", "--set", "steps="], "steps must hold at least one step count"),
 ])
 def test_empty_tuple_refused_before_any_formula_is_built(args, message, capsys, monkeypatch):
     # An empty k_list would print a header and no rows after the commutator

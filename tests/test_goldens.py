@@ -61,17 +61,17 @@ GOLDENS = {
     ),
     "tuple-search": (
         "tuple-search", ["--set", "reference=4,13,17"],
-        {"out.csv": "c5ed073987cc7c7902ff31f20ac7e43bd7d16740cce4f7d6fcf739302e03c262"},
+        {"out.csv": "cbd3a5e1a421898c2c481aa26b44f0c1f0418a2ca60bb02c7489aae4af88f5ad"},
     ),
     # Fifth-order extrapolation of a fourth-order formula: the widest
     # coefficient spread the tuple search ranks.
     "tuple-search-p4": (
         "tuple-search", ["--set", "p=4", "--set", "r=5", "--set", "k_max=30"],
-        {"out.csv": "d2b1d3e6f62e1992f16df109a18e73d248bec6071a981e25eb26efa0b09eae46"},
+        {"out.csv": "7eba345b4804ca9d7b624f25a667eceae83b3f29663f01656993d1ada506e6fa"},
     ),
     "solve-coeffs": (
         "solve-coeffs", [],
-        {"out.csv": "d4b84e2539f80e7b6f37f010e482a1b0962d4c42a39defdf3d4984bd8d31b7a5"},
+        {"out.csv": "55c084b2ef775dc34897757c7c8f3812abf481cf5ec8c405eeabba4638812c6b"},
     ),
     # The benchmark's bound-eval config.
     "bound-eval-n6": (

@@ -182,11 +182,9 @@ def test_search_breaks_exact_ties_by_kappa():
         assert sum(abs(c) / Fraction(k) ** 4 for c, k in zip(exact, steps)) == Fraction(1, 44352)
 
 
-# The last case's float keys overflow (40^200) for the larger steps and its
-# objectives underflow to 0.0, so kappa and then the tuple decide.
 @pytest.mark.parametrize("p, k_max, r, even_powers, kappa_cap",
                          [(2, 14, 3, False, None), (2, 14, 3, True, None),
-                          (2, 14, 3, False, 6.0), (200, 40, 2, False, None)])
+                          (2, 14, 3, False, 6.0)])
 def test_search_is_the_exact_sort_of_every_tuple(p, k_max, r, even_powers, kappa_cap):
     schemes = [solve_coefficients(p, t, even_powers)
                for t in combinations(range(1, k_max + 1), r)]
@@ -195,6 +193,44 @@ def test_search_is_the_exact_sort_of_every_tuple(p, k_max, r, even_powers, kappa
     for limit in (None, 7):
         assert search_steps(p, k_max, r, even_powers=even_powers, kappa_cap=kappa_cap,
                             limit=limit) == expected[:limit]
+
+
+@given(increasing_tuples, st.integers(1, 4), st.sampled_from([1, 2]))
+@settings(max_examples=100, deadline=None)
+def test_every_objective_is_at_least_the_float_range_floor(steps, p, s):
+    # max |c_i| >= 1/r for a sum-one mixture, so the objective is >= k_max^(-2p) / r.
+    exact = static_mpf._closed_form(p, steps, s)
+    objective = sum(abs(c) / Fraction(k) ** (2 * p) for c, k in zip(exact, steps))
+    assert objective >= Fraction(1, len(steps) * steps[-1] ** (2 * p))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_search_at_the_largest_admitted_order_is_the_exact_sort(r):
+    # p = 95 is the largest order admitted at k_max = 40: 40^-190 / 3 > 2^-1022 > 40^-192 / 2.
+    keyed = []
+    for steps in combinations(range(1, 41), r):
+        exact = static_mpf._closed_form(95, steps, 1)
+        keyed.append((sum(abs(c) / Fraction(k) ** 190 for c, k in zip(exact, steps)),
+                      sum(map(abs, exact)), steps))
+    expected = [steps for *_, steps in sorted(keyed)]
+    for limit in (None, 7):
+        assert [s.steps for s in search_steps(95, 40, r, limit=limit)] == expected[:limit]
+    with pytest.raises(ValueError, match="below 2\\^-1022"):
+        search_steps(96, 40, r)
+
+
+def test_float_range_is_refused_before_any_tuple(monkeypatch):
+    monkeypatch.setattr(static_mpf, "_float_keys", lambda *a: pytest.fail("tuple ranked"))
+    monkeypatch.setattr(static_mpf, "combinations", lambda *a: pytest.fail("tuple formed"))
+    for p in (96, 200):
+        with pytest.raises(ValueError, match=f"order p={p} puts every objective below 2\\^-1022"):
+            search_steps(p, 40, 2)
+    with pytest.raises(ValueError, match="order p=200 puts every objective below"):
+        solve_coefficients(200, (2, 21))
+    # The edge for k_max = 2: r * k_max^(2p) = 2^1021 at p = 510, 2^1023 at p = 511.
+    assert solve_coefficients(510, (1, 2)).objective > 0.0
+    with pytest.raises(ValueError, match="order p=511"):
+        solve_coefficients(511, (1, 2))
 
 
 def test_search_refuses_too_many_tuples_before_ranking(monkeypatch):
