@@ -7,13 +7,18 @@ self-describing and reproducible from their own header.
 
 Exit codes: 0 success, 2 invalid configuration or unwritable output path,
 3 resource cap exceeded or memory refused, 4 solver or numerical failure.
+
+``main`` returns its exit code to in-process callers; ``console_entry`` runs
+it as a whole process and ends that process once the output is flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import NumericalDegeneracyError, ResourceLimitError, SolverError
 from .experiments import (SCENARIOS, config_help, parse_config_text, resolve_config,
@@ -98,5 +103,22 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def console_entry() -> NoReturn:
+    """The process entry (``python -m mpf_lab.cli`` and ``mpf-lab``): run
+    ``main``, flush the standard streams and end the process without
+    interpreter teardown, whose garbage collections over the objects a run
+    leaves behind took about 30 ms of a 0.2-0.3 s ``bound-eval`` run on two
+    cores. Every file ``main`` writes is closed before it returns. A flush
+    that fails (a closed pipe) takes the normal exit, which reports it as
+    before."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_entry()

@@ -1,3 +1,5 @@
+import importlib
+import io
 import os
 import re
 import subprocess
@@ -340,6 +342,64 @@ def test_shootout_does_not_import_numpy_ma(tmp_path: Path):
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                             env=dict(os.environ, PYTHONPATH=str(src)), text=True, check=True)
     assert result.stdout == "0 False\n"
+
+
+def run_entry(args, cwd: Path) -> subprocess.CompletedProcess:
+    """One ``python -m mpf_lab.cli`` process, its standard streams buffered
+    as on any pipe."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "mpf_lab.cli", *args], cwd=cwd,
+                          capture_output=True, env=env)
+
+
+def test_entry_flushes_stdout_before_the_process_ends(tmp_path: Path):
+    args = ["minimax-shootout", "--set", "n=4", "--set", "dt=0.25"]
+    piped = run_entry(args, tmp_path)
+    written = run_entry([*args, "--out", "out.csv"], tmp_path)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert piped.stdout.startswith(b"# mpf-lab schema v1")
+    assert piped.stdout == (tmp_path / "out.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["solve-coeffs", "--set", "bogus=1"], 2,
+     "error: unknown config key 'bogus' for scenario solve-coeffs\n"),
+    (["tuple-search", "--set", "k_max=40", "--set", "r=20"], 3,
+     f"resource limit: tuple search capped at {static_mpf.SEARCH_TUPLE_CAP} tuples, "
+     "k_max=40 with r=20 gives 137846528820\n"),
+])
+def test_entry_exits_with_the_error_code_and_line(args, code, err, tmp_path: Path):
+    result = run_entry(args, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr.decode()) == (code, b"", err)
+
+
+def test_console_script_names_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["mpf-lab"]
+    module, _, name = target.partition(":")
+    assert (module, name) == ("mpf_lab.cli", "console_entry")
+    assert getattr(importlib.import_module(module), name) is cli.console_entry
+
+
+def test_entry_takes_the_normal_exit_when_a_flush_fails(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def no_hard_exit(code):
+        raise AssertionError(f"os._exit({code}) after a failed flush")
+
+    monkeypatch.setattr(sys, "argv", ["mpf-lab", "solve-coeffs"])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(os, "_exit", no_hard_exit)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.console_entry()
+    assert exit_info.value.code == 0
+    assert sys.stdout.getvalue().startswith("# mpf-lab schema v1")
 
 
 def test_exact_evolution_cap_exit_code(capsys):
