@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NumericalDegeneracyError, ResourceLimitError, SolverError
 from .formulas import ProductFormula, _BlockPower, _step_count, _Walk
-from .statesim import SpectralOracle, mixture_frobenius_sq
+from .statesim import SpectralOracle, _frobenius_distance, mixture_frobenius_sq
 
 RIDGE = 1e-12
 PINV_RTOL = 1e-12
@@ -99,11 +99,8 @@ def l_from_states(exact_state: np.ndarray, states: list[np.ndarray]) -> np.ndarr
 class ProjectionResult:
     coefficients: np.ndarray
     error_sq: float
+    error: float
     ridged: bool
-
-    @property
-    def error(self) -> float:
-        return math.sqrt(max(self.error_sq, 0.0))
 
 
 def dynamic_project(m: np.ndarray, ell: np.ndarray) -> ProjectionResult:
@@ -139,11 +136,8 @@ def dynamic_project(m: np.ndarray, ell: np.ndarray) -> ProjectionResult:
         sol = np.linalg.solve(kkt, rhs)
         ridged = True
     c = sol[:r]
-    return ProjectionResult(
-        coefficients=c,
-        error_sq=mixture_frobenius_sq(m, c, ell),
-        ridged=ridged,
-    )
+    return ProjectionResult(coefficients=c, error_sq=mixture_frobenius_sq(m, c, ell),
+                            error=_frobenius_distance(m, c, ell), ridged=ridged)
 
 
 # -- noisy surrogates ----------------------------------------------------------
@@ -479,7 +473,7 @@ def minimax_run(pf: ProductFormula, psi_in: np.ndarray, steps, t0: float, t_fina
         proj = dynamic_project(m_now, ell)
         c_star[j] = proj.coefficients
         err_star[j] = proj.error
-        err_hat[j] = math.sqrt(max(mixture_frobenius_sq(m_now, c_hat[j], ell), 0.0))
+        err_hat[j] = _frobenius_distance(m_now, c_hat[j], ell)
         states = states_next
     run.kappa_hat[:] = np.abs(c_hat).sum(axis=1)
     return run

@@ -20,7 +20,7 @@ from .bounds import (MixtureBoundEvaluator, formula_commutator_sum, mixture_boun
 from .formulas import _step_count, _Walk, fragment_by_commuting_groups, second_order, suzuki
 from .heisenberg import build_heisenberg_chain, fragment_decomposition_s2
 from .pauli import parse_op
-from .statesim import mixture_frobenius_sq, mixture_trace_norm, neel_state
+from .statesim import _frobenius_distance, mixture_trace_norm, neel_state
 from .static_mpf import rank_of_tuple, search_steps, solve_coefficients
 
 SCHEMA_LINE = "# mpf-lab schema v1"
@@ -78,7 +78,6 @@ SCENARIOS: dict[str, dict[str, Option]] = {
         "t0": Option(1.0), "t_final": Option(4.5),
         "dt": Option(0.05), "eps": Option(0.01),
         "k0": Option(26, "steps used to push the mixture forward by dt"),
-        "even_powers": Option(True, "power convention for the static seed"),
         "trajectory_out": Option("", "optional second CSV with the full trajectory"),
     },
     "solve-coeffs": {
@@ -347,21 +346,22 @@ def _run_minimax_shootout(cfg: dict) -> tuple[CsvDoc, CsvDoc | None]:
         raise ValueError("static_subset must be strictly increasing")
     pf = _build_formula(cfg["n"], cfg["seed"], 2)
     psi = neel_state(cfg["n"])
-    sub_scheme = solve_coefficients(2, tuple(steps[i] for i in subset), cfg["even_powers"])
+    # The formula is symmetric, so its error has no odd orders: the static
+    # seed cancels even powers only.
+    sub_scheme = solve_coefficients(pf.order, tuple(steps[i] for i in subset), even_powers=True)
     ids = list(subset)
     c0 = np.zeros(len(steps))
     c0[ids] = sub_scheme.coefficients
     run = dmp.minimax_run(pf, psi, steps, t0=cfg["t0"], t_final=cfg["t_final"],
                           dt=cfg["dt"], eps=cfg["eps"], k0=cfg["k0"], c0=c0,
                           seed=cfg["seed"])
-    c_sub = np.asarray(sub_scheme.coefficients)
+    best_trotter = np.eye(len(steps))[-1]
     rows = []
     for j, t in enumerate(run.times):
         m_x, l_x = run.m_exact[j], run.l_exact[j]
-        static_err = math.sqrt(max(
-            mixture_frobenius_sq(m_x[np.ix_(ids, ids)], c_sub, l_x[ids]), 0.0))
-        trotter_err = math.sqrt(max(2.0 - 2.0 * l_x[-1], 0.0))
-        rows.append([float(t), static_err, trotter_err,
+        rows.append([float(t),
+                     _frobenius_distance(m_x[np.ix_(ids, ids)], sub_scheme.coefficients, l_x[ids]),
+                     _frobenius_distance(m_x, best_trotter, l_x),
                      float(run.error_star[j]), float(run.error_hat[j]),
                      float(run.kappa_hat[j])])
     doc = CsvDoc(
@@ -381,8 +381,8 @@ def _trajectory_doc(cfg: dict, run: dmp.MinimaxRun) -> CsvDoc:
                  "l1_condition", "objective"])
     rows = []
     for j, t in enumerate(run.times):
-        est = None if j == 0 else math.sqrt(max(mixture_frobenius_sq(
-            run.m_bars[j], run.c_hat[j], run.a_bars[j] @ run.c_hat[j - 1]), 0.0))
+        est = None if j == 0 else _frobenius_distance(
+            run.m_bars[j], run.c_hat[j], run.a_bars[j] @ run.c_hat[j - 1])
         rows.append([float(t), *[float(v) for v in run.c_hat[j]],
                      float(run.error_hat[j]), est, float(run.kappa_hat[j]),
                      float(run.objective[j])])

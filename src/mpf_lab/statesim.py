@@ -466,13 +466,14 @@ def mixture_frobenius_sq(gram: np.ndarray, coeffs, overlaps) -> float:
     return float(1.0 + c @ m @ c - 2.0 * ell @ c)
 
 
+def _frobenius_distance(gram: np.ndarray, coeffs, overlaps) -> float:
+    """The Frobenius distance itself, the root of
+    :func:`mixture_frobenius_sq`; a square that rounding puts below 0 (near
+    an exact fit) reads as a distance of 0.0."""
+    return math.sqrt(max(mixture_frobenius_sq(gram, coeffs, overlaps), 0.0))
+
+
 def _near_symmetric(m: np.ndarray) -> bool:
-    """``np.allclose(m, m.T, atol=1e-10)`` written out, without its set-up:
-    every entry x with mirror y has ``x == y``, or a finite y with ``|x - y|
-    <= 1e-10 + 1e-5 |y|``."""
-    mt = m.T
-    if np.isfinite(m).all():
-        return bool((np.abs(m - mt) <= 1e-10 + 1e-5 * np.abs(mt)).all())
-    # Entry by entry as Python floats, where inf - inf is a quiet NaN.
-    return all(x == y or (math.isfinite(y) and abs(x - y) <= 1e-10 + 1e-5 * abs(y))
-               for x, y in zip(m.ravel().tolist(), mt.ravel().tolist()))
+    """``np.allclose(m, m.T, atol=1e-10)``, which exact symmetry implies, so
+    an exactly symmetric matrix skips its tolerance arithmetic."""
+    return np.array_equal(m, m.T) or np.allclose(m, m.T, atol=1e-10)

@@ -38,14 +38,14 @@ CONSERVES_NOTHING = """\
 GOLDENS = {
     "minimax-shootout": (
         "minimax-shootout", ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
-        {"out.csv": "efc250022a595351a18ea33e757919d213c2f06d632b71461b2fd049ea22f6f8",
-         "traj.csv": "06b66b15e566024cbb8ef4e4d18d8febc9a6f3bca5bfc6fa28bc859e337139f2"},
+        {"out.csv": "80f82f886eeb8c206eba05768cb69514d864cba8b69b14e812617b8a5b293e37",
+         "traj.csv": "534f90c9be5ffb009f88c4f49c30271ffe5450dedd01ff5895261682b624493c"},
     ),
     # The benchmark's shootout config: the paper's defaults, n=10.
     "minimax-shootout-n10": (
         "minimax-shootout", ["--set", "trajectory_out=traj.csv"],
-        {"out.csv": "900e2669704d638e3ca87b2442b196b9c0c1415a3cc29631a22c52b8e3992695",
-         "traj.csv": "e4216bbebad04345c34831cd995e956c6c6cfa6fb1d6c136ccb44aeb768df2ec"},
+        {"out.csv": "38a77b6ec6184371eb092188e851d3d46cd27482106d1840ac06ee0f12f2ca7b",
+         "traj.csv": "3098efdfc97976b3b513498bb015c52ed19b3db928ceb0fed7aebb254bdabfb2"},
     ),
     "trotter-sweep": (
         "trotter-sweep", [],
