@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .pauli import PauliSumOp, _check_qubit_cap, _partition, commutes
 from .statesim import FragmentEvolver, _ChebyshevBlock, _subspace
 
@@ -46,6 +47,18 @@ _BUILD_MAX = 1024
 # within 2x of both.  A pass costs 8-23 ns per amplitude against 0.3-0.4 ns
 # per multiply-add of the squaring.
 _SWEEP_COST = 28
+# Block passes that one kernel call may make: a step S(t) makes its
+# program's passes (a rotation, or a diagonal phase) over each block of
+# `_KERNEL_AMPLITUDES` amplitudes of its rows, and fewer rows count as
+# a whole block, since a pass pays its set-up however few amplitudes it
+# sweeps.  A call above it is refused before its first step, and a walk whose
+# Trotter batches would make more is refused before its series
+# (`ProductFormula._check_passes`).  A block pass took 5-7 us on one row of 2
+# or 6 states (n=2, and n=4 at p=2 and 4), 37-75 us on the sectors of 252
+# and 924 states at n=10 and 12, and 144-162 us on rows of all 4096 states
+# at n=12 (p=2 and 4, one BLAS thread), so a call at the cap runs for 5 s to
+# 2.7 minutes.  The n=12 shootout makes 714 a batch and 546 a push.
+_PASSES_MAX = 1_000_000
 
 
 def _step_count(k, name: str = "k") -> int:
@@ -138,6 +151,19 @@ class ProductFormula:
             self._programs[key] = tuple(program)
         return self._programs[key]
 
+    def _passes(self, basis: np.ndarray) -> int:
+        """Kernel passes of one step S(t) on the states of ``basis``."""
+        return sum(ev.passes for ev, _ in self._program_on(basis))
+
+    def _check_passes(self, basis: np.ndarray, rows: int, steps: int):
+        """Refuse ``steps`` steps on ``rows`` rows of ``basis`` states when
+        they would make more than :data:`_PASSES_MAX` block passes."""
+        passes = steps * self._passes(basis) * -(-rows * basis.size // _KERNEL_AMPLITUDES)
+        if passes > _PASSES_MAX:
+            raise ResourceLimitError(
+                f"a kernel call of {steps} steps on {rows} rows makes {passes} block passes, "
+                f"above the cap of {_PASSES_MAX}")
+
     def apply(self, state: np.ndarray, t, k=1) -> np.ndarray:
         """Return ``S(t)^k |state>``; the input array is not modified.
 
@@ -163,7 +189,8 @@ class ProductFormula:
     def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray) -> np.ndarray:
         """:meth:`apply` on ``(S,)`` or ``(r, S)`` states in the coordinates
         of ``basis``, the S sorted indices of a union of common invariant
-        blocks of the fragments; the result is in the same coordinates."""
+        blocks of the fragments; the result is in the same coordinates.
+        Steps past :data:`_PASSES_MAX` are refused before the first."""
         rows = state if state.ndim == 2 else state[None]
         count = rows.shape[0]
         try:
@@ -179,6 +206,7 @@ class ProductFormula:
         if rows.shape[1] != basis.size:
             raise ValueError(f"states of shape {state.shape} are not in the coordinates of "
                              f"{basis.size} basis states")
+        self._check_passes(basis, count, int(reps.max()))
         order = np.argsort(-reps, kind="stable")
         # The gather copies, so the kernel works on these rows in place; the
         # live rows lead, and a row whose steps are done stays where it is.
@@ -310,7 +338,7 @@ class _BlockPower:
             return False
         # Cost of one step S(t) per amplitude it sweeps, counted on the
         # program a kernel push runs.
-        sweep = _SWEEP_COST * sum(ev.passes for ev, _ in pf._program_on(self._basis))
+        sweep = _SWEEP_COST * pf._passes(self._basis)
         products = k.bit_length() + k.bit_count() - 2
         build = size * size * sweep + products * size ** 3
         return pushes * k * count * size * sweep >= build
@@ -369,7 +397,8 @@ class _Walk:
     sums the exact states from one set of its Chebyshev vectors, made for
     the grid's largest |t|.  The constructor refuses n above
     ``pauli.DENSE_QUBIT_CAP`` and any step count :func:`_step_count` refuses
-    before any search, and a series too long before any Trotter state.
+    before any search, and batches past :data:`_PASSES_MAX` or a series
+    too long before any Trotter state.
     :meth:`push` makes the run's :class:`_BlockPower` on the basis.
     """
 
@@ -379,13 +408,15 @@ class _Walk:
         psi_in = np.asarray(psi_in)
         self._pf, self._times = pf, np.asarray(times, dtype=float)
         self._basis = pf._basis(psi_in)
+        self._points = max(1, _kernel_rows(self._basis.size) // max(1, self._steps.size))
+        pf._check_passes(self._basis, min(self._points, self._times.size) * self._steps.size,
+                         int(self._steps.max(initial=0)))
         self._psi = psi_in[self._basis]
         self._exact = _ChebyshevBlock(pf.hamiltonian, self._basis)
         self._vectors = self._exact.vectors(self._psi, np.abs(self._times).max(initial=0.0))
 
     def __iter__(self):
-        r, size = self._steps.size, self._basis.size
-        points = max(1, _kernel_rows(size) // max(1, r))
+        r, size, points = self._steps.size, self._basis.size, self._points
         for lo in range(0, self._times.size, points):
             batch = self._times[lo:lo + points]
             rows = self._pf._apply_on(np.broadcast_to(self._psi, (r * batch.size, size)),

@@ -159,6 +159,22 @@ def test_resource_cap_exit_code(capsys):
     assert "resource" in err.lower() or "capped" in err.lower()
 
 
+@pytest.mark.parametrize("args", [
+    ["trotter-sweep", "--set", "n=4", "--set", "k_list=1000000000"],
+    ["minimax-shootout", "--set", "steps=8,20,26,30,100000000"],
+    ["mpf-sweep", "--set", "steps=4,13,100000000"],
+], ids=["trotter-sweep", "minimax-shootout", "mpf-sweep"])
+def test_step_counts_past_the_kernel_cap_exit_3_before_any_kernel_step(args, capsys,
+                                                                       monkeypatch):
+    for owner, name in ((statesim.FragmentEvolver, "_apply_in_place"),
+                        (statesim._ChebyshevBlock, "vectors")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"resource limit: a kernel call of \d+ steps on \d+ rows makes \d+ "
+                        r"block passes, above the cap of 1000000\n", err)
+
+
 @pytest.mark.parametrize("n", [9, 12])
 def test_mixture_bound_cap_refused_before_the_sweep(n, capsys, monkeypatch):
     # The evaluator is built right after the formula, and its window layer

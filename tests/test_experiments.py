@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import fit_scaling
 
-from mpf_lab import bounds, experiments
+from mpf_lab import SolverError, bounds, experiments
 from mpf_lab.experiments import (
     CsvDoc,
     SCHEMA_LINE,
@@ -222,6 +224,28 @@ def test_minimax_shootout_small(chain4):
     })
     doc0, _ = run_scenario("minimax-shootout", eps0)
     assert len(doc0.rows) == 3
+
+
+def test_best_trotter_error_has_the_bits_of_its_closed_form(monkeypatch):
+    # The unit vector on the largest step count gives 1 + 1 - 2l, which is
+    # 2 - 2l to the bit, at every row of the paper's n=10 run.
+    runs = []
+    minimax_run = experiments.dmp.minimax_run
+    monkeypatch.setattr(experiments.dmp, "minimax_run",
+                        lambda *a, **kw: runs.append(minimax_run(*a, **kw)) or runs[-1])
+    doc, _ = run_scenario("minimax-shootout", resolve_config("minimax-shootout"))
+    column = doc.header.index("err_best_trotter")
+    assert len(runs) == 1 and len(doc.rows) == 71
+    assert ([row[column] for row in doc.rows]
+            == [math.sqrt(max(2.0 - 2.0 * ell[-1], 0.0)) for ell in runs[0].l_exact])
+
+
+@pytest.mark.xfail(strict=True, raises=SolverError,
+                   reason="the robust step cannot certify its gap at small eps (README, Limits)")
+def test_shootout_completes_at_small_eps():
+    doc, _ = run_scenario("minimax-shootout",
+                          resolve_config("minimax-shootout", {"n": "6", "eps": "1e-6"}))
+    assert len(doc.rows) == 71
 
 
 def test_shootout_validation():

@@ -274,3 +274,39 @@ def test_every_code_name_in_the_readme_resolves():
     import mpf_lab
 
     assert unresolved_code_names((ROOT / "README.md").read_text(), mpf_lab) == []
+
+
+def called(node: ast.AST) -> str | None:
+    """The name a call calls (``sqrt`` for ``math.sqrt(x)``), or None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    return None
+
+
+def clamped_roots(source: str) -> list[str]:
+    """The innermost function around each square root of a ``max``
+    (``math.sqrt(max(x, 0.0))``, the clamp a rounded square needs), or
+    ``<module>`` outside any function."""
+    tree = ast.parse(source)
+    owner = {id(node): "<module>" for node in ast.walk(tree)
+             if called(node) == "sqrt" and node.args and called(node.args[0]) in ("max", "maximum")}
+    # ast.walk goes outside in, so an inner function overwrites its outer one.
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update({id(node): func.name for node in ast.walk(func) if id(node) in owner})
+    return sorted(owner.values())
+
+
+def test_checker_finds_clamped_roots():
+    source = ("r = math.sqrt(max(2.0, 0.0))\n"
+              "def f(x):\n    def g(y):\n        return np.sqrt(np.maximum(y, 0))\n"
+              "    return math.sqrt(x) + g(x) + max(math.sqrt(x), 0.0)\n"
+              "class C:\n    def h(self, s):\n        return sqrt(max(s, 0.0))\n")
+    assert clamped_roots(source) == ["<module>", "g", "h"]
+
+
+def test_the_frobenius_clamp_and_root_are_written_once():
+    # Every printed Frobenius distance goes through one function, so the
+    # clamp of a square that rounding puts below 0 is stated there alone.
+    found = [f"{p.name}: {name}" for p in MODULES for name in clamped_roots(p.read_text())]
+    assert found == ["statesim.py: _frobenius_distance"]

@@ -17,7 +17,7 @@ from mpf_lab import (
     solve_coefficients,
     trotter_states,
 )
-from mpf_lab import statesim
+from mpf_lab import ResourceLimitError, formulas, statesim
 from mpf_lab.formulas import _BlockPower, _Walk
 
 STEPS = (4, 13, 17)
@@ -76,3 +76,25 @@ def test_every_entry_reads_a_step_count_by_one_rule(entry, chain4, monkeypatch):
             run(chain4, bad)
     monkeypatch.undo()
     assert bits(run(chain4, 4.0)) == bits(run(chain4, 4))
+
+
+def test_kernel_calls_past_the_pass_cap_are_refused_before_any_step(chain4, monkeypatch):
+    # Two rows of 6 states fill less than one block, so k steps make k times
+    # the program's passes: a call at the cap runs, and one past it is
+    # refused before any kernel step, or in a walk (two grid points in one
+    # batch) before its series.
+    pf, psi, times = chain4.pf, chain4.psi, np.array([0.5, 1.0])
+    passes = pf._passes(pf._basis(psi))
+    monkeypatch.setattr(formulas, "_PASSES_MAX", 6 * passes)
+    block = np.stack([psi, psi])
+    assert pf.apply(block, 0.1, [6, 4]).shape == block.shape
+    assert len(list(_Walk(pf, psi, times, [6, 2]))) == 2
+    for owner, name in ((statesim.FragmentEvolver, "_apply_in_place"),
+                        (statesim._ChebyshevBlock, "vectors")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    for run, rows in ((lambda: pf.apply(block, 0.1, [7, 1]), 2),
+                      (lambda: _Walk(pf, psi, times, [7, 1]), 4)):
+        with pytest.raises(ResourceLimitError, match=(
+                f"^a kernel call of 7 steps on {rows} rows makes {7 * passes} block passes, "
+                f"above the cap of {6 * passes}$")):
+            run()
