@@ -173,7 +173,7 @@ class ProductFormula:
         and a row drops out once its k_i steps are done.  When the
         recipe closes on the fragment it opens with (a palindrome), the
         closing slot of one step and the opening slot of the next run as one
-        slot of summed time.  The block runs on the invariant subspace the
+        slot of summed time on the rows that go on.  The block runs on the invariant subspace the
         states touch (:meth:`_basis`), with the same bits on its indices as
         on the whole space, and zeros elsewhere.
         """
@@ -190,7 +190,14 @@ class ProductFormula:
         """:meth:`apply` on ``(S,)`` or ``(r, S)`` states in the coordinates
         of ``basis``, the S sorted indices of a union of common invariant
         blocks of the fragments; the result is in the same coordinates.
-        Steps past :data:`_PASSES_MAX` are refused before the first."""
+        Steps past :data:`_PASSES_MAX` are refused before the first.
+
+        The call computes one coefficient set per distinct ``(evolver,
+        multiplier)`` slot of the program, and one for the merged closing
+        and opening slot of a palindrome, each for every row's time.  The
+        rows are sorted longest circuit first, so at each step the live rows
+        lead, and those that go on lead the live ones: the merged slot runs
+        on that first range and the plain closing slot on the rest."""
         rows = state if state.ndim == 2 else state[None]
         count = rows.shape[0]
         try:
@@ -215,14 +222,20 @@ class ProductFormula:
         program = self._program_on(basis)
         last = len(program) - 1
         wrap = last > 0 and program[0][0] is program[last][0]
+        merged = (program[last][0], program[last][1] + program[0][1])
+        sets = {slot: slot[0]._coefficients(slot[1] * times)
+                for slot in dict.fromkeys((*program, merged) if wrap else program)}
         for step in range(reps[0]):
             live = int(np.count_nonzero(reps > step))
-            for j, (evolver, mult) in enumerate(program):
+            on = int(np.count_nonzero(reps > step + 1))
+            for j, slot in enumerate(program):
                 if wrap and j == 0 and step > 0:
                     continue
-                if wrap and j == last:
-                    mult = np.where(reps[:live] > step + 1, mult + program[0][1], mult)
-                evolver._apply_in_place(cur[:live], mult * times[:live])
+                runs = ((merged, 0, on), (slot, on, live)) if wrap and j == last else (
+                    (slot, 0, live),)
+                for key, lo, hi in runs:
+                    if lo < hi:
+                        slot[0]._apply_in_place(cur, sets[key], lo, hi)
         out = np.empty(rows.shape, dtype=complex)
         out[order] = cur
         return out if state.ndim == 2 else out[0]
@@ -430,11 +443,6 @@ class _Walk:
         return _BlockPower(self._pf, self._basis, t, k, pushes, self._steps.size)
 
 
-def _palindromic(fragments: tuple[PauliSumOp, ...]) -> bool:
-    m = len(fragments)
-    return all(fragments[a] == fragments[m - 1 - a] for a in range(m // 2))
-
-
 def fragment_by_commuting_groups(op: PauliSumOp) -> list[PauliSumOp]:
     """Greedily split an operator into fragments of pairwise-commuting terms.
 
@@ -455,21 +463,16 @@ def fragment_by_commuting_groups(op: PauliSumOp) -> list[PauliSumOp]:
 
 
 def second_order(fragments) -> ProductFormula:
-    """Symmetric (palindromic) second-order recipe from the given fragments.
-
-    A fragment list that is already palindromic (like the Heisenberg
-    F1..F5 splitting) is used verbatim, one slot per fragment.  Otherwise the
-    Strang palindrome is built: half-time sweeps around a full-time middle.
-    """
+    """The Strang palindrome of the given fragments: a half-time slot of
+    each fragment but the last, a full-time slot of the last, then the
+    half-time slots in reverse.  This is the one rule, so a fragment list
+    that is itself a palindrome gets its Strang palindrome too."""
     frags = tuple(fragments)
     m = len(frags)
     if m == 0:
         raise ValueError("need at least one fragment")
-    if _palindromic(frags):
-        steps = tuple((a, 1.0) for a in range(m))
-    else:
-        up = [(a, 0.5) for a in range(m - 1)]
-        steps = tuple(up + [(m - 1, 1.0)] + up[::-1])
+    up = [(a, 0.5) for a in range(m - 1)]
+    steps = tuple(up + [(m - 1, 1.0)] + up[::-1])
     return ProductFormula(fragments=frags, steps=steps, order=2)
 
 

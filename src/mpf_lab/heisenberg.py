@@ -1,4 +1,4 @@
-"""The benchmark Heisenberg chain and its five-fragment splitting.
+"""The benchmark Heisenberg chain and its three fragments.
 
 The chain couples every nearest-neighbor pair with unit-weight XX + YY + ZZ
 terms and adds a random longitudinal field h_j Z_j with h_j uniform on
@@ -12,36 +12,31 @@ import numpy as np
 from .pauli import PauliString, PauliSumOp, pauli_from_sites
 
 
-def _bond_terms(n: int, j: int, weight: float) -> list[tuple[float, PauliString]]:
-    return [
-        (weight, pauli_from_sites(n, {j: axis, j + 1: axis})) for axis in "XYZ"
-    ]
+def _bond_terms(n: int, j: int) -> list[tuple[float, PauliString]]:
+    return [(1.0, pauli_from_sites(n, {j: axis, j + 1: axis})) for axis in "XYZ"]
 
 
 def build_heisenberg_chain(n: int, seed: int) -> tuple[PauliSumOp, np.ndarray]:
     """Build the n-qubit chain Hamiltonian; returns ``(H, h)``.
 
     ``h`` is the length-n field vector drawn uniformly from [-1, 1] using
-    PCG64 seeded with ``seed``.
+    PCG64 seeded with ``seed``.  H is the sum of the three fragments of
+    :func:`fragment_decomposition_s2`.
     """
     if n < 2:
         raise ValueError("the chain needs n >= 2 qubits")
-    rng = np.random.default_rng(seed)
-    fields = rng.uniform(-1.0, 1.0, size=n)
-    terms: list[tuple[float, PauliString]] = []
-    for j in range(n - 1):
-        terms.extend(_bond_terms(n, j, 1.0))
-    for j in range(n):
-        terms.append((float(fields[j]), pauli_from_sites(n, {j: "Z"})))
-    return PauliSumOp.from_terms(n, terms), fields
+    fields = np.random.default_rng(seed).uniform(-1.0, 1.0, size=n)
+    odd, field, even = fragment_decomposition_s2(n, fields)
+    return odd + field + even, fields
 
 
 def fragment_decomposition_s2(n: int, fields: np.ndarray) -> list[PauliSumOp]:
-    """Split the chain into the palindromic fragments [F1, F2, F3, F4, F5].
+    """Split the chain into its three fragments [odd bonds, fields, even
+    bonds], each at unit weight, with ``h_j`` on the fields.
 
-    F1 = F5 = half-weight odd bonds, F2 = F4 = half-weight fields,
-    F3 = even bonds.  The fragments sum to the chain Hamiltonian exactly and
-    the terms inside each fragment pairwise commute.
+    The fragments sum to the chain Hamiltonian exactly and the terms inside
+    each fragment pairwise commute.  ``formulas.second_order`` makes of them
+    the Strang palindrome odd/2, fields/2, even, fields/2, odd/2.
     """
     if n < 2:
         raise ValueError("the chain needs n >= 2 qubits")
@@ -50,13 +45,7 @@ def fragment_decomposition_s2(n: int, fields: np.ndarray) -> list[PauliSumOp]:
     odd: list[tuple[float, PauliString]] = []
     even: list[tuple[float, PauliString]] = []
     for j in range(n - 1):
-        if j % 2:
-            odd.extend(_bond_terms(n, j, 0.5))
-        else:
-            even.extend(_bond_terms(n, j, 1.0))
-    f1 = PauliSumOp.from_terms(n, odd)
-    f2 = PauliSumOp.from_terms(
-        n, ((0.5 * float(fields[j]), pauli_from_sites(n, {j: "Z"})) for j in range(n))
-    )
-    f3 = PauliSumOp.from_terms(n, even)
-    return [f1, f2, f3, f2, f1]
+        (odd if j % 2 else even).extend(_bond_terms(n, j))
+    field = PauliSumOp.from_terms(
+        n, ((float(fields[j]), pauli_from_sites(n, {j: "Z"})) for j in range(n)))
+    return [PauliSumOp.from_terms(n, odd), field, PauliSumOp.from_terms(n, even)]

@@ -120,15 +120,17 @@ class FragmentEvolver:
     amplitudes by index arrays, so the results on a subspace equal the
     whole-space ones on its indices bit for bit.
 
-    The kernel works in place on rows it is handed (:meth:`_apply_in_place`,
-    which ``ProductFormula._apply_on`` calls on the rows it owns); ``apply``
-    copies first.  A rotation writes its halves from the two gathered copies
-    with two temporaries, in the operation order of ``c y + a_lo x`` and
-    ``c x + a_hi y``.  The phase exponentiates each distinct diagonal level
-    once (:func:`_levels`: five and three on the chain's bond fragments at
-    n=10, against 252 amplitudes), so it has the bits of one ``exp`` per
-    amplitude; the kept coefficients hold the levels' phases, which each
-    call gathers to the amplitudes.
+    The kernel keeps no state between calls.  :meth:`_coefficients` makes
+    the coefficient set of a vector of row times, and the in-place kernel
+    (:meth:`_apply_in_place`) runs a set on a range of the rows it is
+    handed: ``ProductFormula._apply_on`` makes each set once per call and
+    runs it on the rows it owns, and ``apply`` copies first.  A rotation
+    writes its halves from the two gathered copies with two temporaries, in
+    the operation order of ``c y + a_lo x`` and ``c x + a_hi y``.  The phase
+    exponentiates each distinct diagonal level once (:func:`_levels`: five
+    and three on the chain's bond fragments at n=10, against 252
+    amplitudes), so it has the bits of one ``exp`` per amplitude; a set
+    holds the levels' phases, which the kernel gathers to the amplitudes.
 
     ``apply`` takes one state ``(S,)`` or a block ``(r, S)`` of rows, with
     one time or a length-r vector of per-row times.
@@ -153,8 +155,6 @@ class FragmentEvolver:
         self._levels, self._level_of = (None, None) if diag is None else _levels(diag.real)
         self._rotations = [rot for x_mask, coupling in couplings.items()
                            for rot in _split(coupling, basis, x_mask)]
-        self._cached_key = None
-        self._cached = None
 
     @property
     def passes(self) -> int:
@@ -163,22 +163,17 @@ class FragmentEvolver:
         return len(self._rotations) + (self._levels is not None)
 
     def _coefficients(self, times: np.ndarray):
-        """Phases of the diagonal levels and rotation coefficients for these
-        row times.  The last set is kept: a circuit reuses one time vector
-        per slot."""
-        key = times.tobytes()
-        if key != self._cached_key:
-            phase = None
-            if self._levels is not None:
-                phase = np.exp(-1j * np.multiply.outer(times, self._levels))
-            rotations = []
-            for rot in self._rotations:
-                angle = (rot.mag * times)[:, None]
-                sin = np.sin(angle)
-                rotations.append((rot, np.cos(angle), sin * rot.u_lo, sin * rot.u_hi))
-            self._cached = (phase, rotations)
-            self._cached_key = key
-        return self._cached
+        """The coefficient set of these row times: the times, the phases of
+        the diagonal levels and the rotation coefficients, one row each."""
+        phase = None
+        if self._levels is not None:
+            phase = np.exp(-1j * np.multiply.outer(times, self._levels))
+        rotations = []
+        for rot in self._rotations:
+            angle = (rot.mag * times)[:, None]
+            sin = np.sin(angle)
+            rotations.append((rot, np.cos(angle), sin * rot.u_lo, sin * rot.u_hi))
+        return times, phase, rotations
 
     def apply(self, state: np.ndarray, t) -> np.ndarray:
         """Return exp(-i t F) |state>; the input array is not modified.
@@ -200,18 +195,22 @@ class FragmentEvolver:
         elif times.shape != (rows,) or not block:
             raise ValueError(f"times of shape {times.shape} do not match state of shape {state.shape}")
         out = np.array(state if block else state[None, :], dtype=complex)
-        self._apply_in_place(out, times)
+        self._apply_in_place(out, self._coefficients(times), 0, rows)
         return out if block else out[0]
 
-    def _apply_in_place(self, rows: np.ndarray, times: np.ndarray):
-        """Overwrite the complex ``(r, S)`` ``rows`` with exp(-i t_i F) of
-        each row, for a length-r vector of row times; no check is made."""
-        if not times.any():
+    def _apply_in_place(self, rows: np.ndarray, coefficients, lo: int, hi: int):
+        """Overwrite rows ``lo:hi`` of the complex ``(r, S)`` ``rows`` with
+        exp(-i t_i F) of each, from the coefficient set of r row times
+        (:meth:`_coefficients`); rows whose times are all zero are left as
+        they are, and no check is made."""
+        times, phase, rotations = coefficients
+        if not times[lo:hi].any():
             return
-        phase, rotations = self._coefficients(times)
+        rows = rows[lo:hi]
         if phase is not None:
-            rows *= phase[:, self._level_of]
+            rows *= phase[lo:hi, self._level_of]
         for rot, c, a_lo, a_hi in rotations:
+            c, a_lo, a_hi = c[lo:hi], a_lo[lo:hi], a_hi[lo:hi]
             # The gathers copy, so each half is written from them alone.
             x = rows[:, rot.lo]
             y = rows[:, rot.hi]

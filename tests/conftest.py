@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from mpf_lab import (
+    PauliSumOp,
     SpectralOracle,
     build_heisenberg_chain,
     fragment_decomposition_s2,
     neel_state,
     second_order,
 )
+from mpf_lab.pauli import pauli_from_sites
 
 
 class ChainCase:
@@ -43,6 +45,22 @@ def chain6():
 @pytest.fixture(scope="session")
 def chain10():
     return ChainCase(10)
+
+
+def palindrome_fragments(n: int, fields) -> list[PauliSumOp]:
+    """The chain as the five-fragment palindrome [F1, F2, F3, F2, F1],
+    written out term by term: F1 the odd bonds at half weight, F2 the fields
+    at half weight, F3 the even bonds.  One unit-time slot per fragment is
+    the chain's Strang step with its halves folded into the fragments."""
+
+    def bonds(parity: int, weight: float) -> PauliSumOp:
+        return PauliSumOp.from_terms(n, [(weight, pauli_from_sites(n, {j: a, j + 1: a}))
+                                         for j in range(parity, n - 1, 2) for a in "XYZ"])
+
+    f1, f3 = bonds(1, 0.5), bonds(0, 1.0)
+    f2 = PauliSumOp.from_terms(n, [(0.5 * float(h), pauli_from_sites(n, {j: "Z"}))
+                                   for j, h in enumerate(fields)])
+    return [f1, f2, f3, f2, f1]
 
 
 def basis_state(n: int, bits: str) -> np.ndarray:

@@ -26,7 +26,7 @@ from mpf_lab import (
 from mpf_lab.bounds import MixtureBoundEvaluator
 from mpf_lab.cli import main
 from mpf_lab.dynamic_mpf import ProductFormula  # noqa: F401  (re-export sanity)
-from conftest import random_state
+from conftest import palindrome_fragments, random_state
 
 
 def report(index: int, name: str, checks: list[tuple[str, bool]]):
@@ -74,8 +74,10 @@ def test_criterion_02_rescaling_invariance():
 
 
 def test_criterion_03_alpha2_closed_form(chain4):
-    bonds = chain4.fragments[0] + 0.5 * chain4.fragments[2]
-    fields = chain4.fragments[1] + chain4.fragments[3]
+    odd, fields, even = chain4.fragments
+    bonds = 0.5 * odd + 0.5 * even
+    f1, f2, f3, f4, _ = palindrome_fragments(4, chain4.fields)
+    assert bonds == f1 + 0.5 * f3 and fields == f2 + f4
     pf3 = ProductFormula(fragments=(bonds, fields, bonds),
                          steps=((0, 1.0), (1, 1.0), (2, 1.0)), order=2)
     general = formula_commutator_sum(pf3)

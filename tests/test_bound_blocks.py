@@ -31,6 +31,7 @@ from mpf_lab.bounds import (
 )
 from mpf_lab.errors import ResourceLimitError
 from mpf_lab.pauli import invariant_blocks
+from conftest import palindrome_fragments
 
 
 def chain_formula(n, seed=2024):
@@ -177,8 +178,10 @@ def test_block_norm_matches_svd(rng):
 def three_slot_formula(n, seed=2024):
     """A non-palindromic formula: odd bonds, then even bonds, then fields."""
     _, fields = build_heisenberg_chain(n, seed)
-    odd, field, even, _, _ = fragment_decomposition_s2(n, fields)
-    return ProductFormula(fragments=(2.0 * odd, even, 2.0 * field),
+    odd, field, even = fragment_decomposition_s2(n, fields)
+    f1, f2, f3, _, _ = palindrome_fragments(n, fields)
+    assert (odd, even, field) == (2.0 * f1, f3, 2.0 * f2)
+    return ProductFormula(fragments=(odd, even, field),
                           steps=((0, 1.0), (1, 1.0), (2, 1.0)), order=2)
 
 

@@ -24,11 +24,14 @@ from mpf_lab import (
 )
 from mpf_lab import bounds
 from mpf_lab.bounds import MixtureBoundEvaluator, bernoulli
+from conftest import palindrome_fragments
 
 
 def three_fragment_case(chain4):
-    bonds = chain4.fragments[0] + 0.5 * chain4.fragments[2]
-    fields = chain4.fragments[1] + chain4.fragments[3]
+    odd, fields, even = chain4.fragments
+    bonds = 0.5 * odd + 0.5 * even
+    f1, f2, f3, f4, _ = palindrome_fragments(4, chain4.fields)
+    assert bonds == f1 + 0.5 * f3 and fields == f2 + f4
     pf = ProductFormula(fragments=(bonds, fields, bonds),
                         steps=((0, 1.0), (1, 1.0), (2, 1.0)), order=2)
     return pf, bonds, fields

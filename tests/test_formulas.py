@@ -12,7 +12,7 @@ from mpf_lab import (
 )
 from mpf_lab import formulas
 from mpf_lab.pauli import parse_op
-from conftest import random_state
+from conftest import ChainCase, palindrome_fragments, random_state
 from test_goldens import CONSERVES_NOTHING
 
 
@@ -38,25 +38,38 @@ def test_single_fragment_exact(chain4, rng):
 def test_palindromic_recipe(chain6):
     pf = chain6.pf
     assert [m for _, m in pf.steps] == [m for _, m in pf.steps][::-1]
-    assert [idx for idx, _ in pf.steps] == [0, 1, 2, 3, 4]
+    assert [idx for idx, _ in pf.steps] == [0, 1, 2, 1, 0]
 
 
-def test_strang_symmetrization(chain4):
-    odd, field, even = (chain4.fragments[0] * 2.0, chain4.fragments[1] * 2.0,
-                        chain4.fragments[2])
-    pf = second_order([odd, field, even])
-    mults = [m for _, m in pf.steps]
-    assert mults == [0.5, 0.5, 1.0, 0.5, 0.5]
-    assert mults == mults[::-1]
-    # equals the pre-halved palindromic recipe as an operator product
-    psi = chain4.psi
-    assert np.linalg.norm(pf.apply(psi, 0.7) - chain4.pf.apply(psi, 0.7)) < 1e-12
+def test_strang_symmetrization(rng):
+    # The chain's Strang step has the bits of the five-slot palindrome of
+    # pre-halved fragments, one unit-time slot each: on a block whose rows
+    # have their own times and step counts, and in the fourth-order formula.
+    times = np.array([0.7, -0.25, 0.0, 1.3, 0.05])
+    reps = np.array([3, 1, 2, 5, 4])
+    for n in (4, 6):
+        case = ChainCase(n)
+        pf = second_order(case.fragments)
+        mults = [m for _, m in pf.steps]
+        assert mults == [0.5, 0.5, 1.0, 0.5, 0.5]
+        assert mults == mults[::-1]
+        five = ProductFormula(fragments=tuple(palindrome_fragments(n, case.fields)),
+                              steps=tuple((a, 1.0) for a in range(5)), order=2)
+        block = np.stack([case.psi] + [random_state(n, rng) for _ in range(4)])
+        for ours, theirs in ((pf, five), (suzuki(pf, 4), suzuki(five, 4))):
+            assert ours.hamiltonian == theirs.hamiltonian
+            assert ours.slot_operators == theirs.slot_operators
+            assert np.array_equal(ours.apply(block, times, reps),
+                                  theirs.apply(block, times, reps))
+            assert np.array_equal(ours.apply(case.psi, 0.7, 3), theirs.apply(case.psi, 0.7, 3))
 
 
 def test_multiplier_sum_validation(chain4):
+    # The five-slot palindrome's unit multipliers on the three fragments
+    # give the odd bonds a total of 2.
     with pytest.raises(ValueError, match="sum to 1"):
         ProductFormula(fragments=tuple(chain4.fragments), order=2,
-                       steps=((0, 1.0), (1, 0.5), (2, 1.0), (3, 0.5), (4, 1.0)))
+                       steps=((0, 1.0), (1, 0.5), (2, 1.0), (1, 0.5), (0, 1.0)))
 
 
 def test_second_order_empty():
@@ -69,8 +82,10 @@ def test_suzuki_multipliers(chain4):
     u = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
     assert abs(u - 0.4144907717943757) < 1e-15
     assert len(pf4.steps) == 25
+    assert [idx for idx, _ in pf4.steps] == [0, 1, 2, 1, 0] * 5
     mults = [m for _, m in pf4.steps]
-    assert abs(mults[0] - u) < 1e-15
+    # The outer slots are half-time ones, the middle slot a full-time one.
+    assert abs(mults[0] - 0.5 * u) < 1e-15
     assert abs(mults[12] - (1.0 - 4.0 * u)) < 1e-15
     sums = {}
     for idx, mlt in pf4.steps:

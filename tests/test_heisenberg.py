@@ -7,6 +7,7 @@ from mpf_lab import (
     fragment_decomposition_s2,
     to_dense,
 )
+from conftest import palindrome_fragments
 
 
 def test_n2_term_structure():
@@ -41,16 +42,19 @@ def test_invalid_size():
 
 def test_decomposition_bond_assignment():
     _, fields = build_heisenberg_chain(4, seed=3)
-    f1, f2, f3, f4, f5 = fragment_decomposition_s2(4, fields)
-    assert f1 is f5 and f2 is f4
+    odd, field, even = fragment_decomposition_s2(4, fields)
+    f1, f2, f3, _, _ = palindrome_fragments(4, fields)
+    assert (0.5 * odd, 0.5 * field, even) == (f1, f2, f3)
     # even bonds (0,1) and (2,3) at unit weight
-    f3_bonds = {tuple(sorted(p.support)) for _, p in f3}
-    assert f3_bonds == {(0, 1), (2, 3)}
-    assert all(c == 1.0 for c, _ in f3)
-    # odd bond (1,2) at half weight
-    f1_bonds = {tuple(sorted(p.support)) for _, p in f1}
-    assert f1_bonds == {(1, 2)}
-    assert all(c == 0.5 for c, _ in f1)
+    even_bonds = {tuple(sorted(p.support)) for _, p in even}
+    assert even_bonds == {(0, 1), (2, 3)}
+    assert all(c == 1.0 for c, _ in even)
+    # odd bond (1,2) at unit weight
+    odd_bonds = {tuple(sorted(p.support)) for _, p in odd}
+    assert odd_bonds == {(1, 2)}
+    assert all(c == 1.0 for c, _ in odd)
+    # h_j on Z_j
+    assert {j: c for c, p in field for j in p.support} == dict(enumerate(map(float, fields)))
 
 
 def test_decomposition_sums_to_chain(chain6):
@@ -65,10 +69,10 @@ def test_decomposition_sums_to_chain(chain6):
 
 def test_n2_decomposition_edges():
     _, fields = build_heisenberg_chain(2, seed=1)
-    f1, f2, f3, _, _ = fragment_decomposition_s2(2, fields)
-    assert f1.is_empty
-    assert f3.num_terms == 3
-    assert f2.num_terms <= 2
+    odd, field, even = fragment_decomposition_s2(2, fields)
+    assert odd.is_empty
+    assert even.num_terms == 3
+    assert field.num_terms <= 2
 
 
 def test_field_vector_length_checked():
