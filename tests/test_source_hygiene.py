@@ -310,3 +310,37 @@ def test_the_frobenius_clamp_and_root_are_written_once():
     # clamp of a square that rounding puts below 0 is stated there alone.
     found = [f"{p.name}: {name}" for p in MODULES for name in clamped_roots(p.read_text())]
     assert found == ["statesim.py: _frobenius_distance"]
+
+
+def state_outside_constructors(source: str) -> list[str]:
+    """Lines where a method of a class other than ``__init__`` assigns an
+    attribute of ``self`` (``self.x = ...``, ``self.x += ...``, or as one
+    target of several), which makes state that outlives the call."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for func in cls.body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "__init__":
+                continue
+            found += [(node.lineno, f"{cls.name}.{func.name} sets self.{node.attr}")
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_checker_flags_state_outside_constructors():
+    source = ("class A:\n    def __init__(self):\n        self.a = 1\n"
+              "    def f(self, x):\n        self.b, y = x, 2\n        self.a += y\n"
+              "        self.c[0] = x\n        other.d = x\n        return self.a\n"
+              "def g(self):\n    self.e = 1\n")
+    assert state_outside_constructors(source) == ["line 5: A.f sets self.b", "line 6: A.f sets self.a"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_state_outside_constructors(path):
+    # Methods compute from what the constructor made: a kernel that kept
+    # the coefficients of its last call would have results that depend on
+    # the calls before.
+    assert state_outside_constructors(path.read_text()) == []
