@@ -1,9 +1,9 @@
 """Byte identity of the CLI's CSV output across commits.
 
-Each scenario runs in a fresh interpreter with one BLAS thread, in a
-temporary working directory (the relative trajectory and operator paths are
-recorded in the header), and the SHA-256 of every CSV it writes must equal the digest
-recorded here.  The digests were taken with NumPy 2.4 on its bundled
+Each scenario runs in a fresh interpreter, once with one BLAS thread and
+once with two, in a temporary working directory (the relative trajectory and
+operator paths are recorded in the header), and the SHA-256 of every CSV it
+writes must equal the digest recorded here under either thread count.  The digests were taken with NumPy 2.4 on its bundled
 OpenBLAS 0.3.31 (x86-64); the bits of the floating-point results can move
 with the NumPy or BLAS build.  A change that alters output on purpose
 updates these digests and states the measured size of the change in
@@ -106,12 +106,15 @@ GOLDENS = {
 INPUTS = {"trotter-sweep-conserves-nothing": {"ham.txt": CONSERVES_NOTHING}}
 
 
-@pytest.mark.parametrize("label", list(GOLDENS))
-def test_cli_output_matches_its_recorded_digest(label, tmp_path):
+@pytest.mark.parametrize("label, threads", [
+    *(pytest.param(label, "1", id=label) for label in GOLDENS),
+    *(pytest.param(label, "2", id=f"{label}-blas2") for label in GOLDENS),
+])
+def test_cli_output_matches_its_recorded_digest(label, threads, tmp_path):
     scenario, args, digests = GOLDENS[label]
     for name, text in INPUTS.get(label, {}).items():
         (tmp_path / name).write_text(text)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-m", "mpf_lab.cli", scenario, *args, "--out", "out.csv"],
                    cwd=tmp_path, env=env, capture_output=True, check=True)
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
