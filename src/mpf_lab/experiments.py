@@ -173,8 +173,6 @@ class CsvDoc:
 def _fmt(value) -> str:
     if value is None:
         return "nan"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
