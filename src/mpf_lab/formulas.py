@@ -173,9 +173,9 @@ class ProductFormula:
         and a row drops out once its k_i steps are done.  When the
         recipe closes on the fragment it opens with (a palindrome), the
         closing slot of one step and the opening slot of the next run as one
-        slot of summed time on the rows that go on.  The block runs on the invariant subspace the
-        states touch (:meth:`_basis`), with the same bits on its indices as
-        on the whole space, and zeros elsewhere.
+        slot of summed time on the rows that go on.  The block runs on the
+        invariant subspace the states touch (:meth:`_basis`), with the same
+        bits on its indices as on the whole space, and zeros elsewhere.
         """
         state = np.asarray(state)
         if state.ndim not in (1, 2) or state.shape[-1] != 1 << self.n:
@@ -231,8 +231,9 @@ class ProductFormula:
             for j, slot in enumerate(program):
                 if wrap and j == 0 and step > 0:
                     continue
-                runs = ((merged, 0, on), (slot, on, live)) if wrap and j == last else (
-                    (slot, 0, live),)
+                runs = [(slot, 0, live)]
+                if wrap and j == last:
+                    runs = [(merged, 0, on), (slot, on, live)]
                 for key, lo, hi in runs:
                     if lo < hi:
                         slot[0]._apply_in_place(cur, sets[key], lo, hi)

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliString, PauliSumOp, pauli_from_sites
+from .pauli import PauliSumOp, pauli_from_sites
 
 
-def _bond_terms(n: int, j: int) -> list[tuple[float, PauliString]]:
-    return [(1.0, pauli_from_sites(n, {j: axis, j + 1: axis})) for axis in "XYZ"]
+def _bonds(n: int, parity: int) -> PauliSumOp:
+    """XX + YY + ZZ at unit weight on each bond (j, j + 1) with j of this
+    parity."""
+    return PauliSumOp.from_terms(n, [(1.0, pauli_from_sites(n, {j: axis, j + 1: axis}))
+                                     for j in range(parity, n - 1, 2) for axis in "XYZ"])
 
 
 def build_heisenberg_chain(n: int, seed: int) -> tuple[PauliSumOp, np.ndarray]:
@@ -42,10 +45,6 @@ def fragment_decomposition_s2(n: int, fields: np.ndarray) -> list[PauliSumOp]:
         raise ValueError("the chain needs n >= 2 qubits")
     if len(fields) != n:
         raise ValueError("field vector length must equal n")
-    odd: list[tuple[float, PauliString]] = []
-    even: list[tuple[float, PauliString]] = []
-    for j in range(n - 1):
-        (odd if j % 2 else even).extend(_bond_terms(n, j))
     field = PauliSumOp.from_terms(
         n, ((float(fields[j]), pauli_from_sites(n, {j: "Z"})) for j in range(n)))
-    return [PauliSumOp.from_terms(n, odd), field, PauliSumOp.from_terms(n, even)]
+    return [_bonds(n, 1), field, _bonds(n, 0)]

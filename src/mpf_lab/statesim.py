@@ -201,8 +201,8 @@ class FragmentEvolver:
     def _apply_in_place(self, rows: np.ndarray, coefficients, lo: int, hi: int):
         """Overwrite rows ``lo:hi`` of the complex ``(r, S)`` ``rows`` with
         exp(-i t_i F) of each, from the coefficient set of r row times
-        (:meth:`_coefficients`); rows whose times are all zero are left as
-        they are, and no check is made."""
+        (:meth:`_coefficients`); a range whose times are all zero is left as
+        it is, and no check is made."""
         times, phase, rotations = coefficients
         if not times[lo:hi].any():
             return
