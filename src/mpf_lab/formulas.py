@@ -8,10 +8,11 @@ recipe always approximates ``exp(-i t H)`` with ``H`` the fragment sum.
 Every state a formula makes from a start state stays in the common invariant
 blocks of the fragments that the start touches, whose sorted basis indices
 (``statesim._subspace``) are the one subspace of the state path.  A run
-(:class:`_Walk`) finds it once and carries its Trotter states, its exact
-states and its pushes (:class:`_BlockPower`, built by tiled products,
-:func:`_products`) in its coordinates.  ``ProductFormula.apply`` is the
-2^n-amplitude form of the same kernel.
+(:class:`_Walk`) finds it once, builds its one kernel program there
+(:class:`_Program`), and carries its Trotter states, its exact states and
+its pushes (:class:`_BlockPower`, built by tiled products, :func:`_products`)
+in its coordinates.  ``ProductFormula.apply`` is the 2^n-amplitude form of
+the same kernel, with a program per call.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ SUZUKI_ORDERS = (4, 6)
 # block of kernel rows, for a Trotter batch and for a block-power build
 # alike.  From the Neel state that space is its total-Z sector: 81 rows of
 # 252 amplitudes at n=10 (16 grid points of five circuits), 22 of 924 at
-# n=12 (four points).  Each kernel keeps phase arrays of this size, so
-# a block costs peak memory as well as saving calls.
+# n=12 (four points).  A block's memory is its rows plus, while a slot
+# runs, the phase gathered to them or a rotation's gathered halves; its
+# coefficient sets hold rows x levels phases and a rotation's coefficients
+# per row (per row and pair where its pairs' couplings differ).
 _KERNEL_AMPLITUDES = 20 * 1024
 # Largest block a power is built for: a 1024-state block is 17 MB per
 # matrix once padded to whole tiles (1040), and a build holds several at once.
@@ -53,11 +56,11 @@ _SWEEP_COST = 28
 # a whole block, since a pass pays its set-up however few amplitudes it
 # sweeps.  A call above it is refused before its first step, and a walk whose
 # Trotter batches would make more is refused before its series
-# (`ProductFormula._check_passes`).  A block pass took 5-7 us on one row of 2
-# or 6 states (n=2, and n=4 at p=2 and 4), 37-75 us on the sectors of 252
-# and 924 states at n=10 and 12, and 144-162 us on rows of all 4096 states
-# at n=12 (p=2 and 4, one BLAS thread), so a call at the cap runs for 5 s to
-# 2.7 minutes.  The n=12 shootout makes 714 a batch and 546 a push.
+# (`_Program.check`).  A block pass took 5-7 us on one row of 2 or 6 states
+# (n=2, and n=4 at p=2 and 4), 37-75 us on the sectors of 252 and 924
+# states at n=10 and 12, and 144-162 us on rows of all 4096 states at n=12
+# (p=2 and 4, one BLAS thread), so a call at the cap runs for 5 s to 2.7
+# minutes.  The n=12 shootout makes 714 a batch and 546 a push.
 _PASSES_MAX = 1_000_000
 
 
@@ -127,55 +130,15 @@ class ProductFormula:
         them.  Every index when nothing is conserved, none for zero states."""
         return _subspace(self._blocks, states)
 
-    @cached_property
-    def _programs(self) -> dict:
-        return {}
-
-    def _program_on(self, basis: np.ndarray) -> tuple[tuple[FragmentEvolver, float], ...]:
-        """The recipe as ``(evolver, multiplier)`` slots on the states of
-        ``basis``, with one evolver per distinct fragment and adjacent slots
-        on equal fragments merged.  Built once per basis."""
-        key = basis.tobytes()
-        if key not in self._programs:
-            evolvers: dict[PauliSumOp, FragmentEvolver] = {}
-            program: list[tuple[FragmentEvolver, float]] = []
-            for idx, mult in self.steps:
-                frag = self.fragments[idx]
-                if frag not in evolvers:
-                    evolvers[frag] = FragmentEvolver(frag, basis)
-                evolver = evolvers[frag]
-                if program and program[-1][0] is evolver:
-                    program[-1] = (evolver, program[-1][1] + mult)
-                else:
-                    program.append((evolver, mult))
-            self._programs[key] = tuple(program)
-        return self._programs[key]
-
-    def _passes(self, basis: np.ndarray) -> int:
-        """Kernel passes of one step S(t) on the states of ``basis``."""
-        return sum(ev.passes for ev, _ in self._program_on(basis))
-
-    def _check_passes(self, basis: np.ndarray, rows: int, steps: int):
-        """Refuse ``steps`` steps on ``rows`` rows of ``basis`` states when
-        they would make more than :data:`_PASSES_MAX` block passes."""
-        passes = steps * self._passes(basis) * -(-rows * basis.size // _KERNEL_AMPLITUDES)
-        if passes > _PASSES_MAX:
-            raise ResourceLimitError(
-                f"a kernel call of {steps} steps on {rows} rows makes {passes} block passes, "
-                f"above the cap of {_PASSES_MAX}")
-
     def apply(self, state: np.ndarray, t, k=1) -> np.ndarray:
         """Return ``S(t)^k |state>``; the input array is not modified.
 
         ``state`` is ``(2^n,)`` or an ``(r, 2^n)`` block of rows, and for a
         block ``t`` and ``k`` may be length-r vectors: row i gets
-        ``S(t_i)^{k_i}``.  The rows run as one block, longest circuit first,
-        and a row drops out once its k_i steps are done.  When the
-        recipe closes on the fragment it opens with (a palindrome), the
-        closing slot of one step and the opening slot of the next run as one
-        slot of summed time on the rows that go on.  The block runs on the
-        invariant subspace the states touch (:meth:`_basis`), with the same
-        bits on its indices as on the whole space, and zeros elsewhere.
+        ``S(t_i)^{k_i}``.  The rows run as one block through a
+        :class:`_Program` on the invariant subspace the states touch
+        (:meth:`_basis`), with the same bits on its indices as on the whole
+        space, and zeros elsewhere.
         """
         state = np.asarray(state)
         if state.ndim not in (1, 2) or state.shape[-1] != 1 << self.n:
@@ -183,21 +146,55 @@ class ProductFormula:
                              f"or an (r, 2^n) block for n={self.n}")
         basis = self._basis(state)
         out = np.zeros(state.shape, dtype=complex)
-        out[..., basis] = self._apply_on(state[..., basis], t, k, basis)
+        out[..., basis] = _Program(self, basis).apply(state[..., basis], t, k)
         return out
 
-    def _apply_on(self, state: np.ndarray, t, k, basis: np.ndarray) -> np.ndarray:
-        """:meth:`apply` on ``(S,)`` or ``(r, S)`` states in the coordinates
-        of ``basis``, the S sorted indices of a union of common invariant
-        blocks of the fragments; the result is in the same coordinates.
+
+class _Program:
+    """A formula's kernel program on the states of ``basis``, the S sorted
+    indices of a union of common invariant blocks of the fragments, built
+    once by the owner of that subspace: a run's walk (:class:`_Walk`), or
+    one ``ProductFormula.apply`` call.  ``slots`` are ``(evolver,
+    multiplier)`` pairs, one evolver per distinct fragment and adjacent
+    slots on equal fragments merged; ``passes`` counts the kernel passes of
+    a step S(t); ``merged`` is the slot that runs the closing slot of one
+    step and the opening slot of the next as one, when the recipe closes on
+    the fragment it opens with (a palindrome), and None otherwise."""
+
+    def __init__(self, pf: ProductFormula, basis: np.ndarray):
+        self.basis = basis
+        evolvers = {frag: FragmentEvolver(frag, basis) for frag in dict.fromkeys(pf.fragments)}
+        slots: list[tuple[FragmentEvolver, float]] = []
+        for idx, mult in pf.steps:
+            evolver = evolvers[pf.fragments[idx]]
+            if slots and slots[-1][0] is evolver:
+                slots[-1] = (evolver, slots[-1][1] + mult)
+            else:
+                slots.append((evolver, mult))
+        self.slots = tuple(slots)
+        self.passes = sum(ev.passes for ev, _ in slots)
+        (head, opening), (tail, closing) = slots[0], slots[-1]
+        self.merged = (tail, closing + opening) if len(slots) > 1 and head is tail else None
+
+    def check(self, rows: int, steps: int):
+        """Refuse ``steps`` steps on ``rows`` rows when they would make more
+        than :data:`_PASSES_MAX` block passes."""
+        passes = steps * self.passes * -(-rows * self.basis.size // _KERNEL_AMPLITUDES)
+        if passes > _PASSES_MAX:
+            raise ResourceLimitError(
+                f"a kernel call of {steps} steps on {rows} rows makes {passes} block passes, "
+                f"above the cap of {_PASSES_MAX}")
+
+    def apply(self, state: np.ndarray, t, k) -> np.ndarray:
+        """``ProductFormula.apply`` on ``(S,)`` or ``(r, S)`` states in the
+        coordinates of the basis; the result is in the same coordinates.
         Steps past :data:`_PASSES_MAX` are refused before the first.
 
-        The call computes one coefficient set per distinct ``(evolver,
-        multiplier)`` slot of the program, and one for the merged closing
-        and opening slot of a palindrome, each for every row's time.  The
-        rows are sorted longest circuit first, so at each step the live rows
-        lead, and those that go on lead the live ones: the merged slot runs
-        on that first range and the plain closing slot on the rest."""
+        The call computes one coefficient set per distinct slot, the merged
+        one included, for every row's time.  The rows are sorted longest
+        circuit first, so at each step the live rows lead, and those that
+        go on lead the live ones: the merged slot runs on that first range
+        and the plain closing slot on the rest."""
         rows = state if state.ndim == 2 else state[None]
         count = rows.shape[0]
         try:
@@ -210,29 +207,27 @@ class ProductFormula:
         reps = np.array([_step_count(rep) for rep in reps], dtype=int)
         if count == 0:
             return rows.astype(complex)
-        if rows.shape[1] != basis.size:
+        if rows.shape[1] != self.basis.size:
             raise ValueError(f"states of shape {state.shape} are not in the coordinates of "
-                             f"{basis.size} basis states")
-        self._check_passes(basis, count, int(reps.max()))
+                             f"{self.basis.size} basis states")
+        self.check(count, int(reps.max()))
         order = np.argsort(-reps, kind="stable")
         # The gather copies, so the kernel works on these rows in place; the
         # live rows lead, and a row whose steps are done stays where it is.
         cur = rows[order].astype(complex, copy=False)
         times, reps = times[order], reps[order]
-        program = self._program_on(basis)
-        last = len(program) - 1
-        wrap = last > 0 and program[0][0] is program[last][0]
-        merged = (program[last][0], program[last][1] + program[0][1])
+        slots, merged = self.slots, self.merged
+        last = len(slots) - 1
         sets = {slot: slot[0]._coefficients(slot[1] * times)
-                for slot in dict.fromkeys((*program, merged) if wrap else program)}
+                for slot in dict.fromkeys(slots if merged is None else (*slots, merged))}
         for step in range(reps[0]):
             live = int(np.count_nonzero(reps > step))
             on = int(np.count_nonzero(reps > step + 1))
-            for j, slot in enumerate(program):
-                if wrap and j == 0 and step > 0:
+            for j, slot in enumerate(slots):
+                if merged is not None and j == 0 and step > 0:
                     continue
                 runs = [(slot, 0, live)]
-                if wrap and j == last:
+                if merged is not None and j == last:
                     runs = [(merged, 0, on), (slot, on, live)]
                 for key, lo, hi in runs:
                     if lo < hi:
@@ -313,10 +308,9 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _BlockPower:
     """``S(t)^k`` of a formula for one ``(t, k)`` and a known number of
-    pushes of ``count`` states each, on the states of ``basis``, the sorted
-    indices of a union of common invariant blocks of the fragments
-    (``ProductFormula._basis``): run either step by step through the kernel
-    or through its power built on that subspace.
+    pushes of ``count`` states each, on the basis of ``program``, the run's
+    kernel program (:class:`_Program`): run either step by step through
+    that program or through its power built on that subspace.
 
     The constructor decides, once and for every push, which of the two it
     is.  It builds if all the pushes through the kernel, k steps on each
@@ -330,16 +324,15 @@ class _BlockPower:
     ``pauli.DENSE_QUBIT_CAP`` too (a 2-state block at 13).  From the Neel
     state with k0=26 and five states the rule builds for 8 pushes or more at
     n=10 (the 252-state sector) and for 75 or more at n=12 (924 states).
-    The power is one kernel step S(t) on the basis states of the subspace,
-    in its coordinates and :func:`_kernel_rows` rows per call, then the k-th
-    power by repeated squaring.
+    The power is one step S(t) of the program on the basis states of the
+    subspace, in its coordinates and :func:`_kernel_rows` rows per call,
+    then the k-th power by repeated squaring.
     """
 
-    def __init__(self, pf: ProductFormula, basis: np.ndarray, t: float, k: int, pushes: int,
-                 count: int):
+    def __init__(self, program: _Program, t: float, k: int, pushes: int, count: int):
         if not (t > 0 and pushes >= 1):
             raise ValueError(f"need t > 0 and pushes >= 1; got {t}, {pushes}")
-        self._pf, self._basis, self._t, self._k = pf, basis, float(t), _step_count(k)
+        self._program, self._t, self._k = program, float(t), _step_count(k)
         # The power, padded to whole tiles; None when every push runs
         # through the kernel.
         self._power = self._build() if self._build_pays(pushes, count) else None
@@ -347,12 +340,12 @@ class _BlockPower:
     def _build_pays(self, pushes: int, count: int) -> bool:
         """Whether building the power on the subspace costs no more than
         pushing ``count`` states through the kernel at every push."""
-        size, k, pf = self._basis.size, self._k, self._pf
+        size, k = self._program.basis.size, self._k
         if not 0 < size <= _BUILD_MAX:
             return False
         # Cost of one step S(t) per amplitude it sweeps, counted on the
         # program a kernel push runs.
-        sweep = _SWEEP_COST * pf._passes(self._basis)
+        sweep = _SWEEP_COST * self._program.passes
         products = k.bit_length() + k.bit_count() - 2
         build = size * size * sweep + products * size ** 3
         return pushes * k * count * size * sweep >= build
@@ -363,7 +356,7 @@ class _BlockPower:
         neither the squaring nor a push pads or copies it, and it is filled
         through its ``size``-square view, so the padding stays zero and no
         index here depends on it."""
-        size = self._basis.size
+        size = self._program.basis.size
         width = _kernel_rows(size)
         step = np.zeros((_whole(size), _whole(size)), dtype=complex)
         block = step[:size, :size]
@@ -371,7 +364,7 @@ class _BlockPower:
             # Basis states lo, lo + 1, ... of the subspace, in its
             # coordinates; their images are those columns of S(t).
             basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
-            block[:, lo:lo + width] = self._pf._apply_on(basis_rows, self._t, 1, self._basis).T
+            block[:, lo:lo + width] = self._program.apply(basis_rows, self._t, 1).T
         power, k = None, self._k
         while True:
             if k & 1:
@@ -384,13 +377,13 @@ class _BlockPower:
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """Return ``S(t)^k`` applied to each row of an ``(r, S)`` array of
         states in the coordinates of the basis, as rows."""
-        size = self._basis.size
+        size = self._program.basis.size
         if rows.ndim != 2 or rows.shape[1] != size:
             # The products zero-pad, so a narrower row would pass silently.
             raise ValueError(f"states of shape {rows.shape} are not rows of the push's "
                              f"{size} basis states")
         if self._power is None:
-            return self._pf._apply_on(rows, self._t, self._k, self._basis)
+            return self._program.apply(rows, self._t, self._k)
         return _products(self._power, rows.T)[:size].T
 
 
@@ -413,35 +406,37 @@ class _Walk:
     ``pauli.DENSE_QUBIT_CAP`` and any step count :func:`_step_count` refuses
     before any search, and batches past :data:`_PASSES_MAX` or a series
     too long before any Trotter state.
-    :meth:`push` makes the run's :class:`_BlockPower` on the basis.
+    Its one :class:`_Program` runs every batch, and :meth:`push` hands it
+    to the run's :class:`_BlockPower`.
     """
 
     def __init__(self, pf: ProductFormula, psi_in: np.ndarray, times: np.ndarray, steps):
         _check_qubit_cap(pf.n)
         self._steps = np.array([_step_count(k) for k in steps], dtype=int)
         psi_in = np.asarray(psi_in)
-        self._pf, self._times = pf, np.asarray(times, dtype=float)
-        self._basis = pf._basis(psi_in)
-        self._points = max(1, _kernel_rows(self._basis.size) // max(1, self._steps.size))
-        pf._check_passes(self._basis, min(self._points, self._times.size) * self._steps.size,
-                         int(self._steps.max(initial=0)))
-        self._psi = psi_in[self._basis]
-        self._exact = _ChebyshevBlock(pf.hamiltonian, self._basis)
+        self._times = np.asarray(times, dtype=float)
+        basis = pf._basis(psi_in)
+        self._program = _Program(pf, basis)
+        self._points = max(1, _kernel_rows(basis.size) // max(1, self._steps.size))
+        self._program.check(min(self._points, self._times.size) * self._steps.size,
+                            int(self._steps.max(initial=0)))
+        self._psi = psi_in[basis]
+        self._exact = _ChebyshevBlock(pf.hamiltonian, basis)
         self._vectors = self._exact.vectors(self._psi, np.abs(self._times).max(initial=0.0))
 
     def __iter__(self):
-        r, size, points = self._steps.size, self._basis.size, self._points
+        r, size, points = self._steps.size, self._psi.size, self._points
         for lo in range(0, self._times.size, points):
             batch = self._times[lo:lo + points]
-            rows = self._pf._apply_on(np.broadcast_to(self._psi, (r * batch.size, size)),
-                                      (batch[:, None] / self._steps).ravel(),
-                                      np.tile(self._steps, batch.size), self._basis)
+            rows = self._program.apply(np.broadcast_to(self._psi, (r * batch.size, size)),
+                                       (batch[:, None] / self._steps).ravel(),
+                                       np.tile(self._steps, batch.size))
             for j, t in enumerate(batch):
                 yield rows[j * r:(j + 1) * r], self._exact.evolve(self._vectors, t)
 
     def push(self, t: float, k: int, pushes: int) -> _BlockPower:
         """The run's ``S(t)^k`` for ``pushes`` pushes of its r states."""
-        return _BlockPower(self._pf, self._basis, t, k, pushes, self._steps.size)
+        return _BlockPower(self._program, t, k, pushes, self._steps.size)
 
 
 def fragment_by_commuting_groups(op: PauliSumOp) -> list[PauliSumOp]:

@@ -123,7 +123,7 @@ class FragmentEvolver:
     The kernel keeps no state between calls.  :meth:`_coefficients` makes
     the coefficient set of a vector of row times, and the in-place kernel
     (:meth:`_apply_in_place`) runs a set on a range of the rows it is
-    handed: ``ProductFormula._apply_on`` makes each set once per call and
+    handed: ``formulas._Program.apply`` makes each set once per call and
     runs it on the rows it owns, and ``apply`` copies first.  A rotation
     writes its halves from the two gathered copies with two temporaries, in
     the operation order of ``c y + a_lo x`` and ``c x + a_hi y``.  The phase

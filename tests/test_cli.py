@@ -240,8 +240,8 @@ def test_overflowing_grid_time_is_refused_before_any_state(scenario, capsys, mon
     # evaluated first, so no Trotter state and no exact state is computed:
     # the walk's kernel batches and Chebyshev vectors are never made.
     calls = []
-    batch, vectors = formulas.ProductFormula._apply_on, statesim._ChebyshevBlock.vectors
-    monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
+    batch, vectors = formulas._Program.apply, statesim._ChebyshevBlock.vectors
+    monkeypatch.setattr(formulas._Program, "apply",
                         lambda *a: calls.append("batch") or batch(*a))
     monkeypatch.setattr(statesim._ChebyshevBlock, "vectors",
                         lambda *a: calls.append("exact") or vectors(*a))
@@ -268,9 +268,9 @@ def test_overlong_series_is_refused_before_any_state(args, made, capsys, monkeyp
     # amplitudes: 228 at t = 1.5 and 264 at t = 2.  A cap of 250 refuses
     # only the grid's last times; each batch holds one grid point.
     calls = []
-    batch, step = formulas.ProductFormula._apply_on, dynamic_mpf.minimax_step
+    batch, step = formulas._Program.apply, dynamic_mpf.minimax_step
     apply = statesim.FragmentEvolver._apply_in_place
-    monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
+    monkeypatch.setattr(formulas._Program, "apply",
                         lambda *a: calls.append("batch") or batch(*a))
     monkeypatch.setattr(dynamic_mpf, "minimax_step", lambda *a: calls.append("step") or step(*a))
     monkeypatch.setattr(statesim.FragmentEvolver, "_apply_in_place",
@@ -430,8 +430,8 @@ def test_exact_evolution_cap_exit_code(capsys):
 def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, capsys,
                                                            monkeypatch):
     calls = []
-    batch, operator = formulas.ProductFormula._apply_on, statesim._ChebyshevBlock.__init__
-    monkeypatch.setattr(formulas.ProductFormula, "_apply_on",
+    batch, operator = formulas._Program.apply, statesim._ChebyshevBlock.__init__
+    monkeypatch.setattr(formulas._Program, "apply",
                         lambda *a: calls.append("batch") or batch(*a))
     monkeypatch.setattr(statesim._ChebyshevBlock, "__init__",
                         lambda *a: calls.append("operator") or operator(*a))
@@ -458,7 +458,7 @@ def test_shootout_refuses_the_qubit_cap_and_step_counts_before_any_search(
     # Chebyshev vector, no kernel batch and no warning.
     calls = []
     hooks = [(formulas, "_partition"), (statesim._ChebyshevBlock, "__init__"),
-             (statesim._ChebyshevBlock, "vectors"), (formulas.ProductFormula, "_apply_on")]
+             (statesim._ChebyshevBlock, "vectors"), (formulas._Program, "apply")]
     for owner, name in hooks:
         monkeypatch.setattr(owner, name, lambda *a, name=name, f=getattr(owner, name):
                             calls.append(name) or f(*a))

@@ -41,7 +41,7 @@ from mpf_lab.dynamic_mpf import (
     q_from_states,
 )
 from mpf_lab.errors import ResourceLimitError, SolverError
-from mpf_lab.formulas import _BlockPower, _Walk, fragment_by_commuting_groups
+from mpf_lab.formulas import _BlockPower, _Program, _Walk, fragment_by_commuting_groups
 from mpf_lab.pauli import invariant_blocks
 from conftest import ChainCase, random_state
 from test_statesim import full_eigh_evolve
@@ -145,7 +145,7 @@ def test_run_does_one_whole_space_block_search(monkeypatch):
 def test_overlong_series_is_refused_before_any_trotter_state(chain4, monkeypatch):
     # The walk makes its Chebyshev vectors for the grid's largest |t| when
     # it is made: a cap below the last time's series refuses it there.
-    monkeypatch.setattr(ProductFormula, "_apply_on", lambda *a: pytest.fail("state computed"))
+    monkeypatch.setattr(formulas._Program, "apply", lambda *a: pytest.fail("state computed"))
     basis = chain4.pf._basis(chain4.psi)
     size = statesim._ChebyshevBlock(chain4.hamiltonian, basis).vectors(chain4.psi[basis], 2.0).size
     monkeypatch.setattr(statesim, "_SERIES_MAX", size - 1)
@@ -206,12 +206,12 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
     # 20 at n=6.
     widths = {"batch": [], "build": [], "push": []}
     within = []
-    apply_on = ProductFormula._apply_on
+    program_apply = formulas._Program.apply
 
-    def counted_apply_on(self, state, *a):
+    def counted_program(self, state, *a):
         # The walk's batches are the calls outside a push and a build.
         widths[within[-1] if within else "batch"].append(state.size)
-        return apply_on(self, state, *a)
+        return program_apply(self, state, *a)
 
     def tagged(func, tag):
         def run(*a):
@@ -222,7 +222,7 @@ def test_no_batch_is_wider_than_the_amplitude_limit(chain6, chain10, monkeypatch
                 within.pop()
         return run
 
-    monkeypatch.setattr(ProductFormula, "_apply_on", counted_apply_on)
+    monkeypatch.setattr(formulas._Program, "apply", counted_program)
     monkeypatch.setattr(formulas._BlockPower, "apply", tagged(formulas._BlockPower.apply, "push"))
     monkeypatch.setattr(formulas._BlockPower, "_build", tagged(formulas._BlockPower._build, "build"))
     c0 = solve_coefficients(2, STEPS).coefficients
@@ -263,12 +263,12 @@ def push_on(pf, states, t, k, pushes):
     """The push a run makes for ``pushes`` pushes of as many states as
     ``states`` (2^n amplitudes) holds, on the subspace they touch."""
     rows = np.array(states)
-    return _BlockPower(pf, pf._basis(rows), t, k, pushes, len(rows))
+    return _BlockPower(_Program(pf, pf._basis(rows)), t, k, pushes, len(rows))
 
 
 def coords(push, states):
     """``states`` (2^n amplitudes) as rows in the coordinates of ``push``."""
-    return np.array(states)[:, push._basis]
+    return np.array(states)[:, push._program.basis]
 
 
 def q_reference(pf, prev, nxt, dt, k0):
@@ -290,7 +290,7 @@ def conserves_nothing(n, rng):
 def built_states(push):
     """Number of basis states of the subspace a push holds its power on;
     zero when it runs through the kernel."""
-    return 0 if push._power is None else push._basis.size
+    return 0 if push._power is None else push._program.basis.size
 
 
 def crossover(pf, states, dt, k0):
@@ -353,7 +353,7 @@ def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):
                         lambda self, h, basis: operators.append(basis.tolist())
                         or operator(self, h, basis))
     monkeypatch.setattr(formulas._BlockPower, "_build",
-                        lambda self: built.append(self._basis.tolist()) or build(self))
+                        lambda self: built.append(self._program.basis.tolist()) or build(self))
     pf, psi = chain5.pf, chain5.psi
     assert [idx.shape for idx in pf._blocks] == [(2, 1), (2, 5), (2, 10)]
     oracle = SpectralOracle(chain5.hamiltonian)
@@ -399,17 +399,15 @@ def test_first_push_decides_for_every_later_push(chain6, monkeypatch):
         assert calls and built_states(push) == 0
 
 
-def test_neel_run_makes_no_whole_space_evolver(monkeypatch):
+def test_neel_run_makes_no_whole_space_evolver(chain6, monkeypatch):
     # Every evolver of a run from the Neel state, those the push's cost
-    # model counts included, works on the 20-state Neel sector.  A new chain
-    # has no evolvers cached from other tests.
+    # model counts included, works on the 20-state Neel sector.
     bases = []
     init = FragmentEvolver.__init__
     monkeypatch.setattr(FragmentEvolver, "__init__",
                         lambda self, frag, basis=None: bases.append(basis) or init(self, frag, basis))
-    case = ChainCase(6)
     c0 = solve_coefficients(2, STEPS).coefficients
-    minimax_run(case.pf, case.psi, STEPS,
+    minimax_run(chain6.pf, chain6.psi, STEPS,
                 t0=0.5, t_final=2.5, dt=0.25, eps=0.01, k0=3, c0=c0, seed=1)
     assert bases and all(basis is not None and basis.size == 20 for basis in bases)
 
@@ -421,7 +419,7 @@ def minimax_push_calls(case, monkeypatch, **grid):
     calls, batch_calls, made, push_calls, builds, order = [], [], [], [], [], []
     within = []
     apply, build = FragmentEvolver._apply_in_place, formulas._BlockPower._build
-    apply_on, make, push = ProductFormula._apply_on, _Walk.push, dynamic_mpf.q_from_states
+    program_apply, make, push = formulas._Program.apply, _Walk.push, dynamic_mpf.q_from_states
 
     def counting(func, into, name):
         def run(*args):
@@ -436,14 +434,14 @@ def minimax_push_calls(case, monkeypatch, **grid):
             return out
         return run
 
-    batch = counting(apply_on, batch_calls, "batch")
+    batch = counting(program_apply, batch_calls, "batch")
     monkeypatch.setattr(FragmentEvolver, "_apply_in_place",
                         lambda self, *a: calls.append(1) or apply(self, *a))
     monkeypatch.setattr(formulas._BlockPower, "_build",
                         lambda self, *a: builds.append(1) or build(self, *a))
     # A kernel call outside a push and its making is one of the walk's batches.
-    monkeypatch.setattr(ProductFormula, "_apply_on",
-                        lambda *a: (apply_on if within else batch)(*a))
+    monkeypatch.setattr(formulas._Program, "apply",
+                        lambda *a: (program_apply if within else batch)(*a))
     monkeypatch.setattr(dynamic_mpf, "q_from_states", counting(push, push_calls, "push"))
     monkeypatch.setattr(_Walk, "push", counting(make, made, "made"))
     c0 = solve_coefficients(2, STEPS).coefficients
@@ -521,7 +519,7 @@ def test_q_from_states_above_the_qubit_cap_runs_through_the_kernel(chain4):
     push = push_on(pf, prev, 0.2 / 3, 3, 1000)
     q = q_from_states(push, coords(push, prev), coords(push, prev))
     assert np.abs(q - q_reference(pf, prev, prev, 0.2, 3)).max() < 1e-13
-    assert push._power is None and push._basis.size == 1 << n
+    assert push._power is None and push._program.basis.size == 1 << n
 
 
 def test_block_products_do_not_depend_on_the_blas_thread_count():
@@ -644,10 +642,10 @@ def test_q_matrix_small_dt_diagonal(chain4):
 
 def test_q_matrix_validation(chain4, monkeypatch):
     states = trotter_states(chain4.pf, chain4.psi, 0.5, STEPS)
-    basis = chain4.pf._basis(chain4.psi)
+    program = _Program(chain4.pf, chain4.pf._basis(chain4.psi))
     for t, k, pushes in ((0.0, 3, 1), (0.1, 0, 1), (0.1, 3, 0)):
         with pytest.raises(ValueError):
-            _BlockPower(chain4.pf, basis, t, k, pushes, len(STEPS))
+            _BlockPower(program, t, k, pushes, len(STEPS))
     # Rows of another width than the push's 6 basis states are refused by a
     # built push, whose products would zero-pad them, and by a kernel push.
     for limit in (6, 5):

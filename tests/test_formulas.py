@@ -182,22 +182,22 @@ def test_apply_block_matches_columns(chain4, rng):
     assert np.array_equal(chain4.pf.apply(np.zeros(16), 0.3, 2), np.zeros(16))
 
 
-def slot_by_slot_copies(pf, rows, times, reps, basis):
+def slot_by_slot_copies(program, rows, times, reps):
     """Each row alone through ``FragmentEvolver.apply``, which copies, slot
-    by slot in the order ``_apply_on`` runs them: adjacent equal fragments
-    merged and, in a palindrome, each step's closing slot merged with the
-    next step's opening one."""
-    program = pf._program_on(basis)
-    last = len(program) - 1
-    wrap = last > 0 and program[0][0] is program[last][0]
+    by slot in the order ``_Program.apply`` runs them: adjacent equal
+    fragments merged and, in a palindrome, each step's closing slot merged
+    with the next step's opening one."""
+    slots = program.slots
+    last = len(slots) - 1
+    wrap = last > 0 and slots[0][0] is slots[last][0]
     out = []
     for row, t, k in zip(rows, times, reps):
         for step in range(k):
-            for j, (evolver, mult) in enumerate(program):
+            for j, (evolver, mult) in enumerate(slots):
                 if wrap and j == 0 and step > 0:
                     continue
                 if wrap and j == last and step + 1 < k:
-                    mult = mult + program[0][1]
+                    mult = mult + slots[0][1]
                 row = evolver.apply(row, mult * t)
         out.append(row)
     return np.array(out).reshape(rows.shape)
@@ -227,29 +227,61 @@ def test_in_place_kernel_has_the_bits_of_the_copying_one(chain10, rng):
     for pf, rows, basis in kernel_cases(chain10, rng):
         count = rows.shape[0]
         kept = rows.copy()
-        out = pf._apply_on(rows, times[:count], reps[:count], basis)
+        program = formulas._Program(pf, basis)
+        out = program.apply(rows, times[:count], reps[:count])
         assert np.array_equal(rows, kept)
-        assert np.array_equal(out, slot_by_slot_copies(pf, rows, times[:count],
-                                                       reps[:count], basis))
+        assert np.array_equal(out, slot_by_slot_copies(program, rows, times[:count],
+                                                       reps[:count]))
         # One state, and a scalar time and count.
-        assert np.array_equal(pf._apply_on(rows[0], 0.2, 3, basis),
-                              slot_by_slot_copies(pf, rows[:1], [0.2], [3], basis)[0])
+        assert np.array_equal(program.apply(rows[0], 0.2, 3),
+                              slot_by_slot_copies(program, rows[:1], [0.2], [3])[0])
         # Rows of another width are refused before the in-place kernel.
         if basis.size:
             with pytest.raises(ValueError, match="not in the coordinates of"):
-                pf._apply_on(rows[:, 1:], 0.2, 3, basis)
+                program.apply(rows[:, 1:], 0.2, 3)
         # The copying kernel leaves its input as it was.
-        for evolver, _ in pf._program_on(basis):
+        for evolver, _ in program.slots:
             evolver.apply(rows, times[:count])
             evolver.apply(rows[0], 0.4)
             assert np.array_equal(rows, kept)
 
 
 def test_distinct_fragments_share_one_evolver(chain4):
-    program = chain4.pf._program_on(np.arange(16))
-    assert len(program) == 5
-    assert len({id(evolver) for evolver, _ in program}) == 3
-    assert program[0][0] is program[-1][0]
+    slots = formulas._Program(chain4.pf, np.arange(16)).slots
+    assert len(slots) == 5
+    assert len({id(evolver) for evolver, _ in slots}) == 3
+    assert slots[0][0] is slots[-1][0]
+
+
+def formula_state(pf):
+    """Each attribute a formula holds, with the length of its value where
+    it has one."""
+    return {key: len(value) if hasattr(value, "__len__") else None
+            for key, value in vars(pf).items()}
+
+
+def test_a_formula_keeps_no_state_that_grows_with_use():
+    # The nine total-Z sectors at n=8 each get a program of their own while
+    # a call runs it; the formula keeps none of them.
+    case = ChainCase(8)
+    case.pf.apply(case.psi, 0.3, 2)
+    before = formula_state(case.pf)
+    for state in np.eye(1 << case.n):
+        case.pf.apply(state, 0.3, 2)
+    assert formula_state(case.pf) == before
+
+
+def test_a_shootout_builds_one_evolver_per_distinct_fragment(monkeypatch):
+    # The walk owns the run's one program: its batches, its push and the
+    # push's build all run it, so nothing builds an evolver per call.
+    from mpf_lab.experiments import resolve_config, run_scenario
+
+    built = []
+    init = formulas.FragmentEvolver.__init__
+    monkeypatch.setattr(formulas.FragmentEvolver, "__init__",
+                        lambda self, frag, basis=None: built.append(frag) or init(self, frag, basis))
+    run_scenario("minimax-shootout", resolve_config("minimax-shootout", {"n": "8"}))
+    assert len(built) == len(set(built)) == 3
 
 
 def test_fragment_by_commuting_groups(chain4):

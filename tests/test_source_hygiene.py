@@ -202,7 +202,7 @@ def test_every_config_key_is_read():
 # formula and the kernel: a run's states are carried in those coordinates,
 # but only through the walk (``formulas._Walk``) and its push, so every
 # other module names no subspace helper.
-SUBSPACE_NAMES = {"_subspace", "_basis", "_apply_on", "_kernel_rows"}
+SUBSPACE_NAMES = {"_subspace", "_basis", "_Program", "_kernel_rows"}
 SUBSPACE_MODULES = {"formulas.py", "statesim.py"}
 
 
@@ -312,10 +312,26 @@ def test_the_frobenius_clamp_and_root_are_written_once():
     assert found == ["statesim.py: _frobenius_distance"]
 
 
+# Methods that change the container they are called on.
+MUTATORS = {"append", "extend", "update", "setdefault", "pop"}
+
+
+def self_attribute(node: ast.AST) -> str | None:
+    """The name of the ``self`` attribute that ``node`` is, or indexes
+    (``self.x`` and ``self.x[k][j]`` both give ``x``), or None."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+        return node.attr
+    return None
+
+
 def state_outside_constructors(source: str) -> list[str]:
-    """Lines where a method of a class other than ``__init__`` assigns an
-    attribute of ``self`` (``self.x = ...``, ``self.x += ...``, or as one
-    target of several), which makes state that outlives the call."""
+    """Lines where a method of a class other than ``__init__`` changes an
+    attribute of ``self``, which makes state that outlives the call: it
+    assigns it (``self.x = ...``, ``self.x += ...``, or as one target of
+    several), stores into it (``self.x[k] = ...``, ``self.x[k] += ...``) or
+    calls a mutating method on it (``self.x.append(...)``)."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -323,19 +339,35 @@ def state_outside_constructors(source: str) -> list[str]:
         for func in cls.body:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "__init__":
                 continue
-            found += [(node.lineno, f"{cls.name}.{func.name} sets self.{node.attr}")
-                      for node in ast.walk(func)
-                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                      and isinstance(node.value, ast.Name) and node.value.id == "self"]
+            for node in ast.walk(func):
+                what = None
+                if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, ast.Store):
+                    name = self_attribute(node)
+                    verb = "sets" if isinstance(node, ast.Attribute) else "stores into"
+                    if name is not None:
+                        what = f"{verb} self.{name}"
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in MUTATORS):
+                    name = self_attribute(node.func.value)
+                    if name is not None:
+                        what = f"calls self.{name}.{node.func.attr}"
+                if what:
+                    found.append((node.lineno, f"{cls.name}.{func.name} {what}"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
 def test_checker_flags_state_outside_constructors():
-    source = ("class A:\n    def __init__(self):\n        self.a = 1\n"
+    source = ("class A:\n    def __init__(self):\n        self.a = 1\n        self.c = {}\n"
               "    def f(self, x):\n        self.b, y = x, 2\n        self.a += y\n"
-              "        self.c[0] = x\n        other.d = x\n        return self.a\n"
-              "def g(self):\n    self.e = 1\n")
-    assert state_outside_constructors(source) == ["line 5: A.f sets self.b", "line 6: A.f sets self.a"]
+              "        self.c[0] = x\n        self.c[1][2] += x\n        other.d = x\n"
+              "        self.c.setdefault(x, []).append(y)\n        self.e.pop()\n"
+              "        x.append(self.c)\n        other.c[0] = self.c.get(x)\n"
+              "        return self.a\n"
+              "def g(self):\n    self.e = 1\n    self.c[0] = 1\n")
+    assert state_outside_constructors(source) == [
+        "line 6: A.f sets self.b", "line 7: A.f sets self.a", "line 8: A.f stores into self.c",
+        "line 9: A.f stores into self.c", "line 11: A.f calls self.c.setdefault",
+        "line 12: A.f calls self.e.pop"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

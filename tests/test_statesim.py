@@ -20,7 +20,7 @@ from mpf_lab import (
 from mpf_lab import bounds, pauli, statesim
 from mpf_lab.bounds import spectral_norm_symbolic
 from mpf_lab.errors import NumericalDegeneracyError, ResourceLimitError
-from mpf_lab.formulas import _BlockPower, _Walk, fragment_by_commuting_groups
+from mpf_lab.formulas import _BlockPower, _Program, _Walk, fragment_by_commuting_groups
 from mpf_lab.heisenberg import build_heisenberg_chain
 from mpf_lab.pauli import commutes, invariant_blocks
 from conftest import basis_state, random_state
@@ -223,10 +223,11 @@ def test_subspace_kernel_matches_full_kernel_bit_for_bit(case, chain6, chain10, 
         assert not full[:, outside].any()
     ks = np.array([3, 1, 7, 2, 4])
     whole = np.arange(1 << n)
-    full = pf._apply_on(block, times, ks, whole)
-    assert np.array_equal(pf._apply_on(block[:, basis], times, ks, basis), full[:, basis])
-    assert np.array_equal(pf._apply_on(block[0, basis], 0.8, 5, basis),
-                          pf._apply_on(block[0], 0.8, 5, whole)[basis])
+    on_whole, on_basis = _Program(pf, whole), _Program(pf, basis)
+    full = on_whole.apply(block, times, ks)
+    assert np.array_equal(on_basis.apply(block[:, basis], times, ks), full[:, basis])
+    assert np.array_equal(on_basis.apply(block[0, basis], 0.8, 5),
+                          on_whole.apply(block[0], 0.8, 5)[basis])
     # The public form takes the 2^n block, runs it on the subspace and
     # scatters it back: the full-space bits there, zeros elsewhere.
     public = pf.apply(block, times, ks)
@@ -249,10 +250,11 @@ def test_whole_space_kernel_runs_where_nothing_is_conserved(rng):
     assert [idx.shape for idx in pf._blocks] == [(1, 32)]
     psi = random_state(5, rng)
     assert np.array_equal(pf._basis(psi), np.arange(32))
-    # The state's basis is the whole space: the same evolvers.
-    assert pf._program_on(pf._basis(psi)) is pf._program_on(np.arange(32))
+    # The state's basis is the whole space: programs on either run the same bits.
     block = random_block(5, 3, rng)
-    assert np.array_equal(pf._apply_on(block, 0.7, 3, np.arange(32)), pf.apply(block, 0.7, 3))
+    whole = _Program(pf, np.arange(32)).apply(block, 0.7, 3)
+    assert np.array_equal(_Program(pf, pf._basis(psi)).apply(block, 0.7, 3), whole)
+    assert np.array_equal(whole, pf.apply(block, 0.7, 3))
 
 
 def touched_union(ops, states):
@@ -304,8 +306,8 @@ def test_kernel_push_and_oracle_share_the_touched_subspace(case, chain4, chain6,
     assert np.array_equal(statesim._subspace(pf._blocks, rows), ref)
     assert np.array_equal(pf._basis(psi), ref) and np.array_equal(pf._basis(rows), ref)
     # Enough pushes that the push builds on that subspace, wherever it has states.
-    push = _BlockPower(pf, pf._basis(rows), 0.1, 2, 10**6, len(rows))
-    assert np.array_equal(push._basis, ref) and (push._power is None) == (ref.size == 0)
+    push = _BlockPower(_Program(pf, pf._basis(rows)), 0.1, 2, 10**6, len(rows))
+    assert np.array_equal(push._program.basis, ref) and (push._power is None) == (ref.size == 0)
     assert np.array_equal(oracle_basis(pf.hamiltonian, psi, monkeypatch), ref)
 
 
@@ -320,9 +322,9 @@ def test_subspace_above_the_qubit_cap_is_the_touched_block():
     start = int(np.flatnonzero(psi)[0])
     basis = pf._basis(psi)
     assert basis.tolist() == sorted([start, start ^ 0b11 << (n - 2)])
-    push = _BlockPower(pf, basis, 0.1, 2, 10**6, 1)
+    push = _BlockPower(_Program(pf, basis), 0.1, 2, 10**6, 1)
     assert push._power is not None
-    whole = pf._apply_on(psi, 0.1, 2, np.arange(1 << n))
+    whole = _Program(pf, np.arange(1 << n)).apply(psi, 0.1, 2)
     kernel = pf.apply(psi, 0.1, 2)
     assert np.array_equal(kernel[basis], whole[basis])
     assert not np.delete(kernel, basis).any() and not np.delete(whole, basis).any()
@@ -467,7 +469,7 @@ def walk_exact(pf, psi, times):
     """The exact states of a walk over ``times`` from ``psi``, as rows in
     the coordinates of its basis, and that basis."""
     walk = _Walk(pf, psi, times, ())
-    return np.array([exact for _, exact in walk]), walk._basis
+    return np.array([exact for _, exact in walk]), walk._program.basis
 
 
 def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):

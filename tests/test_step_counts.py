@@ -18,7 +18,7 @@ from mpf_lab import (
     trotter_states,
 )
 from mpf_lab import ResourceLimitError, formulas, statesim
-from mpf_lab.formulas import _BlockPower, _Walk
+from mpf_lab.formulas import _BlockPower, _Program, _Walk
 
 STEPS = (4, 13, 17)
 
@@ -31,7 +31,7 @@ def run_minimax(c, steps, k0):
 def push(c, k):
     """The push through the kernel (one push) and built (a million pushes)."""
     basis = c.pf._basis(c.psi)
-    return [_BlockPower(c.pf, basis, 0.1, k, pushes, 1).apply(c.psi[basis][None])
+    return [_BlockPower(_Program(c.pf, basis), 0.1, k, pushes, 1).apply(c.psi[basis][None])
             for pushes in (1, 10**6)]
 
 
@@ -42,8 +42,8 @@ ENTRIES = {
     "l_exact": lambda c, k: l_exact(c.pf, c.oracle, c.psi, 1.0, [k, 13]),
     "rho_k_state": lambda c, k: rho_k_state(c.pf, c.psi, 1.0, k),
     "apply": lambda c, k: c.pf.apply(c.psi, 0.25, k),
-    "_apply_on": lambda c, k: c.pf._apply_on(c.psi[c.pf._basis(c.psi)], 0.25, k,
-                                             c.pf._basis(c.psi)),
+    "_Program": lambda c, k: _Program(c.pf, c.pf._basis(c.psi)).apply(
+        c.psi[c.pf._basis(c.psi)], 0.25, k),
     "_Walk": lambda c, k: list(_Walk(c.pf, c.psi, np.array([0.5, 1.0]), [k, 13])),
     "_BlockPower": push,
     "minimax_run_steps": lambda c, k: run_minimax(c, (k, 13, 17), 3),
@@ -84,7 +84,7 @@ def test_kernel_calls_past_the_pass_cap_are_refused_before_any_step(chain4, monk
     # refused before any kernel step, or in a walk (two grid points in one
     # batch) before its series.
     pf, psi, times = chain4.pf, chain4.psi, np.array([0.5, 1.0])
-    passes = pf._passes(pf._basis(psi))
+    passes = _Program(pf, pf._basis(psi)).passes
     monkeypatch.setattr(formulas, "_PASSES_MAX", 6 * passes)
     block = np.stack([psi, psi])
     assert pf.apply(block, 0.1, [6, 4]).shape == block.shape
