@@ -340,18 +340,16 @@ def state_outside_constructors(source: str) -> list[str]:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "__init__":
                 continue
             for node in ast.walk(func):
-                what = None
                 if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, ast.Store):
                     name = self_attribute(node)
                     verb = "sets" if isinstance(node, ast.Attribute) else "stores into"
-                    if name is not None:
-                        what = f"{verb} self.{name}"
-                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr in MUTATORS):
+                    what = f"{verb} self.{name}"
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
                     name = self_attribute(node.func.value)
-                    if name is not None:
-                        what = f"calls self.{name}.{node.func.attr}"
-                if what:
+                    what = f"calls self.{name}.{node.func.attr}"
+                else:
+                    continue
+                if name is not None:
                     found.append((node.lineno, f"{cls.name}.{func.name} {what}"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
