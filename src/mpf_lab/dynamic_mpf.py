@@ -405,10 +405,11 @@ def minimax_run(pf: ProductFormula, psi_in: np.ndarray, steps, t0: float, t_fina
     first Trotter state.  From the second point on,
     the propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
-    push is made at the first of them by the walk, from the number of grid
-    steps, and decides there whether every push runs through the kernel or
-    through the power it builds on the subspace (``formulas._BlockPower``
-    gives the thresholds).  Surrogate
+    walk makes the push once, from the number of grid steps, before its
+    first Trotter batch, and the push decides there whether every push runs
+    through the kernel or through the power it builds on the subspace
+    (``formulas._BlockPower`` gives the thresholds), so a build holds no
+    Trotter state and a build that fails fails before any.  Surrogate
     data are generated per step from the exact overlaps with seeded,
     spectral-norm-bounded Gaussian noise; the estimate is advanced by
     :func:`minimax_step`.  Exact-data projections are recorded alongside for
@@ -448,12 +449,11 @@ def minimax_run(pf: ProductFormula, psi_in: np.ndarray, steps, t0: float, t_fina
         objective=objective,
     )
 
-    states = push = None
+    states = None
     walk = _Walk(pf, psi_in, times, steps)
+    push = walk.push(dt / k0, k0, n_steps)
     for j, (states_next, exact) in enumerate(walk):
         m_now = gram_from_states(states_next)
-        if j == 1:
-            push = walk.push(dt / k0, k0, n_steps)
         q_now = np.zeros((r, r)) if j == 0 else q_from_states(push, states, states_next)
         noisy = inject_noise(m_now, q_now, eps, np.random.SeedSequence(seed, spawn_key=(j,)))
         run.m_bars.append(noisy.m_bar)

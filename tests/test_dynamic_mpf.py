@@ -448,17 +448,15 @@ def minimax_push_calls(case, monkeypatch, **grid):
     minimax_run(case.pf, case.psi, STEPS, eps=0.01, c0=c0, seed=1, **grid)
     assert min(calls for calls, _ in batch_calls) > 0
     assert len(calls) == sum(c for c, _ in batch_calls + made + push_calls)
-    # The push is made once, after the first batch and right before the
-    # first push.
+    # The push is made once, before any batch.
     assert len(made) == 1
-    at = order.index("made")
-    assert order[0] == "batch" and order[at + 1] == "push" and "push" not in order[:at]
+    assert order[0] == "made" and order.count("made") == 1 and "batch" in order
     return batch_calls, made[0], push_calls
 
 
 def test_minimax_run_builds_at_the_first_push_of_a_long_grid(chain6, monkeypatch):
-    # Eight pushes, at least the crossover: the push, made at the first
-    # push, builds the 20-state sector, and no push calls the kernel or
+    # Eight pushes, at least the crossover: the push, made before the first
+    # batch, builds the 20-state sector, and no push calls the kernel or
     # builds.
     states = trotter_states(chain6.pf, chain6.psi, 0.5, STEPS)
     assert crossover(chain6.pf, states, 0.25, 3) <= 8
