@@ -37,7 +37,8 @@ SUZUKI_ORDERS = (4, 6)
 # per row (per row and pair where its pairs' couplings differ).
 _KERNEL_AMPLITUDES = 20 * 1024
 # Largest block a power is built for: a 1024-state block is 17 MB per
-# matrix once padded to whole tiles (1040), and a build holds several at once.
+# matrix once padded to whole tiles (1040), and a build holds two at once
+# (the power and a squaring's output).
 _BUILD_MAX = 1024
 # Cost of one kernel pass over one amplitude, in complex multiply-adds of a
 # block product, fitted to wall time: from the Neel state with k0=26 and r=5
@@ -314,19 +315,23 @@ class _BlockPower:
 
     The constructor decides, once and for every push, which of the two it
     is.  It builds if all the pushes through the kernel, k steps on each
-    state, would cost at least as much as building the power (a kernel step
-    on each basis state of the subspace, and the products of the squaring),
-    and then builds it at once.  The costs count multiply-adds from the
-    sizes alone (:data:`_SWEEP_COST` per amplitude a kernel pass sweeps), so
-    the choice, and with it every output bit, does not depend on timing.  A
-    subspace above :data:`_BUILD_MAX` states always runs through the kernel;
-    a smaller one builds by the same rule at any qubit count, above
+    state, would cost at least as much as building the power (counted as
+    one kernel step on each basis state of the subspace and the products of
+    a right-to-left squaring, six for k=26), and then builds it at once.
+    The costs count multiply-adds from the sizes alone (:data:`_SWEEP_COST`
+    per amplitude a kernel pass sweeps), so the choice, and with it every
+    output bit, does not depend on timing.  A subspace above
+    :data:`_BUILD_MAX` states always runs through the kernel; a smaller one
+    builds by the same rule at any qubit count, above
     ``pauli.DENSE_QUBIT_CAP`` too (a 2-state block at 13).  From the Neel
     state with k0=26 and five states the rule builds for 8 pushes or more at
-    n=10 (the 252-state sector) and for 75 or more at n=12 (924 states).
-    The power is one step S(t) of the program on the basis states of the
-    subspace, in its coordinates and :func:`_kernel_rows` rows per call,
-    then the k-th power by repeated squaring.
+    n=10 (the 252-state sector), 22 or more at n=11 (462 states) and 75 or
+    more at n=12 (924 states).
+
+    The power is built left to right over the bits of k: a squaring by
+    tiled products per bit below the top one, and a step S(t) of the
+    program on the columns of the power, :func:`_kernel_rows` per call, per
+    set bit (four products and three steps for k=26).
     """
 
     def __init__(self, program: _Program, t: float, k: int, pushes: int, count: int):
@@ -346,33 +351,40 @@ class _BlockPower:
         # Cost of one step S(t) per amplitude it sweeps, counted on the
         # program a kernel push runs.
         sweep = _SWEEP_COST * self._program.passes
+        # One step and the products of a right-to-left squaring, as the
+        # thresholds were fitted, though :meth:`_build` makes fewer products
+        # and one step per set bit of k.
         products = k.bit_length() + k.bit_count() - 2
         build = size * size * sweep + products * size ** 3
         return pushes * k * count * size * sweep >= build
 
     def _build(self) -> np.ndarray:
         """``S(t)^k`` on the subspace, zero-padded to whole tiles of the
-        block products (:func:`_products`): the step is allocated padded, so
-        neither the squaring nor a push pads or copies it, and it is filled
-        through its ``size``-square view, so the padding stays zero and no
-        index here depends on it."""
+        block products (:func:`_products`), so neither a squaring nor a push
+        pads or copies it.  The power starts as the identity, so the top bit
+        of k steps the basis states; only the power and a squaring's output
+        are whole matrices at once.  The steps run through its
+        ``size``-square view, so the padding stays zero and no index here
+        depends on it."""
         size = self._program.basis.size
-        width = _kernel_rows(size)
-        step = np.zeros((_whole(size), _whole(size)), dtype=complex)
-        block = step[:size, :size]
-        for lo in range(0, size, width):
-            # Basis states lo, lo + 1, ... of the subspace, in its
-            # coordinates; their images are those columns of S(t).
-            basis_rows = np.eye(min(width, size - lo), size, lo, dtype=complex)
-            block[:, lo:lo + width] = self._program.apply(basis_rows, self._t, 1).T
-        power, k = None, self._k
-        while True:
-            if k & 1:
-                power = step if power is None else _products(power, step)
-            k >>= 1
-            if not k:
-                return power
-            step = _products(step, step)
+        power = np.zeros((_whole(size), _whole(size)), dtype=complex)
+        np.fill_diagonal(power[:size, :size], 1.0)
+        for j, bit in enumerate(f"{self._k:b}"):
+            if j:
+                power = _products(power, power)
+            if bit == "1":
+                self._step(power[:size, :size])
+        return power
+
+    def _step(self, block: np.ndarray):
+        """Replace each column of the ``(S, S)`` view ``block`` by its image
+        under one step S(t) of the program, :func:`_kernel_rows` columns
+        per call.  Only the call holds the view, so a squaring after it
+        does not keep the power it was taken from."""
+        width = _kernel_rows(block.shape[0])
+        for lo in range(0, block.shape[1], width):
+            cols = block[:, lo:lo + width]
+            cols[:] = self._program.apply(cols.T, self._t, 1).T
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """Return ``S(t)^k`` applied to each row of an ``(r, S)`` array of

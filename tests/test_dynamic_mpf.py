@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -340,6 +341,50 @@ def test_built_push_matches_the_kernel_on_every_neel_sector(n):
     assert built_states(push) == math.comb(n, n // 2)
     kernel = case.pf.apply(rows, 0.1 / 6, 6)
     assert np.abs(push.apply(coords(push, rows)) - coords(push, kernel)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 26, 31])
+@pytest.mark.parametrize("n", [6, 10])
+def test_built_push_matches_the_kernel_for_every_bit_pattern(n, k):
+    # The power is built over the bits of k from the top: 1 is the step
+    # alone, 2 a squaring, 6 and 26 squarings and steps mixed, 31 a step on
+    # every bit.
+    case = ChainCase(n)
+    rows = np.array(trotter_states(case.pf, case.psi, 0.5, STEPS))
+    push = push_on(case.pf, rows, 0.1 / k, k, 10**6)
+    assert built_states(push) == math.comb(n, n // 2)
+    kernel = case.pf.apply(rows, 0.1 / k, k)
+    assert np.abs(push.apply(coords(push, rows)) - coords(push, kernel)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, least", [(10, 8), (11, 22), (12, 75)])
+def test_build_rule_thresholds_on_the_neel_sector(n, least):
+    # The shootout's push from the Neel state (k0=26, five circuits): the
+    # rule alone, with nothing built, builds from 8 pushes on the 252-state
+    # sector, from 22 on 462 states and from 75 on 924.
+    case = ChainCase(n)
+    push = _BlockPower(_Program(case.pf, case.pf._basis(case.psi)), 0.05 / 26, 26, 1, 5)
+    assert built_states(push) == 0
+    assert push._build_pays(least, 5) and not push._build_pays(least - 1, 5)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_a_build_holds_two_whole_matrices(n):
+    # Only the power and a squaring's output are whole matrices at once;
+    # the rest of the peak is one band of tile products or one block of
+    # kernel columns.  A right-to-left squaring held three (4.43 and 4.20
+    # whole matrices at n=10 and 11).
+    case = ChainCase(n)
+    program = _Program(case.pf, case.pf._basis(case.psi))
+    whole = formulas._whole(program.basis.size) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        push = _BlockPower(program, 0.05 / 26, 26, 10**6, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built_states(push) == math.comb(n, n // 2)
+    assert peak <= 2.5 * whole
 
 
 def test_only_the_touched_block_of_a_size_is_built(chain5, monkeypatch):

@@ -38,14 +38,14 @@ CONSERVES_NOTHING = """\
 GOLDENS = {
     "minimax-shootout": (
         "minimax-shootout", ["--set", "n=6", "--set", "trajectory_out=traj.csv"],
-        {"out.csv": "80f82f886eeb8c206eba05768cb69514d864cba8b69b14e812617b8a5b293e37",
-         "traj.csv": "534f90c9be5ffb009f88c4f49c30271ffe5450dedd01ff5895261682b624493c"},
+        {"out.csv": "3b1756bc5b6c7311ab04cba5f9e44f2f729bd170f3497dea5279b02f3a69ca63",
+         "traj.csv": "5069a290861d6cc6543c6838b9f5ef81a19034d3a1107ee8f9117bc0564f39ed"},
     ),
     # The benchmark's shootout config: the paper's defaults, n=10.
     "minimax-shootout-n10": (
         "minimax-shootout", ["--set", "trajectory_out=traj.csv"],
-        {"out.csv": "38a77b6ec6184371eb092188e851d3d46cd27482106d1840ac06ee0f12f2ca7b",
-         "traj.csv": "3098efdfc97976b3b513498bb015c52ed19b3db928ceb0fed7aebb254bdabfb2"},
+        {"out.csv": "fbe52eea52b53009f81a2fac35a46cb37fc0b63654258053bc29f0f7c646cd15",
+         "traj.csv": "020562748bd84dc71d9c7815f1cf283c54657137f3d84abf8dfbc7d109ab60d7"},
     ),
     "trotter-sweep": (
         "trotter-sweep", [],
