@@ -400,9 +400,11 @@ def minimax_run(pf: ProductFormula, psi_in: np.ndarray, steps, t0: float, t_fina
     The run's states come from one walk (``formulas._Walk``) in the
     coordinates of the invariant subspace that ``psi_in`` touches: the r
     circuit states of a few grid points at a time as one Trotter batch, and
-    the exact states from one set of Chebyshev vectors of H, the fragments'
-    sum, built there by the walk and made for the last grid time before the
-    first Trotter state.  From the second point on,
+    the exact states from the Chebyshev series of H, the fragments' sum,
+    built there by the walk, whose cap the walk checks for the grid's
+    largest |t| when it is made; the series is streamed over windows of the
+    grid, the first after the push and before the first Trotter state.
+    From the second point on,
     the propagation overlaps push the previous states forward by
     ``S(dt/k0)^k0`` (:func:`q_from_states`), one push per grid step.  The
     walk makes the push once, from the number of grid steps, before its

@@ -413,11 +413,18 @@ class _Walk:
     alone, so every state has the bits of ``dynamic_mpf.trotter_states`` at
     its time on the basis.  H, the fragments' sum, keeps that basis
     invariant; the walk builds it there (``statesim._ChebyshevBlock``) and
-    sums the exact states from one set of its Chebyshev vectors, made for
-    the grid's largest |t|.  The constructor refuses n above
-    ``pauli.DENSE_QUBIT_CAP`` and any step count :func:`_step_count` refuses
-    before any search, and batches past :data:`_PASSES_MAX` or a series
-    too long before any Trotter state.
+    streams the exact states of a window of consecutive times at a time
+    (``_ChebyshevBlock.rows``), whose rows and Bessel weights hold no more
+    amplitudes than the K x S of the series of the grid's largest |t|
+    (``_ChebyshevBlock.window``): one window for the whole grid of the
+    n=10 and 12 shootouts and the sweeps' default grids.  The constructor refuses n above ``pauli.DENSE_QUBIT_CAP`` and
+    any step count :func:`_step_count` refuses before any search, and
+    batches past :data:`_PASSES_MAX` or a series too long before any
+    Trotter state.  A window's rows are made when iteration reaches it, so
+    the first comes after the run's push (:meth:`push`) and before the
+    first Trotter batch.  Each point's Trotter states and exact state are
+    yielded as copies, and each batch is dropped before the next is made,
+    so a caller that keeps the previous point keeps no batch.
     Its one :class:`_Program` runs every batch, and :meth:`push` hands it
     to the run's :class:`_BlockPower`.
     """
@@ -434,17 +441,23 @@ class _Walk:
                             int(self._steps.max(initial=0)))
         self._psi = psi_in[basis]
         self._exact = _ChebyshevBlock(pf.hamiltonian, basis)
-        self._vectors = self._exact.vectors(self._psi, np.abs(self._times).max(initial=0.0))
+        self._window = self._exact.window(np.abs(self._times).max(initial=0.0))
 
     def __iter__(self):
         r, size, points = self._steps.size, self._psi.size, self._points
-        for lo in range(0, self._times.size, points):
-            batch = self._times[lo:lo + points]
-            rows = self._program.apply(np.broadcast_to(self._psi, (r * batch.size, size)),
-                                       (batch[:, None] / self._steps).ravel(),
-                                       np.tile(self._steps, batch.size))
-            for j, t in enumerate(batch):
-                yield rows[j * r:(j + 1) * r], self._exact.evolve(self._vectors, t)
+        for start in range(0, self._times.size, self._window):
+            times = self._times[start:start + self._window]
+            exact = self._exact.rows(self._psi, times)
+            for lo in range(0, times.size, points):
+                batch = times[lo:lo + points]
+                rows = self._program.apply(np.broadcast_to(self._psi, (r * batch.size, size)),
+                                           (batch[:, None] / self._steps).ravel(),
+                                           np.tile(self._steps, batch.size))
+                for j in range(batch.size):
+                    yield rows[j * r:(j + 1) * r].copy(), exact[lo + j].copy()
+                # The next batch is made without this one.
+                del rows
+            del exact
 
     def push(self, t: float, k: int, pushes: int) -> _BlockPower:
         """The run's ``S(t)^k`` for ``pushes`` pushes of its r states."""

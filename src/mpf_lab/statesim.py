@@ -5,9 +5,13 @@ No 2^n x 2^n matrix is materialized here.  The fragment kernel runs in the
 coordinates of a basis: an invariant subspace (a union of blocks such as
 total-Z sectors) or the whole space, the basis of every index, with the
 same bits on the subspace's amplitudes.  Exact evolution sums a Chebyshev
-series of the Hamiltonian on an invariant subspace, from Chebyshev vectors
-made once by sparse products on its own basis; it diagonalizes nothing and
-calls no BLAS.  The subspace a state touches comes from one helper,
+series of the Hamiltonian on an invariant subspace, streamed: the
+Chebyshev vectors, made by sparse products on the subspace's own basis,
+each from the two before it, are added a group at a time to the row of
+every time that keeps them, so a set of times holds its rows and one
+group of vectors, not the series.  It diagonalizes nothing and calls no
+BLAS.  The subspace a state touches
+comes from one helper,
 :func:`_subspace`.  The trace
 norm of a mixture of r pure states comes from the r x r triangular factor
 of a QR of the state block, which keeps its accuracy down to distances near
@@ -240,12 +244,20 @@ def _subspace(blocks: list[np.ndarray], states: np.ndarray) -> np.ndarray:
 # drop: the rigorous bound on the dropped terms sums to no more than this.
 _TAIL = 2.0 ** -53
 
-# Amplitudes (K series vectors x S subspace states) that one set of Chebyshev
-# vectors may hold, 128 MB; a longer series is refused before any
-# matrix-vector product (``_ChebyshevBlock.vectors``).  From the Neel state
-# the chain's sector reaches it near t = 258 at n=12 (924 states) and
-# t = 1,150 at n=10 (252 states).
+# Most K terms x S subspace states of one series, 2^23: a longer series is
+# refused before any matrix-vector product (``_ChebyshevBlock.terms``).  It
+# bounds the recursion's work (K products on S states) and the memory of a
+# window of rows, whose rows and Bessel weights hold at most K x S
+# amplitudes (128 MB at the cap; ``_ChebyshevBlock.window``).  From the
+# Neel state the chain's sector reaches it near t = 258 at n=12 (924
+# states) and t = 1,150 at n=10 (252 states).
 _SERIES_MAX = 1 << 23
+
+# Chebyshev vectors that ``_ChebyshevBlock.rows`` holds at once.  A row
+# adds a group's terms in one ``np.einsum`` call, so 32 keeps the calls few
+# (six groups for the 162 terms of the n=10 shootout) and the group small
+# (a fifth of those terms' vectors).
+_GROUP = 32
 
 
 def _terms(x: float, tail: float) -> int:
@@ -339,58 +351,92 @@ class _ChebyshevBlock:
         self._cols = np.array(cols)
         self._entries = np.array([(diag - self.centre) * scale, *(e * scale for e in entries)])
 
-    def vectors(self, psi: np.ndarray, longest: float) -> np.ndarray:
-        """The Chebyshev vectors of ``psi`` that the series of every time up
-        to ``longest`` in magnitude sums, one row each.
-
-        With ``M = -i (H - centre) / half`` they are ``v_k = (-i)^k T_k(i M)
-        psi``: ``v_0 = psi``, ``v_1 = M psi`` and ``v_{k+1} = 2 M v_k +
-        v_{k-1}``, K = ``_terms(half * longest, _TAIL)`` of them.  They do
-        not depend on t, and each has the same bits however many are made.
-        When the K vectors would hold more than :data:`_SERIES_MAX`
-        amplitudes the series is refused before any product; K >= x, so x
-        times the size above the cap is refused without counting K."""
-        x, size = self.half * longest, psi.size
+    def terms(self, longest: float) -> int:
+        """K = ``_terms(half * longest, _TAIL)``, the terms that the series
+        of every time up to ``longest`` in magnitude keeps.  When K times
+        the subspace's S states is above :data:`_SERIES_MAX` the series is
+        refused, before any product; K >= x, so x times the size above the
+        cap is refused without counting K."""
+        x, size = self.half * longest, self._cols.shape[1]
         count = None if x * size > _SERIES_MAX else _terms(x, _TAIL)
         if count is None or count * size > _SERIES_MAX:
             raise ResourceLimitError(
                 f"a Chebyshev series of {count or f'at least {x:.0f}'} terms on {size} states "
                 f"exceeds the cap of {_SERIES_MAX} amplitudes")
-        vectors = np.empty((count, size), dtype=complex)
-        vectors[0] = psi
-        for k in range(1, count):
-            image = (self._entries * vectors[k - 1][self._cols]).sum(axis=0)
-            vectors[k] = image if k == 1 else 2.0 * image + vectors[k - 2]
-        return vectors
+        return count
 
-    def evolve(self, vectors: np.ndarray, t: float) -> np.ndarray:
-        """``exp(-i t H) psi`` from the Chebyshev vectors of ``psi``
-        (:meth:`vectors`, made for a magnitude of at least ``|t|``); at
-        t = 0 ``psi`` exactly.
+    def window(self, longest: float) -> int:
+        """Times per call of :meth:`rows` on a grid whose largest |t| is
+        ``longest``: as many as hold, rows and Bessel weights, no more
+        amplitudes than the grid's K x S (:meth:`terms`, which refuses
+        first), and at least one."""
+        count, size = self.terms(longest), self._cols.shape[1]
+        return max(1, count * size // (size + count))
 
-        With ``x = half |t|`` this is ``exp(-i centre t) sum_k (2 - [k = 0])
-        J_k(x) sign(t)^k v_k``, so the weights are real.  The time takes its
-        own term count and Bessel values, and its sum over its terms runs in
-        one fixed order (``np.einsum`` on the real and imaginary parts), so
-        the result has the same bits from any set of vectors long enough for
-        it.  It must keep the norm of ``psi`` to 1e-12 of it.
+    def rows(self, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``exp(-i t H) psi`` at each of ``times``, one row each; at t = 0
+        ``psi`` exactly.  A series past the cap is refused before any
+        product (:meth:`terms`).
+
+        With ``M = -i (H - centre) / half`` the Chebyshev vectors are
+        ``v_k = (-i)^k T_k(i M) psi``: ``v_0 = psi``, ``v_1 = M psi`` and
+        ``v_{k+1} = 2 M v_k + v_{k-1}``, and with ``x = half |t|`` a row is
+        ``exp(-i centre t) sum_k (2 - [k = 0]) J_k(x) sign(t)^k v_k``, so
+        the weights are real.  Each time keeps its own term count and
+        Bessel values (:func:`_series`).  The sum is streamed: the
+        recursion fills a group of :data:`_GROUP` vectors at a time, and
+        each row that keeps terms of the group adds them with one
+        ``np.einsum`` on the float view, the row itself first with weight
+        1, so the row's sum runs over k in order from zero.  A row thus has
+        the same bits alone or beside any other times, and the call holds
+        its rows and one group, not the series.  Every row must keep the
+        norm of ``psi`` to 1e-12 of it.
         """
-        if t == 0.0:
-            return vectors[0].copy()
-        j = _series(self.half * abs(t))
-        weights = 2.0 * j
-        weights[0] = j[0]
-        if t < 0.0:
-            weights[1::2] *= -1.0
-        row = (np.einsum("k,ks->s", weights, vectors[:j.size].view(float)).view(complex)
-               * np.exp(-1j * self.centre * t))
-        psi = vectors[0]
+        times = np.asarray(times, dtype=float)
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        weights = np.zeros((times.size, self.terms(np.abs(times).max(initial=0.0))))
+        counts = np.zeros(times.size, dtype=int)
+        for m, t in enumerate(times):
+            if t:
+                j = _series(self.half * abs(t))
+                w = weights[m, :j.size]
+                w[:] = 2.0 * j
+                w[0] = j[0]
+                if t < 0.0:
+                    w[1::2] *= -1.0
+                counts[m] = j.size
+        out = np.zeros((times.size, psi.size), dtype=complex)
+        width = counts.max(initial=0)
+        # Slot 0 holds the row being summed, with weight 1; the rest hold
+        # one group's vectors.
+        group = np.empty((min(_GROUP, width) + 1, psi.size), dtype=complex)
+        scale = np.empty(group.shape[0])
+        scale[0] = 1.0
+        previous, vector = None, psi
+        for first in range(0, width, _GROUP):
+            last = min(first + _GROUP, width)
+            for k in range(first, last):
+                if k:
+                    image = (self._entries * vector[self._cols]).sum(axis=0)
+                    previous, vector = vector, image if k == 1 else 2.0 * image + previous
+                group[1 + k - first] = vector
+            for m in np.flatnonzero(counts > first):
+                kept = min(counts[m], last) - first + 1
+                group[0] = out[m]
+                scale[1:kept] = weights[m, first:first + kept - 1]
+                np.einsum("k,ks->s", scale[:kept], group[:kept].view(float),
+                          out=out[m].view(float))
         norm = np.sqrt((psi.real ** 2 + psi.imag ** 2).sum())
-        drift = abs(np.sqrt((row.real ** 2 + row.imag ** 2).sum()) - norm)
-        if not drift <= 1e-12 * norm:
-            raise NumericalDegeneracyError(
-                f"Chebyshev certificate failed: an evolved row's norm is off by {drift:.3e}")
-        return row
+        for row, t in zip(out, times):
+            if not t:
+                row[:] = psi
+                continue
+            row *= np.exp(-1j * self.centre * t)
+            drift = abs(np.sqrt((row.real ** 2 + row.imag ** 2).sum()) - norm)
+            if not drift <= 1e-12 * norm:
+                raise NumericalDegeneracyError(
+                    f"Chebyshev certificate failed: an evolved row's norm is off by {drift:.3e}")
+        return out
 
 
 class SpectralOracle:
@@ -403,7 +449,8 @@ class SpectralOracle:
     union of blocks the state touches (:func:`_subspace`,
     :class:`_ChebyshevBlock`) and keeps nothing; no other block is built,
     and nothing is diagonalized.  Runs take their exact states from
-    ``formulas._Walk``, which builds H on its own basis once.
+    ``formulas._Walk``, which builds H on its own basis once and streams
+    the same sum (``_ChebyshevBlock.rows``) over its grid.
     """
 
     def __init__(self, hamiltonian: PauliSumOp):
@@ -419,7 +466,7 @@ class SpectralOracle:
     def evolve(self, state: np.ndarray, t: float) -> np.ndarray:
         """Return exp(-i t H) |state> for one time t; at t = 0 the input
         exactly.  The series runs on the subspace the state touches, with
-        H there and its vectors made for this call alone, and untouched
+        H there and the sum streamed for this one time, and untouched
         blocks stay exactly zero."""
         state, time = np.asarray(state), np.asarray(t, dtype=float)
         if state.shape != (1 << self.n,):
@@ -432,7 +479,7 @@ class SpectralOracle:
         basis = _subspace(self._groups, state) if t else state[:0]
         if basis.size:
             block = _ChebyshevBlock(self._hamiltonian, basis)
-            out[basis] = block.evolve(block.vectors(state[basis], abs(t)), t)
+            out[basis] = block.rows(state[basis], time[None])[0]
         return out
 
 

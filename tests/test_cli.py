@@ -167,7 +167,7 @@ def test_resource_cap_exit_code(capsys):
 def test_step_counts_past_the_kernel_cap_exit_3_before_any_kernel_step(args, capsys,
                                                                        monkeypatch):
     for owner, name in ((statesim.FragmentEvolver, "_apply_in_place"),
-                        (statesim._ChebyshevBlock, "vectors")):
+                        (statesim._ChebyshevBlock, "terms")):
         monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (3, "")
@@ -238,13 +238,13 @@ def test_overflow_exits_as_a_numerical_failure(scenario, capsys):
 def test_overflowing_grid_time_is_refused_before_any_state(scenario, capsys, monkeypatch):
     # Only the last grid time overflows; its bound and fit columns are
     # evaluated first, so no Trotter state and no exact state is computed:
-    # the walk's kernel batches and Chebyshev vectors are never made.
+    # the walk's kernel batches and Chebyshev rows are never made.
     calls = []
-    batch, vectors = formulas._Program.apply, statesim._ChebyshevBlock.vectors
+    batch, rows = formulas._Program.apply, statesim._ChebyshevBlock.rows
     monkeypatch.setattr(formulas._Program, "apply",
                         lambda *a: calls.append("batch") or batch(*a))
-    monkeypatch.setattr(statesim._ChebyshevBlock, "vectors",
-                        lambda *a: calls.append("exact") or vectors(*a))
+    monkeypatch.setattr(statesim._ChebyshevBlock, "rows",
+                        lambda *a: calls.append("exact") or rows(*a))
     code, out, err = run_cli([scenario, "--set", "n=4", "--set", "t_start=1",
                               "--set", "t_stop=1e300", "--set", "t_count=3"], capsys)
     assert code == 4
@@ -455,10 +455,10 @@ def test_shootout_refuses_k0_and_eps_before_any_evolution(override, message, cap
 def test_shootout_refuses_the_qubit_cap_and_step_counts_before_any_search(
         args, code, message, capsys, monkeypatch):
     # The walk checks both first: no block search, no H on a subspace, no
-    # Chebyshev vector, no kernel batch and no warning.
+    # Chebyshev series, no kernel batch and no warning.
     calls = []
     hooks = [(formulas, "_partition"), (statesim._ChebyshevBlock, "__init__"),
-             (statesim._ChebyshevBlock, "vectors"), (formulas._Program, "apply")]
+             (statesim._ChebyshevBlock, "terms"), (formulas._Program, "apply")]
     for owner, name in hooks:
         monkeypatch.setattr(owner, name, lambda *a, name=name, f=getattr(owner, name):
                             calls.append(name) or f(*a))

@@ -29,6 +29,7 @@ from mpf_lab import (
     second_order,
     solve_coefficients,
     suzuki,
+    to_dense,
     tracking_error_bound,
     trotter_states,
 )
@@ -112,6 +113,74 @@ def test_walk_rows_match_the_scalar_calls_bit_for_bit(chain4):
         trotter_states(chain4.pf, chain4.psi, times, STEPS)
 
 
+# The n=10 shootout's grid: t from 1.0 to 4.5 by 0.05.
+SHOOTOUT = 1.0 + 0.05 * np.arange(71)
+
+
+def test_walk_exact_rows_equal_the_oracle_at_every_shootout_time(chain6, chain10, rng):
+    # The shootout's times, t = 0 and a negative time, on the n=10 chain
+    # and on a complex block (XY - YX on the first bond of the n=6 chain):
+    # each streamed row has the bits of the oracle's one-time call.
+    times = np.concatenate([SHOOTOUT, [0.0, -2.35]])
+    twist = PauliSumOp.from_terms(6, [(0.3, PauliString("XYIIII")),
+                                      (-0.3, PauliString("YXIIII"))])
+    twisted = second_order((*chain6.fragments, twist))
+    assert np.abs(to_dense(twisted.hamiltonian).imag).max() > 0.0
+    for pf, psi in ((chain10.pf, chain10.psi), (twisted, chain6.psi),
+                    (twisted, random_state(6, rng))):
+        oracle = SpectralOracle(pf.hamiltonian)
+        walk = _Walk(pf, psi, times, ())
+        basis = walk._program.basis
+        rows = [exact for _, exact in walk]
+        assert len(rows) == times.size
+        for t, exact in zip(times, rows):
+            assert np.array_equal(exact, oracle.evolve(psi, t)[basis])
+
+
+def test_a_grid_in_three_windows_keeps_the_bits_of_one(chain4):
+    # On the 6-state Neel sector the series for |t| up to 2 keeps 44 terms,
+    # and a window holds the times whose rows and Bessel weights fit its
+    # 44 x 6 amplitudes: five, so 15 times run as three windows, each
+    # summed from v_0 again, with Trotter batches inside them.
+    times = np.linspace(-2.0, 2.0, 15)
+    walk = _Walk(chain4.pf, chain4.psi, times, STEPS)
+    assert (walk._exact.terms(2.0), walk._window) == (44, 5)
+    basis = walk._program.basis
+    one = walk._exact.rows(chain4.psi[basis], times)
+    for t, row, (states, exact) in zip(times, one, walk, strict=True):
+        assert np.array_equal(exact, row)
+        scalar = trotter_states(chain4.pf, chain4.psi, t, STEPS)
+        assert all(np.array_equal(a, b[basis]) for a, b in zip(states, scalar, strict=True))
+
+
+def test_a_walk_holds_its_exact_rows_and_one_trotter_batch(chain10):
+    # Built and iterated as a run does, keeping the last point's states,
+    # the n=10 shootout's walk holds its 71 exact rows with their Bessel
+    # weights, the peak of one Trotter batch and a few vectors: not the
+    # 162 Chebyshev vectors of the grid's series, nor the batch before.
+    case, steps = chain10, np.array([8, 20, 26, 30, 34])
+    basis = case.pf._basis(case.psi)
+    program = _Program(case.pf, basis)
+    points = formulas._kernel_rows(basis.size) // steps.size
+    vector = basis.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        program.apply(np.broadcast_to(case.psi[basis], (points * steps.size, basis.size)),
+                      (SHOOTOUT[:points, None] / steps).ravel(), np.tile(steps, points))
+        batch = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        walk = _Walk(case.pf, case.psi, SHOOTOUT, steps)
+        for count, held in enumerate(walk, 1):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = walk._exact.terms(SHOOTOUT[-1])
+    assert (terms, count, held[0].shape) == (162, SHOOTOUT.size, (steps.size, basis.size))
+    exact = SHOOTOUT.size * (vector + terms * np.dtype(float).itemsize)
+    assert peak <= batch + exact + 24 * vector
+
+
 def test_minimax_run_finds_its_basis_once(chain6, monkeypatch):
     # One search for the subspace, on the formula's blocks; no whole-space
     # search of the Hamiltonian's blocks.
@@ -144,11 +213,11 @@ def test_run_does_one_whole_space_block_search(monkeypatch):
 
 
 def test_overlong_series_is_refused_before_any_trotter_state(chain4, monkeypatch):
-    # The walk makes its Chebyshev vectors for the grid's largest |t| when
-    # it is made: a cap below the last time's series refuses it there.
+    # The walk checks the series of the grid's largest |t| when it is
+    # made: a cap below that series' K x S refuses it there.
     monkeypatch.setattr(formulas._Program, "apply", lambda *a: pytest.fail("state computed"))
     basis = chain4.pf._basis(chain4.psi)
-    size = statesim._ChebyshevBlock(chain4.hamiltonian, basis).vectors(chain4.psi[basis], 2.0).size
+    size = statesim._ChebyshevBlock(chain4.hamiltonian, basis).terms(2.0) * basis.size
     monkeypatch.setattr(statesim, "_SERIES_MAX", size - 1)
     with pytest.raises(ResourceLimitError, match="Chebyshev series"):
         _Walk(chain4.pf, chain4.psi, np.array([0.5, -2.0, 1.0]), STEPS)

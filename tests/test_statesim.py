@@ -375,7 +375,7 @@ def test_oracle_dimension_checks(chain4):
         SpectralOracle(big)
 
 
-def test_series_cap_counts_the_vectors_it_holds(chain4, monkeypatch):
+def test_series_cap_counts_terms_times_states(chain4, monkeypatch):
     # At t = 1 the 6-state Neel sector's series keeps K = 31 terms for
     # x = 6.98: a cap between x S and K S refuses it, and K S admits it.
     oracle = SpectralOracle(chain4.hamiltonian)
@@ -386,11 +386,12 @@ def test_series_cap_counts_the_vectors_it_holds(chain4, monkeypatch):
     assert x * basis.size < terms * basis.size - 1
     monkeypatch.setattr(statesim, "_SERIES_MAX", terms * basis.size - 1)
     for refused in (lambda: oracle.evolve(chain4.psi, -1.0),
-                    lambda: block.vectors(chain4.psi[basis], 1.0)):
+                    lambda: block.rows(chain4.psi[basis], np.array([0.5, 1.0]))):
         with pytest.raises(ResourceLimitError, match=f"of {terms} terms on {basis.size} states"):
             refused()
     monkeypatch.setattr(statesim, "_SERIES_MAX", terms * basis.size)
-    assert block.vectors(chain4.psi[basis], 1.0).shape == (terms, basis.size)
+    assert block.terms(1.0) == terms
+    assert block.rows(chain4.psi[basis], np.array([0.5, 1.0])).shape == (2, basis.size)
     assert np.array_equal(oracle.evolve(chain4.psi, -1.0), chain4.oracle.evolve(chain4.psi, -1.0))
 
 
@@ -482,13 +483,14 @@ def test_oracle_on_a_complex_block_matches_expm_in_any_batch(chain6, rng):
     for psi in (chain6.psi, random_state(6, rng)):
         basis = statesim._subspace(oracle._groups, psi)
         block = statesim._ChebyshevBlock(h_op, basis)
-        for t in times:
+        together = block.rows(psi[basis], times)
+        for t, beside in zip(times, together):
             row = oracle.evolve(psi, t)
             assert np.linalg.norm(row - sla.expm(-1j * t * dense) @ psi) <= 1e-13
-            # The bits of one time's row do not depend on how many vectors
-            # were made for it.
-            for longest in (abs(t), 40.0):
-                assert np.array_equal(row[basis], block.evolve(block.vectors(psi[basis], longest), t))
+            # The bits of one time's row do not depend on the other times
+            # summed beside it, nor on how many terms they keep.
+            assert np.array_equal(row[basis], beside)
+            assert np.array_equal(row[basis], block.rows(psi[basis], np.array([t, 40.0]))[0])
 
 
 def test_oracle_builds_each_touched_block_once(chain4, rng, monkeypatch):
@@ -548,10 +550,10 @@ def test_oracle_grid_zero_times_are_exact(chain6, rng):
     for i in np.flatnonzero(GRID == 0.0):
         assert np.array_equal(rows[i], psi)
     block = statesim._ChebyshevBlock(chain6.hamiltonian, basis)
-    vectors = block.vectors(psi, 1.0)
-    zero = block.evolve(vectors, 0.0)
+    rows = block.rows(psi, np.array([0.0, 1.0]))
+    zero = rows[0]
     assert np.array_equal(zero, psi)
-    assert not np.shares_memory(zero, vectors) and not np.shares_memory(zero, psi)
+    assert not np.shares_memory(zero, rows[1]) and not np.shares_memory(zero, psi)
 
 
 def test_oracle_grid_leaves_untouched_blocks_zero(chain6):

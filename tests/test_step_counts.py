@@ -90,7 +90,7 @@ def test_kernel_calls_past_the_pass_cap_are_refused_before_any_step(chain4, monk
     assert pf.apply(block, 0.1, [6, 4]).shape == block.shape
     assert len(list(_Walk(pf, psi, times, [6, 2]))) == 2
     for owner, name in ((statesim.FragmentEvolver, "_apply_in_place"),
-                        (statesim._ChebyshevBlock, "vectors")):
+                        (statesim._ChebyshevBlock, "terms")):
         monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
     for run, rows in ((lambda: pf.apply(block, 0.1, [7, 1]), 2),
                       (lambda: _Walk(pf, psi, times, [7, 1]), 4)):
