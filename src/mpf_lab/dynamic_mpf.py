@@ -21,8 +21,11 @@ RIDGE = 1e-12
 PINV_RTOL = 1e-12
 MINIMAX_TOL = 1e-9
 # Most points a time grid may hold, checked before the grid is made: 1,400
-# times the paper's 71-point shootout grid, whose n=10 run at the cap takes
-# about 8 minutes and 350 MB (4.6 ms and 3.5 KB a point, one BLAS thread).
+# times the paper's 71-point shootout grid.  Per point the n=10 shootout
+# costs about 3.6 ms and 2 KB of peak RSS: with t_final=100 (9,901 points,
+# fresh CLI runs, two BLAS threads) it took 33-38 s at 61 MB, against 41 MB
+# for the 71 points.  Its exact states never hold more than the K x S
+# amplitudes of the grid's series (``statesim._SERIES_MAX``).
 GRID_POINT_CAP = 100_000
 
 
